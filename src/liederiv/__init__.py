@@ -22,7 +22,6 @@ from .derivations import (
     dimension_formula,
     extend_derivation,
     flatten_endo,
-    h1_dimension,
     inner_derivations,
     l_ideal,
     random_combination,
@@ -65,7 +64,6 @@ from .parabolic import (
     build_gl,
     build_standard_parabolic,
     compositions,
-    langlands,
     parabolic_from_delta_prime,
     root_value,
     semisimple_restriction,

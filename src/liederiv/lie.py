@@ -120,20 +120,6 @@ class LieAlgebra:
             self._adj = adj
         return self._adj
 
-    def bracket_with_basis(self, x, j: int) -> dict[int, Q]:
-        """Sparse coordinates of [x, x_j] for a coordinate vector x."""
-        out: dict[int, Q] = {}
-        for (i, sign, ks) in self.adjacency()[j]:
-            c = x[i] * sign
-            if c:
-                for k, v in ks.items():
-                    nv = out.get(k, Q(0)) + c * v
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return out
-
     def element(self, coords) -> Element:
         return Element(self, vec(coords))
 
@@ -340,20 +326,21 @@ def first_leibniz_violation(L: LieAlgebra, m: Matrix) -> tuple[int, int] | None:
     if m.rows != L.dim or m.cols != L.dim:
         raise ValueError("matrix shape does not match algebra dimension")
     d = L.dim
-    cols = [m.col(j) for j in range(d)]
+    cols = [{t: e for t, e in enumerate(m.col(j)) if e} for j in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = [Q(0)] * d
+            # m[x_i, x_j] - [m x_i, x_j] - [x_i, m x_j], summed sparsely
+            acc: dict[int, Q] = {}
             for k, v in L.bracket_coords(i, j).items():
-                col = cols[k]
-                for t in range(d):
-                    if col[t]:
-                        lhs[t] += v * col[t]
-            for k, v in L.bracket_with_basis(cols[i], j).items():
-                lhs[k] -= v
-            for k, v in L.bracket_with_basis(cols[j], i).items():
-                lhs[k] += v  # [x_i, m x_j] = -[m x_j, x_i]
-            if any(lhs):
+                for t, e in cols[k].items():
+                    acc[t] = acc.get(t, 0) + v * e
+            for t, e in cols[i].items():
+                for k, v in L.bracket_coords(t, j).items():
+                    acc[k] = acc.get(k, 0) - e * v
+            for t, e in cols[j].items():
+                for k, v in L.bracket_coords(i, t).items():
+                    acc[k] = acc.get(k, 0) - e * v
+            if any(acc.values()):
                 return (i, j)
     return None
 

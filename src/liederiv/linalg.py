@@ -104,10 +104,11 @@ class Matrix:
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for i in range(self.rows):
             base = i * self.cols
-            out.append(sum((self.entries[base + j] * v[j] for j in range(self.cols)), Q(0)))
+            out.append(sum((self.entries[base + j] * x for j, x in support), Q(0)))
         return tuple(out)
 
     def __mul__(self, other: Matrix) -> Matrix:
@@ -115,12 +116,16 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        cols = [other.col(j) for j in range(other.cols)]
+        # row i of the product is sum_k self[i, k] * other.row(k), over nonzero entries
         flat = []
         for i in range(self.rows):
-            r = self.row(i)
-            for c in cols:
-                flat.append(sum((a * b for a, b in zip(r, c)), Q(0)))
+            acc = [Q(0)] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in enumerate(other.row(k)):
+                        if b:
+                            acc[j] += a * b
+            flat.extend(acc)
         return Matrix(self.rows, other.cols, flat)
 
     def __add__(self, other: Matrix) -> Matrix:
@@ -295,22 +300,31 @@ class Subspace:
 
     Basis rows are nonzero with strictly increasing pivot columns, pivot
     entries equal to 1, and pivot columns zero elsewhere, so two subspaces
-    are equal exactly when their basis matrices are equal entrywise.
+    are equal exactly when their basis matrices are equal entrywise. The
+    pivot columns are recorded once, when the basis is built.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, _canonical: bool = False):
+    def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        if not _canonical:
-            red = _RowReducer(ambient_dim)
-            for i in range(basis.rows):
-                red.add_dense_row(basis.row(i))
-            rows = red.rref_dense()
-            basis = Matrix(len(rows), ambient_dim, [e for r in rows for e in r])
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        red = _RowReducer(ambient_dim)
+        for i in range(basis.rows):
+            red.add_dense_row(basis.row(i))
+        self._take(red)
+
+    def _take(self, red: _RowReducer) -> None:
+        rows = red.rref_dense()
+        object.__setattr__(self, "ambient_dim", red.ncols)
+        object.__setattr__(self, "basis", Matrix(len(rows), red.ncols, [e for r in rows for e in r]))
+        object.__setattr__(self, "_pivots", tuple(red.pivots()))
+
+    @classmethod
+    def _of_reducer(cls, red: _RowReducer) -> Subspace:
+        space = object.__new__(cls)
+        space._take(red)
+        return space
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -320,37 +334,29 @@ class Subspace:
         red = _RowReducer(ambient_dim)
         for v in vectors:
             red.add_dense_row(v)
-        rows = red.rref_dense()
-        m = Matrix(len(rows), ambient_dim, [e for r in rows for e in r])
-        return cls(ambient_dim, m, _canonical=True)
+        return cls._of_reducer(red)
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
         red = _RowReducer(ambient_dim)
         for v in sparse_vectors:
             red.add_row(v)
-        rows = red.rref_dense()
-        m = Matrix(len(rows), ambient_dim, [e for r in rows for e in r])
-        return cls(ambient_dim, m, _canonical=True)
+        return cls._of_reducer(red)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix(0, ambient_dim, ()), _canonical=True)
+        return cls._of_reducer(_RowReducer(ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.identity(ambient_dim), _canonical=True)
+        return cls(ambient_dim, Matrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
     def pivots(self) -> list[int]:
-        out = []
-        for i in range(self.basis.rows):
-            r = self.basis.row(i)
-            out.append(next(j for j, e in enumerate(r) if e != 0))
-        return out
+        return list(self._pivots)
 
     def vectors(self) -> list[Vector]:
         return self.basis.row_list()
@@ -364,11 +370,11 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        coords = tuple(v[p] for p in self.pivots())
+        coords = tuple(v[p] for p in self._pivots)
         residual = list(v)
-        for c, row in zip(coords, self.basis.row_list()):
+        for i, c in enumerate(coords):
             if c:
-                for j, e in enumerate(row):
+                for j, e in enumerate(self.basis.row(i)):
                     if e:
                         residual[j] -= c * e
         if any(residual):
@@ -492,17 +498,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(a: Subspace, v) -> bool:
     """True iff v lies in a (exact residual after one elimination pass)."""
-    v = vec(v)
-    if len(v) != a.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    residual = list(v)
-    for p, row in zip(a.pivots(), a.basis.row_list()):
-        c = residual[p]
-        if c:
-            for j, e in enumerate(row):
-                if e:
-                    residual[j] -= c * e
-    return not any(residual)
+    return a.coordinates_of(v) is not None
 
 
 def is_direct_sum(parts, whole: Subspace) -> bool:

@@ -23,7 +23,6 @@ __all__ = [
     "build_gl",
     "build_standard_parabolic",
     "parabolic_from_delta_prime",
-    "langlands",
     "adapted_basis_indices",
     "root_value",
     "compositions",
@@ -360,11 +359,6 @@ def parabolic_from_delta_prime(n: int, delta_prime, **kwargs) -> ParabolicAlgebr
             size = 1
     blocks.append(size)
     return build_standard_parabolic(tuple(blocks), n, **kwargs)
-
-
-def langlands(q: ParabolicAlgebra) -> tuple[Subspace, Subspace, Subspace, Subspace]:
-    """(levi, nilradical, levi_center, levi_semisimple) in ambient coordinates."""
-    return (q.levi, q.nilradical, q.levi_center, q.levi_semisimple)
 
 
 def adapted_basis_indices(q: ParabolicAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

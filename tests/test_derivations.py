@@ -9,7 +9,6 @@ from liederiv.derivations import (
     derivation_algebra,
     dimension_formula,
     flatten_endo,
-    h1_dimension,
     inner_derivations,
     l_ideal,
     random_combination,
@@ -19,7 +18,7 @@ from liederiv.derivations import (
     verify_main_theorem,
 )
 from liederiv.lie import LieAlgebra, ad_matrix, is_derivation, restrict
-from liederiv.linalg import Matrix, Q, Subspace, contains, solve, vec
+from liederiv.linalg import Matrix, Q, Subspace, contains, solve, subspace_sum, vec
 from liederiv.parabolic import (
     build_standard_parabolic,
     compositions,
@@ -130,10 +129,10 @@ def test_dimension_formula_values():
 
 
 def test_h1_values(golden_q, golden_der):
-    assert h1_dimension(golden_q, golden_der) == 3
+    assert golden_der.dim - inner_derivations(golden_q).dim == 3
     for n in (2, 3):
         q = build_standard_parabolic((n,))
-        assert h1_dimension(q) == 1
+        assert derivation_algebra(q.algebra).dim - inner_derivations(q).dim == 1
     sl = semisimple_restriction(build_standard_parabolic((2, 1), 3))
     assert derivation_algebra(sl).dim - inner_derivations(sl).dim == 0
 
@@ -325,6 +324,37 @@ def test_explicit_ideal_closures(golden_q, golden_der):
         image = q.algebra.element(tuple(D.col(i)))
         assert comm == ad_matrix(image).matrix
         assert contains(inner, flatten_endo(comm))
+
+
+def _brute_force_closure_flags(q, space):
+    """Whether [D, E] stays in l_ideal(q) and [D, A] in ad q, for D over the
+    basis of space, E over the basis of l_ideal(q) and A = ad x_i."""
+    d = q.dim
+    lid = l_ideal(q)
+    inner = inner_derivations(q)
+    ls = [unflatten_endo(d, flat) for flat in lid.vectors()]
+    ads = [ad_matrix(q.algebra.basis_element(i)).matrix for i in range(d)]
+    ds = [unflatten_endo(d, flat) for flat in space.vectors()]
+    l_ok = all(contains(lid, flatten_endo(D * E - E * D)) for D in ds for E in ls)
+    inner_ok = all(contains(inner, flatten_endo(D * A - A * D)) for D in ds for A in ads)
+    return l_ok, inner_ok
+
+
+@pytest.mark.parametrize("extra", ["identity", "center_to_root"])
+def test_fault_injected_closure_flags(golden_q, golden_der, extra):
+    q = golden_q
+    d = q.dim
+    if extra == "identity":
+        X = Subspace.from_vectors(d * d, [flatten_endo(Matrix.identity(d))])
+    else:
+        X = Subspace.from_sparse(d * d, [{0 * d + 10: Q(1)}])  # the scalar I -> x_10
+    space = subspace_sum(golden_der, X)
+    assert space.dim == golden_der.dim + 1
+    report = verify_main_theorem(q, space)
+    assert (report.l_is_ideal_ok, report.inner_is_ideal_ok) == _brute_force_closure_flags(q, space)
+    assert not report.direct_sum_ok and not report.ok
+    # the first failing check names the witness, whatever fails after it
+    assert report.counterexample == {"kind": "direct_sum"}
 
 
 def test_split_derivation_rejects_outsider(golden_q):

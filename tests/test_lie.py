@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from liederiv.derivations import unflatten_endo
+from liederiv.derivations import random_combination, unflatten_endo
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
@@ -10,6 +10,7 @@ from liederiv.lie import (
     bracket,
     bracket_span,
     center,
+    first_leibniz_violation,
     is_derivation,
     restrict,
     validate_structure,
@@ -198,6 +199,34 @@ def test_any_map_is_derivation_on_abelian():
     rng = random.Random(37)
     m = Matrix(2, 2, [rng.randint(-5, 5) for _ in range(4)])
     assert is_derivation(L, m)
+
+
+def _first_leibniz_failure(L, m):
+    """First i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], by elements."""
+    D = EndoMatrix(L, m)
+    for i in range(L.dim):
+        xi = L.basis_element(i)
+        for j in range(i + 1, L.dim):
+            xj = L.basis_element(j)
+            if D.apply(bracket(xi, xj)) != bracket(D.apply(xi), xj) + bracket(xi, D.apply(xj)):
+                return (i, j)
+    return None
+
+
+def test_first_leibniz_violation_matches_elementwise(golden_q, golden_der):
+    L = golden_q.algebra
+    d = L.dim
+    rng = random.Random(53)
+    cases = [Matrix.identity(d)]
+    for _ in range(8):
+        flat = list(random_combination(golden_der, rng))
+        cases.append(unflatten_endo(d, flat))
+        flat[rng.randrange(d * d)] += rng.choice((-3, -1, 1, 2))
+        cases.append(unflatten_endo(d, flat))
+    found = [first_leibniz_violation(L, m) for m in cases]
+    assert found == [_first_leibniz_failure(L, m) for m in cases]
+    assert found[0] is not None and found[1] is None
+    assert sum(pair is not None for pair in found) >= 5
 
 
 def test_inner_derivations_stabilize_ideals(golden_q):

@@ -191,6 +191,17 @@ def test_subspace_canonical_equality():
     assert a.basis == b.basis
 
 
+def test_subspace_constructor_canonicalizes():
+    raw = Matrix.from_rows([[0, 2, 4, 0], [1, 1, 0, 0], [0, 4, 8, 0], [3, 5, 4, 0]])
+    s = Subspace(4, raw)
+    assert s.basis == Matrix.from_rows([[1, 0, -2, 0], [0, 1, 2, 0]])
+    assert s.pivots() == [0, 1]
+    assert s == _span(4, [0, 2, 4, 0], [1, 1, 0, 0])
+    assert s.coordinates_of(vec([1, 1, 0, 0])) == vec([1, 1])
+    assert Subspace(3, Matrix(0, 3, ())) == Subspace.zero(3)
+    assert Subspace(3, Matrix.from_rows([[0, 0, 5], [2, 0, 0], [0, 1, 1]])) == Subspace.full(3)
+
+
 def test_ambient_mismatch_errors():
     a = _span(2, [1, 0])
     b = _span(3, [1, 0, 0])

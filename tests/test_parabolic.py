@@ -8,7 +8,6 @@ from liederiv.parabolic import (
     build_gl,
     build_standard_parabolic,
     compositions,
-    langlands,
     parabolic_from_delta_prime,
     root_value,
     semisimple_restriction,
@@ -83,7 +82,8 @@ def test_invalid_compositions():
 
 
 def test_langlands_golden(golden_q):
-    levi, nil, lc, ls = langlands(golden_q)
+    levi, nil = golden_q.levi, golden_q.nilradical
+    lc, ls = golden_q.levi_center, golden_q.levi_semisimple
     assert levi.dim == 13
     assert nil.dim == 11
     assert lc.dim == 2
