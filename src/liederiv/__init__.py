@@ -60,7 +60,6 @@ from .parabolic import (
     BlockComposition,
     ParabolicAlgebra,
     RootDatumA,
-    adapted_basis_indices,
     build_gl,
     build_standard_parabolic,
     compositions,

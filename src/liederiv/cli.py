@@ -80,7 +80,7 @@ def _parabolic(args):
 
 
 def _subspace_json(s) -> list[list[str]]:
-    return [[str(e) for e in row] for row in s.basis.tolist()]
+    return [[str(e) for e in row] for row in s.vectors()]
 
 
 def cmd_describe(args) -> tuple[dict, int]:
@@ -151,17 +151,41 @@ def cmd_der(args) -> tuple[dict, int]:
 
 
 def _read_derivation(args, dim: int) -> Matrix:
+    """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
+    integer or a rational string such as "-3/4", never a float."""
     if args.input == "-":
         data = json.load(sys.stdin)
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    if data.get("dim") != dim:
-        raise ValueError(f"input dimension {data.get('dim')} does not match parabolic dim {dim}")
-    rows = data["matrix"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError("matrix shape does not match dim")
-    return Matrix(dim, dim, [Q(e) for row in rows for e in row])
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object with keys dim and matrix")
+    if type(data.get("dim")) is not int:
+        raise ValueError("input dim must be an integer")
+    if data["dim"] != dim:
+        raise ValueError(f"input dimension {data['dim']} does not match parabolic dim {dim}")
+    rows = data.get("matrix")
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise ValueError(f"matrix must be a list of {dim} rows")
+    entries = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(f"expected a list of {dim} entries at row {i}")
+        entries.extend(_rational(e, i, j) for j, e in enumerate(row))
+    return Matrix(dim, dim, entries)
+
+
+def _rational(e, i: int, j: int) -> Q:
+    if type(e) is int:
+        return Q(e)
+    if isinstance(e, str):
+        try:
+            return Q(e)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(
+        f"entry {json.dumps(e)} is not an integer or a rational string at row {i}, column {j}"
+    )
 
 
 def cmd_decompose(args) -> tuple[dict, int]:
@@ -203,20 +227,10 @@ def _verify_case(q, rounds: int, rng) -> dict:
             if witness is None:
                 witness = {"kind": "decompose_roundtrip", "round": r}
             break
-    row = {
-        "n": q.composition.n,
-        "blocks": list(q.composition.blocks),
-        "der_dim": report.der_dim,
-        "l_dim": report.l_dim,
-        "inner_dim": report.inner_dim,
-        "h1_dim": report.h1_dim,
-        "direct_sum_ok": report.direct_sum_ok,
-        "l_is_ideal_ok": report.l_is_ideal_ok,
-        "inner_is_ideal_ok": report.inner_is_ideal_ok,
-        "formula_ok": report.formula_ok,
-        "decompose_ok": decompose_ok,
-        "ok": report.ok and decompose_ok,
-    }
+    row = {"n": q.composition.n, "blocks": list(q.composition.blocks), **report.to_json_dict()}
+    row.pop("counterexample", None)  # reported as the witness below
+    row["decompose_ok"] = decompose_ok
+    row["ok"] = row.pop("ok") and decompose_ok
     if witness is not None:
         row["witness"] = witness
     return row
@@ -225,6 +239,8 @@ def _verify_case(q, rounds: int, rng) -> dict:
 def cmd_verify(args) -> tuple[dict, int]:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
+    if args.rounds < 0:
+        raise ValueError("--rounds must be nonnegative")
     cases = []
     index = 0
     for n in range(1, args.max_n + 1):

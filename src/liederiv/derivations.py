@@ -171,11 +171,9 @@ def l_ideal(q: ParabolicAlgebra) -> Subspace:
     """Maps sending the center + c block into the center, zero on the derived
     algebra: the span of the elementary matrices E(z, u) in the adapted basis."""
     d = q.algebra.dim
-    dp = set(q.root_datum.delta_prime)
-    c_idx = [q.coroot_index[k] for k in range(1, q.composition.n) if k not in dp]
     vectors = []
     for z in q.center_indices:
-        for u in list(q.center_indices) + c_idx:
+        for u in list(q.center_indices) + q.c.pivots():
             vectors.append({u * d + z: Q(1)})
     return Subspace.from_sparse(d * d, vectors)
 
@@ -272,8 +270,8 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
         for vi, v in enumerate(space.vectors())
     ]
     l_closure = inner_closure = None
-    for di in range(der.dim):
-        D = unflatten_endo(d, der.basis.row(di))
+    for di, flat in enumerate(der.vectors()):
+        D = unflatten_endo(d, flat)
         if l_closure is None:
             for name, space, vi, v in kept:
                 if not contains(space, D.mul_vec(v)):
@@ -423,10 +421,7 @@ def constructive_decompose(q: ParabolicAlgebra, D) -> DecompositionResult:
             raise DecompositionError(
                 f"residual map does not land in the center at column {jdx}", diagnostics
             )
-    dp = set(q.root_datum.delta_prime)
-    derived_idx = [q.coroot_index[k] for k in range(1, n) if k in dp]
-    derived_idx += [q.root_index[r] for r in q.roots]
-    for jdx in derived_idx:
+    for jdx in q.derived.pivots():
         if any(l_mat.col(jdx)):
             raise DecompositionError(
                 f"residual map does not kill the derived algebra at column {jdx}", diagnostics
@@ -469,13 +464,7 @@ def split_derivation(
     lam = solve(system, flat)
     if lam is None:
         raise NotADerivationError(first_leibniz_violation(L, m) or (0, 0))
-    l_flat = [Q(0)] * (d * d)
-    for k in range(lid.dim):
-        if lam[k]:
-            for i, e in enumerate(basis[k]):
-                if e:
-                    l_flat[i] += lam[k] * e
-    l_comp = unflatten_endo(d, l_flat)
+    l_comp = unflatten_endo(d, lid.combination(lam[: lid.dim]))
     return l_comp, m - l_comp
 
 
@@ -533,11 +522,4 @@ def extend_derivation(L: LieAlgebra, D, hat: LieAlgebra | None = None) -> EndoMa
 
 def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> Vector:
     """Integer random combination of the canonical basis of a subspace."""
-    out = [Q(0)] * space.ambient_dim
-    for row in space.vectors():
-        c = rng.randint(lo, hi)
-        if c:
-            for j, e in enumerate(row):
-                if e:
-                    out[j] += c * e
-    return tuple(out)
+    return space.combination([rng.randint(lo, hi) for _ in space.rows])

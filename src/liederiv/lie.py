@@ -257,8 +257,9 @@ def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     vectors = []
+    bvecs = b.vectors()
     for u in a.vectors():
-        for v in b.vectors():
+        for v in bvecs:
             w = L.bracket_vec(u, v)
             if any(w):
                 vectors.append(w)

@@ -1,10 +1,11 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Dense matrices of :class:`fractions.Fraction` entries, unique reduced row
-echelon forms, nullspaces, linear solves, and canonical subspace arithmetic.
-Everything downstream (structure constants, derivation oracles, theorem
-checks) reduces to these operations, so they are exact and deterministic by
-construction: equal subspaces have bit-identical canonical bases.
+Dense matrices of :class:`fractions.Fraction` entries for linear maps, and
+subspaces kept as their unique reduced row echelon basis in sparse rows
+(dicts col -> Fraction), together with nullspaces, linear solves and
+subspace arithmetic. Everything downstream (structure constants, derivation
+oracles, theorem checks) reduces to these operations, so they are exact and
+deterministic by construction: equal subspaces have identical sparse bases.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
 
 def vec(values) -> Vector:
     """Coerce an iterable of numbers into a tuple of Fractions."""
-    return tuple(Q(v) for v in values)
+    return tuple(v if type(v) is Q else Q(v) for v in values)
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -47,7 +48,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(Q(e) for e in entries)
+        entries = tuple(e if type(e) is Q else Q(e) for e in entries)
         if len(entries) != rows * cols:
             raise ValueError(
                 f"need {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -256,27 +257,18 @@ class _RowReducer:
     def add_dense_row(self, values) -> bool:
         return self.add_row({j: v for j, v in enumerate(values) if v})
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
     def rref_sparse(self) -> list[dict[int, Q]]:
-        """Rows of the RREF (pivot entries normalized to 1), in pivot order."""
+        """Rows of the RREF (pivot entries normalized to 1), in pivot order,
+        each with its columns in increasing order."""
         out = []
         for piv in sorted(self.pivot_rows):
             r = self.pivot_rows[piv]
             pv = r[piv]
-            out.append({c: Q(v, pv) for c, v in r.items()})
+            out.append({c: Q(r[c], pv) for c in sorted(r)})
         return out
-
-    def rref_dense(self) -> list[Vector]:
-        dense = []
-        for r in self.rref_sparse():
-            dense.append(tuple(r.get(j, Q(0)) for j in range(self.ncols)))
-        return dense
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -284,27 +276,23 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 
     The returned matrix has the shape of m (zero rows padded at the bottom).
     """
-    red = _RowReducer(m.cols)
-    for i in range(m.rows):
-        red.add_dense_row(m.row(i))
-    rows = red.rref_dense()
-    zero = tuple(Q(0) for _ in range(m.cols))
-    while len(rows) < m.rows:
-        rows.append(zero)
-    flat = [e for r in rows for e in r]
-    return Matrix(m.rows, m.cols, flat), red.rank, red.pivots()
+    s = Subspace(m.cols, m)
+    flat = [e for v in s.vectors() for e in v] + [0] * ((m.rows - s.dim) * m.cols)
+    return Matrix(m.rows, m.cols, flat), s.dim, s.pivots()
 
 
 class Subspace:
-    """A linear subspace, stored as its unique RREF basis.
+    """A linear subspace, stored as its unique RREF basis in sparse rows.
 
-    Basis rows are nonzero with strictly increasing pivot columns, pivot
-    entries equal to 1, and pivot columns zero elsewhere, so two subspaces
-    are equal exactly when their basis matrices are equal entrywise. The
-    pivot columns are recorded once, when the basis is built.
+    ``rows`` holds one dict col -> Fraction per basis vector, nonzero
+    entries only, with columns in increasing order. Pivot columns strictly
+    increase from row to row, each pivot entry is 1, and a pivot column is
+    zero in every other row, so two subspaces are equal exactly when their
+    rows are equal. The pivot columns are recorded once, when the basis is
+    built. The rows are shared, not copied: callers must not mutate them.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "rows", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
@@ -315,9 +303,8 @@ class Subspace:
         self._take(red)
 
     def _take(self, red: _RowReducer) -> None:
-        rows = red.rref_dense()
         object.__setattr__(self, "ambient_dim", red.ncols)
-        object.__setattr__(self, "basis", Matrix(len(rows), red.ncols, [e for r in rows for e in r]))
+        object.__setattr__(self, "rows", tuple(red.rref_sparse()))
         object.__setattr__(self, "_pivots", tuple(red.pivots()))
 
     @classmethod
@@ -353,13 +340,32 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def pivots(self) -> list[int]:
         return list(self._pivots)
 
     def vectors(self) -> list[Vector]:
-        return self.basis.row_list()
+        """The basis rows as dense tuples."""
+        out = []
+        for row in self.rows:
+            v = [Q(0)] * self.ambient_dim
+            for j, e in row.items():
+                v[j] = e
+            out.append(tuple(v))
+        return out
+
+    def combination(self, coeffs) -> Vector:
+        """The dense vector sum(coeffs[k] * row k) over the basis rows."""
+        coeffs = tuple(coeffs)
+        if len(coeffs) != self.dim:
+            raise ValueError("coefficient count does not match dimension")
+        out = [Q(0)] * self.ambient_dim
+        for c, row in zip(coeffs, self.rows):
+            if c:
+                for j, e in row.items():
+                    out[j] += c * e
+        return tuple(out)
 
     def coordinates_of(self, v) -> Vector | None:
         """Coordinates of v in the canonical basis, or None if v is outside.
@@ -371,25 +377,17 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
         coords = tuple(v[p] for p in self._pivots)
-        residual = list(v)
-        for i, c in enumerate(coords):
-            if c:
-                for j, e in enumerate(self.basis.row(i)):
-                    if e:
-                        residual[j] -= c * e
-        if any(residual):
-            return None
-        return coords
+        return coords if self.combination(coords) == v else None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self.rows)))
 
     def __le__(self, other: Subspace) -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -456,7 +454,7 @@ def solve(m: Matrix, b) -> Vector | None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return Subspace.from_vectors(a.ambient_dim, a.vectors() + b.vectors())
+    return Subspace.from_sparse(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -469,31 +467,16 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    n = a.ambient_dim
-    avecs = a.vectors()
-    bvecs = b.vectors()
-    rows = []
-    for i in range(n):
-        row = {}
-        for k, v in enumerate(avecs):
-            if v[i]:
-                row[k] = v[i]
-        for k, v in enumerate(bvecs):
-            if v[i]:
-                row[a.dim + k] = -v[i]
-        if row:
-            rows.append(row)
-    ker = nullspace_of_rows(a.dim + b.dim, rows)
-    out = []
-    for lam in ker.vectors():
-        w = [Q(0)] * n
-        for k, v in enumerate(avecs):
-            if lam[k]:
-                for j, e in enumerate(v):
-                    if e:
-                        w[j] += lam[k] * e
-        out.append(tuple(w))
-    return Subspace.from_vectors(n, out)
+    system: dict[int, dict[int, Q]] = {}  # ambient coordinate -> its equation
+    for k, row in enumerate(a.rows):
+        for i, e in row.items():
+            system.setdefault(i, {})[k] = e
+    for k, row in enumerate(b.rows):
+        for i, e in row.items():
+            system.setdefault(i, {})[a.dim + k] = -e
+    ker = nullspace_of_rows(a.dim + b.dim, (system[i] for i in sorted(system)))
+    out = [a.combination(lam[: a.dim]) for lam in ker.vectors()]
+    return Subspace.from_vectors(a.ambient_dim, out)
 
 
 def contains(a: Subspace, v) -> bool:

@@ -23,7 +23,6 @@ __all__ = [
     "build_gl",
     "build_standard_parabolic",
     "parabolic_from_delta_prime",
-    "adapted_basis_indices",
     "root_value",
     "compositions",
     "semisimple_restriction",
@@ -249,18 +248,8 @@ class ParabolicAlgebra:
     def _levi_center(self) -> Subspace:
         if self.levi.dim == 0:
             return Subspace.zero(self.algebra.dim)
-        levi_alg = restrict(self.algebra, self.levi)
-        z = center(levi_alg)
-        rows = self.levi.vectors()
-        out = []
-        for lam in z.vectors():
-            w = [Q(0)] * self.algebra.dim
-            for c, row in zip(lam, rows):
-                if c:
-                    for j, e in enumerate(row):
-                        if e:
-                            w[j] += c * e
-            out.append(tuple(w))
+        z = center(restrict(self.algebra, self.levi))
+        out = [self.levi.combination(lam) for lam in z.vectors()]
         return Subspace.from_vectors(self.algebra.dim, out)
 
     def _check_invariants(self) -> None:
@@ -359,20 +348,6 @@ def parabolic_from_delta_prime(n: int, delta_prime, **kwargs) -> ParabolicAlgebr
             size = 1
     blocks.append(size)
     return build_standard_parabolic(tuple(blocks), n, **kwargs)
-
-
-def adapted_basis_indices(q: ParabolicAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Partition of basis indices into (center, c, derived) blocks."""
-    dp = set(q.root_datum.delta_prime)
-    n = q.composition.n
-    c_idx = tuple(q.coroot_index[k] for k in range(1, n) if k not in dp)
-    derived_idx = tuple(
-        sorted(
-            [q.coroot_index[k] for k in range(1, n) if k in dp]
-            + [q.root_index[r] for r in q.roots]
-        )
-    )
-    return (q.center_indices, c_idx, derived_idx)
 
 
 def root_value(q: ParabolicAlgebra, root: tuple[int, int], h) -> Q:

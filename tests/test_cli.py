@@ -127,6 +127,46 @@ def test_decompose_dimension_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+# Malformed decompose inputs for the gl_2 Borel {I, h1, e12} (dim 3); the
+# entry cases replace the entry at row 1, column 2 of a valid matrix.
+_TOP_LEVEL_LIST = '[[1, 0, 0], [0, 0, 0], [0, 0, 0]]'
+_ENTRY_TEXT = '{"dim": 3, "matrix": [[1, 0, 0], [0, 0, %s], [0, 0, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_TOP_LEVEL_LIST, None),
+        (_ENTRY_TEXT % '"1/0"', "at row 1, column 2"),
+        (_ENTRY_TEXT % "null", "at row 1, column 2"),
+        (_ENTRY_TEXT % "[1]", "at row 1, column 2"),
+        (_ENTRY_TEXT % "1e400", "at row 1, column 2"),
+        (_ENTRY_TEXT % "0.5", "at row 1, column 2"),
+        (_ENTRY_TEXT % "true", "at row 1, column 2"),
+        ('{"dim": 3, "matrix": 5}', None),
+        ('{"dim": 3, "matrix": [[1, 0, 0], "000", [0, 0, 0]]}', "at row 1"),
+    ],
+    ids=["list", "zero-denominator", "null", "nested-list", "overflow", "float",
+         "bool", "matrix-not-list", "row-string"],
+)
+def test_decompose_rejects_malformed_input(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "decompose", "--n", "2", "--blocks", "1,1",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    if where is not None:
+        assert err.rstrip().endswith(where)
+
+
+def test_verify_rejects_negative_rounds(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--rounds", "-3")
+    assert code == 2
+    assert out == "" and "--rounds" in err
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--seed", "1", "--rounds", "3")
     assert code == 0

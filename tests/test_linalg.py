@@ -82,7 +82,7 @@ def test_rref_canonicality_over_row_space():
 def test_nullspace_single_equation():
     ns = nullspace(Matrix.from_rows([[1, 1]]))
     assert ns.dim == 1
-    assert ns.basis.row(0) == vec([1, -1])
+    assert ns.vectors()[0] == vec([1, -1])
 
 
 def test_nullspace_identity_and_zero():
@@ -188,18 +188,103 @@ def test_subspace_canonical_equality():
     a = _span(3, [1, 1, 0], [0, 0, 1])
     b = _span(3, [1, 1, 1], [0, 0, 2], [1, 1, 3])
     assert a == b
-    assert a.basis == b.basis
+    assert a.vectors() == b.vectors()
 
 
 def test_subspace_constructor_canonicalizes():
     raw = Matrix.from_rows([[0, 2, 4, 0], [1, 1, 0, 0], [0, 4, 8, 0], [3, 5, 4, 0]])
     s = Subspace(4, raw)
-    assert s.basis == Matrix.from_rows([[1, 0, -2, 0], [0, 1, 2, 0]])
+    assert s.vectors() == [vec([1, 0, -2, 0]), vec([0, 1, 2, 0])]
     assert s.pivots() == [0, 1]
     assert s == _span(4, [0, 2, 4, 0], [1, 1, 0, 0])
     assert s.coordinates_of(vec([1, 1, 0, 0])) == vec([1, 1])
     assert Subspace(3, Matrix(0, 3, ())) == Subspace.zero(3)
     assert Subspace(3, Matrix.from_rows([[0, 0, 5], [2, 0, 0], [0, 1, 1]])) == Subspace.full(3)
+
+
+# -- properties of the sparse canonical basis (hypothesis) -------------------
+
+
+def _hypothesis():
+    """hypothesis, its strategies and the shared settings, or skip."""
+    hyp = pytest.importorskip("hypothesis")
+    settings = hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    return hyp, hyp.strategies, settings
+
+
+def _int_rows(st, n: int):
+    """Up to five integer rows of length n."""
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5)
+
+
+def _case(st):
+    """An ambient dimension with some integer rows in it."""
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _int_rows(st, n)))
+
+
+def test_property_shuffled_rescaled_rows_same_subspace():
+    hyp, st, settings = _hypothesis()
+    nonzero = st.builds(Q, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+    @settings
+    @hyp.given(_case(st), st.data())
+    def check(case, data):
+        n, rows = case
+        order = data.draw(st.permutations(range(len(rows))))
+        scales = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+        a = Subspace.from_vectors(n, rows)
+        b = Subspace.from_vectors(n, [[c * e for e in rows[i]] for i, c in zip(order, scales)])
+        assert a == b
+        assert hash(a) == hash(b)
+
+    check()
+
+
+def test_property_grassmann_identity():
+    hyp, st, settings = _hypothesis()
+    pair = st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), _int_rows(st, n), _int_rows(st, n))
+    )
+
+    @settings
+    @hyp.given(pair)
+    def check(case):
+        n, rows_a, rows_b = case
+        a = Subspace.from_vectors(n, rows_a)
+        b = Subspace.from_vectors(n, rows_b)
+        s = subspace_sum(a, b)
+        i = subspace_intersect(a, b)
+        assert s.dim + i.dim == a.dim + b.dim
+        assert a <= s and b <= s and i <= a and i <= b
+
+    check()
+
+
+def test_property_coordinates_invert_combination():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_case(st), st.data())
+    def check(case, data):
+        s = Subspace.from_vectors(*case)
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=s.dim, max_size=s.dim))
+        assert s.coordinates_of(s.combination(coeffs)) == vec(coeffs)
+
+    check()
+
+
+def test_property_constructors_agree():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_case(st))
+    def check(case):
+        n, rows = case
+        s = Subspace.from_vectors(n, rows)
+        assert s == Subspace.from_sparse(n, [{j: e for j, e in enumerate(r) if e} for r in rows])
+        assert s == Subspace(n, Matrix.from_rows(rows, n))
+
+    check()
 
 
 def test_ambient_mismatch_errors():

@@ -4,7 +4,6 @@ from liederiv.lie import bracket_span, center, validate_structure
 from liederiv.linalg import Q, Subspace, is_direct_sum, vec
 from liederiv.parabolic import (
     BlockComposition,
-    adapted_basis_indices,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -101,20 +100,20 @@ def test_langlands_whole_and_borel():
 
 
 def test_adapted_indices_golden(golden_q):
-    center_idx, c_idx, derived_idx = adapted_basis_indices(golden_q)
+    q = golden_q
+    center_idx, c_idx, derived_idx = q.center_indices, q.c.pivots(), q.derived.pivots()
     assert len(center_idx) == 1
     assert len(c_idx) == 2
     assert len(derived_idx) == 22
-    assert sorted(center_idx + c_idx + derived_idx) == list(range(25))
+    assert sorted(list(center_idx) + c_idx + derived_idx) == list(range(25))
 
 
 def test_adapted_indices_extremes():
     whole = build_standard_parabolic((3,))
-    ci, cc, cd = adapted_basis_indices(whole)
-    assert len(cc) == 0
-    assert len(cd) == 9 - 1
+    assert len(whole.c.pivots()) == 0
+    assert len(whole.derived.pivots()) == 9 - 1
     borel2 = build_standard_parabolic((1, 1))
-    assert adapted_basis_indices(borel2) == ((0,), (1,), (2,))
+    assert (borel2.center_indices, borel2.c.pivots(), borel2.derived.pivots()) == ((0,), [1], [2])
 
 
 def test_root_values():
