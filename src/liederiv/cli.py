@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from .derivations import (
@@ -153,11 +154,14 @@ def cmd_der(args) -> tuple[dict, int]:
 def _read_derivation(args, dim: int) -> Matrix:
     """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
     integer or a rational string such as "-3/4", never a float."""
-    if args.input == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.input == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object with keys dim and matrix")
     if type(data.get("dim")) is not int:
@@ -175,13 +179,17 @@ def _read_derivation(args, dim: int) -> Matrix:
     return Matrix(dim, dim, entries)
 
 
+# the form str(Fraction) writes: "p/q" or "p", ASCII digits only
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(e, i: int, j: int) -> Q:
     if type(e) is int:
         return Q(e)
-    if isinstance(e, str):
+    if isinstance(e, str) and _RATIONAL_STRING.fullmatch(e):
         try:
             return Q(e)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
             pass
     raise ValueError(
         f"entry {json.dumps(e)} is not an integer or a rational string at row {i}, column {j}"

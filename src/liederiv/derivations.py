@@ -29,10 +29,9 @@ from .linalg import (
     Subspace,
     Vector,
     contains,
+    is_direct_sum,
     nullspace_of_rows,
     solve,
-    subspace_intersect,
-    subspace_sum,
 )
 from .parabolic import ParabolicAlgebra
 
@@ -248,9 +247,8 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     inner = inner_derivations(q)
     lid = l_ideal(q)
 
-    direct_sum = None
-    if subspace_sum(lid, inner) != der or subspace_intersect(lid, inner).dim != 0:
-        direct_sum = {"kind": "direct_sum"}
+    # with lid + inner == der, the intersection is 0 iff the dimensions add up
+    direct_sum = None if is_direct_sum([lid, inner], der) else {"kind": "direct_sum"}
 
     datum = q.root_datum
     expected = dimension_formula(
@@ -350,8 +348,7 @@ def root_line_reduction(q: ParabolicAlgebra, D) -> tuple[Vector, Matrix, dict[tu
     for root in q.roots:
         pos = q.root_index[root]
         h = q.cartan_element_for_root(root)
-        Dh = m.mul_vec(h)
-        dg = Dh[pos] / 2
+        dg = sum((m.at(pos, k) * c for k, c in enumerate(h) if c), Q(0)) / 2
         d_gamma[root] = dg
         x[pos] -= dg
     adx = ad_matrix(L.element(x))

@@ -5,13 +5,16 @@ An algebra is a dimension, a tuple of basis labels, and a table of triples
 stored canonically; the i > j half is implied by antisymmetry and i = j is
 zero. The raw input triples are kept so that defective tables can be
 diagnosed instead of silently repaired.
+
+Brackets of general vectors take sparse coordinate dicts (index -> value),
+the format of ``Subspace.rows``; ``bracket`` converts Elements at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, Q, Subspace, Vector, nullspace_of_rows, vec
+from .linalg import Matrix, Q, Subspace, Vector, dense_vector, nullspace_of_rows, vec
 
 __all__ = [
     "LieAlgebra",
@@ -80,35 +83,22 @@ class LieAlgebra:
             return dict(self.table.get((i, j), {}))
         return {k: -v for k, v in self.table.get((j, i), {}).items()}
 
-    def bracket_vec(self, x, y) -> Vector:
-        """Bilinear extension of the table to coordinate vectors."""
-        x = tuple(x)
-        y = tuple(y)
-        out = [Q(0)] * self.dim
-        sx = [i for i, v in enumerate(x) if v]
-        sy = [j for j, v in enumerate(y) if v]
-        if len(sx) * len(sy) <= len(self.table):
-            # sparse inputs: walk support pairs instead of the whole table
-            for i in sx:
-                for j in sy:
-                    if i == j:
-                        continue
-                    if i < j:
-                        ks = self.table.get((i, j))
-                        c = x[i] * y[j]
-                    else:
-                        ks = self.table.get((j, i))
-                        c = -x[i] * y[j]
-                    if ks:
-                        for k, v in ks.items():
-                            out[k] += c * v
-            return tuple(out)
-        for (i, j), ks in self.table.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, v in ks.items():
-                    out[k] += c * v
-        return tuple(out)
+    def bracket_sparse(self, x: dict[int, Q], y: dict[int, Q]) -> dict[int, Q]:
+        """Bilinear extension of the table to sparse coordinate dicts
+        (index -> value, as in ``Subspace.rows``); zero entries are dropped."""
+        out: dict[int, Q] = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                if i < j:
+                    ks, c = self.table.get((i, j)), a * b
+                elif i > j:
+                    ks, c = self.table.get((j, i)), -a * b
+                else:
+                    continue
+                if ks:
+                    for k, v in ks.items():
+                        out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
     def adjacency(self) -> dict[int, list[tuple[int, int, dict[int, Q]]]]:
         """For each j, the pairs (partner i, sign, coords of [x_i, x_j])."""
@@ -249,21 +239,18 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
 def bracket(x: Element, y: Element) -> Element:
     if x.algebra is not y.algebra:
         raise ValueError("elements belong to different algebras")
-    return Element(x.algebra, x.algebra.bracket_vec(x.coords, y.coords))
+    L = x.algebra
+    w = L.bracket_sparse(
+        {i: v for i, v in enumerate(x.coords) if v}, {j: v for j, v in enumerate(y.coords) if v}
+    )
+    return Element(L, dense_vector(L.dim, w))
 
 
 def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Canonical span of all brackets of basis vectors of a with those of b."""
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    vectors = []
-    bvecs = b.vectors()
-    for u in a.vectors():
-        for v in bvecs:
-            w = L.bracket_vec(u, v)
-            if any(w):
-                vectors.append(w)
-    return Subspace.from_vectors(L.dim, vectors)
+    return Subspace.from_sparse(L.dim, [L.bracket_sparse(u, v) for u in a.rows for v in b.rows])
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -303,15 +290,14 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     """
     if s.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    rows = s.vectors()
-    pivots = s.pivots()
+    rows = s.rows
     if labels is None:
-        labels = tuple(L.labels[p] for p in pivots)
+        labels = tuple(L.labels[p] for p in s.pivots())
     triples = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            w = L.bracket_vec(rows[a], rows[b])
-            coords = s.coordinates_of(w)
+            w = L.bracket_sparse(rows[a], rows[b])
+            coords = s.coordinates_of(dense_vector(L.dim, w))
             if coords is None:
                 raise ValueError(
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"

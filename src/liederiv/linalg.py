@@ -29,6 +29,7 @@ __all__ = [
     "contains",
     "is_direct_sum",
     "vec",
+    "dense_vector",
     "unit_vector",
 ]
 
@@ -36,6 +37,14 @@ __all__ = [
 def vec(values) -> Vector:
     """Coerce an iterable of numbers into a tuple of Fractions."""
     return tuple(v if type(v) is Q else Q(v) for v in values)
+
+
+def dense_vector(n: int, sparse) -> Vector:
+    """The length-n vector with the given sparse entries (index -> value)."""
+    out = [Q(0)] * n
+    for j, e in sparse.items():
+        out[j] = e
+    return tuple(out)
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -105,11 +114,12 @@ class Matrix:
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.entries[base + j] * x for j, x in support), Q(0)))
+        out = [Q(0)] * self.rows
+        for j, x in enumerate(v):
+            if x:
+                for i, e in enumerate(self.entries[j :: self.cols]):
+                    if e:
+                        out[i] += e * x
         return tuple(out)
 
     def __mul__(self, other: Matrix) -> Matrix:
@@ -347,13 +357,7 @@ class Subspace:
 
     def vectors(self) -> list[Vector]:
         """The basis rows as dense tuples."""
-        out = []
-        for row in self.rows:
-            v = [Q(0)] * self.ambient_dim
-            for j, e in row.items():
-                v[j] = e
-            out.append(tuple(v))
-        return out
+        return [dense_vector(self.ambient_dim, row) for row in self.rows]
 
     def combination(self, coeffs) -> Vector:
         """The dense vector sum(coeffs[k] * row k) over the basis rows."""
@@ -492,7 +496,4 @@ def is_direct_sum(parts, whole: Subspace) -> bool:
             raise ValueError("ambient dimensions differ")
     if sum(p.dim for p in parts) != whole.dim:
         return False
-    total = Subspace.zero(whole.ambient_dim)
-    for p in parts:
-        total = subspace_sum(total, p)
-    return total == whole
+    return Subspace.from_sparse(whole.ambient_dim, [r for p in parts for r in p.rows]) == whole

@@ -4,8 +4,10 @@ A composition (b_1, ..., b_r) of n selects the block upper triangular
 subalgebra q of gl_n. Its basis is adapted to the chain of splittings used
 throughout this package: the scalar line (plus optional extra central
 generators), the coroots h_k = e_kk - e_{k+1,k+1}, and one generator per
-allowed off-diagonal position. All distinguished subspaces (center, split
-Cartan pieces, derived algebra, Levi factor, nilradical) come out of the
+allowed off-diagonal position. The structure constants are read off the
+commutators of the coroots and root generators, realized as sparse n x n
+matrices {(i, j): entry}. All distinguished subspaces (center, split Cartan
+pieces, derived algebra, Levi factor, nilradical) come out of the
 construction in canonical form and are cross-checked on the spot.
 """
 
@@ -112,6 +114,17 @@ class RootDatumA:
         return tuple(sorted(out))
 
 
+def _commutator(a: dict, b: dict) -> dict:
+    """AB - BA for sparse matrices {(i, j): entry}, zero entries dropped."""
+    out: dict[tuple[int, int], Q] = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (i, k), u in x.items():
+            for (l, j), v in y.items():
+                if k == l:
+                    out[(i, j)] = out.get((i, j), 0) + sign * u * v
+    return {p: v for p, v in out.items() if v}
+
+
 class ParabolicAlgebra:
     """A block parabolic of gl_n with its adapted basis and subspaces.
 
@@ -148,68 +161,35 @@ class ParabolicAlgebra:
         self.roots = roots
         dim = len(labels)
 
-        # realize the non-central basis as n x n matrices and read the table off
-        mats: list[list[list[Q]] | None] = [None] * dim
-        for k in range(1, n):
-            g = [[Q(0)] * n for _ in range(n)]
-            g[k - 1][k - 1] = Q(1)
-            g[k][k] = Q(-1)
-            mats[self.coroot_index[k]] = g
-        for (i, j), pos in self.root_index.items():
-            g = [[Q(0)] * n for _ in range(n)]
-            g[i - 1][j - 1] = root_scale
-            mats[pos] = g
-        # I commutes with everything, so its realization is never multiplied
+        # realize each non-central basis element as a sparse n x n matrix
+        # {(i, j): entry}, 1-based; I commutes with everything, so it is skipped
+        mats = {self.coroot_index[k]: {(k, k): 1, (k + 1, k + 1): -1} for k in range(1, n)}
+        mats.update({pos: {(i, j): root_scale} for (i, j), pos in self.root_index.items()})
         triples = []
-        start = m  # first non-central basis index
-        for a in range(start, dim):
+        for a in range(m, dim):
             for b in range(a + 1, dim):
-                comm = self._commutator(mats[a], mats[b], n)
-                for k, v in self._coords_of(comm, n).items():
+                for k, v in self._coords_of(_commutator(mats[a], mats[b])).items():
                     triples.append((a, b, k, v))
         self.algebra = LieAlgebra(dim, labels, triples)
 
         self._make_subspaces()
         self._check_invariants()
 
-    def _commutator(self, A, B, n: int):
-        C = [[Q(0)] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                a = A[i][k]
-                if a:
-                    Bk = B[k]
-                    Ci = C[i]
-                    for j in range(n):
-                        if Bk[j]:
-                            Ci[j] += a * Bk[j]
-        for i in range(n):
-            for k in range(n):
-                b = B[i][k]
-                if b:
-                    Ak = A[k]
-                    Ci = C[i]
-                    for j in range(n):
-                        if Ak[j]:
-                            Ci[j] -= b * Ak[j]
-        return C
-
-    def _coords_of(self, mat, n: int) -> dict[int, Q]:
-        """Coordinates of a traceless block upper triangular matrix."""
+    def _coords_of(self, mat: dict[tuple[int, int], Q]) -> dict[int, Q]:
+        """Coordinates of a traceless block upper triangular sparse matrix."""
         out: dict[int, Q] = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and mat[i][j]:
-                    pos = self.root_index.get((i + 1, j + 1))
-                    if pos is None:
-                        raise RuntimeError(f"bracket escaped the parabolic at ({i + 1},{j + 1})")
-                    out[pos] = mat[i][j] / self.root_scale
-        trace = sum(mat[i][i] for i in range(n))
+        for (i, j), v in sorted(mat.items()):
+            if i != j:
+                pos = self.root_index.get((i, j))
+                if pos is None:
+                    raise RuntimeError(f"bracket escaped the parabolic at ({i},{j})")
+                out[pos] = v / self.root_scale
+        trace = sum(v for (i, j), v in mat.items() if i == j)
         if trace != 0:
             raise RuntimeError("commutator acquired a trace")
         acc = Q(0)
-        for k in range(1, n):
-            acc += mat[k - 1][k - 1]
+        for k in range(1, self.composition.n):
+            acc += mat.get((k, k), 0)
             if acc:
                 out[self.coroot_index[k]] = acc
         return out

@@ -145,9 +145,16 @@ _ENTRY_TEXT = '{"dim": 3, "matrix": [[1, 0, 0], [0, 0, %s], [0, 0, 0]]}'
         (_ENTRY_TEXT % "true", "at row 1, column 2"),
         ('{"dim": 3, "matrix": 5}', None),
         ('{"dim": 3, "matrix": [[1, 0, 0], "000", [0, 0, 0]]}', "at row 1"),
+        ("[" * 100000 + "]" * 100000, None),
+        (_ENTRY_TEXT % '"0.5"', "at row 1, column 2"),
+        (_ENTRY_TEXT % '"1e5"', "at row 1, column 2"),
+        (_ENTRY_TEXT % '" 7 "', "at row 1, column 2"),
+        (_ENTRY_TEXT % '"1_0"', "at row 1, column 2"),
+        (_ENTRY_TEXT % '"\\u0663"', "at row 1, column 2"),  # an Arabic-Indic digit
     ],
     ids=["list", "zero-denominator", "null", "nested-list", "overflow", "float",
-         "bool", "matrix-not-list", "row-string"],
+         "bool", "matrix-not-list", "row-string", "deep-nesting", "decimal-string",
+         "exponent-string", "padded-string", "underscore-string", "non-ascii-digit"],
 )
 def test_decompose_rejects_malformed_input(tmp_path, capsys, text, where):
     path = tmp_path / "bad.json"

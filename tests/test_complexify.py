@@ -76,7 +76,7 @@ def test_embedding_is_a_homomorphism():
     for i in range(L.dim):
         for j in range(L.dim):
             inner = L.bracket_coords(i, j)
-            lifted = hat.bracket_vec(tuple(embed.col(i)), tuple(embed.col(j)))
+            lifted = bracket(hat.element(embed.col(i)), hat.element(embed.col(j))).coords
             expected = [Q(0)] * hat.dim
             for k, v in inner.items():
                 expected[k] = v

@@ -287,6 +287,35 @@ def test_property_constructors_agree():
     check()
 
 
+def test_property_eliminator_matches_sympy():
+    hyp, st, settings = _hypothesis()
+    sympy = pytest.importorskip("sympy")
+    shape = st.tuples(st.integers(1, 4), st.integers(1, 5))
+    system = shape.flatmap(lambda rc: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=rc[1], max_size=rc[1]),
+                 min_size=rc[0], max_size=rc[0]),
+        st.lists(st.integers(-3, 3), min_size=rc[0], max_size=rc[0]),
+    ))
+
+    @settings
+    @hyp.given(system)
+    def check(case):
+        rows, b = case
+        m = Matrix.from_rows(rows)
+        sm = sympy.Matrix(rows)
+        rank = sm.rank()
+        ns = nullspace(m)
+        assert ns.dim == m.cols - rank
+        theirs = [[Q(str(e)) for e in v] for v in sm.nullspace()]
+        assert ns == Subspace.from_vectors(m.cols, theirs)
+        x = solve(m, b)
+        assert (x is not None) == (sympy.Matrix.hstack(sm, sympy.Matrix(b)).rank() == rank)
+        if x is not None:
+            assert m.mul_vec(x) == vec(b)
+
+    check()
+
+
 def test_ambient_mismatch_errors():
     a = _span(2, [1, 0])
     b = _span(3, [1, 0, 0])

@@ -207,3 +207,76 @@ def test_semisimple_restriction_is_trace_zero_part(golden_q):
     sl = semisimple_restriction(golden_q)
     assert sl.dim == 24
     assert center(sl).dim == 0
+
+
+def _dense_realization(q):
+    """Each basis element of q as a dense n x n Fraction matrix: the identity
+    for I and the extra central generators, e_kk - e_{k+1,k+1} for h_k and
+    root_scale * e_ij for x_(i,j)."""
+    n = q.composition.n
+
+    def matrix(entries):
+        m = [[Q(0)] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            m[i - 1][j - 1] = Q(v)
+        return m
+
+    mats = [None] * q.dim
+    for z in q.center_indices:
+        mats[z] = matrix({(i, i): 1 for i in range(1, n + 1)})
+    for k, pos in q.coroot_index.items():
+        mats[pos] = matrix({(k, k): 1, (k + 1, k + 1): -1})
+    for (i, j), pos in q.root_index.items():
+        mats[pos] = matrix({(i, j): q.root_scale})
+    return mats
+
+
+def _dense_product(A, B):
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(n) if A[i][k]), Q(0)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("extra_center", [0, 1])
+@pytest.mark.parametrize("root_scale", [Q(1), Q(3, 2)])
+def test_structure_constants_match_dense_commutators(root_scale, extra_center):
+    # the central generators all realize as the identity, so their
+    # coefficients are checked to vanish separately
+    for n in range(1, 6):
+        for blocks in compositions(n):
+            q = build_standard_parabolic(blocks, n, extra_center=extra_center,
+                                         root_scale=root_scale)
+            mats = _dense_realization(q)
+            for a in range(q.dim):
+                for b in range(a + 1, q.dim):
+                    AB = _dense_product(mats[a], mats[b])
+                    BA = _dense_product(mats[b], mats[a])
+                    coords = q.algebra.bracket_coords(a, b)
+                    assert not set(coords) & set(q.center_indices)
+                    expected = [[sum((c * mats[k][i][j] for k, c in coords.items()), Q(0))
+                                 for j in range(n)] for i in range(n)]
+                    assert [[x - y for x, y in zip(r, s)] for r, s in zip(AB, BA)] == expected, (
+                        blocks, a, b)
+
+
+def test_property_sparse_bracket_is_bilinear(golden_q):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+    def case(L):
+        sparse = st.dictionaries(st.integers(0, L.dim - 1), rational, max_size=6)
+        return st.tuples(st.just(L), sparse, sparse)
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from([golden_q.algebra, build_gl(3)]).flatmap(case))
+    def check(args):
+        L, x, y = args
+        expected = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                for k, v in L.bracket_coords(i, j).items():
+                    expected[k] = expected.get(k, 0) + a * b * v
+        assert L.bracket_sparse(x, y) == {k: v for k, v in expected.items() if v}
+
+    check()
