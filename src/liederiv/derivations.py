@@ -15,6 +15,7 @@ package-wide so subspaces of endomorphism space are comparable everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .lie import (
     Element,
@@ -29,6 +30,7 @@ from .linalg import (
     Subspace,
     Vector,
     contains,
+    dense_vector,
     is_direct_sum,
     nullspace_of_rows,
     solve,
@@ -112,18 +114,36 @@ def _algebra_of(q) -> LieAlgebra:
     return q.algebra if isinstance(q, ParabolicAlgebra) else q
 
 
+def _integer_table(L: LieAlgebra) -> dict[tuple[int, int], dict[int, int]]:
+    """The structure constants times N, their common denominator, as ints."""
+    N = lcm(*(v.denominator for ks in L.table.values() for v in ks.values()))
+    return {p: {k: v.numerator * (N // v.denominator) for k, v in ks.items()}
+            for p, ks in L.table.items()}
+
+
+def _integral(row: dict) -> dict[int, int]:
+    """A sparse row times the common denominator of its entries, as ints."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+
+
 def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     """Der L as a subspace of endomorphism space (ambient dim = dim^2).
 
     Kernel of the Leibniz system
     d([x_i,x_j]) - [d x_i, x_j] - [x_i, d x_j] = 0 over all i < j,
-    one scalar equation per output coordinate.
+    one scalar equation per output coordinate. Every coefficient of an
+    equation is a signed sum of structure constants, so multiplying all
+    constants by their common denominator N > 0 multiplies each equation by
+    N and leaves the kernel exactly as it is; the rows are then integers
+    (and N = 1 for a parabolic at root_scale 1).
     """
     L = _algebra_of(L)
     d = L.dim
+    table = _integer_table(L)  # N times the constants; same kernel, see above
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
-    rowmap: list[dict[int, list[tuple[int, Q]]]] = [dict() for _ in range(d)]
-    for (a, b), ks in L.table.items():
+    rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
+    for (a, b), ks in table.items():
         for k, v in ks.items():
             rowmap[b].setdefault(k, []).append((a, v))
             rowmap[a].setdefault(k, []).append((b, -v))
@@ -131,24 +151,24 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     def rows():
         for i in range(d):
             for j in range(i + 1, d):
-                cdict = L.bracket_coords(i, j)
+                cdict = table.get((i, j), {})
                 if cdict:
                     lset = range(d)
                 else:
                     lset = sorted(rowmap[i].keys() | rowmap[j].keys())
                 for l in lset:
-                    row: dict[int, Q] = {}
+                    row: dict[int, int] = {}
                     for k, v in cdict.items():
                         idx = k * d + l  # coefficient of D_{l,k}
-                        row[idx] = row.get(idx, Q(0)) + v
+                        row[idx] = row.get(idx, 0) + v
                     # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
                     for (m, v) in rowmap[j].get(l, ()):
                         idx = i * d + m
-                        row[idx] = row.get(idx, Q(0)) - v
+                        row[idx] = row.get(idx, 0) - v
                     # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
                     for (m, v) in rowmap[i].get(l, ()):
                         idx = j * d + m
-                        row[idx] = row.get(idx, Q(0)) + v
+                        row[idx] = row.get(idx, 0) + v
                     row = {c: v for c, v in row.items() if v}
                     if row:
                         yield row
@@ -157,13 +177,21 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
 
 
 def inner_derivations(q: ParabolicAlgebra | LieAlgebra) -> Subspace:
-    """Span of the adjoint maps of all basis elements."""
+    """Span of the adjoint maps of all basis elements.
+
+    Each ad x_a is written flattened and sparse, straight from the table:
+    column b is [x_a, x_b], at index b*d + k. The constants are scaled to
+    integers as in derivation_algebra, which rescales every ad map alike
+    and so spans the same subspace.
+    """
     L = _algebra_of(q)
     d = L.dim
-    vectors = []
-    for i in range(d):
-        vectors.append(flatten_endo(ad_matrix(L.basis_element(i)).matrix))
-    return Subspace.from_vectors(d * d, vectors)
+    ads: list[dict[int, int]] = [{} for _ in range(d)]
+    for (a, b), ks in _integer_table(L).items():
+        for k, v in ks.items():
+            ads[a][b * d + k] = v
+            ads[b][a * d + k] = -v
+    return Subspace.from_sparse(d * d, ads)
 
 
 def l_ideal(q: ParabolicAlgebra) -> Subspace:
@@ -263,20 +291,29 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
 
     # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived
     kept = [
-        (name, space, vi, v)
+        (name, space, vi, _integral(v))
         for name, space in (("g_z", q.g_z), ("derived", q.derived))
-        for vi, v in enumerate(space.vectors())
+        for vi, v in enumerate(space.rows)
     ]
     l_closure = inner_closure = None
-    for di, flat in enumerate(der.vectors()):
-        D = unflatten_endo(d, flat)
+    for di, flat in enumerate(der.rows):
+        # D as d sparse integer columns: flat index j*d + i is column j, row i.
+        # A positive multiple of D passes each check below exactly when D does.
+        cols: list[dict[int, int]] = [{} for _ in range(d)]
+        for f, e in _integral(flat).items():
+            cols[f // d][f % d] = e
         if l_closure is None:
             for name, space, vi, v in kept:
-                if not contains(space, D.mul_vec(v)):
+                image: dict[int, int] = {}  # D v, over the support of v
+                for t, c in v.items():
+                    for i, e in cols[t].items():
+                        image[i] = image.get(i, 0) + c * e
+                if not contains(space, image):
                     l_closure = {"kind": "l_closure", "der_index": di,
                                  "subspace": name, "vector_index": vi}
                     break
-        if inner_closure is None and first_leibniz_violation(L, D) is not None:
+        if inner_closure is None and first_leibniz_violation(L, cols) is not None:
+            D = unflatten_endo(d, dense_vector(d * d, flat))
             for i in range(d):
                 A = ad_matrix(L.basis_element(i)).matrix
                 if not contains(inner, flatten_endo(D * A - A * D)):

@@ -296,8 +296,7 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     triples = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            w = L.bracket_sparse(rows[a], rows[b])
-            coords = s.coordinates_of(dense_vector(L.dim, w))
+            coords = s.coordinates_of(L.bracket_sparse(rows[a], rows[b]))
             if coords is None:
                 raise ValueError(
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
@@ -308,25 +307,46 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     return LieAlgebra(len(rows), labels, triples)
 
 
-def first_leibniz_violation(L: LieAlgebra, m: Matrix) -> tuple[int, int] | None:
-    """First pair (i, j), i < j, where m breaks the Leibniz identity, if any."""
-    if m.rows != L.dim or m.cols != L.dim:
-        raise ValueError("matrix shape does not match algebra dimension")
+def first_leibniz_violation(L: LieAlgebra, m) -> tuple[int, int] | None:
+    """First pair (i, j), i < j, where m breaks the Leibniz identity, if any.
+
+    m is a dim x dim ``Matrix`` or its list of dim sparse columns: column j
+    is a dict row index -> value (int or Fraction) holding the image of x_j.
+    Both forms give the same answer.
+    """
     d = L.dim
-    cols = [{t: e for t, e in enumerate(m.col(j)) if e} for j in range(d)]
+    if isinstance(m, Matrix):
+        if m.rows != d or m.cols != d:
+            raise ValueError("matrix shape does not match algebra dimension")
+        cols = [{t: e for t, e in enumerate(m.col(j)) if e} for j in range(d)]
+    else:
+        cols = list(m)
+        if len(cols) != d:
+            raise ValueError("column count does not match algebra dimension")
+    table = L.table
     for i in range(d):
         for j in range(i + 1, d):
-            # m[x_i, x_j] - [m x_i, x_j] - [x_i, m x_j], summed sparsely
+            # m[x_i, x_j] - [m x_i, x_j] - [x_i, m x_j], summed sparsely; a
+            # bracket [x_a, x_b] with a > b is -table[(b, a)], so its terms
+            # are added instead of subtracted
             acc: dict[int, Q] = {}
-            for k, v in L.bracket_coords(i, j).items():
+            for k, v in table.get((i, j), {}).items():
                 for t, e in cols[k].items():
                     acc[t] = acc.get(t, 0) + v * e
             for t, e in cols[i].items():
-                for k, v in L.bracket_coords(t, j).items():
-                    acc[k] = acc.get(k, 0) - e * v
+                if t < j:
+                    for k, v in table.get((t, j), {}).items():
+                        acc[k] = acc.get(k, 0) - e * v
+                elif t > j:
+                    for k, v in table.get((j, t), {}).items():
+                        acc[k] = acc.get(k, 0) + e * v
             for t, e in cols[j].items():
-                for k, v in L.bracket_coords(i, t).items():
-                    acc[k] = acc.get(k, 0) - e * v
+                if t > i:
+                    for k, v in table.get((i, t), {}).items():
+                        acc[k] = acc.get(k, 0) - e * v
+                elif t < i:
+                    for k, v in table.get((t, i), {}).items():
+                        acc[k] = acc.get(k, 0) + e * v
             if any(acc.values()):
                 return (i, j)
     return None

@@ -6,12 +6,18 @@ subspaces kept as their unique reduced row echelon basis in sparse rows
 subspace arithmetic. Everything downstream (structure constants, derivation
 oracles, theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
+
+Sparse vectors are dicts index -> value whose values are ints or Fractions;
+the eliminator, ``coordinates_of`` and ``contains`` take them as they are.
+The theorem check never builds a dense endomorphism for a derivation: it
+passes each one as its list of sparse integer columns, and a dense
+``Matrix`` appears only for a map that fails the Leibniz identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -227,19 +233,14 @@ class _RowReducer:
     def add_row(self, row) -> bool:
         """Fold one row in; True if it increased the rank.
 
-        Accepts a mapping col -> value (int or Fraction); denominators are
-        cleared up front.
+        Accepts a mapping col -> value (int or Fraction, both of which carry
+        numerator and denominator); denominators are cleared up front.
         """
-        den = 1
-        for v in row.values():
-            if v:
-                d = Q(v).denominator
-                den = den * d // gcd(den, d)
-        work: dict[int, int] = {}
-        for c, v in row.items():
-            if v:
-                q = Q(v)
-                work[c] = q.numerator * (den // q.denominator)
+        den = lcm(*[v.denominator for v in row.values()])
+        if den == 1:
+            work = {c: v.numerator for c, v in row.items() if v}
+        else:
+            work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         for c in sorted(work.keys() & self.pivot_rows.keys()):
             if c in work:
                 self._combine(work, self.pivot_rows[c], c)
@@ -298,11 +299,11 @@ class Subspace:
     entries only, with columns in increasing order. Pivot columns strictly
     increase from row to row, each pivot entry is 1, and a pivot column is
     zero in every other row, so two subspaces are equal exactly when their
-    rows are equal. The pivot columns are recorded once, when the basis is
-    built. The rows are shared, not copied: callers must not mutate them.
+    rows are equal. The rows are indexed by pivot column once, when the
+    basis is built. The rows are shared, not copied: callers must not mutate them.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_pivots")
+    __slots__ = ("ambient_dim", "rows", "_row_at")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
@@ -315,7 +316,7 @@ class Subspace:
     def _take(self, red: _RowReducer) -> None:
         object.__setattr__(self, "ambient_dim", red.ncols)
         object.__setattr__(self, "rows", tuple(red.rref_sparse()))
-        object.__setattr__(self, "_pivots", tuple(red.pivots()))
+        object.__setattr__(self, "_row_at", dict(zip(red.pivots(), self.rows)))
 
     @classmethod
     def _of_reducer(cls, red: _RowReducer) -> Subspace:
@@ -353,7 +354,7 @@ class Subspace:
         return len(self.rows)
 
     def pivots(self) -> list[int]:
-        return list(self._pivots)
+        return list(self._row_at)
 
     def vectors(self) -> list[Vector]:
         """The basis rows as dense tuples."""
@@ -374,14 +375,30 @@ class Subspace:
     def coordinates_of(self, v) -> Vector | None:
         """Coordinates of v in the canonical basis, or None if v is outside.
 
-        Because the basis is in RREF, the coordinate along row i is just the
-        entry of v at that row's pivot column.
+        v is a dense vector or a sparse dict index -> value (int or Fraction)
+        in the ``rows`` format. Because the basis is in RREF, the coordinate
+        along row i is just the entry of v at that row's pivot column.
         """
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        coords = tuple(v[p] for p in self._pivots)
-        return coords if self.combination(coords) == v else None
+        v = self._member(v)
+        if v is None:
+            return None
+        return vec(v.get(p, 0) for p in self._row_at)
+
+    def _member(self, v) -> dict | None:
+        """v as a sparse dict if it lies in the subspace, else None: v is
+        inside exactly when v - sum v[p] * (row with pivot p) is 0."""
+        if not isinstance(v, dict):
+            v = vec(v)
+            if len(v) != self.ambient_dim:
+                raise ValueError("vector length does not match ambient dimension")
+            v = {j: e for j, e in enumerate(v) if e}
+        residual = dict(v)
+        for p, c in v.items():
+            row = self._row_at.get(p)
+            if row is not None and c:
+                for j, e in row.items():
+                    residual[j] = residual.get(j, 0) - c * e
+        return None if any(residual.values()) else v
 
     def __eq__(self, other) -> bool:
         return (
@@ -396,7 +413,7 @@ class Subspace:
     def __le__(self, other: Subspace) -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return all(contains(other, v) for v in self.vectors())
+        return all(contains(other, row) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -484,8 +501,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, v) -> bool:
-    """True iff v lies in a (exact residual after one elimination pass)."""
-    return a.coordinates_of(v) is not None
+    """True iff v, dense or a sparse dict, lies in a (exact sparse residual)."""
+    return a._member(v) is not None
 
 
 def is_direct_sum(parts, whole: Subspace) -> bool:

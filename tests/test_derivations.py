@@ -5,6 +5,7 @@ import pytest
 from liederiv.derivations import (
     DerivationMatrix,
     NotADerivationError,
+    complexify,
     constructive_decompose,
     derivation_algebra,
     dimension_formula,
@@ -17,9 +18,20 @@ from liederiv.derivations import (
     unflatten_endo,
     verify_main_theorem,
 )
-from liederiv.lie import LieAlgebra, ad_matrix, is_derivation, restrict
-from liederiv.linalg import Matrix, Q, Subspace, contains, solve, subspace_sum, vec
+from liederiv.lie import EndoMatrix, LieAlgebra, ad_matrix, bracket, is_derivation, restrict
+from liederiv.linalg import (
+    Matrix,
+    Q,
+    Subspace,
+    contains,
+    nullspace,
+    solve,
+    subspace_sum,
+    unit_vector,
+    vec,
+)
 from liederiv.parabolic import (
+    build_gl,
     build_standard_parabolic,
     compositions,
     root_value,
@@ -56,6 +68,76 @@ def test_oracle_golden_dimension(golden_q, golden_der):
     assert golden_der.dim == dimension_formula(1, 5, 3, 24)
     for flat in golden_der.vectors()[:5]:
         assert is_derivation(golden_q.algebra, unflatten_endo(25, flat))
+
+
+def _reference_derivations(L):
+    """Der L as the kernel of the dense d^2-unknown Leibniz system: column f
+    holds, for each pair i < j and coordinate k, the k-th coordinate of
+    E[x_i, x_j] - [E x_i, x_j] - [x_i, E x_j] for the unit map E with
+    flattened index f, evaluated element by element."""
+    d = L.dim
+    basis = [L.basis_element(i) for i in range(d)]
+    units = [EndoMatrix(L, unflatten_endo(d, unit_vector(d * d, f))) for f in range(d * d)]
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            x, y = basis[i], basis[j]
+            xy = bracket(x, y)
+            res = [E.apply(xy) - bracket(E.apply(x), y) - bracket(x, E.apply(y)) for E in units]
+            rows.extend([r.coords[k] for r in res] for k in range(d))
+    return nullspace(Matrix.from_rows(rows, d * d))
+
+
+SCALED_ORACLE_CASES = [b for n in range(1, 4) for b in compositions(n)] + [(2, 2)]
+
+
+@pytest.mark.parametrize("blocks", SCALED_ORACLE_CASES, ids=str)
+def test_oracle_matches_dense_reference_at_rational_scale(blocks):
+    q = build_standard_parabolic(blocks, root_scale=Q(3, 2))
+    L = q.algebra
+    if blocks == (2, 2):
+        # [E_12, E_23] and [E_12, E_21] give the non-integer constants 3/2 and 9/4
+        assert {Q(3, 2), Q(9, 4)} <= {v for (_, _, _, v) in L.triples()}
+    assert derivation_algebra(L) == _reference_derivations(L)
+
+
+def test_property_oracle_matches_dense_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
+
+    def tables(d):
+        pair = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)).filter(lambda p: p[0] < p[1])
+        triple = st.tuples(pair, st.integers(0, d - 1), rational)
+        return st.lists(triple, max_size=8).map(
+            lambda ts: LieAlgebra(d, None, [(i, j, k, v) for (i, j), k, v in ts])
+        )
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 4).flatmap(tables))
+    def check(L):
+        assert derivation_algebra(L) == _reference_derivations(L)
+
+    check()
+
+
+INNER_CASES = (
+    [("parabolic", b, rs) for n in range(1, 5) for b in compositions(n) for rs in ("1", "3/2")]
+    + [("gl3", None, None), ("complexified gl2", None, None)]
+)
+
+
+@pytest.mark.parametrize("kind,blocks,scale", INNER_CASES, ids=str)
+def test_inner_derivations_match_dense_ad_maps(kind, blocks, scale):
+    if kind == "parabolic":
+        L = build_standard_parabolic(blocks, root_scale=Q(scale)).algebra
+    elif kind == "gl3":
+        L = build_gl(3)
+    else:
+        L = complexify(build_gl(2))[0]
+    d = L.dim
+    dense = [flatten_endo(ad_matrix(L.basis_element(i)).matrix) for i in range(d)]
+    assert inner_derivations(L) == Subspace.from_vectors(d * d, dense)
 
 
 def test_inner_derivations_golden(golden_q):

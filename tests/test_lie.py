@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from liederiv.derivations import random_combination, unflatten_endo
+from liederiv.derivations import derivation_algebra, random_combination, unflatten_endo
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
@@ -16,7 +16,7 @@ from liederiv.lie import (
     validate_structure,
 )
 from liederiv.linalg import Matrix, Q, Subspace, contains, vec
-from liederiv.parabolic import build_gl, root_value
+from liederiv.parabolic import build_gl, build_standard_parabolic, compositions, root_value
 
 
 def abelian(dim):
@@ -51,6 +51,80 @@ def test_validate_flags_jacobi():
     L = LieAlgebra(3, None, [(0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 0, 1)])
     report = validate_structure(L)
     assert report.jacobi_violations == [(0, 1, 2)]
+
+
+# -- validate_structure against a brute-force reference (hypothesis) ---------
+
+
+def _reference_validation(dim, triples):
+    """Both violation lists, computed from scratch: antisymmetry from the raw
+    triples, Jacobi over all i < j < k through ``bracket`` on basis elements."""
+    given = {}
+    for (i, j, k, v) in triples:
+        given[(i, j, k)] = given.get((i, j, k), 0) + Q(v)
+    anti = set()
+    for i in range(dim):
+        for k in range(dim):
+            if given.get((i, i, k), 0) != 0:
+                anti.add((i, i, k))
+            for j in range(i + 1, dim):
+                if (i, j, k) in given and (j, i, k) in given:
+                    if given[(i, j, k)] + given[(j, i, k)] != 0:
+                        anti.add((i, j, k))
+    L = LieAlgebra(dim, None, triples)
+    x = [L.basis_element(i) for i in range(dim)]
+    jacobi = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                cyclic = (
+                    bracket(bracket(x[i], x[j]), x[k])
+                    + bracket(bracket(x[j], x[k]), x[i])
+                    + bracket(bracket(x[k], x[i]), x[j])
+                )
+                if not cyclic.is_zero():
+                    jacobi.append((i, j, k))
+    return sorted(anti), jacobi
+
+
+def _assert_validates_like_reference(dim, triples):
+    report = validate_structure(LieAlgebra(dim, None, triples))
+    anti, jacobi = _reference_validation(dim, triples)
+    assert report.antisymmetry_violations == anti
+    assert report.jacobi_violations == jacobi
+
+
+def test_property_validate_structure_matches_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+    def case(dim):
+        index = st.integers(0, dim - 1)
+        # any (i, j): i < j, i > j and i == j triples all occur
+        return st.tuples(st.just(dim), st.lists(st.tuples(index, index, index, rational), max_size=10))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 5).flatmap(case))
+    def check(c):
+        _assert_validates_like_reference(*c)
+
+    check()
+
+
+def test_parabolic_tables_validate_clean():
+    for n in range(1, 6):
+        for blocks in compositions(n):
+            assert validate_structure(build_standard_parabolic(blocks).algebra).ok, blocks
+
+
+def test_perturbed_golden_table_matches_reference(golden_q):
+    triples = golden_q.algebra.triples()
+    i, j, k, v = triples[17]
+    triples[17] = (i, j, k, v + 1)
+    anti, jacobi = _reference_validation(golden_q.dim, triples)
+    assert jacobi  # one wrong constant breaks Jacobi somewhere
+    _assert_validates_like_reference(golden_q.dim, triples)
 
 
 def test_bracket_matrix_units_gl2():
@@ -213,17 +287,30 @@ def _first_leibniz_failure(L, m):
     return None
 
 
-def test_first_leibniz_violation_matches_elementwise(golden_q, golden_der):
-    L = golden_q.algebra
+def _sparse_columns(m):
+    """The columns of m as dicts row -> entry, nonzero entries only."""
+    return [{t: e for t, e in enumerate(m.col(j)) if e} for j in range(m.cols)]
+
+
+@pytest.mark.parametrize("algebra", ["golden", "scaled"])
+@pytest.mark.parametrize("form", ["matrix", "columns"])
+def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
+    if algebra == "golden":
+        q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
+    else:
+        q = build_standard_parabolic((2, 2, 1), root_scale=Q(3, 2))
+        der = derivation_algebra(q.algebra)
+    L = q.algebra
     d = L.dim
     rng = random.Random(53)
     cases = [Matrix.identity(d)]
     for _ in range(8):
-        flat = list(random_combination(golden_der, rng))
+        flat = list(random_combination(der, rng))
         cases.append(unflatten_endo(d, flat))
         flat[rng.randrange(d * d)] += rng.choice((-3, -1, 1, 2))
         cases.append(unflatten_endo(d, flat))
-    found = [first_leibniz_violation(L, m) for m in cases]
+    as_input = (lambda m: m) if form == "matrix" else _sparse_columns
+    found = [first_leibniz_violation(L, as_input(m)) for m in cases]
     assert found == [_first_leibniz_failure(L, m) for m in cases]
     assert found[0] is not None and found[1] is None
     assert sum(pair is not None for pair in found) >= 5

@@ -263,12 +263,25 @@ def test_property_grassmann_identity():
 def test_property_coordinates_invert_combination():
     hyp, st, settings = _hypothesis()
 
+    def sparse(v):
+        return {j: e for j, e in enumerate(v) if e}
+
     @settings
     @hyp.given(_case(st), st.data())
     def check(case, data):
+        n, _ = case
         s = Subspace.from_vectors(*case)
         coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=s.dim, max_size=s.dim))
-        assert s.coordinates_of(s.combination(coeffs)) == vec(coeffs)
+        v = s.combination(coeffs)
+        assert s.coordinates_of(v) == s.coordinates_of(sparse(v)) == vec(coeffs)
+        # a vector outside the subspace gives None in both forms
+        w = vec(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        inside = Subspace.from_vectors(n, s.vectors() + [w]).dim == s.dim
+        assert contains(s, w) is contains(s, sparse(w)) is inside
+        if inside:
+            assert s.combination(s.coordinates_of(sparse(w))) == w
+        else:
+            assert s.coordinates_of(w) is None and s.coordinates_of(sparse(w)) is None
 
     check()
 
