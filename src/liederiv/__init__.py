@@ -13,21 +13,19 @@ is verified against the kernel dimension for every composition swept.
 from .derivations import (
     DecompositionError,
     DecompositionResult,
-    DerivationMatrix,
     NotADerivationError,
     VerificationReport,
+    cartan_solve,
     complexify,
     constructive_decompose,
     derivation_algebra,
     dimension_formula,
     extend_derivation,
-    flatten_endo,
     inner_derivations,
     l_ideal,
     random_combination,
     root_line_reduction,
     split_derivation,
-    unflatten_endo,
     verify_main_theorem,
 )
 from .lie import (
@@ -53,6 +51,7 @@ from .linalg import (
     nullspace,
     rref,
     solve,
+    solve_rows,
     subspace_intersect,
     subspace_sum,
 )

@@ -28,11 +28,10 @@ from .derivations import (
     inner_derivations,
     l_ideal,
     random_combination,
-    unflatten_endo,
     verify_main_theorem,
 )
-from .lie import ad_matrix
-from .linalg import Matrix, Q
+from .lie import EndoMatrix, ad_matrix
+from .linalg import Q
 from .parabolic import BlockComposition, build_standard_parabolic, compositions
 
 __all__ = ["main"]
@@ -151,9 +150,10 @@ def cmd_der(args) -> tuple[dict, int]:
     return payload, 0 if payload["formula_ok"] else 3
 
 
-def _read_derivation(args, dim: int) -> Matrix:
+def _read_derivation(args, algebra) -> EndoMatrix:
     """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
     integer or a rational string such as "-3/4", never a float."""
+    dim = algebra.dim
     try:
         if args.input == "-":
             data = json.load(sys.stdin)
@@ -171,12 +171,13 @@ def _read_derivation(args, dim: int) -> Matrix:
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"matrix must be a list of {dim} rows")
-    entries = []
+    cols: list[dict[int, Q]] = [{} for _ in range(dim)]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries at row {i}")
-        entries.extend(_rational(e, i, j) for j, e in enumerate(row))
-    return Matrix(dim, dim, entries)
+        for j, e in enumerate(row):
+            cols[j][i] = _rational(e, i, j)
+    return EndoMatrix(algebra, cols)
 
 
 # the form str(Fraction) writes: "p/q" or "p", ASCII digits only
@@ -198,8 +199,7 @@ def _rational(e, i: int, j: int) -> Q:
 
 def cmd_decompose(args) -> tuple[dict, int]:
     q = _parabolic(args)
-    m = _read_derivation(args, q.dim)
-    result = constructive_decompose(q, m)
+    result = constructive_decompose(q, _read_derivation(args, q.algebra))
     return result.to_json_dict(), 0
 
 
@@ -221,8 +221,7 @@ def _verify_case(q, rounds: int, rng) -> dict:
     decompose_ok = True
     witness = report.counterexample
     for r in range(rounds):
-        flat = random_combination(der, rng)
-        D = unflatten_endo(q.dim, flat)
+        D = EndoMatrix.from_flat(q.algebra, random_combination(der, rng))
         try:
             res = constructive_decompose(q, D)
         except (NotADerivationError, DecompositionError) as exc:
@@ -230,7 +229,7 @@ def _verify_case(q, rounds: int, rng) -> dict:
             if witness is None:
                 witness = {"kind": "decompose", "round": r, "error": str(exc)}
             break
-        if res.l_part.matrix + ad_matrix(res.p).matrix != D:
+        if res.l_part + ad_matrix(res.p) != D:
             decompose_ok = False
             if witness is None:
                 witness = {"kind": "decompose_roundtrip", "round": r}

@@ -5,11 +5,15 @@ Der q as the exact kernel of the Leibniz system in the dim^2 matrix unknowns.
 The structural route builds the ideal of center-valued maps killing the
 derived algebra, plus the span of the adjoint maps. The constructive route
 peels an arbitrary derivation into those two pieces explicitly: first an
-inner correction read off the Cartan images, then a Cartan element solved
-from the simple-root eigenvalues, leaving a map into the center.
+inner correction read off the Cartan images, then a Cartan element from the
+simple-root eigenvalues by the closed-form inverse of the type A Cartan
+matrix, leaving a map into the center.
 
-Endomorphisms are flattened column-major (image of basis j stacked), fixed
-package-wide so subspaces of endomorphism space are comparable everywhere.
+Every map is an ``EndoMatrix`` of sparse columns, from the input to the
+JSON payload. In endomorphism space a map is flattened column-major (entry
+(i, j) at index j*dim + i), fixed package-wide so subspaces of maps are
+comparable everywhere. The one dense ``Matrix`` here is the embedding that
+``complexify`` returns.
 """
 
 from __future__ import annotations
@@ -30,27 +34,24 @@ from .linalg import (
     Subspace,
     Vector,
     contains,
-    dense_vector,
     is_direct_sum,
     nullspace_of_rows,
-    solve,
+    solve_rows,
 )
 from .parabolic import ParabolicAlgebra
 
 __all__ = [
     "NotADerivationError",
     "DecompositionError",
-    "DerivationMatrix",
     "DecompositionResult",
     "VerificationReport",
-    "flatten_endo",
-    "unflatten_endo",
     "derivation_algebra",
     "inner_derivations",
     "l_ideal",
     "verify_main_theorem",
     "constructive_decompose",
     "root_line_reduction",
+    "cartan_solve",
     "split_derivation",
     "dimension_formula",
     "complexify",
@@ -75,50 +76,8 @@ class DecompositionError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def flatten_endo(m: Matrix) -> Vector:
-    """Column-major flattening: entry (i, j) lands at position j*dim + i."""
-    if m.rows != m.cols:
-        raise ValueError("only square endomorphisms are flattened")
-    d = m.rows
-    return tuple(m.at(i, j) for j in range(d) for i in range(d))
-
-
-def unflatten_endo(dim: int, flat) -> Matrix:
-    flat = tuple(flat)
-    if len(flat) != dim * dim:
-        raise ValueError("flattened length does not match dimension")
-    return Matrix(dim, dim, [flat[j * dim + i] for i in range(dim) for j in range(dim)])
-
-
-@dataclass(frozen=True)
-class DerivationMatrix:
-    """An endomorphism checked to satisfy the Leibniz identity."""
-
-    endo: EndoMatrix
-
-    def __post_init__(self):
-        viol = first_leibniz_violation(self.endo.algebra, self.endo.matrix)
-        if viol is not None:
-            raise NotADerivationError(viol)
-
-    @classmethod
-    def from_matrix(cls, L: LieAlgebra, m: Matrix) -> DerivationMatrix:
-        return cls(EndoMatrix(L, m))
-
-    @property
-    def matrix(self) -> Matrix:
-        return self.endo.matrix
-
-
 def _algebra_of(q) -> LieAlgebra:
     return q.algebra if isinstance(q, ParabolicAlgebra) else q
-
-
-def _integer_table(L: LieAlgebra) -> dict[tuple[int, int], dict[int, int]]:
-    """The structure constants times N, their common denominator, as ints."""
-    N = lcm(*(v.denominator for ks in L.table.values() for v in ks.values()))
-    return {p: {k: v.numerator * (N // v.denominator) for k, v in ks.items()}
-            for p, ks in L.table.items()}
 
 
 def _integral(row: dict) -> dict[int, int]:
@@ -140,18 +99,18 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     """
     L = _algebra_of(L)
     d = L.dim
-    table = _integer_table(L)  # N times the constants; same kernel, see above
+    T = L.int_table  # N times the constants; same kernel, see above
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
     rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
-    for (a, b), ks in table.items():
-        for k, v in ks.items():
-            rowmap[b].setdefault(k, []).append((a, v))
-            rowmap[a].setdefault(k, []).append((b, -v))
+    for m, ad_m in enumerate(T):
+        for j, ks in ad_m.items():
+            for k, v in ks.items():
+                rowmap[j].setdefault(k, []).append((m, v))
 
     def rows():
         for i in range(d):
             for j in range(i + 1, d):
-                cdict = table.get((i, j), {})
+                cdict = T[i].get(j, {})
                 if cdict:
                     lset = range(d)
                 else:
@@ -179,18 +138,13 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
 def inner_derivations(q: ParabolicAlgebra | LieAlgebra) -> Subspace:
     """Span of the adjoint maps of all basis elements.
 
-    Each ad x_a is written flattened and sparse, straight from the table:
-    column b is [x_a, x_b], at index b*d + k. The constants are scaled to
-    integers as in derivation_algebra, which rescales every ad map alike
-    and so spans the same subspace.
+    ``int_table[a]`` is N ad x_a as sparse columns, the table ``ad_matrix``
+    reads; flattened (column b at index b*d + k) they span the same
+    subspace as the ad x_a themselves.
     """
     L = _algebra_of(q)
     d = L.dim
-    ads: list[dict[int, int]] = [{} for _ in range(d)]
-    for (a, b), ks in _integer_table(L).items():
-        for k, v in ks.items():
-            ads[a][b * d + k] = v
-            ads[b][a * d + k] = -v
+    ads = [{b * d + k: v for b, ks in ad_a.items() for k, v in ks.items()} for ad_a in L.int_table]
     return Subspace.from_sparse(d * d, ads)
 
 
@@ -297,26 +251,20 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     ]
     l_closure = inner_closure = None
     for di, flat in enumerate(der.rows):
-        # D as d sparse integer columns: flat index j*d + i is column j, row i.
-        # A positive multiple of D passes each check below exactly when D does.
-        cols: list[dict[int, int]] = [{} for _ in range(d)]
-        for f, e in _integral(flat).items():
-            cols[f // d][f % d] = e
+        # a positive multiple of D, with integer entries, passes each check
+        # below exactly when D does
+        D = EndoMatrix.from_flat(L, _integral(flat))
         if l_closure is None:
             for name, space, vi, v in kept:
-                image: dict[int, int] = {}  # D v, over the support of v
-                for t, c in v.items():
-                    for i, e in cols[t].items():
-                        image[i] = image.get(i, 0) + c * e
-                if not contains(space, image):
+                if not contains(space, D.apply(v)):
                     l_closure = {"kind": "l_closure", "der_index": di,
                                  "subspace": name, "vector_index": vi}
                     break
-        if inner_closure is None and first_leibniz_violation(L, cols) is not None:
-            D = unflatten_endo(d, dense_vector(d * d, flat))
+        if inner_closure is None and first_leibniz_violation(L, D) is not None:
             for i in range(d):
-                A = ad_matrix(L.basis_element(i)).matrix
-                if not contains(inner, flatten_endo(D * A - A * D)):
+                A = ad_matrix(L.basis_element(i))
+                comm = EndoMatrix(L, map(D.apply, A.cols)) - EndoMatrix(L, map(A.apply, D.cols))
+                if not contains(inner, comm.flat()):
                     inner_closure = {"kind": "inner_closure", "der_index": di, "basis_index": i}
                     break
 
@@ -350,7 +298,7 @@ class DecompositionResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "l_part": [[str(e) for e in row] for row in self.l_part.matrix.tolist()],
+            "l_part": [[str(e) for e in row] for row in self.l_part.dense_rows()],
             "p": [str(e) for e in self.p.coords],
             "d_gamma": [[i, j, str(v)] for (i, j), v in sorted(self.d_gamma.items())],
             "c_gamma": [[i, j, str(v)] for (i, j), v in sorted(self.c_gamma.items())],
@@ -358,17 +306,15 @@ class DecompositionResult:
         }
 
 
-def _as_matrix(q: ParabolicAlgebra, D) -> Matrix:
-    if isinstance(D, DerivationMatrix):
-        return D.matrix
-    if isinstance(D, EndoMatrix):
-        return D.matrix
-    if isinstance(D, Matrix):
-        return D
-    raise TypeError("expected a DerivationMatrix, EndoMatrix, or Matrix")
+def _check_leibniz(L: LieAlgebra, D: EndoMatrix) -> None:
+    viol = first_leibniz_violation(L, D)
+    if viol is not None:
+        raise NotADerivationError(viol)
 
 
-def root_line_reduction(q: ParabolicAlgebra, D) -> tuple[Vector, Matrix, dict[tuple[int, int], Q]]:
+def root_line_reduction(
+    q: ParabolicAlgebra, D: EndoMatrix
+) -> tuple[Vector, EndoMatrix, dict[tuple[int, int], Q]]:
     """First reduction step: returns (x, D - ad x, the d_gamma table).
 
     For each allowed root (i, j) pick h = e_ii - e_jj, on which the root
@@ -378,21 +324,31 @@ def root_line_reduction(q: ParabolicAlgebra, D) -> tuple[Vector, Matrix, dict[tu
     coroots, and stabilizes every root line.
     """
     L = q.algebra
-    m = _as_matrix(q, D)
-    d = L.dim
     d_gamma: dict[tuple[int, int], Q] = {}
-    x = [Q(0)] * d
+    x = [Q(0)] * L.dim
     for root in q.roots:
         pos = q.root_index[root]
         h = q.cartan_element_for_root(root)
-        dg = sum((m.at(pos, k) * c for k, c in enumerate(h) if c), Q(0)) / 2
+        dg = sum((D.cols[k].get(pos, 0) * c for k, c in enumerate(h) if c), Q(0)) / 2
         d_gamma[root] = dg
         x[pos] -= dg
-    adx = ad_matrix(L.element(x))
-    return tuple(x), m - adx.matrix, d_gamma
+    return tuple(x), D - ad_matrix(L.element(x)), d_gamma
 
 
-def constructive_decompose(q: ParabolicAlgebra, D) -> DecompositionResult:
+def cartan_solve(c) -> list[Q]:
+    """The b with A b = c for the type A Cartan matrix A of size len(c).
+
+    With n = len(c) + 1, A^-1 has entries min(j, k) (n - max(j, k)) / n,
+    1 <= j, k <= n - 1, so b is read off without elimination.
+    """
+    n = len(c) + 1
+    return [
+        sum((Q(min(j, k) * (n - max(j, k)), n) * ck for k, ck in enumerate(c, 1)), Q(0))
+        for j in range(1, n)
+    ]
+
+
+def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionResult:
     """Split a derivation as l_part + ad(p) following the explicit recipe.
 
     Step 1 removes the root-generator components of the Cartan images with
@@ -403,43 +359,24 @@ def constructive_decompose(q: ParabolicAlgebra, D) -> DecompositionResult:
     is zero on the derived algebra, which is verified and enforced.
     """
     L = q.algebra
-    m = _as_matrix(q, D)
-    if not isinstance(D, DerivationMatrix):
-        viol = first_leibniz_violation(L, m)
-        if viol is not None:
-            raise NotADerivationError(viol)
+    _check_leibniz(L, D)
     d = L.dim
     n = q.composition.n
 
-    x, Dp, d_gamma = root_line_reduction(q, m)
+    x, Dp, d_gamma = root_line_reduction(q, D)
 
     c_gamma: dict[tuple[int, int], Q] = {}
     for root in q.roots:
         pos = q.root_index[root]
-        c_gamma[root] = Dp.at(pos, pos)
+        c_gamma[root] = Dp.cols[pos].get(pos, Q(0))
 
+    # h* = sum b_k h_k with alpha_j(h*) = c_gamma(alpha_j); alpha_j(h_k) is
+    # the type A Cartan matrix
     h_star = [Q(0)] * d
-    if n > 1:
-        # alpha_k(h_m) is the type A Cartan matrix
-        size = n - 1
-        cartan = Matrix(
-            size,
-            size,
-            [
-                2 if k == mm else (-1 if abs(k - mm) == 1 else 0)
-                for k in range(size)
-                for mm in range(size)
-            ],
-        )
-        rhs = [c_gamma[(k, k + 1)] for k in range(1, n)]
-        b = solve(cartan, rhs)
-        if b is None:  # invertible system; cannot happen
-            raise DecompositionError("Cartan system inconsistent", {"rhs": rhs})
-        for k in range(1, n):
-            h_star[q.coroot_index[k]] = b[k - 1]
+    for k, b in enumerate(cartan_solve([c_gamma[(k, k + 1)] for k in range(1, n)]), 1):
+        h_star[q.coroot_index[k]] = b
 
-    adh = ad_matrix(L.element(h_star))
-    l_mat = Dp - adh.matrix
+    l_part = Dp - ad_matrix(L.element(h_star))
     p = tuple(a + b for a, b in zip(x, h_star))
 
     diagnostics = {
@@ -449,14 +386,13 @@ def constructive_decompose(q: ParabolicAlgebra, D) -> DecompositionResult:
         "p": p,
     }
     center_set = set(q.center_indices)
-    for jdx in range(d):
-        col = l_mat.col(jdx)
-        if any(col[i] for i in range(d) if i not in center_set):
+    for jdx, col in enumerate(l_part.cols):
+        if any(i not in center_set for i in col):
             raise DecompositionError(
                 f"residual map does not land in the center at column {jdx}", diagnostics
             )
     for jdx in q.derived.pivots():
-        if any(l_mat.col(jdx)):
+        if l_part.cols[jdx]:
             raise DecompositionError(
                 f"residual map does not kill the derived algebra at column {jdx}", diagnostics
             )
@@ -464,7 +400,7 @@ def constructive_decompose(q: ParabolicAlgebra, D) -> DecompositionResult:
         raise DecompositionError("inner element has a central component", diagnostics)
 
     return DecompositionResult(
-        l_part=EndoMatrix(L, l_mat),
+        l_part=l_part,
         p=L.element(p),
         d_gamma=d_gamma,
         c_gamma=c_gamma,
@@ -474,32 +410,44 @@ def constructive_decompose(q: ParabolicAlgebra, D) -> DecompositionResult:
 
 def split_derivation(
     q: ParabolicAlgebra,
-    D,
+    D: EndoMatrix,
     lid: Subspace | None = None,
     inner: Subspace | None = None,
-) -> tuple[Matrix, Matrix]:
+) -> tuple[EndoMatrix, EndoMatrix]:
     """Independent projection of a derivation onto the two summands.
 
     Solves for coordinates in the concatenated basis of the center-valued
     ideal and the inner maps; no use of the constructive recipe. Returns the
-    (center-valued component, inner component) as matrices.
+    (center-valued component, inner component). A map outside the sum
+    raises NotADerivationError if it fails Leibniz, else DecompositionError.
     """
     L = q.algebra
-    m = _as_matrix(q, D)
-    d = L.dim
     if lid is None:
         lid = l_ideal(q)
     if inner is None:
         inner = inner_derivations(q)
-    basis = lid.vectors() + inner.vectors()
-    cols = len(basis)
-    flat = flatten_endo(m)
-    system = Matrix(d * d, cols, [basis[k][i] for i in range(d * d) for k in range(cols)])
-    lam = solve(system, flat)
+    # one equation per flat coordinate i: sum_k lam_k basis_k[i] = D[i]
+    system: dict[int, dict[int, Q]] = {}
+    for k, row in enumerate(lid.rows + inner.rows):
+        for i, e in row.items():
+            system.setdefault(i, {})[k] = e
+    flat = D.flat()
+    keys = sorted(system.keys() | flat.keys())
+    lam = solve_rows(
+        lid.dim + inner.dim, [system.get(i, {}) for i in keys], [flat.get(i, 0) for i in keys]
+    )
     if lam is None:
-        raise NotADerivationError(first_leibniz_violation(L, m) or (0, 0))
-    l_comp = unflatten_endo(d, lid.combination(lam[: lid.dim]))
-    return l_comp, m - l_comp
+        _check_leibniz(L, D)
+        raise DecompositionError(
+            "derivation is not in the sum of the center-valued and inner maps",
+            {"l_dim": lid.dim, "inner_dim": inner.dim},
+        )
+    l_comp = {}
+    for c, row in zip(lam, lid.rows):
+        for i, e in row.items():
+            l_comp[i] = l_comp.get(i, 0) + c * e
+    l_part = EndoMatrix.from_flat(L, l_comp)
+    return l_part, D - l_part
 
 
 # ---------------------------------------------------------------------------
@@ -523,37 +471,32 @@ def complexify(L: LieAlgebra) -> tuple[LieAlgebra, Matrix, EndoMatrix]:
         triples.append((i + d, j + d, k, -v))
     hat = LieAlgebra(2 * d, labels, triples)
     embed = Matrix(2 * d, d, [1 if i == j else 0 for i in range(2 * d) for j in range(d)])
-    jflat = [Q(0)] * (4 * d * d)
-    for k in range(d):
-        jflat[(k + d) * 2 * d + k] = Q(1)   # J x_k = x_{k+d}
-        jflat[k * 2 * d + (k + d)] = Q(-1)  # J x_{k+d} = -x_k
-    J = EndoMatrix(hat, Matrix(2 * d, 2 * d, jflat))
+    # J x_k = x_{k+d} and J x_{k+d} = -x_k
+    J = EndoMatrix(hat, [{k + d: Q(1)} for k in range(d)] + [{k: Q(-1)} for k in range(d)])
     return hat, embed, J
 
 
-def extend_derivation(L: LieAlgebra, D, hat: LieAlgebra | None = None) -> EndoMatrix:
+def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = None) -> EndoMatrix:
     """Extend a derivation of L to the doubled algebra, acting blockwise.
 
     The extension agrees with D on both copies, commutes with J, and
     stabilizes the embedded original algebra.
     """
-    m = D.matrix if isinstance(D, (EndoMatrix, DerivationMatrix)) else D
-    viol = first_leibniz_violation(L, m)
-    if viol is not None:
-        raise NotADerivationError(viol)
+    _check_leibniz(L, D)
     if hat is None:
         hat, _, _ = complexify(L)
     d = L.dim
-    flat = [Q(0)] * (4 * d * d)
-    for i in range(d):
-        for j in range(d):
-            e = m.at(i, j)
-            if e:
-                flat[i * 2 * d + j] = e
-                flat[(i + d) * 2 * d + (j + d)] = e
-    return EndoMatrix(hat, Matrix(2 * d, 2 * d, flat))
+    return EndoMatrix(hat, list(D.cols) + [{i + d: e for i, e in c.items()} for c in D.cols])
 
 
-def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> Vector:
-    """Integer random combination of the canonical basis of a subspace."""
-    return space.combination([rng.randint(lo, hi) for _ in space.rows])
+def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> dict[int, Q]:
+    """Integer random combination of the canonical basis of a subspace, as
+    a sparse vector in the ``rows`` format; summed over a common denominator."""
+    den = lcm(*(e.denominator for row in space.rows for e in row.values()))
+    out: dict[int, int] = {}
+    for row in space.rows:
+        c = rng.randint(lo, hi)
+        if c:
+            for i, e in row.items():
+                out[i] = out.get(i, 0) + c * e.numerator * (den // e.denominator)
+    return {i: Q(v, den) for i, v in out.items() if v}

@@ -8,13 +8,18 @@ diagnosed instead of silently repaired.
 
 Brackets of general vectors take sparse coordinate dicts (index -> value),
 the format of ``Subspace.rows``; ``bracket`` converts Elements at the boundary.
+Each algebra also keeps its constants times their common denominator N as
+integers, arranged as the N ad x_i maps. Every linear map of an algebra is
+one ``EndoMatrix``: its sparse columns, with ``int`` or ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
+from operator import add, sub
 
-from .linalg import Matrix, Q, Subspace, Vector, dense_vector, nullspace_of_rows, vec
+from .linalg import Q, Subspace, Vector, dense_vector, nullspace_of_rows, vec
 
 __all__ = [
     "LieAlgebra",
@@ -33,7 +38,12 @@ __all__ = [
 
 
 class LieAlgebra:
-    __slots__ = ("dim", "labels", "table", "_raw", "_adj")
+    """``table[(i, j)]``, i < j, is {k: c_ij^k}. ``int_table[i][j]`` is
+    {k: N c_ij^k} for every ordered pair with a nonzero bracket, so
+    ``int_table[i]`` is the map N ad x_i as sparse columns; N, the common
+    denominator of the constants, is ``denominator``."""
+
+    __slots__ = ("dim", "labels", "table", "_raw", "int_table", "denominator")
 
     def __init__(self, dim: int, labels, triples):
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
@@ -60,11 +70,18 @@ class LieAlgebra:
             if v != 0:
                 i, j, k = key
                 table.setdefault((i, j), {})[k] = v
+        N = lcm(*(v.denominator for ks in table.values() for v in ks.values()))
+        int_table: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+        for (i, j), ks in table.items():
+            iks = {k: v.numerator * (N // v.denominator) for k, v in ks.items()}
+            int_table[i][j] = iks
+            int_table[j][i] = {k: -v for k, v in iks.items()}
         self.dim = dim
         self.labels = labels
         self.table = table
         self._raw = tuple(raw)
-        self._adj: dict[int, list[tuple[int, int, dict[int, Q]]]] | None = None
+        self.int_table = int_table
+        self.denominator = N
 
     def triples(self) -> list[tuple[int, int, int, Q]]:
         """Canonical i < j triples, sorted."""
@@ -99,16 +116,6 @@ class LieAlgebra:
                     for k, v in ks.items():
                         out[k] = out.get(k, 0) + c * v
         return {k: v for k, v in out.items() if v}
-
-    def adjacency(self) -> dict[int, list[tuple[int, int, dict[int, Q]]]]:
-        """For each j, the pairs (partner i, sign, coords of [x_i, x_j])."""
-        if self._adj is None:
-            adj: dict[int, list[tuple[int, int, dict[int, Q]]]] = {m: [] for m in range(self.dim)}
-            for (i, j), ks in self.table.items():
-                adj[j].append((i, 1, ks))
-                adj[i].append((j, -1, ks))
-            self._adj = adj
-        return self._adj
 
     def element(self, coords) -> Element:
         return Element(self, vec(coords))
@@ -152,10 +159,6 @@ class Element:
         self._same(other)
         return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def scale(self, a) -> Element:
-        a = Q(a)
-        return Element(self.algebra, tuple(a * c for c in self.coords))
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -164,28 +167,79 @@ class Element:
             raise ValueError("elements belong to different algebras")
 
 
-@dataclass(frozen=True)
 class EndoMatrix:
-    """A linear endomorphism in the algebra basis; column j is the image of x_j."""
+    """A linear map of an algebra as its sparse columns.
 
-    algebra: LieAlgebra
-    matrix: Matrix
+    ``cols[j]`` is a dict row -> value (int or Fraction), nonzero entries
+    only, holding the image of x_j. The flat form is the ``Subspace.rows``
+    format of endomorphism space: entry (i, j) sits at index j*dim + i.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("algebra", "cols")
+
+    def __init__(self, algebra: LieAlgebra, cols):
+        d = algebra.dim
+        cols = tuple({i: e for i, e in c.items() if e} for c in cols)
+        if len(cols) != d:
+            raise ValueError("column count does not match algebra dimension")
+        if any(not 0 <= i < d for c in cols for i in c):
+            raise ValueError("row index out of range for algebra dimension")
+        self.algebra = algebra
+        self.cols = cols
+
+    @classmethod
+    def from_flat(cls, algebra: LieAlgebra, flat) -> EndoMatrix:
+        """The map with flat entries (index j*dim + i -> value)."""
+        d = algebra.dim
+        cols: list[dict] = [{} for _ in range(d)]
+        for f, e in flat.items():
+            if not 0 <= f < d * d:
+                raise ValueError("flat index out of range for algebra dimension")
+            cols[f // d][f % d] = e
+        return cls(algebra, cols)
+
+    def flat(self) -> dict:
         d = self.algebra.dim
-        if self.matrix.rows != d or self.matrix.cols != d:
-            raise ValueError("endomorphism shape does not match algebra dimension")
+        return {j * d + i: e for j, c in enumerate(self.cols) for i, e in c.items()}
 
-    def apply(self, x: Element) -> Element:
-        if x.algebra is not self.algebra:
-            raise ValueError("element belongs to a different algebra")
-        return Element(self.algebra, self.matrix.mul_vec(x.coords))
+    def dense_rows(self) -> list[list]:
+        """Row-major entries, 0 where a column has no entry."""
+        return [[c.get(i, 0) for c in self.cols] for i in range(self.algebra.dim)]
+
+    def apply(self, v: dict) -> dict:
+        """The image of a sparse vector (index -> value), zeros dropped."""
+        out: dict = {}
+        for j, x in v.items():
+            for i, e in self.cols[j].items():
+                out[i] = out.get(i, 0) + e * x
+        return {i: e for i, e in out.items() if e}
+
+    def _combine(self, other: EndoMatrix, op) -> EndoMatrix:
+        if other.algebra is not self.algebra:
+            raise ValueError("maps belong to different algebras")
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            c = dict(a)
+            for i, e in b.items():
+                c[i] = op(c.get(i, 0), e)
+            cols.append(c)
+        return EndoMatrix(self.algebra, cols)
 
     def __add__(self, other: EndoMatrix) -> EndoMatrix:
-        return EndoMatrix(self.algebra, self.matrix + other.matrix)
+        return self._combine(other, add)
 
     def __sub__(self, other: EndoMatrix) -> EndoMatrix:
-        return EndoMatrix(self.algebra, self.matrix - other.matrix)
+        return self._combine(other, sub)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, EndoMatrix)
+            and self.algebra is other.algebra
+            and self.cols == other.cols
+        )
+
+    def __repr__(self) -> str:
+        return f"EndoMatrix(dim {self.algebra.dim}, {sum(map(len, self.cols))} nonzero)"
 
 
 @dataclass
@@ -254,31 +308,37 @@ def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """Joint kernel of all ad maps: {z : [z, x_j] = 0 for every basis x_j}."""
-    rows = []
-    for j in range(L.dim):
-        per_k: dict[int, dict[int, Q]] = {}
-        for (i, sign, ks) in L.adjacency()[j]:
+    """Joint kernel of all ad maps: {z : [z, x_j] = 0 for every basis x_j}.
+
+    One equation per (j, k): sum_i z_i N c_ij^k = 0."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for i, ad_i in enumerate(L.int_table):
+        for j, ks in ad_i.items():
             for k, v in ks.items():
-                per_k.setdefault(k, {})[i] = sign * v
-        rows.extend(per_k.values())
-    return nullspace_of_rows(L.dim, rows)
+                rows.setdefault((j, k), {})[i] = v
+    return nullspace_of_rows(L.dim, rows.values())
 
 
 def ad_matrix(x: Element) -> EndoMatrix:
-    """The map y -> [x, y] as a matrix (column j = coords of [x, x_j])."""
+    """The map y -> [x, y]: column j holds [x, x_j] = sum_i x_i [x_i, x_j].
+
+    Summed in integers, x times the common denominator of its coordinates
+    against ``int_table``, and divided by both factors at the end.
+    """
     L = x.algebra
-    d = L.dim
-    flat = [Q(0)] * (d * d)
-    for (i, j), ks in L.table.items():
-        xi, xj = x.coords[i], x.coords[j]
+    den = lcm(*(c.denominator for c in x.coords))
+    cols: list[dict] = [{} for _ in range(L.dim)]
+    for i, xi in enumerate(x.coords):
         if xi:
-            for k, v in ks.items():
-                flat[k * d + j] += xi * v
-        if xj:
-            for k, v in ks.items():
-                flat[k * d + i] -= xj * v
-    return EndoMatrix(L, Matrix(d, d, flat))
+            xi = xi.numerator * (den // xi.denominator)
+            for j, ks in L.int_table[i].items():
+                col = cols[j]
+                for k, v in ks.items():
+                    col[k] = col.get(k, 0) + xi * v
+    den *= L.denominator
+    if den != 1:
+        cols = [{k: Q(v, den) for k, v in c.items() if v} for c in cols]
+    return EndoMatrix(L, cols)
 
 
 def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
@@ -307,52 +367,52 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     return LieAlgebra(len(rows), labels, triples)
 
 
-def first_leibniz_violation(L: LieAlgebra, m) -> tuple[int, int] | None:
+def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | None:
     """First pair (i, j), i < j, where m breaks the Leibniz identity, if any.
 
-    m is a dim x dim ``Matrix`` or its list of dim sparse columns: column j
-    is a dict row index -> value (int or Fraction) holding the image of x_j.
-    Both forms give the same answer.
+    The check runs on integers: the columns times the common denominator of
+    their entries, against N times the constants. Both factors are positive
+    and the identity is linear in m and in the constants, so the verdict is
+    the one for m itself.
     """
     d = L.dim
-    if isinstance(m, Matrix):
-        if m.rows != d or m.cols != d:
-            raise ValueError("matrix shape does not match algebra dimension")
-        cols = [{t: e for t, e in enumerate(m.col(j)) if e} for j in range(d)]
-    else:
-        cols = list(m)
-        if len(cols) != d:
-            raise ValueError("column count does not match algebra dimension")
-    table = L.table
+    if len(m.cols) != d:
+        raise ValueError("column count does not match algebra dimension")
+    den = lcm(*(e.denominator for c in m.cols for e in c.values()))
+    cols = [{t: e.numerator * (den // e.denominator) for t, e in c.items()} for c in m.cols]
+    rows: list[dict[int, int]] = [{} for _ in range(d)]  # rows[t][j] = m[t, j]
+    for j, c in enumerate(cols):
+        for t, e in c.items():
+            rows[t][j] = e
+    T = L.int_table
     for i in range(d):
-        for j in range(i + 1, d):
-            # m[x_i, x_j] - [m x_i, x_j] - [x_i, m x_j], summed sparsely; a
-            # bracket [x_a, x_b] with a > b is -table[(b, a)], so its terms
-            # are added instead of subtracted
-            acc: dict[int, Q] = {}
-            for k, v in table.get((i, j), {}).items():
-                for t, e in cols[k].items():
-                    acc[t] = acc.get(t, 0) + v * e
-            for t, e in cols[i].items():
-                if t < j:
-                    for k, v in table.get((t, j), {}).items():
-                        acc[k] = acc.get(k, 0) - e * v
-                elif t > j:
-                    for k, v in table.get((j, t), {}).items():
-                        acc[k] = acc.get(k, 0) + e * v
-            for t, e in cols[j].items():
-                if t > i:
-                    for k, v in table.get((i, t), {}).items():
-                        acc[k] = acc.get(k, 0) - e * v
-                elif t < i:
-                    for k, v in table.get((t, i), {}).items():
-                        acc[k] = acc.get(k, 0) + e * v
-            if any(acc.values()):
-                return (i, j)
+        # acc[j] = m[x_i, x_j] - [m x_i, x_j] - [x_i, m x_j] for j > i, each
+        # term summed over the support of a table row, a column or a row of m
+        acc: dict[int, dict[int, int]] = {}
+        for j, ks in T[i].items():
+            if j > i:
+                a = acc.setdefault(j, {})
+                for k, v in ks.items():
+                    for t, e in cols[k].items():
+                        a[t] = a.get(t, 0) + v * e
+        for t, e in cols[i].items():
+            for j, ks in T[t].items():
+                if j > i:
+                    a = acc.setdefault(j, {})
+                    for k, v in ks.items():
+                        a[k] = a.get(k, 0) - e * v
+        for t, ks in T[i].items():
+            for j, e in rows[t].items():
+                if j > i:
+                    a = acc.setdefault(j, {})
+                    for k, v in ks.items():
+                        a[k] = a.get(k, 0) - e * v
+        bad = [j for j, a in acc.items() if any(a.values())]
+        if bad:
+            return (i, min(bad))
     return None
 
 
-def is_derivation(L: LieAlgebra, d: EndoMatrix | Matrix) -> bool:
+def is_derivation(L: LieAlgebra, d: EndoMatrix) -> bool:
     """Exact Leibniz check: d[x_i, x_j] = [d x_i, x_j] + [x_i, d x_j] for all i < j."""
-    m = d.matrix if isinstance(d, EndoMatrix) else d
-    return first_leibniz_violation(L, m) is None
+    return first_leibniz_violation(L, d) is None

@@ -1,17 +1,17 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Dense matrices of :class:`fractions.Fraction` entries for linear maps, and
-subspaces kept as their unique reduced row echelon basis in sparse rows
+Subspaces kept as their unique reduced row echelon basis in sparse rows
 (dicts col -> Fraction), together with nullspaces, linear solves and
 subspace arithmetic. Everything downstream (structure constants, derivation
 oracles, theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
 Sparse vectors are dicts index -> value whose values are ints or Fractions;
-the eliminator, ``coordinates_of`` and ``contains`` take them as they are.
-The theorem check never builds a dense endomorphism for a derivation: it
-passes each one as its list of sparse integer columns, and a dense
-``Matrix`` appears only for a map that fails the Leibniz identity.
+the eliminator, ``nullspace_of_rows``, ``solve_rows``, ``coordinates_of``
+and ``contains`` take them as they are. The dense ``Matrix`` of Fraction
+entries is only an input form: of ``rref``, ``nullspace``, ``solve`` and
+the ``Subspace`` constructor. Linear maps of a Lie algebra are not Matrix
+objects; ``lie.EndoMatrix`` holds them as sparse columns.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "rref",
     "nullspace",
     "solve",
+    "solve_rows",
     "subspace_sum",
     "subspace_intersect",
     "contains",
@@ -109,13 +110,6 @@ class Matrix:
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> Matrix:
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def mul_vec(self, v) -> Vector:
         v = tuple(v)
         if len(v) != self.cols:
@@ -155,16 +149,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
-    def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, a) -> Matrix:
-        a = Q(a)
-        return Matrix(self.rows, self.cols, [a * e for e in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -173,16 +157,9 @@ class Matrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def tolist(self) -> list[list[Q]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
 
 class _RowReducer:
     """Incremental fraction-free elimination keeping rows fully reduced.
@@ -456,17 +433,24 @@ def solve(m: Matrix, b) -> Vector | None:
     b = vec(b)
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = m.cols
-    red = _RowReducer(m.cols + 1)
-    for i in range(m.rows):
-        row = {j: e for j, e in enumerate(m.row(i)) if e}
-        if b[i]:
-            row[aug] = b[i]
-        red.add_row(row)
+    rows = [{j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows)]
+    return solve_rows(m.cols, rows, b)
+
+
+def solve_rows(ncols: int, sparse_rows, b) -> Vector | None:
+    """``solve`` for a system given as sparse rows (col -> value), one per
+    entry of b."""
+    sparse_rows = list(sparse_rows)
+    if len(sparse_rows) != len(b):
+        raise ValueError("right-hand side length does not match row count")
+    aug = ncols
+    red = _RowReducer(ncols + 1)
+    for row, bi in zip(sparse_rows, b):
+        red.add_row({**row, aug: bi} if bi else row)
     pivots = red.pivots()
     if aug in pivots:
         return None
-    x = [Q(0)] * m.cols
+    x = [Q(0)] * ncols
     for p, row in zip(pivots, red.rref_sparse()):
         x[p] = row.get(aug, Q(0))
     return tuple(x)

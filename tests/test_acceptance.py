@@ -10,22 +10,21 @@ from contextlib import contextmanager
 
 import pytest
 
+from dense_reference import as_endo, as_matrix
 from liederiv.derivations import (
     complexify,
     constructive_decompose,
     derivation_algebra,
     dimension_formula,
     extend_derivation,
-    flatten_endo,
     inner_derivations,
     l_ideal,
     random_combination,
     root_line_reduction,
     split_derivation,
-    unflatten_endo,
     verify_main_theorem,
 )
-from liederiv.lie import ad_matrix, center, is_derivation, restrict, validate_structure
+from liederiv.lie import EndoMatrix, ad_matrix, center, is_derivation, restrict, validate_structure
 from liederiv.linalg import Matrix, Q, Subspace, contains, rref, subspace_intersect, subspace_sum, vec
 from liederiv.parabolic import (
     build_gl,
@@ -128,9 +127,10 @@ def test_criterion_4_constructive_round_trips(sweep):
             t_positions = [q.coroot_index[k] for k in range(1, q.composition.n) if k in dp]
             rng = random.Random(1000 + case_index)
             for _ in range(20):
-                D = unflatten_endo(d, random_combination(der, rng))
+                D = EndoMatrix.from_flat(q.algebra, random_combination(der, rng))
                 # midpoint: the reduced map kills t and stabilizes root lines
                 _, reduced, _ = root_line_reduction(q, D)
+                reduced = as_matrix(reduced)
                 for pos in t_positions:
                     assert not any(reduced.col(pos))
                 for root in q.roots:
@@ -138,11 +138,11 @@ def test_criterion_4_constructive_round_trips(sweep):
                     col = reduced.col(pos)
                     assert all(col[i] == 0 for i in range(d) if i != pos)
                 res = constructive_decompose(q, D)
-                assert res.l_part.matrix + ad_matrix(res.p).matrix == D
-                assert contains(lid, flatten_endo(res.l_part.matrix))
+                assert res.l_part + ad_matrix(res.p) == D
+                assert contains(lid, res.l_part.flat())
                 assert all(res.p.coords[i] == 0 for i in center_set)
                 l_comp, _ = split_derivation(q, D, lid, inner)
-                assert l_comp == res.l_part.matrix
+                assert l_comp == res.l_part
 
 
 def test_criterion_5_complexification_suite():
@@ -168,12 +168,11 @@ def test_criterion_5_complexification_suite():
                 2 * L.dim, [tuple(embed.col(j)) for j in range(L.dim)]
             )
             der = derivation_algebra(L)
-            for flat in der.vectors():
-                D = unflatten_endo(L.dim, flat)
-                ext = extend_derivation(L, D, hat)
+            for flat in der.rows:
+                ext = extend_derivation(L, EndoMatrix.from_flat(L, flat), hat)
                 assert is_derivation(hat, ext)
                 for j in range(L.dim):
-                    assert contains(embedded, ext.matrix.mul_vec(tuple(embed.col(j))))
+                    assert contains(embedded, as_matrix(ext).mul_vec(tuple(embed.col(j))))
 
 
 def test_criterion_6_property_suites(golden_q, golden_der):
@@ -222,7 +221,7 @@ def test_criterion_6_property_suites(golden_q, golden_der):
         # scalar projection identity on random Cartan pairs
         q = golden_q
         for _ in range(5):
-            D = unflatten_endo(q.dim, random_combination(golden_der, rng))
+            D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
             hc = [Q(0)] * q.dim
             kc = [Q(0)] * q.dim
             for k in range(1, 6):
@@ -242,10 +241,10 @@ def test_criterion_6_property_suites(golden_q, golden_der):
         S = Matrix(d, d, [scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
         S_inv = Matrix(d, d, [1 / scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
         for _ in range(2):
-            D = unflatten_endo(d, random_combination(golden_der, rng))
+            D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
             r1 = constructive_decompose(q, D)
-            r2 = constructive_decompose(q2, S_inv * D * S)
-            assert S * r2.l_part.matrix * S_inv == r1.l_part.matrix
-            assert S * ad_matrix(r2.p).matrix * S_inv == ad_matrix(r1.p).matrix
+            r2 = constructive_decompose(q2, as_endo(q2.algebra, S_inv * as_matrix(D) * S))
+            assert S * as_matrix(r2.l_part) * S_inv == as_matrix(r1.l_part)
+            assert S * as_matrix(ad_matrix(r2.p)) * S_inv == as_matrix(ad_matrix(r1.p))
             assert any(v != 0 for v in r1.d_gamma.values())
             assert all(r2.d_gamma[root] == v / 2 for root, v in r1.d_gamma.items())

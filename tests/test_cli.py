@@ -80,10 +80,10 @@ def test_der_text_has_block_grid(capsys):
 def test_decompose_inner(tmp_path, capsys, borel3_q):
     q = borel3_q
     pos = q.root_index[(1, 2)]
-    D = ad_matrix(q.algebra.basis_element(pos)).matrix
+    D = ad_matrix(q.algebra.basis_element(pos))
     payload = {
         "dim": q.dim,
-        "matrix": [[str(D.at(i, j)) for j in range(q.dim)] for i in range(q.dim)],
+        "matrix": [[str(e) for e in row] for row in D.dense_rows()],
     }
     path = tmp_path / "d.json"
     path.write_text(json.dumps(payload))

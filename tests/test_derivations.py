@@ -2,23 +2,32 @@ import random
 
 import pytest
 
+from dense_reference import as_endo, as_matrix, flatten, identity
 from liederiv.derivations import (
-    DerivationMatrix,
+    DecompositionError,
     NotADerivationError,
+    cartan_solve,
     complexify,
     constructive_decompose,
     derivation_algebra,
     dimension_formula,
-    flatten_endo,
+    extend_derivation,
     inner_derivations,
     l_ideal,
     random_combination,
     root_line_reduction,
     split_derivation,
-    unflatten_endo,
     verify_main_theorem,
 )
-from liederiv.lie import EndoMatrix, LieAlgebra, ad_matrix, bracket, is_derivation, restrict
+from liederiv.lie import (
+    EndoMatrix,
+    LieAlgebra,
+    ad_matrix,
+    bracket,
+    first_leibniz_violation,
+    is_derivation,
+    restrict,
+)
 from liederiv.linalg import (
     Matrix,
     Q,
@@ -27,7 +36,6 @@ from liederiv.linalg import (
     nullspace,
     solve,
     subspace_sum,
-    unit_vector,
     vec,
 )
 from liederiv.parabolic import (
@@ -54,8 +62,8 @@ def test_oracle_sl2_all_inner():
     der = derivation_algebra(L)
     assert der.dim == 3
     assert der == inner_derivations(L)
-    for flat in der.vectors():
-        assert is_derivation(L, unflatten_endo(3, flat))
+    for flat in der.rows:
+        assert is_derivation(L, EndoMatrix.from_flat(L, flat))
 
 
 def test_oracle_abelian_everything():
@@ -66,24 +74,29 @@ def test_oracle_abelian_everything():
 def test_oracle_golden_dimension(golden_q, golden_der):
     assert golden_der.dim == 27
     assert golden_der.dim == dimension_formula(1, 5, 3, 24)
-    for flat in golden_der.vectors()[:5]:
-        assert is_derivation(golden_q.algebra, unflatten_endo(25, flat))
+    for flat in golden_der.rows[:5]:
+        assert is_derivation(golden_q.algebra, EndoMatrix.from_flat(golden_q.algebra, flat))
 
 
 def _reference_derivations(L):
     """Der L as the kernel of the dense d^2-unknown Leibniz system: column f
     holds, for each pair i < j and coordinate k, the k-th coordinate of
     E[x_i, x_j] - [E x_i, x_j] - [x_i, E x_j] for the unit map E with
-    flattened index f, evaluated element by element."""
+    flattened index f (entry (f % d, f // d)), evaluated element by element."""
     d = L.dim
     basis = [L.basis_element(i) for i in range(d)]
-    units = [EndoMatrix(L, unflatten_endo(d, unit_vector(d * d, f))) for f in range(d * d)]
+    units = [Matrix(d, d, [int(r * d + c == (f % d) * d + f // d) for r in range(d) for c in range(d)])
+             for f in range(d * d)]
+
+    def apply(E, x):
+        return L.element(E.mul_vec(x.coords))
+
     rows = []
     for i in range(d):
         for j in range(i + 1, d):
             x, y = basis[i], basis[j]
             xy = bracket(x, y)
-            res = [E.apply(xy) - bracket(E.apply(x), y) - bracket(x, E.apply(y)) for E in units]
+            res = [apply(E, xy) - bracket(apply(E, x), y) - bracket(x, apply(E, y)) for E in units]
             rows.extend([r.coords[k] for r in res] for k in range(d))
     return nullspace(Matrix.from_rows(rows, d * d))
 
@@ -136,8 +149,11 @@ def test_inner_derivations_match_dense_ad_maps(kind, blocks, scale):
     else:
         L = complexify(build_gl(2))[0]
     d = L.dim
-    dense = [flatten_endo(ad_matrix(L.basis_element(i)).matrix) for i in range(d)]
+    # ad x_a flattened: column b is [x_a, x_b], from the bracket of the table
+    basis = [L.basis_element(i) for i in range(d)]
+    dense = [[e for y in basis for e in bracket(x, y).coords] for x in basis]
     assert inner_derivations(L) == Subspace.from_vectors(d * d, dense)
+    assert all(flatten(as_matrix(ad_matrix(x))) == tuple(v) for x, v in zip(basis, dense))
 
 
 def test_inner_derivations_golden(golden_q):
@@ -159,8 +175,8 @@ def test_inner_derivations_gl1():
 def test_l_ideal_golden(golden_q):
     lid = l_ideal(golden_q)
     assert lid.dim == 3
-    for flat in lid.vectors():
-        assert is_derivation(golden_q.algebra, unflatten_endo(25, flat))
+    for flat in lid.rows:
+        assert is_derivation(golden_q.algebra, EndoMatrix.from_flat(golden_q.algebra, flat))
 
 
 def test_l_ideal_whole_algebra():
@@ -222,48 +238,59 @@ def test_h1_values(golden_q, golden_der):
 def test_decompose_inner_input(golden_q):
     q = golden_q
     pos = q.root_index[(1, 2)]
-    D = ad_matrix(q.algebra.basis_element(pos)).matrix
+    D = ad_matrix(q.algebra.basis_element(pos))
     res = constructive_decompose(q, D)
-    assert res.l_part.matrix.is_zero()
+    assert not any(res.l_part.cols)
     assert res.p.coords == q.algebra.basis_element(pos).coords
 
 
 def test_decompose_center_valued_fixed_point():
     q = build_standard_parabolic((1, 1), 2)  # basis I, h1, e12
-    D = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])  # I -> I, rest -> 0
+    D = as_endo(q.algebra, Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))  # I -> I
     res = constructive_decompose(q, D)
-    assert res.l_part.matrix == D
+    assert res.l_part == D
     assert res.p.is_zero()
 
 
 def test_decompose_rejects_non_derivation(golden_q):
     with pytest.raises(NotADerivationError) as exc:
-        constructive_decompose(golden_q, Matrix.identity(25))
+        constructive_decompose(golden_q, identity(golden_q.algebra))
     assert exc.value.pair is not None
 
 
-def test_derivation_matrix_type(golden_q):
-    pos = golden_q.root_index[(1, 2)]
-    good = ad_matrix(golden_q.algebra.basis_element(pos)).matrix
-    dm = DerivationMatrix.from_matrix(golden_q.algebra, good)
-    assert dm.matrix == good
-    with pytest.raises(NotADerivationError):
-        DerivationMatrix.from_matrix(golden_q.algebra, Matrix.identity(25))
+def test_leibniz_gate_on_endomatrix(golden_q):
+    L = golden_q.algebra
+    good = ad_matrix(L.basis_element(golden_q.root_index[(1, 2)]))
+    assert is_derivation(L, good)
+    bad = identity(L)
+    pair = first_leibniz_violation(L, bad)
+    assert pair is not None
+    # every entry point that takes a map runs the one check and names its pair
+    for call in (
+        lambda: constructive_decompose(golden_q, bad),
+        lambda: extend_derivation(L, bad),
+        lambda: split_derivation(golden_q, bad),
+    ):
+        with pytest.raises(NotADerivationError) as exc:
+            call()
+        assert exc.value.pair == pair
 
 
 def test_decompose_random_round_trips(golden_q, golden_der):
     q = golden_q
     rng = random.Random(2024)
     for _ in range(100):
-        D = unflatten_endo(q.dim, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
         res = constructive_decompose(q, D)
-        assert res.l_part.matrix + ad_matrix(res.p).matrix == D
+        assert res.l_part + ad_matrix(res.p) == D
+        assert as_matrix(res.l_part) + as_matrix(ad_matrix(res.p)) == as_matrix(D)
         # residual part lands in the center and kills the derived algebra
+        l_dense = as_matrix(res.l_part)
         for j in range(q.dim):
-            col = res.l_part.matrix.col(j)
+            col = l_dense.col(j)
             assert all(col[i] == 0 for i in range(q.dim) if i not in q.center_indices)
         for v in q.derived.vectors():
-            assert not any(res.l_part.matrix.mul_vec(v))
+            assert not any(l_dense.mul_vec(v))
         # inner element has no central component
         assert all(res.p.coords[i] == 0 for i in q.center_indices)
 
@@ -274,23 +301,23 @@ def test_decompose_matches_projection(golden_q, golden_der):
     inner = inner_derivations(q)
     rng = random.Random(77)
     for _ in range(10):
-        D = unflatten_endo(q.dim, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
         res = constructive_decompose(q, D)
         l_comp, inner_comp = split_derivation(q, D, lid, inner)
-        assert l_comp == res.l_part.matrix
-        assert inner_comp == ad_matrix(res.p).matrix
+        assert l_comp == res.l_part
+        assert inner_comp == ad_matrix(res.p)
 
 
 def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):
     q = golden_q
     d = q.dim
     rng = random.Random(99)
-    ad_cols = [flatten_endo(ad_matrix(q.algebra.basis_element(i)).matrix) for i in range(d)]
+    ad_cols = [flatten(as_matrix(ad_matrix(q.algebra.basis_element(i)))) for i in range(d)]
     system = Matrix(d * d, d, [ad_cols[i][r] for r in range(d * d) for i in range(d)])
     for _ in range(3):
-        D = unflatten_endo(d, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
         res = constructive_decompose(q, D)
-        rhs = flatten_endo(D - res.l_part.matrix)
+        rhs = flatten(as_matrix(D) - as_matrix(res.l_part))
         v = solve(system, rhs)
         assert v is not None
         # the only ad-kernel direction is the scalar line, which solve leaves
@@ -301,14 +328,18 @@ def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):
 def test_decomposition_linearity(golden_q, golden_der):
     q = golden_q
     rng = random.Random(3)
-    d1 = unflatten_endo(q.dim, random_combination(golden_der, rng))
-    d2 = unflatten_endo(q.dim, random_combination(golden_der, rng))
+    d1 = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+    d2 = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
     a, b = Q(3, 2), Q(-5, 7)
-    combo = d1.scale(a) + d2.scale(b)
+
+    def scaled(E, c):
+        return EndoMatrix(E.algebra, [{i: c * e for i, e in col.items()} for col in E.cols])
+
+    combo = scaled(d1, a) + scaled(d2, b)
     r1 = constructive_decompose(q, d1)
     r2 = constructive_decompose(q, d2)
     rc = constructive_decompose(q, combo)
-    assert rc.l_part.matrix == r1.l_part.matrix.scale(a) + r2.l_part.matrix.scale(b)
+    assert rc.l_part == scaled(r1.l_part, a) + scaled(r2.l_part, b)
     assert rc.p.coords == tuple(
         a * x + b * y for x, y in zip(r1.p.coords, r2.p.coords)
     )
@@ -321,8 +352,9 @@ def test_claim1_midpoint_properties(golden_q, golden_der):
     c_positions = [q.coroot_index[k] for k in (3, 5)]
     t_positions = [q.coroot_index[k] for k in (1, 2, 4)]
     for _ in range(10):
-        D = unflatten_endo(q.dim, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
         x, reduced, d_gamma = root_line_reduction(q, D)
+        reduced = as_matrix(reduced)
         # annihilates the within-block coroots
         for pos in t_positions:
             assert not any(reduced.col(pos))
@@ -341,7 +373,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
     q = golden_q
     rng = random.Random(12)
     for _ in range(5):
-        D = unflatten_endo(q.dim, random_combination(golden_der, rng))
+        D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
         hc = [Q(0)] * q.dim
         kc = [Q(0)] * q.dim
         for k in range(1, 6):
@@ -359,7 +391,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
 def test_c_gamma_antisymmetry_on_opposite_roots(golden_q, golden_der):
     q = golden_q
     rng = random.Random(21)
-    D = unflatten_endo(q.dim, random_combination(golden_der, rng))
+    D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
     res = constructive_decompose(q, D)
     for (i, j), value in res.c_gamma.items():
         if (j, i) in res.c_gamma:
@@ -377,12 +409,12 @@ def test_normalization_independence(golden_q, golden_der):
     S_inv = Matrix(d, d, [1 / scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
     rng = random.Random(55)
     for _ in range(3):
-        D = unflatten_endo(d, random_combination(golden_der, rng))
+        D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
         D2 = S_inv * D * S  # the same abstract map in the rescaled basis
-        r1 = constructive_decompose(q, D)
-        r2 = constructive_decompose(q2, D2)
-        assert S * r2.l_part.matrix * S_inv == r1.l_part.matrix
-        assert S * ad_matrix(r2.p).matrix * S_inv == ad_matrix(r1.p).matrix
+        r1 = constructive_decompose(q, as_endo(q.algebra, D))
+        r2 = constructive_decompose(q2, as_endo(q2.algebra, D2))
+        assert S * as_matrix(r2.l_part) * S_inv == as_matrix(r1.l_part)
+        assert S * as_matrix(ad_matrix(r2.p)) * S_inv == as_matrix(ad_matrix(r1.p))
         # the intermediate scalars are normalization-dependent ...
         for root, value in r1.d_gamma.items():
             assert r2.d_gamma[root] == value / 2
@@ -395,17 +427,17 @@ def test_explicit_ideal_closures(golden_q, golden_der):
     lid = l_ideal(q)
     inner = inner_derivations(q)
     rng = random.Random(61)
-    D = unflatten_endo(q.dim, random_combination(golden_der, rng))
-    for flat in lid.vectors():
-        E = unflatten_endo(q.dim, flat)
+    D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
+    for flat in lid.rows:
+        E = as_matrix(EndoMatrix.from_flat(q.algebra, flat))
         comm = D * E - E * D
-        assert contains(lid, flatten_endo(comm))
+        assert contains(lid, flatten(comm))
     for i in (0, 3, 10):
-        A = ad_matrix(q.algebra.basis_element(i)).matrix
+        A = as_matrix(ad_matrix(q.algebra.basis_element(i)))
         comm = D * A - A * D
         image = q.algebra.element(tuple(D.col(i)))
-        assert comm == ad_matrix(image).matrix
-        assert contains(inner, flatten_endo(comm))
+        assert comm == as_matrix(ad_matrix(image))
+        assert contains(inner, flatten(comm))
 
 
 def _brute_force_closure_flags(q, space):
@@ -414,11 +446,12 @@ def _brute_force_closure_flags(q, space):
     d = q.dim
     lid = l_ideal(q)
     inner = inner_derivations(q)
-    ls = [unflatten_endo(d, flat) for flat in lid.vectors()]
-    ads = [ad_matrix(q.algebra.basis_element(i)).matrix for i in range(d)]
-    ds = [unflatten_endo(d, flat) for flat in space.vectors()]
-    l_ok = all(contains(lid, flatten_endo(D * E - E * D)) for D in ds for E in ls)
-    inner_ok = all(contains(inner, flatten_endo(D * A - A * D)) for D in ds for A in ads)
+    L = q.algebra
+    ls = [as_matrix(EndoMatrix.from_flat(L, flat)) for flat in lid.rows]
+    ads = [as_matrix(ad_matrix(L.basis_element(i))) for i in range(d)]
+    ds = [as_matrix(EndoMatrix.from_flat(L, flat)) for flat in space.rows]
+    l_ok = all(contains(lid, flatten(D * E - E * D)) for D in ds for E in ls)
+    inner_ok = all(contains(inner, flatten(D * A - A * D)) for D in ds for A in ads)
     return l_ok, inner_ok
 
 
@@ -427,7 +460,7 @@ def test_fault_injected_closure_flags(golden_q, golden_der, extra):
     q = golden_q
     d = q.dim
     if extra == "identity":
-        X = Subspace.from_vectors(d * d, [flatten_endo(Matrix.identity(d))])
+        X = Subspace.from_vectors(d * d, [flatten(Matrix.identity(d))])
     else:
         X = Subspace.from_sparse(d * d, [{0 * d + 10: Q(1)}])  # the scalar I -> x_10
     space = subspace_sum(golden_der, X)
@@ -441,7 +474,7 @@ def test_fault_injected_closure_flags(golden_q, golden_der, extra):
 
 def test_split_derivation_rejects_outsider(golden_q):
     with pytest.raises(NotADerivationError):
-        split_derivation(golden_q, Matrix.identity(25))
+        split_derivation(golden_q, identity(golden_q.algebra))
 
 
 def test_extra_center_exercises_formula():
@@ -453,3 +486,62 @@ def test_extra_center_exercises_formula():
     report2 = verify_main_theorem(q2)
     assert report2.ok, report2.to_json_dict()
     assert report2.der_dim == dimension_formula(3, 1, 0, 2) == 14
+
+
+def test_split_derivation_outside_the_sum_is_not_a_leibniz_failure():
+    q = build_standard_parabolic((1, 1))  # basis I, h1, e12
+    D = EndoMatrix(q.algebra, [{0: 1}, {}, {}])  # I -> I: a derivation
+    assert first_leibniz_violation(q.algebra, D) is None
+    # with the center-valued summand left out, D is outside the sum
+    with pytest.raises(DecompositionError) as exc:
+        split_derivation(q, D, lid=Subspace.zero(9))
+    assert exc.value.diagnostics == {"l_dim": 0, "inner_dim": 2}
+
+
+def _integral_entries(E):
+    """E with each integral Fraction entry replaced by the int it equals."""
+    return EndoMatrix(E.algebra, [
+        {i: e.numerator if e.denominator == 1 else e for i, e in c.items()} for c in E.cols
+    ])
+
+
+@pytest.mark.parametrize("case", ["golden", "(2,1,2) at root_scale 3/2"])
+def test_decomposition_scalars_are_int_or_fraction(request, case):
+    if case == "golden":
+        q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
+    else:
+        q = build_standard_parabolic((2, 1, 2), root_scale=Q(3, 2))
+        der = derivation_algebra(q.algebra)
+    rng = random.Random(404)
+    lid, inner = l_ideal(q), inner_derivations(q)
+    for t in range(6):
+        D = EndoMatrix.from_flat(q.algebra, random_combination(der, rng))
+        if t % 2:
+            D = _integral_entries(D)  # int entries must not turn into floats
+        res = constructive_decompose(q, D)
+        parts = split_derivation(q, D, lid, inner)
+        scalars = [
+            *res.d_gamma.values(),
+            *res.c_gamma.values(),
+            *res.h_star.coords,
+            *res.p.coords,
+            *(e for E in (res.l_part, *parts) for c in E.cols for e in c.values()),
+            *(e for E in (res.l_part, *parts) for row in E.dense_rows() for e in row),
+        ]
+        assert {type(x) for x in scalars} <= {int, Q}
+
+
+def test_cartan_solve_matches_elimination():
+    rng = random.Random(9)
+    for n in range(1, 10):
+        size = n - 1
+        A = Matrix(size, size, [
+            2 if k == m else (-1 if abs(k - m) == 1 else 0) for k in range(size) for m in range(size)
+        ])
+        for _ in range(5):
+            c = [Q(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(size)]
+            assert tuple(cartan_solve(c)) == solve(A, c)
+        # the closed form is the inverse: A times its columns is the identity
+        inverse = [cartan_solve([int(k == j) for k in range(size)]) for j in range(size)]
+        assert A * Matrix(size, size, [inverse[j][i] for i in range(size) for j in range(size)]) \
+            == Matrix.identity(size)

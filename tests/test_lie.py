@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from liederiv.derivations import derivation_algebra, random_combination, unflatten_endo
+from dense_reference import as_endo, as_matrix, identity
+from liederiv.derivations import derivation_algebra, random_combination
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
@@ -162,7 +163,7 @@ def test_bracket_golden_coroot_root(golden_q):
     q = golden_q
     h = q.algebra.basis_element(q.coroot_index[3])
     x = q.algebra.basis_element(q.root_index[(3, 4)])
-    assert bracket(h, x).coords == x.scale(2).coords
+    assert bracket(h, x).coords == tuple(2 * c for c in x.coords)
     assert root_value(q, (3, 4), h) == 2
     assert root_value(q, (4, 5), h) == -1  # alpha_4 on h_3
 
@@ -212,13 +213,13 @@ def test_center_abelian_full():
 def test_ad_matrix_sl2_diagonal():
     L = sl2()  # basis h, e, f
     adh = ad_matrix(L.basis_element(0))
-    assert adh.matrix == Matrix.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
+    assert as_matrix(adh) == Matrix.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
 
 
 def test_ad_of_central_element_zero():
     gl2 = build_gl(2)
     identity = gl2.element([1, 0, 0, 1])
-    assert ad_matrix(identity).matrix.is_zero()
+    assert not any(ad_matrix(identity).cols)
 
 
 def test_ad_is_homomorphism():
@@ -227,8 +228,8 @@ def test_ad_is_homomorphism():
     for _ in range(5):
         x = gl3.element([rng.randint(-3, 3) for _ in range(9)])
         y = gl3.element([rng.randint(-3, 3) for _ in range(9)])
-        lhs = ad_matrix(bracket(x, y)).matrix
-        ax, ay = ad_matrix(x).matrix, ad_matrix(y).matrix
+        lhs = as_matrix(ad_matrix(bracket(x, y)))
+        ax, ay = as_matrix(ad_matrix(x)), as_matrix(ad_matrix(y))
         assert lhs == ax * ay - ay * ax
 
 
@@ -265,35 +266,34 @@ def test_is_derivation_ad_random():
 
 def test_identity_map_not_derivation_on_sl2():
     L = sl2()
-    assert not is_derivation(L, EndoMatrix(L, Matrix.identity(3)))
+    assert not is_derivation(L, identity(L))
 
 
 def test_any_map_is_derivation_on_abelian():
     L = abelian(2)
     rng = random.Random(37)
     m = Matrix(2, 2, [rng.randint(-5, 5) for _ in range(4)])
-    assert is_derivation(L, m)
+    assert is_derivation(L, as_endo(L, m))
 
 
 def _first_leibniz_failure(L, m):
-    """First i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], by elements."""
-    D = EndoMatrix(L, m)
+    """First i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], by elements
+    and the dense matrix m of D."""
+
+    def apply(x):
+        return L.element(m.mul_vec(x.coords))
+
     for i in range(L.dim):
         xi = L.basis_element(i)
         for j in range(i + 1, L.dim):
             xj = L.basis_element(j)
-            if D.apply(bracket(xi, xj)) != bracket(D.apply(xi), xj) + bracket(xi, D.apply(xj)):
+            if apply(bracket(xi, xj)) != bracket(apply(xi), xj) + bracket(xi, apply(xj)):
                 return (i, j)
     return None
 
 
-def _sparse_columns(m):
-    """The columns of m as dicts row -> entry, nonzero entries only."""
-    return [{t: e for t, e in enumerate(m.col(j)) if e} for j in range(m.cols)]
-
-
 @pytest.mark.parametrize("algebra", ["golden", "scaled"])
-@pytest.mark.parametrize("form", ["matrix", "columns"])
+@pytest.mark.parametrize("form", ["rational", "columns"])
 def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
     if algebra == "golden":
         q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
@@ -303,15 +303,18 @@ def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
     L = q.algebra
     d = L.dim
     rng = random.Random(53)
-    cases = [Matrix.identity(d)]
+    # "rational" divides each map by 7, so the columns hold non-integers
+    scale = Q(1, 7) if form == "rational" else 1
+    cases = [identity(L)]
     for _ in range(8):
-        flat = list(random_combination(der, rng))
-        cases.append(unflatten_endo(d, flat))
-        flat[rng.randrange(d * d)] += rng.choice((-3, -1, 1, 2))
-        cases.append(unflatten_endo(d, flat))
-    as_input = (lambda m: m) if form == "matrix" else _sparse_columns
-    found = [first_leibniz_violation(L, as_input(m)) for m in cases]
-    assert found == [_first_leibniz_failure(L, m) for m in cases]
+        flat = random_combination(der, rng)
+        cases.append(EndoMatrix.from_flat(L, flat))
+        f = rng.randrange(d * d)
+        flat[f] = flat.get(f, 0) + rng.choice((-3, -1, 1, 2))
+        cases.append(EndoMatrix.from_flat(L, flat))
+    cases = [EndoMatrix(L, [{i: scale * e for i, e in c.items()} for c in E.cols]) for E in cases]
+    found = [first_leibniz_violation(L, E) for E in cases]
+    assert found == [_first_leibniz_failure(L, as_matrix(E)) for E in cases]
     assert found[0] is not None and found[1] is None
     assert sum(pair is not None for pair in found) >= 5
 
@@ -322,7 +325,7 @@ def test_inner_derivations_stabilize_ideals(golden_q):
     derived = q.derived
     for _ in range(5):
         x = q.algebra.element([rng.randint(-4, 4) for _ in range(q.dim)])
-        ax = ad_matrix(x).matrix
+        ax = as_matrix(ad_matrix(x))
         for ideal in (q.nilradical, q.derived):
             for v in ideal.vectors():
                 assert contains(ideal, ax.mul_vec(v))
@@ -333,8 +336,8 @@ def test_inner_derivations_stabilize_ideals(golden_q):
 def test_derivations_stabilize_derived_and_center(borel3_q, borel3_der):
     q = borel3_q
     derived, z = q.derived, q.g_z
-    for flat in borel3_der.vectors():
-        D = unflatten_endo(q.dim, flat)
+    for flat in borel3_der.rows:
+        D = as_matrix(EndoMatrix.from_flat(q.algebra, flat))
         for v in derived.vectors():
             assert contains(derived, D.mul_vec(v))
         for v in z.vectors():
@@ -353,3 +356,36 @@ def test_json_round_trip():
     assert again.dim == gl2.dim
     assert again.labels == gl2.labels
     assert again.triples() == gl2.triples()
+
+
+def test_endomatrix_matches_dense_matrices():
+    gl3 = build_gl(3)
+    rng = random.Random(71)
+
+    def random_matrix():
+        return Matrix(9, 9, [Q(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+                             for _ in range(81)])
+
+    for _ in range(10):
+        a, b = random_matrix(), random_matrix()
+        A, B = as_endo(gl3, a), as_endo(gl3, b)
+        assert as_matrix(A) == a
+        assert as_matrix(A + B) == a + b and as_matrix(A - B) == a - b
+        assert (A == B) == (a == b) and A - A == EndoMatrix(gl3, [{}] * 9)
+        assert EndoMatrix.from_flat(gl3, A.flat()) == A
+        assert all(A.flat().get(j * 9 + i, 0) == a.at(i, j) for i in range(9) for j in range(9))
+        v = {i: Q(rng.randint(-3, 3)) for i in rng.sample(range(9), 4)}
+        assert [A.apply(v).get(i, 0) for i in range(9)] == list(a.mul_vec(
+            [v.get(i, 0) for i in range(9)]))
+
+
+def test_endomatrix_rejects_bad_shapes():
+    gl2 = build_gl(2)
+    with pytest.raises(ValueError, match="column count"):
+        EndoMatrix(gl2, [{}] * 3)
+    with pytest.raises(ValueError, match="row index"):
+        EndoMatrix(gl2, [{4: 1}, {}, {}, {}])
+    with pytest.raises(ValueError, match="flat index"):
+        EndoMatrix.from_flat(gl2, {16: 1})
+    with pytest.raises(ValueError, match="different algebras"):
+        identity(gl2) + identity(build_gl(2))
