@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 
 from .derivations import (
@@ -31,7 +30,7 @@ from .derivations import (
     verify_main_theorem,
 )
 from .lie import EndoMatrix, ad_matrix
-from .linalg import Q
+from .linalg import Q, rational
 from .parabolic import BlockComposition, build_standard_parabolic, compositions
 
 __all__ = ["main"]
@@ -176,25 +175,8 @@ def _read_derivation(args, algebra) -> EndoMatrix:
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries at row {i}")
         for j, e in enumerate(row):
-            cols[j][i] = _rational(e, i, j)
+            cols[j][i] = rational(e, f"at row {i}, column {j}")
     return EndoMatrix(algebra, cols)
-
-
-# the form str(Fraction) writes: "p/q" or "p", ASCII digits only
-_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _rational(e, i: int, j: int) -> Q:
-    if type(e) is int:
-        return Q(e)
-    if isinstance(e, str) and _RATIONAL_STRING.fullmatch(e):
-        try:
-            return Q(e)
-        except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
-            pass
-    raise ValueError(
-        f"entry {json.dumps(e)} is not an integer or a rational string at row {i}, column {j}"
-    )
 
 
 def cmd_decompose(args) -> tuple[dict, int]:

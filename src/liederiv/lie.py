@@ -1,16 +1,18 @@
-"""Lie algebras as labeled bases with sparse structure-constant tables.
+"""Lie algebras as labeled bases with one integer structure-constant table.
 
-An algebra is a dimension, a tuple of basis labels, and a table of triples
-(i, j, k, value) meaning [x_i, x_j] = sum_k value * x_k. Only i < j pairs are
-stored canonically; the i > j half is implied by antisymmetry and i = j is
-zero. The raw input triples are kept so that defective tables can be
-diagnosed instead of silently repaired.
+An algebra is given by a dimension, a tuple of basis labels, and triples
+(i, j, k, value) meaning [x_i, x_j] = sum_k value * x_k. Per (i, j, k), the
+sum of the explicit i < j triples is the constant; an i > j triple folds in
+by antisymmetry only where no i < j one is given, and i = j is zero. The
+one stored table is the constants times their common denominator N, as
+integers, arranged as the N ad x_i maps; everything reads it. The raw input
+triples are kept so that defective tables can be diagnosed instead of
+silently repaired.
 
 Brackets of general vectors take sparse coordinate dicts (index -> value),
 the format of ``Subspace.rows``; ``bracket`` converts Elements at the boundary.
-Each algebra also keeps its constants times their common denominator N as
-integers, arranged as the N ad x_i maps. Every linear map of an algebra is
-one ``EndoMatrix``: its sparse columns, with ``int`` or ``Fraction`` entries.
+Every linear map of an algebra is one ``EndoMatrix``: its sparse columns,
+with ``int`` or ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from operator import add, sub
 
-from .linalg import Q, Subspace, Vector, dense_vector, nullspace_of_rows, vec
+from .linalg import Q, Subspace, Vector, dense_vector, nullspace_of_rows, rational, vec
 
 __all__ = [
     "LieAlgebra",
@@ -38,12 +40,13 @@ __all__ = [
 
 
 class LieAlgebra:
-    """``table[(i, j)]``, i < j, is {k: c_ij^k}. ``int_table[i][j]`` is
-    {k: N c_ij^k} for every ordered pair with a nonzero bracket, so
-    ``int_table[i]`` is the map N ad x_i as sparse columns; N, the common
-    denominator of the constants, is ``denominator``."""
+    """``int_table[i][j]`` is {k: N c_ij^k} for every ordered pair with a
+    nonzero bracket, so ``int_table[i]`` is the map N ad x_i as sparse
+    columns; N, the common denominator of the constants, is ``denominator``.
+    Structure constants are ints, Fractions or rational strings ("p", "p/q"),
+    indices are ints; anything else raises ValueError naming its triple."""
 
-    __slots__ = ("dim", "labels", "table", "_raw", "int_table", "denominator")
+    __slots__ = ("dim", "labels", "_raw", "int_table", "denominator")
 
     def __init__(self, dim: int, labels, triples):
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
@@ -52,8 +55,13 @@ class LieAlgebra:
         raw: list[tuple[int, int, int, Q]] = []
         lower: dict[tuple[int, int, int], Q] = {}
         upper: dict[tuple[int, int, int], Q] = {}
-        for (i, j, k, v) in triples:
-            v = Q(v)
+        for t in triples:
+            i, j, k, v = t
+            if not type(i) is type(j) is type(k) is int:
+                raise ValueError(f"triple {tuple(t)!r} has an index that is not an int")
+            # a Fraction passes the rule as it is; the triple is formatted
+            # only for other values
+            v = v if type(v) is Q else rational(v, f"in triple {tuple(t)!r}")
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"triple ({i},{j},{k}) out of range for dim {dim}")
             raw.append((i, j, k, v))
@@ -65,57 +73,46 @@ class LieAlgebra:
                 # i > j: antisymmetry implies the i < j entry; explicit i < j
                 # triples take precedence (conflicts surface in validation)
                 upper[(j, i, k)] = upper.get((j, i, k), Q(0)) - v
-        table: dict[tuple[int, int], dict[int, Q]] = {}
-        for key, v in {**upper, **lower}.items():
-            if v != 0:
-                i, j, k = key
-                table.setdefault((i, j), {})[k] = v
-        N = lcm(*(v.denominator for ks in table.values() for v in ks.values()))
+        consts = {key: v for key, v in {**upper, **lower}.items() if v}
+        N = lcm(*(v.denominator for v in consts.values()))
         int_table: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-        for (i, j), ks in table.items():
-            iks = {k: v.numerator * (N // v.denominator) for k, v in ks.items()}
-            int_table[i][j] = iks
-            int_table[j][i] = {k: -v for k, v in iks.items()}
+        for (i, j, k), v in consts.items():
+            v = v.numerator * (N // v.denominator)
+            int_table[i].setdefault(j, {})[k] = v
+            int_table[j].setdefault(i, {})[k] = -v
         self.dim = dim
         self.labels = labels
-        self.table = table
         self._raw = tuple(raw)
         self.int_table = int_table
         self.denominator = N
 
     def triples(self) -> list[tuple[int, int, int, Q]]:
         """Canonical i < j triples, sorted."""
-        out = []
-        for (i, j), ks in self.table.items():
-            for k, v in ks.items():
-                out.append((i, j, k, v))
-        out.sort(key=lambda t: (t[0], t[1], t[2]))
-        return out
-
-    def bracket_coords(self, i: int, j: int) -> dict[int, Q]:
-        """Sparse coordinates of [x_i, x_j]."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -v for k, v in self.table.get((j, i), {}).items()}
+        N = self.denominator
+        return [
+            (i, j, k, Q(v, N))
+            for i, row in enumerate(self.int_table)
+            for j, ks in sorted(row.items())
+            if j > i
+            for k, v in sorted(ks.items())
+        ]
 
     def bracket_sparse(self, x: dict[int, Q], y: dict[int, Q]) -> dict[int, Q]:
         """Bilinear extension of the table to sparse coordinate dicts
-        (index -> value, as in ``Subspace.rows``); zero entries are dropped."""
+        (index -> value, as in ``Subspace.rows``); zero entries are dropped.
+        Summed against the integer table, divided by N once at the end."""
         out: dict[int, Q] = {}
+        T = self.int_table
         for i, a in x.items():
+            row = T[i]
             for j, b in y.items():
-                if i < j:
-                    ks, c = self.table.get((i, j)), a * b
-                elif i > j:
-                    ks, c = self.table.get((j, i)), -a * b
-                else:
-                    continue
+                ks = row.get(j)
                 if ks:
+                    c = a * b
                     for k, v in ks.items():
                         out[k] = out.get(k, 0) + c * v
-        return {k: v for k, v in out.items() if v}
+        N = self.denominator
+        return {k: v if N == 1 else Q(v, N) for k, v in out.items() if v}
 
     def element(self, coords) -> Element:
         return Element(self, vec(coords))
@@ -132,14 +129,11 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LieAlgebra:
-        return cls(
-            data["dim"],
-            data.get("basis"),
-            [(i, j, k, Q(v)) for (i, j, k, v) in data["sc"]],
-        )
+        return cls(data["dim"], data.get("basis"), data["sc"])
 
     def __repr__(self) -> str:
-        return f"LieAlgebra(dim {self.dim}, {len(self.table)} bracket pairs)"
+        pairs = sum(j > i for i, row in enumerate(self.int_table) for j in row)
+        return f"LieAlgebra(dim {self.dim}, {pairs} bracket pairs)"
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,8 @@ class ValidationReport:
 
 
 def validate_structure(L: LieAlgebra) -> ValidationReport:
-    """Check the raw table for antisymmetry defects and the Jacobi identity.
+    """Check the raw triples for antisymmetry defects and the table for the
+    Jacobi identity.
 
     Antisymmetry defects are reported at the i < j orientation; alternation
     defects ([x_i, x_i] != 0) are reported as (i, i, k).
@@ -271,20 +266,20 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
             bad.add((i, j, k))
     report.antisymmetry_violations = sorted(bad)
 
-    touched = sorted({i for p in L.table for i in p})
-    # Jacobi can only fail on triples meeting the table support
+    # Jacobi is checked on N times the constants (it is homogeneous in
+    # them), and can only fail on triples meeting the table support
+    T = L.int_table
+    touched = [i for i, row in enumerate(T) if row]
     for ai in range(len(touched)):
         for bi in range(ai + 1, len(touched)):
             for ci in range(bi + 1, len(touched)):
                 i, j, k = touched[ai], touched[bi], touched[ci]
-                acc: dict[int, Q] = {}
+                acc: dict[int, int] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = L.bracket_coords(a, b)
-                    for m, v in inner.items():
-                        outer = L.bracket_coords(m, c)
-                        for t, w in outer.items():
-                            acc[t] = acc.get(t, Q(0)) + v * w
-                if any(v != 0 for v in acc.values()):
+                    for m, v in T[a].get(b, {}).items():
+                        for t, w in T[m].get(c, {}).items():
+                            acc[t] = acc.get(t, 0) + v * w
+                if any(acc.values()):
                     report.jacobi_violations.append((i, j, k))
     report.jacobi_violations.sort()
     return report
@@ -361,9 +356,7 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
                 raise ValueError(
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
                 )
-            for k, v in enumerate(coords):
-                if v:
-                    triples.append((a, b, k, v))
+            triples.extend((a, b, k, v) for k, v in coords.items())
     return LieAlgebra(len(rows), labels, triples)
 
 

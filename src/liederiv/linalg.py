@@ -7,15 +7,18 @@ oracles, theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
 Sparse vectors are dicts index -> value whose values are ints or Fractions;
-the eliminator, ``nullspace_of_rows``, ``solve_rows``, ``coordinates_of``
-and ``contains`` take them as they are. The dense ``Matrix`` of Fraction
-entries is only an input form: of ``rref``, ``nullspace``, ``solve`` and
-the ``Subspace`` constructor. Linear maps of a Lie algebra are not Matrix
-objects; ``lie.EndoMatrix`` holds them as sparse columns.
+the eliminator, ``nullspace_of_rows``, ``solve_rows`` and ``contains`` take
+them as they are, and coordinates in a basis (``coordinates_of``,
+``combination``) are sparse dicts row index -> value. The dense ``Matrix``
+of Fraction entries is only an input form: of ``rref``, ``nullspace``,
+``solve`` and the ``Subspace`` constructor. ``rational`` is the one rule for
+exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -31,6 +34,7 @@ __all__ = [
     "nullspace",
     "solve",
     "solve_rows",
+    "rational",
     "subspace_sum",
     "subspace_intersect",
     "contains",
@@ -39,6 +43,25 @@ __all__ = [
     "dense_vector",
     "unit_vector",
 ]
+
+
+# the form str(Fraction) writes: "p/q" or "p", ASCII digits only
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def rational(e, where: str) -> Q:
+    """e as an exact rational: an int (not a bool), a Fraction, or a string
+    of the form str(Fraction) writes. Anything else, a float or a string
+    such as "0.5" or "1e2" included, raises ValueError naming e and where."""
+    if type(e) is int or isinstance(e, Q):
+        return Q(e)
+    if isinstance(e, str) and _RATIONAL_STRING.fullmatch(e):
+        try:
+            return Q(e)
+        except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
+            pass
+    shown = json.dumps(e, default=repr)
+    raise ValueError(f"entry {shown} is not an integer or a rational string {where}")
 
 
 def vec(values) -> Vector:
@@ -280,7 +303,7 @@ class Subspace:
     basis is built. The rows are shared, not copied: callers must not mutate them.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_row_at")
+    __slots__ = ("ambient_dim", "rows", "_row_of")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
@@ -293,7 +316,7 @@ class Subspace:
     def _take(self, red: _RowReducer) -> None:
         object.__setattr__(self, "ambient_dim", red.ncols)
         object.__setattr__(self, "rows", tuple(red.rref_sparse()))
-        object.__setattr__(self, "_row_at", dict(zip(red.pivots(), self.rows)))
+        object.__setattr__(self, "_row_of", {p: r for r, p in enumerate(red.pivots())})
 
     @classmethod
     def _of_reducer(cls, red: _RowReducer) -> Subspace:
@@ -324,33 +347,33 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls.from_sparse(ambient_dim, ({i: Q(1)} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def pivots(self) -> list[int]:
-        return list(self._row_at)
+        return list(self._row_of)
 
     def vectors(self) -> list[Vector]:
         """The basis rows as dense tuples."""
         return [dense_vector(self.ambient_dim, row) for row in self.rows]
 
-    def combination(self, coeffs) -> Vector:
-        """The dense vector sum(coeffs[k] * row k) over the basis rows."""
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError("coefficient count does not match dimension")
-        out = [Q(0)] * self.ambient_dim
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for j, e in row.items():
-                    out[j] += c * e
-        return tuple(out)
+    def combination(self, coeffs: dict) -> dict:
+        """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
+        coeffs is sparse too (row index -> value), zero entries are dropped."""
+        out: dict = {}
+        for k, c in coeffs.items():
+            if not 0 <= k < self.dim:
+                raise ValueError("coefficient index out of range for dimension")
+            for j, e in self.rows[k].items():
+                out[j] = out.get(j, 0) + c * e
+        return {j: e for j, e in out.items() if e}
 
-    def coordinates_of(self, v) -> Vector | None:
-        """Coordinates of v in the canonical basis, or None if v is outside.
+    def coordinates_of(self, v) -> dict | None:
+        """Sparse coordinates of v (row index -> value, zeros dropped) in the
+        canonical basis, or None if v is outside.
 
         v is a dense vector or a sparse dict index -> value (int or Fraction)
         in the ``rows`` format. Because the basis is in RREF, the coordinate
@@ -359,7 +382,8 @@ class Subspace:
         v = self._member(v)
         if v is None:
             return None
-        return vec(v.get(p, 0) for p in self._row_at)
+        row_of = self._row_of
+        return {row_of[p]: e for p, e in sorted(v.items()) if e and p in row_of}
 
     def _member(self, v) -> dict | None:
         """v as a sparse dict if it lies in the subspace, else None: v is
@@ -371,9 +395,9 @@ class Subspace:
             v = {j: e for j, e in enumerate(v) if e}
         residual = dict(v)
         for p, c in v.items():
-            row = self._row_at.get(p)
-            if row is not None and c:
-                for j, e in row.items():
+            r = self._row_of.get(p)
+            if r is not None and c:
+                for j, e in self.rows[r].items():
                     residual[j] = residual.get(j, 0) - c * e
         return None if any(residual.values()) else v
 
@@ -480,8 +504,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         for i, e in row.items():
             system.setdefault(i, {})[a.dim + k] = -e
     ker = nullspace_of_rows(a.dim + b.dim, (system[i] for i in sorted(system)))
-    out = [a.combination(lam[: a.dim]) for lam in ker.vectors()]
-    return Subspace.from_vectors(a.ambient_dim, out)
+    out = [a.combination({k: e for k, e in lam.items() if k < a.dim}) for lam in ker.rows]
+    return Subspace.from_sparse(a.ambient_dim, out)
 
 
 def contains(a: Subspace, v) -> bool:

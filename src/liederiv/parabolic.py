@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lie import LieAlgebra, bracket_span, center, restrict
-from .linalg import Q, Subspace, Vector, is_direct_sum, vec
+from .linalg import Q, Subspace, Vector, is_direct_sum, rational, vec
 
 __all__ = [
     "BlockComposition",
@@ -136,7 +136,7 @@ class ParabolicAlgebra:
     def __init__(self, composition: BlockComposition, extra_center: int = 0, root_scale=1):
         if extra_center < 0:
             raise ValueError("extra_center must be nonnegative")
-        root_scale = Q(root_scale)
+        root_scale = rational(root_scale, "for root_scale")
         if root_scale == 0:
             raise ValueError("root_scale must be nonzero")
         n = composition.n
@@ -226,11 +226,8 @@ class ParabolicAlgebra:
         self.levi_center = self._levi_center()
 
     def _levi_center(self) -> Subspace:
-        if self.levi.dim == 0:
-            return Subspace.zero(self.algebra.dim)
         z = center(restrict(self.algebra, self.levi))
-        out = [self.levi.combination(lam) for lam in z.vectors()]
-        return Subspace.from_vectors(self.algebra.dim, out)
+        return Subspace.from_sparse(self.algebra.dim, map(self.levi.combination, z.rows))
 
     def _check_invariants(self) -> None:
         L = self.algebra

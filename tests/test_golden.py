@@ -5,8 +5,11 @@ The files hold stdout (or stderr) of earlier runs of the same commands:
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7) and for one derivation perturbed
-by the map I -> x_10, which must exit 4. Any change to these bytes is a
-change to the output contract.
+by the map I -> x_10, which must exit 4; and ``describe`` as JSON for gl_6
+with blocks 3,2,1 and one extra central generator, and for the Borel of
+gl_5, whose "sc" list and subspace bases (the Levi center among them) come
+from the structure-constant table and the restriction to the Levi factor.
+Any change to these bytes is a change to the output contract.
 """
 
 from pathlib import Path
@@ -29,6 +32,17 @@ def run(capsys, argv):
 def test_verify_stdout_matches_golden(capsys, fmt, ext):
     argv = ["verify", "--max-n", "4", "--seed", "1", "--rounds", "3", "--format", fmt]
     assert run(capsys, argv) == (0, (DATA / f"verify-n4-s1-r3.{ext}").read_bytes(), b"")
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--n", "6", "--blocks", "3,2,1", "--extra-center", "1"], "describe-n6-b321-z1.json"),
+        (["--n", "5", "--blocks", "1,1,1,1,1"], "describe-n5-borel.json"),
+    ],
+)
+def test_describe_stdout_matches_golden(capsys, argv, name):
+    assert run(capsys, ["describe"] + argv) == (0, (DATA / name).read_bytes(), b"")
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -58,8 +59,11 @@ def test_validate_flags_jacobi():
 
 
 def _reference_validation(dim, triples):
-    """Both violation lists, computed from scratch: antisymmetry from the raw
-    triples, Jacobi over all i < j < k through ``bracket`` on basis elements."""
+    """Both violation lists, computed from scratch from the raw triples:
+    antisymmetry directly, Jacobi over all i < j < k on the constants the
+    triples define. Those are canonicalised as ``LieAlgebra`` documents it:
+    per (i, j, k), the sum of the explicit i < j triples wins, and i > j
+    triples fold in by antisymmetry only where there is none."""
     given = {}
     for (i, j, k, v) in triples:
         given[(i, j, k)] = given.get((i, j, k), 0) + Q(v)
@@ -72,18 +76,33 @@ def _reference_validation(dim, triples):
                 if (i, j, k) in given and (j, i, k) in given:
                     if given[(i, j, k)] + given[(j, i, k)] != 0:
                         anti.add((i, j, k))
-    L = LieAlgebra(dim, None, triples)
-    x = [L.basis_element(i) for i in range(dim)]
+    lower, upper = {}, {}
+    for (i, j, k, v) in triples:
+        if i < j and v:
+            lower[(i, j, k)] = lower.get((i, j, k), 0) + Q(v)
+        elif i > j and v:
+            upper[(j, i, k)] = upper.get((j, i, k), 0) - Q(v)
+    sc = {}  # (a, b) -> {k: c_ab^k} for both orders
+    for (i, j, k), v in {**upper, **lower}.items():
+        sc.setdefault((i, j), {})[k] = v
+        sc.setdefault((j, i), {})[k] = -v
+
+    def bracket_unit(a, b, c):  # [[x_a, x_b], x_c]
+        out = {}
+        for m, v in sc.get((a, b), {}).items():
+            for t, w in sc.get((m, c), {}).items():
+                out[t] = out.get(t, 0) + v * w
+        return out
+
     jacobi = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                cyclic = (
-                    bracket(bracket(x[i], x[j]), x[k])
-                    + bracket(bracket(x[j], x[k]), x[i])
-                    + bracket(bracket(x[k], x[i]), x[j])
-                )
-                if not cyclic.is_zero():
+                cyclic = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, v in bracket_unit(a, b, c).items():
+                        cyclic[t] = cyclic.get(t, 0) + v
+                if any(cyclic.values()):
                     jacobi.append((i, j, k))
     return sorted(anti), jacobi
 
@@ -237,16 +256,18 @@ def test_restrict_gl2_to_sl2_table():
     L = sl2()
     assert L.dim == 3
     # basis order (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    assert L.bracket_coords(0, 1) == {1: Q(2)}
-    assert L.bracket_coords(0, 2) == {2: Q(-2)}
-    assert L.bracket_coords(1, 2) == {0: Q(1)}
+    assert L.triples() == [(0, 1, 1, Q(2)), (0, 2, 2, Q(-2)), (1, 2, 0, Q(1))]
 
 
 def test_restrict_full_is_same_table():
-    gl2 = build_gl(2)
-    again = restrict(gl2, Subspace.full(4))
-    assert again.triples() == gl2.triples()
-    assert again.labels == gl2.labels
+    # the golden composition at root_scale 3/2 has N = 4
+    scaled = build_standard_parabolic((3, 2, 1), root_scale=Q(3, 2)).algebra
+    assert scaled.denominator == 4
+    for L in (build_gl(2), scaled):
+        again = restrict(L, Subspace.full(L.dim))
+        assert again.triples() == L.triples()
+        assert again.labels == L.labels
+        assert (again.int_table, again.denominator) == (L.int_table, L.denominator)
 
 
 def test_restrict_not_closed():
@@ -350,12 +371,36 @@ def test_center_of_parabolic_is_scalar_line(golden_q, borel3_q):
 
 
 def test_json_round_trip():
-    gl2 = build_gl(2)
-    data = gl2.to_json_dict()
-    again = LieAlgebra.from_json_dict(data)
-    assert again.dim == gl2.dim
-    assert again.labels == gl2.labels
-    assert again.triples() == gl2.triples()
+    # at root_scale 3/2 the "sc" strings include "p/q" forms such as "9/4"
+    scaled = build_standard_parabolic((2, 1), root_scale=Q(3, 2)).algebra
+    for L in (build_gl(2), scaled):
+        data = L.to_json_dict()
+        again = LieAlgebra.from_json_dict(data)
+        assert again.dim == L.dim
+        assert again.labels == L.labels
+        assert again.triples() == L.triples()
+
+
+@pytest.mark.parametrize(
+    "build,named",
+    [
+        (lambda: LieAlgebra(2, None, [(0, 1, 1, 0.1)]), "triple (0, 1, 1, 0.1)"),
+        (lambda: LieAlgebra(2, None, [(True, 1, 1, 1)]), "triple (True, 1, 1, 1)"),
+        (lambda: LieAlgebra(2, None, [(0, 1.0, 1, 1)]), "triple (0, 1.0, 1, 1)"),
+        (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [[0, 1, 1, "0.5"]]}),
+         "triple (0, 1, 1, '0.5')"),
+        (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [[0, 1, 1, "1e2"]]}),
+         "triple (0, 1, 1, '1e2')"),
+        (lambda: build_standard_parabolic((2,), root_scale=0.1), "root_scale"),
+    ],
+    ids=["float-constant", "bool-index", "float-index", "json-decimal", "json-exponent",
+         "float-root-scale"],
+)
+def test_library_rejects_inexact_input(build, named):
+    # the rule the CLI applies to matrix entries: an int that is not a bool,
+    # a Fraction, or a "p" / "p/q" string
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
 
 
 def test_endomatrix_matches_dense_matrices():

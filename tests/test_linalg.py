@@ -7,6 +7,7 @@ from liederiv.linalg import (
     Q,
     Subspace,
     contains,
+    dense_vector,
     is_direct_sum,
     nullspace,
     rref,
@@ -197,7 +198,7 @@ def test_subspace_constructor_canonicalizes():
     assert s.vectors() == [vec([1, 0, -2, 0]), vec([0, 1, 2, 0])]
     assert s.pivots() == [0, 1]
     assert s == _span(4, [0, 2, 4, 0], [1, 1, 0, 0])
-    assert s.coordinates_of(vec([1, 1, 0, 0])) == vec([1, 1])
+    assert s.coordinates_of(vec([1, 1, 0, 0])) == {0: 1, 1: 1}
     assert Subspace(3, Matrix(0, 3, ())) == Subspace.zero(3)
     assert Subspace(3, Matrix.from_rows([[0, 0, 5], [2, 0, 0], [0, 1, 1]])) == Subspace.full(3)
 
@@ -271,15 +272,15 @@ def test_property_coordinates_invert_combination():
     def check(case, data):
         n, _ = case
         s = Subspace.from_vectors(*case)
-        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=s.dim, max_size=s.dim))
+        coeffs = sparse(data.draw(st.lists(st.integers(-5, 5), min_size=s.dim, max_size=s.dim)))
         v = s.combination(coeffs)
-        assert s.coordinates_of(v) == s.coordinates_of(sparse(v)) == vec(coeffs)
+        assert s.coordinates_of(dense_vector(n, v)) == s.coordinates_of(v) == coeffs
         # a vector outside the subspace gives None in both forms
         w = vec(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
         inside = Subspace.from_vectors(n, s.vectors() + [w]).dim == s.dim
         assert contains(s, w) is contains(s, sparse(w)) is inside
         if inside:
-            assert s.combination(s.coordinates_of(sparse(w))) == w
+            assert s.combination(s.coordinates_of(sparse(w))) == sparse(w)
         else:
             assert s.coordinates_of(w) is None and s.coordinates_of(sparse(w)) is None
 
