@@ -29,7 +29,6 @@ from .derivations import (
     verify_main_theorem,
 )
 from .lie import (
-    Element,
     EndoMatrix,
     LieAlgebra,
     ValidationReport,
@@ -43,15 +42,12 @@ from .lie import (
     validate_structure,
 )
 from .linalg import (
-    Matrix,
     Q,
     Subspace,
     contains,
     is_direct_sum,
-    nullspace,
-    rref,
+    nullspace_of_rows,
     solve,
-    solve_rows,
     subspace_intersect,
     subspace_sum,
 )

@@ -211,7 +211,7 @@ def _verify_case(q, rounds: int, rng) -> dict:
             if witness is None:
                 witness = {"kind": "decompose", "round": r, "error": str(exc)}
             break
-        if res.l_part + ad_matrix(res.p) != D:
+        if res.l_part + ad_matrix(q.algebra, res.p) != D:
             decompose_ok = False
             if witness is None:
                 witness = {"kind": "decompose_roundtrip", "round": r}

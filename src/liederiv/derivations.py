@@ -9,11 +9,11 @@ inner correction read off the Cartan images, then a Cartan element from the
 simple-root eigenvalues by the closed-form inverse of the type A Cartan
 matrix, leaving a map into the center.
 
-Every map is an ``EndoMatrix`` of sparse columns, from the input to the
-JSON payload. In endomorphism space a map is flattened column-major (entry
-(i, j) at index j*dim + i), fixed package-wide so subspaces of maps are
-comparable everywhere. The one dense ``Matrix`` here is the embedding that
-``complexify`` returns.
+Every map is an ``EndoMatrix`` of sparse columns, and every vector of q a
+sparse coordinate dict, from the input to the JSON payload, which alone
+writes them out dense. In endomorphism space a map is flattened
+column-major (entry (i, j) at index j*dim + i), fixed package-wide so
+subspaces of maps are comparable everywhere.
 """
 
 from __future__ import annotations
@@ -21,23 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .lie import (
-    Element,
-    EndoMatrix,
-    LieAlgebra,
-    ad_matrix,
-    first_leibniz_violation,
-)
-from .linalg import (
-    Matrix,
-    Q,
-    Subspace,
-    Vector,
-    contains,
-    is_direct_sum,
-    nullspace_of_rows,
-    solve_rows,
-)
+from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation
+from .linalg import Q, Subspace, contains, is_direct_sum, nullspace_of_rows, solve
 from .parabolic import ParabolicAlgebra
 
 __all__ = [
@@ -262,7 +247,7 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
                     break
         if inner_closure is None and first_leibniz_violation(L, D) is not None:
             for i in range(d):
-                A = ad_matrix(L.basis_element(i))
+                A = ad_matrix(L, {i: 1})
                 comm = EndoMatrix(L, map(D.apply, A.cols)) - EndoMatrix(L, map(A.apply, D.cols))
                 if not contains(inner, comm.flat()):
                     inner_closure = {"kind": "inner_closure", "der_index": di, "basis_index": i}
@@ -288,21 +273,23 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """D = l_part + ad(p), with the scalars read off along the way."""
+    """D = l_part + ad(p), with the scalars read off along the way; p and
+    h_star are sparse coordinate dicts."""
 
     l_part: EndoMatrix
-    p: Element
+    p: dict[int, Q]
     d_gamma: dict[tuple[int, int], Q]
     c_gamma: dict[tuple[int, int], Q]
-    h_star: Element
+    h_star: dict[int, Q]
 
     def to_json_dict(self) -> dict:
+        d = self.l_part.algebra.dim
         return {
             "l_part": [[str(e) for e in row] for row in self.l_part.dense_rows()],
-            "p": [str(e) for e in self.p.coords],
+            "p": [str(self.p.get(i, 0)) for i in range(d)],
             "d_gamma": [[i, j, str(v)] for (i, j), v in sorted(self.d_gamma.items())],
             "c_gamma": [[i, j, str(v)] for (i, j), v in sorted(self.c_gamma.items())],
-            "h_star": [str(e) for e in self.h_star.coords],
+            "h_star": [str(self.h_star.get(i, 0)) for i in range(d)],
         }
 
 
@@ -314,8 +301,9 @@ def _check_leibniz(L: LieAlgebra, D: EndoMatrix) -> None:
 
 def root_line_reduction(
     q: ParabolicAlgebra, D: EndoMatrix
-) -> tuple[Vector, EndoMatrix, dict[tuple[int, int], Q]]:
-    """First reduction step: returns (x, D - ad x, the d_gamma table).
+) -> tuple[dict[int, Q], EndoMatrix, dict[tuple[int, int], Q]]:
+    """First reduction step: returns (x, D - ad x, the d_gamma table), x as
+    a sparse coordinate dict.
 
     For each allowed root (i, j) pick h = e_ii - e_jj, on which the root
     takes the value 2; the coefficient of the root generator in D(h) then
@@ -323,16 +311,16 @@ def root_line_reduction(
     map sends the Cartan into the center, annihilates the within-block
     coroots, and stabilizes every root line.
     """
-    L = q.algebra
     d_gamma: dict[tuple[int, int], Q] = {}
-    x = [Q(0)] * L.dim
+    x: dict[int, Q] = {}
     for root in q.roots:
         pos = q.root_index[root]
         h = q.cartan_element_for_root(root)
-        dg = sum((D.cols[k].get(pos, 0) * c for k, c in enumerate(h) if c), Q(0)) / 2
+        dg = sum((D.cols[k].get(pos, 0) * c for k, c in h.items()), Q(0)) / 2
         d_gamma[root] = dg
-        x[pos] -= dg
-    return tuple(x), D - ad_matrix(L.element(x)), d_gamma
+        if dg:
+            x[pos] = -dg
+    return x, D - ad_matrix(q.algebra, x), d_gamma
 
 
 def cartan_solve(c) -> list[Q]:
@@ -360,7 +348,6 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     """
     L = q.algebra
     _check_leibniz(L, D)
-    d = L.dim
     n = q.composition.n
 
     x, Dp, d_gamma = root_line_reduction(q, D)
@@ -372,12 +359,11 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
 
     # h* = sum b_k h_k with alpha_j(h*) = c_gamma(alpha_j); alpha_j(h_k) is
     # the type A Cartan matrix
-    h_star = [Q(0)] * d
-    for k, b in enumerate(cartan_solve([c_gamma[(k, k + 1)] for k in range(1, n)]), 1):
-        h_star[q.coroot_index[k]] = b
+    b = cartan_solve([c_gamma[(k, k + 1)] for k in range(1, n)])
+    h_star = {q.coroot_index[k]: bk for k, bk in enumerate(b, 1) if bk}
 
-    l_part = Dp - ad_matrix(L.element(h_star))
-    p = tuple(a + b for a, b in zip(x, h_star))
+    l_part = Dp - ad_matrix(L, h_star)
+    p = {**x, **h_star}  # x sits on the root generators, h* on the coroots
 
     diagnostics = {
         "d_gamma": d_gamma,
@@ -396,15 +382,15 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
             raise DecompositionError(
                 f"residual map does not kill the derived algebra at column {jdx}", diagnostics
             )
-    if any(p[i] for i in center_set):
+    if center_set & p.keys():
         raise DecompositionError("inner element has a central component", diagnostics)
 
     return DecompositionResult(
         l_part=l_part,
-        p=L.element(p),
+        p=p,
         d_gamma=d_gamma,
         c_gamma=c_gamma,
-        h_star=L.element(h_star),
+        h_star=h_star,
     )
 
 
@@ -433,7 +419,7 @@ def split_derivation(
             system.setdefault(i, {})[k] = e
     flat = D.flat()
     keys = sorted(system.keys() | flat.keys())
-    lam = solve_rows(
+    lam = solve(
         lid.dim + inner.dim, [system.get(i, {}) for i in keys], [flat.get(i, 0) for i in keys]
     )
     if lam is None:
@@ -442,11 +428,7 @@ def split_derivation(
             "derivation is not in the sum of the center-valued and inner maps",
             {"l_dim": lid.dim, "inner_dim": inner.dim},
         )
-    l_comp = {}
-    for c, row in zip(lam, lid.rows):
-        for i, e in row.items():
-            l_comp[i] = l_comp.get(i, 0) + c * e
-    l_part = EndoMatrix.from_flat(L, l_comp)
+    l_part = EndoMatrix.from_flat(L, lid.combination({k: c for k, c in lam.items() if k < lid.dim}))
     return l_part, D - l_part
 
 
@@ -454,12 +436,12 @@ def split_derivation(
 # complexification
 # ---------------------------------------------------------------------------
 
-def complexify(L: LieAlgebra) -> tuple[LieAlgebra, Matrix, EndoMatrix]:
+def complexify(L: LieAlgebra) -> tuple[LieAlgebra, EndoMatrix]:
     """Dimension-doubled algebra with an operator J, J^2 = -1.
 
     Basis: x_1..x_d then J x_1..J x_d, with
-    [x + J y, u + J v] = [x,u] - [y,v] + J([x,v] + [y,u]).
-    Returns (doubled algebra, embedding matrix of L, J).
+    [x + J y, u + J v] = [x,u] - [y,v] + J([x,v] + [y,u]),
+    so L embeds as the first d coordinates. Returns (doubled algebra, J).
     """
     d = L.dim
     labels = list(L.labels) + [f"i*{lab}" for lab in L.labels]
@@ -470,10 +452,9 @@ def complexify(L: LieAlgebra) -> tuple[LieAlgebra, Matrix, EndoMatrix]:
         triples.append((j, i + d, k + d, -v))
         triples.append((i + d, j + d, k, -v))
     hat = LieAlgebra(2 * d, labels, triples)
-    embed = Matrix(2 * d, d, [1 if i == j else 0 for i in range(2 * d) for j in range(d)])
     # J x_k = x_{k+d} and J x_{k+d} = -x_k
     J = EndoMatrix(hat, [{k + d: Q(1)} for k in range(d)] + [{k: Q(-1)} for k in range(d)])
-    return hat, embed, J
+    return hat, J
 
 
 def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = None) -> EndoMatrix:
@@ -484,7 +465,7 @@ def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = Non
     """
     _check_leibniz(L, D)
     if hat is None:
-        hat, _, _ = complexify(L)
+        hat, _ = complexify(L)
     d = L.dim
     return EndoMatrix(hat, list(D.cols) + [{i + d: e for i, e in c.items()} for c in D.cols])
 

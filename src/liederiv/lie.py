@@ -9,10 +9,10 @@ integers, arranged as the N ad x_i maps; everything reads it. The raw input
 triples are kept so that defective tables can be diagnosed instead of
 silently repaired.
 
-Brackets of general vectors take sparse coordinate dicts (index -> value),
-the format of ``Subspace.rows``; ``bracket`` converts Elements at the boundary.
-Every linear map of an algebra is one ``EndoMatrix``: its sparse columns,
-with ``int`` or ``Fraction`` entries.
+A vector of an algebra is a sparse coordinate dict (index -> value, zeros
+dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
+take it as it is. Every linear map of an algebra is one ``EndoMatrix``:
+its sparse columns, with ``int`` or ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from math import lcm
 from operator import add, sub
 
-from .linalg import Q, Subspace, Vector, dense_vector, nullspace_of_rows, rational, vec
+from .linalg import Q, Subspace, nullspace_of_rows, rational
 
 __all__ = [
     "LieAlgebra",
-    "Element",
     "EndoMatrix",
     "ValidationReport",
     "validate_structure",
@@ -43,12 +42,15 @@ class LieAlgebra:
     """``int_table[i][j]`` is {k: N c_ij^k} for every ordered pair with a
     nonzero bracket, so ``int_table[i]`` is the map N ad x_i as sparse
     columns; N, the common denominator of the constants, is ``denominator``.
-    Structure constants are ints, Fractions or rational strings ("p", "p/q"),
-    indices are ints; anything else raises ValueError naming its triple."""
+    The dimension is an int. Structure constants are ints, Fractions or
+    rational strings ("p", "p/q"), indices are ints; anything else raises
+    ValueError naming its triple."""
 
     __slots__ = ("dim", "labels", "_raw", "int_table", "denominator")
 
     def __init__(self, dim: int, labels, triples):
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dim {dim!r} is not a nonnegative int")
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
@@ -97,29 +99,6 @@ class LieAlgebra:
             for k, v in sorted(ks.items())
         ]
 
-    def bracket_sparse(self, x: dict[int, Q], y: dict[int, Q]) -> dict[int, Q]:
-        """Bilinear extension of the table to sparse coordinate dicts
-        (index -> value, as in ``Subspace.rows``); zero entries are dropped.
-        Summed against the integer table, divided by N once at the end."""
-        out: dict[int, Q] = {}
-        T = self.int_table
-        for i, a in x.items():
-            row = T[i]
-            for j, b in y.items():
-                ks = row.get(j)
-                if ks:
-                    c = a * b
-                    for k, v in ks.items():
-                        out[k] = out.get(k, 0) + c * v
-        N = self.denominator
-        return {k: v if N == 1 else Q(v, N) for k, v in out.items() if v}
-
-    def element(self, coords) -> Element:
-        return Element(self, vec(coords))
-
-    def basis_element(self, i: int) -> Element:
-        return Element(self, tuple(Q(1) if j == i else Q(0) for j in range(self.dim)))
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -129,36 +108,19 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LieAlgebra:
-        return cls(data["dim"], data.get("basis"), data["sc"])
+        """The inverse of ``to_json_dict``; "basis" may be left out."""
+        if not isinstance(data, dict):
+            raise ValueError("algebra JSON must be an object with keys dim and sc")
+        basis, sc = data.get("basis"), data.get("sc")
+        if not (basis is None or isinstance(basis, list)) or not isinstance(sc, list):
+            raise ValueError("algebra JSON basis and sc must be lists")
+        if not all(isinstance(t, list) and len(t) == 4 for t in sc):
+            raise ValueError("each sc triple must be a list [i, j, k, value]")
+        return cls(data.get("dim"), basis, sc)
 
     def __repr__(self) -> str:
         pairs = sum(j > i for i, row in enumerate(self.int_table) for j in row)
         return f"LieAlgebra(dim {self.dim}, {pairs} bracket pairs)"
-
-
-@dataclass(frozen=True)
-class Element:
-    algebra: LieAlgebra
-    coords: Vector
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-
-    def __add__(self, other: Element) -> Element:
-        self._same(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: Element) -> Element:
-        self._same(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _same(self, other: Element) -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebras")
 
 
 class EndoMatrix:
@@ -285,21 +247,37 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
     return report
 
 
-def bracket(x: Element, y: Element) -> Element:
-    if x.algebra is not y.algebra:
-        raise ValueError("elements belong to different algebras")
-    L = x.algebra
-    w = L.bracket_sparse(
-        {i: v for i, v in enumerate(x.coords) if v}, {j: v for j, v in enumerate(y.coords) if v}
-    )
-    return Element(L, dense_vector(L.dim, w))
+def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
+    """[x, y] for sparse coordinate dicts (index -> value, as in
+    ``Subspace.rows``); zero entries are dropped. An index outside the
+    algebra raises ValueError."""
+    if any(not 0 <= i < L.dim for v in (x, y) for i in v):
+        raise ValueError("vector index out of range for algebra dimension")
+    return _bracket(L, x, y)
+
+
+def _bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
+    """``bracket`` without the index check, for the rows of subspaces of L:
+    summed against the integer table, divided by N once at the end."""
+    out: dict = {}
+    T = L.int_table
+    for i, a in x.items():
+        row = T[i]
+        for j, b in y.items():
+            ks = row.get(j)
+            if ks:
+                c = a * b
+                for k, v in ks.items():
+                    out[k] = out.get(k, 0) + c * v
+    N = L.denominator
+    return {k: v if N == 1 else Q(v, N) for k, v in out.items() if v}
 
 
 def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Canonical span of all brackets of basis vectors of a with those of b."""
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    return Subspace.from_sparse(L.dim, [L.bracket_sparse(u, v) for u in a.rows for v in b.rows])
+    return Subspace.from_sparse(L.dim, [_bracket(L, u, v) for u in a.rows for v in b.rows])
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -314,16 +292,16 @@ def center(L: LieAlgebra) -> Subspace:
     return nullspace_of_rows(L.dim, rows.values())
 
 
-def ad_matrix(x: Element) -> EndoMatrix:
-    """The map y -> [x, y]: column j holds [x, x_j] = sum_i x_i [x_i, x_j].
+def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
+    """The map y -> [x, y] for a sparse coordinate dict x: column j holds
+    [x, x_j] = sum_i x_i [x_i, x_j].
 
     Summed in integers, x times the common denominator of its coordinates
     against ``int_table``, and divided by both factors at the end.
     """
-    L = x.algebra
-    den = lcm(*(c.denominator for c in x.coords))
+    den = lcm(*(c.denominator for c in x.values()))
     cols: list[dict] = [{} for _ in range(L.dim)]
-    for i, xi in enumerate(x.coords):
+    for i, xi in x.items():
         if xi:
             xi = xi.numerator * (den // xi.denominator)
             for j, ks in L.int_table[i].items():
@@ -351,7 +329,7 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     triples = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            coords = s.coordinates_of(L.bracket_sparse(rows[a], rows[b]))
+            coords = s.coordinates_of(_bracket(L, rows[a], rows[b]))
             if coords is None:
                 raise ValueError(
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"

@@ -6,13 +6,14 @@ subspace arithmetic. Everything downstream (structure constants, derivation
 oracles, theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
-Sparse vectors are dicts index -> value whose values are ints or Fractions;
-the eliminator, ``nullspace_of_rows``, ``solve_rows`` and ``contains`` take
-them as they are, and coordinates in a basis (``coordinates_of``,
-``combination``) are sparse dicts row index -> value. The dense ``Matrix``
-of Fraction entries is only an input form: of ``rref``, ``nullspace``,
-``solve`` and the ``Subspace`` constructor. ``rational`` is the one rule for
-exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
+A vector is a sparse dict index -> value whose values are ints or
+Fractions, zeros dropped: the format of ``Subspace.rows``. The eliminator,
+``nullspace_of_rows``, ``solve`` and ``contains`` take it as it is, and
+coordinates in a basis (``coordinates_of``, ``combination``) are sparse
+dicts row index -> value. ``Subspace.from_vectors`` is the one dense input
+form and ``Subspace.vectors`` the one dense output form. ``rational`` is the
+one rule for exact scalar input. Linear maps of a Lie algebra are
+``lie.EndoMatrix``.
 """
 
 from __future__ import annotations
@@ -24,24 +25,16 @@ from math import gcd, lcm
 
 Q = Fraction
 
-Vector = tuple[Q, ...]
-
 __all__ = [
     "Q",
-    "Matrix",
     "Subspace",
-    "rref",
-    "nullspace",
+    "nullspace_of_rows",
     "solve",
-    "solve_rows",
     "rational",
     "subspace_sum",
     "subspace_intersect",
     "contains",
     "is_direct_sum",
-    "vec",
-    "dense_vector",
-    "unit_vector",
 ]
 
 
@@ -63,126 +56,6 @@ def rational(e, where: str) -> Q:
     shown = json.dumps(e, default=repr)
     raise ValueError(f"entry {shown} is not an integer or a rational string {where}")
 
-
-def vec(values) -> Vector:
-    """Coerce an iterable of numbers into a tuple of Fractions."""
-    return tuple(v if type(v) is Q else Q(v) for v in values)
-
-
-def dense_vector(n: int, sparse) -> Vector:
-    """The length-n vector with the given sparse entries (index -> value)."""
-    out = [Q(0)] * n
-    for j, e in sparse.items():
-        out[j] = e
-    return tuple(out)
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
-
-
-class Matrix:
-    """Dense rows x cols matrix with Fraction entries, row-major, immutable."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(e if type(e) is Q else Q(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"need {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(cls, row_lists, cols: int | None = None) -> Matrix:
-        row_lists = [tuple(r) for r in row_lists]
-        if cols is None:
-            if not row_lists:
-                raise ValueError("cols is required for a matrix with no rows")
-            cols = len(row_lists[0])
-        flat = []
-        for r in row_lists:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(len(row_lists), cols, flat)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> Matrix:
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def at(self, i: int, j: int) -> Q:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> Vector:
-        return self.entries[j :: self.cols]
-
-    def row_list(self) -> list[Vector]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def mul_vec(self, v) -> Vector:
-        v = tuple(v)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [Q(0)] * self.rows
-        for j, x in enumerate(v):
-            if x:
-                for i, e in enumerate(self.entries[j :: self.cols]):
-                    if e:
-                        out[i] += e * x
-        return tuple(out)
-
-    def __mul__(self, other: Matrix) -> Matrix:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        # row i of the product is sum_k self[i, k] * other.row(k), over nonzero entries
-        flat = []
-        for i in range(self.rows):
-            acc = [Q(0)] * other.cols
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in enumerate(other.row(k)):
-                        if b:
-                            acc[j] += a * b
-            flat.extend(acc)
-        return Matrix(self.rows, other.cols, flat)
-
-    def __add__(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-        return f"Matrix({self.rows}x{self.cols}: {body})"
 
 class _RowReducer:
     """Incremental fraction-free elimination keeping rows fully reduced.
@@ -265,9 +138,6 @@ class _RowReducer:
             self.col_index.setdefault(c, set()).add(piv)
         return True
 
-    def add_dense_row(self, values) -> bool:
-        return self.add_row({j: v for j, v in enumerate(values) if v})
-
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
@@ -282,16 +152,6 @@ class _RowReducer:
         return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Unique reduced row echelon form of m, with rank and pivot columns.
-
-    The returned matrix has the shape of m (zero rows padded at the bottom).
-    """
-    s = Subspace(m.cols, m)
-    flat = [e for v in s.vectors() for e in v] + [0] * ((m.rows - s.dim) * m.cols)
-    return Matrix(m.rows, m.cols, flat), s.dim, s.pivots()
-
-
 class Subspace:
     """A linear subspace, stored as its unique RREF basis in sparse rows.
 
@@ -301,49 +161,42 @@ class Subspace:
     zero in every other row, so two subspaces are equal exactly when their
     rows are equal. The rows are indexed by pivot column once, when the
     basis is built. The rows are shared, not copied: callers must not mutate them.
+    Subspaces are built by the classmethods below; the constructor takes
+    the ``_RowReducer`` that the rows were fed to.
     """
 
     __slots__ = ("ambient_dim", "rows", "_row_of")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width does not match ambient dimension")
-        red = _RowReducer(ambient_dim)
-        for i in range(basis.rows):
-            red.add_dense_row(basis.row(i))
-        self._take(red)
-
-    def _take(self, red: _RowReducer) -> None:
+    def __init__(self, red: _RowReducer):
         object.__setattr__(self, "ambient_dim", red.ncols)
         object.__setattr__(self, "rows", tuple(red.rref_sparse()))
         object.__setattr__(self, "_row_of", {p: r for r, p in enumerate(red.pivots())})
-
-    @classmethod
-    def _of_reducer(cls, red: _RowReducer) -> Subspace:
-        space = object.__new__(cls)
-        space._take(red)
-        return space
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
+        """The span of dense vectors, each of length ambient_dim; every
+        nonzero entry must pass ``rational``."""
         red = _RowReducer(ambient_dim)
         for v in vectors:
-            red.add_dense_row(v)
-        return cls._of_reducer(red)
+            v = list(v)
+            if len(v) != ambient_dim:
+                raise ValueError("vector length does not match ambient dimension")
+            red.add_row({j: rational(e, f"at index {j}") for j, e in enumerate(v) if e})
+        return cls(red)
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
         red = _RowReducer(ambient_dim)
         for v in sparse_vectors:
             red.add_row(v)
-        return cls._of_reducer(red)
+        return cls(red)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls._of_reducer(_RowReducer(ambient_dim))
+        return cls(_RowReducer(ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
@@ -356,9 +209,10 @@ class Subspace:
     def pivots(self) -> list[int]:
         return list(self._row_of)
 
-    def vectors(self) -> list[Vector]:
+    def vectors(self) -> list[tuple[Q, ...]]:
         """The basis rows as dense tuples."""
-        return [dense_vector(self.ambient_dim, row) for row in self.rows]
+        zero = Q(0)
+        return [tuple(row.get(j, zero) for j in range(self.ambient_dim)) for row in self.rows]
 
     def combination(self, coeffs: dict) -> dict:
         """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
@@ -371,13 +225,11 @@ class Subspace:
                 out[j] = out.get(j, 0) + c * e
         return {j: e for j, e in out.items() if e}
 
-    def coordinates_of(self, v) -> dict | None:
-        """Sparse coordinates of v (row index -> value, zeros dropped) in the
-        canonical basis, or None if v is outside.
-
-        v is a dense vector or a sparse dict index -> value (int or Fraction)
-        in the ``rows`` format. Because the basis is in RREF, the coordinate
-        along row i is just the entry of v at that row's pivot column.
+    def coordinates_of(self, v: dict) -> dict | None:
+        """Sparse coordinates of the sparse vector v (row index -> value,
+        zeros dropped) in the canonical basis, or None if v is outside.
+        Because the basis is in RREF, the coordinate along row i is just the
+        entry of v at that row's pivot column.
         """
         v = self._member(v)
         if v is None:
@@ -385,14 +237,11 @@ class Subspace:
         row_of = self._row_of
         return {row_of[p]: e for p, e in sorted(v.items()) if e and p in row_of}
 
-    def _member(self, v) -> dict | None:
-        """v as a sparse dict if it lies in the subspace, else None: v is
-        inside exactly when v - sum v[p] * (row with pivot p) is 0."""
-        if not isinstance(v, dict):
-            v = vec(v)
-            if len(v) != self.ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            v = {j: e for j, e in enumerate(v) if e}
+    def _member(self, v: dict) -> dict | None:
+        """v if it lies in the subspace, else None: v is inside exactly when
+        v - sum v[p] * (row with pivot p) is 0."""
+        if any(not 0 <= j < self.ambient_dim for j in v):
+            raise ValueError("vector index out of range for ambient dimension")
         residual = dict(v)
         for p, c in v.items():
             r = self._row_of.get(p)
@@ -420,27 +269,15 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of the kernel {v : m v = 0}."""
-    red = _RowReducer(m.cols)
-    for i in range(m.rows):
-        red.add_dense_row(m.row(i))
-    return _nullspace_of_reducer(red)
-
-
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
     """Kernel of a system given as an iterable of sparse rows (col -> value)."""
     red = _RowReducer(ncols)
     for row in sparse_rows:
         red.add_row(row)
-    return _nullspace_of_reducer(red)
-
-
-def _nullspace_of_reducer(red: _RowReducer) -> Subspace:
     pivots = red.pivots()
     pivset = set(pivots)
     rows = red.rref_sparse()
-    free = [c for c in range(red.ncols) if c not in pivset]
+    free = [c for c in range(ncols) if c not in pivset]
     vectors = []
     for f in free:
         v = {f: Q(1)}
@@ -449,35 +286,22 @@ def _nullspace_of_reducer(red: _RowReducer) -> Subspace:
             if e:
                 v[p] = -e
         vectors.append(v)
-    return Subspace.from_sparse(red.ncols, vectors)
+    return Subspace.from_sparse(ncols, vectors)
 
 
-def solve(m: Matrix, b) -> Vector | None:
-    """Some x with m x = b (free variables set to zero), or None if inconsistent."""
-    b = vec(b)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    rows = [{j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows)]
-    return solve_rows(m.cols, rows, b)
-
-
-def solve_rows(ncols: int, sparse_rows, b) -> Vector | None:
-    """``solve`` for a system given as sparse rows (col -> value), one per
-    entry of b."""
-    sparse_rows = list(sparse_rows)
+def solve(ncols: int, sparse_rows, b) -> dict | None:
+    """Some x with A x = b as a sparse vector (free variables set to zero),
+    or None if inconsistent; A is given by its sparse rows (col -> value),
+    one per entry of b."""
+    sparse_rows, b = list(sparse_rows), list(b)
     if len(sparse_rows) != len(b):
         raise ValueError("right-hand side length does not match row count")
-    aug = ncols
     red = _RowReducer(ncols + 1)
     for row, bi in zip(sparse_rows, b):
-        red.add_row({**row, aug: bi} if bi else row)
-    pivots = red.pivots()
-    if aug in pivots:
+        red.add_row({**row, ncols: bi} if bi else row)
+    if ncols in red.pivot_rows:
         return None
-    x = [Q(0)] * ncols
-    for p, row in zip(pivots, red.rref_sparse()):
-        x[p] = row.get(aug, Q(0))
-    return tuple(x)
+    return {p: row[ncols] for p, row in zip(red.pivots(), red.rref_sparse()) if ncols in row}
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -508,8 +332,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_sparse(a.ambient_dim, out)
 
 
-def contains(a: Subspace, v) -> bool:
-    """True iff v, dense or a sparse dict, lies in a (exact sparse residual)."""
+def contains(a: Subspace, v: dict) -> bool:
+    """True iff the sparse vector v lies in a (exact sparse residual)."""
     return a._member(v) is not None
 
 

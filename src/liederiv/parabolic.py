@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lie import LieAlgebra, bracket_span, center, restrict
-from .linalg import Q, Subspace, Vector, is_direct_sum, rational, vec
+from .linalg import Q, Subspace, is_direct_sum, rational
 
 __all__ = [
     "BlockComposition",
@@ -33,13 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockComposition:
-    """An ordered composition of n into positive block sizes."""
+    """An ordered composition of n into positive block sizes; n and the
+    blocks are ints, not bools."""
 
     n: int
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        if not all(type(b) is int for b in (self.n, *self.blocks)):
+            raise ValueError(f"n and blocks must be ints, got {self.n!r} and {self.blocks!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not self.blocks or any(b < 1 for b in self.blocks):
@@ -134,6 +137,8 @@ class ParabolicAlgebra:
     """
 
     def __init__(self, composition: BlockComposition, extra_center: int = 0, root_scale=1):
+        if type(extra_center) is not int:
+            raise ValueError(f"extra_center {extra_center!r} is not an int")
         if extra_center < 0:
             raise ValueError("extra_center must be nonnegative")
         root_scale = rational(root_scale, "for root_scale")
@@ -253,16 +258,16 @@ class ParabolicAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def cartan_element_for_root(self, root: tuple[int, int]) -> Vector:
-        """Coordinates of diag(e_ii - e_jj) for root (i, j); the root takes
-        value 2 on it."""
+    def cartan_element_for_root(self, root: tuple[int, int]) -> dict[int, int]:
+        """Sparse coordinates of diag(e_ii - e_jj) for root (i, j); the root
+        takes value 2 on it."""
         i, j = root
-        coords = [Q(0)] * self.algebra.dim
+        out = {}
         for k in range(1, self.composition.n):
-            b = (1 if i <= k else 0) - (1 if j <= k else 0)
+            b = (i <= k) - (j <= k)
             if b:
-                coords[self.coroot_index[k]] = Q(b)
-        return tuple(coords)
+                out[self.coroot_index[k]] = b
+        return out
 
     def __repr__(self) -> str:
         return f"ParabolicAlgebra(n={self.composition.n}, blocks={self.composition.blocks})"
@@ -327,26 +332,22 @@ def parabolic_from_delta_prime(n: int, delta_prime, **kwargs) -> ParabolicAlgebr
     return build_standard_parabolic(tuple(blocks), n, **kwargs)
 
 
-def root_value(q: ParabolicAlgebra, root: tuple[int, int], h) -> Q:
+def root_value(q: ParabolicAlgebra, root: tuple[int, int], h: dict) -> Q:
     """The value of the root eps_i - eps_j on a Cartan element h.
 
-    h may be an Element of q.algebra or a coordinate vector; it must lie in
-    the span of the coroots.
+    h is a sparse coordinate dict of q.algebra (index -> value) and must lie
+    in the span of the coroots.
     """
-    coords = h.coords if hasattr(h, "coords") else vec(h)
-    if len(coords) != q.algebra.dim:
-        raise ValueError("vector length does not match algebra dimension")
     n = q.composition.n
     coroot_pos = set(q.coroot_index.values())
-    for idx, v in enumerate(coords):
-        if v and idx not in coroot_pos:
-            raise ValueError("element is not in the Cartan subalgebra")
+    if any(v and idx not in coroot_pos for idx, v in h.items()):
+        raise ValueError("element is not in the Cartan subalgebra")
     i, j = root
     if not (1 <= i <= n and 1 <= j <= n and i != j):
         raise ValueError(f"({i},{j}) is not a root")
-    b = [Q(0)] * (n + 1)  # b[k] = coefficient of h_k, 1-based, b[n] = 0
+    b = [0] * (n + 1)  # b[k] = coefficient of h_k, 1-based, b[n] = 0
     for k in range(1, n):
-        b[k] = coords[q.coroot_index[k]]
+        b[k] = h.get(q.coroot_index[k], 0)
     diag = [b[k] - b[k - 1] for k in range(1, n + 1)]  # t_k, 1-based offset
     return diag[i - 1] - diag[j - 1]
 

@@ -80,7 +80,7 @@ def test_der_text_has_block_grid(capsys):
 def test_decompose_inner(tmp_path, capsys, borel3_q):
     q = borel3_q
     pos = q.root_index[(1, 2)]
-    D = ad_matrix(q.algebra.basis_element(pos))
+    D = ad_matrix(q.algebra, {pos: 1})
     payload = {
         "dim": q.dim,
         "matrix": [[str(e) for e in row] for row in D.dense_rows()],

@@ -8,7 +8,8 @@ as JSON integers, input 5 is divided by 7) and for one derivation perturbed
 by the map I -> x_10, which must exit 4; and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, and for the Borel of
 gl_5, whose "sc" list and subspace bases (the Levi center among them) come
-from the structure-constant table and the restriction to the Levi factor.
+from the structure-constant table and the restriction to the Levi factor;
+and ``der`` and ``h1`` as JSON and text for gl_6 with blocks 3,2,1.
 Any change to these bytes is a change to the output contract.
 """
 
@@ -43,6 +44,14 @@ def test_verify_stdout_matches_golden(capsys, fmt, ext):
 )
 def test_describe_stdout_matches_golden(capsys, argv, name):
     assert run(capsys, ["describe"] + argv) == (0, (DATA / name).read_bytes(), b"")
+
+
+@pytest.mark.parametrize("command", ["der", "h1"])
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
+def test_der_h1_stdout_matches_golden(capsys, command, fmt, ext):
+    argv = [command, "--n", "6", "--blocks", "3,2,1", "--format", fmt]
+    expected = (DATA / f"{command}-n6-b321.{ext}").read_bytes()
+    assert run(capsys, argv) == (0, expected, b"")
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from dense_reference import as_endo, as_matrix, identity
+from dense_reference import Matrix, as_endo, as_matrix, dense_bracket, identity, sparse
 from liederiv.derivations import derivation_algebra, random_combination
 from liederiv.lie import (
     EndoMatrix,
@@ -17,8 +17,14 @@ from liederiv.lie import (
     restrict,
     validate_structure,
 )
-from liederiv.linalg import Matrix, Q, Subspace, contains, vec
-from liederiv.parabolic import build_gl, build_standard_parabolic, compositions, root_value
+from liederiv.linalg import Q, Subspace, contains
+from liederiv.parabolic import (
+    BlockComposition,
+    build_gl,
+    build_standard_parabolic,
+    compositions,
+    root_value,
+)
 
 
 def abelian(dim):
@@ -27,9 +33,7 @@ def abelian(dim):
 
 def sl2():
     gl2 = build_gl(2)
-    span = Subspace.from_vectors(
-        4, [vec([1, 0, 0, -1]), vec([0, 1, 0, 0]), vec([0, 0, 1, 0])]
-    )
+    span = Subspace.from_vectors(4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
     return restrict(gl2, span)  # canonical basis order: h, e, f
 
 
@@ -149,16 +153,19 @@ def test_perturbed_golden_table_matches_reference(golden_q):
 
 def test_bracket_matrix_units_gl2():
     gl2 = build_gl(2)  # basis E[1,1], E[1,2], E[2,1], E[2,2]
-    e12, e21 = gl2.basis_element(1), gl2.basis_element(2)
-    assert bracket(e12, e21).coords == vec([1, 0, 0, -1])
+    assert bracket(gl2, {1: 1}, {2: 1}) == {0: 1, 3: -1}
+
+
+def _random_vector(rng, dim, lo, hi):
+    return sparse([rng.randint(lo, hi) for _ in range(dim)])
 
 
 def test_bracket_alternation_random():
     gl3 = build_gl(3)
     rng = random.Random(5)
     for _ in range(10):
-        x = gl3.element([rng.randint(-4, 4) for _ in range(9)])
-        assert bracket(x, x).is_zero()
+        x = _random_vector(rng, 9, -4, 4)
+        assert bracket(gl3, x, x) == {}
 
 
 def _matrix_unit_oracle(n, A, B):
@@ -180,17 +187,20 @@ def test_bracket_golden_coroot_root(golden_q):
     assert comm == [[2 * e34[i][j] for j in range(6)] for i in range(6)]
 
     q = golden_q
-    h = q.algebra.basis_element(q.coroot_index[3])
-    x = q.algebra.basis_element(q.root_index[(3, 4)])
-    assert bracket(h, x).coords == tuple(2 * c for c in x.coords)
+    h = {q.coroot_index[3]: 1}
+    x = {q.root_index[(3, 4)]: 1}
+    assert bracket(q.algebra, h, x) == {k: 2 * c for k, c in x.items()}
     assert root_value(q, (3, 4), h) == 2
     assert root_value(q, (4, 5), h) == -1  # alpha_4 on h_3
 
 
 def test_bracket_algebra_mismatch():
-    a, b = build_gl(2), build_gl(2)
-    with pytest.raises(ValueError):
-        bracket(a.basis_element(0), b.basis_element(0))
+    # a vector of a larger algebra does not fit gl_2
+    gl2 = build_gl(2)
+    with pytest.raises(ValueError, match="out of range"):
+        bracket(gl2, {4: 1}, {0: 1})
+    with pytest.raises(ValueError, match="out of range"):
+        bracket(gl2, {0: 1}, {-1: 1})
 
 
 def test_bracket_span_gl2_derived():
@@ -199,9 +209,7 @@ def test_bracket_span_gl2_derived():
     derived = bracket_span(gl2, full, full)
     assert derived.dim == 3
     # trace-zero span in matrix-unit coordinates
-    assert derived == Subspace.from_vectors(
-        4, [vec([1, 0, 0, -1]), vec([0, 1, 0, 0]), vec([0, 0, 1, 0])]
-    )
+    assert derived == Subspace.from_vectors(4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
 
 
 def test_bracket_span_abelian():
@@ -231,24 +239,22 @@ def test_center_abelian_full():
 
 def test_ad_matrix_sl2_diagonal():
     L = sl2()  # basis h, e, f
-    adh = ad_matrix(L.basis_element(0))
+    adh = ad_matrix(L, {0: 1})
     assert as_matrix(adh) == Matrix.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
 
 
 def test_ad_of_central_element_zero():
     gl2 = build_gl(2)
-    identity = gl2.element([1, 0, 0, 1])
-    assert not any(ad_matrix(identity).cols)
+    assert not any(ad_matrix(gl2, {0: 1, 3: 1}).cols)  # the identity matrix
 
 
 def test_ad_is_homomorphism():
     gl3 = build_gl(3)
     rng = random.Random(23)
     for _ in range(5):
-        x = gl3.element([rng.randint(-3, 3) for _ in range(9)])
-        y = gl3.element([rng.randint(-3, 3) for _ in range(9)])
-        lhs = as_matrix(ad_matrix(bracket(x, y)))
-        ax, ay = as_matrix(ad_matrix(x)), as_matrix(ad_matrix(y))
+        x, y = _random_vector(rng, 9, -3, 3), _random_vector(rng, 9, -3, 3)
+        lhs = as_matrix(ad_matrix(gl3, bracket(gl3, x, y)))
+        ax, ay = as_matrix(ad_matrix(gl3, x)), as_matrix(ad_matrix(gl3, y))
         assert lhs == ax * ay - ay * ax
 
 
@@ -272,7 +278,7 @@ def test_restrict_full_is_same_table():
 
 def test_restrict_not_closed():
     gl2 = build_gl(2)
-    span = Subspace.from_vectors(4, [vec([0, 1, 0, 0]), vec([0, 0, 1, 0])])
+    span = Subspace.from_vectors(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(ValueError, match="bracket-closed"):
         restrict(gl2, span)
 
@@ -281,8 +287,8 @@ def test_is_derivation_ad_random():
     gl3 = build_gl(3)
     rng = random.Random(31)
     for _ in range(5):
-        x = gl3.element([rng.randint(-3, 3) for _ in range(9)])
-        assert is_derivation(gl3, ad_matrix(x))
+        x = _random_vector(rng, 9, -3, 3)
+        assert is_derivation(gl3, ad_matrix(gl3, x))
 
 
 def test_identity_map_not_derivation_on_sl2():
@@ -298,17 +304,16 @@ def test_any_map_is_derivation_on_abelian():
 
 
 def _first_leibniz_failure(L, m):
-    """First i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], by elements
-    and the dense matrix m of D."""
-
-    def apply(x):
-        return L.element(m.mul_vec(x.coords))
-
+    """First i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], by dense
+    coordinate vectors and the dense matrix m of D."""
+    units = Matrix.identity(L.dim)
     for i in range(L.dim):
-        xi = L.basis_element(i)
+        xi = units.row(i)
         for j in range(i + 1, L.dim):
-            xj = L.basis_element(j)
-            if apply(bracket(xi, xj)) != bracket(apply(xi), xj) + bracket(xi, apply(xj)):
+            xj = units.row(j)
+            lhs = m.mul_vec(dense_bracket(L, xi, xj))
+            a, b = dense_bracket(L, m.mul_vec(xi), xj), dense_bracket(L, xi, m.mul_vec(xj))
+            if lhs != tuple(s + t for s, t in zip(a, b)):
                 return (i, j)
     return None
 
@@ -345,13 +350,13 @@ def test_inner_derivations_stabilize_ideals(golden_q):
     rng = random.Random(41)
     derived = q.derived
     for _ in range(5):
-        x = q.algebra.element([rng.randint(-4, 4) for _ in range(q.dim)])
-        ax = as_matrix(ad_matrix(x))
+        x = _random_vector(rng, q.dim, -4, 4)
+        ax = as_matrix(ad_matrix(q.algebra, x))
         for ideal in (q.nilradical, q.derived):
             for v in ideal.vectors():
-                assert contains(ideal, ax.mul_vec(v))
+                assert contains(ideal, sparse(ax.mul_vec(v)))
         for j in range(q.dim):
-            assert contains(derived, ax.col(j))
+            assert contains(derived, sparse(ax.col(j)))
 
 
 def test_derivations_stabilize_derived_and_center(borel3_q, borel3_der):
@@ -360,9 +365,9 @@ def test_derivations_stabilize_derived_and_center(borel3_q, borel3_der):
     for flat in borel3_der.rows:
         D = as_matrix(EndoMatrix.from_flat(q.algebra, flat))
         for v in derived.vectors():
-            assert contains(derived, D.mul_vec(v))
+            assert contains(derived, sparse(D.mul_vec(v)))
         for v in z.vectors():
-            assert contains(z, D.mul_vec(v))
+            assert contains(z, sparse(D.mul_vec(v)))
 
 
 def test_center_of_parabolic_is_scalar_line(golden_q, borel3_q):
@@ -392,13 +397,31 @@ def test_json_round_trip():
         (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [[0, 1, 1, "1e2"]]}),
          "triple (0, 1, 1, '1e2')"),
         (lambda: build_standard_parabolic((2,), root_scale=0.1), "root_scale"),
+        (lambda: Subspace.from_vectors(2, [[0.5, 0]]), "entry 0.5 is not"),
+        (lambda: LieAlgebra.from_json_dict([2, []]), "must be an object"),
+        (lambda: LieAlgebra.from_json_dict({"sc": []}), "dim None"),
+        (lambda: LieAlgebra.from_json_dict({"dim": "2", "sc": []}), "dim '2'"),
+        (lambda: LieAlgebra.from_json_dict({"dim": 2, "basis": "xy", "sc": []}), "must be lists"),
+        (lambda: LieAlgebra.from_json_dict({"dim": 2}), "must be lists"),
+        (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [5]}), "sc triple"),
+        (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [[0, 1, 1]]}), "sc triple"),
+        (lambda: LieAlgebra(True, None, []), "dim True"),
+        (lambda: BlockComposition(2, (1.9, 1)), "must be ints"),
+        (lambda: BlockComposition(2, (True, True)), "must be ints"),
+        (lambda: BlockComposition(2.0, (1, 1)), "must be ints"),
+        (lambda: build_standard_parabolic((2,), extra_center=1.5), "extra_center 1.5"),
+        (lambda: build_standard_parabolic((2,), extra_center=True), "extra_center True"),
     ],
     ids=["float-constant", "bool-index", "float-index", "json-decimal", "json-exponent",
-         "float-root-scale"],
+         "float-root-scale", "float-vector-entry", "json-not-object", "json-no-dim",
+         "json-string-dim", "json-string-basis", "json-no-sc", "json-int-triple",
+         "json-short-triple", "bool-dim", "float-block", "bool-blocks", "float-n",
+         "float-extra-center", "bool-extra-center"],
 )
 def test_library_rejects_inexact_input(build, named):
     # the rule the CLI applies to matrix entries: an int that is not a bool,
-    # a Fraction, or a "p" / "p/q" string
+    # a Fraction, or a "p" / "p/q" string; sizes and counts are ints that are
+    # not bools, and algebra JSON has the shape that to_json_dict writes
     with pytest.raises(ValueError, match=re.escape(named)):
         build()
 
