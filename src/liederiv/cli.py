@@ -170,12 +170,21 @@ def _read_derivation(args, algebra) -> EndoMatrix:
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"matrix must be a list of {dim} rows")
-    cols: list[dict[int, Q]] = [{} for _ in range(dim)]
+    # each distinct string is parsed once (an integral one to an int); an
+    # entry that fails is never stored, so the error names its first place
+    parsed: dict[str, int | Q] = {}
+    cols: list[dict[int, int | Q]] = [{} for _ in range(dim)]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries at row {i}")
         for j, e in enumerate(row):
-            cols[j][i] = rational(e, f"at row {i}, column {j}")
+            v = e if type(e) is int else parsed.get(e) if type(e) is str else None
+            if v is None:
+                # JSON holds no Fraction, so this raises unless e is a string
+                v = rational(e, f"at row {i}, column {j}")
+                v = parsed[e] = v.numerator if v.denominator == 1 else v
+            if v:
+                cols[j][i] = v
     return EndoMatrix(algebra, cols)
 
 

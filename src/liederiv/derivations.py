@@ -140,7 +140,7 @@ def l_ideal(q: ParabolicAlgebra) -> Subspace:
     vectors = []
     for z in q.center_indices:
         for u in list(q.center_indices) + q.c.pivots():
-            vectors.append({u * d + z: Q(1)})
+            vectors.append({u * d + z: 1})
     return Subspace.from_sparse(d * d, vectors)
 
 

@@ -11,8 +11,10 @@ silently repaired.
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
-take it as it is. Every linear map of an algebra is one ``EndoMatrix``:
-its sparse columns, with ``int`` or ``Fraction`` entries.
+take it after checking that its values are ints or Fractions. Every linear
+map of an algebra is one ``EndoMatrix``: its sparse columns, with ``int``
+or ``Fraction`` entries. An int constant or value stays an int; a Fraction
+appears only where a real denominator does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from operator import add, sub
 
-from .linalg import Q, Subspace, nullspace_of_rows, rational
+from .linalg import Q, Subspace, nullspace_of_rows, rational, require_exact
 
 __all__ = [
     "LieAlgebra",
@@ -54,27 +56,28 @@ class LieAlgebra:
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
-        raw: list[tuple[int, int, int, Q]] = []
-        lower: dict[tuple[int, int, int], Q] = {}
-        upper: dict[tuple[int, int, int], Q] = {}
+        raw: list[tuple[int, int, int, int | Q]] = []
+        lower: dict[tuple[int, int, int], int | Q] = {}
+        upper: dict[tuple[int, int, int], int | Q] = {}
         for t in triples:
             i, j, k, v = t
             if not type(i) is type(j) is type(k) is int:
                 raise ValueError(f"triple {tuple(t)!r} has an index that is not an int")
-            # a Fraction passes the rule as it is; the triple is formatted
-            # only for other values
-            v = v if type(v) is Q else rational(v, f"in triple {tuple(t)!r}")
+            # an int (not a bool) or a Fraction passes the rule as it is; the
+            # triple is formatted only for other values
+            if type(v) is not int and type(v) is not Q:
+                v = rational(v, f"in triple {tuple(t)!r}")
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"triple ({i},{j},{k}) out of range for dim {dim}")
             raw.append((i, j, k, v))
             if v == 0 or i == j:
                 continue
             if i < j:
-                lower[(i, j, k)] = lower.get((i, j, k), Q(0)) + v
+                lower[(i, j, k)] = lower.get((i, j, k), 0) + v
             else:
                 # i > j: antisymmetry implies the i < j entry; explicit i < j
                 # triples take precedence (conflicts surface in validation)
-                upper[(j, i, k)] = upper.get((j, i, k), Q(0)) - v
+                upper[(j, i, k)] = upper.get((j, i, k), 0) - v
         consts = {key: v for key, v in {**upper, **lower}.items() if v}
         N = lcm(*(v.denominator for v in consts.values()))
         int_table: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
@@ -126,15 +129,19 @@ class LieAlgebra:
 class EndoMatrix:
     """A linear map of an algebra as its sparse columns.
 
-    ``cols[j]`` is a dict row -> value (int or Fraction), nonzero entries
-    only, holding the image of x_j. The flat form is the ``Subspace.rows``
-    format of endomorphism space: entry (i, j) sits at index j*dim + i.
+    ``cols[j]`` is a dict row -> value (int or Fraction; any other value
+    raises ValueError), nonzero entries only, holding the image of x_j. The
+    flat form is the ``Subspace.rows`` format of endomorphism space: entry
+    (i, j) sits at index j*dim + i.
     """
 
     __slots__ = ("algebra", "cols")
 
     def __init__(self, algebra: LieAlgebra, cols):
         d = algebra.dim
+        cols = tuple(cols)
+        for c in cols:
+            require_exact(c.values(), "in a column")
         cols = tuple({i: e for i, e in c.items() if e} for c in cols)
         if len(cols) != d:
             raise ValueError("column count does not match algebra dimension")
@@ -216,9 +223,9 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
     defects ([x_i, x_i] != 0) are reported as (i, i, k).
     """
     report = ValidationReport()
-    given: dict[tuple[int, int, int], Q] = {}
+    given: dict[tuple[int, int, int], int | Q] = {}
     for (i, j, k, v) in L._raw:
-        given[(i, j, k)] = given.get((i, j, k), Q(0)) + v
+        given[(i, j, k)] = given.get((i, j, k), 0) + v
     bad = set()
     for (i, j, k), v in given.items():
         if i == j:
@@ -250,9 +257,11 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
     """[x, y] for sparse coordinate dicts (index -> value, as in
     ``Subspace.rows``); zero entries are dropped. An index outside the
-    algebra raises ValueError."""
+    algebra, or a value that is not an int or a Fraction, raises ValueError."""
     if any(not 0 <= i < L.dim for v in (x, y) for i in v):
         raise ValueError("vector index out of range for algebra dimension")
+    require_exact(x.values(), "in x")
+    require_exact(y.values(), "in y")
     return _bracket(L, x, y)
 
 
@@ -297,8 +306,10 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
     [x, x_j] = sum_i x_i [x_i, x_j].
 
     Summed in integers, x times the common denominator of its coordinates
-    against ``int_table``, and divided by both factors at the end.
+    against ``int_table``, and divided by both factors at the end. A value
+    of x that is not an int or a Fraction raises ValueError.
     """
+    require_exact(x.values(), "in x")
     den = lcm(*(c.denominator for c in x.values()))
     cols: list[dict] = [{} for _ in range(L.dim)]
     for i, xi in x.items():

@@ -1,19 +1,20 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Subspaces kept as their unique reduced row echelon basis in sparse rows
-(dicts col -> Fraction), together with nullspaces, linear solves and
+(dicts col -> value: ints for a row whose entries are all integral,
+Fractions otherwise), together with nullspaces, linear solves and
 subspace arithmetic. Everything downstream (structure constants, derivation
 oracles, theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
 A vector is a sparse dict index -> value whose values are ints or
 Fractions, zeros dropped: the format of ``Subspace.rows``. The eliminator,
-``nullspace_of_rows``, ``solve`` and ``contains`` take it as it is, and
-coordinates in a basis (``coordinates_of``, ``combination``) are sparse
-dicts row index -> value. ``Subspace.from_vectors`` is the one dense input
-form and ``Subspace.vectors`` the one dense output form. ``rational`` is the
-one rule for exact scalar input. Linear maps of a Lie algebra are
-``lie.EndoMatrix``.
+``nullspace_of_rows`` and ``solve`` take it as it is, ``contains`` after
+``require_exact`` has checked its values, and coordinates in a basis
+(``coordinates_of``, ``combination``) are sparse dicts row index -> value.
+``Subspace.from_vectors`` is the one dense input form and
+``Subspace.vectors`` the one dense output form. ``rational`` is the one rule
+for exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "nullspace_of_rows",
     "solve",
     "rational",
+    "require_exact",
     "subspace_sum",
     "subspace_intersect",
     "contains",
@@ -55,6 +57,14 @@ def rational(e, where: str) -> Q:
             pass
     shown = json.dumps(e, default=repr)
     raise ValueError(f"entry {shown} is not an integer or a rational string {where}")
+
+
+def require_exact(values, where: str) -> None:
+    """Raise ValueError unless every value is an int (not a bool) or a
+    Fraction, the values a sparse vector holds; where names the input."""
+    for e in values:
+        if type(e) is not int and type(e) is not Q and not isinstance(e, Q):
+            raise ValueError(f"value {e!r} is not an int or a Fraction {where}")
 
 
 class _RowReducer:
@@ -141,22 +151,30 @@ class _RowReducer:
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
-    def rref_sparse(self) -> list[dict[int, Q]]:
+    def rref_sparse(self) -> list[dict]:
         """Rows of the RREF (pivot entries normalized to 1), in pivot order,
-        each with its columns in increasing order."""
+        each with its columns in increasing order. A stored row is
+        primitive, so it is integral after normalization exactly when its
+        pivot is 1; such a row keeps its ints, any other row is all
+        Fractions."""
         out = []
         for piv in sorted(self.pivot_rows):
             r = self.pivot_rows[piv]
             pv = r[piv]
-            out.append({c: Q(r[c], pv) for c in sorted(r)})
+            if pv == 1:
+                out.append({c: r[c] for c in sorted(r)})
+            else:
+                out.append({c: Q(r[c], pv) for c in sorted(r)})
         return out
 
 
 class Subspace:
     """A linear subspace, stored as its unique RREF basis in sparse rows.
 
-    ``rows`` holds one dict col -> Fraction per basis vector, nonzero
-    entries only, with columns in increasing order. Pivot columns strictly
+    ``rows`` holds one dict col -> value per basis vector, nonzero entries
+    only, with columns in increasing order; the values of a row are ints
+    when all of them are integral and Fractions otherwise, so equal
+    subspaces hold equal values of equal types. Pivot columns strictly
     increase from row to row, each pivot entry is 1, and a pivot column is
     zero in every other row, so two subspaces are equal exactly when their
     rows are equal. The rows are indexed by pivot column once, when the
@@ -200,7 +218,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls.from_sparse(ambient_dim, ({i: Q(1)} for i in range(ambient_dim)))
+        return cls.from_sparse(ambient_dim, ({i: 1} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -209,10 +227,9 @@ class Subspace:
     def pivots(self) -> list[int]:
         return list(self._row_of)
 
-    def vectors(self) -> list[tuple[Q, ...]]:
-        """The basis rows as dense tuples."""
-        zero = Q(0)
-        return [tuple(row.get(j, zero) for j in range(self.ambient_dim)) for row in self.rows]
+    def vectors(self) -> list[tuple]:
+        """The basis rows as dense tuples, 0 where a row has no entry."""
+        return [tuple(row.get(j, 0) for j in range(self.ambient_dim)) for row in self.rows]
 
     def combination(self, coeffs: dict) -> dict:
         """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
@@ -280,7 +297,7 @@ def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
     free = [c for c in range(ncols) if c not in pivset]
     vectors = []
     for f in free:
-        v = {f: Q(1)}
+        v = {f: 1}
         for p, row in zip(pivots, rows):
             e = row.get(f)
             if e:
@@ -333,7 +350,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, v: dict) -> bool:
-    """True iff the sparse vector v lies in a (exact sparse residual)."""
+    """True iff the sparse vector v lies in a (exact sparse residual); a
+    value of v that is not an int or a Fraction raises ValueError."""
+    require_exact(v.values(), "in the vector")
     return a._member(v) is not None
 
 

@@ -6,9 +6,12 @@ throughout this package: the scalar line (plus optional extra central
 generators), the coroots h_k = e_kk - e_{k+1,k+1}, and one generator per
 allowed off-diagonal position. The structure constants are read off the
 commutators of the coroots and root generators, realized as sparse n x n
-matrices {(i, j): entry}. All distinguished subspaces (center, split Cartan
-pieces, derived algebra, Levi factor, nilradical) come out of the
-construction in canonical form and are cross-checked on the spot.
+integer matrices {(i, j): entry}, so they are ints; a root_scale s != 1
+(root generators s e_ij) multiplies each constant once, by s, s^2 or 1
+according to which of its three basis elements are root generators. All
+distinguished subspaces (center, split Cartan pieces, derived algebra, Levi
+factor, nilradical) come out of the construction in canonical form and are
+cross-checked on the spot.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class RootDatumA:
 
 def _commutator(a: dict, b: dict) -> dict:
     """AB - BA for sparse matrices {(i, j): entry}, zero entries dropped."""
-    out: dict[tuple[int, int], Q] = {}
+    out: dict[tuple[int, int], int] = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
         for (i, k), u in x.items():
             for (l, j), v in y.items():
@@ -167,32 +170,43 @@ class ParabolicAlgebra:
         dim = len(labels)
 
         # realize each non-central basis element as a sparse n x n matrix
-        # {(i, j): entry}, 1-based; I commutes with everything, so it is skipped
+        # {(i, j): entry}, 1-based, at root_scale 1; I commutes with
+        # everything, so it is skipped
         mats = {self.coroot_index[k]: {(k, k): 1, (k + 1, k + 1): -1} for k in range(1, n)}
-        mats.update({pos: {(i, j): root_scale} for (i, j), pos in self.root_index.items()})
+        mats.update({pos: {(i, j): 1} for (i, j), pos in self.root_index.items()})
         triples = []
         for a in range(m, dim):
             for b in range(a + 1, dim):
                 for k, v in self._coords_of(_commutator(mats[a], mats[b])).items():
                     triples.append((a, b, k, v))
+        if root_scale != 1:
+            # x_(i,j) = s e_ij turns each constant c_ab^k into
+            # (sigma_a sigma_b / sigma_k) c_ab^k, sigma being s on the root
+            # generators and 1 on the coroots
+            sigma = dict.fromkeys(self.root_index.values(), root_scale)
+            triples = [
+                (a, b, k, v * sigma.get(a, 1) * sigma.get(b, 1) / sigma.get(k, 1))
+                for a, b, k, v in triples
+            ]
         self.algebra = LieAlgebra(dim, labels, triples)
 
         self._make_subspaces()
         self._check_invariants()
 
-    def _coords_of(self, mat: dict[tuple[int, int], Q]) -> dict[int, Q]:
-        """Coordinates of a traceless block upper triangular sparse matrix."""
-        out: dict[int, Q] = {}
+    def _coords_of(self, mat: dict[tuple[int, int], int]) -> dict[int, int]:
+        """Coordinates of a traceless block upper triangular sparse integer
+        matrix in the coroots and the root generators at root_scale 1."""
+        out: dict[int, int] = {}
         for (i, j), v in sorted(mat.items()):
             if i != j:
                 pos = self.root_index.get((i, j))
                 if pos is None:
                     raise RuntimeError(f"bracket escaped the parabolic at ({i},{j})")
-                out[pos] = v / self.root_scale
+                out[pos] = v
         trace = sum(v for (i, j), v in mat.items() if i == j)
         if trace != 0:
             raise RuntimeError("commutator acquired a trace")
-        acc = Q(0)
+        acc = 0
         for k in range(1, self.composition.n):
             acc += mat.get((k, k), 0)
             if acc:
@@ -201,7 +215,7 @@ class ParabolicAlgebra:
 
     def _units(self, indices) -> Subspace:
         d = self.algebra.dim
-        return Subspace.from_sparse(d, [{i: Q(1)} for i in indices])
+        return Subspace.from_sparse(d, [{i: 1} for i in indices])
 
     def _make_subspaces(self) -> None:
         comp = self.composition
@@ -285,11 +299,11 @@ def build_gl(n: int) -> LieAlgebra:
         i, j = units[a]
         for b in range(a + 1, len(units)):
             k, l = units[b]
-            acc: dict[int, Q] = {}
+            acc: dict[int, int] = {}
             if j == k:
-                acc[pos[(i, l)]] = acc.get(pos[(i, l)], Q(0)) + 1
+                acc[pos[(i, l)]] = acc.get(pos[(i, l)], 0) + 1
             if l == i:
-                acc[pos[(k, j)]] = acc.get(pos[(k, j)], Q(0)) - 1
+                acc[pos[(k, j)]] = acc.get(pos[(k, j)], 0) - 1
             for t, v in acc.items():
                 if v:
                     triples.append((a, b, t, v))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,10 +152,17 @@ _ENTRY_TEXT = '{"dim": 3, "matrix": [[1, 0, 0], [0, 0, %s], [0, 0, 0]]}'
         (_ENTRY_TEXT % '" 7 "', "at row 1, column 2"),
         (_ENTRY_TEXT % '"1_0"', "at row 1, column 2"),
         (_ENTRY_TEXT % '"\\u0663"', "at row 1, column 2"),  # an Arabic-Indic digit
+        # each distinct string is parsed once: a bad one is named at its
+        # first place, and strings seen before do not hide a new bad one
+        ('{"dim": 3, "matrix": [[0, "1/0", 0], [0, 0, "1/0"], [0, 0, 0]]}',
+         "at row 0, column 1"),
+        ('{"dim": 3, "matrix": [["0", "0", "0"], ["0", "0", "0.5"], ["0", "0", "0"]]}',
+         "at row 1, column 2"),
     ],
     ids=["list", "zero-denominator", "null", "nested-list", "overflow", "float",
          "bool", "matrix-not-list", "row-string", "deep-nesting", "decimal-string",
-         "exponent-string", "padded-string", "underscore-string", "non-ascii-digit"],
+         "exponent-string", "padded-string", "underscore-string", "non-ascii-digit",
+         "repeated-zero-denominator", "decimal-after-zeros"],
 )
 def test_decompose_rejects_malformed_input(tmp_path, capsys, text, where):
     path = tmp_path / "bad.json"
@@ -166,6 +174,22 @@ def test_decompose_rejects_malformed_input(tmp_path, capsys, text, where):
     assert err.startswith("error: ") and "Traceback" not in err
     if where is not None:
         assert err.rstrip().endswith(where)
+
+
+def test_decompose_mixed_int_and_string_entries(tmp_path, capsys):
+    # JSON integers and integral strings read alike: turning the integral
+    # strings at odd i + j of a golden input into JSON integers keeps the payload
+    data = Path(__file__).parent / "data"
+    payload = json.loads((data / "decompose-0.in.json").read_text())
+    payload["matrix"] = [[int(e) if (i + j) % 2 and "/" not in e else e
+                          for j, e in enumerate(row)] for i, row in enumerate(payload["matrix"])]
+    assert any(type(e) is int for row in payload["matrix"] for e in row)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "decompose", "--n", "6", "--blocks", "3,2,1",
+                         "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == (data / "decompose-0.out.json").read_text()
 
 
 def test_verify_rejects_negative_rounds(capsys):

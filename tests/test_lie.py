@@ -426,6 +426,23 @@ def test_library_rejects_inexact_input(build, named):
         build()
 
 
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: contains(Subspace.full(2), {0: 0.1}), "value 0.1 "),
+        (lambda: bracket(build_gl(2), {1: 0.5}, {2: 1}), "value 0.5 "),
+        (lambda: ad_matrix(build_gl(2), {1: True}), "value True "),
+        (lambda: EndoMatrix(build_gl(2), [{0: 1}, {1: "1/2"}, {}, {}]), "value '1/2' "),
+    ],
+    ids=["contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string"],
+)
+def test_sparse_entry_points_reject_inexact_values(call, named):
+    # the public sparse-vector entry points take only int (not bool) and
+    # Fraction values; the internals behind them stay unchecked
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
+
+
 def test_endomatrix_matches_dense_matrices():
     gl3 = build_gl(3)
     rng = random.Random(71)

@@ -302,6 +302,14 @@ def test_property_constructors_agree():
     check()
 
 
+def _assert_value_contract(space: Subspace) -> None:
+    # a stored row holds ints exactly when all its entries are integral,
+    # and Fractions otherwise
+    for row in space.rows:
+        integral = all(e.denominator == 1 for e in row.values())
+        assert {type(e) for e in row.values()} == ({int} if integral else {Q}), row
+
+
 def test_property_eliminator_matches_sympy():
     hyp, st, settings = _hypothesis()
     sympy = pytest.importorskip("sympy")
@@ -323,10 +331,36 @@ def test_property_eliminator_matches_sympy():
         assert ns.dim == m.cols - rank
         theirs = [[Q(str(e)) for e in v] for v in sm.nullspace()]
         assert ns == Subspace.from_vectors(m.cols, theirs)
+        for space in (ns, _rref(m)):
+            _assert_value_contract(space)
         x = _solve(m, b)
         assert (x is not None) == (sympy.Matrix.hstack(sm, sympy.Matrix(b)).rank() == rank)
         if x is not None:
             assert m.mul_vec(dense(m.cols, x)) == tuple(b)
+
+    check()
+
+
+def test_int_and_fraction_input_give_equal_subspaces():
+    hyp, st, settings = _hypothesis()
+    entry = st.integers(-3, 3)
+    matrix = st.integers(1, 5).flatmap(lambda c: st.lists(
+        st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=4))
+
+    @settings
+    @hyp.given(matrix, st.integers(1, 3))
+    def check(rows, den):
+        cols = len(rows[0])
+        as_int = [sparse(r) for r in rows]
+        as_fraction = [{j: Q(e) for j, e in v.items()} for v in as_int]
+        scaled = [{j: Q(e, den) for j, e in v.items()} for v in as_int]
+        for build in (Subspace.from_sparse, nullspace_of_rows):
+            spaces = [build(cols, vs) for vs in (as_int, as_fraction)]
+            spaces.append(build(cols, scaled))  # the same span or kernel
+            assert spaces[0] == spaces[1] == spaces[2]
+            assert hash(spaces[0]) == hash(spaces[1]) == hash(spaces[2])
+            for space in spaces:
+                _assert_value_contract(space)
 
     check()
 

@@ -238,16 +238,18 @@ def _dense_product(A, B):
 
 
 @pytest.mark.parametrize("extra_center", [0, 1])
-@pytest.mark.parametrize("root_scale", [Q(1), Q(3, 2)])
+@pytest.mark.parametrize("root_scale", [Q(1), Q(3, 2), Q(-2, 3), Q(2)])
 def test_structure_constants_match_dense_commutators(root_scale, extra_center):
     # the central generators all realize as the identity, so their
     # coefficients are checked to vanish separately
+    scaled = set()  # (target is a root generator, constant) over root pairs
     for n in range(1, 6):
         for blocks in compositions(n):
             q = build_standard_parabolic(blocks, n, extra_center=extra_center,
                                          root_scale=root_scale)
             mats = _dense_realization(q)
             sc = structure_constants(q.algebra)
+            roots = set(q.root_index.values())
             for a in range(q.dim):
                 for b in range(a + 1, q.dim):
                     AB = _dense_product(mats[a], mats[b])
@@ -258,6 +260,11 @@ def test_structure_constants_match_dense_commutators(root_scale, extra_center):
                                  for j in range(n)] for i in range(n)]
                     assert [[x - y for x, y in zip(r, s)] for r, s in zip(AB, BA)] == expected, (
                         blocks, a, b)
+                    if a in roots and b in roots:
+                        scaled.update((k in roots, c) for k, c in coords.items())
+    # the sweep checked both scalings against the dense commutators:
+    # [x_(i,j), x_(j,l)] = s x_(i,l) and [x_(i,j), x_(j,i)] = s^2 (h_i + ... + h_(j-1))
+    assert {(True, root_scale), (False, root_scale ** 2)} <= scaled
 
 
 def test_property_sparse_bracket_is_bilinear(golden_q):
