@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation
-from .linalg import Q, Subspace, contains, is_direct_sum, nullspace_of_rows, solve
+from .linalg import Q, Subspace, _RowReducer, contains, is_direct_sum, solve
 from .parabolic import ParabolicAlgebra
 
 __all__ = [
@@ -81,43 +81,67 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     constants by their common denominator N > 0 multiplies each equation by
     N and leaves the kernel exactly as it is; the rows are then integers
     (and N = 1 for a parabolic at root_scale 1).
+
+    The system is block diagonal by weight. The unknown D_{l,k} has weight
+    w_l - w_k, and the table is homogeneous, so every unknown of the
+    equation (i, j, l) has weight w_l - w_i - w_j. Each weight gets its own
+    eliminator; the blocks share no unknowns, and the kernel is the sum of
+    the block kernels, the same canonical subspace as one eliminator over
+    all equations would give. A block whose rank reaches its number of
+    unknowns has kernel 0, and its remaining equations are not built. With
+    all weights 0 there is one block.
     """
     L = _algebra_of(L)
     d = L.dim
     T = L.int_table  # N times the constants; same kernel, see above
+    W = L.weights
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
     rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
     for m, ad_m in enumerate(T):
         for j, ks in ad_m.items():
             for k, v in ks.items():
                 rowmap[j].setdefault(k, []).append((m, v))
+    # the flat indices k*d + l of the unknowns D_{l,k} of each weight
+    unknowns: dict[int, list[int]] = {}
+    for k in range(d):
+        for l in range(d):
+            unknowns.setdefault(W[l] - W[k], []).append(k * d + l)
+    reducers = {mu: _RowReducer(d * d) for mu in unknowns}
+    full: set[int] = set()
 
-    def rows():
-        for i in range(d):
-            for j in range(i + 1, d):
-                cdict = T[i].get(j, {})
-                if cdict:
-                    lset = range(d)
-                else:
-                    lset = sorted(rowmap[i].keys() | rowmap[j].keys())
-                for l in lset:
-                    row: dict[int, int] = {}
-                    for k, v in cdict.items():
-                        idx = k * d + l  # coefficient of D_{l,k}
-                        row[idx] = row.get(idx, 0) + v
-                    # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
-                    for (m, v) in rowmap[j].get(l, ()):
-                        idx = i * d + m
-                        row[idx] = row.get(idx, 0) - v
-                    # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
-                    for (m, v) in rowmap[i].get(l, ()):
-                        idx = j * d + m
-                        row[idx] = row.get(idx, 0) + v
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        yield row
+    for i in range(d):
+        for j in range(i + 1, d):
+            cdict = T[i].get(j, {})
+            if cdict:
+                lset = range(d)
+            else:
+                lset = sorted(rowmap[i].keys() | rowmap[j].keys())
+            wij = W[i] + W[j]
+            for l in lset:
+                mu = W[l] - wij
+                if mu in full:
+                    continue
+                row: dict[int, int] = {}
+                for k, v in cdict.items():
+                    idx = k * d + l  # coefficient of D_{l,k}
+                    row[idx] = row.get(idx, 0) + v
+                # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
+                for (m, v) in rowmap[j].get(l, ()):
+                    idx = i * d + m
+                    row[idx] = row.get(idx, 0) - v
+                # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
+                for (m, v) in rowmap[i].get(l, ()):
+                    idx = j * d + m
+                    row[idx] = row.get(idx, 0) + v
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    red = reducers[mu]
+                    if red.add_row(row) and len(red.pivot_rows) == len(unknowns[mu]):
+                        full.add(mu)
 
-    return nullspace_of_rows(d * d, rows())
+    return Subspace.from_sparse(
+        d * d, [v for mu, cols in unknowns.items() for v in reducers[mu].kernel_vectors(cols)]
+    )
 
 
 def inner_derivations(q: ParabolicAlgebra | LieAlgebra) -> Subspace:
@@ -428,7 +452,8 @@ def split_derivation(
             "derivation is not in the sum of the center-valued and inner maps",
             {"l_dim": lid.dim, "inner_dim": inner.dim},
         )
-    l_part = EndoMatrix.from_flat(L, lid.combination({k: c for k, c in lam.items() if k < lid.dim}))
+    l_coeffs = {k: c for k, c in lam.items() if k < lid.dim}
+    l_part = EndoMatrix.from_flat(L, lid._combination(l_coeffs))
     return l_part, D - l_part
 
 

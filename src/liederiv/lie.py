@@ -7,7 +7,9 @@ by antisymmetry only where no i < j one is given, and i = j is zero. The
 one stored table is the constants times their common denominator N, as
 integers, arranged as the N ad x_i maps; everything reads it. The raw input
 triples are kept so that defective tables can be diagnosed instead of
-silently repaired.
+silently repaired. Each basis vector may carry an integer weight, and
+the table is checked to be homogeneous for them, so that the derivation
+oracle can solve its system one weight at a time.
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
@@ -46,16 +48,27 @@ class LieAlgebra:
     columns; N, the common denominator of the constants, is ``denominator``.
     The dimension is an int. Structure constants are ints, Fractions or
     rational strings ("p", "p/q"), indices are ints; anything else raises
-    ValueError naming its triple."""
+    ValueError naming its triple.
 
-    __slots__ = ("dim", "labels", "_raw", "int_table", "denominator")
+    ``weights`` gives each basis vector an integer weight, all 0 by default.
+    The table must be homogeneous for them: every nonzero c_ij^k has
+    w_k = w_i + w_j, or ValueError names the triple. A map of weight mu
+    sends each x_k into the span of the x_l with w_l = w_k + mu, which the
+    derivation oracle uses to split its system into blocks. The weights are
+    not part of the JSON form.
+    """
 
-    def __init__(self, dim: int, labels, triples):
+    __slots__ = ("dim", "labels", "weights", "_raw", "int_table", "denominator")
+
+    def __init__(self, dim: int, labels, triples, weights=None):
         if type(dim) is not int or dim < 0:
             raise ValueError(f"dim {dim!r} is not a nonnegative int")
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
+        weights = tuple(weights) if weights is not None else (0,) * dim
+        if len(weights) != dim or any(type(w) is not int for w in weights):
+            raise ValueError("weights must be one int per basis vector")
         raw: list[tuple[int, int, int, int | Q]] = []
         lower: dict[tuple[int, int, int], int | Q] = {}
         upper: dict[tuple[int, int, int], int | Q] = {}
@@ -82,11 +95,17 @@ class LieAlgebra:
         N = lcm(*(v.denominator for v in consts.values()))
         int_table: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for (i, j, k), v in consts.items():
+            if weights[k] != weights[i] + weights[j]:
+                raise ValueError(
+                    f"triple ({i},{j},{k}) breaks the grading: weight {weights[k]} "
+                    f"is not {weights[i]} + {weights[j]}"
+                )
             v = v.numerator * (N // v.denominator)
             int_table[i].setdefault(j, {})[k] = v
             int_table[j].setdefault(i, {})[k] = -v
         self.dim = dim
         self.labels = labels
+        self.weights = weights
         self._raw = tuple(raw)
         self.int_table = int_table
         self.denominator = N
@@ -307,8 +326,11 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
 
     Summed in integers, x times the common denominator of its coordinates
     against ``int_table``, and divided by both factors at the end. A value
-    of x that is not an int or a Fraction raises ValueError.
+    of x that is not an int or a Fraction, or an index outside the algebra,
+    raises ValueError.
     """
+    if any(not 0 <= i < L.dim for i in x):
+        raise ValueError("vector index out of range for algebra dimension")
     require_exact(x.values(), "in x")
     den = lcm(*(c.denominator for c in x.values()))
     cols: list[dict] = [{} for _ in range(L.dim)]
@@ -340,7 +362,7 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     triples = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            coords = s.coordinates_of(_bracket(L, rows[a], rows[b]))
+            coords = s._coordinates_of(_bracket(L, rows[a], rows[b]))
             if coords is None:
                 raise ValueError(
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"

@@ -9,9 +9,11 @@ deterministic by construction: equal subspaces have identical sparse bases.
 
 A vector is a sparse dict index -> value whose values are ints or
 Fractions, zeros dropped: the format of ``Subspace.rows``. The eliminator,
-``nullspace_of_rows`` and ``solve`` take it as it is, ``contains`` after
-``require_exact`` has checked its values, and coordinates in a basis
-(``coordinates_of``, ``combination``) are sparse dicts row index -> value.
+``nullspace_of_rows`` and ``solve`` take it as it is; ``contains``,
+``coordinates_of`` and ``combination`` take it after ``require_exact`` has
+checked its values, and coordinates in a basis are sparse dicts row index ->
+value. The library's own callers, whose vectors it computed itself, reach
+the unchecked ``_coordinates_of`` and ``_combination``.
 ``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. ``rational`` is the one rule
 for exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
@@ -151,6 +153,23 @@ class _RowReducer:
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
+    def kernel_vectors(self, columns) -> list[dict]:
+        """One kernel vector per free (non-pivot) column f among columns, in
+        their order: 1 at f and, at the pivot p of each row with an entry at
+        f, minus that entry of the row normalized to 1 at p. Over all
+        columns they span the kernel of the fed rows."""
+        out = []
+        for f in columns:
+            if f in self.pivot_rows:
+                continue
+            v = {f: 1}
+            for p in self.col_index.get(f, ()):
+                r = self.pivot_rows[p]
+                pv = r[p]
+                v[p] = -r[f] if pv == 1 else Q(-r[f], pv)
+            out.append(v)
+        return out
+
     def rref_sparse(self) -> list[dict]:
         """Rows of the RREF (pivot entries normalized to 1), in pivot order,
         each with its columns in increasing order. A stored row is
@@ -233,7 +252,14 @@ class Subspace:
 
     def combination(self, coeffs: dict) -> dict:
         """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
-        coeffs is sparse too (row index -> value), zero entries are dropped."""
+        coeffs is sparse too (row index -> value), zero entries are dropped.
+        A value that is not an int or a Fraction raises ValueError."""
+        require_exact(coeffs.values(), "in the coefficients")
+        return self._combination(coeffs)
+
+    def _combination(self, coeffs: dict) -> dict:
+        """``combination`` without the value check, for coefficients that
+        the library computed itself."""
         out: dict = {}
         for k, c in coeffs.items():
             if not 0 <= k < self.dim:
@@ -246,8 +272,15 @@ class Subspace:
         """Sparse coordinates of the sparse vector v (row index -> value,
         zeros dropped) in the canonical basis, or None if v is outside.
         Because the basis is in RREF, the coordinate along row i is just the
-        entry of v at that row's pivot column.
+        entry of v at that row's pivot column. A value of v that is not an
+        int or a Fraction raises ValueError.
         """
+        require_exact(v.values(), "in the vector")
+        return self._coordinates_of(v)
+
+    def _coordinates_of(self, v: dict) -> dict | None:
+        """``coordinates_of`` without the value check, for vectors that the
+        library computed itself."""
         v = self._member(v)
         if v is None:
             return None
@@ -291,19 +324,7 @@ def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
     red = _RowReducer(ncols)
     for row in sparse_rows:
         red.add_row(row)
-    pivots = red.pivots()
-    pivset = set(pivots)
-    rows = red.rref_sparse()
-    free = [c for c in range(ncols) if c not in pivset]
-    vectors = []
-    for f in free:
-        v = {f: 1}
-        for p, row in zip(pivots, rows):
-            e = row.get(f)
-            if e:
-                v[p] = -e
-        vectors.append(v)
-    return Subspace.from_sparse(ncols, vectors)
+    return Subspace.from_sparse(ncols, red.kernel_vectors(range(ncols)))
 
 
 def solve(ncols: int, sparse_rows, b) -> dict | None:
@@ -345,7 +366,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         for i, e in row.items():
             system.setdefault(i, {})[a.dim + k] = -e
     ker = nullspace_of_rows(a.dim + b.dim, (system[i] for i in sorted(system)))
-    out = [a.combination({k: e for k, e in lam.items() if k < a.dim}) for lam in ker.rows]
+    out = [a._combination({k: e for k, e in lam.items() if k < a.dim}) for lam in ker.rows]
     return Subspace.from_sparse(a.ambient_dim, out)
 
 

@@ -120,6 +120,15 @@ class RootDatumA:
         return tuple(sorted(out))
 
 
+def _root_weight(i: int, j: int) -> int:
+    """The torus weight eps_i - eps_j of E[i,j] as the integer 8**i - 8**j.
+    The oracle's blocks have weights w_l - w_k, each coefficient on an eps
+    in [-2, 2]; two of them differ by less than 8 in every coefficient, so
+    distinct weights get distinct integers (a clash would only merge two
+    blocks)."""
+    return 8**i - 8**j
+
+
 def _commutator(a: dict, b: dict) -> dict:
     """AB - BA for sparse matrices {(i, j): entry}, zero entries dropped."""
     out: dict[tuple[int, int], int] = {}
@@ -188,7 +197,10 @@ class ParabolicAlgebra:
                 (a, b, k, v * sigma.get(a, 1) * sigma.get(b, 1) / sigma.get(k, 1))
                 for a, b, k, v in triples
             ]
-        self.algebra = LieAlgebra(dim, labels, triples)
+        weights = [0] * dim
+        for (i, j), pos in self.root_index.items():
+            weights[pos] = _root_weight(i, j)
+        self.algebra = LieAlgebra(dim, labels, triples, weights)
 
         self._make_subspaces()
         self._check_invariants()
@@ -246,7 +258,7 @@ class ParabolicAlgebra:
 
     def _levi_center(self) -> Subspace:
         z = center(restrict(self.algebra, self.levi))
-        return Subspace.from_sparse(self.algebra.dim, map(self.levi.combination, z.rows))
+        return Subspace.from_sparse(self.algebra.dim, map(self.levi._combination, z.rows))
 
     def _check_invariants(self) -> None:
         L = self.algebra
@@ -307,7 +319,7 @@ def build_gl(n: int) -> LieAlgebra:
             for t, v in acc.items():
                 if v:
                     triples.append((a, b, t, v))
-    return LieAlgebra(n * n, labels, triples)
+    return LieAlgebra(n * n, labels, triples, [_root_weight(i, j) for (i, j) in units])
 
 
 def build_standard_parabolic(

@@ -71,6 +71,23 @@ def test_der_whole_gl2(capsys):
     assert json.loads(out)["der_dim"] == 4
 
 
+@pytest.mark.parametrize("blocks", ["8", "1,1,1,1,1,1,1,1"])
+def test_der_n8_closed_forms(capsys, blocks):
+    # whole gl_8 and its Borel, the two ends of n = 8: r blocks of sizes b
+    # give dim q = n + n(n-1)/2 + sum b(b-1)/2, and Der q = (r center-valued
+    # maps) + ad q, with ad q of dimension dim q - 1
+    sizes = [int(b) for b in blocks.split(",")]
+    r = len(sizes)
+    q_dim = 8 + 8 * 7 // 2 + sum(b * (b - 1) // 2 for b in sizes)
+    code, out, _ = run(capsys, "der", "--n", "8", "--blocks", blocks)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["der_dim"] == payload["formula_dim"] == q_dim - 1 + r
+    assert payload["l_dim"] == payload["h1_dim"] == r
+    assert payload["inner_dim"] == q_dim - 1
+    assert payload["formula_ok"] is True
+
+
 def test_der_text_has_block_grid(capsys):
     code, out, _ = run(capsys, "der", "--n", "3", "--blocks", "1,1,1", "--format", "text")
     assert code == 0

@@ -203,6 +203,16 @@ def test_bracket_algebra_mismatch():
         bracket(gl2, {0: 1}, {-1: 1})
 
 
+def test_ad_matrix_rejects_out_of_range_indices():
+    # as bracket does: a negative index must not wrap round to the last
+    # basis vector, and one past the end must not surface as an IndexError
+    gl2 = build_gl(2)
+    with pytest.raises(ValueError, match="out of range"):
+        ad_matrix(gl2, {-1: 1})
+    with pytest.raises(ValueError, match="out of range"):
+        ad_matrix(gl2, {9: 1})
+
+
 def test_bracket_span_gl2_derived():
     gl2 = build_gl(2)
     full = Subspace.full(4)
@@ -433,8 +443,11 @@ def test_library_rejects_inexact_input(build, named):
         (lambda: bracket(build_gl(2), {1: 0.5}, {2: 1}), "value 0.5 "),
         (lambda: ad_matrix(build_gl(2), {1: True}), "value True "),
         (lambda: EndoMatrix(build_gl(2), [{0: 1}, {1: "1/2"}, {}, {}]), "value '1/2' "),
+        (lambda: Subspace.full(2).coordinates_of({0: 0.5}), "value 0.5 "),
+        (lambda: Subspace.full(2).combination({0: 0.5}), "value 0.5 "),
     ],
-    ids=["contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string"],
+    ids=["contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string",
+         "coordinates-of-float", "combination-float"],
 )
 def test_sparse_entry_points_reject_inexact_values(call, named):
     # the public sparse-vector entry points take only int (not bool) and
@@ -474,3 +487,34 @@ def test_endomatrix_rejects_bad_shapes():
         EndoMatrix.from_flat(gl2, {16: 1})
     with pytest.raises(ValueError, match="different algebras"):
         identity(gl2) + identity(build_gl(2))
+
+
+def test_default_and_torus_weights():
+    # 0 unless given; E[i,j] has eps_i - eps_j as 8**i - 8**j, and the
+    # center and the coroots have weight 0
+    assert LieAlgebra(3, None, []).weights == (0, 0, 0)
+    q = build_standard_parabolic((2, 1))
+    L = q.algebra
+    assert L.weights[q.root_index[(1, 3)]] == 8 - 8**3
+    assert all(L.weights[i] == 0 for i in q.center_indices + tuple(q.coroot_index.values()))
+    assert build_gl(2).weights == (0, 8 - 64, 64 - 8, 0)
+
+
+@pytest.mark.parametrize(
+    "weights,named",
+    [
+        ([1, 1, 1, 1], "triple (0,1,1) breaks the grading"),
+        ([0, 1, 1, 0], "triple (1,2,0) breaks the grading: weight 0 is not 1 + 1"),
+        ([0, 1, -1], "one int per basis vector"),
+        ([0, 1, -1, 0.0], "one int per basis vector"),
+        ([0, 1, -1, False], "one int per basis vector"),
+    ],
+    ids=["all-one", "e-and-f-both-positive", "short", "float", "bool"],
+)
+def test_non_homogeneous_weights_raise(weights, named):
+    # gl_2 on E[1,1], E[1,2], E[2,1], E[2,2]: [E11, E12] = E12 needs
+    # w(E12) = w(E11) + w(E12), and [E12, E21] = E11 - E22 needs
+    # w(E11) = w(E12) + w(E21)
+    triples = build_gl(2).triples()
+    with pytest.raises(ValueError, match=re.escape(named)):
+        LieAlgebra(4, None, triples, weights)
