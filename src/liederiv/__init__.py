@@ -37,7 +37,6 @@ from .lie import (
     bracket_span,
     center,
     first_leibniz_violation,
-    is_derivation,
     restrict,
     validate_structure,
 )

@@ -23,7 +23,7 @@ from .derivations import (
     NotADerivationError,
     constructive_decompose,
     derivation_algebra,
-    dimension_formula,
+    formula_dim,
     inner_derivations,
     l_ideal,
     random_combination,
@@ -127,12 +127,7 @@ def cmd_der(args) -> tuple[dict, int]:
     der = derivation_algebra(q.algebra)
     inner = inner_derivations(q)
     lid = l_ideal(q)
-    formula = dimension_formula(
-        len(q.center_indices),
-        len(q.root_datum.delta),
-        len(q.root_datum.delta_prime),
-        q.semisimple_part.dim,
-    )
+    formula = formula_dim(q)
     payload = {
         "n": q.composition.n,
         "blocks": list(q.composition.blocks),
@@ -170,9 +165,9 @@ def _read_derivation(args, algebra) -> EndoMatrix:
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"matrix must be a list of {dim} rows")
-    # each distinct string is parsed once (an integral one to an int); an
-    # entry that fails is never stored, so the error names its first place
-    parsed: dict[str, int | Q] = {}
+    # each distinct string is parsed once; an entry that fails is never
+    # stored, so the error names its first place
+    parsed: dict[str, Q] = {}
     cols: list[dict[int, int | Q]] = [{} for _ in range(dim)]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -181,8 +176,7 @@ def _read_derivation(args, algebra) -> EndoMatrix:
             v = e if type(e) is int else parsed.get(e) if type(e) is str else None
             if v is None:
                 # JSON holds no Fraction, so this raises unless e is a string
-                v = rational(e, f"at row {i}, column {j}")
-                v = parsed[e] = v.numerator if v.denominator == 1 else v
+                v = parsed[e] = rational(e, f"at row {i}, column {j}")
             if v:
                 cols[j][i] = v
     return EndoMatrix(algebra, cols)
@@ -212,7 +206,7 @@ def _verify_case(q, rounds: int, rng) -> dict:
     decompose_ok = True
     witness = report.counterexample
     for r in range(rounds):
-        D = EndoMatrix.from_flat(q.algebra, random_combination(der, rng))
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
         try:
             res = constructive_decompose(q, D)
         except (NotADerivationError, DecompositionError) as exc:

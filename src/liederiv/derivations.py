@@ -9,11 +9,11 @@ inner correction read off the Cartan images, then a Cartan element from the
 simple-root eigenvalues by the closed-form inverse of the type A Cartan
 matrix, leaving a map into the center.
 
-Every map is an ``EndoMatrix`` of sparse columns, and every vector of q a
-sparse coordinate dict, from the input to the JSON payload, which alone
-writes them out dense. In endomorphism space a map is flattened
-column-major (entry (i, j) at index j*dim + i), fixed package-wide so
-subspaces of maps are comparable everywhere.
+Every map is an ``EndoMatrix``, integer columns over one denominator, and
+every vector of q a sparse coordinate dict, from the input to the JSON
+payload, which alone writes them out dense. In endomorphism space a map
+is flattened column-major (entry (i, j) at index j*dim + i), fixed
+package-wide so subspaces of maps are comparable everywhere.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "cartan_solve",
     "split_derivation",
     "dimension_formula",
+    "formula_dim",
     "complexify",
     "extend_derivation",
     "random_combination",
@@ -63,12 +64,6 @@ class DecompositionError(RuntimeError):
 
 def _algebra_of(q) -> LieAlgebra:
     return q.algebra if isinstance(q, ParabolicAlgebra) else q
-
-
-def _integral(row: dict) -> dict[int, int]:
-    """A sparse row times the common denominator of its entries, as ints."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
 
 
 def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
@@ -177,6 +172,13 @@ def dimension_formula(center_dim: int, simple_count: int, selected_count: int, d
     return (center_dim + simple_count - selected_count) * center_dim + dim_qs
 
 
+def formula_dim(q: ParabolicAlgebra) -> int:
+    """The dimension of Der q that ``dimension_formula`` predicts from q."""
+    r = q.root_datum
+    return dimension_formula(len(q.center_indices), len(r.delta), len(r.delta_prime),
+                             q.semisimple_part.dim)
+
+
 @dataclass
 class VerificationReport:
     """Outcome of the full decomposition check for one parabolic."""
@@ -241,28 +243,17 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     # with lid + inner == der, the intersection is 0 iff the dimensions add up
     direct_sum = None if is_direct_sum([lid, inner], der) else {"kind": "direct_sum"}
 
-    datum = q.root_datum
-    expected = dimension_formula(
-        len(q.center_indices),
-        len(datum.delta),
-        len(datum.delta_prime),
-        q.semisimple_part.dim,
-    )
+    expected = formula_dim(q)
     formula = None
     if expected != der.dim:
         formula = {"kind": "formula", "expected": expected, "oracle": der.dim}
 
     # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived
-    kept = [
-        (name, space, vi, _integral(v))
-        for name, space in (("g_z", q.g_z), ("derived", q.derived))
-        for vi, v in enumerate(space.rows)
-    ]
+    spaces = (("g_z", q.g_z), ("derived", q.derived))
+    kept = [(name, space, vi, v) for name, space in spaces for vi, v in enumerate(space.rows)]
     l_closure = inner_closure = None
     for di, flat in enumerate(der.rows):
-        # a positive multiple of D, with integer entries, passes each check
-        # below exactly when D does
-        D = EndoMatrix.from_flat(L, _integral(flat))
+        D = EndoMatrix.from_flat(L, flat)
         if l_closure is None:
             for name, space, vi, v in kept:
                 if not contains(space, D.apply(v)):
@@ -272,7 +263,9 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
         if inner_closure is None and first_leibniz_violation(L, D) is not None:
             for i in range(d):
                 A = ad_matrix(L, {i: 1})
-                comm = EndoMatrix(L, map(D.apply, A.cols)) - EndoMatrix(L, map(A.apply, D.cols))
+                # each map's integer columns are den times its true ones
+                DA = EndoMatrix(L, map(D.apply, A.cols), A.den)
+                comm = DA - EndoMatrix(L, map(A.apply, D.cols), D.den)
                 if not contains(inner, comm.flat()):
                     inner_closure = {"kind": "inner_closure", "der_index": di, "basis_index": i}
                     break
@@ -340,7 +333,7 @@ def root_line_reduction(
     for root in q.roots:
         pos = q.root_index[root]
         h = q.cartan_element_for_root(root)
-        dg = sum((D.cols[k].get(pos, 0) * c for k, c in h.items()), Q(0)) / 2
+        dg = Q(sum(D.cols[k].get(pos, 0) * c for k, c in h.items()), 2 * D.den)
         d_gamma[root] = dg
         if dg:
             x[pos] = -dg
@@ -379,7 +372,7 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     c_gamma: dict[tuple[int, int], Q] = {}
     for root in q.roots:
         pos = q.root_index[root]
-        c_gamma[root] = Dp.cols[pos].get(pos, Q(0))
+        c_gamma[root] = Q(Dp.cols[pos].get(pos, 0), Dp.den)
 
     # h* = sum b_k h_k with alpha_j(h*) = c_gamma(alpha_j); alpha_j(h_k) is
     # the type A Cartan matrix
@@ -478,7 +471,7 @@ def complexify(L: LieAlgebra) -> tuple[LieAlgebra, EndoMatrix]:
         triples.append((i + d, j + d, k, -v))
     hat = LieAlgebra(2 * d, labels, triples)
     # J x_k = x_{k+d} and J x_{k+d} = -x_k
-    J = EndoMatrix(hat, [{k + d: Q(1)} for k in range(d)] + [{k: Q(-1)} for k in range(d)])
+    J = EndoMatrix(hat, [{k + d: 1} for k in range(d)] + [{k: -1} for k in range(d)])
     return hat, J
 
 
@@ -492,12 +485,13 @@ def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = Non
     if hat is None:
         hat, _ = complexify(L)
     d = L.dim
-    return EndoMatrix(hat, list(D.cols) + [{i + d: e for i, e in c.items()} for c in D.cols])
+    cols = list(D.cols) + [{i + d: e for i, e in c.items()} for c in D.cols]
+    return EndoMatrix(hat, cols, D.den)
 
 
-def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> dict[int, Q]:
+def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> tuple[dict, int]:
     """Integer random combination of the canonical basis of a subspace, as
-    a sparse vector in the ``rows`` format; summed over a common denominator."""
+    a sparse int vector in the ``rows`` format and the denominator it is over."""
     den = lcm(*(e.denominator for row in space.rows for e in row.values()))
     out: dict[int, int] = {}
     for row in space.rows:
@@ -505,4 +499,4 @@ def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> dict[
         if c:
             for i, e in row.items():
                 out[i] = out.get(i, 0) + c * e.numerator * (den // e.denominator)
-    return {i: Q(v, den) for i, v in out.items() if v}
+    return {i: v for i, v in out.items() if v}, den

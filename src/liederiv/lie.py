@@ -14,16 +14,15 @@ oracle can solve its system one weight at a time.
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
 take it after checking that its values are ints or Fractions. Every linear
-map of an algebra is one ``EndoMatrix``: its sparse columns, with ``int``
-or ``Fraction`` entries. An int constant or value stays an int; a Fraction
-appears only where a real denominator does.
+map is one ``EndoMatrix`` in the table's form, integer columns over one
+denominator. An int constant or value stays an int; a Fraction appears
+only where a real denominator does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
-from operator import add, sub
+from math import gcd, lcm
 
 from .linalg import Q, Subspace, nullspace_of_rows, rational, require_exact
 
@@ -37,7 +36,6 @@ __all__ = [
     "center",
     "ad_matrix",
     "restrict",
-    "is_derivation",
     "first_leibniz_violation",
 ]
 
@@ -146,82 +144,101 @@ class LieAlgebra:
 
 
 class EndoMatrix:
-    """A linear map of an algebra as its sparse columns.
+    """A linear map of an algebra: integer columns over one denominator.
 
-    ``cols[j]`` is a dict row -> value (int or Fraction; any other value
-    raises ValueError), nonzero entries only, holding the image of x_j. The
-    flat form is the ``Subspace.rows`` format of endomorphism space: entry
-    (i, j) sits at index j*dim + i.
+    Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero
+    int and ``den`` a positive int with no factor common to all entries (1
+    for the zero map), so equal maps have equal ``cols`` and ``den``. The
+    constructor alone clears denominators: it takes int or Fraction entries
+    over ``den`` (other values raise ValueError). The flat form, the
+    ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
     """
 
-    __slots__ = ("algebra", "cols")
+    __slots__ = ("algebra", "cols", "den")
 
-    def __init__(self, algebra: LieAlgebra, cols):
+    def __init__(self, algebra: LieAlgebra, cols, den: int = 1):
         d = algebra.dim
         cols = tuple(cols)
-        for c in cols:
-            require_exact(c.values(), "in a column")
-        cols = tuple({i: e for i, e in c.items() if e} for c in cols)
         if len(cols) != d:
             raise ValueError("column count does not match algebra dimension")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den {den!r} is not a positive int")
+        values = [e for c in cols for e in c.values()]
+        require_exact(values, "in a column")
         if any(not 0 <= i < d for c in cols for i in c):
             raise ValueError("row index out of range for algebra dimension")
+        # scale by m to clear the entries' denominators, then divide by the
+        # content g of the scaled entries and den
+        m = lcm(*(e.denominator for e in values))
+        g = gcd(den * m, *(e.numerator * (m // e.denominator) for e in values))
         self.algebra = algebra
-        self.cols = cols
+        self.cols = tuple({i: e.numerator * (m // e.denominator) // g for i, e in c.items() if e}
+                          for c in cols)
+        self.den = den * m // g
 
     @classmethod
-    def from_flat(cls, algebra: LieAlgebra, flat) -> EndoMatrix:
-        """The map with flat entries (index j*dim + i -> value)."""
+    def from_flat(cls, algebra: LieAlgebra, flat, den: int = 1) -> EndoMatrix:
+        """The map with flat entries (index j*dim + i -> value) over den."""
         d = algebra.dim
         cols: list[dict] = [{} for _ in range(d)]
         for f, e in flat.items():
             if not 0 <= f < d * d:
                 raise ValueError("flat index out of range for algebra dimension")
             cols[f // d][f % d] = e
-        return cls(algebra, cols)
+        return cls(algebra, cols, den)
 
     def flat(self) -> dict:
-        d = self.algebra.dim
-        return {j * d + i: e for j, c in enumerate(self.cols) for i, e in c.items()}
+        d, den = self.algebra.dim, self.den
+        return {j * d + i: _over(e, den) for j, c in enumerate(self.cols) for i, e in c.items()}
 
     def dense_rows(self) -> list[list]:
         """Row-major entries, 0 where a column has no entry."""
-        return [[c.get(i, 0) for c in self.cols] for i in range(self.algebra.dim)]
+        return [[_over(c.get(i, 0), self.den) for c in self.cols] for i in range(self.algebra.dim)]
 
     def apply(self, v: dict) -> dict:
-        """The image of a sparse vector (index -> value), zeros dropped."""
+        """The image of a sparse vector, zeros dropped; its input is checked as by ``bracket``."""
+        if any(not 0 <= j < self.algebra.dim for j in v):
+            raise ValueError("vector index out of range for algebra dimension")
+        require_exact(v.values(), "in v")
         out: dict = {}
         for j, x in v.items():
             for i, e in self.cols[j].items():
                 out[i] = out.get(i, 0) + e * x
-        return {i: e for i, e in out.items() if e}
+        return {i: _over(e, self.den) for i, e in out.items() if e}
 
-    def _combine(self, other: EndoMatrix, op) -> EndoMatrix:
+    def _combine(self, other: EndoMatrix, sign: int) -> EndoMatrix:
         if other.algebra is not self.algebra:
             raise ValueError("maps belong to different algebras")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
         cols = []
-        for a, b in zip(self.cols, other.cols):
-            c = dict(a)
-            for i, e in b.items():
-                c[i] = op(c.get(i, 0), e)
+        for x, y in zip(self.cols, other.cols):
+            c = {i: a * e for i, e in x.items()}
+            for i, e in y.items():
+                c[i] = c.get(i, 0) + b * e
             cols.append(c)
-        return EndoMatrix(self.algebra, cols)
+        return EndoMatrix(self.algebra, cols, den)
 
     def __add__(self, other: EndoMatrix) -> EndoMatrix:
-        return self._combine(other, add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: EndoMatrix) -> EndoMatrix:
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EndoMatrix)
             and self.algebra is other.algebra
-            and self.cols == other.cols
+            and (self.cols, self.den) == (other.cols, other.den)
         )
 
     def __repr__(self) -> str:
         return f"EndoMatrix(dim {self.algebra.dim}, {sum(map(len, self.cols))} nonzero)"
+
+
+def _over(e, den: int):
+    # the true entry e / den of a map, a Fraction only where den is not 1
+    return e if den == 1 else Q(e, den)
 
 
 @dataclass
@@ -325,7 +342,7 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
     [x, x_j] = sum_i x_i [x_i, x_j].
 
     Summed in integers, x times the common denominator of its coordinates
-    against ``int_table``, and divided by both factors at the end. A value
+    against ``int_table``; the map is that sum over both factors. A value
     of x that is not an int or a Fraction, or an index outside the algebra,
     raises ValueError.
     """
@@ -341,10 +358,7 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
                 col = cols[j]
                 for k, v in ks.items():
                     col[k] = col.get(k, 0) + xi * v
-    den *= L.denominator
-    if den != 1:
-        cols = [{k: Q(v, den) for k, v in c.items() if v} for c in cols]
-    return EndoMatrix(L, cols)
+    return EndoMatrix(L, cols, den * L.denominator)
 
 
 def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
@@ -374,17 +388,15 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
 def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | None:
     """First pair (i, j), i < j, where m breaks the Leibniz identity, if any.
 
-    The check runs on integers: the columns times the common denominator of
-    their entries, against N times the constants. Both factors are positive
-    and the identity is linear in m and in the constants, so the verdict is
+    Runs on ``m.cols`` against ``int_table``, positive multiples of m and
+    of the constants; the identity is linear in each, so the verdict is
     the one for m itself.
     """
     d = L.dim
     if len(m.cols) != d:
         raise ValueError("column count does not match algebra dimension")
-    den = lcm(*(e.denominator for c in m.cols for e in c.values()))
-    cols = [{t: e.numerator * (den // e.denominator) for t, e in c.items()} for c in m.cols]
-    rows: list[dict[int, int]] = [{} for _ in range(d)]  # rows[t][j] = m[t, j]
+    cols = m.cols
+    rows: list[dict[int, int]] = [{} for _ in range(d)]  # rows[t][j] = cols[j][t]
     for j, c in enumerate(cols):
         for t, e in c.items():
             rows[t][j] = e
@@ -416,7 +428,3 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
             return (i, min(bad))
     return None
 
-
-def is_derivation(L: LieAlgebra, d: EndoMatrix) -> bool:
-    """Exact Leibniz check: d[x_i, x_j] = [d x_i, x_j] + [x_i, d x_j] for all i < j."""
-    return first_leibniz_violation(L, d) is None

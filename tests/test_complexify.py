@@ -13,7 +13,7 @@ from liederiv.lie import (
     ad_matrix,
     bracket,
     center,
-    is_derivation,
+    first_leibniz_violation,
     restrict,
     validate_structure,
 )
@@ -127,8 +127,13 @@ def test_extensions_of_borel_oracle_basis(borel3_q, borel3_der):
     embed = Matrix(2 * d, d, [int(i == j) for i in range(2 * d) for j in range(d)])
     embedded = Subspace.from_vectors(2 * d, [embed.col(j) for j in range(d)])
     for flat in borel3_der.rows:
-        ext = extend_derivation(L, EndoMatrix.from_flat(L, flat), hat)
-        assert is_derivation(hat, ext)
+        D = EndoMatrix.from_flat(L, flat, 3)  # a derivation over 3, so den is not 1
+        ext = extend_derivation(L, D, hat)
+        assert first_leibniz_violation(hat, ext) is None
+        # agrees with D on both copies
+        for j in range(d):
+            assert ext.apply({j: 1}) == D.apply({j: 1})
+            assert ext.apply({j + d: 1}) == {i + d: e for i, e in D.apply({j: 1}).items()}
         # commutes with J
         assert as_matrix(ext) * as_matrix(J) == as_matrix(J) * as_matrix(ext)
         # stabilizes the embedded copy

@@ -33,7 +33,6 @@ from liederiv.lie import (
     LieAlgebra,
     ad_matrix,
     first_leibniz_violation,
-    is_derivation,
     restrict,
 )
 from liederiv.linalg import (
@@ -67,7 +66,7 @@ def test_oracle_sl2_all_inner():
     assert der.dim == 3
     assert der == inner_derivations(L)
     for flat in der.rows:
-        assert is_derivation(L, EndoMatrix.from_flat(L, flat))
+        assert first_leibniz_violation(L, EndoMatrix.from_flat(L, flat)) is None
 
 
 def test_oracle_abelian_everything():
@@ -79,7 +78,8 @@ def test_oracle_golden_dimension(golden_q, golden_der):
     assert golden_der.dim == 27
     assert golden_der.dim == dimension_formula(1, 5, 3, 24)
     for flat in golden_der.rows[:5]:
-        assert is_derivation(golden_q.algebra, EndoMatrix.from_flat(golden_q.algebra, flat))
+        D = EndoMatrix.from_flat(golden_q.algebra, flat)
+        assert first_leibniz_violation(golden_q.algebra, D) is None
 
 
 def _reference_derivations(L):
@@ -208,7 +208,8 @@ def test_l_ideal_golden(golden_q):
     lid = l_ideal(golden_q)
     assert lid.dim == 3
     for flat in lid.rows:
-        assert is_derivation(golden_q.algebra, EndoMatrix.from_flat(golden_q.algebra, flat))
+        D = EndoMatrix.from_flat(golden_q.algebra, flat)
+        assert first_leibniz_violation(golden_q.algebra, D) is None
 
 
 def test_l_ideal_whole_algebra():
@@ -293,7 +294,7 @@ def test_decompose_rejects_non_derivation(golden_q):
 def test_leibniz_gate_on_endomatrix(golden_q):
     L = golden_q.algebra
     good = ad_matrix(L, {golden_q.root_index[(1, 2)]: 1})
-    assert is_derivation(L, good)
+    assert first_leibniz_violation(L, good) is None
     bad = identity(L)
     pair = first_leibniz_violation(L, bad)
     assert pair is not None
@@ -312,7 +313,7 @@ def test_decompose_random_round_trips(golden_q, golden_der):
     q = golden_q
     rng = random.Random(2024)
     for _ in range(100):
-        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
         res = constructive_decompose(q, D)
         assert res.l_part + ad_matrix(q.algebra, res.p) == D
         assert as_matrix(res.l_part) + as_matrix(ad_matrix(q.algebra, res.p)) == as_matrix(D)
@@ -333,7 +334,7 @@ def test_decompose_matches_projection(golden_q, golden_der):
     inner = inner_derivations(q)
     rng = random.Random(77)
     for _ in range(10):
-        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
         res = constructive_decompose(q, D)
         l_comp, inner_comp = split_derivation(q, D, lid, inner)
         assert l_comp == res.l_part
@@ -347,7 +348,7 @@ def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):
     ad_cols = [flatten(as_matrix(ad_matrix(q.algebra, {i: 1}))) for i in range(d)]
     system = Matrix(d * d, d, [ad_cols[i][r] for r in range(d * d) for i in range(d)])
     for _ in range(3):
-        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
         res = constructive_decompose(q, D)
         rhs = flatten(as_matrix(D) - as_matrix(res.l_part))
         v = solve(d, system.sparse_rows(), rhs)
@@ -360,12 +361,12 @@ def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):
 def test_decomposition_linearity(golden_q, golden_der):
     q = golden_q
     rng = random.Random(3)
-    d1 = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
-    d2 = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+    d1 = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+    d2 = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
     a, b = Q(3, 2), Q(-5, 7)
 
     def scaled(E, c):
-        return EndoMatrix(E.algebra, [{i: c * e for i, e in col.items()} for col in E.cols])
+        return EndoMatrix(E.algebra, [{i: c * e for i, e in col.items()} for col in E.cols], E.den)
 
     combo = scaled(d1, a) + scaled(d2, b)
     r1 = constructive_decompose(q, d1)
@@ -384,7 +385,7 @@ def test_claim1_midpoint_properties(golden_q, golden_der):
     c_positions = [q.coroot_index[k] for k in (3, 5)]
     t_positions = [q.coroot_index[k] for k in (1, 2, 4)]
     for _ in range(10):
-        D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
         x, reduced, d_gamma = root_line_reduction(q, D)
         reduced = as_matrix(reduced)
         # annihilates the within-block coroots
@@ -405,7 +406,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
     q = golden_q
     rng = random.Random(12)
     for _ in range(5):
-        D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
+        D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
         hc = [Q(0)] * q.dim
         kc = [Q(0)] * q.dim
         for k in range(1, 6):
@@ -423,7 +424,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
 def test_c_gamma_antisymmetry_on_opposite_roots(golden_q, golden_der):
     q = golden_q
     rng = random.Random(21)
-    D = EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng))
+    D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
     res = constructive_decompose(q, D)
     for (i, j), value in res.c_gamma.items():
         if (j, i) in res.c_gamma:
@@ -441,7 +442,7 @@ def test_normalization_independence(golden_q, golden_der):
     S_inv = Matrix(d, d, [1 / scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
     rng = random.Random(55)
     for _ in range(3):
-        D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
+        D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
         D2 = S_inv * D * S  # the same abstract map in the rescaled basis
         r1 = constructive_decompose(q, as_endo(q.algebra, D))
         r2 = constructive_decompose(q2, as_endo(q2.algebra, D2))
@@ -460,7 +461,7 @@ def test_explicit_ideal_closures(golden_q, golden_der):
     lid = l_ideal(q)
     inner = inner_derivations(q)
     rng = random.Random(61)
-    D = as_matrix(EndoMatrix.from_flat(q.algebra, random_combination(golden_der, rng)))
+    D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
     for flat in lid.rows:
         E = as_matrix(EndoMatrix.from_flat(q.algebra, flat))
         comm = D * E - E * D
@@ -487,16 +488,22 @@ def _brute_force_closure_flags(q, space):
     return l_ok, inner_ok
 
 
-@pytest.mark.parametrize("extra", ["identity", "center_to_root"])
-def test_fault_injected_closure_flags(golden_q, golden_der, extra):
-    q = golden_q
-    d = q.dim
-    if extra == "identity":
-        X = Subspace.from_vectors(d * d, [flatten(Matrix.identity(d))])
+@pytest.mark.parametrize("extra", ["identity", "center_to_root", "identity_at_root_scale_3/2"])
+def test_fault_injected_closure_flags(request, extra):
+    if extra == "identity_at_root_scale_3/2":
+        # the maps ad x_i have denominators here, which [D, ad x_i] must carry
+        q = build_standard_parabolic((2, 1), root_scale=Q(3, 2))
+        der = derivation_algebra(q.algebra)
+        assert any(ad_matrix(q.algebra, {i: 1}).den > 1 for i in range(q.dim))
     else:
+        q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
+    d = q.dim
+    if extra == "center_to_root":
         X = Subspace.from_sparse(d * d, [{0 * d + 10: Q(1)}])  # the scalar I -> x_10
-    space = subspace_sum(golden_der, X)
-    assert space.dim == golden_der.dim + 1
+    else:
+        X = Subspace.from_vectors(d * d, [flatten(Matrix.identity(d))])
+    space = subspace_sum(der, X)
+    assert space.dim == der.dim + 1
     report = verify_main_theorem(q, space)
     assert (report.l_is_ideal_ok, report.inner_is_ideal_ok) == _brute_force_closure_flags(q, space)
     assert not report.direct_sum_ok and not report.ok
@@ -531,10 +538,13 @@ def test_split_derivation_outside_the_sum_is_not_a_leibniz_failure():
 
 
 def _integral_entries(E):
-    """E with each integral Fraction entry replaced by the int it equals."""
-    return EndoMatrix(E.algebra, [
-        {i: e.numerator if e.denominator == 1 else e for i, e in c.items()} for c in E.cols
-    ])
+    """E rebuilt from its entries, each integral one given as the int it
+    equals and the others as Fractions."""
+    cols = []
+    for c in E.cols:
+        entries = {i: Q(e, E.den) for i, e in c.items()}
+        cols.append({i: e.numerator if e.denominator == 1 else e for i, e in entries.items()})
+    return EndoMatrix(E.algebra, cols)
 
 
 @pytest.mark.parametrize("case", ["golden", "(2,1,2) at root_scale 3/2"])
@@ -547,7 +557,7 @@ def test_decomposition_scalars_are_int_or_fraction(request, case):
     rng = random.Random(404)
     lid, inner = l_ideal(q), inner_derivations(q)
     for t in range(6):
-        D = EndoMatrix.from_flat(q.algebra, random_combination(der, rng))
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
         if t % 2:
             D = _integral_entries(D)  # int entries must not turn into floats
         res = constructive_decompose(q, D)

@@ -1,5 +1,6 @@
 import random
 import re
+from math import gcd, lcm
 
 import pytest
 
@@ -13,7 +14,6 @@ from liederiv.lie import (
     bracket_span,
     center,
     first_leibniz_violation,
-    is_derivation,
     restrict,
     validate_structure,
 )
@@ -211,6 +211,11 @@ def test_ad_matrix_rejects_out_of_range_indices():
         ad_matrix(gl2, {-1: 1})
     with pytest.raises(ValueError, match="out of range"):
         ad_matrix(gl2, {9: 1})
+    # and so does EndoMatrix.apply
+    with pytest.raises(ValueError, match="out of range"):
+        identity(gl2).apply({-1: 1})
+    with pytest.raises(ValueError, match="out of range"):
+        identity(gl2).apply({4: 1})
 
 
 def test_bracket_span_gl2_derived():
@@ -298,19 +303,19 @@ def test_is_derivation_ad_random():
     rng = random.Random(31)
     for _ in range(5):
         x = _random_vector(rng, 9, -3, 3)
-        assert is_derivation(gl3, ad_matrix(gl3, x))
+        assert first_leibniz_violation(gl3, ad_matrix(gl3, x)) is None
 
 
 def test_identity_map_not_derivation_on_sl2():
     L = sl2()
-    assert not is_derivation(L, identity(L))
+    assert first_leibniz_violation(L, identity(L)) is not None
 
 
 def test_any_map_is_derivation_on_abelian():
     L = abelian(2)
     rng = random.Random(37)
     m = Matrix(2, 2, [rng.randint(-5, 5) for _ in range(4)])
-    assert is_derivation(L, as_endo(L, m))
+    assert first_leibniz_violation(L, as_endo(L, m)) is None
 
 
 def _first_leibniz_failure(L, m):
@@ -343,12 +348,13 @@ def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
     scale = Q(1, 7) if form == "rational" else 1
     cases = [identity(L)]
     for _ in range(8):
-        flat = random_combination(der, rng)
-        cases.append(EndoMatrix.from_flat(L, flat))
+        flat, den = random_combination(der, rng)
+        cases.append(EndoMatrix.from_flat(L, flat, den))
         f = rng.randrange(d * d)
-        flat[f] = flat.get(f, 0) + rng.choice((-3, -1, 1, 2))
-        cases.append(EndoMatrix.from_flat(L, flat))
-    cases = [EndoMatrix(L, [{i: scale * e for i, e in c.items()} for c in E.cols]) for E in cases]
+        flat[f] = flat.get(f, 0) + rng.choice((-3, -1, 1, 2)) * den
+        cases.append(EndoMatrix.from_flat(L, flat, den))
+    cases = [EndoMatrix(L, [{i: scale * e for i, e in c.items()} for c in E.cols], E.den)
+             for E in cases]
     found = [first_leibniz_violation(L, E) for E in cases]
     assert found == [_first_leibniz_failure(L, as_matrix(E)) for E in cases]
     assert found[0] is not None and found[1] is None
@@ -445,9 +451,14 @@ def test_library_rejects_inexact_input(build, named):
         (lambda: EndoMatrix(build_gl(2), [{0: 1}, {1: "1/2"}, {}, {}]), "value '1/2' "),
         (lambda: Subspace.full(2).coordinates_of({0: 0.5}), "value 0.5 "),
         (lambda: Subspace.full(2).combination({0: 0.5}), "value 0.5 "),
+        (lambda: identity(build_gl(2)).apply({0: 0.5}), "value 0.5 "),
+        (lambda: identity(build_gl(2)).apply({1: "1/2"}), "value '1/2' "),
+        (lambda: EndoMatrix(build_gl(2), [{}] * 4, Q(2)), "den Fraction(2, 1) "),
+        (lambda: EndoMatrix(build_gl(2), [{}] * 4, 0), "den 0 "),
     ],
     ids=["contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string",
-         "coordinates-of-float", "combination-float"],
+         "coordinates-of-float", "combination-float", "apply-float", "apply-string",
+         "endomatrix-fraction-den", "endomatrix-zero-den"],
 )
 def test_sparse_entry_points_reject_inexact_values(call, named):
     # the public sparse-vector entry points take only int (not bool) and
@@ -475,6 +486,41 @@ def test_endomatrix_matches_dense_matrices():
         v = {i: Q(rng.randint(-3, 3)) for i in rng.sample(range(9), 4)}
         assert [A.apply(v).get(i, 0) for i in range(9)] == list(a.mul_vec(
             [v.get(i, 0) for i in range(9)]))
+
+
+def test_property_endomatrix_form_is_canonical():
+    # one map, built five ways, has one (cols, den): integer columns over a
+    # positive den sharing no factor with all of them, den 1 for the zero map
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    gl2 = build_gl(2)
+    entry = st.one_of(st.just(0), st.builds(Q, st.integers(-6, 6), st.integers(1, 6)))
+    flat_map = st.lists(entry, min_size=16, max_size=16).map(
+        lambda es: {f: e for f, e in enumerate(es) if e})
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(flat_map, flat_map, st.integers(2, 12))
+    def check(true, other, k):
+        den = lcm(*(Q(e).denominator for e in true.values()))
+        ints = {f: int(e * den) for f, e in true.items()}
+        B = EndoMatrix.from_flat(gl2, other)
+        forms = [
+            EndoMatrix.from_flat(gl2, ints, den),
+            EndoMatrix.from_flat(gl2, {f: Q(e) for f, e in true.items()}),
+            EndoMatrix.from_flat(gl2, {f: k * e for f, e in ints.items()}, k * den),
+            EndoMatrix.from_flat(gl2, {f: Q(k * e) for f, e in true.items()}, k),
+        ]
+        forms.append(forms[1] + B - B)
+        A = forms[0]
+        assert all((E.cols, E.den) == (A.cols, A.den) for E in forms)
+        entries = [e for c in A.cols for e in c.values()]
+        assert all(type(e) is int and e for e in entries) and type(A.den) is int
+        assert gcd(A.den, *entries) == 1
+        assert A.flat() == true
+        assert {type(e) for e in A.flat().values()} <= ({int} if A.den == 1 else {Q})
+        assert A.dense_rows() == [[true.get(j * 4 + i, 0) for j in range(4)] for i in range(4)]
+
+    check()
 
 
 def test_endomatrix_rejects_bad_shapes():
