@@ -18,6 +18,7 @@ package-wide so subspaces of maps are comparable everywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
@@ -66,6 +67,20 @@ def _algebra_of(q) -> LieAlgebra:
     return q.algebra if isinstance(q, ParabolicAlgebra) else q
 
 
+def _all_derivations(L: LieAlgebra, maps) -> bool:
+    """Whether every map passes first_leibniz_violation, by one call on
+    their sum. Each map is given as (j, column j) pairs of integer columns
+    (``int_table[x].items()`` or ``enumerate(D.cols)``), and the maps must
+    have pairwise disjoint weight sets. Their columns then do not overlap,
+    and the Leibniz defect is linear and weight-graded, so the defect of
+    the sum is zero exactly when each map's defect is."""
+    cols: list[dict[int, int]] = [{} for _ in range(L.dim)]
+    for m in maps:
+        for j, c in m:
+            cols[j].update(c)
+    return first_leibniz_violation(L, EndoMatrix(L, cols)) is None
+
+
 def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     """Der L as a subspace of endomorphism space (ambient dim = dim^2).
 
@@ -85,6 +100,17 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     all equations would give. A block whose rank reaches its number of
     unknowns has kernel 0, and its remaining equations are not built. With
     all weights 0 there is one block.
+
+    A block is also cut where its kernel is known to be one line. Take the
+    basis vectors x with a nonzero weight that no other basis vector has
+    and with ad x != 0 (every root vector of a parabolic). The map ad x has
+    weight w_x, so it lies in block w_x, and if it is a derivation, that
+    block's kernel contains it and has dimension at most unknowns - rank.
+    Once the rank reaches unknowns - 1, the kernel is span(ad x), and the
+    rest of the block is not built. These ad x have distinct weights, so
+    one first_leibniz_violation call on their sum certifies them all; if it
+    fails (a table that breaks Jacobi), no block is cut and every equation
+    is fed.
     """
     L = _algebra_of(L)
     d = L.dim
@@ -101,8 +127,16 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     for k in range(d):
         for l in range(d):
             unknowns.setdefault(W[l] - W[k], []).append(k * d + l)
+    # the rank at which a block's kernel is known: all its unknowns, or one
+    # fewer at the weight of a certified ad x
+    target = {mu: len(cols) for mu, cols in unknowns.items()}
+    count = Counter(W)
+    sole = [x for x in range(d) if W[x] and count[W[x]] == 1 and T[x]]
+    if sole and _all_derivations(L, (T[x].items() for x in sole)):
+        for x in sole:
+            target[W[x]] -= 1
     reducers = {mu: _RowReducer(d * d) for mu in unknowns}
-    full: set[int] = set()
+    full = {mu for mu, t in target.items() if not t}
 
     for i in range(d):
         for j in range(i + 1, d):
@@ -131,7 +165,7 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     red = reducers[mu]
-                    if red.add_row(row) and len(red.pivot_rows) == len(unknowns[mu]):
+                    if red.add_row(row) and len(red.pivot_rows) == target[mu]:
                         full.add(mu)
 
     return Subspace.from_sparse(
@@ -230,8 +264,15 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     maps the center and the derived algebra into themselves. The inner maps
     are closed because [D, ad x] = ad(Dx) for any D that passes
     first_leibniz_violation; only a D that fails it has each [D, ad x_i]
-    tested for membership in ad q. Every check runs; the witness is the
-    first failure in the order (a)/(b), (d), then the two closures.
+    tested for membership in ad q. The Leibniz gate runs once per batch:
+    the basis derivations are grouped, in order and first fit, into batches
+    whose weight sets ({w_i - w_j} over the entries (i, j) of a map) are
+    pairwise disjoint. The Leibniz defect is linear and weight-graded, so
+    the sum of a batch passes exactly when each member does, and only the
+    members of a failing batch are gated one by one, in order, so the
+    witness is the one a per-map gate would give. Without weights every
+    batch holds one map. Every check runs; the witness is the first failure
+    in the order (a)/(b), (d), then the two closures.
     """
     L = q.algebra
     d = L.dim
@@ -251,21 +292,34 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived
     spaces = (("g_z", q.g_z), ("derived", q.derived))
     kept = [(name, space, vi, v) for name, space in spaces for vi, v in enumerate(space.rows)]
-    l_closure = inner_closure = None
+    maps = [EndoMatrix.from_flat(L, flat) for flat in der.rows]
+    l_closure = next(({"kind": "l_closure", "der_index": di, "subspace": name, "vector_index": vi}
+                      for di, D in enumerate(maps) for name, space, vi, v in kept
+                      if not contains(space, D._apply(v))), None)
+
+    # first-fit batches of maps with pairwise disjoint weight sets, in order
+    W = L.weights
+    batches: list[tuple[set[int], list[int]]] = []
     for di, flat in enumerate(der.rows):
-        D = EndoMatrix.from_flat(L, flat)
-        if l_closure is None:
-            for name, space, vi, v in kept:
-                if not contains(space, D.apply(v)):
-                    l_closure = {"kind": "l_closure", "der_index": di,
-                                 "subspace": name, "vector_index": vi}
-                    break
+        ws = {W[f % d] - W[f // d] for f in flat}
+        batch = next((b for b in batches if b[0].isdisjoint(ws)), None)
+        if batch is None:
+            batches.append((ws, [di]))
+        else:
+            batch[0].update(ws)
+            batch[1].append(di)
+    suspects = sorted(di for _, members in batches
+                      if not _all_derivations(L, (enumerate(maps[k].cols) for k in members))
+                      for di in members)
+    inner_closure = None
+    for di in suspects:
+        D = maps[di]
         if inner_closure is None and first_leibniz_violation(L, D) is not None:
             for i in range(d):
                 A = ad_matrix(L, {i: 1})
                 # each map's integer columns are den times its true ones
-                DA = EndoMatrix(L, map(D.apply, A.cols), A.den)
-                comm = DA - EndoMatrix(L, map(A.apply, D.cols), D.den)
+                DA = EndoMatrix(L, map(D._apply, A.cols), A.den)
+                comm = DA - EndoMatrix(L, map(A._apply, D.cols), D.den)
                 if not contains(inner, comm.flat()):
                     inner_closure = {"kind": "inner_closure", "der_index": di, "basis_index": i}
                     break

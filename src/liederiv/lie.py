@@ -200,6 +200,10 @@ class EndoMatrix:
         if any(not 0 <= j < self.algebra.dim for j in v):
             raise ValueError("vector index out of range for algebra dimension")
         require_exact(v.values(), "in v")
+        return self._apply(v)
+
+    def _apply(self, v: dict) -> dict:
+        """``apply`` without the input check, for rows the library built itself."""
         out: dict = {}
         for j, x in v.items():
             for i, e in self.cols[j].items():

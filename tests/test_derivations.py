@@ -34,6 +34,7 @@ from liederiv.lie import (
     ad_matrix,
     first_leibniz_violation,
     restrict,
+    validate_structure,
 )
 from liederiv.linalg import (
     Q,
@@ -163,6 +164,20 @@ def test_graded_oracle_matches_one_block(kind, arg, kwargs):
     if L.dim > 1 + kwargs.get("extra_center", 0):
         assert len(set(L.weights)) > 1
     assert derivation_algebra(L) == derivation_algebra(one_block)
+
+
+def test_graded_oracle_on_a_table_that_breaks_jacobi():
+    # doubling one constant of the (2,1) parabolic keeps its grading but
+    # breaks Jacobi, so some ad x is no longer a derivation; a root-weight
+    # block may then have a smaller kernel than span(ad x), and the oracle
+    # must not cut it at that span's rank
+    L0 = build_standard_parabolic((2, 1)).algebra
+    triples = [(i, j, k, 2 * v if (i, j, k) == (1, 3, 3) else v) for (i, j, k, v) in L0.triples()]
+    L = LieAlgebra(L0.dim, L0.labels, triples, L0.weights)
+    assert not validate_structure(L).ok
+    der = derivation_algebra(L)
+    assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
+    assert der == _reference_derivations(L)
 
 
 INNER_CASES = (
@@ -488,7 +503,8 @@ def _brute_force_closure_flags(q, space):
     return l_ok, inner_ok
 
 
-@pytest.mark.parametrize("extra", ["identity", "center_to_root", "identity_at_root_scale_3/2"])
+@pytest.mark.parametrize("extra", ["identity", "center_to_root", "identity_at_root_scale_3/2",
+                                   "identity_plus_center_to_root", "identity_and_center_to_root"])
 def test_fault_injected_closure_flags(request, extra):
     if extra == "identity_at_root_scale_3/2":
         # the maps ad x_i have denominators here, which [D, ad x_i] must carry
@@ -498,12 +514,18 @@ def test_fault_injected_closure_flags(request, extra):
     else:
         q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
     d = q.dim
-    if extra == "center_to_root":
-        X = Subspace.from_sparse(d * d, [{0 * d + 10: Q(1)}])  # the scalar I -> x_10
-    else:
-        X = Subspace.from_vectors(d * d, [flatten(Matrix.identity(d))])
-    space = subspace_sum(der, X)
-    assert space.dim == der.dim + 1
+    ident = sparse(flatten(Matrix.identity(d)))
+    to_root = {0 * d + 10: Q(1)}  # the scalar I -> x_10
+    # one row of two weights, or two non-derivations of distinct weights
+    # that the theorem check's Leibniz gate can meet in one batch
+    injected = {"center_to_root": [to_root],
+                "identity_plus_center_to_root": [{**ident, **to_root}],
+                "identity_and_center_to_root": [ident, to_root]}.get(extra, [ident])
+    space = subspace_sum(der, Subspace.from_sparse(d * d, injected))
+    assert space.dim == der.dim + len(injected)
+    W = q.algebra.weights
+    if extra == "identity_plus_center_to_root":
+        assert any(len({W[f % d] - W[f // d] for f in row}) == 2 for row in space.rows)
     report = verify_main_theorem(q, space)
     assert (report.l_is_ideal_ok, report.inner_is_ideal_ok) == _brute_force_closure_flags(q, space)
     assert not report.direct_sum_ok and not report.ok
