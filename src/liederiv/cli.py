@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 theorem/invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -36,6 +37,7 @@ from .parabolic import BlockComposition, build_standard_parabolic, compositions
 __all__ = ["main"]
 
 
+@functools.cache  # the parser is static; parse_args fills a new namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liederiv",

@@ -190,11 +190,9 @@ def l_ideal(q: ParabolicAlgebra) -> Subspace:
     """Maps sending the center + c block into the center, zero on the derived
     algebra: the span of the elementary matrices E(z, u) in the adapted basis."""
     d = q.algebra.dim
-    vectors = []
-    for z in q.center_indices:
-        for u in list(q.center_indices) + q.c.pivots():
-            vectors.append({u * d + z: 1})
-    return Subspace.from_sparse(d * d, vectors)
+    return Subspace.units(
+        d * d, (u * d + z for z in q.center_indices for u in [*q.center_indices, *q.c.pivots()])
+    )
 
 
 def dimension_formula(center_dim: int, simple_count: int, selected_count: int, dim_qs: int) -> int:

@@ -199,15 +199,16 @@ class Subspace:
     rows are equal. The rows are indexed by pivot column once, when the
     basis is built. The rows are shared, not copied: callers must not mutate them.
     Subspaces are built by the classmethods below; the constructor takes
-    the ``_RowReducer`` that the rows were fed to.
+    rows that already are such a basis, each with its pivot first.
     """
 
     __slots__ = ("ambient_dim", "rows", "_row_of")
 
-    def __init__(self, red: _RowReducer):
-        object.__setattr__(self, "ambient_dim", red.ncols)
-        object.__setattr__(self, "rows", tuple(red.rref_sparse()))
-        object.__setattr__(self, "_row_of", {p: r for r, p in enumerate(red.pivots())})
+    def __init__(self, ambient_dim: int, rows):
+        rows = tuple(rows)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_row_of", {next(iter(row)): r for r, row in enumerate(rows)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -222,22 +223,32 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
             red.add_row({j: rational(e, f"at index {j}") for j, e in enumerate(v) if e})
-        return cls(red)
+        return cls(ambient_dim, red.rref_sparse())
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
         red = _RowReducer(ambient_dim)
         for v in sparse_vectors:
             red.add_row(v)
-        return cls(red)
+        return cls(ambient_dim, red.rref_sparse())
+
+    @classmethod
+    def units(cls, ambient_dim: int, indices) -> Subspace:
+        """The span of the unit vectors at indices, a coordinate subspace:
+        its basis is the rows {i: 1}, in increasing i, with no elimination.
+        An index outside the ambient space raises ValueError."""
+        indices = sorted(set(indices))
+        if indices and not (0 <= indices[0] and indices[-1] < ambient_dim):
+            raise ValueError("unit vector index out of range for ambient dimension")
+        return cls(ambient_dim, ({i: 1} for i in indices))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(_RowReducer(ambient_dim))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls.from_sparse(ambient_dim, ({i: 1} for i in range(ambient_dim)))
+        return cls.units(ambient_dim, range(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -6,19 +6,25 @@ throughout this package: the scalar line (plus optional extra central
 generators), the coroots h_k = e_kk - e_{k+1,k+1}, and one generator per
 allowed off-diagonal position. The structure constants are read off the
 commutators of the coroots and root generators, realized as sparse n x n
-integer matrices {(i, j): entry}, so they are ints; a root_scale s != 1
-(root generators s e_ij) multiplies each constant once, by s, s^2 or 1
-according to which of its three basis elements are root generators. All
-distinguished subspaces (center, split Cartan pieces, derived algebra, Levi
-factor, nilradical) come out of the construction in canonical form and are
-cross-checked on the spot.
+integer matrices {(i, j): entry}, so they are ints; only the pairs where a
+column index of one matrix is a row index of the other are multiplied, as
+every other commutator is zero. A root_scale s != 1 (root generators s e_ij)
+multiplies each constant once, by s, s^2 or 1 according to which of its
+three basis elements are root generators.
+
+Every distinguished subspace but one (center, split Cartan pieces, derived
+algebra, Levi factor and its semisimple part, nilradical) is spanned by
+basis vectors, so its canonical basis is written down without elimination
+(``Subspace.units``). The Levi center is the kernel of the centralizer
+equations over the Levi indices (``lie.center``). The subspaces are
+cross-checked on the spot by ``ParabolicAlgebra._check_invariants``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lie import LieAlgebra, bracket_span, center, restrict
+from .lie import LieAlgebra, center, restrict
 from .linalg import Q, Subspace, is_direct_sum, rational
 
 __all__ = [
@@ -140,6 +146,13 @@ def _commutator(a: dict, b: dict) -> dict:
     return {p: v for p, v in out.items() if v}
 
 
+def _closed(L: LieAlgebra, a, b: set[int], target: set[int]) -> bool:
+    """True iff every bracket [x_i, x_j], i in a and j in b, has its support
+    in target."""
+    T = L.int_table
+    return all(T[i][j].keys() <= target for i in a for j in T[i].keys() & b)
+
+
 class ParabolicAlgebra:
     """A block parabolic of gl_n with its adapted basis and subspaces.
 
@@ -183,9 +196,20 @@ class ParabolicAlgebra:
         # everything, so it is skipped
         mats = {self.coroot_index[k]: {(k, k): 1, (k + 1, k + 1): -1} for k in range(1, n)}
         mats.update({pos: {(i, j): 1} for (i, j), pos in self.root_index.items()})
+        # AB - BA is zero unless a column index of one matrix is a row index
+        # of the other, so only the pairs that meet are multiplied
+        in_row: dict[int, set[int]] = {}
+        in_col: dict[int, set[int]] = {}
+        for a, mat in mats.items():
+            for i, j in mat:
+                in_row.setdefault(i, set()).add(a)
+                in_col.setdefault(j, set()).add(a)
         triples = []
         for a in range(m, dim):
-            for b in range(a + 1, dim):
+            meet = set()
+            for i, j in mats[a]:
+                meet |= in_row.get(j, set()) | in_col.get(i, set())
+            for b in sorted(b for b in meet if b > a):
                 for k, v in self._coords_of(_commutator(mats[a], mats[b])).items():
                     triples.append((a, b, k, v))
         if root_scale != 1:
@@ -226,8 +250,7 @@ class ParabolicAlgebra:
         return out
 
     def _units(self, indices) -> Subspace:
-        d = self.algebra.dim
-        return Subspace.from_sparse(d, [{i: 1} for i in indices])
+        return Subspace.units(self.algebra.dim, indices)
 
     def _make_subspaces(self) -> None:
         comp = self.composition
@@ -254,22 +277,31 @@ class ParabolicAlgebra:
         self.semisimple_part = self._units(
             [self.coroot_index[k] for k in range(1, n)] + root_pos
         )
-        self.levi_center = self._levi_center()
-
-    def _levi_center(self) -> Subspace:
-        z = center(restrict(self.algebra, self.levi))
-        return Subspace.from_sparse(self.algebra.dim, map(self.levi._combination, z.rows))
+        # the Levi factor is a coordinate subalgebra, so its center is the
+        # kernel of the centralizer equations over its indices
+        self.levi_center = center(self.algebra, self.levi.pivots())
 
     def _check_invariants(self) -> None:
+        """Check the seven claims the adapted subspaces rest on, raising
+        RuntimeError with the claim that fails: c + t = Cartan, center + c +
+        derived = q, the nilradical is an ideal, the Levi factor is a
+        subalgebra, Levi semisimple part + nilradical = derived, Levi center +
+        Levi semisimple part = Levi factor, and center + Levi center +
+        derived = q. Each splitting is an exact direct-sum test of canonical
+        bases (``is_direct_sum``). The two closures are read off the table:
+        the nilradical and the Levi factor are spanned by basis vectors (their
+        canonical rows are {p: 1}), and a bracket of basis vectors lies in such
+        a subspace exactly when its support lies in its pivots."""
         L = self.algebra
         full = Subspace.full(L.dim)
+        nil, levi = set(self.nilradical.pivots()), set(self.levi.pivots())
         if not is_direct_sum([self.c, self.t], self.cartan):
             raise RuntimeError("Cartan does not split as c + t")
         if not is_direct_sum([self.g_z, self.c, self.derived], full):
             raise RuntimeError("algebra does not split as center + c + derived")
-        if not bracket_span(L, full, self.nilradical) <= self.nilradical:
+        if not _closed(L, range(L.dim), nil, nil):
             raise RuntimeError("nilradical is not an ideal")
-        if not bracket_span(L, self.levi, self.levi) <= self.levi:
+        if not _closed(L, levi, levi, levi):
             raise RuntimeError("Levi factor is not a subalgebra")
         if not is_direct_sum([self.levi_semisimple, self.nilradical], self.derived):
             raise RuntimeError("derived algebra does not split as semisimple Levi + nilradical")

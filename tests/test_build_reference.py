@@ -1,0 +1,103 @@
+"""The parabolic build against a reference built the plain way.
+
+``ParabolicAlgebra`` multiplies only the realizing matrices that meet, makes
+its coordinate subspaces without elimination, reads the Levi center off the
+centralizer equations over the Levi indices, and checks both closures on the
+support of the table. The reference here does each step the long way: every
+pair of realizing matrices is multiplied, every subspace is the row
+reduction of its unit vectors, the Levi center is the center of the Levi
+factor restricted to a standalone algebra and mapped back, and the closures
+are the row-reduced spans of brackets. Both must give the same table and the
+same canonical subspaces.
+"""
+
+import pytest
+
+from liederiv.lie import bracket_span, center, restrict
+from liederiv.linalg import Q, Subspace
+from liederiv.parabolic import build_standard_parabolic, compositions
+
+
+def _commutator(a, b):
+    out = {}
+    for (i, k), u in a.items():
+        for (l, j), v in b.items():
+            if k == l:
+                out[(i, j)] = out.get((i, j), 0) + u * v
+    for (i, k), u in b.items():
+        for (l, j), v in a.items():
+            if k == l:
+                out[(i, j)] = out.get((i, j), 0) - u * v
+    return {p: v for p, v in out.items() if v}
+
+
+def _reference_triples(q):
+    """[x_a, x_b] for every pair a < b, from the commutator of the matrices
+    of x_a and x_b: the identity for the central generators, e_kk -
+    e_(k+1,k+1) for h_k and root_scale * e_ij for x_(i,j)."""
+    n, s = q.composition.n, q.root_scale
+    mats = {z: {(i, i): 1 for i in range(1, n + 1)} for z in q.center_indices}
+    mats.update({pos: {(k, k): 1, (k + 1, k + 1): -1} for k, pos in q.coroot_index.items()})
+    mats.update({pos: {(i, j): s} for (i, j), pos in q.root_index.items()})
+    triples = []
+    for a in range(q.dim):
+        for b in range(a + 1, q.dim):
+            comm = _commutator(mats[a], mats[b])
+            assert sum(v for (i, j), v in comm.items() if i == j) == 0
+            coords = {q.root_index[(i, j)]: Q(v) / s for (i, j), v in comm.items() if i != j}
+            acc = 0
+            for k in range(1, n):
+                acc += comm.get((k, k), 0)
+                if acc:
+                    coords[q.coroot_index[k]] = acc
+            triples.extend((a, b, k, v) for k, v in sorted(coords.items()))
+    return triples
+
+
+def _reference_subspaces(q):
+    """Every adapted subspace as the row reduction of its unit vectors,
+    with the Levi center taken through ``restrict``."""
+    comp, d = q.composition, q.dim
+    dp = set(q.root_datum.delta_prime)
+    h = q.coroot_index
+    same = [p for (i, j), p in q.root_index.items() if comp.block_of(i) == comp.block_of(j)]
+    cross = [p for (i, j), p in q.root_index.items() if comp.block_of(i) != comp.block_of(j)]
+    t = [h[k] for k in h if k in dp]
+
+    def units(indices):
+        return Subspace.from_sparse(d, [{i: 1} for i in indices])
+
+    out = {
+        "full": units(range(d)),
+        "g_z": units(q.center_indices),
+        "cartan": units(h.values()),
+        "c": units(h[k] for k in h if k not in dp),
+        "t": units(t),
+        "derived": units(t + same + cross),
+        "levi": units([*h.values(), *same]),
+        "nilradical": units(cross),
+        "levi_semisimple": units(t + same),
+        "semisimple_part": units([*h.values(), *same, *cross]),
+    }
+    levi = out["levi"]
+    z = center(restrict(q.algebra, levi))
+    out["levi_center"] = Subspace.from_sparse(d, map(levi.combination, z.rows))
+    return out
+
+
+@pytest.mark.parametrize("root_scale", [Q(1), Q(3, 2), Q(-2, 3)])
+@pytest.mark.parametrize("extra_center", [0, 1])
+def test_build_matches_reference(extra_center, root_scale):
+    for n in range(1, 7):
+        for blocks in compositions(n):
+            q = build_standard_parabolic(blocks, extra_center=extra_center,
+                                         root_scale=root_scale)
+            assert q.algebra.triples() == _reference_triples(q), blocks
+            ref = _reference_subspaces(q)
+            full = ref.pop("full")
+            assert Subspace.full(q.dim) == full
+            for name, s in ref.items():
+                assert getattr(q, name) == s, (blocks, name)
+            L = q.algebra
+            assert bracket_span(L, full, ref["nilradical"]) <= ref["nilradical"], blocks
+            assert bracket_span(L, ref["levi"], ref["levi"]) <= ref["levi"], blocks

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liederiv.cli import main
+from liederiv.cli import _build_parser, main
 from liederiv.lie import ad_matrix
 
 
@@ -262,3 +262,32 @@ def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_usage_errors_exit_2_around_other_calls(capsys):
+    # the parser is built once per process; a usage error before or after a
+    # good call still exits 2, and the good call is unaffected
+    assert _build_parser() is _build_parser()
+    for argv in (["describe", "--n", "3"], ["frobnicate"], ["verify", "--rounds", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert run(capsys, "der", "--n", "2", "--blocks", "2")[0] == 0
+
+
+def test_parser_shares_no_state_between_calls(capsys):
+    first = vars(_build_parser().parse_args(
+        ["der", "--n", "3", "--blocks", "2,1", "--extra-center", "2", "--format", "text"]))
+    second = vars(_build_parser().parse_args(["verify"]))
+    assert first == {"command": "der", "n": 3, "blocks": "2,1", "extra_center": 2,
+                     "format": "text"}
+    assert second == {"command": "verify", "max_n": 5, "seed": 0, "rounds": 20,
+                      "format": "json"}
+    # a subcommand's defaults hold after another call set the same options
+    _, seeded, _ = run(capsys, "verify", "--max-n", "3", "--seed", "0", "--rounds", "2")
+    run(capsys, "verify", "--max-n", "2", "--seed", "9", "--rounds", "1", "--format", "text")
+    _, default, _ = run(capsys, "verify", "--max-n", "3", "--rounds", "2")
+    assert default == seeded
+    run(capsys, "describe", "--n", "2", "--blocks", "1,1", "--extra-center", "1")
+    code, out, _ = run(capsys, "describe", "--n", "2", "--blocks", "1,1")
+    assert code == 0 and json.loads(out)["extra_center"] == 0

@@ -244,6 +244,20 @@ def test_center_gl3():
     assert z == Subspace.from_vectors(9, [identity_coords])
 
 
+def test_center_of_coordinate_subalgebra():
+    # E[1,1], E[1,2], E[2,1], E[2,2], E[3,3] span gl_2 + gl_1 inside gl_3
+    gl3 = build_gl(3)
+    idx = [8, 0, 1, 3, 4]
+    z = center(gl3, idx)
+    assert z == Subspace.from_vectors(9, [[1, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 8 + [1]])
+    span = Subspace.units(9, idx)
+    assert z == Subspace.from_sparse(9, map(span.combination, center(restrict(gl3, span)).rows))
+    assert center(gl3, range(9)) == center(gl3)
+    assert center(gl3, []).dim == 0
+    with pytest.raises(ValueError, match="out of range"):
+        center(gl3, [0, 9])
+
+
 def test_center_sl2_trivial():
     assert center(sl2()).dim == 0
 

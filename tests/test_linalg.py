@@ -86,6 +86,18 @@ def _solve(m: Matrix, b):
     return solve(m.cols, m.sparse_rows(), b)
 
 
+def test_units_is_the_row_reduction_of_unit_vectors():
+    for indices in ([], [3], [4, 0, 2], [1, 1, 0]):
+        assert Subspace.units(5, indices) == Subspace.from_sparse(5, [{i: 1} for i in indices])
+    s = Subspace.units(5, [4, 0, 2])
+    assert s.rows == ({0: 1}, {2: 1}, {4: 1}) and s.pivots() == [0, 2, 4]
+    assert s.coordinates_of({2: 3, 4: -1}) == {1: 3, 2: -1}
+    assert s.coordinates_of({1: 1}) is None
+    for bad in ([5], [-1], [0, 7]):
+        with pytest.raises(ValueError, match="out of range"):
+            Subspace.units(5, bad)
+
+
 def test_nullspace_single_equation():
     ns = _nullspace(Matrix.from_rows([[1, 1]]))
     assert ns.dim == 1

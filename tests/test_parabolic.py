@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import pytest
 
 from dense_reference import structure_constants
@@ -5,6 +8,7 @@ from liederiv.lie import bracket, bracket_span, center, validate_structure
 from liederiv.linalg import Q, Subspace, is_direct_sum
 from liederiv.parabolic import (
     BlockComposition,
+    ParabolicAlgebra,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -19,6 +23,60 @@ def unit_span(q, indices):
     return Subspace.from_vectors(
         d, [[Q(1) if i == p else Q(0) for i in range(d)] for p in indices]
     )
+
+
+def _moved(q, root, source, target):
+    """Subspaces source and target of q with the generator of root moved
+    from the first to the second."""
+    x = q.root_index[root]
+    return {source: Subspace.units(q.dim, set(getattr(q, source).pivots()) - {x}),
+            target: Subspace.units(q.dim, set(getattr(q, target).pivots()) | {x})}
+
+
+# each fault leaves every check before its own intact, so the build must
+# stop at that check, with its message
+INVARIANT_FAULTS = [
+    ("Cartan does not split as c + t", (2, 1),
+     lambda q: {"t": Subspace.zero(q.dim)}),
+    ("algebra does not split as center + c + derived", (2, 1),
+     lambda q: {"g_z": Subspace.zero(q.dim)}),
+    # [E12, E23] = E13 leaves the nilradical once E13 is moved out of it
+    ("nilradical is not an ideal", (2, 1),
+     lambda q: _moved(q, (1, 3), "nilradical", "levi")),
+    # [E21, E13] = E23 leaves a Levi factor that also holds E13
+    ("Levi factor is not a subalgebra", (2, 1),
+     lambda q: {"levi": Subspace.units(q.dim, q.levi.pivots() + [q.root_index[(1, 3)]])}),
+    ("derived algebra does not split as semisimple Levi + nilradical", (2, 1),
+     lambda q: {"levi_semisimple": Subspace.units(
+         q.dim, set(q.levi_semisimple.pivots()) - {q.root_index[(2, 1)]})}),
+    ("Levi factor does not split as center + semisimple part", (2, 1),
+     lambda q: {"levi_center": Subspace.zero(q.dim)}),
+    # the Borel of gl_2 with its Levi factor, and so its Levi center, left
+    # out: every other split still holds
+    ("Levi center does not complement the derived algebra", (1, 1),
+     lambda q: {"levi": Subspace.zero(q.dim), "levi_center": Subspace.zero(q.dim)}),
+]
+
+
+@pytest.mark.parametrize("message, blocks, fault", INVARIANT_FAULTS,
+                         ids=[f"{m.split()[0]}-{m.split()[-1]}" for m, _, _ in INVARIANT_FAULTS])
+def test_fault_injected_invariant_fires(monkeypatch, message, blocks, fault):
+    make = ParabolicAlgebra._make_subspaces
+
+    def broken(self):
+        make(self)
+        for name, s in fault(self).items():
+            setattr(self, name, s)
+
+    monkeypatch.setattr(ParabolicAlgebra, "_make_subspaces", broken)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        build_standard_parabolic(blocks)
+
+
+def test_invariant_faults_cover_every_check():
+    source = inspect.getsource(ParabolicAlgebra._check_invariants)
+    assert sorted(re.findall(r'RuntimeError\("([^"]+)"\)', source)) == sorted(
+        m for m, _, _ in INVARIANT_FAULTS)
 
 
 def test_build_gl_small():
