@@ -18,8 +18,8 @@ package-wide so subspaces of maps are comparable everywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation
@@ -81,6 +81,40 @@ def _all_derivations(L: LieAlgebra, maps) -> bool:
     return first_leibniz_violation(L, EndoMatrix(L, cols)) is None
 
 
+def _flat_ad(L: LieAlgebra, a: int) -> dict[int, int]:
+    """``int_table[a]``, the map N ad x_a, flattened (column b at index b*dim + k)."""
+    d = L.dim
+    return {b * d + k: v for b, ks in L.int_table[a].items() for k, v in ks.items()}
+
+
+def _torus_certified(L: LieAlgebra) -> bool:
+    """Whether L has a grading element and every ad x of nonzero weight is a
+    derivation; derivation_algebra then eliminates weight 0 alone.
+
+    The grading element h* lies in the span of the weight-0 basis vectors
+    and has ad h* = diag(W): one exact solve, with one equation per (k, l),
+    sum_s h_s T[s][k][l] = N W[k] [k == l]. The maps ad x are certified one
+    first_leibniz_violation call per first-fit batch of basis vectors with
+    pairwise distinct weights (one batch for a parabolic)."""
+    d, T, W = L.dim, L.int_table, L.weights
+    eqs: dict[tuple[int, int], dict[int, int]] = {(k, k): {} for k in range(d) if W[k]}
+    for s in range(d):
+        if not W[s]:
+            for k, ks in T[s].items():
+                for l, v in ks.items():
+                    eqs.setdefault((k, l), {})[s] = v
+    rhs = [L.denominator * W[k] if k == l else 0 for k, l in eqs]
+    if solve(d, eqs.values(), rhs) is None:
+        return False
+    # first fit puts the t-th basis vector of each weight into batch t
+    of_weight: dict[int, list[int]] = {}
+    for x in range(d):
+        if W[x] and T[x]:
+            of_weight.setdefault(W[x], []).append(x)
+    return all(_all_derivations(L, (T[x].items() for x in batch if x is not None))
+               for batch in zip_longest(*of_weight.values()))
+
+
 def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     """Der L as a subspace of endomorphism space (ambient dim = dim^2).
 
@@ -94,61 +128,63 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
 
     The system is block diagonal by weight. The unknown D_{l,k} has weight
     w_l - w_k, and the table is homogeneous, so every unknown of the
-    equation (i, j, l) has weight w_l - w_i - w_j. Each weight gets its own
-    eliminator; the blocks share no unknowns, and the kernel is the sum of
-    the block kernels, the same canonical subspace as one eliminator over
-    all equations would give. A block whose rank reaches its number of
-    unknowns has kernel 0, and its remaining equations are not built. With
-    all weights 0 there is one block.
+    equation (i, j, l) has weight w_l - w_i - w_j. The blocks share no
+    unknowns, and the kernel is the sum of the block kernels.
 
-    A block is also cut where its kernel is known to be one line. Take the
-    basis vectors x with a nonzero weight that no other basis vector has
-    and with ad x != 0 (every root vector of a parabolic). The map ad x has
-    weight w_x, so it lies in block w_x, and if it is a derivation, that
-    block's kernel contains it and has dimension at most unknowns - rank.
-    Once the rank reaches unknowns - 1, the kernel is span(ad x), and the
-    rest of the block is not built. These ad x have distinct weights, so
-    one first_leibniz_violation call on their sum certifies them all; if it
-    fails (a table that breaks Jacobi), no block is cut and every equation
-    is fed.
+    Every block of nonzero weight mu is known without elimination when L
+    has a grading element: an h* in the span of the weight-0 basis vectors
+    with ad h* = diag(w) (for a parabolic, diag(8**1, ..., 8**n)). The
+    table is antisymmetric, so the Leibniz identity at each pair (h*, x_k)
+    is a combination of the system's own equations, and it reads
+    (w_k - w_l) D_{l,k} = [D h*, x_k]_l. A solution D of block mu therefore
+    equals ad y for y = -(D h*)_mu / mu in L_mu: Der_mu lies in ad(L_mu).
+    Once each ad x with w_x != 0 is certified a derivation (see
+    ``_torus_certified``), Der_mu = ad(L_mu) exactly, the span of the
+    flattened ``int_table[x]`` with w_x = mu. Only the weight-0 block is
+    then eliminated, from the equations with w_l = w_i + w_j. Without a
+    grading element, or if a certification fails (a table that breaks
+    Jacobi), every block is eliminated. A block whose rank reaches its
+    number of unknowns has kernel 0, and its remaining equations are not
+    built. With all weights 0 there is one block. Either way the result is
+    the same canonical subspace as one elimination of the whole system.
     """
     L = _algebra_of(L)
     d = L.dim
     T = L.int_table  # N times the constants; same kernel, see above
     W = L.weights
+    graded = _torus_certified(L)
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
     rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
     for m, ad_m in enumerate(T):
         for j, ks in ad_m.items():
             for k, v in ks.items():
                 rowmap[j].setdefault(k, []).append((m, v))
-    # the flat indices k*d + l of the unknowns D_{l,k} of each weight
+    # the flat indices k*d + l of the unknowns D_{l,k} of each block eliminated
     unknowns: dict[int, list[int]] = {}
+    by_weight: dict[int, list[int]] = {}
     for k in range(d):
+        by_weight.setdefault(W[k], []).append(k)
         for l in range(d):
-            unknowns.setdefault(W[l] - W[k], []).append(k * d + l)
-    # the rank at which a block's kernel is known: all its unknowns, or one
-    # fewer at the weight of a certified ad x
-    target = {mu: len(cols) for mu, cols in unknowns.items()}
-    count = Counter(W)
-    sole = [x for x in range(d) if W[x] and count[W[x]] == 1 and T[x]]
-    if sole and _all_derivations(L, (T[x].items() for x in sole)):
-        for x in sole:
-            target[W[x]] -= 1
+            mu = W[l] - W[k]
+            if not (graded and mu):
+                unknowns.setdefault(mu, []).append(k * d + l)
     reducers = {mu: _RowReducer(d * d) for mu in unknowns}
-    full = {mu for mu, t in target.items() if not t}
+    live = dict(reducers)  # the blocks whose rank is not yet full
 
     for i in range(d):
         for j in range(i + 1, d):
             cdict = T[i].get(j, {})
-            if cdict:
+            wij = W[i] + W[j]
+            if graded:
+                lset = by_weight.get(wij, ())
+            elif cdict:
                 lset = range(d)
             else:
                 lset = sorted(rowmap[i].keys() | rowmap[j].keys())
-            wij = W[i] + W[j]
             for l in lset:
                 mu = W[l] - wij
-                if mu in full:
+                red = live.get(mu)
+                if red is None:
                     continue
                 row: dict[int, int] = {}
                 for k, v in cdict.items():
@@ -163,27 +199,23 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
                     idx = j * d + m
                     row[idx] = row.get(idx, 0) + v
                 row = {c: v for c, v in row.items() if v}
-                if row:
-                    red = reducers[mu]
-                    if red.add_row(row) and len(red.pivot_rows) == target[mu]:
-                        full.add(mu)
+                if row and red.add_row(row) and len(red.pivot_rows) == len(unknowns[mu]):
+                    del live[mu]
 
-    return Subspace.from_sparse(
-        d * d, [v for mu, cols in unknowns.items() for v in reducers[mu].kernel_vectors(cols)]
-    )
+    kernel = [v for mu, cols in unknowns.items() for v in reducers[mu].kernel_vectors(cols)]
+    if graded:
+        kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
+    return Subspace.from_sparse(d * d, kernel)
 
 
 def inner_derivations(q: ParabolicAlgebra | LieAlgebra) -> Subspace:
     """Span of the adjoint maps of all basis elements.
 
     ``int_table[a]`` is N ad x_a as sparse columns, the table ``ad_matrix``
-    reads; flattened (column b at index b*d + k) they span the same
-    subspace as the ad x_a themselves.
+    reads; flattened they span the same subspace as the ad x_a themselves.
     """
     L = _algebra_of(q)
-    d = L.dim
-    ads = [{b * d + k: v for b, ks in ad_a.items() for k, v in ks.items()} for ad_a in L.int_table]
-    return Subspace.from_sparse(d * d, ads)
+    return Subspace.from_sparse(L.dim ** 2, [_flat_ad(L, a) for a in range(L.dim)])
 
 
 def l_ideal(q: ParabolicAlgebra) -> Subspace:

@@ -180,6 +180,83 @@ def test_graded_oracle_on_a_table_that_breaks_jacobi():
     assert der == _reference_derivations(L)
 
 
+def test_oracle_certifies_each_ad_x_before_it_skips_a_block():
+    # doubling the root-root constant [E[1,2], E[2,1]] = H[1] of gl_3 keeps
+    # the grading and the grading element (the Cartan brackets stay), but
+    # breaks Jacobi; an oracle that took each nonzero-weight block to be
+    # span(ad x) without certifying the ad x would give dim 9
+    L0 = build_standard_parabolic((3,)).algebra
+    assert L0.labels[3] == "E[1,2]" and L0.labels[5] == "E[2,1]" and L0.labels[1] == "H[1]"
+    triples = [(i, j, k, 2 * v if (i, j, k) == (3, 5, 1) else v) for (i, j, k, v) in L0.triples()]
+    L = LieAlgebra(L0.dim, L0.labels, triples, L0.weights)
+    assert not validate_structure(L).ok
+    der = derivation_algebra(L)
+    assert der.dim == 3
+    assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
+    assert der == _reference_derivations(L)
+
+
+@pytest.mark.parametrize("weights,dim", [((1, 0), 4), ((1, 0, 0), 9)], ids=str)
+def test_oracle_without_a_grading_element(weights, dim):
+    # an abelian algebra has ad = 0, so no h* has ad h* = diag(weights) and
+    # every map is a derivation; an oracle that took the nonzero-weight
+    # blocks to be ad(L_mu) = 0 regardless would give dims 2 and 5
+    L = LieAlgebra(len(weights), None, [], weights)
+    der = derivation_algebra(L)
+    assert der.dim == dim
+    assert der == _reference_derivations(L)
+
+
+def test_oracle_with_shared_weights():
+    # sl2 + sl2 graded by h + h': the root vectors e, e' share weight 2 and
+    # f, f' weight -2, so their ad maps are certified in two batches
+    triples = [(1, 0, 0, 2), (1, 2, 2, -2), (0, 2, 1, 1),
+               (4, 3, 3, 2), (4, 5, 5, -2), (3, 5, 4, 1)]
+    L = LieAlgebra(6, None, triples, [2, 0, -2, 2, 0, -2])
+    assert validate_structure(L).ok
+    der = derivation_algebra(L)
+    assert der.dim == 6
+    assert der == inner_derivations(L)
+    assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
+    assert der == _reference_derivations(L)
+
+
+@pytest.mark.parametrize("weights", [(), (0,), (3,)], ids=str)
+def test_oracle_in_dimensions_0_and_1(weights):
+    # in dim 1 with weight 3 there is no grading element; Der is gl_1 either way
+    der = derivation_algebra(LieAlgebra(len(weights), None, [], weights))
+    assert der == Subspace.full(len(weights) ** 2)
+
+
+def test_property_graded_oracle_matches_dense_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
+
+    def graded_table(d, weights, ts, with_h):
+        # the drawn triples that respect the weights, and in half the draws
+        # a grading element h = x_d with [h, x_k] = w_k x_k
+        triples = [(i, j, k, v) for (i, j), k, v in ts if weights[k] == weights[i] + weights[j]]
+        if with_h:
+            triples += [(d, k, k, w) for k, w in enumerate(weights) if w]
+            d, weights = d + 1, weights + [0]
+        return LieAlgebra(d, None, triples, weights)
+
+    def tables(d):
+        pair = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)).filter(lambda p: p[0] < p[1])
+        triple = st.tuples(pair, st.integers(0, d - 1), rational)
+        weights = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        return st.builds(graded_table, st.just(d), weights, st.lists(triple, max_size=8),
+                         st.booleans())
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 4).flatmap(tables))
+    def check(L):
+        assert derivation_algebra(L) == _reference_derivations(L)
+
+    check()
+
+
 INNER_CASES = (
     [("parabolic", b, rs) for n in range(1, 5) for b in compositions(n) for rs in ("1", "3/2")]
     + [("gl3", None, None), ("complexified gl2", None, None)]

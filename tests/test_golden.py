@@ -10,8 +10,10 @@ with blocks 3,2,1 and one extra central generator, and for the Borel of
 gl_5, whose "sc" list and subspace bases (the Levi center among them) come
 from the structure-constant table and the restriction to the Levi factor;
 and ``der`` and ``h1`` as JSON and text for gl_6 with blocks 3,2,1, and
-``der`` as JSON for the whole gl_10 (blocks 10), where the oracle's
-root-weight cutoff skips most of the Leibniz rows.
+``der`` as JSON for the whole gl_10 (blocks 10), where the oracle
+eliminates only the weight-0 block, and for gl_6 with blocks 3,2,1 and two
+extra central generators, where the grading element is not unique (any
+central element can be added to it).
 Any change to these bytes is a change to the output contract.
 """
 
@@ -59,6 +61,11 @@ def test_der_h1_stdout_matches_golden(capsys, command, fmt, ext):
 def test_der_gl10_stdout_matches_golden(capsys):
     argv = ["der", "--n", "10", "--blocks", "10"]
     assert run(capsys, argv) == (0, (DATA / "der-n10-b10.json").read_bytes(), b"")
+
+
+def test_der_two_extra_center_stdout_matches_golden(capsys):
+    argv = ["der", "--n", "6", "--blocks", "3,2,1", "--extra-center", "2"]
+    assert run(capsys, argv) == (0, (DATA / "der-n6-b321-z2.json").read_bytes(), b"")
 
 
 @pytest.mark.parametrize("k", range(6))
