@@ -37,6 +37,7 @@ from .lie import (
     bracket_span,
     center,
     first_leibniz_violation,
+    jacobi_holds,
     restrict,
     validate_structure,
 )

@@ -19,11 +19,10 @@ package-wide so subspaces of maps are comparable everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import lcm
 
-from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation
-from .linalg import Q, Subspace, _RowReducer, contains, is_direct_sum, solve
+from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, jacobi_holds
+from .linalg import Q, Subspace, _RowReducer, contains, solve
 from .parabolic import ParabolicAlgebra
 
 __all__ = [
@@ -67,20 +66,6 @@ def _algebra_of(q) -> LieAlgebra:
     return q.algebra if isinstance(q, ParabolicAlgebra) else q
 
 
-def _all_derivations(L: LieAlgebra, maps) -> bool:
-    """Whether every map passes first_leibniz_violation, by one call on
-    their sum. Each map is given as (j, column j) pairs of integer columns
-    (``int_table[x].items()`` or ``enumerate(D.cols)``), and the maps must
-    have pairwise disjoint weight sets. Their columns then do not overlap,
-    and the Leibniz defect is linear and weight-graded, so the defect of
-    the sum is zero exactly when each map's defect is."""
-    cols: list[dict[int, int]] = [{} for _ in range(L.dim)]
-    for m in maps:
-        for j, c in m:
-            cols[j].update(c)
-    return first_leibniz_violation(L, EndoMatrix(L, cols)) is None
-
-
 def _flat_ad(L: LieAlgebra, a: int) -> dict[int, int]:
     """``int_table[a]``, the map N ad x_a, flattened (column b at index b*dim + k)."""
     d = L.dim
@@ -88,14 +73,13 @@ def _flat_ad(L: LieAlgebra, a: int) -> dict[int, int]:
 
 
 def _torus_certified(L: LieAlgebra) -> bool:
-    """Whether L has a grading element and every ad x of nonzero weight is a
-    derivation; derivation_algebra then eliminates weight 0 alone.
+    """Whether L has a grading element and passes ``jacobi_holds``, which
+    makes every ad x of nonzero weight a derivation; derivation_algebra then
+    eliminates weight 0 alone.
 
     The grading element h* lies in the span of the weight-0 basis vectors
     and has ad h* = diag(W): one exact solve, with one equation per (k, l),
-    sum_s h_s T[s][k][l] = N W[k] [k == l]. The maps ad x are certified one
-    first_leibniz_violation call per first-fit batch of basis vectors with
-    pairwise distinct weights (one batch for a parabolic)."""
+    sum_s h_s T[s][k][l] = N W[k] [k == l]."""
     d, T, W = L.dim, L.int_table, L.weights
     eqs: dict[tuple[int, int], dict[int, int]] = {(k, k): {} for k in range(d) if W[k]}
     for s in range(d):
@@ -104,15 +88,7 @@ def _torus_certified(L: LieAlgebra) -> bool:
                 for l, v in ks.items():
                     eqs.setdefault((k, l), {})[s] = v
     rhs = [L.denominator * W[k] if k == l else 0 for k, l in eqs]
-    if solve(d, eqs.values(), rhs) is None:
-        return False
-    # first fit puts the t-th basis vector of each weight into batch t
-    of_weight: dict[int, list[int]] = {}
-    for x in range(d):
-        if W[x] and T[x]:
-            of_weight.setdefault(W[x], []).append(x)
-    return all(_all_derivations(L, (T[x].items() for x in batch if x is not None))
-               for batch in zip_longest(*of_weight.values()))
+    return solve(d, eqs.values(), rhs) is not None and jacobi_holds(L)
 
 
 def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
@@ -138,14 +114,14 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     is a combination of the system's own equations, and it reads
     (w_k - w_l) D_{l,k} = [D h*, x_k]_l. A solution D of block mu therefore
     equals ad y for y = -(D h*)_mu / mu in L_mu: Der_mu lies in ad(L_mu).
-    Once each ad x with w_x != 0 is certified a derivation (see
-    ``_torus_certified``), Der_mu = ad(L_mu) exactly, the span of the
-    flattened ``int_table[x]`` with w_x = mu. Only the weight-0 block is
-    then eliminated, from the equations with w_l = w_i + w_j. Without a
-    grading element, or if a certification fails (a table that breaks
-    Jacobi), every block is eliminated. A block whose rank reaches its
-    number of unknowns has kernel 0, and its remaining equations are not
-    built. With all weights 0 there is one block. Either way the result is
+    Once every ad x is certified a derivation (``jacobi_holds``, the one
+    Jacobi certificate of L, which the theorem check reads too),
+    Der_mu = ad(L_mu) exactly, the span of the flattened ``int_table[x]``
+    with w_x = mu. Only the weight-0 block is then eliminated, from the
+    equations with w_l = w_i + w_j. Without a grading element, or on a
+    table that breaks Jacobi, every block is eliminated. A block whose rank
+    reaches its number of unknowns has kernel 0, and its remaining
+    equations are not built. With all weights 0 there is one block. Either way the result is
     the same canonical subspace as one elimination of the whole system.
     """
     L = _algebra_of(L)
@@ -291,68 +267,64 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     derivation D, (d) the dimension formula matches the oracle.
 
     For (c), the center-valued maps are closed under [D, -] exactly when D
-    maps the center and the derived algebra into themselves. The inner maps
-    are closed because [D, ad x] = ad(Dx) for any D that passes
-    first_leibniz_violation; only a D that fails it has each [D, ad x_i]
-    tested for membership in ad q. The Leibniz gate runs once per batch:
-    the basis derivations are grouped, in order and first fit, into batches
-    whose weight sets ({w_i - w_j} over the entries (i, j) of a map) are
-    pairwise disjoint. The Leibniz defect is linear and weight-graded, so
-    the sum of a batch passes exactly when each member does, and only the
-    members of a failing batch are gated one by one, in order, so the
-    witness is the one a per-map gate would give. Without weights every
-    batch holds one map. Every check runs; the witness is the first failure
+    maps the center and the derived algebra into themselves. Both are
+    coordinate subspaces, so this is read off the support of D: every entry
+    in one of their columns has its row in it too. The inner maps are
+    closed because [D, ad x] = ad(Dx) for every derivation D. The sum S of
+    the two spans, built once for (a), lies in Der q when the table passes
+    ``jacobi_holds`` (every ad x is a derivation) and each E(z, u) of the
+    center-valued maps is a derivation: x_z is central and no bracket has a
+    component on x_u (u in the center or c). A D in S then needs no test,
+    and when (a) holds every D is in S. Every other D, and every D when S is
+    not certified, has each [D, ad x_i] tested for membership in ad q. That
+    test passes for every derivation, so the flags and witnesses are those
+    of testing every D. Every check runs; the witness is the first failure
     in the order (a)/(b), (d), then the two closures.
     """
     L = q.algebra
     d = L.dim
     if der is None:
         der = derivation_algebra(L)
+    if der.ambient_dim != d * d:
+        raise ValueError("ambient dimensions differ")
     inner = inner_derivations(q)
     lid = l_ideal(q)
+    S = Subspace.from_sparse(d * d, lid.rows + inner.rows)
 
-    # with lid + inner == der, the intersection is 0 iff the dimensions add up
-    direct_sum = None if is_direct_sum([lid, inner], der) else {"kind": "direct_sum"}
+    # with S == der, the intersection is 0 iff the dimensions add up
+    direct_sum = None if S == der and lid.dim + inner.dim == der.dim else {"kind": "direct_sum"}
 
     expected = formula_dim(q)
     formula = None
     if expected != der.dim:
         formula = {"kind": "formula", "expected": expected, "oracle": der.dim}
 
-    # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived
-    spaces = (("g_z", q.g_z), ("derived", q.derived))
-    kept = [(name, space, vi, v) for name, space in spaces for vi, v in enumerate(space.rows)]
-    maps = [EndoMatrix.from_flat(L, flat) for flat in der.rows]
-    l_closure = next(({"kind": "l_closure", "der_index": di, "subspace": name, "vector_index": vi}
-                      for di, D in enumerate(maps) for name, space, vi, v in kept
-                      if not contains(space, D._apply(v))), None)
+    # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived;
+    # entry (i, j) of D sits at the flat index j*d + i
+    if any(len(row) != 1 for space in (q.g_z, q.derived) for row in space.rows):
+        raise ValueError("g_z and derived must be coordinate subspaces")
+    kept = (("g_z", q.g_z._row_of), ("derived", q.derived._row_of))
+    l_closure = next(({"kind": "l_closure", "der_index": di, "subspace": name,
+                       "vector_index": piv[min(out)]}
+                      for di, flat in enumerate(der.rows) for name, piv in kept
+                      if (out := [f // d for f in flat if f // d in piv and f % d not in piv])),
+                     None)
 
-    # first-fit batches of maps with pairwise disjoint weight sets, in order
-    W = L.weights
-    batches: list[tuple[set[int], list[int]]] = []
-    for di, flat in enumerate(der.rows):
-        ws = {W[f % d] - W[f // d] for f in flat}
-        batch = next((b for b in batches if b[0].isdisjoint(ws)), None)
-        if batch is None:
-            batches.append((ws, [di]))
-        else:
-            batch[0].update(ws)
-            batch[1].append(di)
-    suspects = sorted(di for _, members in batches
-                      if not _all_derivations(L, (enumerate(maps[k].cols) for k in members))
-                      for di in members)
-    inner_closure = None
-    for di in suspects:
-        D = maps[di]
-        if inner_closure is None and first_leibniz_violation(L, D) is not None:
-            for i in range(d):
-                A = ad_matrix(L, {i: 1})
-                # each map's integer columns are den times its true ones
-                DA = EndoMatrix(L, map(D._apply, A.cols), A.den)
-                comm = DA - EndoMatrix(L, map(A._apply, D.cols), D.den)
-                if not contains(inner, comm.flat()):
-                    inner_closure = {"kind": "inner_closure", "der_index": di, "basis_index": i}
-                    break
+    targets = {f % d for row in lid.rows for f in row}
+    sources = {f // d for row in lid.rows for f in row}
+    certified = (jacobi_holds(L) and not any(L.int_table[z] for z in targets)
+                 and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
+    suspects = [] if certified and S == der else [
+        di for di, flat in enumerate(der.rows) if not certified or S._member(flat) is None]
+    ads = [ad_matrix(L, {i: 1}) for i in range(d)] if suspects else []
+    maps = ((di, EndoMatrix.from_flat(L, der.rows[di])) for di in suspects)
+    # each map's integer columns are den times its true ones
+    inner_closure = next(({"kind": "inner_closure", "der_index": di, "basis_index": i}
+                          for di, D in maps for i, A in enumerate(ads)
+                          if not contains(inner, (EndoMatrix(L, map(D._apply, A.cols), A.den)
+                                                  - EndoMatrix(L, map(A._apply, D.cols), D.den)
+                                                  ).flat())),
+                         None)
 
     witnesses = (direct_sum, formula, l_closure, inner_closure)
     return VerificationReport(

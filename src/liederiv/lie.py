@@ -22,6 +22,7 @@ only where a real denominator does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .linalg import Q, Subspace, nullspace_of_rows, rational, require_exact
@@ -37,6 +38,7 @@ __all__ = [
     "ad_matrix",
     "restrict",
     "first_leibniz_violation",
+    "jacobi_holds",
 ]
 
 
@@ -56,7 +58,7 @@ class LieAlgebra:
     not part of the JSON form.
     """
 
-    __slots__ = ("dim", "labels", "weights", "_raw", "int_table", "denominator")
+    __slots__ = ("dim", "labels", "weights", "_raw", "int_table", "denominator", "_jacobi")
 
     def __init__(self, dim: int, labels, triples, weights=None):
         if type(dim) is not int or dim < 0:
@@ -107,6 +109,7 @@ class LieAlgebra:
         self._raw = tuple(raw)
         self.int_table = int_table
         self.denominator = N
+        self._jacobi: bool | None = None  # jacobi_holds; the table is never rewritten
 
     def triples(self) -> list[tuple[int, int, int, Q]]:
         """Canonical i < j triples, sorted."""
@@ -445,3 +448,28 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
             return (i, min(bad))
     return None
 
+
+def jacobi_holds(L: LieAlgebra) -> bool:
+    """Whether every ad x_i passes ``first_leibniz_violation`` (the Jacobi
+    identity of the table), computed once per algebra: one call per batch t,
+    the sum of the t-th nonzero ad x of each weight (one batch per coroot of
+    a parabolic). The ad x of a batch have disjoint columns, and the Leibniz
+    defect is linear and weight-graded, so the sum passes exactly when each
+    ad x does."""
+    if L._jacobi is None:
+        T = L.int_table
+        of_weight: dict[int, list[int]] = {}
+        for x in range(L.dim):
+            if T[x]:
+                of_weight.setdefault(L.weights[x], []).append(x)
+        L._jacobi = True
+        for batch in zip_longest(*of_weight.values()):
+            cols: list[dict[int, int]] = [{} for _ in range(L.dim)]
+            for x in batch:
+                if x is not None:
+                    for j, c in T[x].items():
+                        cols[j].update(c)
+            if first_leibniz_violation(L, EndoMatrix(L, cols)) is not None:
+                L._jacobi = False
+                break
+    return L._jacobi

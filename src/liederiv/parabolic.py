@@ -146,6 +146,13 @@ def _commutator(a: dict, b: dict) -> dict:
     return {p: v for p, v in out.items() if v}
 
 
+def _partition(parts, whole: Subspace) -> bool:
+    """``is_direct_sum``, read off the pivots when every row is a unit vector."""
+    if any(len(row) != 1 for s in (*parts, whole) for row in s.rows):
+        return is_direct_sum(parts, whole)
+    return sorted(p for s in parts for p in s.pivots()) == whole.pivots()
+
+
 def _closed(L: LieAlgebra, a, b: set[int], target: set[int]) -> bool:
     """True iff every bracket [x_i, x_j], i in a and j in b, has its support
     in target."""
@@ -287,23 +294,24 @@ class ParabolicAlgebra:
         derived = q, the nilradical is an ideal, the Levi factor is a
         subalgebra, Levi semisimple part + nilradical = derived, Levi center +
         Levi semisimple part = Levi factor, and center + Levi center +
-        derived = q. Each splitting is an exact direct-sum test of canonical
-        bases (``is_direct_sum``). The two closures are read off the table:
-        the nilradical and the Levi factor are spanned by basis vectors (their
-        canonical rows are {p: 1}), and a bracket of basis vectors lies in such
-        a subspace exactly when its support lies in its pivots."""
+        derived = q. Each splitting is an exact direct-sum test, read off the
+        pivots where no part is the Levi center (``_partition``). The two
+        closures are read off the table: the nilradical and the Levi factor
+        are spanned by basis vectors (their canonical rows are {p: 1}), and a
+        bracket of basis vectors lies in such a subspace exactly when its
+        support lies in its pivots."""
         L = self.algebra
         full = Subspace.full(L.dim)
         nil, levi = set(self.nilradical.pivots()), set(self.levi.pivots())
-        if not is_direct_sum([self.c, self.t], self.cartan):
+        if not _partition([self.c, self.t], self.cartan):
             raise RuntimeError("Cartan does not split as c + t")
-        if not is_direct_sum([self.g_z, self.c, self.derived], full):
+        if not _partition([self.g_z, self.c, self.derived], full):
             raise RuntimeError("algebra does not split as center + c + derived")
         if not _closed(L, range(L.dim), nil, nil):
             raise RuntimeError("nilradical is not an ideal")
         if not _closed(L, levi, levi, levi):
             raise RuntimeError("Levi factor is not a subalgebra")
-        if not is_direct_sum([self.levi_semisimple, self.nilradical], self.derived):
+        if not _partition([self.levi_semisimple, self.nilradical], self.derived):
             raise RuntimeError("derived algebra does not split as semisimple Levi + nilradical")
         # the Levi center is another valid complement of the derived algebra
         # alongside c (they coincide only for extreme compositions)

@@ -28,11 +28,13 @@ from liederiv.derivations import (
     split_derivation,
     verify_main_theorem,
 )
+from liederiv import lie
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
     ad_matrix,
     first_leibniz_violation,
+    jacobi_holds,
     restrict,
     validate_structure,
 )
@@ -166,14 +168,20 @@ def test_graded_oracle_matches_one_block(kind, arg, kwargs):
     assert derivation_algebra(L) == derivation_algebra(one_block)
 
 
+def _doubled(blocks, ijk):
+    """The table of a parabolic with the constant c_ij^k doubled: graded as
+    before, but it breaks Jacobi."""
+    L0 = build_standard_parabolic(blocks).algebra
+    triples = [(i, j, k, 2 * v if (i, j, k) == ijk else v) for (i, j, k, v) in L0.triples()]
+    return LieAlgebra(L0.dim, L0.labels, triples, L0.weights)
+
+
 def test_graded_oracle_on_a_table_that_breaks_jacobi():
     # doubling one constant of the (2,1) parabolic keeps its grading but
     # breaks Jacobi, so some ad x is no longer a derivation; a root-weight
     # block may then have a smaller kernel than span(ad x), and the oracle
     # must not cut it at that span's rank
-    L0 = build_standard_parabolic((2, 1)).algebra
-    triples = [(i, j, k, 2 * v if (i, j, k) == (1, 3, 3) else v) for (i, j, k, v) in L0.triples()]
-    L = LieAlgebra(L0.dim, L0.labels, triples, L0.weights)
+    L = _doubled((2, 1), (1, 3, 3))
     assert not validate_structure(L).ok
     der = derivation_algebra(L)
     assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
@@ -185,10 +193,8 @@ def test_oracle_certifies_each_ad_x_before_it_skips_a_block():
     # the grading and the grading element (the Cartan brackets stay), but
     # breaks Jacobi; an oracle that took each nonzero-weight block to be
     # span(ad x) without certifying the ad x would give dim 9
-    L0 = build_standard_parabolic((3,)).algebra
-    assert L0.labels[3] == "E[1,2]" and L0.labels[5] == "E[2,1]" and L0.labels[1] == "H[1]"
-    triples = [(i, j, k, 2 * v if (i, j, k) == (3, 5, 1) else v) for (i, j, k, v) in L0.triples()]
-    L = LieAlgebra(L0.dim, L0.labels, triples, L0.weights)
+    L = _doubled((3,), (3, 5, 1))
+    assert L.labels[3] == "E[1,2]" and L.labels[5] == "E[2,1]" and L.labels[1] == "H[1]"
     assert not validate_structure(L).ok
     der = derivation_algebra(L)
     assert der.dim == 3
@@ -207,12 +213,16 @@ def test_oracle_without_a_grading_element(weights, dim):
     assert der == _reference_derivations(L)
 
 
-def test_oracle_with_shared_weights():
-    # sl2 + sl2 graded by h + h': the root vectors e, e' share weight 2 and
-    # f, f' weight -2, so their ad maps are certified in two batches
+def _sl2_pair():
+    """sl2 + sl2 graded by h + h': the root vectors e, e' share weight 2 and
+    f, f' weight -2, so their ad maps are certified in two batches."""
     triples = [(1, 0, 0, 2), (1, 2, 2, -2), (0, 2, 1, 1),
                (4, 3, 3, 2), (4, 5, 5, -2), (3, 5, 4, 1)]
-    L = LieAlgebra(6, None, triples, [2, 0, -2, 2, 0, -2])
+    return LieAlgebra(6, None, triples, [2, 0, -2, 2, 0, -2])
+
+
+def test_oracle_with_shared_weights():
+    L = _sl2_pair()
     assert validate_structure(L).ok
     der = derivation_algebra(L)
     assert der.dim == 6
@@ -228,14 +238,13 @@ def test_oracle_in_dimensions_0_and_1(weights):
     assert der == Subspace.full(len(weights) ** 2)
 
 
-def test_property_graded_oracle_matches_dense_reference():
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
+def _graded_tables(st):
+    """Hypothesis draws of weighted tables on 1 to 4 basis vectors: the drawn
+    triples that respect the weights, and in half the draws a grading
+    element h = x_d with [h, x_k] = w_k x_k."""
     rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
 
     def graded_table(d, weights, ts, with_h):
-        # the drawn triples that respect the weights, and in half the draws
-        # a grading element h = x_d with [h, x_k] = w_k x_k
         triples = [(i, j, k, v) for (i, j), k, v in ts if weights[k] == weights[i] + weights[j]]
         if with_h:
             triples += [(d, k, k, w) for k, w in enumerate(weights) if w]
@@ -249,12 +258,76 @@ def test_property_graded_oracle_matches_dense_reference():
         return st.builds(graded_table, st.just(d), weights, st.lists(triple, max_size=8),
                          st.booleans())
 
+    return st.integers(1, 4).flatmap(tables)
+
+
+def test_property_graded_oracle_matches_dense_reference():
+    hyp = pytest.importorskip("hypothesis")
+
     @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @hyp.given(st.integers(1, 4).flatmap(tables))
+    @hyp.given(_graded_tables(hyp.strategies))
     def check(L):
         assert derivation_algebra(L) == _reference_derivations(L)
 
     check()
+
+
+CERTIFICATE_CASES = [(b, z, rs) for n in range(1, 5) for b in compositions(n)
+                     for z in (0, 1) for rs in (1, Q(3, 2))]
+
+
+def _jacobi_by_triples(L):
+    return validate_structure(L).jacobi_violations == []
+
+
+def test_jacobi_certificate_matches_validate_structure():
+    # jacobi_holds checks every ad x by one Leibniz call per batch of
+    # distinct weights; validate_structure checks Jacobi triple by triple
+    tables = [build_standard_parabolic(b, extra_center=z, root_scale=rs).algebra
+              for b, z, rs in CERTIFICATE_CASES]
+    tables += [_doubled((2, 1), (1, 3, 3)), _doubled((3,), (3, 5, 1)), _sl2_pair()]
+    assert [jacobi_holds(L) for L in tables[-3:]] == [False, False, True]
+    for L in tables:
+        assert jacobi_holds(L) == _jacobi_by_triples(L)
+
+
+def test_property_jacobi_certificate_matches_validate_structure():
+    # the weighted-table draws, and parabolics of gl_n, n <= 3, with up to
+    # two constants rescaled (graded as before; Jacobi mostly breaks)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    def rescaled(blocks, changes):
+        L0 = build_standard_parabolic(blocks).algebra
+        triples = L0.triples()
+        factor = {t % len(triples): c for t, c in changes}
+        return LieAlgebra(L0.dim, None, [(i, j, k, v * factor.get(t, 1))
+                                         for t, (i, j, k, v) in enumerate(triples)], L0.weights)
+
+    parabolic = st.sampled_from([b for n in range(2, 4) for b in compositions(n)])
+    change = st.tuples(st.integers(0, 99), st.builds(Q, st.integers(-2, 2), st.integers(1, 2)))
+    tables = _graded_tables(st) | st.builds(rescaled, parabolic, st.lists(change, max_size=2))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(tables)
+    def check(L):
+        seen.add(jacobi_holds(L))
+        assert jacobi_holds(L) == _jacobi_by_triples(L)
+
+    check()
+    assert seen == {False, True}
+
+
+def test_jacobi_certificate_is_computed_once(monkeypatch):
+    # a parabolic of gl_4 has three coroot batches, the first also holding
+    # every root vector; the oracle and the theorem check share them
+    calls = []
+    real = lie.first_leibniz_violation
+    monkeypatch.setattr(lie, "first_leibniz_violation", lambda L, m: calls.append(m) or real(L, m))
+    q = build_standard_parabolic((2, 1, 1))
+    assert verify_main_theorem(q).ok
+    assert jacobi_holds(q.algebra) and len(calls) == 3
 
 
 INNER_CASES = (
@@ -608,6 +681,75 @@ def test_fault_injected_closure_flags(request, extra):
     assert not report.direct_sum_ok and not report.ok
     # the first failing check names the witness, whatever fails after it
     assert report.counterexample == {"kind": "direct_sum"}
+
+
+def test_property_theorem_gate_matches_brute_force_flags():
+    # maps added to the oracle basis: a sparse map (a non-derivation in
+    # general), a derivation, and their sum, which mixes weights; the last
+    # case swaps in a table that breaks Jacobi, so lid + ad q is not certified
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cases = [build_standard_parabolic(b) for n in range(1, 4) for b in compositions(n)]
+    broken = build_standard_parabolic((2, 1))
+    broken.algebra = _doubled((2, 1), (1, 3, 3))
+    cases.append(broken)
+    ders = [derivation_algebra(q.algebra) for q in cases]
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, len(cases) - 1),
+               st.lists(st.tuples(st.sampled_from(("sparse", "derivation", "mixed")),
+                                  st.randoms(use_true_random=False)), max_size=3))
+    def check(c, injections):
+        q, der = cases[c], ders[c]
+        d = q.dim
+        injected = []
+        for kind, rng in injections:
+            sparse_map = {rng.randrange(d * d): rng.choice((-2, -1, 1, 3)) for _ in range(2)}
+            derivation = random_combination(der, rng)[0]
+            if kind == "sparse":
+                injected.append(sparse_map)
+            elif kind == "derivation":
+                injected.append(derivation)
+            else:
+                injected.append({f: derivation.get(f, 0) + sparse_map.get(f, 0)
+                                 for f in derivation.keys() | sparse_map.keys()})
+        space = Subspace.from_sparse(d * d, list(der.rows) + injected)
+        report = verify_main_theorem(q, space)
+        flags = (report.l_is_ideal_ok, report.inner_is_ideal_ok)
+        assert flags == _brute_force_closure_flags(q, space)
+
+    check()
+
+
+@pytest.mark.parametrize("case", ["center_not_central", "bracket_on_c"])
+def test_theorem_gate_certifies_each_center_valued_map(case):
+    # lid + ad q is taken to lie in Der q only if every E(z, u) of lid is a
+    # derivation: x_z central and no bracket with a component on x_u. Each
+    # table keeps Jacobi but breaks one of the two, so lid holds a map D with
+    # some [D, ad x] outside ad q, which the check must test even though D
+    # lies in lid + ad q, the space checked here
+    if case == "center_not_central":
+        q = build_standard_parabolic((1, 1))  # basis I, H[1], E[1,2]
+        q.algebra = LieAlgebra(3, None, [(0, 2, 2, 1), (1, 2, 2, 2)])
+    else:
+        q = build_standard_parabolic((2, 1))  # c is spanned by H[2], index 2
+        q.algebra = build_standard_parabolic((1, 2)).algebra  # [E[2,3], E[3,2]] = H[2]
+        assert q.c.pivots() == [2] and q.algebra.int_table[5][6] == {2: 1}
+    assert validate_structure(q.algebra).ok
+    space = subspace_sum(l_ideal(q), inner_derivations(q))
+    report = verify_main_theorem(q, space)
+    assert (report.l_is_ideal_ok, report.inner_is_ideal_ok) == _brute_force_closure_flags(q, space)
+    assert not report.inner_is_ideal_ok
+
+
+def test_theorem_check_builds_no_map_for_a_certified_split(golden_q, golden_der, monkeypatch):
+    # every oracle derivation lies in lid + ad q, which is certified, so no
+    # map is rebuilt from its flat form and no commutator is tested
+    def refuse(*args):
+        raise AssertionError("map built")
+
+    monkeypatch.setattr(EndoMatrix, "from_flat", refuse)
+    assert verify_main_theorem(golden_q, golden_der).ok
 
 
 def test_split_derivation_rejects_outsider(golden_q):

@@ -1,7 +1,9 @@
 """Byte-for-byte CLI output pinned by golden files in tests/data.
 
 The files hold stdout (or stderr) of earlier runs of the same commands:
-``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and ``decompose``
+``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and
+``verify --max-n 6 --rounds 0``, which takes all 63 compositions through the
+theorem check and no decomposition round, as JSON; ``decompose``
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7) and for one derivation perturbed
@@ -37,6 +39,11 @@ def run(capsys, argv):
 def test_verify_stdout_matches_golden(capsys, fmt, ext):
     argv = ["verify", "--max-n", "4", "--seed", "1", "--rounds", "3", "--format", fmt]
     assert run(capsys, argv) == (0, (DATA / f"verify-n4-s1-r3.{ext}").read_bytes(), b"")
+
+
+def test_verify_theorem_checks_to_n6_match_golden(capsys):
+    argv = ["verify", "--max-n", "6", "--rounds", "0"]
+    assert run(capsys, argv) == (0, (DATA / "verify-n6-s0-r0.json").read_bytes(), b"")
 
 
 @pytest.mark.parametrize(

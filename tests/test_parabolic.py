@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import re
 
 import pytest
@@ -9,6 +10,7 @@ from liederiv.linalg import Q, Subspace, is_direct_sum
 from liederiv.parabolic import (
     BlockComposition,
     ParabolicAlgebra,
+    _partition,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -77,6 +79,19 @@ def test_invariant_faults_cover_every_check():
     source = inspect.getsource(ParabolicAlgebra._check_invariants)
     assert sorted(re.findall(r'RuntimeError\("([^"]+)"\)', source)) == sorted(
         m for m, _, _ in INVARIANT_FAULTS)
+
+
+def test_partition_matches_is_direct_sum():
+    # the three splittings into coordinate subspaces are read off their
+    # pivots; a part that is not a coordinate subspace is reduced exactly
+    units = [Subspace.units(4, ix) for ix in ([], [0], [1], [0, 1], [1, 2], [2, 3], [0, 2, 3])]
+    diagonal = Subspace.from_sparse(4, [{0: 1, 1: 1}])
+    for parts in itertools.product(units + [diagonal], repeat=2):
+        for whole in units:
+            assert _partition(parts, whole) == is_direct_sum(parts, whole), (parts, whole)
+    assert _partition([units[3], units[5]], Subspace.full(4))
+    assert not _partition([units[3], units[4]], Subspace.units(4, [0, 1, 2]))  # they overlap
+    assert _partition([diagonal, units[2]], units[3])
 
 
 def test_build_gl_small():
