@@ -259,6 +259,16 @@ class VerificationReport:
         return out
 
 
+def _sum_certified(q: ParabolicAlgebra) -> bool:
+    """Whether S = l_ideal + ad q lies in Der q: every ad x is a derivation
+    (``jacobi_holds``), and so is every E(z, u) of l_ideal, as x_z is
+    central and no bracket has a component on x_u (u in the center or c)."""
+    L = q.algebra
+    sources = {*q.center_indices, *q.c.pivots()}
+    return (jacobi_holds(L) and not any(L.int_table[z] for z in q.center_indices)
+            and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
+
+
 def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> VerificationReport:
     """Check Der q = (center-valued maps) + (inner maps) as a sum of ideals.
 
@@ -267,19 +277,13 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     derivation D, (d) the dimension formula matches the oracle.
 
     For (c), the center-valued maps are closed under [D, -] exactly when D
-    maps the center and the derived algebra into themselves. Both are
-    coordinate subspaces, so this is read off the support of D: every entry
-    in one of their columns has its row in it too. The inner maps are
-    closed because [D, ad x] = ad(Dx) for every derivation D. The sum S of
-    the two spans, built once for (a), lies in Der q when the table passes
-    ``jacobi_holds`` (every ad x is a derivation) and each E(z, u) of the
-    center-valued maps is a derivation: x_z is central and no bracket has a
-    component on x_u (u in the center or c). A D in S then needs no test,
-    and when (a) holds every D is in S. Every other D, and every D when S is
-    not certified, has each [D, ad x_i] tested for membership in ad q. That
-    test passes for every derivation, so the flags and witnesses are those
-    of testing every D. Every check runs; the witness is the first failure
-    in the order (a)/(b), (d), then the two closures.
+    keeps the center and the derived algebra, read off the support of D
+    (both are coordinate subspaces). The inner maps are closed because
+    [D, ad x] = ad(Dx) for every derivation D. That is tested, as
+    [D, ad x_i] in ad q, only for the D outside S = lid + ad q when S is
+    ``_sum_certified``, else for every D; it passes for every derivation,
+    so the flags and witnesses are those of testing every D. The witness
+    is the first failure in the order (a)/(b), (d), then the two closures.
     """
     L = q.algebra
     d = L.dim
@@ -310,10 +314,7 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
                       if (out := [f // d for f in flat if f // d in piv and f % d not in piv])),
                      None)
 
-    targets = {f % d for row in lid.rows for f in row}
-    sources = {f // d for row in lid.rows for f in row}
-    certified = (jacobi_holds(L) and not any(L.int_table[z] for z in targets)
-                 and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
+    certified = _sum_certified(q)
     suspects = [] if certified and S == der else [
         di for di, flat in enumerate(der.rows) if not certified or S._member(flat) is None]
     ads = [ad_matrix(L, {i: 1}) for i in range(d)] if suspects else []
@@ -416,11 +417,18 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     an inner correction ad(x). Step 2 reads the eigenvalue of the reduced
     map on each simple root generator and solves the Cartan-matrix system
     for an element h* with matching root values; subtracting ad(h*) then
-    kills the whole derived algebra. What remains maps into the center and
-    is zero on the derived algebra, which is verified and enforced.
+    kills the whole derived algebra. What remains must map into the center
+    and be zero on the derived algebra. When S = l_ideal + ad q is
+    ``_sum_certified``, passing these residual checks puts D = l_part + ad p
+    in S, inside Der q, so the Leibniz gate runs only if one fails; else it
+    runs first. Either way a map that breaks Leibniz raises
+    NotADerivationError with its first bad pair, and a derivation that
+    fails a check raises DecompositionError.
     """
     L = q.algebra
-    _check_leibniz(L, D)
+    certified = _sum_certified(q)
+    if not certified:
+        _check_leibniz(L, D)
     n = q.composition.n
 
     x, Dp, d_gamma = root_line_reduction(q, D)
@@ -438,25 +446,21 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     l_part = Dp - ad_matrix(L, h_star)
     p = {**x, **h_star}  # x sits on the root generators, h* on the coroots
 
-    diagnostics = {
-        "d_gamma": d_gamma,
-        "c_gamma": c_gamma,
-        "h_star": h_star,
-        "p": p,
-    }
+    def fail(message: str):
+        if certified:
+            _check_leibniz(L, D)
+        raise DecompositionError(message, {"d_gamma": d_gamma, "c_gamma": c_gamma,
+                                           "h_star": h_star, "p": p})
+
     center_set = set(q.center_indices)
     for jdx, col in enumerate(l_part.cols):
         if any(i not in center_set for i in col):
-            raise DecompositionError(
-                f"residual map does not land in the center at column {jdx}", diagnostics
-            )
+            fail(f"residual map does not land in the center at column {jdx}")
     for jdx in q.derived.pivots():
         if l_part.cols[jdx]:
-            raise DecompositionError(
-                f"residual map does not kill the derived algebra at column {jdx}", diagnostics
-            )
+            fail(f"residual map does not kill the derived algebra at column {jdx}")
     if center_set & p.keys():
-        raise DecompositionError("inner element has a central component", diagnostics)
+        fail("inner element has a central component")
 
     return DecompositionResult(
         l_part=l_part,

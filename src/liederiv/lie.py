@@ -455,7 +455,7 @@ def jacobi_holds(L: LieAlgebra) -> bool:
     the sum of the t-th nonzero ad x of each weight (one batch per coroot of
     a parabolic). The ad x of a batch have disjoint columns, and the Leibniz
     defect is linear and weight-graded, so the sum passes exactly when each
-    ad x does."""
+    ad x does; a built ``ParabolicAlgebra`` sets it by construction."""
     if L._jacobi is None:
         T = L.int_table
         of_weight: dict[int, list[int]] = {}

@@ -232,6 +232,8 @@ class ParabolicAlgebra:
         for (i, j), pos in self.root_index.items():
             weights[pos] = _root_weight(i, j)
         self.algebra = LieAlgebra(dim, labels, triples, weights)
+        # the table pulls back the gl_n bracket along independent matrices, so Jacobi holds
+        self.algebra._jacobi = True
 
         self._make_subspaces()
         self._check_invariants()

@@ -28,7 +28,7 @@ from liederiv.derivations import (
     split_derivation,
     verify_main_theorem,
 )
-from liederiv import lie
+from liederiv import derivations, lie
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
@@ -319,15 +319,126 @@ def test_property_jacobi_certificate_matches_validate_structure():
     assert seen == {False, True}
 
 
-def test_jacobi_certificate_is_computed_once(monkeypatch):
-    # a parabolic of gl_4 has three coroot batches, the first also holding
-    # every root vector; the oracle and the theorem check share them
+def _leibniz_calls(monkeypatch):
+    """The maps passed to ``first_leibniz_violation`` from now on, by the
+    Jacobi certificate and by the Leibniz gates alike."""
     calls = []
     real = lie.first_leibniz_violation
-    monkeypatch.setattr(lie, "first_leibniz_violation", lambda L, m: calls.append(m) or real(L, m))
-    q = build_standard_parabolic((2, 1, 1))
-    assert verify_main_theorem(q).ok
-    assert jacobi_holds(q.algebra) and len(calls) == 3
+    for module in (lie, derivations):
+        monkeypatch.setattr(module, "first_leibniz_violation",
+                            lambda L, m: calls.append(m) or real(L, m))
+    return calls
+
+
+def test_jacobi_certificate_is_computed_once(monkeypatch):
+    # the (2,1,1) parabolic of gl_4 reloaded as a bare table carries no
+    # certificate; the oracle and the theorem check share the one they
+    # compute. From JSON all weights are 0, so each of the 10 non-central
+    # ad x is its own batch; with the weights kept there is one batch per
+    # coroot, the first also holding every root vector
+    L = build_standard_parabolic((2, 1, 1)).algebra
+    calls = _leibniz_calls(monkeypatch)
+    for table, batches in ((LieAlgebra.from_json_dict(L.to_json_dict()), 10),
+                           (LieAlgebra(L.dim, L.labels, L.triples(), L.weights), 3)):
+        q = build_standard_parabolic((2, 1, 1))
+        q.algebra = table
+        calls.clear()
+        assert verify_main_theorem(q).ok
+        assert jacobi_holds(table) and len(calls) == batches
+
+
+def test_built_parabolic_makes_no_leibniz_call(monkeypatch):
+    # the build carries the certificate, and a derivation that passes the
+    # residual checks of the split lies in the certified lid + ad q
+    calls = _leibniz_calls(monkeypatch)
+    q = build_standard_parabolic((2, 1, 1), extra_center=1)
+    der = derivation_algebra(q.algebra)
+    assert verify_main_theorem(q, der).ok
+    D = EndoMatrix.from_flat(q.algebra, *random_combination(der, random.Random(5)))
+    res = constructive_decompose(q, D)
+    assert any(res.l_part.cols) and res.p
+    assert res.l_part + ad_matrix(q.algebra, res.p) == D
+    assert calls == []
+
+
+def test_jacobi_certificate_provenance():
+    # only the build sets the certificate; every table made another way
+    # starts without one and computes it
+    q = build_standard_parabolic((2, 1), extra_center=1)
+    L = q.algebra
+    assert L._jacobi is True
+    others = [LieAlgebra.from_json_dict(L.to_json_dict()), restrict(L, q.derived),
+              complexify(L)[0], LieAlgebra(L.dim, L.labels, L.triples(), L.weights)]
+    assert [M._jacobi for M in others] == [None] * 4
+    assert all(jacobi_holds(M) for M in others)
+    doubled = LieAlgebra.from_json_dict(_doubled((2, 1), (1, 3, 3)).to_json_dict())
+    assert doubled._jacobi is None and not jacobi_holds(doubled)
+
+
+def _unit(L, u):
+    """The map x_k -> x_i for the flat index u = k*dim + i."""
+    return EndoMatrix.from_flat(L, {u: 1})
+
+
+def test_decompose_gates_a_map_outside_an_uncertified_sum():
+    # bracket_on_c: the (1,2) table in q = (2,1) keeps Jacobi but brackets
+    # onto H[2], which spans c, so the unit map H[2] -> I of lid is no
+    # derivation; it passes every residual check, so only the gate stops it
+    q = build_standard_parabolic((2, 1))
+    q.algebra = build_standard_parabolic((1, 2)).algebra
+    with pytest.raises(NotADerivationError) as exc:
+        constructive_decompose(q, _unit(q.algebra, 2 * q.dim + 0))
+    assert exc.value.pair == (5, 6)
+    # the doubled constant breaks Jacobi, and ad H[1] with it
+    q.algebra = _doubled((2, 1), (1, 3, 3))
+    with pytest.raises(NotADerivationError) as exc:
+        constructive_decompose(q, ad_matrix(q.algebra, {1: 1}))
+    assert exc.value.pair == (3, 5)
+
+
+PARABOLICS_N4 = [(b, z) for n in range(1, 5) for b in compositions(n) for z in (0, 1)]
+
+
+def test_property_decompose_matches_leibniz_gate():
+    # a random combination of Der q, plus in half the draws a nonzero
+    # multiple of a unit map that breaks Leibniz: decompose raises with the
+    # gate's own pair exactly when the gate finds one, and splits otherwise
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cases = {}
+    seen = set()
+
+    def case(c):
+        if c not in cases:
+            q = build_standard_parabolic(PARABOLICS_N4[c][0], extra_center=PARABOLICS_N4[c][1])
+            L = q.algebra
+            breaking = [u for u in range(L.dim ** 2)
+                        if first_leibniz_violation(L, _unit(L, u)) is not None]
+            cases[c] = q, derivation_algebra(L), breaking
+        return cases[c]
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, len(PARABOLICS_N4) - 1), st.randoms(use_true_random=False),
+               st.booleans(), st.integers(0, 10 ** 6),
+               st.builds(Q, st.sampled_from((-3, -1, 1, 2)), st.integers(1, 3)))
+    def check(c, rng, perturb, pick, scale):
+        q, der, breaking = case(c)
+        L = q.algebra
+        D = EndoMatrix.from_flat(L, *random_combination(der, rng))
+        if perturb and breaking:
+            D = D + EndoMatrix.from_flat(L, {breaking[pick % len(breaking)]: scale})
+        pair = first_leibniz_violation(L, D)
+        seen.add(pair is None)
+        if pair is None:
+            res = constructive_decompose(q, D)
+            assert res.l_part + ad_matrix(L, res.p) == D
+        else:
+            with pytest.raises(NotADerivationError) as exc:
+                constructive_decompose(q, D)
+            assert exc.value.pair == pair
+
+    check()
+    assert seen == {False, True}
 
 
 INNER_CASES = (

@@ -3,7 +3,9 @@
 The files hold stdout (or stderr) of earlier runs of the same commands:
 ``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and
 ``verify --max-n 6 --rounds 0``, which takes all 63 compositions through the
-theorem check and no decomposition round, as JSON; ``decompose``
+theorem check and no decomposition round, as JSON; ``verify --max-n 5
+--rounds 20``, which also splits 20 random derivations of each of the 31
+compositions constructively, as JSON; ``decompose``
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7) and for one derivation perturbed
@@ -44,6 +46,11 @@ def test_verify_stdout_matches_golden(capsys, fmt, ext):
 def test_verify_theorem_checks_to_n6_match_golden(capsys):
     argv = ["verify", "--max-n", "6", "--rounds", "0"]
     assert run(capsys, argv) == (0, (DATA / "verify-n6-s0-r0.json").read_bytes(), b"")
+
+
+def test_verify_constructive_rounds_to_n5_match_golden(capsys):
+    argv = ["verify", "--max-n", "5", "--rounds", "20"]
+    assert run(capsys, argv) == (0, (DATA / "verify-n5-s0-r20.json").read_bytes(), b"")
 
 
 @pytest.mark.parametrize(
