@@ -410,6 +410,21 @@ def cartan_solve(c) -> list[Q]:
     ]
 
 
+def _residual_failure(q: ParabolicAlgebra, l_part: EndoMatrix, p: dict[int, Q]) -> str | None:
+    """The message of the first failing residual check of
+    ``constructive_decompose``, or None when all pass."""
+    center_set = set(q.center_indices)
+    for jdx, col in enumerate(l_part.cols):
+        if any(i not in center_set for i in col):
+            return f"residual map does not land in the center at column {jdx}"
+    for jdx in q.derived.pivots():
+        if l_part.cols[jdx]:
+            return f"residual map does not kill the derived algebra at column {jdx}"
+    if center_set & p.keys():
+        return "inner element has a central component"
+    return None
+
+
 def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionResult:
     """Split a derivation as l_part + ad(p) following the explicit recipe.
 
@@ -418,17 +433,16 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     map on each simple root generator and solves the Cartan-matrix system
     for an element h* with matching root values; subtracting ad(h*) then
     kills the whole derived algebra. What remains must map into the center
-    and be zero on the derived algebra. When S = l_ideal + ad q is
-    ``_sum_certified``, passing these residual checks puts D = l_part + ad p
-    in S, inside Der q, so the Leibniz gate runs only if one fails; else it
-    runs first. Either way a map that breaks Leibniz raises
-    NotADerivationError with its first bad pair, and a derivation that
-    fails a check raises DecompositionError.
+    and be zero on the derived algebra. The Leibniz gate runs after the
+    split, when a residual check fails or S = l_ideal + ad q is not
+    ``_sum_certified``: passing the checks puts D = l_part + ad p in S, so
+    with S certified inside Der q no map that breaks Leibniz passes them.
+    A map that breaks Leibniz raises NotADerivationError with its first bad
+    pair, and a derivation that fails a check raises DecompositionError.
     """
     L = q.algebra
-    certified = _sum_certified(q)
-    if not certified:
-        _check_leibniz(L, D)
+    if D.algebra is not L:
+        raise ValueError("maps belong to different algebras")
     n = q.composition.n
 
     x, Dp, d_gamma = root_line_reduction(q, D)
@@ -446,21 +460,12 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     l_part = Dp - ad_matrix(L, h_star)
     p = {**x, **h_star}  # x sits on the root generators, h* on the coroots
 
-    def fail(message: str):
-        if certified:
-            _check_leibniz(L, D)
+    message = _residual_failure(q, l_part, p)
+    if message is not None or not _sum_certified(q):
+        _check_leibniz(L, D)
+    if message is not None:
         raise DecompositionError(message, {"d_gamma": d_gamma, "c_gamma": c_gamma,
                                            "h_star": h_star, "p": p})
-
-    center_set = set(q.center_indices)
-    for jdx, col in enumerate(l_part.cols):
-        if any(i not in center_set for i in col):
-            fail(f"residual map does not land in the center at column {jdx}")
-    for jdx in q.derived.pivots():
-        if l_part.cols[jdx]:
-            fail(f"residual map does not kill the derived algebra at column {jdx}")
-    if center_set & p.keys():
-        fail("inner element has a central component")
 
     return DecompositionResult(
         l_part=l_part,

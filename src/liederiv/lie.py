@@ -109,7 +109,9 @@ class LieAlgebra:
         self._raw = tuple(raw)
         self.int_table = int_table
         self.denominator = N
-        self._jacobi: bool | None = None  # jacobi_holds; the table is never rewritten
+        # computed by jacobi_holds, or set by ParabolicAlgebra.__init__ by construction;
+        # the table is never rewritten
+        self._jacobi: bool | None = None
 
     def triples(self) -> list[tuple[int, int, int, Q]]:
         """Canonical i < j triples, sorted."""

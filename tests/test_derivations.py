@@ -396,6 +396,22 @@ def test_decompose_gates_a_map_outside_an_uncertified_sum():
     assert exc.value.pair == (3, 5)
 
 
+def test_decompose_rejects_a_map_of_another_algebra():
+    # one error for every foreign map: smaller than the coroot indices of q,
+    # smaller, equal-sized but breaking Leibniz, or a derivation of an
+    # equal table
+    q = build_standard_parabolic((2, 1))
+    tiny = build_standard_parabolic((1,)).algebra
+    smaller = build_standard_parabolic((1, 1)).algebra
+    twin = build_standard_parabolic((2, 1)).algebra
+    breaking = next(_unit(twin, u) for u in range(twin.dim ** 2)
+                    if first_leibniz_violation(twin, _unit(twin, u)) is not None)
+    for D in (EndoMatrix(tiny, [{}]), ad_matrix(smaller, {1: 1}), breaking,
+              ad_matrix(twin, {1: 1})):
+        with pytest.raises(ValueError, match="different algebras"):
+            constructive_decompose(q, D)
+
+
 PARABOLICS_N4 = [(b, z) for n in range(1, 5) for b in compositions(n) for z in (0, 1)]
 
 
