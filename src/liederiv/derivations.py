@@ -375,14 +375,14 @@ def _check_leibniz(L: LieAlgebra, D: EndoMatrix) -> None:
 
 def root_line_reduction(
     q: ParabolicAlgebra, D: EndoMatrix
-) -> tuple[dict[int, Q], EndoMatrix, dict[tuple[int, int], Q]]:
-    """First reduction step: returns (x, D - ad x, the d_gamma table), x as
-    a sparse coordinate dict.
+) -> tuple[dict[int, Q], dict[tuple[int, int], Q]]:
+    """First reduction step: returns (x, the d_gamma table), x a sparse
+    coordinate dict on the root generators.
 
     For each allowed root (i, j) pick h = e_ii - e_jj, on which the root
     takes the value 2; the coefficient of the root generator in D(h) then
-    determines the inner correction. When D satisfies Leibniz, the reduced
-    map sends the Cartan into the center, annihilates the within-block
+    determines the inner correction. When D satisfies Leibniz, D - ad x
+    sends the Cartan into the center, annihilates the within-block
     coroots, and stabilizes every root line.
     """
     d_gamma: dict[tuple[int, int], Q] = {}
@@ -394,7 +394,7 @@ def root_line_reduction(
         d_gamma[root] = dg
         if dg:
             x[pos] = -dg
-    return x, D - ad_matrix(q.algebra, x), d_gamma
+    return x, d_gamma
 
 
 def cartan_solve(c) -> list[Q]:
@@ -426,14 +426,15 @@ def _residual_failure(q: ParabolicAlgebra, l_part: EndoMatrix, p: dict[int, Q]) 
 
 
 def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionResult:
-    """Split a derivation as l_part + ad(p) following the explicit recipe.
+    """Split a derivation as l_part + ad(p), p = x + h*, in one pass.
 
-    Step 1 removes the root-generator components of the Cartan images with
-    an inner correction ad(x). Step 2 reads the eigenvalue of the reduced
-    map on each simple root generator and solves the Cartan-matrix system
-    for an element h* with matching root values; subtracting ad(h*) then
-    kills the whole derived algebra. What remains must map into the center
-    and be zero on the derived algebra. The Leibniz gate runs after the
+    x is the inner correction read off the Cartan images
+    (``root_line_reduction``). h* solves the Cartan-matrix system for the
+    eigenvalues c_gamma of D - ad x on the simple root generators, each the
+    diagonal entry of D itself: x sits on root generators, of nonzero
+    weight, and the table is weight-homogeneous, so ad x has no diagonal
+    entry on a root line. l_part = D - ad p must map into the center and
+    be zero on the derived algebra. The Leibniz gate runs after the
     split, when a residual check fails or S = l_ideal + ad q is not
     ``_sum_certified``: passing the checks puts D = l_part + ad p in S, so
     with S certified inside Der q no map that breaks Leibniz passes them.
@@ -445,20 +446,15 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
         raise ValueError("maps belong to different algebras")
     n = q.composition.n
 
-    x, Dp, d_gamma = root_line_reduction(q, D)
-
-    c_gamma: dict[tuple[int, int], Q] = {}
-    for root in q.roots:
-        pos = q.root_index[root]
-        c_gamma[root] = Q(Dp.cols[pos].get(pos, 0), Dp.den)
+    x, d_gamma = root_line_reduction(q, D)
+    c_gamma = {root: Q(D.cols[pos].get(pos, 0), D.den) for root, pos in q.root_index.items()}
 
     # h* = sum b_k h_k with alpha_j(h*) = c_gamma(alpha_j); alpha_j(h_k) is
     # the type A Cartan matrix
     b = cartan_solve([c_gamma[(k, k + 1)] for k in range(1, n)])
     h_star = {q.coroot_index[k]: bk for k, bk in enumerate(b, 1) if bk}
-
-    l_part = Dp - ad_matrix(L, h_star)
     p = {**x, **h_star}  # x sits on the root generators, h* on the coroots
+    l_part = D - ad_matrix(L, p)
 
     message = _residual_failure(q, l_part, p)
     if message is not None or not _sum_certified(q):

@@ -396,6 +396,34 @@ def test_decompose_gates_a_map_outside_an_uncertified_sum():
     assert exc.value.pair == (3, 5)
 
 
+def test_decompose_raises_decomposition_error_on_a_swapped_table():
+    # the (1,2) table in q = (2,1): each oracle basis map is a derivation of
+    # the table, but the root data of q do not fit it, so five of the eight
+    # fail a residual check and raise DecompositionError, not a Leibniz error
+    q = build_standard_parabolic((2, 1))
+    q.algebra = build_standard_parabolic((1, 2)).algebra
+    outcomes, errors = [], []
+    for row in derivation_algebra(q.algebra).rows:
+        try:
+            constructive_decompose(q, EndoMatrix.from_flat(q.algebra, row))
+            outcomes.append("split")
+        except DecompositionError as exc:
+            outcomes.append(str(exc))
+            errors.append(exc)
+    kill, center = "residual map does not kill", "residual map does not land in the center"
+    assert outcomes == [
+        "split", f"{kill} the derived algebra at column 1", "split", "split",
+        f"{center} at column 1", f"{center} at column 1",
+        f"{center} at column 4", f"{center} at column 4",
+    ]
+    assert errors[3].diagnostics == {
+        "d_gamma": {(1, 2): 0, (1, 3): 0, (2, 1): 0, (2, 3): 0},
+        "c_gamma": {(1, 2): 1, (1, 3): 0, (2, 1): -1, (2, 3): 1},
+        "h_star": {1: 1, 2: 1},
+        "p": {1: 1, 2: 1},
+    }
+
+
 def test_decompose_rejects_a_map_of_another_algebra():
     # one error for every foreign map: smaller than the coroot indices of q,
     # smaller, equal-sized but breaking Leibniz, or a derivation of an
@@ -620,13 +648,29 @@ def test_decompose_random_round_trips(golden_q, golden_der):
         assert all(res.p.get(i, 0) == 0 for i in q.center_indices)
 
 
-def test_decompose_matches_projection(golden_q, golden_der):
-    q = golden_q
+# (blocks, build keywords, draws): the golden example, every composition of
+# n <= 4 with and without an extra central generator, and a rational root scale
+PROJECTION_CASES = (
+    [((3, 2, 1), {}, 10)]
+    + [(b, {"extra_center": z}, 2) for n in range(1, 5) for b in compositions(n) for z in (0, 1)]
+    + [((2, 1, 2), {"root_scale": Q(3, 2)}, 2)]
+)
+
+
+@pytest.mark.parametrize("blocks,kwargs,draws", PROJECTION_CASES, ids=[
+    ",".join(map(str, b)) + "".join(f"-{k}={v}" for k, v in kw.items())
+    for b, kw, _ in PROJECTION_CASES])
+def test_decompose_matches_projection(blocks, kwargs, draws):
+    # the constructive split and the independent projection agree; with
+    # l_part = D - ad p by construction, this is the cross-check that D is
+    # split into the right two summands
+    q = build_standard_parabolic(blocks, **kwargs)
+    der = derivation_algebra(q.algebra)
     lid = l_ideal(q)
     inner = inner_derivations(q)
     rng = random.Random(77)
-    for _ in range(10):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+    for _ in range(draws):
+        D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
         res = constructive_decompose(q, D)
         l_comp, inner_comp = split_derivation(q, D, lid, inner)
         assert l_comp == res.l_part
@@ -678,8 +722,8 @@ def test_claim1_midpoint_properties(golden_q, golden_der):
     t_positions = [q.coroot_index[k] for k in (1, 2, 4)]
     for _ in range(10):
         D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
-        x, reduced, d_gamma = root_line_reduction(q, D)
-        reduced = as_matrix(reduced)
+        x, _ = root_line_reduction(q, D)
+        reduced = as_matrix(D - ad_matrix(q.algebra, x))
         # annihilates the within-block coroots
         for pos in t_positions:
             assert not any(reduced.col(pos))

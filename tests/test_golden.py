@@ -12,9 +12,10 @@ as JSON integers, input 5 is divided by 7) and for one derivation perturbed
 by the map I -> x_10, which must exit 4; and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, and for the Borel of
 gl_5, whose "sc" list and subspace bases (the Levi center among them) come
-from the structure-constant table and the restriction to the Levi factor;
-and ``der`` and ``h1`` as JSON and text for gl_6 with blocks 3,2,1, and
-``der`` as JSON for the whole gl_10 (blocks 10), where the oracle
+from the structure-constant table and the restriction to the Levi factor,
+and as text for gl_6 with blocks 3,2,1; and ``der`` and ``h1`` as JSON and
+text for gl_6 with blocks 3,2,1, and ``der`` as JSON for the whole gl_10
+(blocks 10), where the oracle
 eliminates only the weight-0 block, and for gl_6 with blocks 3,2,1 and two
 extra central generators, where the grading element is not unique (any
 central element can be added to it).
@@ -58,6 +59,7 @@ def test_verify_constructive_rounds_to_n5_match_golden(capsys):
     [
         (["--n", "6", "--blocks", "3,2,1", "--extra-center", "1"], "describe-n6-b321-z1.json"),
         (["--n", "5", "--blocks", "1,1,1,1,1"], "describe-n5-borel.json"),
+        (["--n", "6", "--blocks", "3,2,1", "--format", "text"], "describe-n6-b321.txt"),
     ],
 )
 def test_describe_stdout_matches_golden(capsys, argv, name):
