@@ -16,8 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import random
 import sys
+from itertools import compress
+from json.encoder import encode_basestring_ascii
 
 from .derivations import (
     DecompositionError,
@@ -167,14 +170,16 @@ def _read_derivation(args, algebra) -> EndoMatrix:
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"matrix must be a list of {dim} rows")
-    # each distinct string is parsed once; an entry that fails is never
-    # stored, so the error names its first place
+    # the string "0" is skipped at C speed; each other distinct string is
+    # parsed once, and an entry that fails is never stored, so the error
+    # names its first place
     parsed: dict[str, Q] = {}
     cols: list[dict[int, int | Q]] = [{} for _ in range(dim)]
+    nonzero = functools.partial(operator.ne, "0")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries at row {i}")
-        for j, e in enumerate(row):
+        for j, e in compress(enumerate(row), map(nonzero, row)):
             v = e if type(e) is int else parsed.get(e) if type(e) is str else None
             if v is None:
                 # JSON holds no Fraction, so this raises unless e is a string
@@ -243,8 +248,39 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# JSON and text rendering
 # ---------------------------------------------------------------------------
+
+def _json(obj, indent: str = "\n") -> str:
+    """The bytes of ``json.dumps(obj, indent=2)`` for dicts with str keys,
+    lists, str, int, bool and None; anything else, a float included, raises
+    TypeError. A list of strings is quoted by one join."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return repr(obj)
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    sep = "," + inner
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        if type(obj[0]) is str:
+            try:
+                return "[" + inner + sep.join(map(encode_basestring_ascii, obj)) + indent + "]"
+            except TypeError:  # not every entry is a str
+                pass
+        return "[" + inner + sep.join([_json(e, inner) for e in obj]) + indent + "]"
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + sep.join(items) + indent + "}"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
 
 def _render_table(headers: list[str], rows: list[list]) -> str:
     table = [headers] + [[str(c) for c in row] for row in rows]
@@ -299,7 +335,7 @@ def _render_text(command: str, payload: dict) -> str:
             _render_table(headers, rows)
             + f"\n\ncases: {summary['cases']}  all_ok: {summary['all_ok']}"
         )
-    return json.dumps(payload, indent=2)
+    return _json(payload)
 
 
 def main(argv=None) -> int:
@@ -326,7 +362,7 @@ def main(argv=None) -> int:
     if args.format == "text":
         print(_render_text(args.command, payload))
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     return code
 
 

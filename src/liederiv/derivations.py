@@ -357,9 +357,13 @@ class DecompositionResult:
     h_star: dict[int, Q]
 
     def to_json_dict(self) -> dict:
-        d = self.l_part.algebra.dim
+        d, den = self.l_part.algebra.dim, self.l_part.den
+        rows = [["0"] * d for _ in range(d)]
+        for j, col in enumerate(self.l_part.cols):
+            for i, e in col.items():
+                rows[i][j] = str(Q(e, den))
         return {
-            "l_part": [[str(e) for e in row] for row in self.l_part.dense_rows()],
+            "l_part": rows,
             "p": [str(self.p.get(i, 0)) for i in range(d)],
             "d_gamma": [[i, j, str(v)] for (i, j), v in sorted(self.d_gamma.items())],
             "c_gamma": [[i, j, str(v)] for (i, j), v in sorted(self.c_gamma.items())],
@@ -401,11 +405,14 @@ def cartan_solve(c) -> list[Q]:
     """The b with A b = c for the type A Cartan matrix A of size len(c).
 
     With n = len(c) + 1, A^-1 has entries min(j, k) (n - max(j, k)) / n,
-    1 <= j, k <= n - 1, so b is read off without elimination.
+    1 <= j, k <= n - 1, so b is read off without elimination: summed in
+    integers over the common denominator of c, one Fraction per entry.
     """
     n = len(c) + 1
+    den = lcm(*(ck.denominator for ck in c))
+    c = [ck.numerator * (den // ck.denominator) for ck in c]  # den times c, in ints
     return [
-        sum((Q(min(j, k) * (n - max(j, k)), n) * ck for k, ck in enumerate(c, 1)), Q(0))
+        Q(sum(min(j, k) * (n - max(j, k)) * ck for k, ck in enumerate(c, 1)), n * den)
         for j in range(1, n)
     ]
 

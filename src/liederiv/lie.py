@@ -154,8 +154,10 @@ class EndoMatrix:
     Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero
     int and ``den`` a positive int with no factor common to all entries (1
     for the zero map), so equal maps have equal ``cols`` and ``den``. The
-    constructor alone clears denominators: it takes int or Fraction entries
-    over ``den`` (other values raise ValueError). The flat form, the
+    constructor clears denominators: it takes int or Fraction entries over
+    ``den`` (other values raise ValueError). ``ad_matrix`` and ``+``/``-``
+    sum in integers and only divide out the common factor (``_canonical``),
+    which gives the same form. The flat form, the
     ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
     """
 
@@ -180,6 +182,18 @@ class EndoMatrix:
         self.cols = tuple({i: e.numerator * (m // e.denominator) // g for i, e in c.items() if e}
                           for c in cols)
         self.den = den * m // g
+
+    @classmethod
+    def _canonical(cls, algebra: LieAlgebra, cols, den: int) -> EndoMatrix:
+        """The map with int columns over a positive den that the library
+        summed itself: zeros dropped and gcd(den, entries) divided out,
+        without the constructor's value and index checks."""
+        g = gcd(den, *(e for c in cols for e in c.values()))
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.cols = tuple({i: e // g for i, e in c.items() if e} for c in cols)
+        self.den = den // g
+        return self
 
     @classmethod
     def from_flat(cls, algebra: LieAlgebra, flat, den: int = 1) -> EndoMatrix:
@@ -226,7 +240,7 @@ class EndoMatrix:
             for i, e in y.items():
                 c[i] = c.get(i, 0) + b * e
             cols.append(c)
-        return EndoMatrix(self.algebra, cols, den)
+        return EndoMatrix._canonical(self.algebra, cols, den)
 
     def __add__(self, other: EndoMatrix) -> EndoMatrix:
         return self._combine(other, 1)
@@ -380,7 +394,7 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
                 col = cols[j]
                 for k, v in ks.items():
                     col[k] = col.get(k, 0) + xi * v
-    return EndoMatrix(L, cols, den * L.denominator)
+    return EndoMatrix._canonical(L, cols, den * L.denominator)
 
 
 def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:

@@ -4,13 +4,14 @@ A composition (b_1, ..., b_r) of n selects the block upper triangular
 subalgebra q of gl_n. Its basis is adapted to the chain of splittings used
 throughout this package: the scalar line (plus optional extra central
 generators), the coroots h_k = e_kk - e_{k+1,k+1}, and one generator per
-allowed off-diagonal position. The structure constants are read off the
-commutators of the coroots and root generators, realized as sparse n x n
-integer matrices {(i, j): entry}, so they are ints; only the pairs where a
-column index of one matrix is a row index of the other are multiplied, as
-every other commutator is zero. A root_scale s != 1 (root generators s e_ij)
-multiplies each constant once, by s, s^2 or 1 according to which of its
-three basis elements are root generators.
+allowed off-diagonal position. The structure constants are the commutators
+of these matrices, written in closed form as ints: [h_k, e_ij] is
+(eps_i - eps_j)(h_k) e_ij, [e_ij, e_jl] = e_il for l != i, and [e_ij, e_ji]
+= e_ii - e_jj is a sum of coroots. Only the pairs that meet are visited,
+the root generators being indexed by row; every other commutator is zero.
+A root_scale s != 1 (root generators s e_ij) multiplies each constant once,
+by s, s^2 or 1 according to which of its three basis elements are root
+generators.
 
 Every distinguished subspace but one (center, split Cartan pieces, derived
 algebra, Levi factor and its semisimple part, nilradical) is spanned by
@@ -135,17 +136,6 @@ def _root_weight(i: int, j: int) -> int:
     return 8**i - 8**j
 
 
-def _commutator(a: dict, b: dict) -> dict:
-    """AB - BA for sparse matrices {(i, j): entry}, zero entries dropped."""
-    out: dict[tuple[int, int], int] = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        for (i, k), u in x.items():
-            for (l, j), v in y.items():
-                if k == l:
-                    out[(i, j)] = out.get((i, j), 0) + sign * u * v
-    return {p: v for p, v in out.items() if v}
-
-
 def _partition(parts, whole: Subspace) -> bool:
     """``is_direct_sum``, read off the pivots when every row is a unit vector."""
     if any(len(row) != 1 for s in (*parts, whole) for row in s.rows):
@@ -198,27 +188,29 @@ class ParabolicAlgebra:
         self.roots = roots
         dim = len(labels)
 
-        # realize each non-central basis element as a sparse n x n matrix
-        # {(i, j): entry}, 1-based, at root_scale 1; I commutes with
-        # everything, so it is skipped
-        mats = {self.coroot_index[k]: {(k, k): 1, (k + 1, k + 1): -1} for k in range(1, n)}
-        mats.update({pos: {(i, j): 1} for (i, j), pos in self.root_index.items()})
-        # AB - BA is zero unless a column index of one matrix is a row index
-        # of the other, so only the pairs that meet are multiplied
-        in_row: dict[int, set[int]] = {}
-        in_col: dict[int, set[int]] = {}
-        for a, mat in mats.items():
-            for i, j in mat:
-                in_row.setdefault(i, set()).add(a)
-                in_col.setdefault(j, set()).add(a)
+        # the commutators of e_kk - e_(k+1,k+1) (the coroot h_k) and e_ij
+        # (the root generator x_(i,j) at root_scale 1), in closed form;
+        # I commutes with everything, so it is skipped
         triples = []
-        for a in range(m, dim):
-            meet = set()
-            for i, j in mats[a]:
-                meet |= in_row.get(j, set()) | in_col.get(i, set())
-            for b in sorted(b for b in meet if b > a):
-                for k, v in self._coords_of(_commutator(mats[a], mats[b])).items():
-                    triples.append((a, b, k, v))
+        by_row: dict[int, list[tuple[int, int]]] = {}
+        for (i, j), pos in self.root_index.items():
+            by_row.setdefault(i, []).append((j, pos))
+            # [h_k, e_ij] = (eps_i - eps_j)(h_k) e_ij
+            for k in {i - 1, i, j - 1, j} & self.coroot_index.keys():
+                v = (i == k) - (i == k + 1) - (j == k) + (j == k + 1)
+                triples.append((self.coroot_index[k], pos, pos, v))
+        for (i, j), a in self.root_index.items():
+            for l, b in by_row.get(j, ()):
+                if l != i:
+                    # [e_ij, e_jl] = e_il
+                    c = self.root_index.get((i, l))
+                    if c is None:
+                        raise RuntimeError(f"bracket escaped the parabolic at ({i},{l})")
+                    triples.append((a, b, c, 1) if a < b else (b, a, c, -1))
+                elif i < j:
+                    # [e_ij, e_ji] = e_ii - e_jj = h_i + ... + h_(j-1)
+                    triples.extend((a, b, self.coroot_index[k], 1) for k in range(i, j))
+        triples.sort()  # by (a, b), as the raw triples are kept in that order
         if root_scale != 1:
             # x_(i,j) = s e_ij turns each constant c_ab^k into
             # (sigma_a sigma_b / sigma_k) c_ab^k, sigma being s on the root
@@ -232,31 +224,12 @@ class ParabolicAlgebra:
         for (i, j), pos in self.root_index.items():
             weights[pos] = _root_weight(i, j)
         self.algebra = LieAlgebra(dim, labels, triples, weights)
-        # the table pulls back the gl_n bracket along independent matrices, so Jacobi holds
+        # the table is the gl_n bracket of linearly independent matrices (an
+        # escaping bracket raised above), so Jacobi holds
         self.algebra._jacobi = True
 
         self._make_subspaces()
         self._check_invariants()
-
-    def _coords_of(self, mat: dict[tuple[int, int], int]) -> dict[int, int]:
-        """Coordinates of a traceless block upper triangular sparse integer
-        matrix in the coroots and the root generators at root_scale 1."""
-        out: dict[int, int] = {}
-        for (i, j), v in sorted(mat.items()):
-            if i != j:
-                pos = self.root_index.get((i, j))
-                if pos is None:
-                    raise RuntimeError(f"bracket escaped the parabolic at ({i},{j})")
-                out[pos] = v
-        trace = sum(v for (i, j), v in mat.items() if i == j)
-        if trace != 0:
-            raise RuntimeError("commutator acquired a trace")
-        acc = 0
-        for k in range(1, self.composition.n):
-            acc += mat.get((k, k), 0)
-            if acc:
-                out[self.coroot_index[k]] = acc
-        return out
 
     def _units(self, indices) -> Subspace:
         return Subspace.units(self.algebra.dim, indices)

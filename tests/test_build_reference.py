@@ -1,10 +1,11 @@
 """The parabolic build against a reference built the plain way.
 
-``ParabolicAlgebra`` multiplies only the realizing matrices that meet, makes
-its coordinate subspaces without elimination, reads the Levi center off the
-centralizer equations over the Levi indices, and checks both closures on the
-support of the table. The reference here does each step the long way: every
-pair of realizing matrices is multiplied, every subspace is the row
+``ParabolicAlgebra`` writes the commutators of the pairs of realizing
+matrices that meet in closed form, makes its coordinate subspaces without
+elimination, reads the Levi center off the centralizer equations over the
+Levi indices, and checks both closures on the support of the table. The
+reference here does each step the long way: every pair of realizing
+matrices is multiplied, every subspace is the row
 reduction of its unit vectors, the Levi center is the center of the Levi
 factor restricted to a standalone algebra and mapped back, and the closures
 are the row-reduced spans of brackets. Both must give the same table and the

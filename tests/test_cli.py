@@ -1,10 +1,14 @@
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from liederiv.cli import _build_parser, main
+from liederiv.cli import _build_parser, _json, main
 from liederiv.lie import ad_matrix
+from liederiv.linalg import Q
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -175,11 +179,17 @@ _ENTRY_TEXT = '{"dim": 3, "matrix": [[1, 0, 0], [0, 0, %s], [0, 0, 0]]}'
          "at row 0, column 1"),
         ('{"dim": 3, "matrix": [["0", "0", "0"], ["0", "0", "0.5"], ["0", "0", "0"]]}',
          "at row 1, column 2"),
+        # zero-valued entries that are not exact zeros
+        (_ENTRY_TEXT % "0.0", "at row 1, column 2"),
+        (_ENTRY_TEXT % "-0.0", "at row 1, column 2"),
+        (_ENTRY_TEXT % "false", "at row 1, column 2"),
+        (_ENTRY_TEXT % '"0.0"', "at row 1, column 2"),
     ],
     ids=["list", "zero-denominator", "null", "nested-list", "overflow", "float",
          "bool", "matrix-not-list", "row-string", "deep-nesting", "decimal-string",
          "exponent-string", "padded-string", "underscore-string", "non-ascii-digit",
-         "repeated-zero-denominator", "decimal-after-zeros"],
+         "repeated-zero-denominator", "decimal-after-zeros", "float-zero",
+         "negative-float-zero", "false", "decimal-zero-string"],
 )
 def test_decompose_rejects_malformed_input(tmp_path, capsys, text, where):
     path = tmp_path / "bad.json"
@@ -207,6 +217,29 @@ def test_decompose_mixed_int_and_string_entries(tmp_path, capsys):
                          "--input", str(path))
     assert (code, err) == (0, "")
     assert out == (data / "decompose-0.out.json").read_text()
+
+
+@pytest.mark.parametrize("zero", ['0', '"-0"', '"00"', '"0/5"'])
+def test_decompose_zero_spellings_read_alike(tmp_path, capsys, zero):
+    # every exact spelling of zero gives the payload of "0"
+    payloads = []
+    for entry in ('"0"', zero):
+        path = tmp_path / "z.json"
+        path.write_text(_ENTRY_TEXT.replace("[1, 0, 0]", "[1, %s, 0]" % entry) % entry)
+        code, out, err = run(capsys, "decompose", "--n", "2", "--blocks", "1,1",
+                             "--input", str(path))
+        assert (code, err) == (0, "")
+        payloads.append(out)
+    assert payloads[0] == payloads[1]
+    assert json.loads(payloads[0])["l_part"] == [["1", "0", "0"], ["0", "0", "0"],
+                                                 ["0", "0", "0"]]
+
+
+def test_decompose_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO((DATA / "decompose-0.in.json").read_text()))
+    code, out, err = run(capsys, "decompose", "--n", "6", "--blocks", "3,2,1", "--input", "-")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "decompose-0.out.json").read_text()
 
 
 def test_verify_rejects_negative_rounds(capsys):
@@ -291,3 +324,36 @@ def test_parser_shares_no_state_between_calls(capsys):
     run(capsys, "describe", "--n", "2", "--blocks", "1,1", "--extra-center", "1")
     code, out, _ = run(capsys, "describe", "--n", "2", "--blocks", "1,1")
     assert code == 0 and json.loads(out)["extra_center"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+def test_writer_matches_json_dumps_on_goldens(name):
+    obj = json.loads((DATA / name).read_text())
+    assert _json(obj) == json.dumps(obj, indent=2)
+
+
+def test_property_writer_matches_json_dumps():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    text = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "\u2028", "\U0001f600", "caf\u00e9", ""])
+    scalar = st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, -10 ** 30) | text
+    tree = st.recursive(scalar, lambda kids: st.lists(kids, max_size=4)
+                        | st.dictionaries(text, kids, max_size=4), max_leaves=20)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(tree)
+    def check(obj):
+        assert _json(obj) == json.dumps(obj, indent=2)
+
+    check()
+    assert _json({"a": [], "b": {}, "c": [[]]}) == json.dumps({"a": [], "b": {}, "c": [[]]},
+                                                               indent=2)
+
+
+@pytest.mark.parametrize("value", [0.5, Q(1, 2), 1.0, (1,)], ids=["float", "fraction",
+                                                                  "integral-float", "tuple"])
+def test_writer_rejects_other_values(value):
+    for obj in (value, [value], ["0", value], {"k": value}, [[value]], {1: "0"}):
+        with pytest.raises(TypeError):
+            _json(obj)

@@ -537,6 +537,33 @@ def test_property_endomatrix_form_is_canonical():
     check()
 
 
+# every composition of n <= 4 with and without an extra central generator,
+# and one at a rational root scale, whose table has denominator 4
+CANONICAL_CASES = (
+    [(b, z, 1) for n in range(1, 5) for b in compositions(n) for z in (0, 1)]
+    + [((2, 1, 2), 0, Q(3, 2))]
+)
+
+
+def test_library_built_maps_are_canonical():
+    # ad_matrix and +/- build their maps from integer columns without the
+    # public constructor; reading a map back through it must change nothing
+    rng = random.Random(18)
+    for blocks, z, s in CANONICAL_CASES:
+        L = build_standard_parabolic(blocks, extra_center=z, root_scale=s).algebra
+        ads = [ad_matrix(L, {i: 1}) for i in range(L.dim)]
+        ads += [ad_matrix(L, {i: Q(rng.randint(-4, 4), rng.randint(1, 6))
+                              for i in rng.sample(range(L.dim), min(3, L.dim))})
+                for _ in range(4)]
+        maps = ads + [a + b for a in ads for b in ads[-4:]] + [a - b for a in ads for b in ads[-4:]]
+        maps += [a + a for a in ads] + [a - a for a in ads]
+        for m in maps:
+            assert EndoMatrix.from_flat(L, m.flat()) == m, (blocks, z, s)
+        zero = ads[-1] - ads[-1]
+        assert zero.den == 1 and not any(zero.cols)
+    assert L.denominator == 4
+
+
 def test_endomatrix_rejects_bad_shapes():
     gl2 = build_gl(2)
     with pytest.raises(ValueError, match="column count"):

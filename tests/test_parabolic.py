@@ -10,6 +10,7 @@ from liederiv.linalg import Q, Subspace, is_direct_sum
 from liederiv.parabolic import (
     BlockComposition,
     ParabolicAlgebra,
+    RootDatumA,
     _partition,
     build_gl,
     build_standard_parabolic,
@@ -79,6 +80,16 @@ def test_invariant_faults_cover_every_check():
     source = inspect.getsource(ParabolicAlgebra._check_invariants)
     assert sorted(re.findall(r'RuntimeError\("([^"]+)"\)', source)) == sorted(
         m for m, _, _ in INVARIANT_FAULTS)
+
+
+def test_bracket_escaping_the_roots_raises(monkeypatch):
+    # with (1,3) left out of the Borel of gl_3, [E12, E23] = E13 has no
+    # coordinates in the basis
+    phi_prime = RootDatumA.phi_prime.fget
+    monkeypatch.setattr(RootDatumA, "phi_prime",
+                        property(lambda self: tuple(r for r in phi_prime(self) if r != (1, 3))))
+    with pytest.raises(RuntimeError, match=r"^bracket escaped the parabolic at \(1,3\)$"):
+        build_standard_parabolic((1, 1, 1))
 
 
 def test_partition_matches_is_direct_sum():
