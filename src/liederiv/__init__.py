@@ -61,9 +61,6 @@ from .parabolic import (
     build_gl,
     build_standard_parabolic,
     compositions,
-    parabolic_from_delta_prime,
-    root_value,
-    semisimple_restriction,
 )
 
 __version__ = "0.1.0"

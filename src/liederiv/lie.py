@@ -348,29 +348,17 @@ def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_sparse(L.dim, [_bracket(L, u, v) for u in a.rows for v in b.rows])
 
 
-def center(L: LieAlgebra, indices=None) -> Subspace:
-    """The center of the coordinate subalgebra spanned by the basis vectors
-    at indices (all of them by default): {z in that span : [z, x_j] = 0 for
-    every j in indices}, in the coordinates of L.
-
-    One equation per (j, k): sum_i z_i N c_ij^k = 0, over i and j in
-    indices. Its unknowns are the z_i alone, numbered in increasing i; that
-    renumbering keeps the order of columns, so the kernel's canonical basis
-    is read back by renaming them. An index outside L raises ValueError."""
-    idx = range(L.dim) if indices is None else sorted(set(indices))
-    if idx and not (0 <= idx[0] and idx[-1] < L.dim):
-        raise ValueError("index out of range for algebra dimension")
-    unknown = {i: t for t, i in enumerate(idx)}
+def center(L: LieAlgebra) -> Subspace:
+    """The center of L, {z : [z, x_j] = 0 for every j}: the kernel of one
+    equation per (j, k), sum_i z_i N c_ij^k = 0, read off the integer table.
+    Nothing in the library calls it; the tests check the parabolic build's
+    closed-form Levi center against it."""
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i in idx:
+    for i in range(L.dim):
         for j, ks in L.int_table[i].items():
-            if j in unknown:
-                for k, v in ks.items():
-                    rows.setdefault((j, k), {})[unknown[i]] = v
-    z = nullspace_of_rows(len(idx), rows.values())
-    if indices is None:
-        return z
-    return Subspace(L.dim, ({idx[t]: e for t, e in row.items()} for row in z.rows))
+            for k, v in ks.items():
+                rows.setdefault((j, k), {})[i] = v
+    return nullspace_of_rows(L.dim, rows.values())
 
 
 def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:

@@ -321,11 +321,6 @@ class Subspace:
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self.rows)))
 
-    def __le__(self, other: Subspace) -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(contains(other, row) for row in self.rows)
-
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 

@@ -16,17 +16,19 @@ generators.
 Every distinguished subspace but one (center, split Cartan pieces, derived
 algebra, Levi factor and its semisimple part, nilradical) is spanned by
 basis vectors, so its canonical basis is written down without elimination
-(``Subspace.units``). The Levi center is the kernel of the centralizer
-equations over the Levi indices (``lie.center``). The subspaces are
-cross-checked on the spot by ``ParabolicAlgebra._check_invariants``.
+(``Subspace.units``). The Levi center is the part of the Cartan on which
+every root of delta' vanishes, spanned by n times the fundamental coweights
+of the simple roots outside delta'. The subspaces are cross-checked on the
+spot by ``ParabolicAlgebra._check_invariants``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .lie import LieAlgebra, center, restrict
-from .linalg import Q, Subspace, is_direct_sum, rational
+from .lie import LieAlgebra, _bracket
+from .linalg import Subspace, is_direct_sum, rational
 
 __all__ = [
     "BlockComposition",
@@ -34,10 +36,7 @@ __all__ = [
     "ParabolicAlgebra",
     "build_gl",
     "build_standard_parabolic",
-    "parabolic_from_delta_prime",
-    "root_value",
     "compositions",
-    "semisimple_restriction",
 ]
 
 
@@ -68,15 +67,6 @@ class BlockComposition:
             raise ValueError(f"cannot parse composition {text!r}") from None
         return cls(n, blocks)
 
-    def block_of(self, i: int) -> int:
-        """Block index (0-based) of the 1-based row/column index i."""
-        acc = 0
-        for b, size in enumerate(self.blocks):
-            acc += size
-            if i <= acc:
-                return b
-        raise ValueError(f"index {i} out of range")
-
 
 def compositions(n: int):
     """All 2^(n-1) compositions of n, lexicographically by block tuple."""
@@ -105,26 +95,15 @@ class RootDatumA:
         return tuple(range(1, self.n))
 
     @property
-    def phi(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1) if i != j
-        )
-
-    def in_span_delta_prime(self, root: tuple[int, int]) -> bool:
-        """(i, j) lies in the span of the selected simple roots iff every
-        simple index between i and j is selected."""
-        i, j = root
-        lo, hi = min(i, j), max(i, j)
-        return all(k in self.delta_prime for k in range(lo, hi))
-
-    @property
     def phi_prime(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for root in self.phi:
-            i, j = root
-            if i < j or self.in_span_delta_prime(root):
-                out.append(root)
-        return tuple(sorted(out))
+        """The positive roots and the negative roots (i, j), i > j, in the
+        span of delta' (every simple index from j to i - 1 selected), in
+        lexicographic order."""
+        dp = set(self.delta_prime)
+        span = range(1, self.n + 1)
+        return tuple(
+            (i, j) for i in span for j in span if i < j or i > j and dp.issuperset(range(j, i))
+        )
 
 
 def _root_weight(i: int, j: int) -> int:
@@ -171,9 +150,9 @@ class ParabolicAlgebra:
         self.extra_center = extra_center
         self.root_scale = root_scale
 
-        delta_prime = tuple(
-            k for k in range(1, n) if composition.block_of(k) == composition.block_of(k + 1)
-        )
+        # k and k + 1 share a block unless a block ends at k
+        ends = set(accumulate(composition.blocks))
+        delta_prime = tuple(k for k in range(1, n) if k not in ends)
         self.root_datum = RootDatumA(n, delta_prime)
         roots = self.root_datum.phi_prime
 
@@ -235,15 +214,15 @@ class ParabolicAlgebra:
         return Subspace.units(self.algebra.dim, indices)
 
     def _make_subspaces(self) -> None:
-        comp = self.composition
         dp = set(self.root_datum.delta_prime)
-        n = comp.n
+        n = self.composition.n
         self.g_z = self._units(self.center_indices)
         self.cartan = self._units(self.coroot_index[k] for k in range(1, n))
         self.c = self._units(self.coroot_index[k] for k in range(1, n) if k not in dp)
         self.t = self._units(self.coroot_index[k] for k in range(1, n) if k in dp)
-        same_block = [r for r in self.roots if comp.block_of(r[0]) == comp.block_of(r[1])]
-        cross_block = [r for r in self.roots if comp.block_of(r[0]) != comp.block_of(r[1])]
+        # (i, j) is a Levi root iff (j, i) is a root too
+        same_block = [(i, j) for i, j in self.roots if (j, i) in self.root_index]
+        cross_block = [(i, j) for i, j in self.roots if (j, i) not in self.root_index]
         root_pos = [self.root_index[r] for r in self.roots]
         self.derived = self._units(
             [self.coroot_index[k] for k in range(1, n) if k in dp] + root_pos
@@ -259,19 +238,23 @@ class ParabolicAlgebra:
         self.semisimple_part = self._units(
             [self.coroot_index[k] for k in range(1, n)] + root_pos
         )
-        # the Levi factor is a coordinate subalgebra, so its center is the
-        # kernel of the centralizer equations over its indices
-        self.levi_center = center(self.algebra, self.levi.pivots())
+        # n times the fundamental coweight of each simple root outside delta'
+        # (an inverse-Cartan row): every root of delta' vanishes on it
+        self.levi_center = Subspace.from_sparse(self.algebra.dim, (
+            {self.coroot_index[j]: min(j, k) * (n - max(j, k)) for j in range(1, n)}
+            for k in range(1, n) if k not in dp
+        ))
 
     def _check_invariants(self) -> None:
-        """Check the seven claims the adapted subspaces rest on, raising
+        """Check the eight claims the adapted subspaces rest on, raising
         RuntimeError with the claim that fails: c + t = Cartan, center + c +
         derived = q, the nilradical is an ideal, the Levi factor is a
-        subalgebra, Levi semisimple part + nilradical = derived, Levi center +
-        Levi semisimple part = Levi factor, and center + Levi center +
-        derived = q. Each splitting is an exact direct-sum test, read off the
-        pivots where no part is the Levi center (``_partition``). The two
-        closures are read off the table: the nilradical and the Levi factor
+        subalgebra, Levi semisimple part + nilradical = derived, the Levi
+        center is central in the Levi factor, Levi center + Levi semisimple
+        part = Levi factor, and center + Levi center + derived = q. Each
+        splitting is an exact direct-sum test, read off the pivots where no
+        part is the Levi center (``_partition``). The two closures and the
+        centrality are read off the table: the nilradical and the Levi factor
         are spanned by basis vectors (their canonical rows are {p: 1}), and a
         bracket of basis vectors lies in such a subspace exactly when its
         support lies in its pivots."""
@@ -288,6 +271,8 @@ class ParabolicAlgebra:
             raise RuntimeError("Levi factor is not a subalgebra")
         if not _partition([self.levi_semisimple, self.nilradical], self.derived):
             raise RuntimeError("derived algebra does not split as semisimple Levi + nilradical")
+        if any(_bracket(L, z, {p: 1}) for z in self.levi_center.rows for p in levi):
+            raise RuntimeError("Levi center is not central in the Levi factor")
         # the Levi center is another valid complement of the derived algebra
         # alongside c (they coincide only for extreme compositions)
         if not is_direct_sum([self.levi_center, self.levi_semisimple], self.levi):
@@ -353,47 +338,3 @@ def build_standard_parabolic(
     elif n is not None and n != composition.n:
         raise ValueError("n disagrees with the composition")
     return ParabolicAlgebra(composition, extra_center=extra_center, root_scale=root_scale)
-
-
-def parabolic_from_delta_prime(n: int, delta_prime, **kwargs) -> ParabolicAlgebra:
-    """Thin adapter: derive the block composition from a set of selected
-    simple indices (k and k+1 share a block iff k is selected)."""
-    selected = set(delta_prime)
-    if not selected <= set(range(1, n)):
-        raise ValueError("selected simple indices out of range")
-    blocks = []
-    size = 1
-    for k in range(1, n):
-        if k in selected:
-            size += 1
-        else:
-            blocks.append(size)
-            size = 1
-    blocks.append(size)
-    return build_standard_parabolic(tuple(blocks), n, **kwargs)
-
-
-def root_value(q: ParabolicAlgebra, root: tuple[int, int], h: dict) -> Q:
-    """The value of the root eps_i - eps_j on a Cartan element h.
-
-    h is a sparse coordinate dict of q.algebra (index -> value) and must lie
-    in the span of the coroots.
-    """
-    n = q.composition.n
-    coroot_pos = set(q.coroot_index.values())
-    if any(v and idx not in coroot_pos for idx, v in h.items()):
-        raise ValueError("element is not in the Cartan subalgebra")
-    i, j = root
-    if not (1 <= i <= n and 1 <= j <= n and i != j):
-        raise ValueError(f"({i},{j}) is not a root")
-    b = [0] * (n + 1)  # b[k] = coefficient of h_k, 1-based, b[n] = 0
-    for k in range(1, n):
-        b[k] = h.get(q.coroot_index[k], 0)
-    diag = [b[k] - b[k - 1] for k in range(1, n + 1)]  # t_k, 1-based offset
-    return diag[i - 1] - diag[j - 1]
-
-
-def semisimple_restriction(q: ParabolicAlgebra) -> LieAlgebra:
-    """The trace-zero part of q as a standalone algebra (coroots + root
-    generators), i.e. the corresponding parabolic of sl_n."""
-    return restrict(q.algebra, q.semisimple_part)

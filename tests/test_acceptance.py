@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from dense_reference import Matrix, as_endo, as_matrix, sparse
+from root_reference import root_value
 from liederiv.derivations import (
     complexify,
     constructive_decompose,
@@ -37,8 +38,6 @@ from liederiv.parabolic import (
     build_gl,
     build_standard_parabolic,
     compositions,
-    root_value,
-    semisimple_restriction,
 )
 
 
@@ -104,7 +103,7 @@ def test_criterion_3_corner_cases():
         for n in range(2, 5):
             for blocks in compositions(n):
                 q = build_standard_parabolic(blocks)
-                sl = semisimple_restriction(q)
+                sl = restrict(q.algebra, q.semisimple_part)
                 der = derivation_algebra(sl)
                 inner = inner_derivations(sl)
                 assert der == inner, (n, blocks)

@@ -12,6 +12,7 @@ from dense_reference import (
     identity,
     sparse,
 )
+from root_reference import root_value
 from liederiv.derivations import (
     DecompositionError,
     NotADerivationError,
@@ -50,8 +51,6 @@ from liederiv.parabolic import (
     build_gl,
     build_standard_parabolic,
     compositions,
-    root_value,
-    semisimple_restriction,
 )
 
 
@@ -514,7 +513,7 @@ def test_inner_derivations_golden(golden_q):
 
 def test_inner_derivations_semisimple_parabolic():
     q = build_standard_parabolic((1, 1, 1), 3)
-    sl = semisimple_restriction(q)
+    sl = restrict(q.algebra, q.semisimple_part)
     inner = inner_derivations(sl)
     assert inner.dim == sl.dim  # trivial center
 
@@ -564,7 +563,7 @@ def test_verify_sweep_small_n():
 
 def test_borel_sl3_all_inner():
     q = build_standard_parabolic((1, 1, 1), 3)
-    sl_borel = semisimple_restriction(q)
+    sl_borel = restrict(q.algebra, q.semisimple_part)
     der = derivation_algebra(sl_borel)
     inner = inner_derivations(sl_borel)
     assert der.dim == inner.dim == 5
@@ -584,7 +583,8 @@ def test_h1_values(golden_q, golden_der):
     for n in (2, 3):
         q = build_standard_parabolic((n,))
         assert derivation_algebra(q.algebra).dim - inner_derivations(q).dim == 1
-    sl = semisimple_restriction(build_standard_parabolic((2, 1), 3))
+    q = build_standard_parabolic((2, 1), 3)
+    sl = restrict(q.algebra, q.semisimple_part)
     assert derivation_algebra(sl).dim - inner_derivations(sl).dim == 0
 
 

@@ -271,7 +271,8 @@ def test_property_grassmann_identity():
         s = subspace_sum(a, b)
         i = subspace_intersect(a, b)
         assert s.dim + i.dim == a.dim + b.dim
-        assert a <= s and b <= s and i <= a and i <= b
+        for part, whole in ((a, s), (b, s), (i, a), (i, b)):
+            assert all(contains(whole, row) for row in part.rows)
 
     check()
 

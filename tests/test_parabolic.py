@@ -5,8 +5,9 @@ import re
 import pytest
 
 from dense_reference import structure_constants
-from liederiv.lie import bracket, bracket_span, center, validate_structure
-from liederiv.linalg import Q, Subspace, is_direct_sum
+from root_reference import root_value
+from liederiv.lie import bracket, bracket_span, center, restrict, validate_structure
+from liederiv.linalg import Q, Subspace, contains, is_direct_sum
 from liederiv.parabolic import (
     BlockComposition,
     ParabolicAlgebra,
@@ -15,9 +16,6 @@ from liederiv.parabolic import (
     build_gl,
     build_standard_parabolic,
     compositions,
-    parabolic_from_delta_prime,
-    root_value,
-    semisimple_restriction,
 )
 
 
@@ -52,6 +50,9 @@ INVARIANT_FAULTS = [
     ("derived algebra does not split as semisimple Levi + nilradical", (2, 1),
      lambda q: {"levi_semisimple": Subspace.units(
          q.dim, set(q.levi_semisimple.pivots()) - {q.root_index[(2, 1)]})}),
+    # c complements t but does not commute with E[1,2]
+    ("Levi center is not central in the Levi factor", (2, 1),
+     lambda q: {"levi_center": q.c}),
     ("Levi factor does not split as center + semisimple part", (2, 1),
      lambda q: {"levi_center": Subspace.zero(q.dim)}),
     # the Borel of gl_2 with its Levi factor, and so its Levi center, left
@@ -246,8 +247,8 @@ def test_golden_oracle_agreement(golden_q):
     q = golden_q
     full = Subspace.full(q.dim)
     assert bracket_span(q.algebra, full, full) == q.derived
-    assert bracket_span(q.algebra, full, q.nilradical) <= q.nilradical
-    assert bracket_span(q.algebra, q.levi, q.levi) <= q.levi
+    for s, (a, b) in ((q.nilradical, (full, q.nilradical)), (q.levi, (q.levi, q.levi))):
+        assert all(contains(s, row) for row in bracket_span(q.algebra, a, b).rows)
 
 
 def test_levi_center_complements_like_c(golden_q):
@@ -269,16 +270,6 @@ def test_structure_tables_validate(golden_q):
     assert validate_structure(build_standard_parabolic((2, 2)).algebra).ok
 
 
-def test_delta_prime_adapter_round_trip():
-    q = parabolic_from_delta_prime(6, (1, 2, 4))
-    assert q.composition.blocks == (3, 2, 1)
-    for n in range(1, 6):
-        for blocks in compositions(n):
-            q = build_standard_parabolic(blocks)
-            again = parabolic_from_delta_prime(n, q.root_datum.delta_prime)
-            assert again.composition.blocks == blocks
-
-
 def test_extra_center():
     q = build_standard_parabolic((2,), extra_center=1)
     assert q.dim == 5
@@ -288,7 +279,7 @@ def test_extra_center():
 
 
 def test_semisimple_restriction_is_trace_zero_part(golden_q):
-    sl = semisimple_restriction(golden_q)
+    sl = restrict(golden_q.algebra, golden_q.semisimple_part)
     assert sl.dim == 24
     assert center(sl).dim == 0
 
