@@ -35,7 +35,12 @@ from .derivations import (
 )
 from .lie import EndoMatrix
 from .linalg import Q, rational
-from .parabolic import BlockComposition, build_standard_parabolic, compositions
+from .parabolic import (
+    BlockComposition,
+    adapted_subspaces,
+    build_standard_parabolic,
+    compositions,
+)
 
 __all__ = ["main"]
 
@@ -83,12 +88,9 @@ def _parabolic(args):
     return build_standard_parabolic(comp, extra_center=args.extra_center)
 
 
-def _subspace_json(s) -> list[list[str]]:
-    return [[str(e) for e in row] for row in s.vectors()]
-
-
 def cmd_describe(args) -> tuple[dict, int]:
     q = _parabolic(args)
+    s = adapted_subspaces(q)
     payload = q.algebra.to_json_dict()
     payload.update(
         {
@@ -97,30 +99,19 @@ def cmd_describe(args) -> tuple[dict, int]:
             "extra_center": q.extra_center,
             "delta": list(q.root_datum.delta),
             "delta_prime": list(q.root_datum.delta_prime),
-            "center_dim": q.g_z.dim,
-            "cartan_dim": q.cartan.dim,
-            "c_dim": q.c.dim,
-            "t_dim": q.t.dim,
-            "derived_dim": q.derived.dim,
-            "semisimple_dim": q.semisimple_part.dim,
-            "levi_dim": q.levi.dim,
-            "nilradical_dim": q.nilradical.dim,
-            "levi_center_dim": q.levi_center.dim,
-            "levi_semisimple_dim": q.levi_semisimple.dim,
+            "center_dim": s["g_z"].dim,
+            "cartan_dim": s["cartan"].dim,
+            "c_dim": s["c"].dim,
+            "t_dim": s["t"].dim,
+            "derived_dim": s["derived"].dim,
+            "semisimple_dim": s["semisimple_part"].dim,
+            "levi_dim": s["levi"].dim,
+            "nilradical_dim": s["nilradical"].dim,
+            "levi_center_dim": s["levi_center"].dim,
+            "levi_semisimple_dim": s["levi_semisimple"].dim,
             "subspaces": {
-                name: _subspace_json(getattr(q, name))
-                for name in (
-                    "g_z",
-                    "cartan",
-                    "c",
-                    "t",
-                    "derived",
-                    "levi",
-                    "nilradical",
-                    "levi_center",
-                    "levi_semisimple",
-                    "semisimple_part",
-                )
+                name: [[str(e) for e in row] for row in space.vectors()]
+                for name, space in s.items()
             },
         }
     )

@@ -18,12 +18,12 @@ package-wide so subspaces of maps are comparable everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, jacobi_holds
 from .linalg import Q, Subspace, _RowReducer, contains, solve
-from .parabolic import ParabolicAlgebra
+from .parabolic import ParabolicAlgebra, cartan_solve
 
 __all__ = [
     "NotADerivationError",
@@ -213,10 +213,11 @@ def dimension_formula(center_dim: int, simple_count: int, selected_count: int, d
 
 
 def formula_dim(q: ParabolicAlgebra) -> int:
-    """The dimension of Der q that ``dimension_formula`` predicts from q."""
+    """The dimension of Der q that ``dimension_formula`` predicts from q;
+    the trace-zero part q_s complements the center."""
     r = q.root_datum
-    return dimension_formula(len(q.center_indices), len(r.delta), len(r.delta_prime),
-                             q.semisimple_part.dim)
+    z = len(q.center_indices)
+    return dimension_formula(z, len(r.delta), len(r.delta_prime), q.dim - z)
 
 
 @dataclass
@@ -243,19 +244,12 @@ class VerificationReport:
         )
 
     def to_json_dict(self) -> dict:
-        out = {
-            "der_dim": self.der_dim,
-            "l_dim": self.l_dim,
-            "inner_dim": self.inner_dim,
-            "h1_dim": self.h1_dim,
-            "direct_sum_ok": self.direct_sum_ok,
-            "l_is_ideal_ok": self.l_is_ideal_ok,
-            "inner_is_ideal_ok": self.inner_is_ideal_ok,
-            "formula_ok": self.formula_ok,
-            "ok": self.ok,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        # the fields in order, ok before the counterexample, which is left out when None
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        counterexample = out.pop("counterexample")
+        out["ok"] = self.ok
+        if counterexample is not None:
+            out["counterexample"] = counterexample
         return out
 
 
@@ -399,22 +393,6 @@ def root_line_reduction(
         if dg:
             x[pos] = -dg
     return x, d_gamma
-
-
-def cartan_solve(c) -> list[Q]:
-    """The b with A b = c for the type A Cartan matrix A of size len(c).
-
-    With n = len(c) + 1, A^-1 has entries min(j, k) (n - max(j, k)) / n,
-    1 <= j, k <= n - 1, so b is read off without elimination: summed in
-    integers over the common denominator of c, one Fraction per entry.
-    """
-    n = len(c) + 1
-    den = lcm(*(ck.denominator for ck in c))
-    c = [ck.numerator * (den // ck.denominator) for ck in c]  # den times c, in ints
-    return [
-        Q(sum(min(j, k) * (n - max(j, k)) * ck for k, ck in enumerate(c, 1)), n * den)
-        for j in range(1, n)
-    ]
 
 
 def _residual_failure(q: ParabolicAlgebra, l_part: EndoMatrix, p: dict[int, Q]) -> str | None:

@@ -243,10 +243,6 @@ class Subspace:
         return cls(ambient_dim, ({i: 1} for i in indices))
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, ())
-
-    @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
         return cls.units(ambient_dim, range(ambient_dim))
 
@@ -363,7 +359,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
+        return Subspace.units(a.ambient_dim, ())
     system: dict[int, dict[int, Q]] = {}  # ambient coordinate -> its equation
     for k, row in enumerate(a.rows):
         for i, e in row.items():

@@ -13,29 +13,32 @@ A root_scale s != 1 (root generators s e_ij) multiplies each constant once,
 by s, s^2 or 1 according to which of its three basis elements are root
 generators.
 
-Every distinguished subspace but one (center, split Cartan pieces, derived
-algebra, Levi factor and its semisimple part, nilradical) is spanned by
-basis vectors, so its canonical basis is written down without elimination
-(``Subspace.units``). The Levi center is the part of the Cartan on which
-every root of delta' vanishes, spanned by n times the fundamental coweights
-of the simple roots outside delta'. The subspaces are cross-checked on the
-spot by ``ParabolicAlgebra._check_invariants``.
+A ``ParabolicAlgebra`` keeps the three subspaces the theorem reads: the
+center, the complement c of the derived algebra, and the derived algebra.
+``adapted_subspaces`` makes and checks the rest of the Levi decomposition
+for ``describe``. Every subspace but the Levi center is spanned by basis
+vectors, so its canonical basis is written down without elimination
+(``Subspace.units``); the Levi center is spanned by n times the
+fundamental coweights of the simple roots outside delta', rows of n A^-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import lcm
 
 from .lie import LieAlgebra, _bracket
-from .linalg import Subspace, is_direct_sum, rational
+from .linalg import Q, Subspace, is_direct_sum, rational
 
 __all__ = [
     "BlockComposition",
     "RootDatumA",
     "ParabolicAlgebra",
+    "adapted_subspaces",
     "build_gl",
     "build_standard_parabolic",
+    "cartan_solve",
     "compositions",
 ]
 
@@ -106,6 +109,22 @@ class RootDatumA:
         )
 
 
+def cartan_solve(c) -> list[Q]:
+    """The b with A b = c for the type A Cartan matrix A of size len(c).
+
+    With n = len(c) + 1, A^-1 has entries min(j, k) (n - max(j, k)) / n,
+    1 <= j, k <= n - 1, so b is read off without elimination: summed in
+    integers over the common denominator of c, one Fraction per entry.
+    """
+    n = len(c) + 1
+    den = lcm(*(ck.denominator for ck in c))
+    c = [ck.numerator * (den // ck.denominator) for ck in c]  # den times c, in ints
+    return [
+        Q(sum(min(j, k) * (n - max(j, k)) * ck for k, ck in enumerate(c, 1)), n * den)
+        for j in range(1, n)
+    ]
+
+
 def _root_weight(i: int, j: int) -> int:
     """The torus weight eps_i - eps_j of E[i,j] as the integer 8**i - 8**j.
     The oracle's blocks have weights w_l - w_k, each coefficient on an eps
@@ -130,11 +149,13 @@ def _closed(L: LieAlgebra, a, b: set[int], target: set[int]) -> bool:
 
 
 class ParabolicAlgebra:
-    """A block parabolic of gl_n with its adapted basis and subspaces.
+    """A block parabolic of gl_n with its adapted basis.
 
     Basis order: scalar I (index 0), extra central generators, coroots
     h_1..h_{n-1}, then the allowed off-diagonal generators x_(i,j) sorted by
-    (i, j). All subspaces are held in ambient coordinates of this basis.
+    (i, j). The center ``g_z``, the complement ``c`` of the derived
+    algebra and the ``derived`` algebra, in ambient coordinates of this
+    basis, are checked to split q.
     """
 
     def __init__(self, composition: BlockComposition, extra_center: int = 0, root_scale=1):
@@ -207,78 +228,12 @@ class ParabolicAlgebra:
         # escaping bracket raised above), so Jacobi holds
         self.algebra._jacobi = True
 
-        self._make_subspaces()
-        self._check_invariants()
-
-    def _units(self, indices) -> Subspace:
-        return Subspace.units(self.algebra.dim, indices)
-
-    def _make_subspaces(self) -> None:
-        dp = set(self.root_datum.delta_prime)
-        n = self.composition.n
-        self.g_z = self._units(self.center_indices)
-        self.cartan = self._units(self.coroot_index[k] for k in range(1, n))
-        self.c = self._units(self.coroot_index[k] for k in range(1, n) if k not in dp)
-        self.t = self._units(self.coroot_index[k] for k in range(1, n) if k in dp)
-        # (i, j) is a Levi root iff (j, i) is a root too
-        same_block = [(i, j) for i, j in self.roots if (j, i) in self.root_index]
-        cross_block = [(i, j) for i, j in self.roots if (j, i) not in self.root_index]
-        root_pos = [self.root_index[r] for r in self.roots]
-        self.derived = self._units(
-            [self.coroot_index[k] for k in range(1, n) if k in dp] + root_pos
-        )
-        self.levi = self._units(
-            [self.coroot_index[k] for k in range(1, n)] + [self.root_index[r] for r in same_block]
-        )
-        self.nilradical = self._units(self.root_index[r] for r in cross_block)
-        self.levi_semisimple = self._units(
-            [self.coroot_index[k] for k in range(1, n) if k in dp]
-            + [self.root_index[r] for r in same_block]
-        )
-        self.semisimple_part = self._units(
-            [self.coroot_index[k] for k in range(1, n)] + root_pos
-        )
-        # n times the fundamental coweight of each simple root outside delta'
-        # (an inverse-Cartan row): every root of delta' vanishes on it
-        self.levi_center = Subspace.from_sparse(self.algebra.dim, (
-            {self.coroot_index[j]: min(j, k) * (n - max(j, k)) for j in range(1, n)}
-            for k in range(1, n) if k not in dp
-        ))
-
-    def _check_invariants(self) -> None:
-        """Check the eight claims the adapted subspaces rest on, raising
-        RuntimeError with the claim that fails: c + t = Cartan, center + c +
-        derived = q, the nilradical is an ideal, the Levi factor is a
-        subalgebra, Levi semisimple part + nilradical = derived, the Levi
-        center is central in the Levi factor, Levi center + Levi semisimple
-        part = Levi factor, and center + Levi center + derived = q. Each
-        splitting is an exact direct-sum test, read off the pivots where no
-        part is the Levi center (``_partition``). The two closures and the
-        centrality are read off the table: the nilradical and the Levi factor
-        are spanned by basis vectors (their canonical rows are {p: 1}), and a
-        bracket of basis vectors lies in such a subspace exactly when its
-        support lies in its pivots."""
-        L = self.algebra
-        full = Subspace.full(L.dim)
-        nil, levi = set(self.nilradical.pivots()), set(self.levi.pivots())
-        if not _partition([self.c, self.t], self.cartan):
-            raise RuntimeError("Cartan does not split as c + t")
-        if not _partition([self.g_z, self.c, self.derived], full):
+        h = self.coroot_index
+        self.g_z = Subspace.units(dim, self.center_indices)
+        self.c = Subspace.units(dim, (h[k] for k in range(1, n) if k not in delta_prime))
+        self.derived = Subspace.units(dim, [*map(h.get, delta_prime), *self.root_index.values()])
+        if not _partition([self.g_z, self.c, self.derived], Subspace.full(dim)):
             raise RuntimeError("algebra does not split as center + c + derived")
-        if not _closed(L, range(L.dim), nil, nil):
-            raise RuntimeError("nilradical is not an ideal")
-        if not _closed(L, levi, levi, levi):
-            raise RuntimeError("Levi factor is not a subalgebra")
-        if not _partition([self.levi_semisimple, self.nilradical], self.derived):
-            raise RuntimeError("derived algebra does not split as semisimple Levi + nilradical")
-        if any(_bracket(L, z, {p: 1}) for z in self.levi_center.rows for p in levi):
-            raise RuntimeError("Levi center is not central in the Levi factor")
-        # the Levi center is another valid complement of the derived algebra
-        # alongside c (they coincide only for extreme compositions)
-        if not is_direct_sum([self.levi_center, self.levi_semisimple], self.levi):
-            raise RuntimeError("Levi factor does not split as center + semisimple part")
-        if not is_direct_sum([self.g_z, self.levi_center, self.derived], full):
-            raise RuntimeError("Levi center does not complement the derived algebra")
 
     @property
     def dim(self) -> int:
@@ -297,6 +252,59 @@ class ParabolicAlgebra:
 
     def __repr__(self) -> str:
         return f"ParabolicAlgebra(n={self.composition.n}, blocks={self.composition.blocks})"
+
+
+def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
+    """The ten adapted subspaces of q by name, in ``describe``'s order.
+
+    The seven claims of the Levi decomposition are checked before they are
+    returned, raising RuntimeError with the one that fails. Splittings into
+    coordinate subspaces are read off the pivots (``_partition``). The
+    closures and the centrality are read off the table: a bracket of basis
+    vectors lies in a coordinate subspace exactly when its support does.
+    """
+    L, n, d = q.algebra, q.composition.n, q.dim
+    dp = q.root_datum.delta_prime
+    h = [q.coroot_index[k] for k in range(1, n)]
+    t = [q.coroot_index[k] for k in dp]
+    # (i, j) is a Levi root iff (j, i) is a root too
+    same = [p for (i, j), p in q.root_index.items() if (j, i) in q.root_index]
+    cross = [p for (i, j), p in q.root_index.items() if (j, i) not in q.root_index]
+    s = {
+        "g_z": q.g_z,
+        "cartan": Subspace.units(d, h),
+        "c": q.c,
+        "t": Subspace.units(d, t),
+        "derived": q.derived,
+        "levi": Subspace.units(d, h + same),
+        "nilradical": Subspace.units(d, cross),
+        # n times the fundamental coweight of each simple root outside
+        # delta', n A^-1 e_k: every root of delta' vanishes on it
+        "levi_center": Subspace.from_sparse(d, (
+            {h[j]: n * b for j, b in enumerate(cartan_solve([int(i == k) for i in range(1, n)]))}
+            for k in range(1, n) if k not in dp
+        )),
+        "levi_semisimple": Subspace.units(d, t + same),
+        "semisimple_part": Subspace.units(d, h + same + cross),
+    }
+    nil, levi = set(s["nilradical"].pivots()), set(s["levi"].pivots())
+    if not _partition([s["c"], s["t"]], s["cartan"]):
+        raise RuntimeError("Cartan does not split as c + t")
+    if not _closed(L, range(d), nil, nil):
+        raise RuntimeError("nilradical is not an ideal")
+    if not _closed(L, levi, levi, levi):
+        raise RuntimeError("Levi factor is not a subalgebra")
+    if not _partition([s["levi_semisimple"], s["nilradical"]], s["derived"]):
+        raise RuntimeError("derived algebra does not split as semisimple Levi + nilradical")
+    if any(_bracket(L, z, {p: 1}) for z in s["levi_center"].rows for p in levi):
+        raise RuntimeError("Levi center is not central in the Levi factor")
+    # the Levi center is another valid complement of the derived algebra
+    # alongside c (they coincide only for extreme compositions)
+    if not is_direct_sum([s["levi_center"], s["levi_semisimple"]], s["levi"]):
+        raise RuntimeError("Levi factor does not split as center + semisimple part")
+    if not is_direct_sum([s["g_z"], s["levi_center"], s["derived"]], Subspace.full(d)):
+        raise RuntimeError("Levi center does not complement the derived algebra")
+    return s
 
 
 def build_gl(n: int) -> LieAlgebra:

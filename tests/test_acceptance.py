@@ -35,6 +35,7 @@ from liederiv.lie import (
 )
 from liederiv.linalg import Q, Subspace, contains, subspace_intersect, subspace_sum
 from liederiv.parabolic import (
+    adapted_subspaces,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -72,8 +73,9 @@ def test_criterion_1_golden_example(golden_q, golden_der):
         h_unit = lambda k: [1 if i == q.coroot_index[k] else 0 for i in range(d)]
         assert q.c == Subspace.from_vectors(d, [h_unit(3), h_unit(5)])
         assert q.c.dim == 2
-        assert q.t == Subspace.from_vectors(d, [h_unit(1), h_unit(2), h_unit(4)])
-        assert q.t.dim == 3
+        t = adapted_subspaces(q)["t"]
+        assert t == Subspace.from_vectors(d, [h_unit(1), h_unit(2), h_unit(4)])
+        assert t.dim == 3
         assert golden_der.dim == 27
         assert dimension_formula(1, 5, 3, 24) == 27
         elapsed = time.monotonic() - start
@@ -103,7 +105,7 @@ def test_criterion_3_corner_cases():
         for n in range(2, 5):
             for blocks in compositions(n):
                 q = build_standard_parabolic(blocks)
-                sl = restrict(q.algebra, q.semisimple_part)
+                sl = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
                 der = derivation_algebra(sl)
                 inner = inner_derivations(sl)
                 assert der == inner, (n, blocks)

@@ -1,16 +1,16 @@
 """The parabolic build against a reference built the plain way.
 
 ``ParabolicAlgebra`` writes the commutators of the pairs of realizing
-matrices that meet in closed form, makes its coordinate subspaces without
-elimination, decides same-block roots by their reverse being a root, writes
-the Levi center in closed form as n times the fundamental coweights of the
-simple roots outside delta', and checks both closures on the support of the
-table. The reference here does each step the long way: every pair of
-realizing matrices is multiplied, the blocks of i and j are read off the
-block sizes, every subspace is the row reduction of its unit vectors, the
-Levi center is the center of the Levi factor restricted to a standalone
-algebra and mapped back (an elimination), and the closures are the
-row-reduced spans of brackets. Both must give the same table and the same
+matrices that meet in closed form and makes its coordinate subspaces
+without elimination. ``adapted_subspaces`` decides same-block roots by
+their reverse being a root, writes the Levi center in closed form as n
+times the fundamental coweights of the simple roots outside delta', and
+checks both closures on the support of the table. The reference here does
+each step the long way: every pair of realizing matrices is multiplied,
+the blocks of i and j are read off the block sizes, every subspace is the
+row reduction of its unit vectors, the Levi center is the center of the
+Levi factor restricted to a standalone algebra and mapped back (an
+elimination), and the closures are the row-reduced spans of brackets. Both must give the same table and the same
 canonical subspaces, for every composition of n <= 7.
 """
 
@@ -18,7 +18,7 @@ import pytest
 
 from liederiv.lie import bracket_span, center, restrict
 from liederiv.linalg import Q, Subspace, contains
-from liederiv.parabolic import build_standard_parabolic, compositions
+from liederiv.parabolic import adapted_subspaces, build_standard_parabolic, compositions
 
 
 def _commutator(a, b):
@@ -101,8 +101,10 @@ def test_build_matches_reference(extra_center, root_scale):
             ref = _reference_subspaces(q)
             full = ref.pop("full")
             assert Subspace.full(q.dim) == full
+            adapted = adapted_subspaces(q)
+            assert adapted.keys() == ref.keys()
             for name, s in ref.items():
-                assert getattr(q, name) == s, (blocks, name)
+                assert adapted[name] == s, (blocks, name)
             L = q.algebra
             for s, (a, b) in (("nilradical", (full, ref["nilradical"])),
                               ("levi", (ref["levi"], ref["levi"]))):

@@ -48,6 +48,7 @@ from liederiv.linalg import (
     subspace_sum,
 )
 from liederiv.parabolic import (
+    adapted_subspaces,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -513,7 +514,7 @@ def test_inner_derivations_golden(golden_q):
 
 def test_inner_derivations_semisimple_parabolic():
     q = build_standard_parabolic((1, 1, 1), 3)
-    sl = restrict(q.algebra, q.semisimple_part)
+    sl = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     inner = inner_derivations(sl)
     assert inner.dim == sl.dim  # trivial center
 
@@ -563,7 +564,7 @@ def test_verify_sweep_small_n():
 
 def test_borel_sl3_all_inner():
     q = build_standard_parabolic((1, 1, 1), 3)
-    sl_borel = restrict(q.algebra, q.semisimple_part)
+    sl_borel = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     der = derivation_algebra(sl_borel)
     inner = inner_derivations(sl_borel)
     assert der.dim == inner.dim == 5
@@ -584,7 +585,7 @@ def test_h1_values(golden_q, golden_der):
         q = build_standard_parabolic((n,))
         assert derivation_algebra(q.algebra).dim - inner_derivations(q).dim == 1
     q = build_standard_parabolic((2, 1), 3)
-    sl = restrict(q.algebra, q.semisimple_part)
+    sl = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     assert derivation_algebra(sl).dim - inner_derivations(sl).dim == 0
 
 
@@ -945,7 +946,7 @@ def test_split_derivation_outside_the_sum_is_not_a_leibniz_failure():
     assert first_leibniz_violation(q.algebra, D) is None
     # with the center-valued summand left out, D is outside the sum
     with pytest.raises(DecompositionError) as exc:
-        split_derivation(q, D, lid=Subspace.zero(9))
+        split_derivation(q, D, lid=Subspace.units(9, ()))
     assert exc.value.diagnostics == {"l_dim": 0, "inner_dim": 2}
 
 

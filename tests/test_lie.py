@@ -21,6 +21,7 @@ from liederiv.lie import (
 from liederiv.linalg import Q, Subspace, contains
 from liederiv.parabolic import (
     BlockComposition,
+    adapted_subspaces,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -234,8 +235,9 @@ def test_bracket_span_abelian():
 
 def test_bracket_span_nilradical_closed(golden_q):
     q = golden_q
-    nil = bracket_span(q.algebra, q.nilradical, q.nilradical)
-    assert all(contains(q.nilradical, row) for row in nil.rows)
+    nilradical = adapted_subspaces(q)["nilradical"]
+    nil = bracket_span(q.algebra, nilradical, nilradical)
+    assert all(contains(nilradical, row) for row in nil.rows)
 
 
 def test_center_gl3():
@@ -377,7 +379,7 @@ def test_inner_derivations_stabilize_ideals(golden_q):
     for _ in range(5):
         x = _random_vector(rng, q.dim, -4, 4)
         ax = as_matrix(ad_matrix(q.algebra, x))
-        for ideal in (q.nilradical, q.derived):
+        for ideal in (adapted_subspaces(q)["nilradical"], q.derived):
             for v in ideal.vectors():
                 assert contains(ideal, sparse(ax.mul_vec(v)))
         for j in range(q.dim):

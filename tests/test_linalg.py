@@ -157,7 +157,7 @@ def test_subspace_sum_basics():
     e2 = _span(3, [0, 1, 0])
     assert subspace_sum(e1, e2) == _span(3, [1, 0, 0], [0, 1, 0])
     assert subspace_sum(e1, e1) == e1
-    assert subspace_sum(e1, Subspace.zero(3)) == e1
+    assert subspace_sum(e1, Subspace.units(3, ())) == e1
 
 
 def test_subspace_intersect_basics():
@@ -173,7 +173,7 @@ def test_contains():
     assert contains(line, {0: 2, 1: 2})
     assert not contains(line, {0: 1})
     assert contains(line, {})
-    assert contains(Subspace.zero(2), {})
+    assert contains(Subspace.units(2, ()), {})
 
 
 def test_is_direct_sum():
@@ -182,7 +182,7 @@ def test_is_direct_sum():
     both = Subspace.full(2)
     assert is_direct_sum([e1, e2], both)
     assert not is_direct_sum([e1, _span(2, [1, 1]), e2], both)
-    assert is_direct_sum([Subspace.zero(2), e1], e1)
+    assert is_direct_sum([Subspace.units(2, ()), e1], e1)
 
 
 def test_grassmann_identity():
@@ -214,7 +214,7 @@ def test_subspace_constructor_canonicalizes():
     assert s.pivots() == [0, 1]
     assert s == Subspace.from_sparse(4, [{1: 2, 2: 4}, {0: 1, 1: 1}])
     assert s.coordinates_of({0: 1, 1: 1}) == {0: 1, 1: 1}
-    assert _span(3) == Subspace.zero(3)
+    assert _span(3) == Subspace.units(3, ())
     assert _span(3, [0, 0, 5], [2, 0, 0], [0, 1, 1]) == Subspace.full(3)
 
 

@@ -13,6 +13,7 @@ from liederiv.parabolic import (
     ParabolicAlgebra,
     RootDatumA,
     _partition,
+    adapted_subspaces,
     build_gl,
     build_standard_parabolic,
     compositions,
@@ -26,61 +27,75 @@ def unit_span(q, indices):
     )
 
 
-def _moved(q, root, source, target):
-    """Subspaces source and target of q with the generator of root moved
+def _moved(q, s, root, source, target):
+    """Subspaces source and target of s with the generator of root moved
     from the first to the second."""
     x = q.root_index[root]
-    return {source: Subspace.units(q.dim, set(getattr(q, source).pivots()) - {x}),
-            target: Subspace.units(q.dim, set(getattr(q, target).pivots()) | {x})}
+    return {source: Subspace.units(q.dim, set(s[source].pivots()) - {x}),
+            target: Subspace.units(q.dim, set(s[target].pivots()) | {x})}
 
 
-# each fault leaves every check before its own intact, so the build must
-# stop at that check, with its message
+# each fault replaces some of the true subspaces s of the parabolic of
+# (2, 1) and leaves every check before its own intact, so the build or
+# adapted_subspaces must stop at that check, with its message
 INVARIANT_FAULTS = [
-    ("Cartan does not split as c + t", (2, 1),
-     lambda q: {"t": Subspace.zero(q.dim)}),
-    ("algebra does not split as center + c + derived", (2, 1),
-     lambda q: {"g_z": Subspace.zero(q.dim)}),
+    ("algebra does not split as center + c + derived",
+     lambda q, s: {"g_z": Subspace.units(q.dim, ())}),
+    ("Cartan does not split as c + t",
+     lambda q, s: {"t": Subspace.units(q.dim, ())}),
     # [E12, E23] = E13 leaves the nilradical once E13 is moved out of it
-    ("nilradical is not an ideal", (2, 1),
-     lambda q: _moved(q, (1, 3), "nilradical", "levi")),
+    ("nilradical is not an ideal",
+     lambda q, s: _moved(q, s, (1, 3), "nilradical", "levi")),
     # [E21, E13] = E23 leaves a Levi factor that also holds E13
-    ("Levi factor is not a subalgebra", (2, 1),
-     lambda q: {"levi": Subspace.units(q.dim, q.levi.pivots() + [q.root_index[(1, 3)]])}),
-    ("derived algebra does not split as semisimple Levi + nilradical", (2, 1),
-     lambda q: {"levi_semisimple": Subspace.units(
-         q.dim, set(q.levi_semisimple.pivots()) - {q.root_index[(2, 1)]})}),
+    ("Levi factor is not a subalgebra",
+     lambda q, s: {"levi": Subspace.units(q.dim, s["levi"].pivots() + [q.root_index[(1, 3)]])}),
+    ("derived algebra does not split as semisimple Levi + nilradical",
+     lambda q, s: {"levi_semisimple": Subspace.units(
+         q.dim, set(s["levi_semisimple"].pivots()) - {q.root_index[(2, 1)]})}),
     # c complements t but does not commute with E[1,2]
-    ("Levi center is not central in the Levi factor", (2, 1),
-     lambda q: {"levi_center": q.c}),
-    ("Levi factor does not split as center + semisimple part", (2, 1),
-     lambda q: {"levi_center": Subspace.zero(q.dim)}),
-    # the Borel of gl_2 with its Levi factor, and so its Levi center, left
+    ("Levi center is not central in the Levi factor",
+     lambda q, s: {"levi_center": s["c"]}),
+    ("Levi factor does not split as center + semisimple part",
+     lambda q, s: {"levi_center": Subspace.units(q.dim, ())}),
+    # the Levi factor cut to its semisimple part and the Levi center left
     # out: every other split still holds
-    ("Levi center does not complement the derived algebra", (1, 1),
-     lambda q: {"levi": Subspace.zero(q.dim), "levi_center": Subspace.zero(q.dim)}),
+    ("Levi center does not complement the derived algebra",
+     lambda q, s: {"levi": s["levi_semisimple"], "levi_center": Subspace.units(q.dim, ())}),
 ]
 
 
-@pytest.mark.parametrize("message, blocks, fault", INVARIANT_FAULTS,
-                         ids=[f"{m.split()[0]}-{m.split()[-1]}" for m, _, _ in INVARIANT_FAULTS])
-def test_fault_injected_invariant_fires(monkeypatch, message, blocks, fault):
-    make = ParabolicAlgebra._make_subspaces
+@pytest.mark.parametrize("message, fault", INVARIANT_FAULTS,
+                         ids=[f"{m.split()[0]}-{m.split()[-1]}" for m, _ in INVARIANT_FAULTS])
+def test_fault_injected_invariant_fires(monkeypatch, message, fault):
+    # the ten subspaces of (2, 1) and the whole space are distinct, so the
+    # patched constructors tell each one apart by its value and hand back
+    # the fault's replacement in its place
+    q = build_standard_parabolic((2, 1))
+    s = adapted_subspaces(q)
+    assert len({*s.values(), Subspace.full(q.dim)}) == 11
+    swap = {s[name]: r for name, r in fault(q, s).items()}
+    swapped = []
 
-    def broken(self):
-        make(self)
-        for name, s in fault(self).items():
-            setattr(self, name, s)
+    def patched(make):
+        def build(cls, *args):
+            real = make(*args)
+            if real in swap:
+                swapped.append(real)
+            return swap.get(real, real)
+        return classmethod(build)
 
-    monkeypatch.setattr(ParabolicAlgebra, "_make_subspaces", broken)
+    for name in ("units", "from_sparse"):
+        monkeypatch.setattr(Subspace, name, patched(getattr(Subspace, name)))
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
-        build_standard_parabolic(blocks)
+        adapted_subspaces(build_standard_parabolic((2, 1)))
+    # each replaced subspace was made once, and no sum a check formed was swapped
+    assert len(swapped) == len(swap)
 
 
 def test_invariant_faults_cover_every_check():
-    source = inspect.getsource(ParabolicAlgebra._check_invariants)
+    source = inspect.getsource(ParabolicAlgebra.__init__) + inspect.getsource(adapted_subspaces)
     assert sorted(re.findall(r'RuntimeError\("([^"]+)"\)', source)) == sorted(
-        m for m, _, _ in INVARIANT_FAULTS)
+        m for m, _ in INVARIANT_FAULTS)
 
 
 def test_bracket_escaping_the_roots_raises(monkeypatch):
@@ -130,13 +145,14 @@ def test_build_gl_rejects_zero():
 
 def test_golden_construction(golden_q):
     q = golden_q
+    s = adapted_subspaces(q)
     assert q.dim == 25
     assert q.root_datum.delta_prime == (1, 2, 4)
     assert q.c == unit_span(q, [q.coroot_index[3], q.coroot_index[5]])
-    assert q.t == unit_span(q, [q.coroot_index[k] for k in (1, 2, 4)])
-    assert q.g_z.dim == 1 and q.c.dim == 2 and q.t.dim == 3
+    assert s["t"] == unit_span(q, [q.coroot_index[k] for k in (1, 2, 4)])
+    assert q.g_z.dim == 1 and q.c.dim == 2 and s["t"].dim == 3
     assert q.derived.dim == 22
-    assert q.semisimple_part.dim == 24
+    assert s["semisimple_part"].dim == 24
 
 
 def test_whole_algebra_composition():
@@ -151,7 +167,7 @@ def test_borel_gl3():
     q = build_standard_parabolic((1, 1, 1), 3)
     assert q.dim == 6
     assert q.root_datum.delta_prime == ()
-    assert q.c == q.cartan
+    assert q.c == adapted_subspaces(q)["cartan"]
     assert q.c.dim == 2
 
 
@@ -167,22 +183,23 @@ def test_invalid_compositions():
 
 
 def test_langlands_golden(golden_q):
-    levi, nil = golden_q.levi, golden_q.nilradical
-    lc, ls = golden_q.levi_center, golden_q.levi_semisimple
+    s = adapted_subspaces(golden_q)
+    levi, nil = s["levi"], s["nilradical"]
+    lc, ls = s["levi_center"], s["levi_semisimple"]
     assert levi.dim == 13
     assert nil.dim == 11
     assert lc.dim == 2
     assert ls.dim == 11
-    assert levi.dim + nil.dim == golden_q.semisimple_part.dim == 24
+    assert levi.dim + nil.dim == s["semisimple_part"].dim == 24
 
 
 def test_langlands_whole_and_borel():
-    whole = build_standard_parabolic((4,))
-    assert whole.nilradical.dim == 0
-    assert whole.levi == whole.semisimple_part
-    borel = build_standard_parabolic((1, 1, 1, 1))
-    assert borel.levi == borel.cartan
-    assert borel.nilradical.dim == 6  # strictly upper positions of gl_4
+    whole = adapted_subspaces(build_standard_parabolic((4,)))
+    assert whole["nilradical"].dim == 0
+    assert whole["levi"] == whole["semisimple_part"]
+    borel = adapted_subspaces(build_standard_parabolic((1, 1, 1, 1)))
+    assert borel["levi"] == borel["cartan"]
+    assert borel["nilradical"].dim == 6  # strictly upper positions of gl_4
 
 
 def test_adapted_indices_golden(golden_q):
@@ -247,22 +264,24 @@ def test_golden_oracle_agreement(golden_q):
     q = golden_q
     full = Subspace.full(q.dim)
     assert bracket_span(q.algebra, full, full) == q.derived
-    for s, (a, b) in ((q.nilradical, (full, q.nilradical)), (q.levi, (q.levi, q.levi))):
+    nil, levi = (adapted_subspaces(q)[name] for name in ("nilradical", "levi"))
+    for s, (a, b) in ((nil, (full, nil)), (levi, (levi, levi))):
         assert all(contains(s, row) for row in bracket_span(q.algebra, a, b).rows)
 
 
 def test_levi_center_complements_like_c(golden_q):
     # two valid complements of t inside the Cartan; equal only in extreme cases
     q = golden_q
-    assert q.levi_center.dim == q.c.dim == len(q.root_datum.delta) - len(
+    s = adapted_subspaces(q)
+    assert s["levi_center"].dim == q.c.dim == len(q.root_datum.delta) - len(
         q.root_datum.delta_prime
     )
-    assert is_direct_sum([q.c, q.t], q.cartan)
-    assert is_direct_sum([q.levi_center, q.t], q.cartan)
-    assert is_direct_sum([q.levi_center, q.levi_semisimple], q.levi)
-    assert q.levi_center != q.c  # distinct complements for blocks (3,2,1)
+    assert is_direct_sum([q.c, s["t"]], s["cartan"])
+    assert is_direct_sum([s["levi_center"], s["t"]], s["cartan"])
+    assert is_direct_sum([s["levi_center"], s["levi_semisimple"]], s["levi"])
+    assert s["levi_center"] != q.c  # distinct complements for blocks (3,2,1)
     borel = build_standard_parabolic((1, 1, 1))
-    assert borel.levi_center == borel.c
+    assert adapted_subspaces(borel)["levi_center"] == borel.c
 
 
 def test_structure_tables_validate(golden_q):
@@ -279,7 +298,7 @@ def test_extra_center():
 
 
 def test_semisimple_restriction_is_trace_zero_part(golden_q):
-    sl = restrict(golden_q.algebra, golden_q.semisimple_part)
+    sl = restrict(golden_q.algebra, adapted_subspaces(golden_q)["semisimple_part"])
     assert sl.dim == 24
     assert center(sl).dim == 0
 
