@@ -40,6 +40,7 @@ from .lie import (
     bracket_span,
     center,
     first_leibniz_violation,
+    grading,
     jacobi_holds,
     restrict,
     validate_structure,

@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     except NotADerivationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DecompositionError as exc:
+    except RuntimeError as exc:  # a DecompositionError or a failed invariant check
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

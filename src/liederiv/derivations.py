@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import lcm
 
-from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, jacobi_holds
+from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
 from .linalg import Q, Subspace, _RowReducer, contains, solve
 from .parabolic import ParabolicAlgebra, cartan_solve
 
@@ -72,25 +72,6 @@ def _flat_ad(L: LieAlgebra, a: int) -> dict[int, int]:
     return {b * d + k: v for b, ks in L.int_table[a].items() for k, v in ks.items()}
 
 
-def _torus_certified(L: LieAlgebra) -> bool:
-    """Whether L has a grading element and passes ``jacobi_holds``, which
-    makes every ad x of nonzero weight a derivation; derivation_algebra then
-    eliminates weight 0 alone.
-
-    The grading element h* lies in the span of the weight-0 basis vectors
-    and has ad h* = diag(W): one exact solve, with one equation per (k, l),
-    sum_s h_s T[s][k][l] = N W[k] [k == l]."""
-    d, T, W = L.dim, L.int_table, L.weights
-    eqs: dict[tuple[int, int], dict[int, int]] = {(k, k): {} for k in range(d) if W[k]}
-    for s in range(d):
-        if not W[s]:
-            for k, ks in T[s].items():
-                for l, v in ks.items():
-                    eqs.setdefault((k, l), {})[s] = v
-    rhs = [L.denominator * W[k] if k == l else 0 for k, l in eqs]
-    return solve(d, eqs.values(), rhs) is not None and jacobi_holds(L)
-
-
 def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     """Der L as a subspace of endomorphism space (ambient dim = dim^2).
 
@@ -102,33 +83,32 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     N and leaves the kernel exactly as it is; the rows are then integers
     (and N = 1 for a parabolic at root_scale 1).
 
-    The system is block diagonal by weight. The unknown D_{l,k} has weight
-    w_l - w_k, and the table is homogeneous, so every unknown of the
-    equation (i, j, l) has weight w_l - w_i - w_j. The blocks share no
-    unknowns, and the kernel is the sum of the block kernels.
+    The system is block diagonal by the weights w of ``grading``. The
+    unknown D_{l,k} has weight w_l - w_k, and the table is homogeneous, so
+    every unknown of the equation (i, j, l) has weight w_l - w_i - w_j. The
+    blocks share no unknowns, and the kernel is the sum of the block
+    kernels.
 
-    Every block of nonzero weight mu is known without elimination when L
-    has a grading element: an h* in the span of the weight-0 basis vectors
-    with ad h* = diag(w) (for a parabolic, diag(8**1, ..., 8**n)). The
-    table is antisymmetric, so the Leibniz identity at each pair (h*, x_k)
-    is a combination of the system's own equations, and it reads
-    (w_k - w_l) D_{l,k} = [D h*, x_k]_l. A solution D of block mu therefore
-    equals ad y for y = -(D h*)_mu / mu in L_mu: Der_mu lies in ad(L_mu).
-    Once every ad x is certified a derivation (``jacobi_holds``, the one
-    Jacobi certificate of L, which the theorem check reads too),
-    Der_mu = ad(L_mu) exactly, the span of the flattened ``int_table[x]``
-    with w_x = mu. Only the weight-0 block is then eliminated, from the
-    equations with w_l = w_i + w_j. Without a grading element, or on a
-    table that breaks Jacobi, every block is eliminated. A block whose rank
-    reaches its number of unknowns has kernel 0, and its remaining
-    equations are not built. With all weights 0 there is one block. Either way the result is
-    the same canonical subspace as one elimination of the whole system.
+    The grading comes with a grading element h* in the span of the
+    weight-0 basis vectors, ad h* = diag(w) / N. The table is
+    antisymmetric, so the Leibniz identity at each pair (h*, x_k) is a
+    combination of the system's own equations, and it reads
+    (w_k - w_l) D_{l,k} = N [D h*, x_k]_l. A solution D of a block of
+    nonzero weight mu therefore lies in ad(L_mu). Once every ad x is
+    certified a derivation (``jacobi_holds``, the one Jacobi certificate of
+    L, which the theorem check reads too), Der_mu = ad(L_mu) exactly, the
+    span of the flattened ``int_table[x]`` with w_x = mu, and only the
+    weight-0 block is eliminated, from the equations with w_l = w_i + w_j.
+    On a table that breaks Jacobi every block is eliminated. A block whose
+    rank reaches its number of unknowns has kernel 0, and its remaining
+    equations are not built. Either way the result is the same canonical
+    subspace as one elimination of the whole system.
     """
     L = _algebra_of(L)
     d = L.dim
     T = L.int_table  # N times the constants; same kernel, see above
-    W = L.weights
-    graded = _torus_certified(L)
+    W = grading(L)
+    graded = jacobi_holds(L)
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
     rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
     for m, ad_m in enumerate(T):

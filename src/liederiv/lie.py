@@ -7,9 +7,9 @@ by antisymmetry only where no i < j one is given, and i = j is zero. The
 one stored table is the constants times their common denominator N, as
 integers, arranged as the N ad x_i maps; everything reads it. The raw input
 triples are kept so that defective tables can be diagnosed instead of
-silently repaired. Each basis vector may carry an integer weight, and
-the table is checked to be homogeneous for them, so that the derivation
-oracle can solve its system one weight at a time.
+silently repaired. The torus grading that lets the derivation oracle
+solve its system one weight at a time is read off the same table
+(``grading``).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
@@ -38,6 +38,7 @@ __all__ = [
     "ad_matrix",
     "restrict",
     "first_leibniz_violation",
+    "grading",
     "jacobi_holds",
 ]
 
@@ -49,26 +50,16 @@ class LieAlgebra:
     The dimension is an int. Structure constants are ints, Fractions or
     rational strings ("p", "p/q"), indices are ints; anything else raises
     ValueError naming its triple.
-
-    ``weights`` gives each basis vector an integer weight, all 0 by default.
-    The table must be homogeneous for them: every nonzero c_ij^k has
-    w_k = w_i + w_j, or ValueError names the triple. A map of weight mu
-    sends each x_k into the span of the x_l with w_l = w_k + mu, which the
-    derivation oracle uses to split its system into blocks. The weights are
-    not part of the JSON form.
     """
 
-    __slots__ = ("dim", "labels", "weights", "_raw", "int_table", "denominator", "_jacobi")
+    __slots__ = ("dim", "labels", "_raw", "int_table", "denominator", "_jacobi")
 
-    def __init__(self, dim: int, labels, triples, weights=None):
+    def __init__(self, dim: int, labels, triples):
         if type(dim) is not int or dim < 0:
             raise ValueError(f"dim {dim!r} is not a nonnegative int")
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
-        weights = tuple(weights) if weights is not None else (0,) * dim
-        if len(weights) != dim or any(type(w) is not int for w in weights):
-            raise ValueError("weights must be one int per basis vector")
         raw: list[tuple[int, int, int, int | Q]] = []
         lower: dict[tuple[int, int, int], int | Q] = {}
         upper: dict[tuple[int, int, int], int | Q] = {}
@@ -95,17 +86,11 @@ class LieAlgebra:
         N = lcm(*(v.denominator for v in consts.values()))
         int_table: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for (i, j, k), v in consts.items():
-            if weights[k] != weights[i] + weights[j]:
-                raise ValueError(
-                    f"triple ({i},{j},{k}) breaks the grading: weight {weights[k]} "
-                    f"is not {weights[i]} + {weights[j]}"
-                )
             v = v.numerator * (N // v.denominator)
             int_table[i].setdefault(j, {})[k] = v
             int_table[j].setdefault(i, {})[k] = -v
         self.dim = dim
         self.labels = labels
-        self.weights = weights
         self._raw = tuple(raw)
         self.int_table = int_table
         self.denominator = N
@@ -453,19 +438,45 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
     return None
 
 
+def grading(L: LieAlgebra) -> tuple[int, ...]:
+    """The torus weight of each basis vector, read off the table.
+
+    The x_s whose ad is diagonal and nonzero (each ``int_table[s][k]`` is
+    supported on {k}) span a torus. With m the largest |entry| of their
+    maps and B = 4m + 1, W = diag(N ad h) for h = sum_t B**t x_(s_t), each
+    weight a torus character written in base B. A block weight w_l - w_k
+    has digits in [-2m, 2m], so blocks whose digits differ get distinct
+    integers. Each x_s has weight 0, so h lies in the weight-0 span with
+    ad h = diag(W) / N, a grading element by construction. If the table is
+    not homogeneous for W (some nonzero c_ij^k has W[k] != W[i] + W[j]),
+    ad h is not a derivation, so Jacobi fails, and every weight is 0.
+    """
+    T = L.int_table
+    diagonal = [row for row in T if row and all(ks.keys() == {k} for k, ks in row.items())]
+    B = 4 * max((abs(ks[k]) for row in diagonal for k, ks in row.items()), default=0) + 1
+    W = [0] * L.dim
+    for t, row in enumerate(diagonal):
+        for k, ks in row.items():
+            W[k] += B**t * ks[k]
+    if any(W[k] != W[i] + W[j] for i, row in enumerate(T) for j, ks in row.items() for k in ks):
+        return (0,) * L.dim
+    return tuple(W)
+
+
 def jacobi_holds(L: LieAlgebra) -> bool:
     """Whether every ad x_i passes ``first_leibniz_violation`` (the Jacobi
     identity of the table), computed once per algebra: one call per batch t,
-    the sum of the t-th nonzero ad x of each weight (one batch per coroot of
-    a parabolic). The ad x of a batch have disjoint columns, and the Leibniz
-    defect is linear and weight-graded, so the sum passes exactly when each
-    ad x does; a built ``ParabolicAlgebra`` sets it by construction."""
+    the sum of the t-th nonzero ad x of each weight of ``grading`` (one
+    batch per coroot of a parabolic). The table is homogeneous for that
+    grading, so the ad x of a batch have disjoint supports and the Leibniz
+    defect is weight-graded: the sum passes exactly when each ad x does. A
+    built ``ParabolicAlgebra`` sets it by construction."""
     if L._jacobi is None:
-        T = L.int_table
+        T, W = L.int_table, grading(L)
         of_weight: dict[int, list[int]] = {}
         for x in range(L.dim):
             if T[x]:
-                of_weight.setdefault(L.weights[x], []).append(x)
+                of_weight.setdefault(W[x], []).append(x)
         L._jacobi = True
         for batch in zip_longest(*of_weight.values()):
             cols: list[dict[int, int]] = [{} for _ in range(L.dim)]

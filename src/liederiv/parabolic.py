@@ -125,15 +125,6 @@ def cartan_solve(c) -> list[Q]:
     ]
 
 
-def _root_weight(i: int, j: int) -> int:
-    """The torus weight eps_i - eps_j of E[i,j] as the integer 8**i - 8**j.
-    The oracle's blocks have weights w_l - w_k, each coefficient on an eps
-    in [-2, 2]; two of them differ by less than 8 in every coefficient, so
-    distinct weights get distinct integers (a clash would only merge two
-    blocks)."""
-    return 8**i - 8**j
-
-
 def _partition(parts, whole: Subspace) -> bool:
     """``is_direct_sum``, read off the pivots when every row is a unit vector."""
     if any(len(row) != 1 for s in (*parts, whole) for row in s.rows):
@@ -220,10 +211,7 @@ class ParabolicAlgebra:
                 (a, b, k, v * sigma.get(a, 1) * sigma.get(b, 1) / sigma.get(k, 1))
                 for a, b, k, v in triples
             ]
-        weights = [0] * dim
-        for (i, j), pos in self.root_index.items():
-            weights[pos] = _root_weight(i, j)
-        self.algebra = LieAlgebra(dim, labels, triples, weights)
+        self.algebra = LieAlgebra(dim, labels, triples)
         # the table is the gl_n bracket of linearly independent matrices (an
         # escaping bracket raised above), so Jacobi holds
         self.algebra._jacobi = True
@@ -327,7 +315,7 @@ def build_gl(n: int) -> LieAlgebra:
             for t, v in acc.items():
                 if v:
                     triples.append((a, b, t, v))
-    return LieAlgebra(n * n, labels, triples, [_root_weight(i, j) for (i, j) in units])
+    return LieAlgebra(n * n, labels, triples)
 
 
 def build_standard_parabolic(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from liederiv import cli, parabolic
 from liederiv.cli import _build_parser, _json, main
 from liederiv.lie import ad_matrix
 from liederiv.linalg import Q
@@ -357,3 +358,24 @@ def test_writer_rejects_other_values(value):
     for obj in (value, [value], ["0", value], {"k": value}, [[value]], {1: "0"}):
         with pytest.raises(TypeError):
             _json(obj)
+
+
+LEVI_CENTER_ERROR = "Levi center does not complement the derived algebra"
+
+
+def test_describe_invariant_failure_exits_3(monkeypatch, capsys):
+    # a failed invariant check of adapted_subspaces is a RuntimeError, which
+    # main reports as one line with exit code 3, as a DecompositionError is
+    def broken(q):
+        raise RuntimeError(LEVI_CENTER_ERROR)
+
+    monkeypatch.setattr(cli, "adapted_subspaces", broken)
+    assert run(capsys, "describe", "--n", "3", "--blocks", "2,1") == (
+        3, "", f"error: {LEVI_CENTER_ERROR}\n")
+
+
+def test_der_build_invariant_failure_exits_3(monkeypatch, capsys):
+    # the build checks that q splits as center + c + derived
+    monkeypatch.setattr(parabolic, "_partition", lambda parts, whole: False)
+    assert run(capsys, "der", "--n", "3", "--blocks", "2,1") == (
+        3, "", "error: algebra does not split as center + c + derived\n")

@@ -35,6 +35,7 @@ from liederiv.lie import (
     LieAlgebra,
     ad_matrix,
     first_leibniz_violation,
+    grading,
     jacobi_holds,
     restrict,
     validate_structure,
@@ -153,42 +154,52 @@ GRADED_ORACLE_CASES = (
 )
 
 
+def _one_block_oracle(L, monkeypatch):
+    """``derivation_algebra`` with every weight 0: the whole Leibniz system
+    as one block."""
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "grading", lambda L: (0,) * L.dim)
+        return derivation_algebra(L)
+
+
 @pytest.mark.parametrize("kind,arg,kwargs", GRADED_ORACLE_CASES, ids=str)
-def test_graded_oracle_matches_one_block(kind, arg, kwargs):
-    # the torus weights split the Leibniz system into blocks; the JSON round
-    # trip drops them, so the same table is solved as one block
+def test_graded_oracle_matches_one_block(kind, arg, kwargs, monkeypatch):
+    # the torus grading splits the Leibniz system into blocks; with every
+    # weight 0 the same table is solved as one block
     if kind == "parabolic":
         L = build_standard_parabolic(arg, **kwargs).algebra
     else:
         L = build_gl(arg)
-    one_block = LieAlgebra.from_json_dict(L.to_json_dict())
-    assert set(one_block.weights) == {0}
     if L.dim > 1 + kwargs.get("extra_center", 0):
-        assert len(set(L.weights)) > 1
-    assert derivation_algebra(L) == derivation_algebra(one_block)
+        assert len(set(grading(L))) > 1
+    assert derivation_algebra(L) == _one_block_oracle(L, monkeypatch)
 
 
 def _doubled(blocks, ijk):
-    """The table of a parabolic with the constant c_ij^k doubled: graded as
-    before, but it breaks Jacobi."""
+    """The table of a parabolic with the constant c_ij^k doubled, which
+    breaks Jacobi; a constant on the diagonal of a coroot's ad also
+    ungrades it."""
     L0 = build_standard_parabolic(blocks).algebra
     triples = [(i, j, k, 2 * v if (i, j, k) == ijk else v) for (i, j, k, v) in L0.triples()]
-    return LieAlgebra(L0.dim, L0.labels, triples, L0.weights)
+    return LieAlgebra(L0.dim, L0.labels, triples)
 
 
-def test_graded_oracle_on_a_table_that_breaks_jacobi():
-    # doubling one constant of the (2,1) parabolic keeps its grading but
-    # breaks Jacobi, so some ad x is no longer a derivation; a root-weight
-    # block may then have a smaller kernel than span(ad x), and the oracle
-    # must not cut it at that span's rank
-    L = _doubled((2, 1), (1, 3, 3))
+def test_graded_oracle_on_a_table_that_breaks_jacobi(monkeypatch):
+    # doubling the root-root constant [E[1,2], E[2,3]] = E[1,3] of the (2,1)
+    # parabolic keeps its grading but breaks Jacobi, so some ad x is no
+    # longer a derivation; a root-weight block may then have a smaller
+    # kernel than span(ad x), and the oracle must not cut it at that span's
+    # rank
+    L = _doubled((2, 1), (3, 6, 4))
+    assert [L.labels[i] for i in (3, 6, 4)] == ["E[1,2]", "E[2,3]", "E[1,3]"]
+    assert len(set(grading(L))) > 1
     assert not validate_structure(L).ok
     der = derivation_algebra(L)
-    assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
+    assert der == _one_block_oracle(L, monkeypatch)
     assert der == _reference_derivations(L)
 
 
-def test_oracle_certifies_each_ad_x_before_it_skips_a_block():
+def test_oracle_certifies_each_ad_x_before_it_skips_a_block(monkeypatch):
     # doubling the root-root constant [E[1,2], E[2,1]] = H[1] of gl_3 keeps
     # the grading and the grading element (the Cartan brackets stay), but
     # breaks Jacobi; an oracle that took each nonzero-weight block to be
@@ -198,58 +209,63 @@ def test_oracle_certifies_each_ad_x_before_it_skips_a_block():
     assert not validate_structure(L).ok
     der = derivation_algebra(L)
     assert der.dim == 3
-    assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
+    assert der == _one_block_oracle(L, monkeypatch)
     assert der == _reference_derivations(L)
 
 
-@pytest.mark.parametrize("weights,dim", [((1, 0), 4), ((1, 0, 0), 9)], ids=str)
-def test_oracle_without_a_grading_element(weights, dim):
-    # an abelian algebra has ad = 0, so no h* has ad h* = diag(weights) and
-    # every map is a derivation; an oracle that took the nonzero-weight
-    # blocks to be ad(L_mu) = 0 regardless would give dims 2 and 5
-    L = LieAlgebra(len(weights), None, [], weights)
+@pytest.mark.parametrize("d,dim", [(2, 4), (3, 9)], ids=str)
+def test_oracle_without_a_grading_element(d, dim):
+    # an abelian algebra has ad = 0, so every weight is 0 and every map is
+    # a derivation
+    L = LieAlgebra(d, None, [])
+    assert grading(L) == (0,) * d
     der = derivation_algebra(L)
     assert der.dim == dim
     assert der == _reference_derivations(L)
 
 
 def _sl2_pair():
-    """sl2 + sl2 graded by h + h': the root vectors e, e' share weight 2 and
-    f, f' weight -2, so their ad maps are certified in two batches."""
+    """sl2 + sl2 on (e, h, f, e', h', f'): h and h' share weight 0, so the
+    ad maps are certified in two batches."""
     triples = [(1, 0, 0, 2), (1, 2, 2, -2), (0, 2, 1, 1),
                (4, 3, 3, 2), (4, 5, 5, -2), (3, 5, 4, 1)]
-    return LieAlgebra(6, None, triples, [2, 0, -2, 2, 0, -2])
+    return LieAlgebra(6, None, triples)
 
 
-def test_oracle_with_shared_weights():
+def test_oracle_with_shared_weights(monkeypatch):
     L = _sl2_pair()
     assert validate_structure(L).ok
+    W = grading(L)
+    assert W[1] == W[4] == 0 and len(set(W)) == 5
+    calls = _leibniz_calls(monkeypatch)
+    assert jacobi_holds(L) and len(calls) == 2
     der = derivation_algebra(L)
     assert der.dim == 6
     assert der == inner_derivations(L)
-    assert der == derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict()))
+    assert der == _one_block_oracle(L, monkeypatch)
     assert der == _reference_derivations(L)
 
 
-@pytest.mark.parametrize("weights", [(), (0,), (3,)], ids=str)
+@pytest.mark.parametrize("weights", [(), (0,)], ids=str)
 def test_oracle_in_dimensions_0_and_1(weights):
-    # in dim 1 with weight 3 there is no grading element; Der is gl_1 either way
-    der = derivation_algebra(LieAlgebra(len(weights), None, [], weights))
-    assert der == Subspace.full(len(weights) ** 2)
+    L = LieAlgebra(len(weights), None, [])
+    assert grading(L) == weights
+    assert derivation_algebra(L) == Subspace.full(len(weights) ** 2)
 
 
 def _graded_tables(st):
-    """Hypothesis draws of weighted tables on 1 to 4 basis vectors: the drawn
-    triples that respect the weights, and in half the draws a grading
-    element h = x_d with [h, x_k] = w_k x_k."""
+    """Hypothesis draws of tables on 1 to 4 basis vectors graded by drawn
+    weights: the drawn triples that respect the weights, and in half the
+    draws a grading element h = x_d with [h, x_k] = w_k x_k, whose diagonal
+    ad ``grading`` reads."""
     rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
 
     def graded_table(d, weights, ts, with_h):
         triples = [(i, j, k, v) for (i, j), k, v in ts if weights[k] == weights[i] + weights[j]]
         if with_h:
             triples += [(d, k, k, w) for k, w in enumerate(weights) if w]
-            d, weights = d + 1, weights + [0]
-        return LieAlgebra(d, None, triples, weights)
+            d += 1
+        return LieAlgebra(d, None, triples)
 
     def tables(d):
         pair = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)).filter(lambda p: p[0] < p[1])
@@ -292,8 +308,9 @@ def test_jacobi_certificate_matches_validate_structure():
 
 
 def test_property_jacobi_certificate_matches_validate_structure():
-    # the weighted-table draws, and parabolics of gl_n, n <= 3, with up to
-    # two constants rescaled (graded as before; Jacobi mostly breaks)
+    # the graded-table draws, and parabolics of gl_n, n <= 3, with up to
+    # two constants rescaled (Jacobi mostly breaks, and the grading with it
+    # when a coroot's constant is rescaled)
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     seen = set()
@@ -303,7 +320,7 @@ def test_property_jacobi_certificate_matches_validate_structure():
         triples = L0.triples()
         factor = {t % len(triples): c for t, c in changes}
         return LieAlgebra(L0.dim, None, [(i, j, k, v * factor.get(t, 1))
-                                         for t, (i, j, k, v) in enumerate(triples)], L0.weights)
+                                         for t, (i, j, k, v) in enumerate(triples)])
 
     parabolic = st.sampled_from([b for n in range(2, 4) for b in compositions(n)])
     change = st.tuples(st.integers(0, 99), st.builds(Q, st.integers(-2, 2), st.integers(1, 2)))
@@ -333,18 +350,17 @@ def _leibniz_calls(monkeypatch):
 def test_jacobi_certificate_is_computed_once(monkeypatch):
     # the (2,1,1) parabolic of gl_4 reloaded as a bare table carries no
     # certificate; the oracle and the theorem check share the one they
-    # compute. From JSON all weights are 0, so each of the 10 non-central
-    # ad x is its own batch; with the weights kept there is one batch per
+    # compute. The grading is read off the table, so there is one batch per
     # coroot, the first also holding every root vector
     L = build_standard_parabolic((2, 1, 1)).algebra
     calls = _leibniz_calls(monkeypatch)
-    for table, batches in ((LieAlgebra.from_json_dict(L.to_json_dict()), 10),
-                           (LieAlgebra(L.dim, L.labels, L.triples(), L.weights), 3)):
+    for table in (LieAlgebra.from_json_dict(L.to_json_dict()),
+                  LieAlgebra(L.dim, L.labels, L.triples())):
         q = build_standard_parabolic((2, 1, 1))
         q.algebra = table
         calls.clear()
         assert verify_main_theorem(q).ok
-        assert jacobi_holds(table) and len(calls) == batches
+        assert jacobi_holds(table) and len(calls) == 3
 
 
 def test_built_parabolic_makes_no_leibniz_call(monkeypatch):
@@ -368,7 +384,7 @@ def test_jacobi_certificate_provenance():
     L = q.algebra
     assert L._jacobi is True
     others = [LieAlgebra.from_json_dict(L.to_json_dict()), restrict(L, q.derived),
-              complexify(L)[0], LieAlgebra(L.dim, L.labels, L.triples(), L.weights)]
+              complexify(L)[0], LieAlgebra(L.dim, L.labels, L.triples())]
     assert [M._jacobi for M in others] == [None] * 4
     assert all(jacobi_holds(M) for M in others)
     doubled = LieAlgebra.from_json_dict(_doubled((2, 1), (1, 3, 3)).to_json_dict())
@@ -845,7 +861,7 @@ def test_fault_injected_closure_flags(request, extra):
                 "identity_and_center_to_root": [ident, to_root]}.get(extra, [ident])
     space = subspace_sum(der, Subspace.from_sparse(d * d, injected))
     assert space.dim == der.dim + len(injected)
-    W = q.algebra.weights
+    W = grading(q.algebra)
     if extra == "identity_plus_center_to_root":
         assert any(len({W[f % d] - W[f // d] for f in row}) == 2 for row in space.rows)
     report = verify_main_theorem(q, space)

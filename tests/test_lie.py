@@ -15,6 +15,7 @@ from liederiv.lie import (
     bracket_span,
     center,
     first_leibniz_violation,
+    grading,
     restrict,
     validate_structure,
 )
@@ -574,31 +575,66 @@ def test_endomatrix_rejects_bad_shapes():
 
 
 def test_default_and_torus_weights():
-    # 0 unless given; E[i,j] has eps_i - eps_j as 8**i - 8**j, and the
-    # center and the coroots have weight 0
-    assert LieAlgebra(3, None, []).weights == (0, 0, 0)
+    # 0 without a nonzero diagonal ad; on a parabolic the center and the
+    # coroots have weight 0, and E[i,j] has the values of eps_i - eps_j on
+    # the coroots as digits in base 4m + 1 (9 for the (2,1) parabolic and 5
+    # for gl_2, whose torus is E[1,1], E[2,2])
+    assert grading(LieAlgebra(3, None, [])) == (0, 0, 0)
     q = build_standard_parabolic((2, 1))
-    L = q.algebra
-    assert L.weights[q.root_index[(1, 3)]] == 8 - 8**3
-    assert all(L.weights[i] == 0 for i in q.center_indices + tuple(q.coroot_index.values()))
-    assert build_gl(2).weights == (0, 8 - 64, 64 - 8, 0)
+    W = grading(q.algebra)
+    assert W[q.root_index[(1, 3)]] == 1 + 1 * 9
+    assert W[q.root_index[(2, 3)]] == -1 + 2 * 9
+    assert all(W[i] == 0 for i in q.center_indices + tuple(q.coroot_index.values()))
+    assert grading(build_gl(2)) == (0, 1 - 5, -1 + 5, 0)
 
 
-@pytest.mark.parametrize(
-    "weights,named",
-    [
-        ([1, 1, 1, 1], "triple (0,1,1) breaks the grading"),
-        ([0, 1, 1, 0], "triple (1,2,0) breaks the grading: weight 0 is not 1 + 1"),
-        ([0, 1, -1], "one int per basis vector"),
-        ([0, 1, -1, 0.0], "one int per basis vector"),
-        ([0, 1, -1, False], "one int per basis vector"),
-    ],
-    ids=["all-one", "e-and-f-both-positive", "short", "float", "bool"],
-)
-def test_non_homogeneous_weights_raise(weights, named):
-    # gl_2 on E[1,1], E[1,2], E[2,1], E[2,2]: [E11, E12] = E12 needs
-    # w(E12) = w(E11) + w(E12), and [E12, E21] = E11 - E22 needs
-    # w(E11) = w(E12) + w(E21)
-    triples = build_gl(2).triples()
-    with pytest.raises(ValueError, match=re.escape(named)):
-        LieAlgebra(4, None, triples, weights)
+def _grading_tables():
+    """Every parabolic of n <= 6 at extra center 0 and 1 and root_scale 1
+    and 3/2, then gl_1 to gl_4."""
+    for n in range(1, 7):
+        for b in compositions(n):
+            for z in (0, 1):
+                for rs in (1, Q(3, 2)):
+                    yield build_standard_parabolic(b, extra_center=z, root_scale=rs).algebra
+    yield from map(build_gl, range(1, 5))
+
+
+def test_grading_survives_the_json_round_trip():
+    for L in _grading_tables():
+        assert grading(LieAlgebra.from_json_dict(L.to_json_dict())) == grading(L)
+
+
+def _eps_weights(L):
+    """The torus weights as the builders once wrote them by hand: eps_i -
+    eps_j on E[i,j] as the integer 8**i - 8**j, 0 on every other basis
+    vector."""
+    return [8**int(lab[2]) - 8**int(lab[4]) if lab.startswith("E[") else 0 for lab in L.labels]
+
+
+def _unknown_blocks(W):
+    """The flat unknowns k*d + l of the Leibniz system grouped by weight W[l] - W[k]."""
+    d = len(W)
+    blocks: dict[int, list[int]] = {}
+    for k in range(d):
+        for l in range(d):
+            blocks.setdefault(W[l] - W[k], []).append(k * d + l)
+    return sorted(blocks.values())
+
+
+def test_grading_blocks_match_the_eps_weights():
+    for L in _grading_tables():
+        assert max(len(lab) for lab in L.labels) <= 6  # one-digit i and j
+        assert _unknown_blocks(grading(L)) == _unknown_blocks(_eps_weights(L)), L.labels
+
+
+def test_grading_falls_back_to_zero():
+    # abelian: no ad is nonzero. The (2,1) parabolic with [H[1], E[1,2]]
+    # doubled: ad H[1] stays diagonal, but the table is not homogeneous for
+    # the weights it gives, so ad h is no derivation and Jacobi fails
+    assert grading(abelian(3)) == (0, 0, 0)
+    L0 = build_standard_parabolic((2, 1)).algebra
+    assert [L0.labels[i] for i in (1, 3)] == ["H[1]", "E[1,2]"]
+    L = LieAlgebra(L0.dim, L0.labels,
+                   [(i, j, k, 2 * v if (i, j, k) == (1, 3, 3) else v) for i, j, k, v in L0.triples()])
+    assert not validate_structure(L).ok
+    assert grading(L) == (0,) * L.dim
