@@ -58,7 +58,6 @@ from .linalg import (
 from .parabolic import (
     BlockComposition,
     ParabolicAlgebra,
-    RootDatumA,
     build_gl,
     build_standard_parabolic,
     compositions,

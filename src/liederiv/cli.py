@@ -21,6 +21,7 @@ import random
 import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from math import lcm
 
 from .derivations import (
     DecompositionError,
@@ -97,8 +98,8 @@ def cmd_describe(args) -> tuple[dict, int]:
             "n": q.composition.n,
             "blocks": list(q.composition.blocks),
             "extra_center": q.extra_center,
-            "delta": list(q.root_datum.delta),
-            "delta_prime": list(q.root_datum.delta_prime),
+            "delta": list(range(1, q.composition.n)),
+            "delta_prime": list(q.delta_prime),
             "center_dim": s["g_z"].dim,
             "cartan_dim": s["cartan"].dim,
             "c_dim": s["c"].dim,
@@ -133,9 +134,9 @@ def cmd_der(args) -> tuple[dict, int]:
         "h1_dim": der.dim - inner.dim,
         "formula_dim": formula,
         "formula_ok": formula == der.dim,
-        "center_dim": q.g_z.dim,
-        "c_dim": q.c.dim,
-        "derived_dim": q.derived.dim,
+        "center_dim": len(q.center_indices),
+        "c_dim": len(q.c_indices),
+        "derived_dim": len(q.derived_indices),
     }
     return payload, 0 if payload["formula_ok"] else 3
 
@@ -177,7 +178,11 @@ def _read_derivation(args, algebra) -> EndoMatrix:
                 v = parsed[e] = rational(e, f"at row {i}, column {j}")
             if v:
                 cols[j][i] = v
-    return EndoMatrix(algebra, cols)
+    # each value is a JSON int or passed rational, so the map skips the
+    # constructor's checks: int columns over the lcm of the denominators
+    den = lcm(*(v.denominator for v in parsed.values()))
+    cols = [{i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]
+    return EndoMatrix._canonical(algebra, cols, den)
 
 
 def cmd_decompose(args) -> tuple[dict, int]:
@@ -205,10 +210,20 @@ def _verify_case(q, rounds: int, rng) -> dict:
             if witness is None:
                 witness = {"kind": "decompose", "round": r, "error": str(exc)}
             break
-    row = {"n": q.composition.n, "blocks": list(q.composition.blocks), **report.to_json_dict()}
-    row.pop("counterexample", None)  # reported as the witness below
-    row["decompose_ok"] = decompose_ok
-    row["ok"] = row.pop("ok") and decompose_ok
+    row = {
+        "n": q.composition.n,
+        "blocks": list(q.composition.blocks),
+        "der_dim": report.der_dim,
+        "l_dim": report.l_dim,
+        "inner_dim": report.inner_dim,
+        "h1_dim": report.h1_dim,
+        "direct_sum_ok": report.direct_sum_ok,
+        "l_is_ideal_ok": report.l_is_ideal_ok,
+        "inner_is_ideal_ok": report.inner_is_ideal_ok,
+        "formula_ok": report.formula_ok,
+        "decompose_ok": decompose_ok,
+        "ok": report.ok and decompose_ok,
+    }
     if witness is not None:
         row["witness"] = witness
     return row

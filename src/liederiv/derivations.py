@@ -18,7 +18,7 @@ package-wide so subspaces of maps are comparable everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
@@ -131,32 +131,25 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
         for j in range(i + 1, d):
             cdict = T[i].get(j, {})
             wij = W[i] + W[j]
-            if graded:
-                lset = by_weight.get(wij, ())
-            elif cdict:
-                lset = range(d)
-            else:
-                lset = sorted(rowmap[i].keys() | rowmap[j].keys())
-            for l in lset:
-                mu = W[l] - wij
-                red = live.get(mu)
-                if red is None:
-                    continue
-                row: dict[int, int] = {}
-                for k, v in cdict.items():
-                    idx = k * d + l  # coefficient of D_{l,k}
-                    row[idx] = row.get(idx, 0) + v
-                # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
-                for (m, v) in rowmap[j].get(l, ()):
-                    idx = i * d + m
-                    row[idx] = row.get(idx, 0) - v
-                # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
-                for (m, v) in rowmap[i].get(l, ()):
-                    idx = j * d + m
-                    row[idx] = row.get(idx, 0) + v
-                row = {c: v for c, v in row.items() if v}
-                if row and red.add_row(row) and len(red.pivot_rows) == len(unknowns[mu]):
-                    del live[mu]
+            # the equation (i, j, l) has its unknowns in block w_l - w_i - w_j
+            for mu, red in list(live.items()):
+                for l in by_weight.get(mu + wij, ()):
+                    row: dict[int, int] = {}
+                    for k, v in cdict.items():
+                        idx = k * d + l  # coefficient of D_{l,k}
+                        row[idx] = row.get(idx, 0) + v
+                    # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
+                    for (m, v) in rowmap[j].get(l, ()):
+                        idx = i * d + m
+                        row[idx] = row.get(idx, 0) - v
+                    # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
+                    for (m, v) in rowmap[i].get(l, ()):
+                        idx = j * d + m
+                        row[idx] = row.get(idx, 0) + v
+                    row = {c: v for c, v in row.items() if v}
+                    if row and red.add_row(row) and len(red.pivot_rows) == len(unknowns[mu]):
+                        del live[mu]
+                        break
 
     kernel = [v for mu, cols in unknowns.items() for v in reducers[mu].kernel_vectors(cols)]
     if graded:
@@ -179,7 +172,7 @@ def l_ideal(q: ParabolicAlgebra) -> Subspace:
     algebra: the span of the elementary matrices E(z, u) in the adapted basis."""
     d = q.algebra.dim
     return Subspace.units(
-        d * d, (u * d + z for z in q.center_indices for u in [*q.center_indices, *q.c.pivots()])
+        d * d, (u * d + z for z in q.center_indices for u in q.center_indices + q.c_indices)
     )
 
 
@@ -195,9 +188,8 @@ def dimension_formula(center_dim: int, simple_count: int, selected_count: int, d
 def formula_dim(q: ParabolicAlgebra) -> int:
     """The dimension of Der q that ``dimension_formula`` predicts from q;
     the trace-zero part q_s complements the center."""
-    r = q.root_datum
     z = len(q.center_indices)
-    return dimension_formula(z, len(r.delta), len(r.delta_prime), q.dim - z)
+    return dimension_formula(z, q.composition.n - 1, len(q.delta_prime), q.dim - z)
 
 
 @dataclass
@@ -223,22 +215,13 @@ class VerificationReport:
             and self.formula_ok
         )
 
-    def to_json_dict(self) -> dict:
-        # the fields in order, ok before the counterexample, which is left out when None
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        counterexample = out.pop("counterexample")
-        out["ok"] = self.ok
-        if counterexample is not None:
-            out["counterexample"] = counterexample
-        return out
-
 
 def _sum_certified(q: ParabolicAlgebra) -> bool:
     """Whether S = l_ideal + ad q lies in Der q: every ad x is a derivation
     (``jacobi_holds``), and so is every E(z, u) of l_ideal, as x_z is
     central and no bracket has a component on x_u (u in the center or c)."""
     L = q.algebra
-    sources = {*q.center_indices, *q.c.pivots()}
+    sources = {*q.center_indices, *q.c_indices}
     return (jacobi_holds(L) and not any(L.int_table[z] for z in q.center_indices)
             and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
 
@@ -278,10 +261,10 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
         formula = {"kind": "formula", "expected": expected, "oracle": der.dim}
 
     # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived;
-    # entry (i, j) of D sits at the flat index j*d + i
-    if any(len(row) != 1 for space in (q.g_z, q.derived) for row in space.rows):
-        raise ValueError("g_z and derived must be coordinate subspaces")
-    kept = (("g_z", q.g_z._row_of), ("derived", q.derived._row_of))
+    # entry (i, j) of D sits at the flat index j*d + i, and piv maps a basis
+    # position to its place among the subspace's
+    kept = [(name, {p: r for r, p in enumerate(ix)})
+            for name, ix in (("g_z", q.center_indices), ("derived", q.derived_indices))]
     l_closure = next(({"kind": "l_closure", "der_index": di, "subspace": name,
                        "vector_index": piv[min(out)]}
                       for di, flat in enumerate(der.rows) for name, piv in kept
@@ -296,8 +279,8 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     # each map's integer columns are den times its true ones
     inner_closure = next(({"kind": "inner_closure", "der_index": di, "basis_index": i}
                           for di, D in maps for i, A in enumerate(ads)
-                          if not contains(inner, (EndoMatrix(L, map(D._apply, A.cols), A.den)
-                                                  - EndoMatrix(L, map(A._apply, D.cols), D.den)
+                          if not contains(inner, (EndoMatrix(L, map(D.apply, A.cols), A.den)
+                                                  - EndoMatrix(L, map(A.apply, D.cols), D.den)
                                                   ).flat())),
                          None)
 
@@ -382,7 +365,7 @@ def _residual_failure(q: ParabolicAlgebra, l_part: EndoMatrix, p: dict[int, Q]) 
     for jdx, col in enumerate(l_part.cols):
         if any(i not in center_set for i in col):
             return f"residual map does not land in the center at column {jdx}"
-    for jdx in q.derived.pivots():
+    for jdx in q.derived_indices:
         if l_part.cols[jdx]:
             return f"residual map does not kill the derived algebra at column {jdx}"
     if center_set & p.keys():
@@ -472,7 +455,7 @@ def split_derivation(
             {"l_dim": lid.dim, "inner_dim": inner.dim},
         )
     l_coeffs = {k: c for k, c in lam.items() if k < lid.dim}
-    l_part = EndoMatrix.from_flat(L, lid._combination(l_coeffs))
+    l_part = EndoMatrix.from_flat(L, lid.combination(l_coeffs))
     return l_part, D - l_part
 
 

@@ -204,10 +204,6 @@ class EndoMatrix:
         if any(not 0 <= j < self.algebra.dim for j in v):
             raise ValueError("vector index out of range for algebra dimension")
         require_exact(v.values(), "in v")
-        return self._apply(v)
-
-    def _apply(self, v: dict) -> dict:
-        """``apply`` without the input check, for rows the library built itself."""
         out: dict = {}
         for j, x in v.items():
             for i, e in self.cols[j].items():
@@ -306,12 +302,7 @@ def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
         raise ValueError("vector index out of range for algebra dimension")
     require_exact(x.values(), "in x")
     require_exact(y.values(), "in y")
-    return _bracket(L, x, y)
-
-
-def _bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
-    """``bracket`` without the index check, for the rows of subspaces of L:
-    summed against the integer table, divided by N once at the end."""
+    # summed against the integer table, divided by N once at the end
     out: dict = {}
     T = L.int_table
     for i, a in x.items():
@@ -330,7 +321,7 @@ def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Canonical span of all brackets of basis vectors of a with those of b."""
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    return Subspace.from_sparse(L.dim, [_bracket(L, u, v) for u in a.rows for v in b.rows])
+    return Subspace.from_sparse(L.dim, [bracket(L, u, v) for u in a.rows for v in b.rows])
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -385,7 +376,7 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     triples = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            coords = s._coordinates_of(_bracket(L, rows[a], rows[b]))
+            coords = s.coordinates_of(bracket(L, rows[a], rows[b]))
             if coords is None:
                 raise ValueError(
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"

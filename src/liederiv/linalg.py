@@ -12,9 +12,7 @@ Fractions, zeros dropped: the format of ``Subspace.rows``. The eliminator,
 ``nullspace_of_rows`` and ``solve`` take it as it is; ``contains``,
 ``coordinates_of`` and ``combination`` take it after ``require_exact`` has
 checked its values, and coordinates in a basis are sparse dicts row index ->
-value. The library's own callers, whose vectors it computed itself, reach
-the unchecked ``_coordinates_of`` and ``_combination``.
-``Subspace.from_vectors`` is the one dense input form and
+value. ``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. ``rational`` is the one rule
 for exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
 """
@@ -262,11 +260,6 @@ class Subspace:
         coeffs is sparse too (row index -> value), zero entries are dropped.
         A value that is not an int or a Fraction raises ValueError."""
         require_exact(coeffs.values(), "in the coefficients")
-        return self._combination(coeffs)
-
-    def _combination(self, coeffs: dict) -> dict:
-        """``combination`` without the value check, for coefficients that
-        the library computed itself."""
         out: dict = {}
         for k, c in coeffs.items():
             if not 0 <= k < self.dim:
@@ -283,11 +276,6 @@ class Subspace:
         int or a Fraction raises ValueError.
         """
         require_exact(v.values(), "in the vector")
-        return self._coordinates_of(v)
-
-    def _coordinates_of(self, v: dict) -> dict | None:
-        """``coordinates_of`` without the value check, for vectors that the
-        library computed itself."""
         v = self._member(v)
         if v is None:
             return None
@@ -368,7 +356,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         for i, e in row.items():
             system.setdefault(i, {})[a.dim + k] = -e
     ker = nullspace_of_rows(a.dim + b.dim, (system[i] for i in sorted(system)))
-    out = [a._combination({k: e for k, e in lam.items() if k < a.dim}) for lam in ker.rows]
+    out = [a.combination({k: e for k, e in lam.items() if k < a.dim}) for lam in ker.rows]
     return Subspace.from_sparse(a.ambient_dim, out)
 
 

@@ -13,13 +13,15 @@ A root_scale s != 1 (root generators s e_ij) multiplies each constant once,
 by s, s^2 or 1 according to which of its three basis elements are root
 generators.
 
-A ``ParabolicAlgebra`` keeps the three subspaces the theorem reads: the
-center, the complement c of the derived algebra, and the derived algebra.
-``adapted_subspaces`` makes and checks the rest of the Levi decomposition
-for ``describe``. Every subspace but the Levi center is spanned by basis
-vectors, so its canonical basis is written down without elimination
-(``Subspace.units``); the Levi center is spanned by n times the
-fundamental coweights of the simple roots outside delta', rows of n A^-1.
+A ``ParabolicAlgebra`` keeps the three subspaces the theorem reads, the
+center, the complement c of the derived algebra and the derived algebra,
+as the sorted positions of the basis vectors that span them.
+``adapted_subspaces`` makes these and the rest of the Levi decomposition
+as ``Subspace``s for ``describe``, and checks them. Every subspace but the
+Levi center is spanned by basis vectors, so its canonical basis is written
+down without elimination (``Subspace.units``); the Levi center is spanned
+by n times the fundamental coweights of the simple roots outside delta',
+rows of n A^-1.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
 
-from .lie import LieAlgebra, _bracket
+from .lie import LieAlgebra, bracket
 from .linalg import Q, Subspace, is_direct_sum, rational
 
 __all__ = [
     "BlockComposition",
-    "RootDatumA",
     "ParabolicAlgebra",
     "adapted_subspaces",
     "build_gl",
@@ -86,27 +87,13 @@ def compositions(n: int):
     yield from rec(n, ())
 
 
-@dataclass(frozen=True)
-class RootDatumA:
-    """Type A root data for gl_n: pairs (i, j) standing for eps_i - eps_j."""
-
-    n: int
-    delta_prime: tuple[int, ...]
-
-    @property
-    def delta(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n))
-
-    @property
-    def phi_prime(self) -> tuple[tuple[int, int], ...]:
-        """The positive roots and the negative roots (i, j), i > j, in the
-        span of delta' (every simple index from j to i - 1 selected), in
-        lexicographic order."""
-        dp = set(self.delta_prime)
-        span = range(1, self.n + 1)
-        return tuple(
-            (i, j) for i in span for j in span if i < j or i > j and dp.issuperset(range(j, i))
-        )
+def _roots(n: int, delta_prime) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j) standing for eps_i - eps_j that q holds: the positive
+    roots and the negative roots, i > j, in the span of delta' (every
+    simple index from j to i - 1 selected), in lexicographic order."""
+    dp = set(delta_prime)
+    span = range(1, n + 1)
+    return tuple((i, j) for i in span for j in span if i < j or i > j and dp.issuperset(range(j, i)))
 
 
 def cartan_solve(c) -> list[Q]:
@@ -125,11 +112,10 @@ def cartan_solve(c) -> list[Q]:
     ]
 
 
-def _partition(parts, whole: Subspace) -> bool:
-    """``is_direct_sum``, read off the pivots when every row is a unit vector."""
-    if any(len(row) != 1 for s in (*parts, whole) for row in s.rows):
-        return is_direct_sum(parts, whole)
-    return sorted(p for s in parts for p in s.pivots()) == whole.pivots()
+def _partition(parts, whole) -> bool:
+    """Whether the coordinate subspaces spanned by the index lists parts
+    split the one spanned by whole: each index of whole in exactly one part."""
+    return sorted(i for p in parts for i in p) == sorted(whole)
 
 
 def _closed(L: LieAlgebra, a, b: set[int], target: set[int]) -> bool:
@@ -144,9 +130,10 @@ class ParabolicAlgebra:
 
     Basis order: scalar I (index 0), extra central generators, coroots
     h_1..h_{n-1}, then the allowed off-diagonal generators x_(i,j) sorted by
-    (i, j). The center ``g_z``, the complement ``c`` of the derived
-    algebra and the ``derived`` algebra, in ambient coordinates of this
-    basis, are checked to split q.
+    (i, j). The center, the complement c of the derived algebra and the
+    derived algebra are spanned by basis vectors; ``center_indices``,
+    ``c_indices`` and ``derived_indices`` hold their positions, sorted, and
+    are checked to split q.
     """
 
     def __init__(self, composition: BlockComposition, extra_center: int = 0, root_scale=1):
@@ -164,9 +151,8 @@ class ParabolicAlgebra:
 
         # k and k + 1 share a block unless a block ends at k
         ends = set(accumulate(composition.blocks))
-        delta_prime = tuple(k for k in range(1, n) if k not in ends)
-        self.root_datum = RootDatumA(n, delta_prime)
-        roots = self.root_datum.phi_prime
+        self.delta_prime = delta_prime = tuple(k for k in range(1, n) if k not in ends)
+        roots = _roots(n, delta_prime)
 
         m = 1 + extra_center
         labels = ["I"] + [f"Z[{t}]" for t in range(2, m + 1)]
@@ -217,10 +203,9 @@ class ParabolicAlgebra:
         self.algebra._jacobi = True
 
         h = self.coroot_index
-        self.g_z = Subspace.units(dim, self.center_indices)
-        self.c = Subspace.units(dim, (h[k] for k in range(1, n) if k not in delta_prime))
-        self.derived = Subspace.units(dim, [*map(h.get, delta_prime), *self.root_index.values()])
-        if not _partition([self.g_z, self.c, self.derived], Subspace.full(dim)):
+        self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
+        self.derived_indices = (*map(h.get, delta_prime), *self.root_index.values())
+        if not _partition([self.center_indices, self.c_indices, self.derived_indices], range(dim)):
             raise RuntimeError("algebra does not split as center + c + derived")
 
     @property
@@ -252,18 +237,18 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
     vectors lies in a coordinate subspace exactly when its support does.
     """
     L, n, d = q.algebra, q.composition.n, q.dim
-    dp = q.root_datum.delta_prime
+    dp = q.delta_prime
     h = [q.coroot_index[k] for k in range(1, n)]
     t = [q.coroot_index[k] for k in dp]
     # (i, j) is a Levi root iff (j, i) is a root too
     same = [p for (i, j), p in q.root_index.items() if (j, i) in q.root_index]
     cross = [p for (i, j), p in q.root_index.items() if (j, i) not in q.root_index]
     s = {
-        "g_z": q.g_z,
+        "g_z": Subspace.units(d, q.center_indices),
         "cartan": Subspace.units(d, h),
-        "c": q.c,
+        "c": Subspace.units(d, q.c_indices),
         "t": Subspace.units(d, t),
-        "derived": q.derived,
+        "derived": Subspace.units(d, q.derived_indices),
         "levi": Subspace.units(d, h + same),
         "nilradical": Subspace.units(d, cross),
         # n times the fundamental coweight of each simple root outside
@@ -275,16 +260,17 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
         "levi_semisimple": Subspace.units(d, t + same),
         "semisimple_part": Subspace.units(d, h + same + cross),
     }
-    nil, levi = set(s["nilradical"].pivots()), set(s["levi"].pivots())
-    if not _partition([s["c"], s["t"]], s["cartan"]):
+    piv = {name: space.pivots() for name, space in s.items()}
+    nil, levi = set(piv["nilradical"]), set(piv["levi"])
+    if not _partition([piv["c"], piv["t"]], piv["cartan"]):
         raise RuntimeError("Cartan does not split as c + t")
     if not _closed(L, range(d), nil, nil):
         raise RuntimeError("nilradical is not an ideal")
     if not _closed(L, levi, levi, levi):
         raise RuntimeError("Levi factor is not a subalgebra")
-    if not _partition([s["levi_semisimple"], s["nilradical"]], s["derived"]):
+    if not _partition([piv["levi_semisimple"], piv["nilradical"]], piv["derived"]):
         raise RuntimeError("derived algebra does not split as semisimple Levi + nilradical")
-    if any(_bracket(L, z, {p: 1}) for z in s["levi_center"].rows for p in levi):
+    if any(bracket(L, z, {p: 1}) for z in s["levi_center"].rows for p in levi):
         raise RuntimeError("Levi center is not central in the Levi factor")
     # the Levi center is another valid complement of the derived algebra
     # alongside c (they coincide only for extreme compositions)

@@ -61,7 +61,7 @@ def _reference_subspaces(q):
     """Every adapted subspace as the row reduction of its unit vectors,
     with the Levi center taken through ``restrict``."""
     d = q.dim
-    dp = set(q.root_datum.delta_prime)
+    dp = set(q.delta_prime)
     h = q.coroot_index
     # block[i - 1] is the block of row and column i
     block = [b for b, size in enumerate(q.composition.blocks) for _ in range(size)]

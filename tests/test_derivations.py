@@ -383,7 +383,8 @@ def test_jacobi_certificate_provenance():
     q = build_standard_parabolic((2, 1), extra_center=1)
     L = q.algebra
     assert L._jacobi is True
-    others = [LieAlgebra.from_json_dict(L.to_json_dict()), restrict(L, q.derived),
+    derived = Subspace.units(q.dim, q.derived_indices)
+    others = [LieAlgebra.from_json_dict(L.to_json_dict()), restrict(L, derived),
               complexify(L)[0], LieAlgebra(L.dim, L.labels, L.triples())]
     assert [M._jacobi for M in others] == [None] * 4
     assert all(jacobi_holds(M) for M in others)
@@ -564,7 +565,7 @@ def test_l_ideal_gl1_degenerate():
 
 def test_verify_golden(golden_q, golden_der):
     report = verify_main_theorem(golden_q, golden_der)
-    assert report.ok, report.to_json_dict()
+    assert report.ok, report
     assert (report.der_dim, report.l_dim, report.inner_dim) == (27, 3, 24)
     assert report.h1_dim == 3
     assert report.counterexample is None
@@ -575,7 +576,7 @@ def test_verify_sweep_small_n():
         for blocks in compositions(n):
             q = build_standard_parabolic(blocks)
             report = verify_main_theorem(q)
-            assert report.ok, (blocks, report.to_json_dict())
+            assert report.ok, (blocks, report)
 
 
 def test_borel_sl3_all_inner():
@@ -659,7 +660,7 @@ def test_decompose_random_round_trips(golden_q, golden_der):
         for j in range(q.dim):
             col = l_dense.col(j)
             assert all(col[i] == 0 for i in range(q.dim) if i not in q.center_indices)
-        for v in q.derived.vectors():
+        for v in Subspace.units(q.dim, q.derived_indices).vectors():
             assert not any(l_dense.mul_vec(v))
         # inner element has no central component
         assert all(res.p.get(i, 0) == 0 for i in q.center_indices)
@@ -909,6 +910,23 @@ def test_property_theorem_gate_matches_brute_force_flags():
     check()
 
 
+def test_l_closure_witness_names_the_place_in_the_derived_set():
+    # with E[1,3] left out of q's derived set, ad E[1,2] maps E[2,3], still
+    # in the set, onto E[1,3]; only the l_closure check reads the set, so it
+    # alone fails, and its witness names the derivation and the place of
+    # E[2,3] among the set's positions (1, 3, 5, 6)
+    q = build_standard_parabolic((2, 1))
+    x = q.root_index[(1, 3)]
+    q.derived_indices = tuple(p for p in q.derived_indices if p != x)
+    assert q.derived_indices[3] == q.root_index[(2, 3)]
+    report = verify_main_theorem(q)
+    flags = (report.direct_sum_ok, report.l_is_ideal_ok, report.inner_is_ideal_ok,
+             report.formula_ok)
+    assert flags == (True, False, True, True)
+    assert report.counterexample == {"kind": "l_closure", "der_index": 1,
+                                     "subspace": "derived", "vector_index": 3}
+
+
 @pytest.mark.parametrize("case", ["center_not_central", "bracket_on_c"])
 def test_theorem_gate_certifies_each_center_valued_map(case):
     # lid + ad q is taken to lie in Der q only if every E(z, u) of lid is a
@@ -922,7 +940,7 @@ def test_theorem_gate_certifies_each_center_valued_map(case):
     else:
         q = build_standard_parabolic((2, 1))  # c is spanned by H[2], index 2
         q.algebra = build_standard_parabolic((1, 2)).algebra  # [E[2,3], E[3,2]] = H[2]
-        assert q.c.pivots() == [2] and q.algebra.int_table[5][6] == {2: 1}
+        assert q.c_indices == (2,) and q.algebra.int_table[5][6] == {2: 1}
     assert validate_structure(q.algebra).ok
     space = subspace_sum(l_ideal(q), inner_derivations(q))
     report = verify_main_theorem(q, space)
@@ -948,11 +966,11 @@ def test_split_derivation_rejects_outsider(golden_q):
 def test_extra_center_exercises_formula():
     q = build_standard_parabolic((2,), extra_center=1)  # center dim 2
     report = verify_main_theorem(q)
-    assert report.ok, report.to_json_dict()
+    assert report.ok, report
     assert report.der_dim == dimension_formula(2, 1, 1, 3) == 7
     q2 = build_standard_parabolic((1, 1), extra_center=2)  # center dim 3
     report2 = verify_main_theorem(q2)
-    assert report2.ok, report2.to_json_dict()
+    assert report2.ok, report2
     assert report2.der_dim == dimension_formula(3, 1, 0, 2) == 14
 
 

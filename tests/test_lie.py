@@ -376,11 +376,11 @@ def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
 def test_inner_derivations_stabilize_ideals(golden_q):
     q = golden_q
     rng = random.Random(41)
-    derived = q.derived
+    derived = Subspace.units(q.dim, q.derived_indices)
     for _ in range(5):
         x = _random_vector(rng, q.dim, -4, 4)
         ax = as_matrix(ad_matrix(q.algebra, x))
-        for ideal in (adapted_subspaces(q)["nilradical"], q.derived):
+        for ideal in (adapted_subspaces(q)["nilradical"], derived):
             for v in ideal.vectors():
                 assert contains(ideal, sparse(ax.mul_vec(v)))
         for j in range(q.dim):
@@ -389,7 +389,7 @@ def test_inner_derivations_stabilize_ideals(golden_q):
 
 def test_derivations_stabilize_derived_and_center(borel3_q, borel3_der):
     q = borel3_q
-    derived, z = q.derived, q.g_z
+    derived, z = (Subspace.units(q.dim, ix) for ix in (q.derived_indices, q.center_indices))
     for flat in borel3_der.rows:
         D = as_matrix(EndoMatrix.from_flat(q.algebra, flat))
         for v in derived.vectors():
@@ -400,7 +400,7 @@ def test_derivations_stabilize_derived_and_center(borel3_q, borel3_der):
 
 def test_center_of_parabolic_is_scalar_line(golden_q, borel3_q):
     for q in (golden_q, borel3_q):
-        assert center(q.algebra) == q.g_z
+        assert center(q.algebra) == Subspace.units(q.dim, q.center_indices)
 
 
 def test_json_round_trip():

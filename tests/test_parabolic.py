@@ -8,10 +8,10 @@ from dense_reference import structure_constants
 from root_reference import root_value
 from liederiv.lie import bracket, bracket_span, center, restrict, validate_structure
 from liederiv.linalg import Q, Subspace, contains, is_direct_sum
+from liederiv import parabolic
 from liederiv.parabolic import (
     BlockComposition,
     ParabolicAlgebra,
-    RootDatumA,
     _partition,
     adapted_subspaces,
     build_gl,
@@ -37,7 +37,9 @@ def _moved(q, s, root, source, target):
 
 # each fault replaces some of the true subspaces s of the parabolic of
 # (2, 1) and leaves every check before its own intact, so the build or
-# adapted_subspaces must stop at that check, with its message
+# adapted_subspaces must stop at that check, with its message. The build
+# holds the center, c and the derived algebra as index tuples, so a fault
+# on one of those three reaches its split check as the replacement's pivots
 INVARIANT_FAULTS = [
     ("algebra does not split as center + c + derived",
      lambda q, s: {"g_z": Subspace.units(q.dim, ())}),
@@ -86,6 +88,17 @@ def test_fault_injected_invariant_fires(monkeypatch, message, fault):
 
     for name in ("units", "from_sparse"):
         monkeypatch.setattr(Subspace, name, patched(getattr(Subspace, name)))
+    # the build's index tuples, swapped by value on their way into its check
+    swap_indices = {tuple(real.pivots()): tuple(r.pivots()) for real, r in swap.items()
+                    if real in (s["g_z"], s["c"], s["derived"])}
+    partition = parabolic._partition
+
+    def patched_partition(parts, whole):
+        parts = [tuple(p) for p in parts]
+        swapped.extend(p for p in parts if p in swap_indices)
+        return partition([swap_indices.get(p, p) for p in parts], whole)
+
+    monkeypatch.setattr(parabolic, "_partition", patched_partition)
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         adapted_subspaces(build_standard_parabolic((2, 1)))
     # each replaced subspace was made once, and no sum a check formed was swapped
@@ -101,24 +114,24 @@ def test_invariant_faults_cover_every_check():
 def test_bracket_escaping_the_roots_raises(monkeypatch):
     # with (1,3) left out of the Borel of gl_3, [E12, E23] = E13 has no
     # coordinates in the basis
-    phi_prime = RootDatumA.phi_prime.fget
-    monkeypatch.setattr(RootDatumA, "phi_prime",
-                        property(lambda self: tuple(r for r in phi_prime(self) if r != (1, 3))))
+    roots = parabolic._roots
+    monkeypatch.setattr(parabolic, "_roots",
+                        lambda n, dp: tuple(r for r in roots(n, dp) if r != (1, 3)))
     with pytest.raises(RuntimeError, match=r"^bracket escaped the parabolic at \(1,3\)$"):
         build_standard_parabolic((1, 1, 1))
 
 
 def test_partition_matches_is_direct_sum():
-    # the three splittings into coordinate subspaces are read off their
-    # pivots; a part that is not a coordinate subspace is reduced exactly
-    units = [Subspace.units(4, ix) for ix in ([], [0], [1], [0, 1], [1, 2], [2, 3], [0, 2, 3])]
-    diagonal = Subspace.from_sparse(4, [{0: 1, 1: 1}])
-    for parts in itertools.product(units + [diagonal], repeat=2):
-        for whole in units:
-            assert _partition(parts, whole) == is_direct_sum(parts, whole), (parts, whole)
-    assert _partition([units[3], units[5]], Subspace.full(4))
-    assert not _partition([units[3], units[4]], Subspace.units(4, [0, 1, 2]))  # they overlap
-    assert _partition([diagonal, units[2]], units[3])
+    # the splittings into coordinate subspaces are read off their index
+    # lists, in any order, against an exact reduction of the unit vectors
+    index_lists = ([], [0], [1], [0, 1], [2, 1], [2, 3], [3, 0, 2])
+    units = {tuple(ix): Subspace.units(4, ix) for ix in index_lists}
+    for parts in itertools.product(index_lists, repeat=2):
+        for whole in index_lists:
+            expected = is_direct_sum([units[tuple(p)] for p in parts], units[tuple(whole)])
+            assert _partition(parts, whole) == expected, (parts, whole)
+    assert _partition([(0, 1), (2, 3)], range(4))
+    assert not _partition([(0, 1), (1, 2)], (0, 1, 2))  # they overlap
 
 
 def test_build_gl_small():
@@ -147,11 +160,12 @@ def test_golden_construction(golden_q):
     q = golden_q
     s = adapted_subspaces(q)
     assert q.dim == 25
-    assert q.root_datum.delta_prime == (1, 2, 4)
-    assert q.c == unit_span(q, [q.coroot_index[3], q.coroot_index[5]])
+    assert q.delta_prime == (1, 2, 4)
+    assert s["c"] == unit_span(q, [q.coroot_index[3], q.coroot_index[5]])
+    assert q.c_indices == (q.coroot_index[3], q.coroot_index[5])
     assert s["t"] == unit_span(q, [q.coroot_index[k] for k in (1, 2, 4)])
-    assert q.g_z.dim == 1 and q.c.dim == 2 and s["t"].dim == 3
-    assert q.derived.dim == 22
+    assert len(q.center_indices) == 1 and len(q.c_indices) == 2 and s["t"].dim == 3
+    assert len(q.derived_indices) == 22
     assert s["semisimple_part"].dim == 24
 
 
@@ -159,16 +173,16 @@ def test_whole_algebra_composition():
     for n in (1, 2, 3):
         q = build_standard_parabolic((n,))
         assert q.dim == n * n
-        assert q.root_datum.delta_prime == tuple(range(1, n))
-        assert q.c.dim == 0
+        assert q.delta_prime == tuple(range(1, n))
+        assert q.c_indices == ()
 
 
 def test_borel_gl3():
     q = build_standard_parabolic((1, 1, 1), 3)
     assert q.dim == 6
-    assert q.root_datum.delta_prime == ()
-    assert q.c == adapted_subspaces(q)["cartan"]
-    assert q.c.dim == 2
+    assert q.delta_prime == ()
+    assert unit_span(q, q.c_indices) == adapted_subspaces(q)["cartan"]
+    assert len(q.c_indices) == 2
 
 
 def test_invalid_compositions():
@@ -204,19 +218,20 @@ def test_langlands_whole_and_borel():
 
 def test_adapted_indices_golden(golden_q):
     q = golden_q
-    center_idx, c_idx, derived_idx = q.center_indices, q.c.pivots(), q.derived.pivots()
+    center_idx, c_idx, derived_idx = q.center_indices, q.c_indices, q.derived_indices
     assert len(center_idx) == 1
     assert len(c_idx) == 2
     assert len(derived_idx) == 22
-    assert sorted(list(center_idx) + c_idx + derived_idx) == list(range(25))
+    assert sorted(center_idx + c_idx + derived_idx) == list(range(25))
+    assert all(list(ix) == sorted(ix) for ix in (center_idx, c_idx, derived_idx))
 
 
 def test_adapted_indices_extremes():
     whole = build_standard_parabolic((3,))
-    assert len(whole.c.pivots()) == 0
-    assert len(whole.derived.pivots()) == 9 - 1
+    assert len(whole.c_indices) == 0
+    assert len(whole.derived_indices) == 9 - 1
     borel2 = build_standard_parabolic((1, 1))
-    assert (borel2.center_indices, borel2.c.pivots(), borel2.derived.pivots()) == ((0,), [1], [2])
+    assert (borel2.center_indices, borel2.c_indices, borel2.derived_indices) == ((0,), (1,), (2,))
 
 
 def test_root_values():
@@ -257,13 +272,13 @@ def test_construction_oracle_agreement():
     for n, blocks in full_checked:
         q = build_standard_parabolic(blocks, n)
         full = Subspace.full(q.dim)
-        assert bracket_span(q.algebra, full, full) == q.derived
+        assert bracket_span(q.algebra, full, full) == unit_span(q, q.derived_indices)
 
 
 def test_golden_oracle_agreement(golden_q):
     q = golden_q
     full = Subspace.full(q.dim)
-    assert bracket_span(q.algebra, full, full) == q.derived
+    assert bracket_span(q.algebra, full, full) == unit_span(q, q.derived_indices)
     nil, levi = (adapted_subspaces(q)[name] for name in ("nilradical", "levi"))
     for s, (a, b) in ((nil, (full, nil)), (levi, (levi, levi))):
         assert all(contains(s, row) for row in bracket_span(q.algebra, a, b).rows)
@@ -273,15 +288,13 @@ def test_levi_center_complements_like_c(golden_q):
     # two valid complements of t inside the Cartan; equal only in extreme cases
     q = golden_q
     s = adapted_subspaces(q)
-    assert s["levi_center"].dim == q.c.dim == len(q.root_datum.delta) - len(
-        q.root_datum.delta_prime
-    )
-    assert is_direct_sum([q.c, s["t"]], s["cartan"])
+    assert s["levi_center"].dim == s["c"].dim == q.composition.n - 1 - len(q.delta_prime)
+    assert is_direct_sum([s["c"], s["t"]], s["cartan"])
     assert is_direct_sum([s["levi_center"], s["t"]], s["cartan"])
     assert is_direct_sum([s["levi_center"], s["levi_semisimple"]], s["levi"])
-    assert s["levi_center"] != q.c  # distinct complements for blocks (3,2,1)
+    assert s["levi_center"] != s["c"]  # distinct complements for blocks (3,2,1)
     borel = build_standard_parabolic((1, 1, 1))
-    assert adapted_subspaces(borel)["levi_center"] == borel.c
+    assert adapted_subspaces(borel)["levi_center"] == unit_span(borel, borel.c_indices)
 
 
 def test_structure_tables_validate(golden_q):
@@ -292,8 +305,8 @@ def test_structure_tables_validate(golden_q):
 def test_extra_center():
     q = build_standard_parabolic((2,), extra_center=1)
     assert q.dim == 5
-    assert q.g_z.dim == 2
-    assert center(q.algebra) == q.g_z
+    assert q.center_indices == (0, 1)
+    assert center(q.algebra) == unit_span(q, q.center_indices)
     assert q.algebra.labels[:2] == ("I", "Z[2]")
 
 
