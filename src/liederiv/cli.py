@@ -35,7 +35,7 @@ from .derivations import (
     verify_main_theorem,
 )
 from .lie import EndoMatrix
-from .linalg import Q, rational
+from .linalg import Q, ascii_int, rational
 from .parabolic import (
     BlockComposition,
     adapted_subspaces,
@@ -54,11 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, blocks=True):
-        p.add_argument("--n", type=int, required=True, help="size of the ambient gl_n")
-        if blocks:
-            p.add_argument("--blocks", required=True, help="composition, e.g. 3,2,1")
-        p.add_argument("--extra-center", type=int, default=0, dest="extra_center",
+    def common(p):
+        p.add_argument("--n", type=ascii_int, required=True, help="size of the ambient gl_n")
+        p.add_argument("--blocks", required=True, help="composition, e.g. 3,2,1")
+        p.add_argument("--extra-center", type=ascii_int, default=0, dest="extra_center",
                        help="extra central generators to adjoin")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -73,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="derivation JSON file, or - for stdin")
 
     p = sub.add_parser("verify", help="sweep the decomposition theorem over compositions")
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=20,
+    p.add_argument("--max-n", type=ascii_int, default=5, dest="max_n")
+    p.add_argument("--seed", type=ascii_int, default=0)
+    p.add_argument("--rounds", type=ascii_int, default=20,
                    help="random decompositions per case")
     p.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -81,7 +81,7 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     equation is a signed sum of structure constants, so multiplying all
     constants by their common denominator N > 0 multiplies each equation by
     N and leaves the kernel exactly as it is; the rows are then integers
-    (and N = 1 for a parabolic at root_scale 1).
+    (and N = 1 for a parabolic).
 
     The system is block diagonal by the weights w of ``grading``. The
     unknown D_{l,k} has weight w_l - w_k, and the table is homogeneous, so
@@ -340,19 +340,19 @@ def root_line_reduction(
     """First reduction step: returns (x, the d_gamma table), x a sparse
     coordinate dict on the root generators.
 
-    For each allowed root (i, j) pick h = e_ii - e_jj, on which the root
-    takes the value 2; the coefficient of the root generator in D(h) then
-    determines the inner correction. When D satisfies Leibniz, D - ad x
-    sends the Cartan into the center, annihilates the within-block
-    coroots, and stabilizes every root line.
+    For each allowed root (i, j) take h = e_ii - e_jj, +-(h_min(i,j) + ... +
+    h_(max(i,j)-1)) with the sign of j - i, on which the root takes the value
+    2; the x_(i,j) coefficient of D(h) then determines the inner correction.
+    When D satisfies Leibniz, D - ad x sends the Cartan into the center,
+    annihilates the within-block coroots, and stabilizes every root line.
     """
+    cols, h = D.cols, q.coroot_index
     d_gamma: dict[tuple[int, int], Q] = {}
     x: dict[int, Q] = {}
-    for root in q.roots:
-        pos = q.root_index[root]
-        h = q.cartan_element_for_root(root)
-        dg = Q(sum(D.cols[k].get(pos, 0) * c for k, c in h.items()), 2 * D.den)
-        d_gamma[root] = dg
+    for (i, j), pos in q.root_index.items():
+        lo, hi = (i, j) if i < j else (j, i)
+        dg = Q(sum(cols[h[k]].get(pos, 0) for k in range(lo, hi)), (2 if i < j else -2) * D.den)
+        d_gamma[(i, j)] = dg
         if dg:
             x[pos] = -dg
     return x, d_gamma
@@ -498,13 +498,14 @@ def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = Non
     return EndoMatrix(hat, cols, D.den)
 
 
-def random_combination(space: Subspace, rng, lo: int = -9, hi: int = 9) -> tuple[dict, int]:
-    """Integer random combination of the canonical basis of a subspace, as
-    a sparse int vector in the ``rows`` format and the denominator it is over."""
+def random_combination(space: Subspace, rng) -> tuple[dict, int]:
+    """Random combination of the canonical basis of a subspace, with
+    coefficients drawn from -9 to 9, as a sparse int vector in the ``rows``
+    format and the denominator it is over."""
     den = lcm(*(e.denominator for row in space.rows for e in row.values()))
     out: dict[int, int] = {}
     for row in space.rows:
-        c = rng.randint(lo, hi)
+        c = rng.randint(-9, 9)
         if c:
             for i, e in row.items():
                 out[i] = out.get(i, 0) + c * e.numerator * (den // e.denominator)

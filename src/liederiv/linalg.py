@@ -32,6 +32,7 @@ __all__ = [
     "nullspace_of_rows",
     "solve",
     "rational",
+    "ascii_int",
     "require_exact",
     "subspace_sum",
     "subspace_intersect",
@@ -42,6 +43,14 @@ __all__ = [
 
 # the form str(Fraction) writes: "p/q" or "p", ASCII digits only
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT_STRING = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """text, written -?[0-9]+ in ASCII digits, as an int; else ValueError."""
+    if not _INT_STRING.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def rational(e, where: str) -> Q:

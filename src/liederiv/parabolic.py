@@ -9,9 +9,6 @@ of these matrices, written in closed form as ints: [h_k, e_ij] is
 (eps_i - eps_j)(h_k) e_ij, [e_ij, e_jl] = e_il for l != i, and [e_ij, e_ji]
 = e_ii - e_jj is a sum of coroots. Only the pairs that meet are visited,
 the root generators being indexed by row; every other commutator is zero.
-A root_scale s != 1 (root generators s e_ij) multiplies each constant once,
-by s, s^2 or 1 according to which of its three basis elements are root
-generators.
 
 A ``ParabolicAlgebra`` keeps the three subspaces the theorem reads, the
 center, the complement c of the derived algebra and the derived algebra,
@@ -31,7 +28,7 @@ from itertools import accumulate
 from math import lcm
 
 from .lie import LieAlgebra, bracket
-from .linalg import Q, Subspace, is_direct_sum, rational
+from .linalg import Q, Subspace, ascii_int, is_direct_sum
 
 __all__ = [
     "BlockComposition",
@@ -66,7 +63,7 @@ class BlockComposition:
     @classmethod
     def parse(cls, n: int, text: str) -> BlockComposition:
         try:
-            blocks = tuple(int(t) for t in text.split(","))
+            blocks = tuple(map(ascii_int, text.split(",")))
         except ValueError:
             raise ValueError(f"cannot parse composition {text!r}") from None
         return cls(n, blocks)
@@ -136,18 +133,14 @@ class ParabolicAlgebra:
     are checked to split q.
     """
 
-    def __init__(self, composition: BlockComposition, extra_center: int = 0, root_scale=1):
+    def __init__(self, composition: BlockComposition, extra_center: int = 0):
         if type(extra_center) is not int:
             raise ValueError(f"extra_center {extra_center!r} is not an int")
         if extra_center < 0:
             raise ValueError("extra_center must be nonnegative")
-        root_scale = rational(root_scale, "for root_scale")
-        if root_scale == 0:
-            raise ValueError("root_scale must be nonzero")
         n = composition.n
         self.composition = composition
         self.extra_center = extra_center
-        self.root_scale = root_scale
 
         # k and k + 1 share a block unless a block ends at k
         ends = set(accumulate(composition.blocks))
@@ -162,11 +155,10 @@ class ParabolicAlgebra:
         self.center_indices = tuple(range(m))
         self.coroot_index = {k: m + (k - 1) for k in range(1, n)}
         self.root_index = {r: m + (n - 1) + t for t, r in enumerate(roots)}
-        self.roots = roots
         dim = len(labels)
 
         # the commutators of e_kk - e_(k+1,k+1) (the coroot h_k) and e_ij
-        # (the root generator x_(i,j) at root_scale 1), in closed form;
+        # (the root generator x_(i,j)), in closed form;
         # I commutes with everything, so it is skipped
         triples = []
         by_row: dict[int, list[tuple[int, int]]] = {}
@@ -188,15 +180,6 @@ class ParabolicAlgebra:
                     # [e_ij, e_ji] = e_ii - e_jj = h_i + ... + h_(j-1)
                     triples.extend((a, b, self.coroot_index[k], 1) for k in range(i, j))
         triples.sort()  # by (a, b), as the raw triples are kept in that order
-        if root_scale != 1:
-            # x_(i,j) = s e_ij turns each constant c_ab^k into
-            # (sigma_a sigma_b / sigma_k) c_ab^k, sigma being s on the root
-            # generators and 1 on the coroots
-            sigma = dict.fromkeys(self.root_index.values(), root_scale)
-            triples = [
-                (a, b, k, v * sigma.get(a, 1) * sigma.get(b, 1) / sigma.get(k, 1))
-                for a, b, k, v in triples
-            ]
         self.algebra = LieAlgebra(dim, labels, triples)
         # the table is the gl_n bracket of linearly independent matrices (an
         # escaping bracket raised above), so Jacobi holds
@@ -211,17 +194,6 @@ class ParabolicAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def cartan_element_for_root(self, root: tuple[int, int]) -> dict[int, int]:
-        """Sparse coordinates of diag(e_ii - e_jj) for root (i, j); the root
-        takes value 2 on it."""
-        i, j = root
-        out = {}
-        for k in range(1, self.composition.n):
-            b = (i <= k) - (j <= k)
-            if b:
-                out[self.coroot_index[k]] = b
-        return out
 
     def __repr__(self) -> str:
         return f"ParabolicAlgebra(n={self.composition.n}, blocks={self.composition.blocks})"
@@ -305,18 +277,11 @@ def build_gl(n: int) -> LieAlgebra:
 
 
 def build_standard_parabolic(
-    composition: BlockComposition | tuple[int, ...],
-    n: int | None = None,
-    extra_center: int = 0,
-    root_scale=1,
+    composition: BlockComposition | tuple[int, ...], *, extra_center: int = 0
 ) -> ParabolicAlgebra:
-    """The block parabolic of gl_n for a composition.
-
-    Accepts either a BlockComposition or a plain block tuple plus n.
-    """
+    """The block parabolic of gl_n for a composition (a BlockComposition or
+    a block tuple summing to n), with extra_center central generators."""
     if not isinstance(composition, BlockComposition):
         blocks = tuple(composition)
-        composition = BlockComposition(n if n is not None else sum(blocks), blocks)
-    elif n is not None and n != composition.n:
-        raise ValueError("n disagrees with the composition")
-    return ParabolicAlgebra(composition, extra_center=extra_center, root_scale=root_scale)
+        composition = BlockComposition(sum(blocks), blocks)
+    return ParabolicAlgebra(composition, extra_center=extra_center)

@@ -17,7 +17,7 @@ def golden_der(golden_q):
 
 @pytest.fixture(scope="session")
 def borel3_q():
-    return build_standard_parabolic((1, 1, 1), 3)
+    return build_standard_parabolic((1, 1, 1))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 from dense_reference import Matrix, as_endo, as_matrix, sparse
 from root_reference import root_value
+from scaled_reference import scaled_parabolic
 from liederiv.derivations import (
     complexify,
     constructive_decompose,
@@ -118,7 +119,7 @@ def test_criterion_3_corner_cases():
             assert der.dim == n * n
             assert l_ideal(q).dim == 1
         # (c) Borel of gl_3: 3 center-valued dimensions + 5 inner
-        q = build_standard_parabolic((1, 1, 1), 3)
+        q = build_standard_parabolic((1, 1, 1))
         der = derivation_algebra(q.algebra)
         assert der.dim == 8
         assert l_ideal(q).dim == 3
@@ -142,8 +143,7 @@ def test_criterion_4_constructive_round_trips(sweep):
                 reduced = as_matrix(D - ad_matrix(q.algebra, x))
                 for pos in t_positions:
                     assert not any(reduced.col(pos))
-                for root in q.roots:
-                    pos = q.root_index[root]
+                for pos in q.root_index.values():
                     col = reduced.col(pos)
                     assert all(col[i] == 0 for i in range(d) if i != pos)
                 res = constructive_decompose(q, D)
@@ -161,7 +161,7 @@ def test_criterion_5_complexification_suite():
             gl2,
             Subspace.from_vectors(4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]),
         )
-        borel3 = build_standard_parabolic((1, 1, 1), 3).algebra
+        borel3 = build_standard_parabolic((1, 1, 1)).algebra
         for L in (gl2, sl2, borel3):
             hat, J = complexify(L)
             # L embeds as the first L.dim coordinates of the doubled algebra
@@ -221,7 +221,7 @@ def test_criterion_6_property_suites(golden_q, golden_der):
             build_gl(3),
             golden_q.algebra,
             build_standard_parabolic((2, 2)).algebra,
-            complexify(build_standard_parabolic((1, 1), 2).algebra)[0],
+            complexify(build_standard_parabolic((1, 1)).algebra)[0],
         ]
         for L in fixtures:
             assert validate_structure(L).ok
@@ -236,13 +236,12 @@ def test_criterion_6_property_suites(golden_q, golden_der):
                 hc[q.coroot_index[k]] = Q(rng.randint(-4, 4))
                 kc[q.coroot_index[k]] = Q(rng.randint(-4, 4))
             Dh, Dk = D.mul_vec(hc), D.mul_vec(kc)
-            for root in q.roots:
-                pos = q.root_index[root]
+            for root, pos in q.root_index.items():
                 gh, gk = root_value(q, root, sparse(hc)), root_value(q, root, sparse(kc))
                 assert Dk[pos] * gh == Dh[pos] * gk
 
         # normalization independence under doubling the root generators
-        q2 = build_standard_parabolic((3, 2, 1), root_scale=2)
+        q2 = scaled_parabolic((3, 2, 1), 2)
         d = q.dim
         scale = [Q(1)] * d
         for pos in q.root_index.values():

@@ -16,9 +16,10 @@ canonical subspaces, for every composition of n <= 7.
 
 import pytest
 
+from scaled_reference import scaled_parabolic
 from liederiv.lie import bracket_span, center, restrict
 from liederiv.linalg import Q, Subspace, contains
-from liederiv.parabolic import adapted_subspaces, build_standard_parabolic, compositions
+from liederiv.parabolic import adapted_subspaces, compositions
 
 
 def _commutator(a, b):
@@ -34,11 +35,11 @@ def _commutator(a, b):
     return {p: v for p, v in out.items() if v}
 
 
-def _reference_triples(q):
+def _reference_triples(q, s):
     """[x_a, x_b] for every pair a < b, from the commutator of the matrices
     of x_a and x_b: the identity for the central generators, e_kk -
-    e_(k+1,k+1) for h_k and root_scale * e_ij for x_(i,j)."""
-    n, s = q.composition.n, q.root_scale
+    e_(k+1,k+1) for h_k and s e_ij for x_(i,j)."""
+    n = q.composition.n
     mats = {z: {(i, i): 1 for i in range(1, n + 1)} for z in q.center_indices}
     mats.update({pos: {(k, k): 1, (k + 1, k + 1): -1} for k, pos in q.coroot_index.items()})
     mats.update({pos: {(i, j): s} for (i, j), pos in q.root_index.items()})
@@ -95,9 +96,8 @@ def _reference_subspaces(q):
 def test_build_matches_reference(extra_center, root_scale):
     for n in range(1, 8):
         for blocks in compositions(n):
-            q = build_standard_parabolic(blocks, extra_center=extra_center,
-                                         root_scale=root_scale)
-            assert q.algebra.triples() == _reference_triples(q), blocks
+            q = scaled_parabolic(blocks, root_scale, extra_center=extra_center)
+            assert q.algebra.triples() == _reference_triples(q, root_scale), blocks
             ref = _reference_subspaces(q)
             full = ref.pop("full")
             assert Subspace.full(q.dim) == full

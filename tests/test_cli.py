@@ -309,6 +309,39 @@ def test_usage_errors_exit_2_around_other_calls(capsys):
         assert run(capsys, "der", "--n", "2", "--blocks", "2")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["h1", "--n", "12", "--blocks", "1_2"],
+    ["h1", "--n", "3", "--blocks", " 2, +1"],
+    ["h1", "--n", "3", "--blocks", "\u0663"],
+    ["h1", "--n", "\u0663", "--blocks", "3"],
+    ["h1", "--n", "1_2", "--blocks", "12"],
+    ["der", "--n", " 3", "--blocks", "3"],
+    ["der", "--n", "3", "--blocks", "3", "--extra-center", "+1"],
+    ["verify", "--max-n", "\u0662", "--rounds", "0"],
+    ["verify", "--max-n", "1", "--seed", "1_0"],
+    ["verify", "--max-n", "1", "--rounds", "1\n"],
+], ids=["underscore-block", "padded-signed-blocks", "arabic-indic-block", "arabic-indic-n",
+        "underscore-n", "padded-n", "plus-extra-center", "arabic-indic-max-n",
+        "underscore-seed", "newline-rounds"])
+def test_command_line_integers_are_ascii(capsys, argv):
+    # every integer on the command line is read as -?[0-9]+, the rule of
+    # the matrix reader; Python's int() would take each of these
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "cannot parse composition" in err or "invalid ascii_int value" in err
+
+
+def test_command_line_negative_integers_keep_their_meaning(capsys):
+    assert run(capsys, "verify", "--max-n", "1", "--seed", "-5", "--rounds", "1")[0] == 0
+    code, out, err = run(capsys, "der", "--n", "2", "--blocks", "2", "--extra-center", "-1")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
 def test_parser_shares_no_state_between_calls(capsys):
     first = vars(_build_parser().parse_args(
         ["der", "--n", "3", "--blocks", "2,1", "--extra-center", "2", "--format", "text"]))

@@ -65,7 +65,7 @@ def test_complexify_center_of_gl2():
 
 
 def test_center_doubles_for_fixtures(golden_q):
-    for L in (build_gl(2), sl2(), build_standard_parabolic((1, 1, 1), 3).algebra,
+    for L in (build_gl(2), sl2(), build_standard_parabolic((1, 1, 1)).algebra,
               golden_q.algebra):
         hat, _ = complexify(L)
         assert center(hat) == doubled_subspace(center(L), L.dim)

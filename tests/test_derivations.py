@@ -12,7 +12,8 @@ from dense_reference import (
     identity,
     sparse,
 )
-from root_reference import root_value
+from root_reference import cartan_element, root_value
+from scaled_reference import scaled_parabolic
 from liederiv.derivations import (
     DecompositionError,
     NotADerivationError,
@@ -116,8 +117,7 @@ SCALED_ORACLE_CASES = [b for n in range(1, 4) for b in compositions(n)] + [(2, 2
 
 @pytest.mark.parametrize("blocks", SCALED_ORACLE_CASES, ids=str)
 def test_oracle_matches_dense_reference_at_rational_scale(blocks):
-    q = build_standard_parabolic(blocks, root_scale=Q(3, 2))
-    L = q.algebra
+    L = scaled_parabolic(blocks, Q(3, 2)).algebra
     if blocks == (2, 2):
         # [E_12, E_23] and [E_12, E_21] give the non-integer constants 3/2 and 9/4
         assert {Q(3, 2), Q(9, 4)} <= {v for (_, _, _, v) in L.triples()}
@@ -167,7 +167,8 @@ def test_graded_oracle_matches_one_block(kind, arg, kwargs, monkeypatch):
     # the torus grading splits the Leibniz system into blocks; with every
     # weight 0 the same table is solved as one block
     if kind == "parabolic":
-        L = build_standard_parabolic(arg, **kwargs).algebra
+        L = scaled_parabolic(arg, kwargs.get("root_scale", 1),
+                             extra_center=kwargs.get("extra_center", 0)).algebra
     else:
         L = build_gl(arg)
     if L.dim > 1 + kwargs.get("extra_center", 0):
@@ -299,7 +300,7 @@ def _jacobi_by_triples(L):
 def test_jacobi_certificate_matches_validate_structure():
     # jacobi_holds checks every ad x by one Leibniz call per batch of
     # distinct weights; validate_structure checks Jacobi triple by triple
-    tables = [build_standard_parabolic(b, extra_center=z, root_scale=rs).algebra
+    tables = [scaled_parabolic(b, rs, extra_center=z).algebra
               for b, z, rs in CERTIFICATE_CASES]
     tables += [_doubled((2, 1), (1, 3, 3)), _doubled((3,), (3, 5, 1)), _sl2_pair()]
     assert [jacobi_holds(L) for L in tables[-3:]] == [False, False, True]
@@ -511,7 +512,7 @@ INNER_CASES = (
 @pytest.mark.parametrize("kind,blocks,scale", INNER_CASES, ids=str)
 def test_inner_derivations_match_dense_ad_maps(kind, blocks, scale):
     if kind == "parabolic":
-        L = build_standard_parabolic(blocks, root_scale=Q(scale)).algebra
+        L = scaled_parabolic(blocks, Q(scale)).algebra
     elif kind == "gl3":
         L = build_gl(3)
     else:
@@ -530,7 +531,7 @@ def test_inner_derivations_golden(golden_q):
 
 
 def test_inner_derivations_semisimple_parabolic():
-    q = build_standard_parabolic((1, 1, 1), 3)
+    q = build_standard_parabolic((1, 1, 1))
     sl = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     inner = inner_derivations(sl)
     assert inner.dim == sl.dim  # trivial center
@@ -580,7 +581,7 @@ def test_verify_sweep_small_n():
 
 
 def test_borel_sl3_all_inner():
-    q = build_standard_parabolic((1, 1, 1), 3)
+    q = build_standard_parabolic((1, 1, 1))
     sl_borel = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     der = derivation_algebra(sl_borel)
     inner = inner_derivations(sl_borel)
@@ -601,7 +602,7 @@ def test_h1_values(golden_q, golden_der):
     for n in (2, 3):
         q = build_standard_parabolic((n,))
         assert derivation_algebra(q.algebra).dim - inner_derivations(q).dim == 1
-    q = build_standard_parabolic((2, 1), 3)
+    q = build_standard_parabolic((2, 1))
     sl = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     assert derivation_algebra(sl).dim - inner_derivations(sl).dim == 0
 
@@ -616,7 +617,7 @@ def test_decompose_inner_input(golden_q):
 
 
 def test_decompose_center_valued_fixed_point():
-    q = build_standard_parabolic((1, 1), 2)  # basis I, h1, e12
+    q = build_standard_parabolic((1, 1))  # basis I, h1, e12
     D = as_endo(q.algebra, Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))  # I -> I
     res = constructive_decompose(q, D)
     assert res.l_part == D
@@ -682,7 +683,8 @@ def test_decompose_matches_projection(blocks, kwargs, draws):
     # the constructive split and the independent projection agree; with
     # l_part = D - ad p by construction, this is the cross-check that D is
     # split into the right two summands
-    q = build_standard_parabolic(blocks, **kwargs)
+    q = scaled_parabolic(blocks, kwargs.get("root_scale", 1),
+                         extra_center=kwargs.get("extra_center", 0))
     der = derivation_algebra(q.algebra)
     lid = l_ideal(q)
     inner = inner_derivations(q)
@@ -746,14 +748,39 @@ def test_claim1_midpoint_properties(golden_q, golden_der):
         for pos in t_positions:
             assert not any(reduced.col(pos))
         # stabilizes each root line
-        for root in q.roots:
-            pos = q.root_index[root]
+        for pos in q.root_index.values():
             col = reduced.col(pos)
             assert all(col[i] == 0 for i in range(q.dim) if i != pos)
         # maps the complementary coroots into the center
         for pos in c_positions:
             col = reduced.col(pos)
             assert all(col[i] == 0 for i in range(q.dim) if i not in center_set)
+
+
+def test_root_line_reduction_reads_d_gamma_off_any_map():
+    # d_gamma[(i, j)] is half the x_(i,j) coefficient of D(e_ii - e_jj),
+    # whether or not D is a derivation and over any denominator, with
+    # e_ii - e_jj written in the coroots from its diagonal
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for blocks in compositions(n):
+            q = build_standard_parabolic(blocks)
+            L, d = q.algebra, q.dim
+            der = derivation_algebra(L)
+            maps = [EndoMatrix.from_flat(L, *random_combination(der, rng)) for _ in range(2)]
+            maps += [EndoMatrix(L, [{i: rng.randint(-9, 9) for i in rng.sample(range(d), min(3, d))}
+                                    for _ in range(d)]) for _ in range(2)]
+            for D in maps:
+                for den in (1, 3):
+                    E = EndoMatrix(L, [{i: Q(e, den) for i, e in c.items()} for c in D.cols], D.den)
+                    x, d_gamma = root_line_reduction(q, E)
+                    assert d_gamma.keys() == q.root_index.keys()
+                    M = as_matrix(E)
+                    for (i, j), pos in q.root_index.items():
+                        h = cartan_element(q, [(k == i) - (k == j) for k in range(1, n + 1)])
+                        assert root_value(q, (i, j), h) == 2
+                        assert d_gamma[(i, j)] == M.mul_vec(dense(d, h))[pos] / 2, (blocks, i, j)
+                    assert x == {q.root_index[r]: -v for r, v in d_gamma.items() if v}
 
 
 def test_scalar_projection_identity(golden_q, golden_der):
@@ -768,8 +795,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
             kc[q.coroot_index[k]] = Q(rng.randint(-4, 4))
         Dh = D.mul_vec(hc)
         Dk = D.mul_vec(kc)
-        for root in q.roots:
-            pos = q.root_index[root]
+        for root, pos in q.root_index.items():
             gh = root_value(q, root, sparse(hc))
             gk = root_value(q, root, sparse(kc))
             assert Dk[pos] * gh - Dh[pos] * gk == 0
@@ -787,7 +813,7 @@ def test_c_gamma_antisymmetry_on_opposite_roots(golden_q, golden_der):
 
 def test_normalization_independence(golden_q, golden_der):
     q = golden_q
-    q2 = build_standard_parabolic((3, 2, 1), root_scale=2)
+    q2 = scaled_parabolic((3, 2, 1), 2)
     d = q.dim
     scale = [Q(1)] * d
     for pos in q.root_index.values():
@@ -847,7 +873,7 @@ def _brute_force_closure_flags(q, space):
 def test_fault_injected_closure_flags(request, extra):
     if extra == "identity_at_root_scale_3/2":
         # the maps ad x_i have denominators here, which [D, ad x_i] must carry
-        q = build_standard_parabolic((2, 1), root_scale=Q(3, 2))
+        q = scaled_parabolic((2, 1), Q(3, 2))
         der = derivation_algebra(q.algebra)
         assert any(ad_matrix(q.algebra, {i: 1}).den > 1 for i in range(q.dim))
     else:
@@ -999,7 +1025,7 @@ def test_decomposition_scalars_are_int_or_fraction(request, case):
     if case == "golden":
         q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
     else:
-        q = build_standard_parabolic((2, 1, 2), root_scale=Q(3, 2))
+        q = scaled_parabolic((2, 1, 2), Q(3, 2))
         der = derivation_algebra(q.algebra)
     rng = random.Random(404)
     lid, inner = l_ideal(q), inner_derivations(q)

@@ -1,6 +1,10 @@
 """Byte-for-byte CLI output pinned by golden files in tests/data.
 
-The files hold stdout (or stderr) of earlier runs of the same commands:
+``tests/data/golden.json`` lists the golden commands, one object each: the
+argv (run in tests/data), an optional file fed to stdin, the exit code, the
+file holding stdout and an optional file holding stderr, which must be
+empty where none is named. CI diffs the same list through the installed
+console script. The files hold the output of earlier runs of the commands:
 ``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and
 ``verify --max-n 6 --rounds 0``, which takes all 63 compositions through the
 theorem check and no decomposition round, as JSON; ``verify --max-n 5
@@ -8,8 +12,9 @@ theorem check and no decomposition round, as JSON; ``verify --max-n 5
 compositions constructively, as JSON; ``decompose``
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
-as JSON integers, input 5 is divided by 7) and for one derivation perturbed
-by the map I -> x_10, which must exit 4; and ``describe`` as JSON for gl_6
+as JSON integers, input 5 is divided by 7), for input 0 read from stdin,
+and for one derivation perturbed by the map I -> x_10, which must exit 4;
+and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, for the Borel of gl_5,
 and for gl_4 with blocks 1,2,1 and two extra central generators, whose
 Levi center differs from c, all three with the "sc" list and the subspace
@@ -24,6 +29,8 @@ central element can be added to it).
 Any change to these bytes is a change to the output contract.
 """
 
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -33,6 +40,8 @@ from liederiv.cli import main
 
 DATA = Path(__file__).parent / "data"
 DECOMPOSE = ["decompose", "--n", "6", "--blocks", "3,2,1", "--input"]
+GOLDEN = json.loads((DATA / "golden.json").read_text())
+_named: set[int] = set()  # positions in GOLDEN of the entries a named test runs
 
 
 def run(capsys, argv):
@@ -41,64 +50,64 @@ def run(capsys, argv):
     return code, out.encode(), err.encode()
 
 
-@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
-def test_verify_stdout_matches_golden(capsys, fmt, ext):
-    argv = ["verify", "--max-n", "4", "--seed", "1", "--rounds", "3", "--format", fmt]
-    assert run(capsys, argv) == (0, (DATA / f"verify-n4-s1-r3.{ext}").read_bytes(), b"")
+def _check(capsys, monkeypatch, entry):
+    monkeypatch.chdir(DATA)
+    if "stdin" in entry:
+        monkeypatch.setattr("sys.stdin", io.StringIO((DATA / entry["stdin"]).read_text()))
+    err = (DATA / entry["stderr"]).read_bytes() if "stderr" in entry else b""
+    assert run(capsys, entry["argv"]) == (entry["exit"], (DATA / entry["stdout"]).read_bytes(), err)
 
 
-def test_verify_theorem_checks_to_n6_match_golden(capsys):
-    argv = ["verify", "--max-n", "6", "--rounds", "0"]
-    assert run(capsys, argv) == (0, (DATA / "verify-n6-s0-r0.json").read_bytes(), b"")
+def _entry(golden):
+    """The manifest entry, reading no stdin, whose stderr file is golden or,
+    naming no stderr file, whose stdout file is."""
+    [t] = [t for t, e in enumerate(GOLDEN) if e.get("stderr", e["stdout"]) == golden
+           and "stdin" not in e]
+    _named.add(t)
+    return GOLDEN[t]
 
 
-def test_verify_constructive_rounds_to_n5_match_golden(capsys):
-    argv = ["verify", "--max-n", "5", "--rounds", "20"]
-    assert run(capsys, argv) == (0, (DATA / "verify-n5-s0-r20.json").read_bytes(), b"")
+def _named_test(golden):
+    entry = _entry(golden)
+    return lambda capsys, monkeypatch: _check(capsys, monkeypatch, entry)
+
+
+def _named_tests(by_id):
+    """One test over the entries of the golden files of by_id, pytest id ->
+    file."""
+    entries = [_entry(golden) for golden in by_id.values()]
+
+    @pytest.mark.parametrize("entry", entries, ids=list(by_id))
+    def test(capsys, monkeypatch, entry):
+        _check(capsys, monkeypatch, entry)
+    return test
+
+
+# the goldens that have a named test keep its id; test_golden_command runs
+# every other entry of the manifest
+test_verify_stdout_matches_golden = _named_tests(
+    {"json-json": "verify-n4-s1-r3.json", "text-txt": "verify-n4-s1-r3.txt"})
+test_verify_theorem_checks_to_n6_match_golden = _named_test("verify-n6-s0-r0.json")
+test_verify_constructive_rounds_to_n5_match_golden = _named_test("verify-n5-s0-r20.json")
+test_describe_stdout_matches_golden = _named_tests({
+    f"argv{t}-{name}": name for t, name in enumerate([
+        "describe-n6-b321-z1.json", "describe-n5-borel.json", "describe-n6-b321.txt",
+        "describe-n4-b121-z2.json"])})
+test_der_h1_stdout_matches_golden = _named_tests({
+    f"{fmt}-{ext}-{command}": f"{command}-n6-b321.{ext}"
+    for fmt, ext in [("json", "json"), ("text", "txt")] for command in ("der", "h1")})
+test_der_gl10_stdout_matches_golden = _named_test("der-n10-b10.json")
+test_der_two_extra_center_stdout_matches_golden = _named_test("der-n6-b321-z2.json")
+test_decompose_stdout_matches_golden = _named_tests(
+    {str(k): f"decompose-{k}.out.json" for k in range(6)})
+test_decompose_perturbed_matches_golden = _named_test("decompose-perturbed.err.txt")
 
 
 @pytest.mark.parametrize(
-    "argv,name",
-    [
-        (["--n", "6", "--blocks", "3,2,1", "--extra-center", "1"], "describe-n6-b321-z1.json"),
-        (["--n", "5", "--blocks", "1,1,1,1,1"], "describe-n5-borel.json"),
-        (["--n", "6", "--blocks", "3,2,1", "--format", "text"], "describe-n6-b321.txt"),
-        (["--n", "4", "--blocks", "1,2,1", "--extra-center", "2"], "describe-n4-b121-z2.json"),
-    ],
-)
-def test_describe_stdout_matches_golden(capsys, argv, name):
-    assert run(capsys, ["describe"] + argv) == (0, (DATA / name).read_bytes(), b"")
-
-
-@pytest.mark.parametrize("command", ["der", "h1"])
-@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
-def test_der_h1_stdout_matches_golden(capsys, command, fmt, ext):
-    argv = [command, "--n", "6", "--blocks", "3,2,1", "--format", fmt]
-    expected = (DATA / f"{command}-n6-b321.{ext}").read_bytes()
-    assert run(capsys, argv) == (0, expected, b"")
-
-
-def test_der_gl10_stdout_matches_golden(capsys):
-    argv = ["der", "--n", "10", "--blocks", "10"]
-    assert run(capsys, argv) == (0, (DATA / "der-n10-b10.json").read_bytes(), b"")
-
-
-def test_der_two_extra_center_stdout_matches_golden(capsys):
-    argv = ["der", "--n", "6", "--blocks", "3,2,1", "--extra-center", "2"]
-    assert run(capsys, argv) == (0, (DATA / "der-n6-b321-z2.json").read_bytes(), b"")
-
-
-@pytest.mark.parametrize("k", range(6))
-def test_decompose_stdout_matches_golden(capsys, k):
-    code, out, err = run(capsys, DECOMPOSE + [str(DATA / f"decompose-{k}.in.json")])
-    assert (code, err) == (0, b"")
-    assert out == (DATA / f"decompose-{k}.out.json").read_bytes()
-
-
-def test_decompose_perturbed_matches_golden(capsys):
-    code, out, err = run(capsys, DECOMPOSE + [str(DATA / "decompose-perturbed.in.json")])
-    assert (code, out) == (4, b"")
-    assert err == (DATA / "decompose-perturbed.err.txt").read_bytes()
+    "entry", [e for t, e in enumerate(GOLDEN) if t not in _named],
+    ids=lambda e: " ".join(e["argv"]) + (f" < {e['stdin']}" if "stdin" in e else ""))
+def test_golden_command(capsys, monkeypatch, entry):
+    _check(capsys, monkeypatch, entry)
 
 
 def test_request_paths_build_no_adapted_subspaces(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from dense_reference import Matrix, as_endo, as_matrix, dense_bracket, identity, sparse
 from root_reference import root_value
+from scaled_reference import scaled_parabolic
 from liederiv.derivations import derivation_algebra, random_combination
 from liederiv.lie import (
     EndoMatrix,
@@ -293,8 +294,8 @@ def test_restrict_gl2_to_sl2_table():
 
 
 def test_restrict_full_is_same_table():
-    # the golden composition at root_scale 3/2 has N = 4
-    scaled = build_standard_parabolic((3, 2, 1), root_scale=Q(3, 2)).algebra
+    # the golden composition with root generators 3/2 e_ij has N = 4
+    scaled = scaled_parabolic((3, 2, 1), Q(3, 2)).algebra
     assert scaled.denominator == 4
     for L in (build_gl(2), scaled):
         again = restrict(L, Subspace.full(L.dim))
@@ -351,7 +352,7 @@ def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
     if algebra == "golden":
         q, der = request.getfixturevalue("golden_q"), request.getfixturevalue("golden_der")
     else:
-        q = build_standard_parabolic((2, 2, 1), root_scale=Q(3, 2))
+        q = scaled_parabolic((2, 2, 1), Q(3, 2))
         der = derivation_algebra(q.algebra)
     L = q.algebra
     d = L.dim
@@ -404,8 +405,8 @@ def test_center_of_parabolic_is_scalar_line(golden_q, borel3_q):
 
 
 def test_json_round_trip():
-    # at root_scale 3/2 the "sc" strings include "p/q" forms such as "9/4"
-    scaled = build_standard_parabolic((2, 1), root_scale=Q(3, 2)).algebra
+    # with root generators 3/2 e_ij the "sc" strings include "p/q" forms such as "9/4"
+    scaled = scaled_parabolic((2, 1), Q(3, 2)).algebra
     for L in (build_gl(2), scaled):
         data = L.to_json_dict()
         again = LieAlgebra.from_json_dict(data)
@@ -424,7 +425,6 @@ def test_json_round_trip():
          "triple (0, 1, 1, '0.5')"),
         (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [[0, 1, 1, "1e2"]]}),
          "triple (0, 1, 1, '1e2')"),
-        (lambda: build_standard_parabolic((2,), root_scale=0.1), "root_scale"),
         (lambda: Subspace.from_vectors(2, [[0.5, 0]]), "entry 0.5 is not"),
         (lambda: LieAlgebra.from_json_dict([2, []]), "must be an object"),
         (lambda: LieAlgebra.from_json_dict({"sc": []}), "dim None"),
@@ -441,7 +441,7 @@ def test_json_round_trip():
         (lambda: build_standard_parabolic((2,), extra_center=True), "extra_center True"),
     ],
     ids=["float-constant", "bool-index", "float-index", "json-decimal", "json-exponent",
-         "float-root-scale", "float-vector-entry", "json-not-object", "json-no-dim",
+         "float-vector-entry", "json-not-object", "json-no-dim",
          "json-string-dim", "json-string-basis", "json-no-sc", "json-int-triple",
          "json-short-triple", "bool-dim", "float-block", "bool-blocks", "float-n",
          "float-extra-center", "bool-extra-center"],
@@ -548,7 +548,7 @@ def test_library_built_maps_are_canonical():
     # public constructor; reading a map back through it must change nothing
     rng = random.Random(18)
     for blocks, z, s in CANONICAL_CASES:
-        L = build_standard_parabolic(blocks, extra_center=z, root_scale=s).algebra
+        L = scaled_parabolic(blocks, s, extra_center=z).algebra
         ads = [ad_matrix(L, {i: 1}) for i in range(L.dim)]
         ads += [ad_matrix(L, {i: Q(rng.randint(-4, 4), rng.randint(1, 6))
                               for i in rng.sample(range(L.dim), min(3, L.dim))})
@@ -589,13 +589,13 @@ def test_default_and_torus_weights():
 
 
 def _grading_tables():
-    """Every parabolic of n <= 6 at extra center 0 and 1 and root_scale 1
-    and 3/2, then gl_1 to gl_4."""
+    """Every parabolic of n <= 6 at extra center 0 and 1 with root
+    generators e_ij and 3/2 e_ij, then gl_1 to gl_4."""
     for n in range(1, 7):
         for b in compositions(n):
             for z in (0, 1):
                 for rs in (1, Q(3, 2)):
-                    yield build_standard_parabolic(b, extra_center=z, root_scale=rs).algebra
+                    yield scaled_parabolic(b, rs, extra_center=z).algebra
     yield from map(build_gl, range(1, 5))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from dense_reference import structure_constants
 from root_reference import root_value
+from scaled_reference import scaled_parabolic
 from liederiv.lie import bracket, bracket_span, center, restrict, validate_structure
 from liederiv.linalg import Q, Subspace, contains, is_direct_sum
 from liederiv import parabolic
@@ -178,7 +179,7 @@ def test_whole_algebra_composition():
 
 
 def test_borel_gl3():
-    q = build_standard_parabolic((1, 1, 1), 3)
+    q = build_standard_parabolic((1, 1, 1))
     assert q.dim == 6
     assert q.delta_prime == ()
     assert unit_span(q, q.c_indices) == adapted_subspaces(q)["cartan"]
@@ -193,7 +194,11 @@ def test_invalid_compositions():
     with pytest.raises(ValueError):
         BlockComposition.parse(3, "a,b")
     with pytest.raises(ValueError):
-        build_standard_parabolic((2, 1), 4)
+        BlockComposition(4, (2, 1))
+    # n is read off the blocks, and extra_center is keyword-only, so a
+    # stale positional n cannot become extra central generators
+    with pytest.raises(TypeError):
+        build_standard_parabolic((1, 1, 1), 3)
 
 
 def test_langlands_golden(golden_q):
@@ -248,8 +253,8 @@ def test_root_values():
 
 def test_root_value_is_bracket_eigenvalue(golden_q):
     q = golden_q
-    for root in q.roots:
-        x = {q.root_index[root]: 1}
+    for root, pos in q.root_index.items():
+        x = {pos: 1}
         for k in (1, 3, 5):
             h = {q.coroot_index[k]: 1}
             value = root_value(q, root, h)
@@ -262,15 +267,14 @@ def test_all_compositions_up_to_6_construct():
         count = 0
         for blocks in compositions(n):
             q = build_standard_parabolic(blocks)
-            assert q.dim == 1 + (n - 1) + len(q.roots)
+            assert q.dim == 1 + (n - 1) + len(q.root_index)
             count += 1
         assert count == 2 ** (n - 1)
 
 
 def test_construction_oracle_agreement():
-    full_checked = [(2, (1, 1)), (3, (2, 1)), (4, (2, 2)), (5, (3, 1, 1))]
-    for n, blocks in full_checked:
-        q = build_standard_parabolic(blocks, n)
+    for blocks in [(1, 1), (2, 1), (2, 2), (3, 1, 1)]:
+        q = build_standard_parabolic(blocks)
         full = Subspace.full(q.dim)
         assert bracket_span(q.algebra, full, full) == unit_span(q, q.derived_indices)
 
@@ -316,10 +320,10 @@ def test_semisimple_restriction_is_trace_zero_part(golden_q):
     assert center(sl).dim == 0
 
 
-def _dense_realization(q):
+def _dense_realization(q, s):
     """Each basis element of q as a dense n x n Fraction matrix: the identity
     for I and the extra central generators, e_kk - e_{k+1,k+1} for h_k and
-    root_scale * e_ij for x_(i,j)."""
+    s e_ij for x_(i,j)."""
     n = q.composition.n
 
     def matrix(entries):
@@ -334,7 +338,7 @@ def _dense_realization(q):
     for k, pos in q.coroot_index.items():
         mats[pos] = matrix({(k, k): 1, (k + 1, k + 1): -1})
     for (i, j), pos in q.root_index.items():
-        mats[pos] = matrix({(i, j): q.root_scale})
+        mats[pos] = matrix({(i, j): s})
     return mats
 
 
@@ -352,9 +356,8 @@ def test_structure_constants_match_dense_commutators(root_scale, extra_center):
     scaled = set()  # (target is a root generator, constant) over root pairs
     for n in range(1, 6):
         for blocks in compositions(n):
-            q = build_standard_parabolic(blocks, n, extra_center=extra_center,
-                                         root_scale=root_scale)
-            mats = _dense_realization(q)
+            q = scaled_parabolic(blocks, root_scale, extra_center=extra_center)
+            mats = _dense_realization(q, root_scale)
             sc = structure_constants(q.algebra)
             roots = set(q.root_index.values())
             for a in range(q.dim):
@@ -378,9 +381,9 @@ def test_property_sparse_bracket_is_bilinear(golden_q):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
-    # the golden composition at root_scale 3/2 has constants such as 3/2
-    # and 9/4, so its integer table is N = 4 times the constants
-    scaled = build_standard_parabolic((3, 2, 1), root_scale=Q(3, 2)).algebra
+    # the golden composition with root generators 3/2 e_ij has constants
+    # such as 3/2 and 9/4, so its integer table is N = 4 times the constants
+    scaled = scaled_parabolic((3, 2, 1), Q(3, 2)).algebra
     algebras = [golden_q.algebra, build_gl(3), scaled]
     assert [L.denominator for L in algebras] == [1, 1, 4]
 
