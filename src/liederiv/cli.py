@@ -35,7 +35,7 @@ from .derivations import (
     verify_main_theorem,
 )
 from .lie import EndoMatrix
-from .linalg import Q, ascii_int, rational
+from .linalg import Q, integer, rational
 from .parabolic import (
     BlockComposition,
     adapted_subspaces,
@@ -55,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=ascii_int, required=True, help="size of the ambient gl_n")
+        p.add_argument("--n", type=integer, required=True, help="size of the ambient gl_n")
         p.add_argument("--blocks", required=True, help="composition, e.g. 3,2,1")
-        p.add_argument("--extra-center", type=ascii_int, default=0, dest="extra_center",
+        p.add_argument("--extra-center", type=integer, default=0, dest="extra_center",
                        help="extra central generators to adjoin")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -72,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="derivation JSON file, or - for stdin")
 
     p = sub.add_parser("verify", help="sweep the decomposition theorem over compositions")
-    p.add_argument("--max-n", type=ascii_int, default=5, dest="max_n")
-    p.add_argument("--seed", type=ascii_int, default=0)
-    p.add_argument("--rounds", type=ascii_int, default=20,
+    p.add_argument("--max-n", type=integer, default=5, dest="max_n")
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--rounds", type=integer, default=20,
                    help="random decompositions per case")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -191,8 +191,8 @@ def cmd_decompose(args) -> tuple[dict, int]:
 
 
 def cmd_h1(args) -> tuple[dict, int]:
-    payload, _ = cmd_der(args)
-    return {k: payload[k] for k in ("n", "blocks", "h1_dim")}, 0
+    payload, code = cmd_der(args)
+    return {k: payload[k] for k in ("n", "blocks", "h1_dim")}, code
 
 
 def _verify_case(q, rounds: int, rng) -> dict:

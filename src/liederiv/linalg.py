@@ -32,7 +32,7 @@ __all__ = [
     "nullspace_of_rows",
     "solve",
     "rational",
-    "ascii_int",
+    "integer",
     "require_exact",
     "subspace_sum",
     "subspace_intersect",
@@ -46,7 +46,7 @@ _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INT_STRING = re.compile(r"-?[0-9]+")
 
 
-def ascii_int(text: str) -> int:
+def integer(text: str) -> int:
     """text, written -?[0-9]+ in ASCII digits, as an int; else ValueError."""
     if not _INT_STRING.fullmatch(text):
         raise ValueError(f"{text!r} is not an integer")
@@ -85,15 +85,15 @@ class _RowReducer:
     pivot. Rows are mutually reduced at all times (each pivot column appears
     in exactly one row), which keeps fill-in bounded by the number of
     non-pivot columns and makes the extracted result the unique RREF of the
-    fed rows, independent of feed order.
+    fed rows, independent of feed order. ``pivot_rows``, pivot column ->
+    row, is the whole state: the rows with an entry at a column are found
+    by a scan, and the rank grows far less often than rows are fed.
     """
 
-    __slots__ = ("ncols", "pivot_rows", "col_index")
+    __slots__ = ("pivot_rows",)
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.pivot_rows: dict[int, dict[int, int]] = {}
-        self.col_index: dict[int, set[int]] = {}
 
     @staticmethod
     def _reduce_content(row: dict[int, int]) -> None:
@@ -133,9 +133,10 @@ class _RowReducer:
             work = {c: v.numerator for c, v in row.items() if v}
         else:
             work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        # a stored row holds no other pivot column, so each combination
+        # leaves work's other pivot entries nonzero
         for c in sorted(work.keys() & self.pivot_rows.keys()):
-            if c in work:
-                self._combine(work, self.pivot_rows[c], c)
+            self._combine(work, self.pivot_rows[c], c)
         if not work:
             return False
         piv = min(work)
@@ -143,22 +144,11 @@ class _RowReducer:
         if work[piv] < 0:
             for c in work:
                 work[c] = -work[c]
-        for other_piv in list(self.col_index.get(piv, ())):
-            other = self.pivot_rows[other_piv]
-            before = set(other)
-            self._combine(other, work, piv)
-            after = set(other)
-            for c in before - after:
-                self.col_index[c].discard(other_piv)
-            for c in after - before:
-                self.col_index.setdefault(c, set()).add(other_piv)
+        for other in self.pivot_rows.values():
+            if piv in other:
+                self._combine(other, work, piv)
         self.pivot_rows[piv] = work
-        for c in work:
-            self.col_index.setdefault(c, set()).add(piv)
         return True
-
-    def pivots(self) -> list[int]:
-        return sorted(self.pivot_rows)
 
     def kernel_vectors(self, columns) -> list[dict]:
         """One kernel vector per free (non-pivot) column f among columns, in
@@ -170,10 +160,10 @@ class _RowReducer:
             if f in self.pivot_rows:
                 continue
             v = {f: 1}
-            for p in self.col_index.get(f, ()):
-                r = self.pivot_rows[p]
-                pv = r[p]
-                v[p] = -r[f] if pv == 1 else Q(-r[f], pv)
+            for p, r in self.pivot_rows.items():
+                if f in r:
+                    pv = r[p]
+                    v[p] = -r[f] if pv == 1 else Q(-r[f], pv)
             out.append(v)
         return out
 
@@ -224,7 +214,7 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
         """The span of dense vectors, each of length ambient_dim; every
         nonzero entry must pass ``rational``."""
-        red = _RowReducer(ambient_dim)
+        red = _RowReducer()
         for v in vectors:
             v = list(v)
             if len(v) != ambient_dim:
@@ -234,7 +224,7 @@ class Subspace:
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
-        red = _RowReducer(ambient_dim)
+        red = _RowReducer()
         for v in sparse_vectors:
             red.add_row(v)
         return cls(ambient_dim, red.rref_sparse())
@@ -320,7 +310,7 @@ class Subspace:
 
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
     """Kernel of a system given as an iterable of sparse rows (col -> value)."""
-    red = _RowReducer(ncols)
+    red = _RowReducer()
     for row in sparse_rows:
         red.add_row(row)
     return Subspace.from_sparse(ncols, red.kernel_vectors(range(ncols)))
@@ -333,12 +323,12 @@ def solve(ncols: int, sparse_rows, b) -> dict | None:
     sparse_rows, b = list(sparse_rows), list(b)
     if len(sparse_rows) != len(b):
         raise ValueError("right-hand side length does not match row count")
-    red = _RowReducer(ncols + 1)
+    red = _RowReducer()
     for row, bi in zip(sparse_rows, b):
         red.add_row({**row, ncols: bi} if bi else row)
     if ncols in red.pivot_rows:
         return None
-    return {p: row[ncols] for p, row in zip(red.pivots(), red.rref_sparse()) if ncols in row}
+    return {next(iter(row)): row[ncols] for row in red.rref_sparse() if ncols in row}
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

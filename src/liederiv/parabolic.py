@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import lcm
 
 from .lie import LieAlgebra, bracket
-from .linalg import Q, Subspace, ascii_int, is_direct_sum
+from .linalg import Q, Subspace, integer, is_direct_sum
 
 __all__ = [
     "BlockComposition",
@@ -63,7 +63,7 @@ class BlockComposition:
     @classmethod
     def parse(cls, n: int, text: str) -> BlockComposition:
         try:
-            blocks = tuple(map(ascii_int, text.split(",")))
+            blocks = tuple(map(integer, text.split(",")))
         except ValueError:
             raise ValueError(f"cannot parse composition {text!r}") from None
         return cls(n, blocks)

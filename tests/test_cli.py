@@ -332,7 +332,7 @@ def test_command_line_integers_are_ascii(capsys, argv):
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert "cannot parse composition" in err or "invalid ascii_int value" in err
+    assert "cannot parse composition" in err or "invalid integer value" in err
 
 
 def test_command_line_negative_integers_keep_their_meaning(capsys):
@@ -412,3 +412,14 @@ def test_der_build_invariant_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(parabolic, "_partition", lambda parts, whole: False)
     assert run(capsys, "der", "--n", "3", "--blocks", "2,1") == (
         3, "", "error: algebra does not split as center + c + derived\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_h1_exits_with_der_code_on_a_formula_mismatch(monkeypatch, capsys, fmt):
+    # h1 prints a part of der's payload, and exits with der's code: 3 when
+    # the dimension formula disagrees with the oracle
+    argv = ["--n", "3", "--blocks", "2,1", "--format", fmt]
+    expected = run(capsys, "h1", *argv)[1]
+    monkeypatch.setattr(cli, "formula_dim", lambda q: -1)
+    assert run(capsys, "der", *argv)[0] == 3
+    assert run(capsys, "h1", *argv) == (3, expected, "")

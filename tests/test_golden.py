@@ -6,8 +6,9 @@ file holding stdout and an optional file holding stderr, which must be
 empty where none is named. CI diffs the same list through the installed
 console script. The files hold the output of earlier runs of the commands:
 ``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and
-``verify --max-n 6 --rounds 0``, which takes all 63 compositions through the
-theorem check and no decomposition round, as JSON; ``verify --max-n 5
+``verify --max-n 6 --rounds 0`` and ``verify --max-n 7 --rounds 0``, which
+take all 63 and all 127 compositions through the theorem check and no
+decomposition round, as JSON; ``verify --max-n 5
 --rounds 20``, which also splits 20 random derivations of each of the 31
 compositions constructively, as JSON; ``decompose``
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer

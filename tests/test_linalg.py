@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from dense_reference import Matrix, dense, sparse
 from liederiv.linalg import (
     Q,
     Subspace,
+    _RowReducer,
     contains,
     is_direct_sum,
     nullspace_of_rows,
@@ -350,6 +352,54 @@ def test_property_eliminator_matches_sympy():
         assert (x is not None) == (sympy.Matrix.hstack(sm, sympy.Matrix(b)).rank() == rank)
         if x is not None:
             assert m.mul_vec(dense(m.cols, x)) == tuple(b)
+
+    check()
+
+
+def _sparse_system(st):
+    """Up to 12 sparse integer rows of up to 16 columns, and a column subset
+    C with every row zero outside C, as the oracle feeds one weight block."""
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+
+    def system(c):
+        rows = st.lists(st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=12)
+        return st.tuples(st.sets(st.integers(0, c - 1), min_size=1), rows).map(
+            lambda sr: (c, sorted(sr[0]), [[e if j in sr[0] else 0 for j, e in enumerate(r)]
+                                           for r in sr[1]]))
+
+    return st.integers(1, 16).flatmap(system)
+
+
+def test_property_reducer_stays_fully_reduced_and_matches_sympy():
+    # rows fed one at a time in a drawn order: after each add_row the stored
+    # rows are primitive with a positive pivot first, no pivot column occurs
+    # in another row, and add_row returned True exactly when sympy says the
+    # row is independent of those fed before it; kernel_vectors(C) then
+    # spans sympy's nullspace of the columns C
+    hyp, st, settings = _hypothesis()
+    sympy = pytest.importorskip("sympy")
+
+    @settings
+    @hyp.given(_sparse_system(st), st.data())
+    def check(system, data):
+        c, cols, rows = system
+        rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+        # the pivot columns of the transpose are the rows that raise the rank
+        _, independent = sympy.Matrix(rows).T.rref()
+        red = _RowReducer()
+        for k, row in enumerate(rows):
+            assert red.add_row(sparse(row)) is (k in independent)
+            assert len(red.pivot_rows) == sum(i <= k for i in independent)
+            for p, r in red.pivot_rows.items():
+                assert min(r) == p and r[p] > 0
+                assert math.gcd(*r.values()) == 1
+                assert all(p not in other for q, other in red.pivot_rows.items() if q != p)
+        kernel = red.kernel_vectors(cols)
+        assert all(v.keys() <= set(cols) for v in kernel)
+        theirs = [dict(zip(cols, (Q(str(e)) for e in v)))
+                  for v in sympy.Matrix([[r[j] for j in cols] for r in rows]).nullspace()]
+        assert Subspace.from_sparse(c, kernel) == Subspace.from_sparse(c, theirs)
+        assert len(kernel) == len(theirs)
 
     check()
 
