@@ -121,7 +121,7 @@ def cmd_describe(args) -> tuple[dict, int]:
 def cmd_der(args) -> tuple[dict, int]:
     q = _parabolic(args)
     der = derivation_algebra(q.algebra)
-    inner = inner_derivations(q)
+    inner = inner_derivations(q.algebra)
     lid = l_ideal(q)
     formula = formula_dim(q)
     payload = {

@@ -62,17 +62,13 @@ class DecompositionError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def _algebra_of(q) -> LieAlgebra:
-    return q.algebra if isinstance(q, ParabolicAlgebra) else q
-
-
 def _flat_ad(L: LieAlgebra, a: int) -> dict[int, int]:
     """``int_table[a]``, the map N ad x_a, flattened (column b at index b*dim + k)."""
     d = L.dim
     return {b * d + k: v for b, ks in L.int_table[a].items() for k, v in ks.items()}
 
 
-def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
+def derivation_algebra(L: LieAlgebra) -> Subspace:
     """Der L as a subspace of endomorphism space (ambient dim = dim^2): the
     kernel of the Leibniz system
     d([x_i,x_j]) - [d x_i, x_j] - [x_i, d x_j] = 0 over all i < j.
@@ -83,10 +79,8 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
     has weight w_l - w_k). Once ``jacobi_holds`` certifies every ad x, the
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
     (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l; then only the
-    weight-0 block is eliminated, else every block is. Either way the
-    result is the canonical subspace of one elimination of the system.
+    weight-0 block is fed to the one elimination, else every equation is.
     """
-    L = _algebra_of(L)
     d = L.dim
     T = L.int_table  # N times the constants; same kernel, see above
     W = grading(L)
@@ -97,55 +91,43 @@ def derivation_algebra(L: LieAlgebra | ParabolicAlgebra) -> Subspace:
         for j, ks in ad_m.items():
             for k, v in ks.items():
                 rowmap[j].setdefault(k, []).append((m, v))
-    # the flat indices k*d + l of the unknowns D_{l,k} of each block eliminated
-    unknowns: dict[int, list[int]] = {}
     by_weight: dict[int, list[int]] = {}
     for k in range(d):
         by_weight.setdefault(W[k], []).append(k)
-        for l in range(d):
-            mu = W[l] - W[k]
-            if not (graded and mu):
-                unknowns.setdefault(mu, []).append(k * d + l)
-    reducers = {mu: _RowReducer() for mu in unknowns}
-    live = dict(reducers)  # the blocks whose rank is not yet full
+    red = _RowReducer()  # blocks share no unknown, so it keeps them apart
 
     for i in range(d):
         for j in range(i + 1, d):
             cdict = T[i].get(j, {})
-            wij = W[i] + W[j]
             # the equation (i, j, l) has its unknowns in block w_l - w_i - w_j
-            for mu, red in list(live.items()):
-                for l in by_weight.get(mu + wij, ()):
-                    row: dict[int, int] = {}
-                    for k, v in cdict.items():
-                        idx = k * d + l  # coefficient of D_{l,k}
-                        row[idx] = row.get(idx, 0) + v
-                    # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
-                    for (m, v) in rowmap[j].get(l, ()):
-                        idx = i * d + m
-                        row[idx] = row.get(idx, 0) - v
-                    # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
-                    for (m, v) in rowmap[i].get(l, ()):
-                        idx = j * d + m
-                        row[idx] = row.get(idx, 0) + v
-                    row = {c: v for c, v in row.items() if v}
-                    if row and red.add_row(row) and len(red.pivot_rows) == len(unknowns[mu]):
-                        del live[mu]
-                        break
+            for l in by_weight.get(W[i] + W[j], ()) if graded else range(d):
+                row: dict[int, int] = {}
+                for k, v in cdict.items():
+                    idx = k * d + l  # coefficient of D_{l,k}
+                    row[idx] = row.get(idx, 0) + v
+                # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
+                for (m, v) in rowmap[j].get(l, ()):
+                    idx = i * d + m
+                    row[idx] = row.get(idx, 0) - v
+                # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
+                for (m, v) in rowmap[i].get(l, ()):
+                    idx = j * d + m
+                    row[idx] = row.get(idx, 0) + v
+                red.add_row(row)  # it drops the zero entries
 
-    kernel = [v for mu, cols in unknowns.items() for v in reducers[mu].kernel_vectors(cols)]
+    # the flat index k*d + l of D_{l,k}; graded, only the weight-0 unknowns
+    kernel = red.kernel_vectors(c for c in range(d * d) if not graded or W[c // d] == W[c % d])
     if graded:
         kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
     return Subspace.from_sparse(d * d, kernel)
 
 
-def inner_derivations(q: ParabolicAlgebra | LieAlgebra) -> Subspace:
+def inner_derivations(L: LieAlgebra) -> Subspace:
     """Span of the adjoint maps of all basis elements.
 
     ``int_table[a]`` is N ad x_a as sparse columns, the table ``ad_matrix``
     reads; flattened they span the same subspace as the ad x_a themselves.
     """
-    L = _algebra_of(q)
     return Subspace.from_sparse(L.dim ** 2, [_flat_ad(L, a) for a in range(L.dim)])
 
 
@@ -208,11 +190,11 @@ def _sum_certified(q: ParabolicAlgebra) -> bool:
             and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
 
 
-def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> VerificationReport:
+def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationReport:
     """Check Der q = (center-valued maps) + (inner maps) as a sum of ideals:
-    (a) the two spans add up to the oracle kernel, (b) they intersect
-    trivially, (c) both are closed under [D, -] for every oracle basis
-    derivation D, (d) the dimension formula matches the oracle.
+    (a) the two spans add up to der, the oracle kernel, (b) they intersect
+    trivially, (c) both are closed under [D, -] for every basis derivation
+    D of der, (d) the dimension formula matches der.
 
     Each check compares canonical bases or supports, so it is exact. The
     center-valued maps are closed under [D, -] exactly when D keeps the
@@ -224,11 +206,9 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace | None = None) -> Ver
     """
     L = q.algebra
     d = L.dim
-    if der is None:
-        der = derivation_algebra(L)
     if der.ambient_dim != d * d:
         raise ValueError("ambient dimensions differ")
-    inner = inner_derivations(q)
+    inner = inner_derivations(L)
     lid = l_ideal(q)
     S = Subspace.from_sparse(d * d, lid.rows + inner.rows)
 
@@ -415,7 +395,7 @@ def split_derivation(
     if lid is None:
         lid = l_ideal(q)
     if inner is None:
-        inner = inner_derivations(q)
+        inner = inner_derivations(L)
     # one equation per flat coordinate i: sum_k lam_k basis_k[i] = D[i]
     system: dict[int, dict[int, Q]] = {}
     for k, row in enumerate(lid.rows + inner.rows):

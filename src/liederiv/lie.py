@@ -361,7 +361,7 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
     return EndoMatrix._canonical(L, cols, den * L.denominator)
 
 
-def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
+def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
     """The algebra induced on a bracket-closed subspace.
 
     Coordinates are taken against the canonical basis of s, so the induced
@@ -371,8 +371,6 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
     if s.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     rows = s.rows
-    if labels is None:
-        labels = tuple(L.labels[p] for p in s.pivots())
     triples = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
@@ -382,7 +380,7 @@ def restrict(L: LieAlgebra, s: Subspace, labels=None) -> LieAlgebra:
                     f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
                 )
             triples.extend((a, b, k, v) for k, v in coords.items())
-    return LieAlgebra(len(rows), labels, triples)
+    return LieAlgebra(len(rows), [L.labels[p] for p in s.pivots()], triples)
 
 
 def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | None:

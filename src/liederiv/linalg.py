@@ -151,19 +151,19 @@ class _RowReducer:
         return True
 
     def kernel_vectors(self, columns) -> list[dict]:
-        """One kernel vector per free (non-pivot) column f among columns, in
-        their order: 1 at f and, at the pivot p of each row with an entry at
-        f, minus that entry of the row normalized to 1 at p. Over all
-        columns they span the kernel of the fed rows."""
+        """One integer kernel vector per free (non-pivot) column f among
+        columns, in their order: m, the lcm of the pivots r[p] of the rows r
+        with an entry at f, at f and -r[f] * m / r[p] at each such p. Over
+        all columns they span the kernel of the fed rows."""
         out = []
         for f in columns:
             if f in self.pivot_rows:
                 continue
-            v = {f: 1}
-            for p, r in self.pivot_rows.items():
-                if f in r:
-                    pv = r[p]
-                    v[p] = -r[f] if pv == 1 else Q(-r[f], pv)
+            held = [(p, r) for p, r in self.pivot_rows.items() if f in r]
+            m = lcm(*[r[p] for p, r in held])
+            v = {f: m}
+            for p, r in held:
+                v[p] = -r[f] * (m // r[p])
             out.append(v)
         return out
 

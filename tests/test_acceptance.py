@@ -92,7 +92,7 @@ def test_criterion_2_main_theorem_sweep(sweep):
             report = verify_main_theorem(q, der)
             assert report.ok, (q.composition.blocks, report)
             lid = l_ideal(q)
-            inner = inner_derivations(q)
+            inner = inner_derivations(q.algebra)
             assert subspace_sum(lid, inner) == der
             assert subspace_intersect(lid, inner).dim == 0
             seen += 1
@@ -123,7 +123,7 @@ def test_criterion_3_corner_cases():
         der = derivation_algebra(q.algebra)
         assert der.dim == 8
         assert l_ideal(q).dim == 3
-        assert inner_derivations(q).dim == 5
+        assert inner_derivations(q.algebra).dim == 5
 
 
 def test_criterion_4_constructive_round_trips(sweep):
@@ -131,7 +131,7 @@ def test_criterion_4_constructive_round_trips(sweep):
         for case_index, (q, der) in enumerate(sweep):
             d = q.dim
             lid = l_ideal(q)
-            inner = inner_derivations(q)
+            inner = inner_derivations(q.algebra)
             center_set = set(q.center_indices)
             dp = set(q.delta_prime)
             t_positions = [q.coroot_index[k] for k in range(1, q.composition.n) if k in dp]

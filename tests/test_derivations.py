@@ -360,7 +360,7 @@ def test_jacobi_certificate_is_computed_once(monkeypatch):
         q = build_standard_parabolic((2, 1, 1))
         q.algebra = table
         calls.clear()
-        assert verify_main_theorem(q).ok
+        assert verify_main_theorem(q, derivation_algebra(q.algebra)).ok
         assert jacobi_holds(table) and len(calls) == 3
 
 
@@ -527,7 +527,7 @@ def test_inner_derivations_match_dense_ad_maps(kind, blocks, scale):
 
 
 def test_inner_derivations_golden(golden_q):
-    assert inner_derivations(golden_q).dim == 24
+    assert inner_derivations(golden_q.algebra).dim == 24
 
 
 def test_inner_derivations_semisimple_parabolic():
@@ -539,7 +539,7 @@ def test_inner_derivations_semisimple_parabolic():
 
 def test_inner_derivations_gl1():
     q = build_standard_parabolic((1,))
-    assert inner_derivations(q).dim == 0
+    assert inner_derivations(q.algebra).dim == 0
 
 
 def test_l_ideal_golden(golden_q):
@@ -559,7 +559,7 @@ def test_l_ideal_whole_algebra():
 def test_l_ideal_gl1_degenerate():
     q = build_standard_parabolic((1,))
     assert l_ideal(q).dim == 1
-    report = verify_main_theorem(q)
+    report = verify_main_theorem(q, derivation_algebra(q.algebra))
     assert report.ok
     assert (report.der_dim, report.l_dim, report.inner_dim) == (1, 1, 0)
 
@@ -576,7 +576,7 @@ def test_verify_sweep_small_n():
     for n in range(1, 5):
         for blocks in compositions(n):
             q = build_standard_parabolic(blocks)
-            report = verify_main_theorem(q)
+            report = verify_main_theorem(q, derivation_algebra(q.algebra))
             assert report.ok, (blocks, report)
 
 
@@ -598,10 +598,10 @@ def test_dimension_formula_values():
 
 
 def test_h1_values(golden_q, golden_der):
-    assert golden_der.dim - inner_derivations(golden_q).dim == 3
+    assert golden_der.dim - inner_derivations(golden_q.algebra).dim == 3
     for n in (2, 3):
         q = build_standard_parabolic((n,))
-        assert derivation_algebra(q.algebra).dim - inner_derivations(q).dim == 1
+        assert derivation_algebra(q.algebra).dim - inner_derivations(q.algebra).dim == 1
     q = build_standard_parabolic((2, 1))
     sl = restrict(q.algebra, adapted_subspaces(q)["semisimple_part"])
     assert derivation_algebra(sl).dim - inner_derivations(sl).dim == 0
@@ -687,7 +687,7 @@ def test_decompose_matches_projection(blocks, kwargs, draws):
                          extra_center=kwargs.get("extra_center", 0))
     der = derivation_algebra(q.algebra)
     lid = l_ideal(q)
-    inner = inner_derivations(q)
+    inner = inner_derivations(q.algebra)
     rng = random.Random(77)
     for _ in range(draws):
         D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
@@ -839,7 +839,7 @@ def test_normalization_independence(golden_q, golden_der):
 def test_explicit_ideal_closures(golden_q, golden_der):
     q = golden_q
     lid = l_ideal(q)
-    inner = inner_derivations(q)
+    inner = inner_derivations(q.algebra)
     rng = random.Random(61)
     D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
     for flat in lid.rows:
@@ -858,7 +858,7 @@ def _brute_force_closure_flags(q, space):
     basis of space, E over the basis of l_ideal(q) and A = ad x_i."""
     d = q.dim
     lid = l_ideal(q)
-    inner = inner_derivations(q)
+    inner = inner_derivations(q.algebra)
     L = q.algebra
     ls = [as_matrix(EndoMatrix.from_flat(L, flat)) for flat in lid.rows]
     ads = [as_matrix(ad_matrix(L, {i: 1})) for i in range(d)]
@@ -945,7 +945,7 @@ def test_l_closure_witness_names_the_place_in_the_derived_set():
     x = q.root_index[(1, 3)]
     q.derived_indices = tuple(p for p in q.derived_indices if p != x)
     assert q.derived_indices[3] == q.root_index[(2, 3)]
-    report = verify_main_theorem(q)
+    report = verify_main_theorem(q, derivation_algebra(q.algebra))
     flags = (report.direct_sum_ok, report.l_is_ideal_ok, report.inner_is_ideal_ok,
              report.formula_ok)
     assert flags == (True, False, True, True)
@@ -968,7 +968,7 @@ def test_theorem_gate_certifies_each_center_valued_map(case):
         q.algebra = build_standard_parabolic((1, 2)).algebra  # [E[2,3], E[3,2]] = H[2]
         assert q.c_indices == (2,) and q.algebra.int_table[5][6] == {2: 1}
     assert validate_structure(q.algebra).ok
-    space = subspace_sum(l_ideal(q), inner_derivations(q))
+    space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
     report = verify_main_theorem(q, space)
     assert (report.l_is_ideal_ok, report.inner_is_ideal_ok) == _brute_force_closure_flags(q, space)
     assert not report.inner_is_ideal_ok
@@ -991,11 +991,11 @@ def test_split_derivation_rejects_outsider(golden_q):
 
 def test_extra_center_exercises_formula():
     q = build_standard_parabolic((2,), extra_center=1)  # center dim 2
-    report = verify_main_theorem(q)
+    report = verify_main_theorem(q, derivation_algebra(q.algebra))
     assert report.ok, report
     assert report.der_dim == dimension_formula(2, 1, 1, 3) == 7
     q2 = build_standard_parabolic((1, 1), extra_center=2)  # center dim 3
-    report2 = verify_main_theorem(q2)
+    report2 = verify_main_theorem(q2, derivation_algebra(q2.algebra))
     assert report2.ok, report2
     assert report2.der_dim == dimension_formula(3, 1, 0, 2) == 14
 
@@ -1028,7 +1028,7 @@ def test_decomposition_scalars_are_int_or_fraction(request, case):
         q = scaled_parabolic((2, 1, 2), Q(3, 2))
         der = derivation_algebra(q.algebra)
     rng = random.Random(404)
-    lid, inner = l_ideal(q), inner_derivations(q)
+    lid, inner = l_ideal(q), inner_derivations(q.algebra)
     for t in range(6):
         D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
         if t % 2:

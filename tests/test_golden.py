@@ -24,7 +24,8 @@ table and ``adapted_subspaces``, and as text for gl_6 with blocks 3,2,1;
 and ``der`` and ``h1`` as JSON and
 text for gl_6 with blocks 3,2,1, and ``der`` as JSON for the whole gl_10
 (blocks 10), where the oracle
-eliminates only the weight-0 block, and for gl_6 with blocks 3,2,1 and two
+eliminates only the weight-0 block, for the Borel of gl_8 (blocks
+1,1,1,1,1,1,1,1), the finest grading, and for gl_6 with blocks 3,2,1 and two
 extra central generators, where the grading element is not unique (any
 central element can be added to it).
 Any change to these bytes is a change to the output contract.

@@ -375,7 +375,7 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
     # rows are primitive with a positive pivot first, no pivot column occurs
     # in another row, and add_row returned True exactly when sympy says the
     # row is independent of those fed before it; kernel_vectors(C) then
-    # spans sympy's nullspace of the columns C
+    # spans sympy's nullspace of the columns C, in int values only
     hyp, st, settings = _hypothesis()
     sympy = pytest.importorskip("sympy")
 
@@ -396,6 +396,7 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
                 assert all(p not in other for q, other in red.pivot_rows.items() if q != p)
         kernel = red.kernel_vectors(cols)
         assert all(v.keys() <= set(cols) for v in kernel)
+        assert all(type(e) is int for v in kernel for e in v.values())
         theirs = [dict(zip(cols, (Q(str(e)) for e in v)))
                   for v in sympy.Matrix([[r[j] for j in cols] for r in rows]).nullspace()]
         assert Subspace.from_sparse(c, kernel) == Subspace.from_sparse(c, theirs)
