@@ -179,7 +179,6 @@ class ParabolicAlgebra:
                 elif i < j:
                     # [e_ij, e_ji] = e_ii - e_jj = h_i + ... + h_(j-1)
                     triples.extend((a, b, self.coroot_index[k], 1) for k in range(i, j))
-        triples.sort()  # by (a, b), as the raw triples are kept in that order
         self.algebra = LieAlgebra(dim, labels, triples)
         # the table is the gl_n bracket of linearly independent matrices (an
         # escaping bracket raised above), so Jacobi holds

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from liederiv import cli, parabolic
+from liederiv import cli, derivations, parabolic
 from liederiv.cli import _build_parser, _json, main
 from liederiv.lie import ad_matrix
 from liederiv.linalg import Q
@@ -414,12 +414,28 @@ def test_der_build_invariant_failure_exits_3(monkeypatch, capsys):
         3, "", "error: algebra does not split as center + c + derived\n")
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_h1_exits_with_der_code_on_a_formula_mismatch(monkeypatch, capsys, fmt):
+def _without_e13(args):
+    # the fault of test_l_closure_witness_names_the_place_in_the_derived_set:
+    # only the l_closure check fails, the formula and the direct sum hold
+    q = parabolic.build_standard_parabolic((2, 1))
+    q.derived_indices = tuple(p for p in q.derived_indices if p != q.root_index[(1, 3)])
+    return q
+
+
+@pytest.mark.parametrize("fmt, fault", [("json", "formula"), ("text", "formula"),
+                                        ("json", "l_closure"), ("text", "l_closure")],
+                         ids=["json", "text", "json-l_closure", "text-l_closure"])
+def test_h1_exits_with_der_code_on_a_formula_mismatch(monkeypatch, capsys, fmt, fault):
     # h1 prints a part of der's payload, and exits with der's code: 3 when
-    # the dimension formula disagrees with the oracle
+    # any check of verify_main_theorem fails, the dimension formula or a
+    # closure, with the payload still printed
     argv = ["--n", "3", "--blocks", "2,1", "--format", fmt]
     expected = run(capsys, "h1", *argv)[1]
-    monkeypatch.setattr(cli, "formula_dim", lambda q: -1)
-    assert run(capsys, "der", *argv)[0] == 3
+    if fault == "formula":
+        monkeypatch.setattr(derivations, "formula_dim", lambda q: -1)
+    else:
+        monkeypatch.setattr(cli, "_parabolic", _without_e13)
+    code, out, err = run(capsys, "der", *argv)
+    assert code == 3
+    assert err == "" and "h1_dim" in out
     assert run(capsys, "h1", *argv) == (3, expected, "")
