@@ -190,7 +190,7 @@ def _verify_case(q, rounds: int, rng) -> dict:
     report = verify_main_theorem(q, der)
     failure = None
     for r in range(rounds):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
+        D = random_combination(q.algebra, der, rng)
         try:
             constructive_decompose(q, D)
         except (NotADerivationError, DecompositionError) as exc:

@@ -229,7 +229,7 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
 
     certified = _sum_certified(q)
     suspects = [] if certified and S == der else [
-        di for di, flat in enumerate(der.rows) if not certified or S._member(flat) is None]
+        di for di, flat in enumerate(der.rows) if not certified or not S._member(flat)]
     ads = [ad_matrix(L, {i: 1}) for i in range(d)] if suspects else []
     maps = ((di, EndoMatrix.from_flat(L, der.rows[di])) for di in suspects)
     # each map's integer columns are den times its true ones
@@ -384,7 +384,7 @@ def split_derivation(q: ParabolicAlgebra, D: EndoMatrix) -> tuple[EndoMatrix, En
     L = q.algebra
     lid, inner = l_ideal(q), inner_derivations(L)
     # one equation per flat coordinate i: sum_k lam_k basis_k[i] = D[i]
-    system: dict[int, dict[int, Q]] = {}
+    system: dict[int, dict[int, int]] = {}
     for k, row in enumerate(lid.rows + inner.rows):
         for i, e in row.items():
             system.setdefault(i, {})[k] = e
@@ -443,15 +443,18 @@ def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = Non
     return EndoMatrix(hat, cols, D.den)
 
 
-def random_combination(space: Subspace, rng) -> tuple[dict, int]:
-    """Random combination of the canonical basis of a subspace, with
-    coefficients drawn from -9 to 9, as a sparse int vector in the ``rows``
-    format and the denominator it is over."""
-    den = lcm(*(e.denominator for row in space.rows for e in row.values()))
-    out: dict[int, int] = {}
+def random_combination(L: LieAlgebra, space: Subspace, rng) -> EndoMatrix:
+    """A map of L drawn as a combination of the RREF basis of space, a
+    subspace of L's maps, with coefficients from -9 to 9."""
+    d = L.dim
+    if space.ambient_dim != d * d:
+        raise ValueError("ambient dimensions differ")
+    den = lcm(*(next(iter(row.values())) for row in space.rows))  # of the pivots
+    cols: list[dict[int, int]] = [{} for _ in range(d)]
     for row in space.rows:
-        c = rng.randint(-9, 9)
+        c = rng.randint(-9, 9) * (den // next(iter(row.values())))
         if c:
-            for i, e in row.items():
-                out[i] = out.get(i, 0) + c * e.numerator * (den // e.denominator)
-    return {i: v for i, v in out.items() if v}, den
+            for f, e in row.items():
+                col = cols[f // d]
+                col[f % d] = col.get(f % d, 0) + c * e
+    return EndoMatrix._canonical(L, cols, den)

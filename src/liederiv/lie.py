@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .linalg import Q, Subspace, nullspace_of_rows, rational, require_exact
+from .linalg import Q, Subspace, _over, nullspace_of_rows, rational, require_exact
 
 __all__ = [
     "LieAlgebra",
@@ -240,11 +240,6 @@ class EndoMatrix:
         return f"EndoMatrix(dim {self.algebra.dim}, {sum(map(len, self.cols))} nonzero)"
 
 
-def _over(e, den: int):
-    # the true entry e / den of a map, a Fraction only where den is not 1
-    return e if den == 1 else Q(e, den)
-
-
 @dataclass
 class ValidationReport:
     antisymmetry_violations: list[tuple[int, int, int]] = field(default_factory=list)
@@ -314,7 +309,7 @@ def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
                 for k, v in ks.items():
                     out[k] = out.get(k, 0) + c * v
     N = L.denominator
-    return {k: v if N == 1 else Q(v, N) for k, v in out.items() if v}
+    return {k: _over(v, N) for k, v in out.items() if v}
 
 
 def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -364,7 +359,7 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
 def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
     """The algebra induced on a bracket-closed subspace.
 
-    Coordinates are taken against the canonical basis of s, so the induced
+    Coordinates are taken against the basis ``s.rows``, so the induced
     table is deterministic. Raises if some bracket of basis vectors escapes
     s, naming the offending pair.
     """

@@ -1,14 +1,14 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Subspaces kept as their unique reduced row echelon basis in sparse rows
-(dicts col -> value: ints for a row whose entries are all integral,
-Fractions otherwise), together with nullspaces, linear solves and
-subspace arithmetic. Everything downstream (structure constants, derivation
-oracles, theorem checks) reduces to these operations, so they are exact and
+Subspaces kept as the fraction-free eliminator's rows: sparse dicts col ->
+int, each the unique primitive multiple of a reduced row echelon row with
+a positive pivot. Nullspaces, linear solves and subspace arithmetic work
+on them. Everything downstream (structure constants, derivation oracles,
+theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
 A vector is a sparse dict index -> value whose values are ints or
-Fractions, zeros dropped: the format of ``Subspace.rows``. The eliminator,
+Fractions, zeros dropped, as ``Subspace.rows`` are. The eliminator,
 ``nullspace_of_rows`` and ``solve`` take it as it is; ``contains``,
 ``coordinates_of`` and ``combination`` take it after ``require_exact`` has
 checked its values, and coordinates in a basis are sparse dicts row index ->
@@ -80,20 +80,20 @@ class _RowReducer:
     """Incremental fraction-free elimination keeping rows fully reduced.
 
     Rows are sparse dicts col -> int, kept primitive (content 1, positive
-    pivot). Elimination uses integer cross-multiplication, so no rational
-    arithmetic happens until the final normalization divides each row by its
-    pivot. Rows are mutually reduced at all times (each pivot column appears
-    in exactly one row), which keeps fill-in bounded by the number of
-    non-pivot columns and makes the extracted result the unique RREF of the
-    fed rows, independent of feed order. ``pivot_rows``, pivot column ->
-    row, is the whole state: the rows with an entry at a column are found
-    by a scan, and the rank grows far less often than rows are fed.
+    pivot). Elimination uses integer cross-multiplication, so it makes no
+    Fraction. Rows are mutually reduced at all times (each pivot column
+    appears in exactly one row), which keeps fill-in bounded by the number
+    of non-pivot columns and makes each row the primitive multiple of a row
+    of the unique RREF of the fed rows, independent of feed order.
+    ``pivot_rows``, pivot column -> row, is the whole state: the rows with
+    an entry at a column are found by a scan, and the rank grows far less
+    often than rows are fed.
     """
 
     __slots__ = ("pivot_rows",)
 
-    def __init__(self):
-        self.pivot_rows: dict[int, dict[int, int]] = {}
+    def __init__(self, pivot_rows=()):
+        self.pivot_rows: dict[int, dict[int, int]] = dict(pivot_rows)
 
     @staticmethod
     def _reduce_content(row: dict[int, int]) -> None:
@@ -122,12 +122,10 @@ class _RowReducer:
                 target.pop(col, None)
         _RowReducer._reduce_content(target)
 
-    def add_row(self, row) -> bool:
-        """Fold one row in; True if it increased the rank.
-
-        Accepts a mapping col -> value (int or Fraction, both of which carry
-        numerator and denominator); denominators are cleared up front.
-        """
+    def reduce(self, row) -> dict[int, int]:
+        """row, a mapping col -> int or Fraction, with its denominators
+        cleared and every pivot column eliminated: an int row that is empty
+        exactly when row lies in the span of the fed rows."""
         den = lcm(*[v.denominator for v in row.values()])
         if den == 1:
             work = {c: v.numerator for c, v in row.items() if v}
@@ -137,6 +135,11 @@ class _RowReducer:
         # leaves work's other pivot entries nonzero
         for c in sorted(work.keys() & self.pivot_rows.keys()):
             self._combine(work, self.pivot_rows[c], c)
+        return work
+
+    def add_row(self, row) -> bool:
+        """Fold one row in (as ``reduce`` takes it); True if it increased the rank."""
+        work = self.reduce(row)
         if not work:
             return False
         piv = min(work)
@@ -167,45 +170,33 @@ class _RowReducer:
             out.append(v)
         return out
 
-    def rref_sparse(self) -> list[dict]:
-        """Rows of the RREF (pivot entries normalized to 1), in pivot order,
-        each with its columns in increasing order. A stored row is
-        primitive, so it is integral after normalization exactly when its
-        pivot is 1; such a row keeps its ints, any other row is all
-        Fractions."""
-        out = []
-        for piv in sorted(self.pivot_rows):
-            r = self.pivot_rows[piv]
-            pv = r[piv]
-            if pv == 1:
-                out.append({c: r[c] for c in sorted(r)})
-            else:
-                out.append({c: Q(r[c], pv) for c in sorted(r)})
-        return out
+
+def _over(e, den: int):
+    # e / den, a Fraction only where den is not 1
+    return e if den == 1 else Q(e, den)
 
 
 class Subspace:
-    """A linear subspace, stored as its unique RREF basis in sparse rows.
+    """A linear subspace, stored as the row reducer's rows of its span.
 
-    ``rows`` holds one dict col -> value per basis vector, nonzero entries
-    only, with columns in increasing order; the values of a row are ints
-    when all of them are integral and Fractions otherwise, so equal
-    subspaces hold equal values of equal types. Pivot columns strictly
-    increase from row to row, each pivot entry is 1, and a pivot column is
-    zero in every other row, so two subspaces are equal exactly when their
-    rows are equal. The rows are indexed by pivot column once, when the
-    basis is built. The rows are shared, not copied: callers must not mutate them.
-    Subspaces are built by the classmethods below; the constructor takes
-    rows that already are such a basis, each with its pivot first.
+    ``rows`` holds one dict col -> int per basis vector: nonzero entries
+    only, columns in increasing order, content 1 and a positive pivot (the
+    first entry). Pivot columns strictly increase from row to row and a
+    pivot column is zero in every other row, so each row is the unique
+    primitive multiple of an RREF row, and two subspaces are equal exactly
+    when their rows are equal. The rows are shared, not copied: callers
+    must not mutate them. Subspaces are built by the classmethods below;
+    the constructor takes rows that already are such a basis.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_row_of")
+    __slots__ = ("ambient_dim", "rows", "_red")
 
     def __init__(self, ambient_dim: int, rows):
         rows = tuple(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_row_of", {next(iter(row)): r for r, row in enumerate(rows)})
+        # the rows by pivot, the reducer ``_member`` runs
+        object.__setattr__(self, "_red", _RowReducer((next(iter(row)), row) for row in rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -220,14 +211,23 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
             red.add_row({j: rational(e, f"at index {j}") for j, e in enumerate(v) if e})
-        return cls(ambient_dim, red.rref_sparse())
+        return cls._of(ambient_dim, red)
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
+        """The span of sparse vectors; an index outside the space raises ValueError."""
         red = _RowReducer()
         for v in sparse_vectors:
             red.add_row(v)
-        return cls(ambient_dim, red.rref_sparse())
+        return cls._of(ambient_dim, red)
+
+    @classmethod
+    def _of(cls, ambient_dim: int, red: _RowReducer) -> Subspace:
+        # the span holds an outside index exactly when a reduced row does
+        rows = [{c: r[c] for c in sorted(r)} for _, r in sorted(red.pivot_rows.items())]
+        if rows and not (0 <= next(iter(rows[0])) and all(max(r) < ambient_dim for r in rows)):
+            raise ValueError("vector index out of range for ambient dimension")
+        return cls(ambient_dim, rows)
 
     @classmethod
     def units(cls, ambient_dim: int, indices) -> Subspace:
@@ -248,11 +248,16 @@ class Subspace:
         return len(self.rows)
 
     def pivots(self) -> list[int]:
-        return list(self._row_of)
+        return list(self._red.pivot_rows)
 
     def vectors(self) -> list[tuple]:
-        """The basis rows as dense tuples, 0 where a row has no entry."""
-        return [tuple(row.get(j, 0) for j in range(self.ambient_dim)) for row in self.rows]
+        """The RREF basis as dense tuples: each row over its pivot, 0 where
+        it has no entry."""
+        out = []
+        for row in self.rows:
+            pv = next(iter(row.values()))
+            out.append(tuple(_over(row[j], pv) if j in row else 0 for j in range(self.ambient_dim)))
+        return out
 
     def combination(self, coeffs: dict) -> dict:
         """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
@@ -269,30 +274,22 @@ class Subspace:
 
     def coordinates_of(self, v: dict) -> dict | None:
         """Sparse coordinates of the sparse vector v (row index -> value,
-        zeros dropped) in the canonical basis, or None if v is outside.
-        Because the basis is in RREF, the coordinate along row i is just the
-        entry of v at that row's pivot column. A value of v that is not an
-        int or a Fraction raises ValueError.
+        zeros dropped) in the basis ``rows``, or None if v is outside: the
+        coordinate along a row is v at its pivot over the pivot. A value of
+        v that is not an int or a Fraction raises ValueError.
         """
         require_exact(v.values(), "in the vector")
-        v = self._member(v)
-        if v is None:
+        if not self._member(v):
             return None
-        row_of = self._row_of
-        return {row_of[p]: e for p, e in sorted(v.items()) if e and p in row_of}
+        return {r: _over(v[p], row[p]) for r, (p, row) in enumerate(self._red.pivot_rows.items())
+                if v.get(p)}
 
-    def _member(self, v: dict) -> dict | None:
-        """v if it lies in the subspace, else None: v is inside exactly when
-        v - sum v[p] * (row with pivot p) is 0."""
+    def _member(self, v: dict) -> bool:
+        """Whether v lies in the subspace: whether the reducer's step
+        eliminates it to 0."""
         if any(not 0 <= j < self.ambient_dim for j in v):
             raise ValueError("vector index out of range for ambient dimension")
-        residual = dict(v)
-        for p, c in v.items():
-            r = self._row_of.get(p)
-            if r is not None and c:
-                for j, e in self.rows[r].items():
-                    residual[j] = residual.get(j, 0) - c * e
-        return None if any(residual.values()) else v
+        return not self._red.reduce(v)
 
     def __eq__(self, other) -> bool:
         return (
@@ -328,7 +325,8 @@ def solve(ncols: int, sparse_rows, b) -> dict | None:
         red.add_row({**row, ncols: bi} if bi else row)
     if ncols in red.pivot_rows:
         return None
-    return {next(iter(row)): row[ncols] for row in red.rref_sparse() if ncols in row}
+    return {p: _over(row[ncols], row[p]) for p, row in sorted(red.pivot_rows.items())
+            if ncols in row}
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -347,7 +345,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.units(a.ambient_dim, ())
-    system: dict[int, dict[int, Q]] = {}  # ambient coordinate -> its equation
+    system: dict[int, dict[int, int]] = {}  # ambient coordinate -> its equation
     for k, row in enumerate(a.rows):
         for i, e in row.items():
             system.setdefault(i, {})[k] = e
@@ -363,7 +361,7 @@ def contains(a: Subspace, v: dict) -> bool:
     """True iff the sparse vector v lies in a (exact sparse residual); a
     value of v that is not an int or a Fraction raises ValueError."""
     require_exact(v.values(), "in the vector")
-    return a._member(v) is not None
+    return a._member(v)
 
 
 def is_direct_sum(parts, whole: Subspace) -> bool:

@@ -136,7 +136,7 @@ def test_criterion_4_constructive_round_trips(sweep):
             t_positions = [q.coroot_index[k] for k in range(1, q.composition.n) if k in dp]
             rng = random.Random(1000 + case_index)
             for _ in range(20):
-                D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
+                D = random_combination(q.algebra, der, rng)
                 # midpoint: the reduced map kills t and stabilizes root lines
                 x, _ = root_line_reduction(q, D)
                 reduced = as_matrix(D - ad_matrix(q.algebra, x))
@@ -228,7 +228,7 @@ def test_criterion_6_property_suites(golden_q, golden_der):
         # scalar projection identity on random Cartan pairs
         q = golden_q
         for _ in range(5):
-            D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
+            D = as_matrix(random_combination(q.algebra, golden_der, rng))
             hc = [Q(0)] * q.dim
             kc = [Q(0)] * q.dim
             for k in range(1, 6):
@@ -248,7 +248,7 @@ def test_criterion_6_property_suites(golden_q, golden_der):
         S = Matrix(d, d, [scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
         S_inv = Matrix(d, d, [1 / scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
         for _ in range(2):
-            D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+            D = random_combination(q.algebra, golden_der, rng)
             r1 = constructive_decompose(q, D)
             r2 = constructive_decompose(q2, as_endo(q2.algebra, S_inv * as_matrix(D) * S))
             assert S * as_matrix(r2.l_part) * S_inv == as_matrix(r1.l_part)

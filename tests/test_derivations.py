@@ -371,7 +371,7 @@ def test_built_parabolic_makes_no_leibniz_call(monkeypatch):
     q = build_standard_parabolic((2, 1, 1), extra_center=1)
     der = derivation_algebra(q.algebra)
     assert verify_main_theorem(q, der).ok
-    D = EndoMatrix.from_flat(q.algebra, *random_combination(der, random.Random(5)))
+    D = random_combination(q.algebra, der, random.Random(5))
     res = constructive_decompose(q, D)
     assert any(res.l_part.cols) and res.p
     assert res.l_part + ad_matrix(q.algebra, res.p) == D
@@ -486,7 +486,7 @@ def test_property_decompose_matches_leibniz_gate():
     def check(c, rng, perturb, pick, scale):
         q, der, breaking = case(c)
         L = q.algebra
-        D = EndoMatrix.from_flat(L, *random_combination(der, rng))
+        D = random_combination(L, der, rng)
         if perturb and breaking:
             D = D + EndoMatrix.from_flat(L, {breaking[pick % len(breaking)]: scale})
         pair = first_leibniz_violation(L, D)
@@ -652,7 +652,7 @@ def test_decompose_random_round_trips(golden_q, golden_der):
     q = golden_q
     rng = random.Random(2024)
     for _ in range(100):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+        D = random_combination(q.algebra, golden_der, rng)
         res = constructive_decompose(q, D)
         assert res.l_part + ad_matrix(q.algebra, res.p) == D
         assert as_matrix(res.l_part) + as_matrix(ad_matrix(q.algebra, res.p)) == as_matrix(D)
@@ -688,7 +688,7 @@ def test_decompose_matches_projection(blocks, kwargs, draws):
     der = derivation_algebra(q.algebra)
     rng = random.Random(77)
     for _ in range(draws):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
+        D = random_combination(q.algebra, der, rng)
         res = constructive_decompose(q, D)
         l_comp, inner_comp = split_derivation(q, D)
         assert l_comp == res.l_part
@@ -702,7 +702,7 @@ def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):
     ad_cols = [flatten(as_matrix(ad_matrix(q.algebra, {i: 1}))) for i in range(d)]
     system = Matrix(d * d, d, [ad_cols[i][r] for r in range(d * d) for i in range(d)])
     for _ in range(3):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+        D = random_combination(q.algebra, golden_der, rng)
         res = constructive_decompose(q, D)
         rhs = flatten(as_matrix(D) - as_matrix(res.l_part))
         v = solve(d, system.sparse_rows(), rhs)
@@ -715,8 +715,8 @@ def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):
 def test_decomposition_linearity(golden_q, golden_der):
     q = golden_q
     rng = random.Random(3)
-    d1 = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
-    d2 = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+    d1 = random_combination(q.algebra, golden_der, rng)
+    d2 = random_combination(q.algebra, golden_der, rng)
     a, b = Q(3, 2), Q(-5, 7)
 
     def scaled(E, c):
@@ -739,7 +739,7 @@ def test_claim1_midpoint_properties(golden_q, golden_der):
     c_positions = [q.coroot_index[k] for k in (3, 5)]
     t_positions = [q.coroot_index[k] for k in (1, 2, 4)]
     for _ in range(10):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+        D = random_combination(q.algebra, golden_der, rng)
         x, _ = root_line_reduction(q, D)
         reduced = as_matrix(D - ad_matrix(q.algebra, x))
         # annihilates the within-block coroots
@@ -765,7 +765,7 @@ def test_root_line_reduction_reads_d_gamma_off_any_map():
             q = build_standard_parabolic(blocks)
             L, d = q.algebra, q.dim
             der = derivation_algebra(L)
-            maps = [EndoMatrix.from_flat(L, *random_combination(der, rng)) for _ in range(2)]
+            maps = [random_combination(L, der, rng) for _ in range(2)]
             maps += [EndoMatrix(L, [{i: rng.randint(-9, 9) for i in rng.sample(range(d), min(3, d))}
                                     for _ in range(d)]) for _ in range(2)]
             for D in maps:
@@ -785,7 +785,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
     q = golden_q
     rng = random.Random(12)
     for _ in range(5):
-        D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
+        D = as_matrix(random_combination(q.algebra, golden_der, rng))
         hc = [Q(0)] * q.dim
         kc = [Q(0)] * q.dim
         for k in range(1, 6):
@@ -802,7 +802,7 @@ def test_scalar_projection_identity(golden_q, golden_der):
 def test_c_gamma_antisymmetry_on_opposite_roots(golden_q, golden_der):
     q = golden_q
     rng = random.Random(21)
-    D = EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng))
+    D = random_combination(q.algebra, golden_der, rng)
     res = constructive_decompose(q, D)
     for (i, j), value in res.c_gamma.items():
         if (j, i) in res.c_gamma:
@@ -820,7 +820,7 @@ def test_normalization_independence(golden_q, golden_der):
     S_inv = Matrix(d, d, [1 / scale[i] if i == j else Q(0) for i in range(d) for j in range(d)])
     rng = random.Random(55)
     for _ in range(3):
-        D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
+        D = as_matrix(random_combination(q.algebra, golden_der, rng))
         D2 = S_inv * D * S  # the same abstract map in the rescaled basis
         r1 = constructive_decompose(q, as_endo(q.algebra, D))
         r2 = constructive_decompose(q2, as_endo(q2.algebra, D2))
@@ -839,7 +839,7 @@ def test_explicit_ideal_closures(golden_q, golden_der):
     lid = l_ideal(q)
     inner = inner_derivations(q.algebra)
     rng = random.Random(61)
-    D = as_matrix(EndoMatrix.from_flat(q.algebra, *random_combination(golden_der, rng)))
+    D = as_matrix(random_combination(q.algebra, golden_der, rng))
     for flat in lid.rows:
         E = as_matrix(EndoMatrix.from_flat(q.algebra, flat))
         comm = D * E - E * D
@@ -918,7 +918,7 @@ def test_property_theorem_gate_matches_brute_force_flags():
         injected = []
         for kind, rng in injections:
             sparse_map = {rng.randrange(d * d): rng.choice((-2, -1, 1, 3)) for _ in range(2)}
-            derivation = random_combination(der, rng)[0]
+            derivation = random_combination(q.algebra, der, rng).flat()
             if kind == "sparse":
                 injected.append(sparse_map)
             elif kind == "derivation":
@@ -982,6 +982,38 @@ def test_theorem_check_builds_no_map_for_a_certified_split(golden_q, golden_der,
     assert verify_main_theorem(golden_q, golden_der).ok
 
 
+@pytest.mark.parametrize("blocks", [(2, 1), (3, 2, 1)])
+def test_oracle_and_theorem_check_make_no_fraction(blocks, monkeypatch):
+    # both oracles hold rows whose pivot is not 1; a subspace keeps the row
+    # reducer's primitive int rows, so neither step makes a Fraction
+    q = build_standard_parabolic(blocks)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction made")
+
+    monkeypatch.setattr(Q, "__new__", refuse)
+    der = derivation_algebra(q.algebra)
+    assert verify_main_theorem(q, der).ok
+    monkeypatch.undo()
+    assert any(next(iter(row.values())) != 1 for row in der.rows)
+
+
+def test_random_combination_draws_over_the_rref_basis():
+    # the oracle of (2, 1) has a row whose pivot is not 1; the coefficients
+    # multiply the rows of vectors(), the RREF basis
+    L = build_standard_parabolic((2, 1)).algebra
+    der = derivation_algebra(L)
+    assert any(next(iter(row.values())) != 1 for row in der.rows)
+    for seed in range(5):
+        twin = random.Random(seed)
+        coeffs = [twin.randint(-9, 9) for _ in range(der.dim)]
+        flat = {f: e for f in range(der.ambient_dim)
+                if (e := sum(c * v[f] for c, v in zip(coeffs, der.vectors())))}
+        assert random_combination(L, der, random.Random(seed)) == EndoMatrix.from_flat(L, flat)
+    with pytest.raises(ValueError, match="ambient"):  # a space of vectors, not of maps
+        random_combination(L, Subspace.full(L.dim), random.Random(0))
+
+
 def test_split_derivation_rejects_outsider(golden_q):
     with pytest.raises(NotADerivationError):
         split_derivation(golden_q, identity(golden_q.algebra))
@@ -1028,7 +1060,7 @@ def test_decomposition_scalars_are_int_or_fraction(request, case):
         der = derivation_algebra(q.algebra)
     rng = random.Random(404)
     for t in range(6):
-        D = EndoMatrix.from_flat(q.algebra, *random_combination(der, rng))
+        D = random_combination(q.algebra, der, rng)
         if t % 2:
             D = _integral_entries(D)  # int entries must not turn into floats
         res = constructive_decompose(q, D)

@@ -17,10 +17,12 @@ as JSON integers, input 5 is divided by 7), for input 0 read from stdin,
 and for one derivation perturbed by the map I -> x_10, which must exit 4;
 and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, for the Borel of gl_5,
-and for gl_4 with blocks 1,2,1 and two extra central generators, whose
-Levi center differs from c, all three with the "sc" list and the subspace
-bases (the Levi center among them) that come from the structure-constant
-table and ``adapted_subspaces``, and as text for gl_6 with blocks 3,2,1;
+for gl_4 with blocks 1,2,1 and two extra central generators, whose
+Levi center differs from c, and for gl_5 with blocks 2,3, whose Levi center
+row holds entries that are not integers (4/3 and 2/3), all four with the
+"sc" list and the subspace bases (the Levi center among them) that come
+from the structure-constant table and ``adapted_subspaces``, and as text
+for gl_6 with blocks 3,2,1;
 and ``der`` and ``h1`` as JSON and
 text for gl_6 with blocks 3,2,1, and ``der`` as JSON for the whole gl_10
 (blocks 10), where the oracle

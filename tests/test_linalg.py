@@ -98,6 +98,8 @@ def test_units_is_the_row_reduction_of_unit_vectors():
     for bad in ([5], [-1], [0, 7]):
         with pytest.raises(ValueError, match="out of range"):
             Subspace.units(5, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            Subspace.from_sparse(5, [{i: 1} for i in bad])
 
 
 def test_nullspace_single_equation():
@@ -318,11 +320,13 @@ def test_property_constructors_agree():
 
 
 def _assert_value_contract(space: Subspace) -> None:
-    # a stored row holds ints exactly when all its entries are integral,
-    # and Fractions otherwise
-    for row in space.rows:
-        integral = all(e.denominator == 1 for e in row.values())
-        assert {type(e) for e in row.values()} == ({int} if integral else {Q}), row
+    # a stored row holds ints only; written out over its pivot, its nonzero
+    # entries are ints exactly when all are integral, and Fractions otherwise
+    for row, v in zip(space.rows, space.vectors()):
+        assert all(type(e) is int for e in row.values()), row
+        nonzero = [e for e in v if e]
+        integral = all(e.denominator == 1 for e in nonzero)
+        assert {type(e) for e in nonzero} == ({int} if integral else {Q}), v
 
 
 def test_property_eliminator_matches_sympy():
@@ -375,7 +379,9 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
     # rows are primitive with a positive pivot first, no pivot column occurs
     # in another row, and add_row returned True exactly when sympy says the
     # row is independent of those fed before it; kernel_vectors(C) then
-    # spans sympy's nullspace of the columns C, in int values only
+    # spans sympy's nullspace of the columns C, in int values only. A
+    # Subspace keeps the stored rows, in pivot order and int values only;
+    # vectors() is sympy's RREF, and its coordinates recombine to a vector
     hyp, st, settings = _hypothesis()
     sympy = pytest.importorskip("sympy")
 
@@ -401,6 +407,16 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
                   for v in sympy.Matrix([[r[j] for j in cols] for r in rows]).nullspace()]
         assert Subspace.from_sparse(c, kernel) == Subspace.from_sparse(c, theirs)
         assert len(kernel) == len(theirs)
+        space = Subspace.from_sparse(c, [sparse(r) for r in rows])
+        assert [list(r.items()) for r in space.rows] == [
+            sorted(red.pivot_rows[p].items()) for p in sorted(red.pivot_rows)]
+        assert all(type(e) is int for r in space.rows for e in r.values())
+        rref = sympy.Matrix(rows).rref()[0]
+        assert space.vectors() == [tuple(Q(str(e)) for e in rref.row(i))
+                                   for i in range(space.dim)]
+        coeffs = {k: e for k in range(len(rows)) if (e := data.draw(st.integers(-3, 3)))}
+        v = sparse([sum(coeffs.get(k, 0) * r[j] for k, r in enumerate(rows)) for j in range(c)])
+        assert space.combination(space.coordinates_of(v)) == v
 
     check()
 
