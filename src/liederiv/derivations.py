@@ -78,13 +78,12 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     is. The system is block diagonal by the weights of ``grading`` (D_{l,k}
     has weight w_l - w_k). Once ``jacobi_holds`` certifies every ad x, the
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
-    (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l; then only the
-    weight-0 block is fed to the one elimination, else every equation is.
+    (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l, else every weight
+    is 0. Only the weight-0 block is fed to the one elimination.
     """
     d = L.dim
     T = L.int_table  # N times the constants; same kernel, see above
-    W = grading(L)
-    graded = jacobi_holds(L)
+    W = grading(L) if jacobi_holds(L) else (0,) * d
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
     rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
     for m, ad_m in enumerate(T):
@@ -100,7 +99,7 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
         for j in range(i + 1, d):
             cdict = T[i].get(j, {})
             # the equation (i, j, l) has its unknowns in block w_l - w_i - w_j
-            for l in by_weight.get(W[i] + W[j], ()) if graded else range(d):
+            for l in by_weight.get(W[i] + W[j], ()):
                 row: dict[int, int] = {}
                 for k, v in cdict.items():
                     idx = k * d + l  # coefficient of D_{l,k}
@@ -115,10 +114,9 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
                     row[idx] = row.get(idx, 0) + v
                 red.add_row(row)  # it drops the zero entries
 
-    # the flat index k*d + l of D_{l,k}; graded, only the weight-0 unknowns
-    kernel = red.kernel_vectors(c for c in range(d * d) if not graded or W[c // d] == W[c % d])
-    if graded:
-        kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
+    # the flat index k*d + l of D_{l,k}; only the weight-0 unknowns
+    kernel = red.kernel_vectors(c for c in range(d * d) if W[c // d] == W[c % d])
+    kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
     return Subspace.from_sparse(d * d, kernel)
 
 

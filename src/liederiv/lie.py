@@ -13,7 +13,7 @@ solve its system one weight at a time is read off the same table
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
-take it after checking that its values are ints or Fractions. Every linear
+take it after ``require_vector`` has checked it. Every linear
 map is one ``EndoMatrix`` in the table's form, integer columns over one
 denominator. An int constant or value stays an int; a Fraction appears
 only where a real denominator does.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .linalg import Q, Subspace, _over, nullspace_of_rows, rational, require_exact
+from .linalg import Q, Subspace, _over, nullspace_of_rows, rational, require_vector
 
 __all__ = [
     "LieAlgebra",
@@ -139,8 +139,8 @@ class EndoMatrix:
     Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero
     int and ``den`` a positive int with no factor common to all entries (1
     for the zero map), so equal maps have equal ``cols`` and ``den``. The
-    constructor clears denominators: it takes int or Fraction entries over
-    ``den`` (other values raise ValueError). ``ad_matrix`` and ``+``/``-``
+    constructor clears denominators: it takes columns that pass
+    ``require_vector``, entries over ``den``. ``ad_matrix`` and ``+``/``-``
     sum in integers and only divide out the common factor (``_canonical``),
     which gives the same form. The flat form, the
     ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
@@ -155,10 +155,9 @@ class EndoMatrix:
             raise ValueError("column count does not match algebra dimension")
         if type(den) is not int or den < 1:
             raise ValueError(f"den {den!r} is not a positive int")
+        for c in cols:
+            require_vector(c, d, "row")
         values = [e for c in cols for e in c.values()]
-        require_exact(values, "in a column")
-        if any(not 0 <= i < d for c in cols for i in c):
-            raise ValueError("row index out of range for algebra dimension")
         # scale by m to clear the entries' denominators, then divide by the
         # content g of the scaled entries and den
         m = lcm(*(e.denominator for e in values))
@@ -184,10 +183,9 @@ class EndoMatrix:
     def from_flat(cls, algebra: LieAlgebra, flat, den: int = 1) -> EndoMatrix:
         """The map with flat entries (index j*dim + i -> value) over den."""
         d = algebra.dim
+        require_vector(flat, d * d, "flat")
         cols: list[dict] = [{} for _ in range(d)]
         for f, e in flat.items():
-            if not 0 <= f < d * d:
-                raise ValueError("flat index out of range for algebra dimension")
             cols[f // d][f % d] = e
         return cls(algebra, cols, den)
 
@@ -201,9 +199,7 @@ class EndoMatrix:
 
     def apply(self, v: dict) -> dict:
         """The image of a sparse vector, zeros dropped; its input is checked as by ``bracket``."""
-        if any(not 0 <= j < self.algebra.dim for j in v):
-            raise ValueError("vector index out of range for algebra dimension")
-        require_exact(v.values(), "in v")
+        require_vector(v, self.algebra.dim, "vector")
         out: dict = {}
         for j, x in v.items():
             for i, e in self.cols[j].items():
@@ -291,12 +287,10 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
     """[x, y] for sparse coordinate dicts (index -> value, as in
-    ``Subspace.rows``); zero entries are dropped. An index outside the
-    algebra, or a value that is not an int or a Fraction, raises ValueError."""
-    if any(not 0 <= i < L.dim for v in (x, y) for i in v):
-        raise ValueError("vector index out of range for algebra dimension")
-    require_exact(x.values(), "in x")
-    require_exact(y.values(), "in y")
+    ``Subspace.rows``, checked as by ``require_vector``); zero entries are
+    dropped."""
+    require_vector(x, L.dim, "x")
+    require_vector(y, L.dim, "y")
     # summed against the integer table, divided by N once at the end
     out: dict = {}
     T = L.int_table
@@ -337,13 +331,10 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
     [x, x_j] = sum_i x_i [x_i, x_j].
 
     Summed in integers, x times the common denominator of its coordinates
-    against ``int_table``; the map is that sum over both factors. A value
-    of x that is not an int or a Fraction, or an index outside the algebra,
-    raises ValueError.
+    against ``int_table``; the map is that sum over both factors. x is
+    checked as by ``require_vector``.
     """
-    if any(not 0 <= i < L.dim for i in x):
-        raise ValueError("vector index out of range for algebra dimension")
-    require_exact(x.values(), "in x")
+    require_vector(x, L.dim, "x")
     den = lcm(*(c.denominator for c in x.values()))
     cols: list[dict] = [{} for _ in range(L.dim)]
     for i, xi in x.items():

@@ -7,12 +7,11 @@ on them. Everything downstream (structure constants, derivation oracles,
 theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
-A vector is a sparse dict index -> value whose values are ints or
-Fractions, zeros dropped, as ``Subspace.rows`` are. The eliminator,
-``nullspace_of_rows`` and ``solve`` take it as it is; ``contains``,
-``coordinates_of`` and ``combination`` take it after ``require_exact`` has
-checked its values, and coordinates in a basis are sparse dicts row index ->
-value. ``Subspace.from_vectors`` is the one dense input form and
+A vector is a sparse dict index -> value, zeros dropped, as
+``Subspace.rows`` are; coordinates in a basis are sparse dicts row index ->
+value too. ``require_vector`` is the one rule for it, which every public
+entry point that takes one applies: int indices in range, int or Fraction
+values. ``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. ``rational`` is the one rule
 for exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
 """
@@ -22,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 Q = Fraction
@@ -33,7 +33,7 @@ __all__ = [
     "solve",
     "rational",
     "integer",
-    "require_exact",
+    "require_vector",
     "subspace_sum",
     "subspace_intersect",
     "contains",
@@ -68,12 +68,14 @@ def rational(e, where: str) -> Q:
     raise ValueError(f"entry {shown} is not an integer or a rational string {where}")
 
 
-def require_exact(values, where: str) -> None:
-    """Raise ValueError unless every value is an int (not a bool) or a
-    Fraction, the values a sparse vector holds; where names the input."""
-    for e in values:
-        if type(e) is not int and type(e) is not Q and not isinstance(e, Q):
-            raise ValueError(f"value {e!r} is not an int or a Fraction {where}")
+def require_vector(v: dict, bound: int, name: str) -> None:
+    """Raise ValueError naming the input unless v is a sparse vector of length
+    bound: int indices in range(bound), int or Fraction values, no bools."""
+    for i, e in v.items():
+        if type(i) is not int or not 0 <= i < bound:
+            raise ValueError(f"{name} index {i!r} out of range: not an int from 0 to {bound - 1}")
+        if type(e) is not int and not isinstance(e, Q):
+            raise ValueError(f"{name} value {e!r} is not an int or a Fraction")
 
 
 class _RowReducer:
@@ -215,29 +217,33 @@ class Subspace:
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
-        """The span of sparse vectors; an index outside the space raises ValueError."""
+        """The span of sparse vectors; a bad index or value raises ValueError."""
         red = _RowReducer()
-        for v in sparse_vectors:
-            red.add_row(v)
+        try:
+            for v in sparse_vectors:
+                red.add_row(v)
+        except (AttributeError, TypeError) as e:  # an entry the reducer cannot scale or order
+            raise ValueError(f"vector entry is not an int or a Fraction: {e}") from None
         return cls._of(ambient_dim, red)
 
     @classmethod
-    def _of(cls, ambient_dim: int, red: _RowReducer) -> Subspace:
-        # the span holds an outside index exactly when a reduced row does
-        rows = [{c: r[c] for c in sorted(r)} for _, r in sorted(red.pivot_rows.items())]
-        if rows and not (0 <= next(iter(rows[0])) and all(max(r) < ambient_dim for r in rows)):
+    def _of(cls, n: int, red: _RowReducer) -> Subspace:
+        # the span holds an outside index exactly when a reduced row does;
+        # a row's pivot is its least index
+        held = red.pivot_rows
+        if held and not ({*map(type, chain.from_iterable(held.values()))} == {int}
+                         and min(held) >= 0 and max(map(max, held.values())) < n):
             raise ValueError("vector index out of range for ambient dimension")
-        return cls(ambient_dim, rows)
+        return cls(n, [{c: r[c] for c in sorted(r)} for _, r in sorted(held.items())])
 
     @classmethod
     def units(cls, ambient_dim: int, indices) -> Subspace:
         """The span of the unit vectors at indices, a coordinate subspace:
         its basis is the rows {i: 1}, in increasing i, with no elimination.
-        An index outside the ambient space raises ValueError."""
-        indices = sorted(set(indices))
-        if indices and not (0 <= indices[0] and indices[-1] < ambient_dim):
-            raise ValueError("unit vector index out of range for ambient dimension")
-        return cls(ambient_dim, ({i: 1} for i in indices))
+        Indices are checked as by ``require_vector``."""
+        units = dict.fromkeys(indices, 1)
+        require_vector(units, ambient_dim, "unit vector")
+        return cls(ambient_dim, ({i: 1} for i in sorted(units)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
@@ -261,34 +267,28 @@ class Subspace:
 
     def combination(self, coeffs: dict) -> dict:
         """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
-        coeffs is sparse too (row index -> value), zero entries are dropped.
-        A value that is not an int or a Fraction raises ValueError."""
-        require_exact(coeffs.values(), "in the coefficients")
+        coeffs is sparse too (row index -> value, checked as by
+        ``require_vector``), zero entries are dropped."""
+        require_vector(coeffs, self.dim, "coefficient")
         out: dict = {}
         for k, c in coeffs.items():
-            if not 0 <= k < self.dim:
-                raise ValueError("coefficient index out of range for dimension")
             for j, e in self.rows[k].items():
                 out[j] = out.get(j, 0) + c * e
         return {j: e for j, e in out.items() if e}
 
     def coordinates_of(self, v: dict) -> dict | None:
-        """Sparse coordinates of the sparse vector v (row index -> value,
-        zeros dropped) in the basis ``rows``, or None if v is outside: the
-        coordinate along a row is v at its pivot over the pivot. A value of
-        v that is not an int or a Fraction raises ValueError.
-        """
-        require_exact(v.values(), "in the vector")
+        """Sparse coordinates (row index -> value, zeros dropped) of the
+        sparse vector v, checked by ``require_vector``, in the basis ``rows``,
+        or None if v is outside: along a row, v at its pivot over the pivot."""
+        require_vector(v, self.ambient_dim, "vector")
         if not self._member(v):
             return None
         return {r: _over(v[p], row[p]) for r, (p, row) in enumerate(self._red.pivot_rows.items())
                 if v.get(p)}
 
     def _member(self, v: dict) -> bool:
-        """Whether v lies in the subspace: whether the reducer's step
-        eliminates it to 0."""
-        if any(not 0 <= j < self.ambient_dim for j in v):
-            raise ValueError("vector index out of range for ambient dimension")
+        """Whether v, a sparse vector the caller has checked, lies in the
+        subspace: whether the reducer's step eliminates it to 0."""
         return not self._red.reduce(v)
 
     def __eq__(self, other) -> bool:
@@ -306,9 +306,10 @@ class Subspace:
 
 
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
-    """Kernel of a system given as an iterable of sparse rows (col -> value)."""
+    """Kernel of an iterable of sparse rows, each checked by ``require_vector``."""
     red = _RowReducer()
     for row in sparse_rows:
+        require_vector(row, ncols, "row")
         red.add_row(row)
     return Subspace.from_sparse(ncols, red.kernel_vectors(range(ncols)))
 
@@ -316,12 +317,14 @@ def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
 def solve(ncols: int, sparse_rows, b) -> dict | None:
     """Some x with A x = b as a sparse vector (free variables set to zero),
     or None if inconsistent; A is given by its sparse rows (col -> value),
-    one per entry of b."""
+    one per entry of b; rows and b are checked as by ``require_vector``."""
     sparse_rows, b = list(sparse_rows), list(b)
     if len(sparse_rows) != len(b):
         raise ValueError("right-hand side length does not match row count")
+    require_vector(dict(enumerate(b)), len(b), "right-hand side")
     red = _RowReducer()
     for row, bi in zip(sparse_rows, b):
+        require_vector(row, ncols, "row")
         red.add_row({**row, ncols: bi} if bi else row)
     if ncols in red.pivot_rows:
         return None
@@ -336,31 +339,25 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, via the kernel of the stacked-basis system.
-
-    A vector is in both spaces iff it is sum(lam_i a_i) = sum(mu_j b_j); the
-    coefficient pairs (lam, mu) form the kernel of [A^T | -B^T].
-    """
-    if a.ambient_dim != b.ambient_dim:
+    """Intersection by Zassenhaus's elimination: the rows (u | u), u in a,
+    and (v | 0), v in b, span the (u + v | u), which are (0 | u) for u in
+    both, so the reduced rows with pivot >= n hold a basis in their second half."""
+    n = a.ambient_dim
+    if n != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.units(a.ambient_dim, ())
-    system: dict[int, dict[int, int]] = {}  # ambient coordinate -> its equation
-    for k, row in enumerate(a.rows):
-        for i, e in row.items():
-            system.setdefault(i, {})[k] = e
-    for k, row in enumerate(b.rows):
-        for i, e in row.items():
-            system.setdefault(i, {})[a.dim + k] = -e
-    ker = nullspace_of_rows(a.dim + b.dim, (system[i] for i in sorted(system)))
-    out = [a.combination({k: e for k, e in lam.items() if k < a.dim}) for lam in ker.rows]
-    return Subspace.from_sparse(a.ambient_dim, out)
+    red = _RowReducer()
+    for u in a.rows:
+        red.add_row({**u, **{c + n: e for c, e in u.items()}})
+    for v in b.rows:
+        red.add_row(v)
+    return Subspace._of(n, _RowReducer((p - n, {c - n: e for c, e in r.items()})
+                                       for p, r in red.pivot_rows.items() if p >= n))
 
 
 def contains(a: Subspace, v: dict) -> bool:
-    """True iff the sparse vector v lies in a (exact sparse residual); a
-    value of v that is not an int or a Fraction raises ValueError."""
-    require_exact(v.values(), "in the vector")
+    """True iff the sparse vector v, checked as by ``require_vector``, lies
+    in a (exact sparse residual)."""
+    require_vector(v, a.ambient_dim, "vector")
     return a._member(v)
 
 

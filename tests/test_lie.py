@@ -20,7 +20,7 @@ from liederiv.lie import (
     restrict,
     validate_structure,
 )
-from liederiv.linalg import Q, Subspace, contains
+from liederiv.linalg import Q, Subspace, contains, nullspace_of_rows, solve
 from liederiv.parabolic import (
     BlockComposition,
     adapted_subspaces,
@@ -455,9 +455,40 @@ def test_library_rejects_inexact_input(build, named):
         build()
 
 
+# every public entry point that takes a sparse vector, as (id, bound, call on
+# the vector); units reads only its indices, so it has no bad value to meet
+_SPARSE_ENTRY_POINTS = [
+    ("bracket-x", 4, lambda v: bracket(build_gl(2), v, {0: 1})),
+    ("bracket-y", 4, lambda v: bracket(build_gl(2), {0: 1}, v)),
+    ("ad-matrix", 4, lambda v: ad_matrix(build_gl(2), v)),
+    ("endomatrix", 4, lambda v: EndoMatrix(build_gl(2), [{}, v, {}, {}])),
+    ("from-flat", 16, lambda v: EndoMatrix.from_flat(build_gl(2), v)),
+    ("apply", 4, lambda v: identity(build_gl(2)).apply(v)),
+    ("contains", 2, lambda v: contains(Subspace.full(2), v)),
+    ("coordinates-of", 2, lambda v: Subspace.full(2).coordinates_of(v)),
+    ("combination", 2, lambda v: Subspace.full(2).combination(v)),
+    ("units", 2, lambda v: Subspace.units(2, v)),
+    ("nullspace-of-rows", 2, lambda v: nullspace_of_rows(2, [v])),
+    ("solve", 2, lambda v: solve(2, [v], [1])),
+]
+_BAD_SPARSE_VECTORS = [
+    ("float-index", lambda bound: {0.5: 1}, "index 0.5 out of range"),
+    ("bool-index", lambda bound: {True: 1}, "index True out of range"),
+    ("negative-index", lambda bound: {-1: 1}, "index -1 out of range"),
+    ("index-at-bound", lambda bound: {bound: 1}, "out of range"),
+    ("float-value", lambda bound: {0: 0.5}, "value 0.5 "),
+]
+_BAD_SPARSE_CASES = [
+    pytest.param(lambda f=f, bound=bound, bad=bad: f(bad(bound)), named, id=f"{name}-{kind}")
+    for name, bound, f in _SPARSE_ENTRY_POINTS
+    for kind, bad, named in _BAD_SPARSE_VECTORS
+    if not (name == "units" and kind == "float-value")
+]
+
+
 @pytest.mark.parametrize(
     "call,named",
-    [
+    _BAD_SPARSE_CASES + [
         (lambda: contains(Subspace.full(2), {0: 0.1}), "value 0.1 "),
         (lambda: bracket(build_gl(2), {1: 0.5}, {2: 1}), "value 0.5 "),
         (lambda: ad_matrix(build_gl(2), {1: True}), "value True "),
@@ -468,14 +499,23 @@ def test_library_rejects_inexact_input(build, named):
         (lambda: identity(build_gl(2)).apply({1: "1/2"}), "value '1/2' "),
         (lambda: EndoMatrix(build_gl(2), [{}] * 4, Q(2)), "den Fraction(2, 1) "),
         (lambda: EndoMatrix(build_gl(2), [{}] * 4, 0), "den 0 "),
+        (lambda: solve(2, [{0: 1}], [0.5]), "right-hand side value 0.5 "),
+        (lambda: solve(2, [{0: 1, 2: 5}], [1]), "row index 2 out of range"),
+        (lambda: nullspace_of_rows(2, [{5: 1}]), "row index 5 out of range"),
+        (lambda: Subspace.from_sparse(2, [{0: 0.5}]), "entry is not an int or a Fraction"),
+        (lambda: Subspace.from_sparse(2, [{0: "1/2"}]), "entry is not an int or a Fraction"),
     ],
-    ids=["contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string",
-         "coordinates-of-float", "combination-float", "apply-float", "apply-string",
-         "endomatrix-fraction-den", "endomatrix-zero-den"],
+    ids=[p.id for p in _BAD_SPARSE_CASES] + [
+        "contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string",
+        "coordinates-of-float", "combination-float", "apply-float", "apply-string",
+        "endomatrix-fraction-den", "endomatrix-zero-den", "solve-rhs-float",
+        "solve-stray-column", "nullspace-of-rows-stray-column", "from-sparse-float",
+        "from-sparse-string"],
 )
 def test_sparse_entry_points_reject_inexact_values(call, named):
-    # the public sparse-vector entry points take only int (not bool) and
-    # Fraction values; the internals behind them stay unchecked
+    # the public sparse-vector entry points take only int (not bool) indices
+    # in range and int (not bool) or Fraction values, by require_vector; a
+    # bad value fed to from_sparse is caught where the reducer meets it
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
 

@@ -95,7 +95,7 @@ def test_units_is_the_row_reduction_of_unit_vectors():
     assert s.rows == ({0: 1}, {2: 1}, {4: 1}) and s.pivots() == [0, 2, 4]
     assert s.coordinates_of({2: 3, 4: -1}) == {1: 3, 2: -1}
     assert s.coordinates_of({1: 1}) is None
-    for bad in ([5], [-1], [0, 7]):
+    for bad in ([5], [-1], [0, 7], [0.5], [True]):
         with pytest.raises(ValueError, match="out of range"):
             Subspace.units(5, bad)
         with pytest.raises(ValueError, match="out of range"):
@@ -261,7 +261,10 @@ def test_property_shuffled_rescaled_rows_same_subspace():
 
 
 def test_property_grassmann_identity():
+    # and the intersection is sympy's: sum(lam_k a_k) over the kernel pairs
+    # (lam, mu) of [A^T | -B^T]
     hyp, st, settings = _hypothesis()
+    sympy = pytest.importorskip("sympy")
     pair = st.integers(1, 5).flatmap(
         lambda n: st.tuples(st.just(n), _int_rows(st, n), _int_rows(st, n))
     )
@@ -277,6 +280,12 @@ def test_property_grassmann_identity():
         assert s.dim + i.dim == a.dim + b.dim
         for part, whole in ((a, s), (b, s), (i, a), (i, b)):
             assert all(contains(whole, row) for row in part.rows)
+        ref = []
+        if a.dim and b.dim:
+            A, B = sympy.Matrix(a.vectors()), sympy.Matrix(b.vectors())
+            ref = [[str(e) for e in A.T * k[:a.dim, :]]
+                   for k in sympy.Matrix.hstack(A.T, -B.T).nullspace()]
+        assert i == Subspace.from_vectors(n, ref)
 
     check()
 
