@@ -79,7 +79,8 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     has weight w_l - w_k). Once ``jacobi_holds`` certifies every ad x, the
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
     (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l, else every weight
-    is 0. Only the weight-0 block is fed to the one elimination.
+    is 0. Only the weight-0 equations that have a term are fed to the one
+    elimination: the others read 0 = 0 and leave the kernel as it is.
     """
     d = L.dim
     T = L.int_table  # N times the constants; same kernel, see above
@@ -95,24 +96,26 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
         by_weight.setdefault(W[k], []).append(k)
     red = _RowReducer()  # blocks share no unknown, so it keeps them apart
 
-    for i in range(d):
+    for i, ri in enumerate(rowmap):
         for j in range(i + 1, d):
-            cdict = T[i].get(j, {})
+            cdict, rj = T[i].get(j, {}), rowmap[j]
             # the equation (i, j, l) has its unknowns in block w_l - w_i - w_j
             for l in by_weight.get(W[i] + W[j], ()):
-                row: dict[int, int] = {}
-                for k, v in cdict.items():
-                    idx = k * d + l  # coefficient of D_{l,k}
-                    row[idx] = row.get(idx, 0) + v
-                # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
-                for (m, v) in rowmap[j].get(l, ()):
-                    idx = i * d + m
-                    row[idx] = row.get(idx, 0) - v
-                # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
-                for (m, v) in rowmap[i].get(l, ()):
-                    idx = j * d + m
-                    row[idx] = row.get(idx, 0) + v
-                red.add_row(row)  # it drops the zero entries
+                on_i, on_j = rj.get(l, ()), ri.get(l, ())
+                if cdict or on_i or on_j:  # else the equation reads 0 = 0
+                    row: dict[int, int] = {}
+                    for k, v in cdict.items():
+                        idx = k * d + l  # coefficient of D_{l,k}
+                        row[idx] = row.get(idx, 0) + v
+                    # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
+                    for (m, v) in on_i:
+                        idx = i * d + m
+                        row[idx] = row.get(idx, 0) - v
+                    # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
+                    for (m, v) in on_j:
+                        idx = j * d + m
+                        row[idx] = row.get(idx, 0) + v
+                    red.add_row(row)  # it drops the zero entries
 
     # the flat index k*d + l of D_{l,k}; only the weight-0 unknowns
     kernel = red.kernel_vectors(c for c in range(d * d) if W[c // d] == W[c % d])
@@ -178,11 +181,15 @@ class VerificationReport:
 def _sum_certified(q: ParabolicAlgebra) -> bool:
     """Whether S = l_ideal + ad q lies in Der q: every ad x is a derivation
     (``jacobi_holds``), and so is every E(z, u) of l_ideal, as x_z is
-    central and no bracket has a component on x_u (u in the center or c)."""
+    central and no bracket has a component on x_u (u in the center or c);
+    kept on q with the table it was scanned for, so each table is scanned once."""
     L = q.algebra
-    sources = {*q.center_indices, *q.c_indices}
-    return (jacobi_holds(L) and not any(L.int_table[z] for z in q.center_indices)
+    if getattr(q, "_sum_certificate", (None,))[0] is not L:
+        sources = {*q.center_indices, *q.c_indices}
+        q._sum_certificate = L, (
+            jacobi_holds(L) and not any(L.int_table[z] for z in q.center_indices)
             and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
+    return q._sum_certificate[1]
 
 
 def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationReport:
@@ -191,10 +198,13 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     trivially, (c) both are closed under [D, -] for every basis derivation
     D of der, (d) the dimension formula matches der.
 
-    Each check compares canonical bases or supports, so it is exact. The
-    center-valued maps are closed under [D, -] exactly when D keeps the
-    center and the derived algebra; [D, ad x] = ad(Dx) for a derivation, so
-    [D, ad x_i] in ad q is tested only for the D outside S = lid + ad q
+    Each check compares canonical bases or supports, so it is exact. One
+    elimination, fed the ad x_a and then the unit rows of lid, settles (a)
+    and (b): lid meets ad q in 0 exactly when each unit raises the rank, and
+    its rows are the canonical basis of S = lid + ad q. The center-valued
+    maps are closed under [D, -] exactly when D keeps the center and the
+    derived algebra; [D, ad x] = ad(Dx) for a derivation, so [D, ad x_i] in
+    ad q is tested, against ``inner_derivations``, only for the D outside S
     when S is ``_sum_certified``, with the flags and witnesses of testing
     every D. The witness is the first failure in the order (a)/(b), (d),
     then the two closures.
@@ -203,12 +213,12 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     d = L.dim
     if der.ambient_dim != d * d:
         raise ValueError("ambient dimensions differ")
-    inner = inner_derivations(L)
+    red = _RowReducer()  # (a) and (b), see above
+    inner_dim = sum(red.add_row(_flat_ad(L, a)) for a in range(d))
     lid = l_ideal(q)
-    S = Subspace.from_sparse(d * d, lid.rows + inner.rows)
-
-    # with S == der, the intersection is 0 iff the dimensions add up
-    direct_sum = None if S == der and lid.dim + inner.dim == der.dim else {"kind": "direct_sum"}
+    independent = sum(map(red.add_row, lid.rows)) == lid.dim
+    S = Subspace._of(d * d, red)
+    direct_sum = None if S == der and independent else {"kind": "direct_sum"}
 
     expected = formula_dim(q)
     formula = None if expected == der.dim else {"kind": "formula", "expected": expected,
@@ -228,6 +238,7 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     certified = _sum_certified(q)
     suspects = [] if certified and S == der else [
         di for di, flat in enumerate(der.rows) if not certified or not S._member(flat)]
+    inner = inner_derivations(L) if suspects else None
     ads = [ad_matrix(L, {i: 1}) for i in range(d)] if suspects else []
     maps = ((di, EndoMatrix.from_flat(L, der.rows[di])) for di in suspects)
     # each map's integer columns are den times its true ones
@@ -242,8 +253,8 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     return VerificationReport(
         der_dim=der.dim,
         l_dim=lid.dim,
-        inner_dim=inner.dim,
-        h1_dim=der.dim - inner.dim,
+        inner_dim=inner_dim,
+        h1_dim=der.dim - inner_dim,
         formula_dim=expected,
         direct_sum_ok=direct_sum is None,
         l_is_ideal_ok=l_closure is None,

@@ -217,22 +217,31 @@ class Subspace:
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
-        """The span of sparse vectors; a bad index or value raises ValueError."""
-        red = _RowReducer()
+        """The span of sparse vectors; an index that is not an int from 0 to
+        ambient_dim - 1 or a value that is not an int or a Fraction (a bool
+        is neither) raises ValueError."""
+        vectors = list(sparse_vectors)
+        # the types in one pass over the entries, the range on the reduced rows
         try:
-            for v in sparse_vectors:
-                red.add_row(v)
-        except (AttributeError, TypeError) as e:  # an entry the reducer cannot scale or order
-            raise ValueError(f"vector entry is not an int or a Fraction: {e}") from None
+            values = {*map(type, chain.from_iterable(v.values() for v in vectors))}
+        except AttributeError:  # a vector that is not a mapping
+            raise ValueError("vector is not a sparse dict") from None
+        if not {*map(type, chain.from_iterable(vectors))} <= {int}:
+            raise ValueError("vector index out of range for ambient dimension")
+        if bad := [t for t in values if t is not int and not issubclass(t, Q)]:
+            raise ValueError(f"vector entry is not an int or a Fraction: a {bad[0].__name__}")
+        red = _RowReducer()
+        for v in vectors:
+            red.add_row(v)
         return cls._of(ambient_dim, red)
 
     @classmethod
     def _of(cls, n: int, red: _RowReducer) -> Subspace:
-        # the span holds an outside index exactly when a reduced row does;
-        # a row's pivot is its least index
+        # the reducer's rows, int indices and values; the span holds an
+        # outside index exactly when a reduced row does, and a row's pivot is
+        # its least index
         held = red.pivot_rows
-        if held and not ({*map(type, chain.from_iterable(held.values()))} == {int}
-                         and min(held) >= 0 and max(map(max, held.values())) < n):
+        if held and not (min(held) >= 0 and max(map(max, held.values())) < n):
             raise ValueError("vector index out of range for ambient dimension")
         return cls(n, [{c: r[c] for c in sorted(r)} for _, r in sorted(held.items())])
 

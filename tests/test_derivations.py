@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +17,8 @@ from dense_reference import (
 )
 from root_reference import cartan_element, root_value
 from scaled_reference import scaled_parabolic
+from theorem_reference import two_elimination_report
+from liederiv.cli import main
 from liederiv.derivations import (
     DecompositionError,
     NotADerivationError,
@@ -44,6 +49,7 @@ from liederiv.lie import (
 from liederiv.linalg import (
     Q,
     Subspace,
+    _RowReducer,
     contains,
     nullspace_of_rows,
     solve,
@@ -866,9 +872,13 @@ def _brute_force_closure_flags(q, space):
     return l_ok, inner_ok
 
 
-@pytest.mark.parametrize("extra", ["identity", "center_to_root", "identity_at_root_scale_3/2",
-                                   "identity_plus_center_to_root", "identity_and_center_to_root"])
-def test_fault_injected_closure_flags(request, extra):
+INJECTED_FAULTS = ["identity", "center_to_root", "identity_at_root_scale_3/2",
+                   "identity_plus_center_to_root", "identity_and_center_to_root"]
+
+
+def _injected_space(request, extra):
+    """(q, Der q plus the maps that extra names): the golden q, or the
+    (2,1) parabolic at root scale 3/2."""
     if extra == "identity_at_root_scale_3/2":
         # the maps ad x_i have denominators here, which [D, ad x_i] must carry
         q = scaled_parabolic((2, 1), Q(3, 2))
@@ -886,6 +896,13 @@ def test_fault_injected_closure_flags(request, extra):
                 "identity_and_center_to_root": [ident, to_root]}.get(extra, [ident])
     space = subspace_sum(der, Subspace.from_sparse(d * d, injected))
     assert space.dim == der.dim + len(injected)
+    return q, space
+
+
+@pytest.mark.parametrize("extra", INJECTED_FAULTS)
+def test_fault_injected_closure_flags(request, extra):
+    q, space = _injected_space(request, extra)
+    d = q.dim
     W = grading(q.algebra)
     if extra == "identity_plus_center_to_root":
         assert any(len({W[f % d] - W[f // d] for f in row}) == 2 for row in space.rows)
@@ -951,13 +968,12 @@ def test_l_closure_witness_names_the_place_in_the_derived_set():
                                      "subspace": "derived", "vector_index": 3}
 
 
-@pytest.mark.parametrize("case", ["center_not_central", "bracket_on_c"])
-def test_theorem_gate_certifies_each_center_valued_map(case):
-    # lid + ad q is taken to lie in Der q only if every E(z, u) of lid is a
-    # derivation: x_z central and no bracket with a component on x_u. Each
-    # table keeps Jacobi but breaks one of the two, so lid holds a map D with
-    # some [D, ad x] outside ad q, which the check must test even though D
-    # lies in lid + ad q, the space checked here
+UNCERTIFIED_LID = ["center_not_central", "bracket_on_c"]
+
+
+def _uncertified_lid(case):
+    """A parabolic with a swapped table that keeps Jacobi but makes some
+    E(z, u) of lid no derivation: x_z not central, or a bracket onto x_u."""
     if case == "center_not_central":
         q = build_standard_parabolic((1, 1))  # basis I, H[1], E[1,2]
         q.algebra = LieAlgebra(3, None, [(0, 2, 2, 1), (1, 2, 2, 2)])
@@ -966,6 +982,17 @@ def test_theorem_gate_certifies_each_center_valued_map(case):
         q.algebra = build_standard_parabolic((1, 2)).algebra  # [E[2,3], E[3,2]] = H[2]
         assert q.c_indices == (2,) and q.algebra.int_table[5][6] == {2: 1}
     assert validate_structure(q.algebra).ok
+    return q
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED_LID)
+def test_theorem_gate_certifies_each_center_valued_map(case):
+    # lid + ad q is taken to lie in Der q only if every E(z, u) of lid is a
+    # derivation: x_z central and no bracket with a component on x_u. Each
+    # table keeps Jacobi but breaks one of the two, so lid holds a map D with
+    # some [D, ad x] outside ad q, which the check must test even though D
+    # lies in lid + ad q, the space checked here
+    q = _uncertified_lid(case)
     space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
     report = verify_main_theorem(q, space)
     assert (report.l_is_ideal_ok, report.inner_is_ideal_ok) == _brute_force_closure_flags(q, space)
@@ -996,6 +1023,115 @@ def test_oracle_and_theorem_check_make_no_fraction(blocks, monkeypatch):
     assert verify_main_theorem(q, der).ok
     monkeypatch.undo()
     assert any(next(iter(row.values())) != 1 for row in der.rows)
+
+
+def test_theorem_check_matches_two_eliminations_on_every_parabolic():
+    # every report field, the witness included, equals that of the reference
+    # that reduces ad q on its own and again inside lid + ad q
+    for n in range(1, 7):
+        for blocks in compositions(n):
+            for z in (0, 1):
+                q = build_standard_parabolic(blocks, extra_center=z)
+                der = derivation_algebra(q.algebra)
+                assert verify_main_theorem(q, der) == two_elimination_report(q, der), (blocks, z)
+
+
+def _heisenberg():
+    """The (1,1) parabolic (basis I, H[1], E[1,2]) with the table
+    [x_1, x_2] = -x_0 of the Heisenberg algebra h_3 swapped in."""
+    q = build_standard_parabolic((1, 1))
+    q.algebra = LieAlgebra(3, None, [(1, 2, 0, -1)])
+    return q
+
+
+@pytest.mark.parametrize("case", [*INJECTED_FAULTS, *UNCERTIFIED_LID, "derived_set_short",
+                                  "jacobi_broken", "heisenberg", "heisenberg_lid_plus_ad",
+                                  "oracle_row_dropped"])
+def test_theorem_check_matches_two_eliminations_on_faults(request, case):
+    if case in INJECTED_FAULTS:
+        q, space = _injected_space(request, case)
+    elif case in UNCERTIFIED_LID or case == "heisenberg_lid_plus_ad":
+        q = _heisenberg() if case == "heisenberg_lid_plus_ad" else _uncertified_lid(case)
+        space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
+    else:
+        q = _heisenberg() if case == "heisenberg" else build_standard_parabolic((2, 1))
+        if case == "derived_set_short":
+            q.derived_indices = tuple(p for p in q.derived_indices if p != q.root_index[(1, 3)])
+        elif case == "jacobi_broken":
+            q.algebra = _doubled((2, 1), (1, 3, 3))
+        space = derivation_algebra(q.algebra)
+        if case == "oracle_row_dropped":
+            space = Subspace(space.ambient_dim, space.rows[:-1])
+    report = verify_main_theorem(q, space)
+    assert report == two_elimination_report(q, space)
+    assert not report.ok
+
+
+def test_heisenberg_swap_fails_the_direct_sum():
+    # the ad maps of h_3 send x_1, x_2 into its center, so ad h_3 lies inside
+    # the center-valued maps and Der h_3 is not their direct sum
+    q = _heisenberg()
+    report = verify_main_theorem(q, derivation_algebra(q.algebra))
+    assert (report.der_dim, report.l_dim, report.inner_dim) == (6, 2, 2)
+    assert not report.direct_sum_ok
+    assert report.counterexample == {"kind": "direct_sum"}
+    # checked against S = lid + ad q itself (dim 3), the sum is still not
+    # direct: ad x_2 sends x_1 to x_0, a map of lid
+    space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
+    report = verify_main_theorem(q, space)
+    assert (space.dim, report.direct_sum_ok, report.counterexample) == (3, False,
+                                                                        {"kind": "direct_sum"})
+
+
+def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monkeypatch):
+    # the oracle feeds each equation (i, j, l) of the weight-0 block that has
+    # a term, and no other; a certified theorem check makes no second
+    # elimination of ad q, through inner_derivations or from_sparse
+    q = build_standard_parabolic((3, 2, 1), extra_center=1)
+    L, d = q.algebra, q.dim
+    fed = []
+    real = _RowReducer.add_row
+    monkeypatch.setattr(_RowReducer, "add_row",
+                        lambda red, row: fed.append((red, row)) or real(red, row))
+    der = derivation_algebra(L)
+    W, T = grading(L), L.int_table
+    with_term = [(i, j, l) for i in range(d) for j in range(i + 1, d) for l in range(d)
+                 if W[l] == W[i] + W[j] and (T[i].get(j) or any(
+                     T[m].get(j, {}).get(l) or T[m].get(i, {}).get(l) for m in range(d)))]
+    equations = [row for red, row in fed if red is fed[0][0]]  # the rest span the kernel
+    assert len(equations) == len(with_term) and all(equations)
+
+    def refuse(*args):
+        raise AssertionError("ad q eliminated twice")
+
+    monkeypatch.setattr(derivations, "inner_derivations", refuse)
+    monkeypatch.setattr(Subspace, "from_sparse", refuse)
+    assert verify_main_theorem(q, der).ok
+
+
+def test_sum_certificate_is_scanned_once_per_case(monkeypatch):
+    # verify checks the theorem and splits five draws on one q per case; the
+    # scan of lid + ad q asks jacobi_holds once per table, as the oracle does
+    asks = []
+    real = derivations.jacobi_holds
+    monkeypatch.setattr(derivations, "jacobi_holds", lambda L: asks.append(L) or real(L))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--max-n", "4", "--rounds", "5"]) == 0
+    assert list(Counter(map(id, asks)).values()) == [2] * 15
+
+
+def test_a_table_swapped_into_q_is_scanned_anew():
+    # the certificate of the built table is kept on q; with a table that
+    # breaks Jacobi swapped in, ad x_5 passes every residual check but breaks
+    # Leibniz, so only a fresh scan sends it to the gate
+    q = build_standard_parabolic((2, 1))
+    D = random_combination(q.algebra, derivation_algebra(q.algebra), random.Random(3))
+    res = constructive_decompose(q, D)
+    assert res.l_part + ad_matrix(q.algebra, res.p) == D
+    q.algebra = _doubled((2, 1), (1, 3, 3))
+    with pytest.raises(NotADerivationError) as exc:
+        constructive_decompose(q, ad_matrix(q.algebra, {5: 1}))
+    assert exc.value.pair == (1, 3)
 
 
 def test_random_combination_draws_over_the_rref_basis():

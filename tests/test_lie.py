@@ -504,18 +504,24 @@ _BAD_SPARSE_CASES = [
         (lambda: nullspace_of_rows(2, [{5: 1}]), "row index 5 out of range"),
         (lambda: Subspace.from_sparse(2, [{0: 0.5}]), "entry is not an int or a Fraction"),
         (lambda: Subspace.from_sparse(2, [{0: "1/2"}]), "entry is not an int or a Fraction"),
+        (lambda: Subspace.from_sparse(3, [{1: 1}, {1.0: 1}]), "index out of range"),
+        (lambda: Subspace.from_sparse(3, [{1: 1}, {True: 2}]), "index out of range"),
+        (lambda: Subspace.from_sparse(2, [{0: True}]), "entry is not an int or a Fraction"),
+        (lambda: Subspace.from_sparse(2, [[1, 0]]), "vector is not a sparse dict"),
     ],
     ids=[p.id for p in _BAD_SPARSE_CASES] + [
         "contains-float", "bracket-float", "ad-matrix-bool", "endomatrix-string",
         "coordinates-of-float", "combination-float", "apply-float", "apply-string",
         "endomatrix-fraction-den", "endomatrix-zero-den", "solve-rhs-float",
         "solve-stray-column", "nullspace-of-rows-stray-column", "from-sparse-float",
-        "from-sparse-string"],
+        "from-sparse-string", "from-sparse-float-index-reduced-away",
+        "from-sparse-bool-index-reduced-away", "from-sparse-bool-value", "from-sparse-list"],
 )
 def test_sparse_entry_points_reject_inexact_values(call, named):
     # the public sparse-vector entry points take only int (not bool) indices
-    # in range and int (not bool) or Fraction values, by require_vector; a
-    # bad value fed to from_sparse is caught where the reducer meets it
+    # in range and int (not bool) or Fraction values, by require_vector, and
+    # from_sparse by one pass over the types of its entries, so an entry the
+    # reduction would cancel or absorb is caught too
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
 
