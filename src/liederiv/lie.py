@@ -22,7 +22,7 @@ only where a real denominator does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import combinations
 from math import gcd, lcm
 
 from .linalg import Q, Subspace, _over, nullspace_of_rows, rational, require_vector
@@ -251,7 +251,8 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
     Jacobi identity.
 
     Antisymmetry defects are reported at the i < j orientation; alternation
-    defects ([x_i, x_i] != 0) are reported as (i, i, k).
+    defects ([x_i, x_i] != 0) are reported as (i, i, k). Jacobi defects are
+    every triple of the one Jacobi scan; ``jacobi_holds`` stops at the first.
     """
     report = ValidationReport()
     given: dict[tuple[int, int, int], int | Q] = {}
@@ -266,23 +267,23 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
             bad.add((i, j, k))
     report.antisymmetry_violations = sorted(bad)
 
-    # Jacobi is checked on N times the constants (it is homogeneous in
-    # them), and can only fail on triples meeting the table support
-    T = L.int_table
-    touched = [i for i, row in enumerate(T) if row]
-    for ai in range(len(touched)):
-        for bi in range(ai + 1, len(touched)):
-            for ci in range(bi + 1, len(touched)):
-                i, j, k = touched[ai], touched[bi], touched[ci]
-                acc: dict[int, int] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, v in T[a].get(b, {}).items():
-                        for t, w in T[m].get(c, {}).items():
-                            acc[t] = acc.get(t, 0) + v * w
-                if any(acc.values()):
-                    report.jacobi_violations.append((i, j, k))
-    report.jacobi_violations.sort()
+    report.jacobi_violations = list(_jacobi_failures(L))
     return report
+
+
+def _jacobi_failures(L: LieAlgebra):
+    """The triples (i, j, k), i < j < k, where the table breaks the Jacobi
+    identity, in increasing order; checked on N times the constants (it is
+    homogeneous in them), on the x with nonzero ad (a central x gives 0)."""
+    T = L.int_table
+    for i, j, k in combinations([i for i, row in enumerate(T) if row], 3):
+        acc: dict[int, int] = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in T[a].get(b, {}).items():
+                for t, w in T[m].get(c, {}).items():
+                    acc[t] = acc.get(t, 0) + v * w
+        if any(acc.values()):
+            yield i, j, k
 
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
@@ -439,27 +440,9 @@ def grading(L: LieAlgebra) -> tuple[int, ...]:
 
 
 def jacobi_holds(L: LieAlgebra) -> bool:
-    """Whether every ad x_i passes ``first_leibniz_violation`` (the Jacobi
-    identity of the table), computed once per algebra: one call per batch t,
-    the sum of the t-th nonzero ad x of each weight of ``grading`` (one
-    batch per coroot of a parabolic). The table is homogeneous for that
-    grading, so the ad x of a batch have disjoint supports and the Leibniz
-    defect is weight-graded: the sum passes exactly when each ad x does. A
+    """Whether the table satisfies the Jacobi identity: the triple scan of
+    ``validate_structure`` finds no failure. Computed once per algebra; a
     built ``ParabolicAlgebra`` sets it by construction."""
     if L._jacobi is None:
-        T, W = L.int_table, grading(L)
-        of_weight: dict[int, list[int]] = {}
-        for x in range(L.dim):
-            if T[x]:
-                of_weight.setdefault(W[x], []).append(x)
-        L._jacobi = True
-        for batch in zip_longest(*of_weight.values()):
-            cols: list[dict[int, int]] = [{} for _ in range(L.dim)]
-            for x in batch:
-                if x is not None:
-                    for j, c in T[x].items():
-                        cols[j].update(c)
-            if first_leibniz_violation(L, EndoMatrix(L, cols)) is not None:
-                L._jacobi = False
-                break
+        L._jacobi = next(_jacobi_failures(L), None) is None
     return L._jacobi

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 Q = Fraction
@@ -217,33 +216,22 @@ class Subspace:
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
-        """The span of sparse vectors; an index that is not an int from 0 to
-        ambient_dim - 1 or a value that is not an int or a Fraction (a bool
-        is neither) raises ValueError."""
-        vectors = list(sparse_vectors)
-        # the types in one pass over the entries, the range on the reduced rows
-        try:
-            values = {*map(type, chain.from_iterable(v.values() for v in vectors))}
-        except AttributeError:  # a vector that is not a mapping
-            raise ValueError("vector is not a sparse dict") from None
-        if not {*map(type, chain.from_iterable(vectors))} <= {int}:
-            raise ValueError("vector index out of range for ambient dimension")
-        if bad := [t for t in values if t is not int and not issubclass(t, Q)]:
-            raise ValueError(f"vector entry is not an int or a Fraction: a {bad[0].__name__}")
+        """The span of sparse vectors, each checked by ``require_vector``
+        before it is reduced; a vector that is not a mapping raises
+        ValueError too."""
         red = _RowReducer()
-        for v in vectors:
+        for v in sparse_vectors:
+            try:
+                require_vector(v, ambient_dim, "vector")
+            except AttributeError:
+                raise ValueError("vector is not a sparse dict") from None
             red.add_row(v)
         return cls._of(ambient_dim, red)
 
     @classmethod
     def _of(cls, n: int, red: _RowReducer) -> Subspace:
-        # the reducer's rows, int indices and values; the span holds an
-        # outside index exactly when a reduced row does, and a row's pivot is
-        # its least index
-        held = red.pivot_rows
-        if held and not (min(held) >= 0 and max(map(max, held.values())) < n):
-            raise ValueError("vector index out of range for ambient dimension")
-        return cls(n, [{c: r[c] for c in sorted(r)} for _, r in sorted(held.items())])
+        """The span of a reducer's rows, unchecked: the library's or checked ones."""
+        return cls(n, [{c: r[c] for c in sorted(r)} for _, r in sorted(red.pivot_rows.items())])
 
     @classmethod
     def units(cls, ambient_dim: int, indices) -> Subspace:

@@ -439,3 +439,54 @@ def test_h1_exits_with_der_code_on_a_formula_mismatch(monkeypatch, capsys, fmt, 
     assert code == 3
     assert err == "" and "h1_dim" in out
     assert run(capsys, "h1", *argv) == (3, expected, "")
+
+
+def _decompose_failing_every_second_round(monkeypatch):
+    # round 0 of each case splits, round 1 raises
+    calls = []
+    real = cli.constructive_decompose
+
+    def decompose(q, D):
+        calls.append(q)
+        if len(calls) % 2 == 0:
+            raise derivations.DecompositionError("residual map is wrong", {})
+        return real(q, D)
+
+    monkeypatch.setattr(cli, "constructive_decompose", decompose)
+
+
+def test_verify_reports_a_round_that_raises(monkeypatch, capsys):
+    _decompose_failing_every_second_round(monkeypatch)
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--rounds", "3")
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    assert payload["summary"] == {"cases": 3, "all_ok": False}
+    for case in payload["cases"]:
+        assert case["decompose_ok"] is False and case["ok"] is False
+        assert case["direct_sum_ok"] and case["formula_ok"]
+        assert case["witness"] == {"kind": "decompose", "round": 1,
+                                   "error": "residual map is wrong"}
+
+
+def test_verify_witness_is_the_theorem_counterexample_first(monkeypatch, capsys):
+    # a case that fails both the theorem check and a round names the
+    # theorem check's counterexample
+    _decompose_failing_every_second_round(monkeypatch)
+    monkeypatch.setattr(derivations, "formula_dim", lambda q: -1)
+    code, out, err = run(capsys, "verify", "--max-n", "1", "--rounds", "2")
+    assert (code, err) == (3, "")
+    [case] = json.loads(out)["cases"]
+    assert case["decompose_ok"] is False and case["formula_ok"] is False
+    assert case["witness"] == {"kind": "formula", "expected": -1, "oracle": 1}
+
+
+def test_verify_rejects_max_n_0(capsys):
+    assert run(capsys, "verify", "--max-n", "0") == (
+        2, "", "error: --max-n must be at least 1\n")
+
+
+def test_decompose_rejects_a_float_dim(tmp_path, capsys):
+    path = tmp_path / "float-dim.json"
+    path.write_text('{"dim": 3.0, "matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+    assert run(capsys, "decompose", "--n", "2", "--blocks", "1,1", "--input", str(path)) == (
+        2, "", "error: input dim must be an integer\n")

@@ -232,8 +232,8 @@ def test_oracle_without_a_grading_element(d, dim):
 
 
 def _sl2_pair():
-    """sl2 + sl2 on (e, h, f, e', h', f'): h and h' share weight 0, so the
-    ad maps are certified in two batches."""
+    """sl2 + sl2 on (e, h, f, e', h', f'): h and h' share weight 0, the one
+    weight that two basis vectors have."""
     triples = [(1, 0, 0, 2), (1, 2, 2, -2), (0, 2, 1, 1),
                (4, 3, 3, 2), (4, 5, 5, -2), (3, 5, 4, 1)]
     return LieAlgebra(6, None, triples)
@@ -244,8 +244,7 @@ def test_oracle_with_shared_weights(monkeypatch):
     assert validate_structure(L).ok
     W = grading(L)
     assert W[1] == W[4] == 0 and len(set(W)) == 5
-    calls = _leibniz_calls(monkeypatch)
-    assert jacobi_holds(L) and len(calls) == 2
+    assert jacobi_holds(L)
     der = derivation_algebra(L)
     assert der.dim == 6
     assert der == inner_derivations(L)
@@ -299,19 +298,27 @@ CERTIFICATE_CASES = [(b, z, rs) for n in range(1, 5) for b in compositions(n)
                      for z in (0, 1) for rs in (1, Q(3, 2))]
 
 
-def _jacobi_by_triples(L):
-    return validate_structure(L).jacobi_violations == []
+def _jacobi_by_leibniz(L):
+    """The reference: every ad x_i passes the Leibniz check."""
+    return all(first_leibniz_violation(L, ad_matrix(L, {i: 1})) is None for i in range(L.dim))
+
+
+def _assert_jacobi_matches(L):
+    # jacobi_holds stops at the first failing triple of the scan that
+    # validate_structure lists in full; the reference checks each ad x
+    holds = jacobi_holds(L)
+    assert holds == _jacobi_by_leibniz(L) == (not validate_structure(L).jacobi_violations)
 
 
 def test_jacobi_certificate_matches_validate_structure():
-    # jacobi_holds checks every ad x by one Leibniz call per batch of
-    # distinct weights; validate_structure checks Jacobi triple by triple
+    # the built tables carry the certificate, their bare copies compute it
     tables = [scaled_parabolic(b, rs, extra_center=z).algebra
               for b, z, rs in CERTIFICATE_CASES]
+    tables += [LieAlgebra(L.dim, L.labels, L.triples()) for L in tables]
     tables += [_doubled((2, 1), (1, 3, 3)), _doubled((3,), (3, 5, 1)), _sl2_pair()]
     assert [jacobi_holds(L) for L in tables[-3:]] == [False, False, True]
     for L in tables:
-        assert jacobi_holds(L) == _jacobi_by_triples(L)
+        _assert_jacobi_matches(L)
 
 
 def test_property_jacobi_certificate_matches_validate_structure():
@@ -337,7 +344,7 @@ def test_property_jacobi_certificate_matches_validate_structure():
     @hyp.given(tables)
     def check(L):
         seen.add(jacobi_holds(L))
-        assert jacobi_holds(L) == _jacobi_by_triples(L)
+        _assert_jacobi_matches(L)
 
     check()
     assert seen == {False, True}
@@ -357,17 +364,22 @@ def _leibniz_calls(monkeypatch):
 def test_jacobi_certificate_is_computed_once(monkeypatch):
     # the (2,1,1) parabolic of gl_4 reloaded as a bare table carries no
     # certificate; the oracle and the theorem check share the one they
-    # compute. The grading is read off the table, so there is one batch per
-    # coroot, the first also holding every root vector
+    # compute, by one triple scan per table, with no grading and no Leibniz
+    # check
     L = build_standard_parabolic((2, 1, 1)).algebra
     calls = _leibniz_calls(monkeypatch)
+    scans = []
+    scan = lie._jacobi_failures
+    monkeypatch.setattr(lie, "_jacobi_failures", lambda L: scans.append(L) or scan(L))
+    monkeypatch.setattr(lie, "grading", lambda L: pytest.fail("jacobi_holds read the grading"))
     for table in (LieAlgebra.from_json_dict(L.to_json_dict()),
                   LieAlgebra(L.dim, L.labels, L.triples())):
         q = build_standard_parabolic((2, 1, 1))
         q.algebra = table
         calls.clear()
+        scans.clear()
         assert verify_main_theorem(q, derivation_algebra(q.algebra)).ok
-        assert jacobi_holds(table) and len(calls) == 3
+        assert jacobi_holds(table) and scans == [table] and calls == []
 
 
 def test_built_parabolic_makes_no_leibniz_call(monkeypatch):

@@ -14,7 +14,8 @@ compositions constructively, as JSON; ``decompose``
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7), for input 0 read from stdin,
-and for one derivation perturbed by the map I -> x_10, which must exit 4;
+and for one derivation perturbed by the map I -> x_10, which must exit 4,
+and for input 0 with ``--format text``, which prints the same JSON;
 and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, for the Borel of gl_5,
 for gl_4 with blocks 1,2,1 and two extra central generators, whose
@@ -63,10 +64,10 @@ def _check(capsys, monkeypatch, entry):
 
 
 def _entry(golden):
-    """The manifest entry, reading no stdin, whose stderr file is golden or,
-    naming no stderr file, whose stdout file is."""
-    [t] = [t for t, e in enumerate(GOLDEN) if e.get("stderr", e["stdout"]) == golden
-           and "stdin" not in e]
+    """The first manifest entry, reading no stdin, whose stderr file is
+    golden or, naming no stderr file, whose stdout file is."""
+    t = next(t for t, e in enumerate(GOLDEN) if e.get("stderr", e["stdout"]) == golden
+             and "stdin" not in e)
     _named.add(t)
     return GOLDEN[t]
 

@@ -7,7 +7,12 @@ import pytest
 from dense_reference import Matrix, as_endo, as_matrix, dense_bracket, identity, sparse
 from root_reference import root_value
 from scaled_reference import scaled_parabolic
-from liederiv.derivations import derivation_algebra, random_combination
+from liederiv.derivations import (
+    derivation_algebra,
+    dimension_formula,
+    random_combination,
+    verify_main_theorem,
+)
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
@@ -455,6 +460,43 @@ def test_library_rejects_inexact_input(build, named):
         build()
 
 
+
+def _assign_rows():
+    Subspace.full(2).rows = ()
+
+
+@pytest.mark.parametrize(
+    "call,error,named",
+    [
+        (lambda: LieAlgebra(2, ["a"], []), ValueError, "label count does not match dimension"),
+        (lambda: LieAlgebra(2, None, [(0, 2, 1, 1)]), ValueError,
+         "triple (0,2,1) out of range for dim 2"),
+        (lambda: bracket_span(build_gl(2), Subspace.full(4), Subspace.full(3)), ValueError,
+         "subspace ambient dimension does not match algebra"),
+        (lambda: restrict(build_gl(2), Subspace.full(3)), ValueError,
+         "subspace ambient dimension does not match algebra"),
+        (lambda: first_leibniz_violation(build_gl(2), identity(abelian(3))), ValueError,
+         "column count does not match algebra dimension"),
+        (lambda: verify_main_theorem(build_standard_parabolic((2, 1)), Subspace.full(9)),
+         ValueError, "ambient dimensions differ"),
+        (lambda: dimension_formula(-1, 1, 0, 3), ValueError, "arguments must be nonnegative"),
+        (lambda: solve(2, [{0: 1}], [1, 2]), ValueError,
+         "right-hand side length does not match row count"),
+        (_assign_rows, AttributeError, "Subspace is immutable"),
+        (lambda: BlockComposition(0, (1,)), ValueError, "n must be at least 1"),
+        (lambda: list(compositions(0)), ValueError, "n must be at least 1"),
+    ],
+    ids=["label-count", "triple-out-of-range", "bracket-span-ambient", "restrict-ambient",
+         "leibniz-column-count", "theorem-ambient", "formula-negative", "solve-rhs-length",
+         "subspace-assignment", "composition-of-0", "compositions-of-0"],
+)
+def test_library_rejects_mismatched_sizes(call, error, named):
+    # sizes that do not fit together raise with a message naming the
+    # mismatch, and a Subspace takes no assignment
+    with pytest.raises(error, match=re.escape(named)):
+        call()
+
+
 # every public entry point that takes a sparse vector, as (id, bound, call on
 # the vector); units reads only its indices, so it has no bad value to meet
 _SPARSE_ENTRY_POINTS = [
@@ -502,11 +544,11 @@ _BAD_SPARSE_CASES = [
         (lambda: solve(2, [{0: 1}], [0.5]), "right-hand side value 0.5 "),
         (lambda: solve(2, [{0: 1, 2: 5}], [1]), "row index 2 out of range"),
         (lambda: nullspace_of_rows(2, [{5: 1}]), "row index 5 out of range"),
-        (lambda: Subspace.from_sparse(2, [{0: 0.5}]), "entry is not an int or a Fraction"),
-        (lambda: Subspace.from_sparse(2, [{0: "1/2"}]), "entry is not an int or a Fraction"),
-        (lambda: Subspace.from_sparse(3, [{1: 1}, {1.0: 1}]), "index out of range"),
-        (lambda: Subspace.from_sparse(3, [{1: 1}, {True: 2}]), "index out of range"),
-        (lambda: Subspace.from_sparse(2, [{0: True}]), "entry is not an int or a Fraction"),
+        (lambda: Subspace.from_sparse(2, [{0: 0.5}]), "vector value 0.5 "),
+        (lambda: Subspace.from_sparse(2, [{0: "1/2"}]), "vector value '1/2' "),
+        (lambda: Subspace.from_sparse(3, [{1: 1}, {1.0: 1}]), "vector index 1.0 out of range"),
+        (lambda: Subspace.from_sparse(3, [{1: 1}, {True: 2}]), "vector index True out of range"),
+        (lambda: Subspace.from_sparse(2, [{0: True}]), "vector value True "),
         (lambda: Subspace.from_sparse(2, [[1, 0]]), "vector is not a sparse dict"),
     ],
     ids=[p.id for p in _BAD_SPARSE_CASES] + [
@@ -519,8 +561,8 @@ _BAD_SPARSE_CASES = [
 )
 def test_sparse_entry_points_reject_inexact_values(call, named):
     # the public sparse-vector entry points take only int (not bool) indices
-    # in range and int (not bool) or Fraction values, by require_vector, and
-    # from_sparse by one pass over the types of its entries, so an entry the
+    # in range and int (not bool) or Fraction values, by require_vector;
+    # from_sparse checks each vector before it reduces it, so an entry the
     # reduction would cancel or absorb is caught too
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
