@@ -120,10 +120,7 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     # the flat index k*d + l of D_{l,k}; only the weight-0 unknowns
     kernel = red.kernel_vectors(c for c in range(d * d) if W[c // d] == W[c % d])
     kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
-    basis = _RowReducer()  # library rows, so reduced with no input check
-    for v in kernel:
-        basis.add_row(v)
-    return Subspace._of(d * d, basis)
+    return Subspace.from_sparse(d * d, kernel)
 
 
 def inner_derivations(L: LieAlgebra) -> Subspace:

@@ -460,7 +460,6 @@ def test_library_rejects_inexact_input(build, named):
         build()
 
 
-
 def _assign_rows():
     Subspace.full(2).rows = ()
 
