@@ -13,54 +13,12 @@ lies in the center-valued ideal, and where the sum is direct the split
 into the two summands is unique.
 """
 
-from .derivations import (
-    DecompositionError,
-    DecompositionResult,
-    NotADerivationError,
-    VerificationReport,
-    cartan_solve,
-    complexify,
-    constructive_decompose,
-    derivation_algebra,
-    dimension_formula,
-    extend_derivation,
-    inner_derivations,
-    l_ideal,
-    random_combination,
-    root_line_reduction,
-    split_derivation,
-    verify_main_theorem,
-)
-from .lie import (
-    EndoMatrix,
-    LieAlgebra,
-    ValidationReport,
-    ad_matrix,
-    bracket,
-    bracket_span,
-    center,
-    first_leibniz_violation,
-    grading,
-    jacobi_holds,
-    restrict,
-    validate_structure,
-)
-from .linalg import (
-    Q,
-    Subspace,
-    contains,
-    is_direct_sum,
-    nullspace_of_rows,
-    solve,
-    subspace_intersect,
-    subspace_sum,
-)
-from .parabolic import (
-    BlockComposition,
-    ParabolicAlgebra,
-    build_gl,
-    build_standard_parabolic,
-    compositions,
-)
+from .derivations import *
+from .lie import *
+from .linalg import *
+from .parabolic import *
+
+# each module's __all__ is the one list of its public names
+__all__ = derivations.__all__ + lie.__all__ + linalg.__all__ + parabolic.__all__
 
 __version__ = "0.1.0"

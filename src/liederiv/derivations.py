@@ -36,7 +36,6 @@ __all__ = [
     "verify_main_theorem",
     "constructive_decompose",
     "root_line_reduction",
-    "cartan_solve",
     "split_derivation",
     "dimension_formula",
     "formula_dim",

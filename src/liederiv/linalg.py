@@ -86,15 +86,17 @@ class _RowReducer:
     appears in exactly one row), which keeps fill-in bounded by the number
     of non-pivot columns and makes each row the primitive multiple of a row
     of the unique RREF of the fed rows, independent of feed order.
-    ``pivot_rows``, pivot column -> row, is the whole state: the rows with
-    an entry at a column are found by a scan, and the rank grows far less
-    often than rows are fed.
+    ``pivot_rows`` maps each pivot column to its row. ``touched``, built by
+    the first ``add_row``, holds every column a stored row has ever had an
+    entry at, so a new pivot is eliminated from the other rows by a scan
+    only when one of them may hold it: independent unit rows make no scan.
     """
 
-    __slots__ = ("pivot_rows",)
+    __slots__ = ("pivot_rows", "touched")
 
     def __init__(self, pivot_rows=()):
         self.pivot_rows: dict[int, dict[int, int]] = dict(pivot_rows)
+        self.touched: set[int] | None = None
 
     @staticmethod
     def _reduce_content(row: dict[int, int]) -> None:
@@ -148,9 +150,13 @@ class _RowReducer:
         if work[piv] < 0:
             for c in work:
                 work[c] = -work[c]
-        for other in self.pivot_rows.values():
-            if piv in other:
-                self._combine(other, work, piv)
+        if self.touched is None:
+            self.touched = {c for r in self.pivot_rows.values() for c in r}
+        if piv in self.touched:
+            for other in self.pivot_rows.values():
+                if piv in other:
+                    self._combine(other, work, piv)
+        self.touched.update(work)
         self.pivot_rows[piv] = work
         return True
 

@@ -40,6 +40,10 @@ __all__ = [
     "compositions",
 ]
 
+# the largest dim q built: ``der`` on the slowest shape at this size, one
+# block with every other generator central, takes seconds and a few hundred MB
+MAX_DIM = 400
+
 
 @dataclass(frozen=True)
 class BlockComposition:
@@ -130,7 +134,8 @@ class ParabolicAlgebra:
     (i, j). The center, the complement c of the derived algebra and the
     derived algebra are spanned by basis vectors; ``center_indices``,
     ``c_indices`` and ``derived_indices`` hold their positions, sorted, and
-    are checked to split q.
+    are checked to split q. A q of dim above ``MAX_DIM`` raises ValueError
+    before anything is built.
     """
 
     def __init__(self, composition: BlockComposition, extra_center: int = 0):
@@ -139,6 +144,11 @@ class ParabolicAlgebra:
         if extra_center < 0:
             raise ValueError("extra_center must be nonnegative")
         n = composition.n
+        # the center, the coroots and one generator per root: n(n - 1)/2
+        # positive ones and b(b - 1)/2 negative ones in each block b
+        dim =1 + extra_center + (n - 1) + sum(b * (b - 1) // 2 for b in (n, *composition.blocks))
+        if dim > MAX_DIM:
+            raise ValueError(f"dim q = {dim} is above the limit of {MAX_DIM}")
         self.composition = composition
         self.extra_center = extra_center
 
@@ -155,7 +165,6 @@ class ParabolicAlgebra:
         self.center_indices = tuple(range(m))
         self.coroot_index = {k: m + (k - 1) for k in range(1, n)}
         self.root_index = {r: m + (n - 1) + t for t, r in enumerate(roots)}
-        dim = len(labels)
 
         # the commutators of e_kk - e_(k+1,k+1) (the coroot h_k) and e_ij
         # (the root generator x_(i,j)), in closed form;

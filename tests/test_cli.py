@@ -1,13 +1,19 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import liederiv
 from liederiv import cli, derivations, parabolic
 from liederiv.cli import _build_parser, _json, main
 from liederiv.lie import ad_matrix
-from liederiv.linalg import Q
+from liederiv.linalg import Q, integer
+from liederiv.parabolic import BlockComposition, build_standard_parabolic, compositions
 
 DATA = Path(__file__).parent / "data"
 
@@ -490,3 +496,134 @@ def test_decompose_rejects_a_float_dim(tmp_path, capsys):
     path.write_text('{"dim": 3.0, "matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
     assert run(capsys, "decompose", "--n", "2", "--blocks", "1,1", "--input", str(path)) == (
         2, "", "error: input dim must be an integer\n")
+
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["der", "--n", "2", "--blocks", "2", "--extra-center", _HUGE],
+    ["der", "--n", _HUGE, "--blocks", _HUGE],
+], ids=["extra-center", "n"])
+def test_over_limit_exits_2_in_bounded_time(argv):
+    # out of process with a timeout, so a build that is not bounded before
+    # it allocates fails here instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(liederiv.__file__).resolve().parent.parent)}
+    r = subprocess.run([sys.executable, "-m", "liederiv.cli", *argv], capture_output=True,
+                       env=env, timeout=20)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert re.fullmatch(rb"error: dim q = [0-9]+ is above the limit of [0-9]+\n", r.stderr)
+
+
+# bad command-line values: malformed strings and, where the cost does not
+# grow with the value, the over-limit size
+_MALFORMED = ["", "x", "1.5", "+1", "1_0", "\u0663", "1e3"]
+_BAD = {
+    "--n": [_HUGE, "0", *_MALFORMED],
+    "--blocks": [_HUGE, "0", "5", "1,", ",", *_MALFORMED],
+    "--extra-center": [_HUGE, "-1", *_MALFORMED],
+    "--format": ["xml"],
+    "--input": ["missing.json"],
+    "--max-n": ["0", "-1", *_MALFORMED],
+    "--seed": _MALFORMED,
+    "--rounds": ["-1", *_MALFORMED],
+}
+_COMMON = ("--n", "--blocks", "--extra-center", "--format")
+_OPTIONS = {"describe": _COMMON, "der": _COMMON, "h1": _COMMON,
+            "decompose": (*_COMMON, "--input"),
+            "verify": ("--max-n", "--seed", "--rounds", "--format")}
+
+
+def _often(st, usual, other):
+    """A draw from usual nine times in ten, else one from other (one_of
+    would weigh each value of a sampled other alike with usual)."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda keep: usual if keep else other)
+
+
+def _argv(st, data) -> list[str]:
+    """A command with each of its options given a small valid value, a bad
+    one or left out, and at times one option another command takes."""
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    n = data.draw(st.sampled_from([1, 2, 3, 4]))
+    valid = {
+        "--n": str(n),
+        "--blocks": ",".join(map(str, data.draw(st.sampled_from(list(compositions(n)))))),
+        "--extra-center": str(data.draw(st.integers(0, 2))),
+        "--format": data.draw(st.sampled_from(["json", "text"])),
+        "--input": "-",
+        "--max-n": str(data.draw(st.integers(1, 3))),
+        "--seed": data.draw(st.sampled_from(["-3", "0", "5", _HUGE])),
+        "--rounds": str(data.draw(st.integers(0, 2))),
+    }
+    argv = [command]
+    for option in _OPTIONS[command]:
+        value = data.draw(_often(st, st.just(valid[option]),
+                                 st.sampled_from([*_BAD[option], None])))
+        if option == "--blocks" and argv[-1] == _HUGE:
+            value = _HUGE  # the one composition of the over-limit n
+        if value is not None:
+            argv += [option, value]
+    others = sorted(_BAD.keys() - _OPTIONS[command])
+    if stray := data.draw(_often(st, st.none(), st.sampled_from(others))):
+        argv += [stray, valid[stray]]
+    return argv
+
+
+def _decompose_text(st, data, argv) -> str:
+    """A decompose input for the parabolic argv names: a matrix of its dim
+    (3 if argv names none) with a few entries set to a drawn value, then
+    perhaps a wrong dim, a ragged row or a document that is no such object."""
+    values = dict(zip(argv[1::2], argv[2::2]))
+    try:
+        comp = BlockComposition.parse(integer(values["--n"]), values["--blocks"])
+        d = build_standard_parabolic(comp, extra_center=integer(values.get("--extra-center",
+                                                                           "0"))).dim
+    except (KeyError, ValueError):
+        d = 3
+    entry = _often(st, st.sampled_from([1, -2, 3, 0, "1/2", "-3/4", "0", "-0"]),
+                   st.sampled_from(["1/0", "0.5", "1e2", " 7 ", "x", 0.5, 0.0, 1.0,
+                                    float("nan"), True, False, None, [1], {}]))
+    matrix = [[0] * d for _ in range(d)]
+    # I -> x_(d - 1), no derivation unless x_(d - 1) is central (n = 1)
+    matrix[d - 1][0] = data.draw(st.sampled_from([1, 0]))
+    place = st.sampled_from(range(d))
+    for i, j, e in data.draw(st.lists(st.tuples(place, place, entry), max_size=3)):
+        matrix[i][j] = e
+    if data.draw(_often(st, st.just(False), st.just(True))):
+        row = matrix[data.draw(place)]  # made ragged
+        if data.draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0)
+    dim = data.draw(_often(st, st.just(d), st.sampled_from([d + 1, 3.0, True, None, "3"])))
+    return data.draw(_often(st, st.just(json.dumps({"dim": dim, "matrix": matrix})),
+                            st.sampled_from(["", "{", "[]", "null", '{"dim": 3}'])))
+
+
+def test_property_every_input_ends_with_a_documented_exit_code(monkeypatch, capsys):
+    # each command with generated options and decompose input ends with
+    # exit 0, 2, 3 or 4 (argparse's usage error is SystemExit(2)), raises
+    # nothing else, and prints nothing on stdout after an error
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    monkeypatch.chdir(DATA)
+    seen = set()
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        argv = _argv(st, data)
+        stdin = _decompose_text(st, data, argv) if argv[0] == "decompose" else ""
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, _ = capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        if code in (2, 4):
+            assert out == "", argv
+        seen.add(code)
+
+    check()
+    assert seen >= {0, 2, 4}  # the inputs reach success, usage error and non-derivation

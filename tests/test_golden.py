@@ -3,8 +3,10 @@
 ``tests/data/golden.json`` lists the golden commands, one object each: the
 argv (run in tests/data), an optional file fed to stdin, the exit code, the
 file holding stdout and an optional file holding stderr, which must be
-empty where none is named. CI diffs the same list through the installed
-console script. The files hold the output of earlier runs of the commands:
+empty where none is named. A named test below finds its one entry by the
+entry's stderr file if it names one, else by its stdout file (``_entry``).
+CI diffs the same list through the installed console script. The files
+hold the output of earlier runs of the commands:
 ``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and
 ``verify --max-n 6 --rounds 0`` and ``verify --max-n 7 --rounds 0``, which
 take all 63 and all 127 compositions through the theorem check and no
@@ -16,6 +18,9 @@ combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7), for input 0 read from stdin,
 and for one derivation perturbed by the map I -> x_10, which must exit 4,
 and for input 0 with ``--format text``, which prints the same JSON;
+``der`` for gl_2 with 99999999999999999999 extra central generators, a q
+above the size limit, which must exit 2 with one error line before it
+builds anything;
 and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, for the Borel of gl_5,
 for gl_4 with blocks 1,2,1 and two extra central generators, whose
@@ -107,6 +112,7 @@ test_der_two_extra_center_stdout_matches_golden = _named_test("der-n6-b321-z2.js
 test_decompose_stdout_matches_golden = _named_tests(
     {str(k): f"decompose-{k}.out.json" for k in range(6)})
 test_decompose_perturbed_matches_golden = _named_test("decompose-perturbed.err.txt")
+test_der_over_limit_matches_golden = _named_test("der-over-limit.err.txt")
 
 
 @pytest.mark.parametrize(

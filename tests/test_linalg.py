@@ -430,6 +430,34 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
     check()
 
 
+class _CountingRows(dict):
+    """A reducer's ``pivot_rows`` that counts the scans of its rows."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def test_independent_unit_rows_make_no_scan():
+    # no stored row holds the pivot of a new unit row, so no stored row is
+    # searched for it; a scan per row made feeding r rows quadratic in r.
+    # The first row builds the reducer's column set, before counting starts
+    red = _RowReducer()
+    assert red.add_row({0: 1})
+    red.pivot_rows = _CountingRows(red.pivot_rows)
+    assert all(red.add_row({c: 1}) for c in range(1, 3000))
+    assert red.pivot_rows.scans == 0
+    assert red.pivot_rows == {c: {c: 1} for c in range(3000)}
+
+
+def test_reducer_built_from_rows_eliminates_a_new_pivot_from_them():
+    red = _RowReducer({0: {0: 1, 1: 1}})
+    assert red.add_row({1: 2})
+    assert red.pivot_rows == {0: {0: 1}, 1: {1: 1}}
+
+
 def test_int_and_fraction_input_give_equal_subspaces():
     hyp, st, settings = _hypothesis()
     entry = st.integers(-3, 3)

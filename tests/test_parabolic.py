@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import re
 
 import pytest
@@ -312,6 +313,20 @@ def test_extra_center():
     assert q.center_indices == (0, 1)
     assert center(q.algebra) == unit_span(q, q.center_indices)
     assert q.algebra.labels[:2] == ("I", "Z[2]")
+
+
+def test_size_limit_boundary():
+    # the limit on dim q is checked before anything is built, exactly at
+    # its boundary: in the slowest shape (one block, every other generator
+    # central) and for the whole gl_n
+    limit = parabolic.MAX_DIM
+    assert build_standard_parabolic((1,), extra_center=limit - 1).dim == limit
+    with pytest.raises(ValueError, match=f"^dim q = {limit + 1} is above the limit of {limit}$"):
+        build_standard_parabolic((1,), extra_center=limit)
+    n = math.isqrt(limit)
+    assert build_standard_parabolic((n,)).dim == n * n
+    with pytest.raises(ValueError, match=f"^dim q = {(n + 1) ** 2} is above"):
+        build_standard_parabolic((n + 1,))
 
 
 def test_semisimple_restriction_is_trace_zero_part(golden_q):
