@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import random
 import sys
-from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import lcm
 
@@ -151,16 +149,17 @@ def _read_derivation(args, algebra) -> EndoMatrix:
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"matrix must be a list of {dim} rows")
-    # the string "0" is skipped at C speed; each other distinct string is
-    # parsed once, and an entry that fails is never stored, so the error
-    # names its first place
+    # the string "0" is skipped; each other distinct string is parsed once,
+    # and an entry that fails is never stored, so the error names its first
+    # place
     parsed: dict[str, Q] = {}
     cols: list[dict[int, int | Q]] = [{} for _ in range(dim)]
-    nonzero = functools.partial(operator.ne, "0")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries at row {i}")
-        for j, e in compress(enumerate(row), map(nonzero, row)):
+        for j, e in enumerate(row):
+            if e == "0":
+                continue
             v = e if type(e) is int else parsed.get(e) if type(e) is str else None
             if v is None:
                 # JSON holds no Fraction, so this raises unless e is a string

@@ -79,9 +79,13 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
     (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l, else every weight
     is 0. Only the weight-0 equations that have a term are fed to the one
-    elimination: the others read 0 = 0 and leave the kernel as it is.
+    elimination: the others read 0 = 0 and leave the kernel as it is. It
+    numbers D_{l,k} top - (k*d + l), top = d*d - 1, so each kernel vector,
+    mapped back, leads at its free column and is zero at the others: the
+    canonical rows, which ``Subspace.from_sparse`` finds already reduced.
     """
     d = L.dim
+    top = d * d - 1
     T = L.int_table  # N times the constants; same kernel, see above
     W = grading(L) if jacobi_holds(L) else (0,) * d
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
@@ -104,20 +108,21 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
                 if cdict or on_i or on_j:  # else the equation reads 0 = 0
                     row: dict[int, int] = {}
                     for k, v in cdict.items():
-                        idx = k * d + l  # coefficient of D_{l,k}
+                        idx = top - (k * d + l)  # coefficient of D_{l,k}
                         row[idx] = row.get(idx, 0) + v
                     # [d x_i, x_j]_l = sum_m D_{m,i} c_{mj}^l enters negatively
                     for (m, v) in on_i:
-                        idx = i * d + m
+                        idx = top - (i * d + m)
                         row[idx] = row.get(idx, 0) - v
                     # [x_i, d x_j]_l = sum_m D_{m,j} c_{im}^l = -sum_m D_{m,j} c_{mi}^l
                     for (m, v) in on_j:
-                        idx = j * d + m
+                        idx = top - (j * d + m)
                         row[idx] = row.get(idx, 0) + v
                     red.add_row(row)  # it drops the zero entries
 
-    # the flat index k*d + l of D_{l,k}; only the weight-0 unknowns
-    kernel = red.kernel_vectors(c for c in range(d * d) if W[c // d] == W[c % d])
+    # back to the flat index k*d + l of D_{l,k}; only the weight-0 unknowns
+    kernel = [{top - c: v for c, v in vec.items()} for vec in red.kernel_vectors(
+        top - c for c in range(d * d) if W[c // d] == W[c % d])]
     kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
     return Subspace.from_sparse(d * d, kernel)
 
@@ -178,17 +183,9 @@ class VerificationReport:
 
 
 def _sum_certified(q: ParabolicAlgebra) -> bool:
-    """Whether S = l_ideal + ad q lies in Der q: every ad x is a derivation
-    (``jacobi_holds``), and so is every E(z, u) of l_ideal, as x_z is
-    central and no bracket has a component on x_u (u in the center or c);
-    kept on q with the table it was scanned for, so each table is scanned once."""
-    L = q.algebra
-    if getattr(q, "_sum_certificate", (None,))[0] is not L:
-        sources = {*q.center_indices, *q.c_indices}
-        q._sum_certificate = L, (
-            jacobi_holds(L) and not any(L.int_table[z] for z in q.center_indices)
-            and all(sources.isdisjoint(ks) for row in L.int_table for ks in row.values()))
-    return q._sum_certificate[1]
+    """Whether S = l_ideal + ad q lies in Der q by the build's argument
+    (``ParabolicAlgebra.__init__``): only for the table the build made."""
+    return q.algebra is q._built
 
 
 def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationReport:
@@ -204,9 +201,9 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     maps are closed under [D, -] exactly when D keeps the center and the
     derived algebra; [D, ad x] = ad(Dx) for a derivation, so [D, ad x_i] in
     ad q is tested, against ``inner_derivations``, only for the D outside S
-    when S is ``_sum_certified``, with the flags and witnesses of testing
-    every D. The witness is the first failure in the order (a)/(b), (d),
-    then the two closures.
+    when the build certifies S (``_sum_certified``), and for every D of a
+    table swapped in later, with the same flags and witnesses. The witness
+    is the first failure in the order (a)/(b), (d), then the two closures.
     """
     L = q.algebra
     d = L.dim
@@ -346,9 +343,9 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     weight, and the table is weight-homogeneous, so ad x has no diagonal
     entry on a root line. l_part = D - ad p must map into the center and
     be zero on the derived algebra. The Leibniz gate runs after the
-    split, when a residual check fails or S = l_ideal + ad q is not
-    ``_sum_certified``: passing the checks puts D = l_part + ad p in S, so
-    with S certified inside Der q no map that breaks Leibniz passes them.
+    split, when a residual check fails or the build did not make q.algebra
+    (``_sum_certified``): passing the checks puts D = l_part + ad p in
+    S = l_ideal + ad q, which the build certifies to lie in Der q.
     A map that breaks Leibniz raises NotADerivationError with its first bad
     pair, and a derivation that fails a check raises DecompositionError.
     """

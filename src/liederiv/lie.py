@@ -42,14 +42,21 @@ __all__ = [
     "jacobi_holds",
 ]
 
+# the largest dim of an algebra, checked before anything is allocated: twice
+# ``parabolic.MAX_DIM``, so that ``complexify`` of every built q fits. At this
+# size ``derivation_algebra`` takes about 1.5 min on the complexified gl_20,
+# and about 20 s and 0.5 GB on a complexified abelian q (extrapolated from
+# dims 200 and 400, CPython 3.11 on one core of a 2-vCPU host)
+MAX_DIM = 800
+
 
 class LieAlgebra:
     """``int_table[i][j]`` is {k: N c_ij^k} for every ordered pair with a
     nonzero bracket, so ``int_table[i]`` is the map N ad x_i as sparse
     columns; N, the common denominator of the constants, is ``denominator``.
-    The dimension is an int. Structure constants are ints, Fractions or
-    rational strings ("p", "p/q"), indices are ints; anything else raises
-    ValueError naming its triple.
+    The dimension is an int of at most ``MAX_DIM``. Structure constants are
+    ints, Fractions or rational strings ("p", "p/q"), indices are ints;
+    anything else raises ValueError naming its triple.
     """
 
     __slots__ = ("dim", "labels", "_raw", "int_table", "denominator", "_jacobi")
@@ -57,6 +64,8 @@ class LieAlgebra:
     def __init__(self, dim: int, labels, triples):
         if type(dim) is not int or dim < 0:
             raise ValueError(f"dim {dim!r} is not a nonnegative int")
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} is above the limit of {MAX_DIM}")
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")

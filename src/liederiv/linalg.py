@@ -135,8 +135,8 @@ class _RowReducer:
         else:
             work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         # a stored row holds no other pivot column, so each combination
-        # leaves work's other pivot entries nonzero
-        for c in sorted(work.keys() & self.pivot_rows.keys()):
+        # leaves work's other pivot entries nonzero, in any order
+        for c in work.keys() & self.pivot_rows.keys():
             self._combine(work, self.pivot_rows[c], c)
         return work
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
 
+from . import lie
 from .lie import LieAlgebra, bracket
 from .linalg import Q, Subspace, integer, is_direct_sum
 
@@ -190,8 +191,14 @@ class ParabolicAlgebra:
                     triples.extend((a, b, self.coroot_index[k], 1) for k in range(i, j))
         self.algebra = LieAlgebra(dim, labels, triples)
         # the table is the gl_n bracket of linearly independent matrices (an
-        # escaping bracket raised above), so Jacobi holds
+        # escaping bracket raised above), so Jacobi holds. S = lid + ad q lies
+        # in Der q too: every ad x is a derivation, and so is every E(z, u) of
+        # lid, as I and the Z[t] bracket to 0 and every bracket lands on a root
+        # generator or, for [e_ij, e_ji] with e_ji in q, on coroots of delta',
+        # so no bracket has a component on x_u, u in the center or c.
+        # ``derivations._sum_certified`` holds for this table alone
         self.algebra._jacobi = True
+        self._built = self.algebra
 
         h = self.coroot_index
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
@@ -262,9 +269,12 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
 
 
 def build_gl(n: int) -> LieAlgebra:
-    """gl_n on the matrix-unit basis E[i,j], lexicographic in (i, j)."""
+    """gl_n on the matrix-unit basis E[i,j], lexicographic in (i, j); n*n
+    at most ``lie.MAX_DIM``, checked before any bracket is formed."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n * n > lie.MAX_DIM:
+        raise ValueError(f"dim {n * n} is above the limit of {lie.MAX_DIM}")
     units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     pos = {u: t for t, u in enumerate(units)}
     labels = [f"E[{i},{j}]" for (i, j) in units]

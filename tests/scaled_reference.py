@@ -27,7 +27,9 @@ def scaled_parabolic(blocks, s, extra_center: int = 0):
             (a, b, k, v * sigma.get(a, 1) * sigma.get(b, 1) / sigma.get(k, 1))
             for a, b, k, v in L.triples()
         ])
-        # rescaling basis vectors is an isomorphism, so the build's Jacobi
-        # certificate carries over
+        # rescaling basis vectors is an isomorphism that fixes the center
+        # and c, so the build's certificates, Jacobi and lid + ad q in Der q,
+        # carry over
         q.algebra._jacobi = L._jacobi
+        q._built = q.algebra
     return q

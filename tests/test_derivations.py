@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from liederiv.cli import main
 from liederiv.derivations import (
     DecompositionError,
     NotADerivationError,
+    _sum_certified,
     cartan_solve,
     complexify,
     constructive_decompose,
@@ -1121,21 +1123,25 @@ def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monke
     assert verify_main_theorem(q, der).ok
 
 
-def test_sum_certificate_is_scanned_once_per_case(monkeypatch):
+def test_build_certifies_the_sum_without_a_scan(monkeypatch):
     # verify checks the theorem and splits five draws on one q per case; the
-    # scan of lid + ad q asks jacobi_holds once per table, as the oracle does
+    # build certifies lid + ad q, so jacobi_holds is asked once per table,
+    # by the oracle alone
     asks = []
     real = derivations.jacobi_holds
-    monkeypatch.setattr(derivations, "jacobi_holds", lambda L: asks.append(L) or real(L))
+    monkeypatch.setattr(derivations, "jacobi_holds",
+                        lambda L: asks.append((L, sys._getframe(1).f_code.co_name))
+                        or real(L))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--max-n", "4", "--rounds", "5"]) == 0
-    assert list(Counter(map(id, asks)).values()) == [2] * 15
+    assert list(Counter(L for L, _ in asks).values()) == [1] * 15
+    assert {caller for _, caller in asks} == {"derivation_algebra"}
 
 
-def test_a_table_swapped_into_q_is_scanned_anew():
-    # the certificate of the built table is kept on q; with a table that
-    # breaks Jacobi swapped in, ad x_5 passes every residual check but breaks
-    # Leibniz, so only a fresh scan sends it to the gate
+def test_a_table_swapped_into_q_is_not_certified():
+    # the certificate belongs to the built table; with a table that breaks
+    # Jacobi swapped in, ad x_5 passes every residual check but breaks
+    # Leibniz, so only the gate, which runs for an uncertified table, stops it
     q = build_standard_parabolic((2, 1))
     D = random_combination(q.algebra, derivation_algebra(q.algebra), random.Random(3))
     res = constructive_decompose(q, D)
@@ -1144,6 +1150,27 @@ def test_a_table_swapped_into_q_is_scanned_anew():
     with pytest.raises(NotADerivationError) as exc:
         constructive_decompose(q, ad_matrix(q.algebra, {5: 1}))
     assert exc.value.pair == (1, 3)
+
+
+def test_an_equal_table_reloaded_into_q_is_not_certified(monkeypatch):
+    # the certificate comes from the build alone: the built table reloaded
+    # from JSON is equal but uncertified, so the theorem check tests every
+    # derivation and each split runs the Leibniz gate, with the report and
+    # the splits of the built table
+    q = build_standard_parabolic((3, 2, 1), extra_center=1)
+    der = derivation_algebra(q.algebra)
+    assert _sum_certified(q)
+    report = verify_main_theorem(q, der)
+    draws = [random_combination(q.algebra, der, random.Random(s)) for s in range(3)]
+    splits = [constructive_decompose(q, D).to_json_dict() for D in draws]
+    q.algebra = LieAlgebra.from_json_dict(q.algebra.to_json_dict())
+    assert not _sum_certified(q)
+    calls = _leibniz_calls(monkeypatch)
+    assert derivation_algebra(q.algebra) == der
+    assert verify_main_theorem(q, der) == report and report.ok
+    assert [constructive_decompose(q, EndoMatrix(q.algebra, D.cols, D.den)).to_json_dict()
+            for D in draws] == splits
+    assert len(calls) == len(draws)
 
 
 def test_random_combination_draws_over_the_rref_basis():

@@ -1,13 +1,22 @@
+import math
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
 from dense_reference import Matrix, as_endo, as_matrix, dense_bracket, identity, sparse
 from root_reference import root_value
 from scaled_reference import scaled_parabolic
+import liederiv
+from liederiv import lie, parabolic
 from liederiv.derivations import (
+    complexify,
     derivation_algebra,
     dimension_formula,
     random_combination,
@@ -726,3 +735,41 @@ def test_grading_falls_back_to_zero():
                    [(i, j, k, 2 * v if (i, j, k) == (1, 3, 3) else v) for i, j, k, v in L0.triples()])
     assert not validate_structure(L).ok
     assert grading(L) == (0,) * L.dim
+
+
+def test_algebra_size_limit_boundary():
+    # the limit admits complexify of every q the build admits; it is checked
+    # before any label or table row is made, exactly at its boundary
+    limit = lie.MAX_DIM
+    assert limit >= 2 * parabolic.MAX_DIM
+    q = build_standard_parabolic((1,), extra_center=parabolic.MAX_DIM - 1)
+    assert complexify(q.algebra)[0].dim == 2 * parabolic.MAX_DIM
+    assert LieAlgebra(limit, None, []).dim == limit
+    over = f"^dim {limit + 1} is above the limit of {limit}$"
+    with pytest.raises(ValueError, match=over):
+        LieAlgebra(limit + 1, None, [])
+    with pytest.raises(ValueError, match=over):
+        LieAlgebra.from_json_dict({"dim": limit + 1, "sc": []})
+    n = math.isqrt(limit)
+    assert build_gl(n).dim == n * n
+    with pytest.raises(ValueError, match=f"^dim {(n + 1) ** 2} is above the limit of {limit}$"):
+        build_gl(n + 1)
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("call", ['LieAlgebra.from_json_dict({"dim": 10**12, "sc": []})',
+                                  "build_gl(10**6)"], ids=["from_json_dict", "build_gl"])
+def test_huge_algebra_is_refused_in_bounded_time(call):
+    # out of process with a timeout and 1 GB of address space, so a size
+    # that is not bounded before it allocates fails here instead of
+    # exhausting memory
+    env = {**os.environ, "PYTHONPATH": str(Path(liederiv.__file__).resolve().parent.parent)}
+    script = ("from liederiv.lie import LieAlgebra\nfrom liederiv.parabolic import build_gl\n"
+              f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                       timeout=20, preexec_fn=_cap_memory)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert re.fullmatch(rb"dim [0-9]+ is above the limit of [0-9]+\n", r.stdout)
