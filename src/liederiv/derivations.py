@@ -18,6 +18,7 @@ package-wide so subspaces of maps are comparable everywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
 
@@ -78,7 +79,12 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     has weight w_l - w_k). Once ``jacobi_holds`` certifies every ad x, the
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
     (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l, else every weight
-    is 0. Only the weight-0 equations that have a term are fed to the one
+    is 0. Jacobi also makes the x with D[x, y] = [Dx, y] + [x, Dy] for every
+    y a subalgebra (expand D[[x1, x2], y] by Jacobi), so for a table whose
+    build certified generators G (``ParabolicAlgebra.__init__``) only the
+    pairs that meet G are walked: their equations have the kernel of the
+    whole system. Every other table walks every pair. Only the weight-0
+    equations at the walked pairs that have a term are fed to the one
     elimination: the others read 0 = 0 and leave the kernel as it is. It
     numbers D_{l,k} top - (k*d + l), top = d*d - 1, so each kernel vector,
     mapped back, leads at its free column and is zero at the others: the
@@ -87,7 +93,9 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     d = L.dim
     top = d * d - 1
     T = L.int_table  # N times the constants; same kernel, see above
-    W = grading(L) if jacobi_holds(L) else (0,) * d
+    jacobi = jacobi_holds(L)
+    W = grading(L) if jacobi else (0,) * d
+    gens = L._generators if jacobi else None
     # rowmap[j][l] = entries (m, val) with val = coefficient of x_l in [x_m, x_j]
     rowmap: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(d)]
     for m, ad_m in enumerate(T):
@@ -100,7 +108,9 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     red = _RowReducer()  # blocks share no unknown, so it keeps them apart
 
     for i, ri in enumerate(rowmap):
-        for j in range(i + 1, d):
+        # the pairs (i, j), i < j, that meet the certified generators, or every pair
+        js = range(i + 1, d) if gens is None or i in gens else gens[bisect_right(gens, i):]
+        for j in js:
             cdict, rj = T[i].get(j, {}), rowmap[j]
             # the equation (i, j, l) has its unknowns in block w_l - w_i - w_j
             for l in by_weight.get(W[i] + W[j], ()):

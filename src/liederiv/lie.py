@@ -22,7 +22,6 @@ only where a real denominator does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import gcd, lcm
 
 from .linalg import Q, Subspace, _over, nullspace_of_rows, rational, require_vector
@@ -59,7 +58,7 @@ class LieAlgebra:
     anything else raises ValueError naming its triple.
     """
 
-    __slots__ = ("dim", "labels", "_raw", "int_table", "denominator", "_jacobi")
+    __slots__ = ("dim", "labels", "_raw", "int_table", "denominator", "_jacobi", "_generators")
 
     def __init__(self, dim: int, labels, triples):
         if type(dim) is not int or dim < 0:
@@ -106,6 +105,9 @@ class LieAlgebra:
         # computed by jacobi_holds, or set by ParabolicAlgebra.__init__ by construction;
         # the table is never rewritten
         self._jacobi: bool | None = None
+        # sorted indices of basis vectors that generate the algebra, set only
+        # by ParabolicAlgebra.__init__ by construction; derivation_algebra reads it
+        self._generators: tuple[int, ...] | None = None
 
     def triples(self) -> list[tuple[int, int, int, Q]]:
         """Canonical i < j triples, sorted."""
@@ -283,16 +285,27 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
 def _jacobi_failures(L: LieAlgebra):
     """The triples (i, j, k), i < j < k, where the table breaks the Jacobi
     identity, in increasing order; checked on N times the constants (it is
-    homogeneous in them), on the x with nonzero ad (a central x gives 0)."""
+    homogeneous in them), on the x with nonzero ad (a central x gives 0).
+    [x_i, x_j] is looked up once per pair, and a triple whose three brackets
+    are all zero is skipped, its Jacobi sum being 0."""
     T = L.int_table
-    for i, j, k in combinations([i for i, row in enumerate(T) if row], 3):
-        acc: dict[int, int] = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in T[a].get(b, {}).items():
-                for t, w in T[m].get(c, {}).items():
-                    acc[t] = acc.get(t, 0) + v * w
-        if any(acc.values()):
-            yield i, j, k
+    active = [i for i, row in enumerate(T) if row]
+    for p, i in enumerate(active):
+        Ti = T[i]
+        for r, j in enumerate(active[p + 1:], p + 1):
+            ij, Tj = Ti.get(j), T[j]
+            for k in active[r + 1:]:
+                jk, ki = Tj.get(k), T[k].get(i)
+                if not (ij or jk or ki):
+                    continue
+                # [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]
+                acc: dict[int, int] = {}
+                for b, c in ((ij, k), (jk, i), (ki, j)):
+                    for m, v in (b or {}).items():
+                        for t, w in T[m].get(c, {}).items():
+                            acc[t] = acc.get(t, 0) + v * w
+                if any(acc.values()):
+                    yield i, j, k
 
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:

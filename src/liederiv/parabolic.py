@@ -202,6 +202,15 @@ class ParabolicAlgebra:
 
         h = self.coroot_index
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
+        # the center, the coroots of c and the simple root generators x_(k,k+1)
+        # and, for k in delta', x_(k+1,k) generate q: every other root
+        # generator is an iterated bracket of these, as [e_ij, e_jl] = e_il
+        # along i, i + 1, ..., l, and each coroot of delta' is
+        # [x_(k,k+1), x_(k+1,k)]. ``derivation_algebra`` reads it
+        self.algebra._generators = tuple(sorted((
+            *self.center_indices, *self.c_indices,
+            *(self.root_index[(k, k + 1)] for k in range(1, n)),
+            *(self.root_index[(k + 1, k)] for k in delta_prime))))
         self.derived_indices = (*map(h.get, delta_prime), *self.root_index.values())
         if not _partition([self.center_indices, self.c_indices, self.derived_indices], range(dim)):
             raise RuntimeError("algebra does not split as center + c + derived")

@@ -42,6 +42,7 @@ from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
     ad_matrix,
+    bracket_span,
     first_leibniz_violation,
     grading,
     jacobi_holds,
@@ -407,10 +408,114 @@ def test_jacobi_certificate_provenance():
     derived = Subspace.units(q.dim, q.derived_indices)
     others = [LieAlgebra.from_json_dict(L.to_json_dict()), restrict(L, derived),
               complexify(L)[0], LieAlgebra(L.dim, L.labels, L.triples())]
-    assert [M._jacobi for M in others] == [None] * 4
+    assert [(M._jacobi, M._generators) for M in others] == [(None, None)] * 4
     assert all(jacobi_holds(M) for M in others)
     doubled = LieAlgebra.from_json_dict(_doubled((2, 1), (1, 3, 3)).to_json_dict())
     assert doubled._jacobi is None and not jacobi_holds(doubled)
+
+
+def test_build_certifies_a_generating_set():
+    # the certified generators of every built q generate it: their span,
+    # bracketed with them until it stops growing, is all of q
+    for n in range(1, 7):
+        for blocks in compositions(n):
+            for extra_center in (0, 1):
+                L = build_standard_parabolic(blocks, extra_center=extra_center).algebra
+                gens = L._generators
+                assert list(gens) == sorted(set(gens))
+                G = span = Subspace.units(L.dim, gens)
+                while (grown := subspace_sum(span, bracket_span(L, G, span))) != span:
+                    span = grown
+                assert span == Subspace.full(L.dim), (blocks, extra_center)
+    L = build_standard_parabolic((3, 2, 1), extra_center=1).algebra
+    assert [L.labels[g] for g in L._generators] == [
+        "I", "Z[2]", "H[3]", "H[5]", "E[1,2]", "E[2,1]", "E[2,3]", "E[3,2]", "E[3,4]",
+        "E[4,5]", "E[5,4]", "E[5,6]"]
+
+
+def _oracle_rows(L):
+    """The rows of ``derivation_algebra(L)``, key order included."""
+    return [list(row.items()) for row in derivation_algebra(L).rows]
+
+
+@pytest.mark.parametrize("root_scale,max_n,extra_center", [
+    (1, 7, 0), (1, 7, 1), (1, 7, 2),
+    (Q(3, 2), 5, 0), (Q(3, 2), 5, 1), (Q(-2, 3), 5, 0), (Q(-2, 3), 5, 1)], ids=str)
+def test_oracle_on_generator_pairs_matches_every_pair(root_scale, max_n, extra_center):
+    # a built or rescaled table feeds only the pairs that meet its certified
+    # generators; read back from JSON it has no certificate and feeds every pair
+    for n in range(1, max_n + 1):
+        for blocks in compositions(n):
+            L = scaled_parabolic(blocks, root_scale, extra_center=extra_center).algebra
+            reloaded = LieAlgebra.from_json_dict(L.to_json_dict())
+            assert L._generators is not None and reloaded._generators is None
+            assert _oracle_rows(L) == _oracle_rows(reloaded), blocks
+
+
+def test_built_gl5_feeds_fewer_rows_than_its_reloaded_copy(monkeypatch):
+    fed = []
+
+    class Counting(_RowReducer):
+        def add_row(self, row):
+            fed.append(row)
+            return super().add_row(row)
+
+    monkeypatch.setattr(derivations, "_RowReducer", Counting)
+    L = build_standard_parabolic((5,)).algebra
+    der = derivation_algebra(L)
+    built = len(fed)
+    assert derivation_algebra(LieAlgebra.from_json_dict(L.to_json_dict())) == der
+    assert 0 < built < len(fed) - built
+
+
+# for each kind of certified generator, one of that kind and a partner on the
+# (3,2,1) parabolic with one extra central generator. No single generator is
+# needed: every one dropped alone from the certificate of a built q with
+# n <= 6 and at most one extra central generator leaves the kernel at Der q,
+# as the equations at the pairs that meet the rest still pin each unknown
+GENERATOR_FAULTS = {
+    "central": ("I", "E[3,4]"),
+    "c_coroot": ("H[3]", "E[5,6]"),
+    "x_(k,k+1)": ("E[3,4]", "E[5,6]"),
+    "x_(k+1,k)": ("E[2,1]", "E[1,2]"),
+}
+
+
+@pytest.mark.parametrize("kind", GENERATOR_FAULTS)
+def test_oracle_reads_each_kind_of_certified_generator(kind):
+    # the partner dropped alone leaves the kernel at Der q; dropped with the
+    # generator of the kind, the kernel grows, so the oracle reads which
+    # generators the certificate holds
+    q = build_standard_parabolic((3, 2, 1), extra_center=1)
+    L, n = q.algebra, q.composition.n
+    of_kind = {
+        "central": q.center_indices,
+        "c_coroot": q.c_indices,
+        "x_(k,k+1)": [q.root_index[(k, k + 1)] for k in range(1, n)],
+        "x_(k+1,k)": [q.root_index[(k + 1, k)] for k in q.delta_prime],
+    }[kind]
+    gen, partner = map(L.labels.index, GENERATOR_FAULTS[kind])
+    certified = L._generators
+    assert gen in of_kind and {gen, partner} <= set(certified)
+    der = derivation_algebra(L)
+    L._generators = tuple(g for g in certified if g != partner)
+    assert derivation_algebra(L) == der
+    L._generators = tuple(g for g in certified if g not in (gen, partner))
+    grown = derivation_algebra(L)
+    assert grown.dim > der.dim and subspace_sum(grown, der) == grown
+
+
+def test_oracle_keeps_every_pair_on_a_table_that_breaks_jacobi():
+    # the reduction to the generators' pairs needs Jacobi: a table that breaks
+    # it keeps every pair, even with a certificate set on it (here that of
+    # the table it was made from), and has the kernel of the bare table;
+    # fed only the generators' pairs it would have dim 9 against 6
+    bare = _doubled((2, 2), (1, 6, 6))
+    certified = _doubled((2, 2), (1, 6, 6))
+    certified._generators = build_standard_parabolic((2, 2)).algebra._generators
+    assert not jacobi_holds(certified)
+    assert derivation_algebra(certified) == derivation_algebra(bare)
+    assert derivation_algebra(bare).dim == 6
 
 
 def _unit(L, u):
@@ -1098,9 +1203,10 @@ def test_heisenberg_swap_fails_the_direct_sum():
 
 
 def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monkeypatch):
-    # the oracle feeds each equation (i, j, l) of the weight-0 block that has
-    # a term, and no other; a certified theorem check makes no second
-    # elimination of ad q, through inner_derivations or from_sparse
+    # the oracle feeds each equation (i, j, l) of the weight-0 block at a pair
+    # that meets the build's generators that has a term, and no other; a
+    # certified theorem check makes no second elimination of ad q, through
+    # inner_derivations or from_sparse
     q = build_standard_parabolic((3, 2, 1), extra_center=1)
     L, d = q.algebra, q.dim
     fed = []
@@ -1108,9 +1214,9 @@ def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monke
     monkeypatch.setattr(_RowReducer, "add_row",
                         lambda red, row: fed.append((red, row)) or real(red, row))
     der = derivation_algebra(L)
-    W, T = grading(L), L.int_table
-    with_term = [(i, j, l) for i in range(d) for j in range(i + 1, d) for l in range(d)
-                 if W[l] == W[i] + W[j] and (T[i].get(j) or any(
+    W, T, G = grading(L), L.int_table, set(L._generators)
+    with_term = [(i, j, l) for i in range(d) for j in range(i + 1, d) if G & {i, j}
+                 for l in range(d) if W[l] == W[i] + W[j] and (T[i].get(j) or any(
                      T[m].get(j, {}).get(l) or T[m].get(i, {}).get(l) for m in range(d)))]
     equations = [row for red, row in fed if red is fed[0][0]]  # the rest span the kernel
     assert len(equations) == len(with_term) and all(equations)
