@@ -30,7 +30,7 @@ from .derivations import (
     verify_main_theorem,
 )
 from .lie import EndoMatrix
-from .linalg import Q, integer, rational
+from .linalg import _INT_STRING, Q, integer, rational
 from .parabolic import (
     BlockComposition,
     adapted_subspaces,
@@ -128,6 +128,20 @@ def cmd_der(args) -> tuple[dict, int]:
     return payload, 0 if report.ok else 3
 
 
+def _entry(e, where: str) -> int | Q:
+    """A matrix entry as ``rational`` reads it, an int where it is integral.
+    An ASCII string -?[0-9]+ is read by int(); one with more digits than
+    int() reads, and every other entry, goes to ``rational``, which refuses
+    it as it refuses any string it cannot read."""
+    if type(e) is str and _INT_STRING.fullmatch(e):
+        try:
+            return int(e)
+        except ValueError:
+            pass
+    v = rational(e, where)
+    return v.numerator if v.denominator == 1 else v
+
+
 def _read_derivation(args, algebra) -> EndoMatrix:
     """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
     integer or a rational string such as "-3/4", never a float."""
@@ -152,7 +166,7 @@ def _read_derivation(args, algebra) -> EndoMatrix:
     # the string "0" is skipped; each other distinct string is parsed once,
     # and an entry that fails is never stored, so the error names its first
     # place
-    parsed: dict[str, Q] = {}
+    parsed: dict[str, int | Q] = {}
     cols: list[dict[int, int | Q]] = [{} for _ in range(dim)]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -163,13 +177,14 @@ def _read_derivation(args, algebra) -> EndoMatrix:
             v = e if type(e) is int else parsed.get(e) if type(e) is str else None
             if v is None:
                 # JSON holds no Fraction, so this raises unless e is a string
-                v = parsed[e] = rational(e, f"at row {i}, column {j}")
+                v = parsed[e] = _entry(e, f"at row {i}, column {j}")
             if v:
                 cols[j][i] = v
-    # each value is a JSON int or passed rational, so the map skips the
+    # each value is a JSON int or a passed entry, so the map skips the
     # constructor's checks: int columns over the lcm of the denominators
     den = lcm(*(v.denominator for v in parsed.values()))
-    cols = [{i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]
+    if den > 1:
+        cols = [{i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]
     return EndoMatrix._canonical(algebra, cols, den)
 
 

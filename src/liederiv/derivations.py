@@ -24,7 +24,7 @@ from math import lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
 from .linalg import Q, Subspace, _RowReducer, contains, solve
-from .parabolic import ParabolicAlgebra, cartan_solve
+from .parabolic import ParabolicAlgebra, _cartan_adjugate
 
 __all__ = [
     "NotADerivationError",
@@ -130,9 +130,10 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
                         row[idx] = row.get(idx, 0) + v
                     red.add_row(row)  # it drops the zero entries
 
-    # back to the flat index k*d + l of D_{l,k}; only the weight-0 unknowns
+    # back to the flat index k*d + l of D_{l,k}; only the weight-0 unknowns,
+    # the (k, l) in one block, in increasing k*d + l
     kernel = [{top - c: v for c, v in vec.items()} for vec in red.kernel_vectors(
-        top - c for c in range(d * d) if W[c // d] == W[c % d])]
+        top - (k * d + l) for k in range(d) for l in by_weight[W[k]])]
     kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
     return Subspace.from_sparse(d * d, kernel)
 
@@ -306,6 +307,12 @@ def _check_leibniz(L: LieAlgebra, D: EndoMatrix) -> None:
         raise NotADerivationError(viol)
 
 
+def _ratio(e: int, den: int):
+    """e / den for an int den > 0: an int where den divides e, else a Fraction."""
+    m, r = divmod(e, den)
+    return Q(e, den) if r else m
+
+
 def root_line_reduction(
     q: ParabolicAlgebra, D: EndoMatrix
 ) -> tuple[dict[int, Q], dict[tuple[int, int], Q]]:
@@ -317,16 +324,18 @@ def root_line_reduction(
     2; the x_(i,j) coefficient of D(h) then determines the inner correction.
     When D satisfies Leibniz, D - ad x sends the Cartan into the center,
     annihilates the within-block coroots, and stabilizes every root line.
+    The coefficient is summed in D's integer columns; each value is an int
+    where 2 den divides it, else a Fraction.
     """
-    cols, h = D.cols, q.coroot_index
+    cols, h, den2 = D.cols, q.coroot_index, 2 * D.den
     d_gamma: dict[tuple[int, int], Q] = {}
     x: dict[int, Q] = {}
     for (i, j), pos in q.root_index.items():
-        lo, hi = (i, j) if i < j else (j, i)
-        dg = Q(sum(cols[h[k]].get(pos, 0) for k in range(lo, hi)), (2 if i < j else -2) * D.den)
-        d_gamma[(i, j)] = dg
-        if dg:
-            x[pos] = -dg
+        lo, hi, sign = (i, j, 1) if i < j else (j, i, -1)
+        s = sign * sum(cols[h[k]].get(pos, 0) for k in range(lo, hi))
+        d_gamma[(i, j)] = _ratio(s, den2)
+        if s:
+            x[pos] = _ratio(-s, den2)
     return x, d_gamma
 
 
@@ -358,21 +367,43 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     S = l_ideal + ad q, which the build certifies to lie in Der q.
     A map that breaks Leibniz raises NotADerivationError with its first bad
     pair, and a derivation that fails a check raises DecompositionError.
+
+    It runs in integers. x has denominator 2 den and h* = adj(A) c / n
+    (``parabolic._cartan_adjugate``) denominator n den, so M = lcm(2, n) den
+    clears both; with N the table's denominator, M N l_part =
+    (M N / den) (den D) - sum_a (M p_a) int_table[a] is summed in one pass
+    over D's integer columns and the table and divided out once
+    (``EndoMatrix._canonical``). A scalar is a Fraction only where its
+    denominator does not divide it.
     """
     L = q.algebra
     if D.algebra is not L:
         raise ValueError("maps belong to different algebras")
-    n = q.composition.n
+    n, den, cols = q.composition.n, D.den, D.cols
 
     x, d_gamma = root_line_reduction(q, D)
-    c_gamma = {root: Q(D.cols[pos].get(pos, 0), D.den) for root, pos in q.root_index.items()}
+    c_gamma = {root: _ratio(cols[pos].get(pos, 0), den) for root, pos in q.root_index.items()}
 
     # h* = sum b_k h_k with alpha_j(h*) = c_gamma(alpha_j); alpha_j(h_k) is
-    # the type A Cartan matrix
-    b = cartan_solve([c_gamma[(k, k + 1)] for k in range(1, n)])
-    h_star = {q.coroot_index[k]: bk for k, bk in enumerate(b, 1) if bk}
+    # the type A Cartan matrix, so n den b = adj(A) (den c_gamma), in ints
+    simple = [q.root_index[(k, k + 1)] for k in range(1, n)]
+    nb = _cartan_adjugate([cols[pos].get(pos, 0) for pos in simple])
+    h_star = {q.coroot_index[k]: _ratio(v, n * den) for k, v in enumerate(nb, 1) if v}
     p = {**x, **h_star}  # x sits on the root generators, h* on the coroots
-    l_part = D - ad_matrix(L, p)
+
+    # M p in ints: M / (2 den) times 2 den x, and M / (n den) times n den b
+    M = lcm(2, n) * den
+    Mp = {pos: v.numerator * (M // v.denominator) for pos, v in x.items()}
+    Mp.update((q.coroot_index[k], v * (M // (n * den))) for k, v in enumerate(nb, 1) if v)
+    T, N = L.int_table, L.denominator
+    a = M * N // den
+    l_cols = [{i: a * e for i, e in c.items()} for c in cols]
+    for pos, v in Mp.items():
+        for j, ks in T[pos].items():
+            col = l_cols[j]
+            for k, t in ks.items():
+                col[k] = col.get(k, 0) - v * t
+    l_part = EndoMatrix._canonical(L, l_cols, M * N)
 
     message = _residual_failure(q, l_part)
     if message is not None or not _sum_certified(q):

@@ -183,7 +183,7 @@ class EndoMatrix:
         """The map with int columns over a positive den that the library
         summed itself: zeros dropped and gcd(den, entries) divided out,
         without the constructor's value and index checks."""
-        g = gcd(den, *(e for c in cols for e in c.values()))
+        g = gcd(den, *(e for c in cols for e in c.values())) if den > 1 else 1
         self = object.__new__(cls)
         self.algebra = algebra
         self.cols = tuple({i: e // g for i, e in c.items() if e} for c in cols)

@@ -98,20 +98,26 @@ def _roots(n: int, delta_prime) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in span for j in span if i < j or i > j and dp.issuperset(range(j, i)))
 
 
-def cartan_solve(c) -> list[Q]:
-    """The b with A b = c for the type A Cartan matrix A of size len(c).
+def _cartan_adjugate(c: list[int]) -> list[int]:
+    """adj(A) c for the type A Cartan matrix A of size len(c), in ints.
 
-    With n = len(c) + 1, A^-1 has entries min(j, k) (n - max(j, k)) / n,
-    1 <= j, k <= n - 1, so b is read off without elimination: summed in
-    integers over the common denominator of c, one Fraction per entry.
+    With n = len(c) + 1, det A = n and A^-1 has entries min(j, k) (n -
+    max(j, k)) / n, 1 <= j, k <= n - 1, so adj(A) = n A^-1 is integral and
+    A b = c is solved, without elimination, by b = adj(A) c / n.
     """
     n = len(c) + 1
+    return [sum(min(j, k) * (n - max(j, k)) * ck for k, ck in enumerate(c, 1))
+            for j in range(1, n)]
+
+
+def cartan_solve(c) -> list[Q]:
+    """The b with A b = c for the type A Cartan matrix A of size len(c):
+    ``_cartan_adjugate`` of den times c, den the common denominator of c,
+    over n den, one Fraction per entry."""
+    n = len(c) + 1
     den = lcm(*(ck.denominator for ck in c))
-    c = [ck.numerator * (den // ck.denominator) for ck in c]  # den times c, in ints
-    return [
-        Q(sum(min(j, k) * (n - max(j, k)) * ck for k, ck in enumerate(c, 1)), n * den)
-        for j in range(1, n)
-    ]
+    return [Q(v, n * den) for v in _cartan_adjugate([ck.numerator * (den // ck.denominator)
+                                                      for ck in c])]
 
 
 def _partition(parts, whole) -> bool:
@@ -248,9 +254,9 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
         "levi": Subspace.units(d, h + same),
         "nilradical": Subspace.units(d, cross),
         # n times the fundamental coweight of each simple root outside
-        # delta', n A^-1 e_k: every root of delta' vanishes on it
+        # delta', adj(A) e_k = n A^-1 e_k: every root of delta' vanishes on it
         "levi_center": Subspace.from_sparse(d, (
-            {h[j]: n * b for j, b in enumerate(cartan_solve([int(i == k) for i in range(1, n)]))}
+            dict(zip(h, _cartan_adjugate([int(i == k) for i in range(1, n)])))
             for k in range(1, n) if k not in dp
         )),
         "levi_semisimple": Subspace.units(d, t + same),

@@ -242,6 +242,67 @@ def test_decompose_zero_spellings_read_alike(tmp_path, capsys, zero):
                                                  ["0", "0", "0"]]
 
 
+def _respelled(e: str, how: str):
+    """An integer entry string written another way: as a JSON int, or
+    with leading zeros ("7" as "007", "-7" as "-007", "0" as "-0"); a
+    rational string as it is."""
+    if "/" in e:
+        return e
+    if how == "json-int":
+        return int(e)
+    return "-0" if e == "0" else "-00" + e[1:] if e[0] == "-" else "00" + e
+
+
+@pytest.mark.parametrize("how", ["json-int", "leading-zeros"])
+def test_decompose_integer_spellings_read_alike(tmp_path, capsys, how):
+    # each integer string of golden input 0, written as a JSON int or with
+    # leading zeros, reads as it did, so the payload is the same
+    payload = json.loads((DATA / "decompose-0.in.json").read_text())
+    payload["matrix"] = [[_respelled(e, how) for e in row] for row in payload["matrix"]]
+    path = tmp_path / "respelled.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "decompose", "--n", "6", "--blocks", "3,2,1",
+                         "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == (DATA / "decompose-0.out.json").read_text()
+
+
+@pytest.mark.parametrize("entry", ["\u0663", "\uff17", "1_0", " 7", "+7", "7\n"])
+def test_decompose_refuses_integer_strings_that_only_int_reads(tmp_path, capsys, entry):
+    # int() reads each of these (a non-ASCII digit, an underscore, a sign or
+    # blank), so the reader's int path must not: each is refused as a string
+    # that is no rational, at its place
+    assert int(entry) in (3, 7, 10)
+    path = tmp_path / "bad.json"
+    path.write_text(_ENTRY_TEXT % json.dumps(entry))
+    code, out, err = run(capsys, "decompose", "--n", "2", "--blocks", "1,1",
+                         "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: entry {json.dumps(entry)} is not an integer or a rational string "
+                   "at row 1, column 2\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_decompose_refuses_an_integer_string_over_the_digit_limit(tmp_path, capsys, sign):
+    # int() refuses a string of more digits than the interpreter's limit;
+    # the entry then goes to rational, which refuses it with the message and
+    # exit code of any other entry it cannot read
+    entry = sign + "7" * 5000
+    path = tmp_path / "long.json"
+    path.write_text(_ENTRY_TEXT % json.dumps(entry))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "decompose", "--n", "2", "--blocks", "1,1",
+                             "--input", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == (f'error: entry "{entry}" is not an integer or a rational string '
+                   "at row 1, column 2\n")
+
+
 def test_decompose_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO((DATA / "decompose-0.in.json").read_text()))
     code, out, err = run(capsys, "decompose", "--n", "6", "--blocks", "3,2,1", "--input", "-")

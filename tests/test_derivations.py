@@ -24,7 +24,6 @@ from liederiv.derivations import (
     DecompositionError,
     NotADerivationError,
     _sum_certified,
-    cartan_solve,
     complexify,
     constructive_decompose,
     derivation_algebra,
@@ -62,6 +61,7 @@ from liederiv.parabolic import (
     adapted_subspaces,
     build_gl,
     build_standard_parabolic,
+    cartan_solve,
     compositions,
 )
 
