@@ -447,7 +447,10 @@ def grading(L: LieAlgebra) -> tuple[int, ...]:
     integers. Each x_s has weight 0, so h lies in the weight-0 span with
     ad h = diag(W) / N, a grading element by construction. If the table is
     not homogeneous for W (some nonzero c_ij^k has W[k] != W[i] + W[j]),
-    ad h is not a derivation, so Jacobi fails, and every weight is 0.
+    ad h is not a derivation, so Jacobi fails, and every weight is 0. A
+    table known to satisfy Jacobi (``_jacobi`` True) skips that scan: each
+    ad x_s, so ad h, is a derivation, and a diagonal derivation is
+    homogeneous. Jacobi is never computed here.
     """
     T = L.int_table
     diagonal = [row for row in T if row and all(ks.keys() == {k} for k, ks in row.items())]
@@ -456,7 +459,8 @@ def grading(L: LieAlgebra) -> tuple[int, ...]:
     for t, row in enumerate(diagonal):
         for k, ks in row.items():
             W[k] += B**t * ks[k]
-    if any(W[k] != W[i] + W[j] for i, row in enumerate(T) for j, ks in row.items() for k in ks):
+    if L._jacobi is not True and any(
+            W[k] != W[i] + W[j] for i, row in enumerate(T) for j, ks in row.items() for k in ks):
         return (0,) * L.dim
     return tuple(W)
 

@@ -86,6 +86,10 @@ class _RowReducer:
     appears in exactly one row), which keeps fill-in bounded by the number
     of non-pivot columns and makes each row the primitive multiple of a row
     of the unique RREF of the fed rows, independent of feed order.
+    ``reduce`` makes one pass over a fed row: it clears denominators, then
+    eliminates each pivot column with no content division between steps;
+    ``add_row`` divides the content out once, before it stores the row, and
+    each stored row a new pivot is eliminated from is divided once too.
     ``pivot_rows`` maps each pivot column to its row. ``touched``, built by
     the first ``add_row``, holds every column a stored row has ever had an
     entry at, so a new pivot is eliminated from the other rows by a scan
@@ -99,16 +103,14 @@ class _RowReducer:
         self.touched: set[int] | None = None
 
     @staticmethod
-    def _reduce_content(row: dict[int, int]) -> None:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        if g > 1:
+    def _divide(row: dict[int, int], g: int) -> None:
+        # row := row / g, an exact division
+        if g != 1:
             for c in row:
                 row[c] //= g
 
     @staticmethod
-    def _combine(target: dict[int, int], prow: dict[int, int], c: int) -> None:
+    def _eliminate(target: dict[int, int], prow: dict[int, int], c: int) -> None:
         # target := prow[c] * target - target[c] * prow, entry at c cancels
         a = target.pop(c)
         b = prow[c]
@@ -116,28 +118,35 @@ class _RowReducer:
             for col in target:
                 target[col] *= b
         for col, v in prow.items():
-            if col == c:
-                continue
-            nv = target.get(col, 0) - a * v
-            if nv:
-                target[col] = nv
-            else:
-                target.pop(col, None)
-        _RowReducer._reduce_content(target)
+            if col != c:
+                nv = target.get(col, 0) - a * v
+                if nv:
+                    target[col] = nv
+                else:  # only an entry target held cancels
+                    del target[col]
 
     def reduce(self, row) -> dict[int, int]:
         """row, a mapping col -> int or Fraction, with its denominators
-        cleared and every pivot column eliminated: an int row that is empty
-        exactly when row lies in the span of the fed rows."""
-        den = lcm(*[v.denominator for v in row.values()])
-        if den == 1:
-            work = {c: v.numerator for c, v in row.items() if v}
-        else:
-            work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        # a stored row holds no other pivot column, so each combination
+        cleared and every pivot column eliminated: an int row, not yet
+        primitive, that is empty exactly when row lies in the span of the
+        fed rows."""
+        work = {}
+        den = 1
+        for c, v in row.items():
+            if v:
+                if type(v) is not int:
+                    if v.denominator == 1:
+                        v = v.numerator
+                    else:
+                        den = lcm(den, v.denominator)
+                work[c] = v
+        if den != 1:
+            work = {c: v.numerator * (den // v.denominator) for c, v in work.items()}
+        # a stored row holds no other pivot column, so each elimination
         # leaves work's other pivot entries nonzero, in any order
-        for c in work.keys() & self.pivot_rows.keys():
-            self._combine(work, self.pivot_rows[c], c)
+        pivot_rows = self.pivot_rows
+        for c in [c for c in work if c in pivot_rows]:
+            self._eliminate(work, pivot_rows[c], c)
         return work
 
     def add_row(self, row) -> bool:
@@ -146,16 +155,16 @@ class _RowReducer:
         if not work:
             return False
         piv = min(work)
-        self._reduce_content(work)
-        if work[piv] < 0:
-            for c in work:
-                work[c] = -work[c]
+        # one division makes the row primitive with a positive pivot
+        g = gcd(*work.values())
+        self._divide(work, g if work[piv] > 0 else -g)
         if self.touched is None:
             self.touched = {c for r in self.pivot_rows.values() for c in r}
         if piv in self.touched:
             for other in self.pivot_rows.values():
                 if piv in other:
-                    self._combine(other, work, piv)
+                    self._eliminate(other, work, piv)
+                    self._divide(other, gcd(*other.values()))
         self.touched.update(work)
         self.pivot_rows[piv] = work
         return True

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import lcm
 
 from . import lie
 from .lie import LieAlgebra, bracket
-from .linalg import Q, Subspace, integer, is_direct_sum
+from .linalg import Subspace, integer, is_direct_sum
 
 __all__ = [
     "BlockComposition",
@@ -37,7 +36,6 @@ __all__ = [
     "adapted_subspaces",
     "build_gl",
     "build_standard_parabolic",
-    "cartan_solve",
     "compositions",
 ]
 
@@ -108,16 +106,6 @@ def _cartan_adjugate(c: list[int]) -> list[int]:
     n = len(c) + 1
     return [sum(min(j, k) * (n - max(j, k)) * ck for k, ck in enumerate(c, 1))
             for j in range(1, n)]
-
-
-def cartan_solve(c) -> list[Q]:
-    """The b with A b = c for the type A Cartan matrix A of size len(c):
-    ``_cartan_adjugate`` of den times c, den the common denominator of c,
-    over n den, one Fraction per entry."""
-    n = len(c) + 1
-    den = lcm(*(ck.denominator for ck in c))
-    return [Q(v, n * den) for v in _cartan_adjugate([ck.numerator * (den // ck.denominator)
-                                                      for ck in c])]
 
 
 def _partition(parts, whole) -> bool:

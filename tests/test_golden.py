@@ -12,7 +12,8 @@ hold the output of earlier runs of the commands:
 take all 63 and all 127 compositions through the theorem check and no
 decomposition round, as JSON; ``verify --max-n 5
 --rounds 20``, which also splits 20 random derivations of each of the 31
-compositions constructively, as JSON; ``decompose``
+compositions constructively, as JSON, and ``verify --max-n 6 --rounds 20``,
+the same for all 63 compositions of n <= 6, as JSON; ``decompose``
 on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7), for input 0 read from stdin,

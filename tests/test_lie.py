@@ -697,8 +697,15 @@ def _grading_tables():
 
 
 def test_grading_survives_the_json_round_trip():
-    for L in _grading_tables():
-        assert grading(LieAlgebra.from_json_dict(L.to_json_dict())) == grading(L)
+    # a built table (Jacobi certified) skips the homogeneity scan, the same
+    # table reloaded (Jacobi unknown) is scanned, and both get the same
+    # weights; grading computes no Jacobi, so the reloaded flag stays unset
+    tables = list(_grading_tables())
+    assert sum(L._jacobi is True for L in tables) == 252
+    for L in tables:
+        R = LieAlgebra.from_json_dict(L.to_json_dict())
+        assert grading(R) == grading(L)
+        assert R._jacobi is None
 
 
 def _eps_weights(L):
@@ -734,6 +741,9 @@ def test_grading_falls_back_to_zero():
     L = LieAlgebra(L0.dim, L0.labels,
                    [(i, j, k, 2 * v if (i, j, k) == (1, 3, 3) else v) for i, j, k, v in L0.triples()])
     assert not validate_structure(L).ok
+    assert grading(L) == (0,) * L.dim
+    # the scan runs whether Jacobi is still unknown or known to fail
+    assert L._jacobi is None and not lie.jacobi_holds(L)
     assert grading(L) == (0,) * L.dim
 
 

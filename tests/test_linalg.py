@@ -383,10 +383,30 @@ def _sparse_system(st):
     return st.integers(1, 16).flatmap(system)
 
 
+# a dense row in each form the reducer takes: int values with zeros
+# dropped, Fraction(k, 1) values, explicit zero entries, or both
+_ROW_FORMS = (
+    sparse,
+    lambda r: {j: Q(e) for j, e in enumerate(r) if e},
+    lambda r: dict(enumerate(r)),
+    lambda r: {j: Q(e) for j, e in enumerate(r)},
+)
+
+
+def _scaled_and_repeated(st, data, rows):
+    """rows, each scaled by 1, 2, 3 or 6 so pivots other than 1 occur, with
+    up to three of the scaled rows fed again."""
+    n = len(rows)
+    scales = data.draw(st.lists(st.sampled_from((1, 2, 3, 6)), min_size=n, max_size=n))
+    rows = [[s * e for e in r] for s, r in zip(scales, rows)]
+    return rows + data.draw(st.lists(st.sampled_from(rows), max_size=3))
+
+
 def test_property_reducer_stays_fully_reduced_and_matches_sympy():
-    # rows fed one at a time in a drawn order: after each add_row the stored
-    # rows are primitive with a positive pivot first, no pivot column occurs
-    # in another row, and add_row returned True exactly when sympy says the
+    # rows, scaled and some repeated, fed one at a time in a drawn order and
+    # a drawn form: after each add_row the stored rows hold int values only,
+    # are primitive with a positive pivot first, no pivot column occurs in
+    # another row, and add_row returned True exactly when sympy says the
     # row is independent of those fed before it; kernel_vectors(C) then
     # spans sympy's nullspace of the columns C, in int values only. A
     # Subspace keeps the stored rows, in pivot order and int values only;
@@ -398,14 +418,17 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
     @hyp.given(_sparse_system(st), st.data())
     def check(system, data):
         c, cols, rows = system
+        rows = _scaled_and_repeated(st, data, rows)
         rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
         # the pivot columns of the transpose are the rows that raise the rank
         _, independent = sympy.Matrix(rows).T.rref()
         red = _RowReducer()
         for k, row in enumerate(rows):
-            assert red.add_row(sparse(row)) is (k in independent)
+            form = data.draw(st.sampled_from(_ROW_FORMS))
+            assert red.add_row(form(row)) is (k in independent)
             assert len(red.pivot_rows) == sum(i <= k for i in independent)
             for p, r in red.pivot_rows.items():
+                assert all(type(e) is int for e in r.values())
                 assert min(r) == p and r[p] > 0
                 assert math.gcd(*r.values()) == 1
                 assert all(p not in other for q, other in red.pivot_rows.items() if q != p)
@@ -426,6 +449,36 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
         coeffs = {k: e for k in range(len(rows)) if (e := data.draw(st.integers(-3, 3)))}
         v = sparse([sum(coeffs.get(k, 0) * r[j] for k, r in enumerate(rows)) for j in range(c)])
         assert space.combination(space.coordinates_of(v)) == v
+
+    check()
+
+
+def test_property_membership_agrees_with_the_rank():
+    # on rows scaled and repeated as above and vectors in every form the
+    # reducer takes, contains and _member say v lies in the span exactly
+    # when adding v leaves sympy's rank as it is; asking leaves the rows
+    # as they were
+    hyp, st, settings = _hypothesis()
+    sympy = pytest.importorskip("sympy")
+
+    @settings
+    @hyp.given(_sparse_system(st), st.data())
+    def check(system, data):
+        c, _, rows = system
+        rows = _scaled_and_repeated(st, data, rows)
+        space = Subspace.from_sparse(c, [data.draw(st.sampled_from(_ROW_FORMS))(r) for r in rows])
+        stored = [dict(r) for r in space.rows]
+        rank = sympy.Matrix(rows).rank()
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        inside = [sum(a * r[j] for a, r in zip(coeffs, rows)) for j in range(c)]
+        drawn = data.draw(st.lists(st.integers(-6, 6), min_size=c, max_size=c))
+        for v in (inside, [2 * e for e in inside], drawn, [0] * c):
+            expected = sympy.Matrix([*rows, v]).rank() == rank
+            for form in _ROW_FORMS:
+                assert contains(space, form(v)) is expected
+                assert space._member(form(v)) is expected
+        assert contains(space, sparse(inside))
+        assert [dict(r) for r in space.rows] == stored
 
     check()
 
