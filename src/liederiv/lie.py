@@ -2,14 +2,15 @@
 
 An algebra is given by a dimension, a tuple of basis labels, and triples
 (i, j, k, value) meaning [x_i, x_j] = sum_k value * x_k. Per (i, j, k), the
-sum of the explicit i < j triples is the constant; an i > j triple folds in
-by antisymmetry only where no i < j one is given, and i = j is zero. The
-one stored table is the constants times their common denominator N, as
-integers, arranged as the N ad x_i maps; everything reads it. The raw input
-triples are kept so that defective tables can be diagnosed instead of
-silently repaired. The torus grading that lets the derivation oracle
-solve its system one weight at a time is read off the same table
-(``grading``).
+triples given there sum to the entry; an entry given at (i, j, k) and at
+(j, i, k) must be its opposite, and an entry at (i, i, k) must be zero,
+else the constructor raises. An entry given on one side only sets the
+other by antisymmetry. The one stored table is the constants times their
+common denominator N, as integers, arranged as the N ad x_i maps;
+everything reads it. A build that writes its table in closed form hands
+it over as it is (``LieAlgebra._of``). The torus grading that lets the
+derivation oracle solve its system one weight at a time is read off the
+same table (``grading``).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
@@ -55,10 +56,12 @@ class LieAlgebra:
     columns; N, the common denominator of the constants, is ``denominator``.
     The dimension is an int of at most ``MAX_DIM``. Structure constants are
     ints, Fractions or rational strings ("p", "p/q"), indices are ints;
-    anything else raises ValueError naming its triple.
+    anything else raises ValueError naming its triple. Entries at (i, j, k)
+    and (j, i, k) that are not opposite, or a nonzero one at (i, i, k),
+    raise ValueError naming the first such (i, j, k), i <= j.
     """
 
-    __slots__ = ("dim", "labels", "_raw", "int_table", "denominator", "_jacobi", "_generators")
+    __slots__ = ("dim", "labels", "int_table", "denominator", "_jacobi", "_generators")
 
     def __init__(self, dim: int, labels, triples):
         if type(dim) is not int or dim < 0:
@@ -68,9 +71,7 @@ class LieAlgebra:
         labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
-        raw: list[tuple[int, int, int, int | Q]] = []
-        lower: dict[tuple[int, int, int], int | Q] = {}
-        upper: dict[tuple[int, int, int], int | Q] = {}
+        given: dict[tuple[int, int, int], int | Q] = {}
         for t in triples:
             i, j, k, v = t
             if not type(i) is type(j) is type(k) is int:
@@ -81,25 +82,36 @@ class LieAlgebra:
                 v = rational(v, f"in triple {tuple(t)!r}")
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"triple ({i},{j},{k}) out of range for dim {dim}")
-            raw.append((i, j, k, v))
-            if v == 0 or i == j:
-                continue
-            if i < j:
-                lower[(i, j, k)] = lower.get((i, j, k), 0) + v
-            else:
-                # i > j: antisymmetry implies the i < j entry; explicit i < j
-                # triples take precedence (conflicts surface in validation)
-                upper[(j, i, k)] = upper.get((j, i, k), 0) - v
-        consts = {key: v for key, v in {**upper, **lower}.items() if v}
-        N = lcm(*(v.denominator for v in consts.values()))
+            given[(i, j, k)] = given.get((i, j, k), 0) + v
+        bad = [(i, j, k) for (i, j, k), v in given.items()
+               if (v if i == j else i < j and (j, i, k) in given and v != -given[(j, i, k)])]
+        if bad:
+            i, j, k = min(bad)
+            raise ValueError(f"[x_{i}, x_{i}] has a nonzero entry at {(i, i, k)}" if i == j else
+                             f"the entries at {(i, j, k)} and {(j, i, k)} are not opposite")
+        # every nonzero entry now has i != j and sets both orders of its
+        # pair; one given at both orders writes the same values twice
+        N = lcm(*(v.denominator for v in given.values()))
         int_table: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-        for (i, j, k), v in consts.items():
+        for (i, j, k), v in given.items():
+            if not v:
+                continue
             v = v.numerator * (N // v.denominator)
             int_table[i].setdefault(j, {})[k] = v
             int_table[j].setdefault(i, {})[k] = -v
-        self.dim = dim
+        self._hold(labels, int_table, N)
+
+    @classmethod
+    def _of(cls, labels, int_table, denominator: int = 1) -> LieAlgebra:
+        """The algebra on a table the library wrote itself in the form of
+        ``int_table`` (both orders of each pair, zeros dropped), unchecked."""
+        self = object.__new__(cls)
+        self._hold(tuple(labels), int_table, denominator)
+        return self
+
+    def _hold(self, labels: tuple, int_table: list[dict[int, dict[int, int]]], N: int) -> None:
+        self.dim = len(labels)
         self.labels = labels
-        self._raw = tuple(raw)
         self.int_table = int_table
         self.denominator = N
         # computed by jacobi_holds, or set by ParabolicAlgebra.__init__ by construction;
@@ -249,37 +261,18 @@ class EndoMatrix:
 
 @dataclass
 class ValidationReport:
-    antisymmetry_violations: list[tuple[int, int, int]] = field(default_factory=list)
     jacobi_violations: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.antisymmetry_violations and not self.jacobi_violations
+        return not self.jacobi_violations
 
 
 def validate_structure(L: LieAlgebra) -> ValidationReport:
-    """Check the raw triples for antisymmetry defects and the table for the
-    Jacobi identity.
-
-    Antisymmetry defects are reported at the i < j orientation; alternation
-    defects ([x_i, x_i] != 0) are reported as (i, i, k). Jacobi defects are
-    every triple of the one Jacobi scan; ``jacobi_holds`` stops at the first.
-    """
-    report = ValidationReport()
-    given: dict[tuple[int, int, int], int | Q] = {}
-    for (i, j, k, v) in L._raw:
-        given[(i, j, k)] = given.get((i, j, k), 0) + v
-    bad = set()
-    for (i, j, k), v in given.items():
-        if i == j:
-            if v != 0:
-                bad.add((i, j, k))
-        elif i < j and (j, i, k) in given and v != -given[(j, i, k)]:
-            bad.add((i, j, k))
-    report.antisymmetry_violations = sorted(bad)
-
-    report.jacobi_violations = list(_jacobi_failures(L))
-    return report
+    """Every triple (i, j, k), i < j < k, where the table breaks the Jacobi
+    identity (``jacobi_holds`` stops at the first). Antisymmetry needs no
+    check: the constructor refuses a table that breaks it."""
+    return ValidationReport(list(_jacobi_failures(L)))
 
 
 def _jacobi_failures(L: LieAlgebra):

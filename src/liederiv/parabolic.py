@@ -141,7 +141,7 @@ class ParabolicAlgebra:
         n = composition.n
         # the center, the coroots and one generator per root: n(n - 1)/2
         # positive ones and b(b - 1)/2 negative ones in each block b
-        dim =1 + extra_center + (n - 1) + sum(b * (b - 1) // 2 for b in (n, *composition.blocks))
+        dim = 1 + extra_center + (n - 1) + sum(b * (b - 1) // 2 for b in (n, *composition.blocks))
         if dim > MAX_DIM:
             raise ValueError(f"dim q = {dim} is above the limit of {MAX_DIM}")
         self.composition = composition
@@ -162,16 +162,17 @@ class ParabolicAlgebra:
         self.root_index = {r: m + (n - 1) + t for t, r in enumerate(roots)}
 
         # the commutators of e_kk - e_(k+1,k+1) (the coroot h_k) and e_ij
-        # (the root generator x_(i,j)), in closed form;
-        # I commutes with everything, so it is skipped
-        triples = []
+        # (the root generator x_(i,j)), in closed form, written at both
+        # orders of each pair; I commutes with everything, so it is skipped
+        T: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+        h = self.coroot_index
         by_row: dict[int, list[tuple[int, int]]] = {}
         for (i, j), pos in self.root_index.items():
             by_row.setdefault(i, []).append((j, pos))
             # [h_k, e_ij] = (eps_i - eps_j)(h_k) e_ij
-            for k in {i - 1, i, j - 1, j} & self.coroot_index.keys():
+            for k in {i - 1, i, j - 1, j} & h.keys():
                 v = (i == k) - (i == k + 1) - (j == k) + (j == k + 1)
-                triples.append((self.coroot_index[k], pos, pos, v))
+                T[h[k]][pos], T[pos][h[k]] = {pos: v}, {pos: -v}
         for (i, j), a in self.root_index.items():
             for l, b in by_row.get(j, ()):
                 if l != i:
@@ -179,11 +180,12 @@ class ParabolicAlgebra:
                     c = self.root_index.get((i, l))
                     if c is None:
                         raise RuntimeError(f"bracket escaped the parabolic at ({i},{l})")
-                    triples.append((a, b, c, 1) if a < b else (b, a, c, -1))
+                    T[a][b], T[b][a] = {c: 1}, {c: -1}
                 elif i < j:
                     # [e_ij, e_ji] = e_ii - e_jj = h_i + ... + h_(j-1)
-                    triples.extend((a, b, self.coroot_index[k], 1) for k in range(i, j))
-        self.algebra = LieAlgebra(dim, labels, triples)
+                    T[a][b] = {h[k]: 1 for k in range(i, j)}
+                    T[b][a] = {h[k]: -1 for k in range(i, j)}
+        self.algebra = LieAlgebra._of(labels, T)
         # the table is the gl_n bracket of linearly independent matrices (an
         # escaping bracket raised above), so Jacobi holds. S = lid + ad q lies
         # in Der q too: every ad x is a derivation, and so is every E(z, u) of
@@ -194,7 +196,6 @@ class ParabolicAlgebra:
         self.algebra._jacobi = True
         self._built = self.algebra
 
-        h = self.coroot_index
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
         # the center, the coroots of c and the simple root generators x_(k,k+1)
         # and, for k in delta', x_(k+1,k) generate q: every other root

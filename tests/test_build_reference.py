@@ -17,9 +17,9 @@ canonical subspaces, for every composition of n <= 7.
 import pytest
 
 from scaled_reference import scaled_parabolic
-from liederiv.lie import bracket_span, center, restrict
+from liederiv.lie import LieAlgebra, bracket_span, center, restrict
 from liederiv.linalg import Q, Subspace, contains
-from liederiv.parabolic import adapted_subspaces, compositions
+from liederiv.parabolic import adapted_subspaces, build_standard_parabolic, compositions
 
 
 def _commutator(a, b):
@@ -109,3 +109,27 @@ def test_build_matches_reference(extra_center, root_scale):
             for s, (a, b) in (("nilradical", (full, ref["nilradical"])),
                               ("levi", (ref["levi"], ref["levi"]))):
                 assert all(contains(ref[s], row) for row in bracket_span(L, a, b).rows), blocks
+
+
+@pytest.mark.parametrize("extra_center", [0, 1, 2])
+def test_build_table_matches_the_constructor(extra_center):
+    # the build writes both orders of each pair itself, and ``triples``
+    # reads only j > i, so the public constructor on them is held to every
+    # entry of the table, the (j, i) ones included. The build writes its
+    # pairs in closed-form order, not sorted, so the dicts are compared as
+    # dicts
+    for n in range(1, 8):
+        for blocks in compositions(n):
+            L = build_standard_parabolic(blocks, extra_center=extra_center).algebra
+            ref = LieAlgebra(L.dim, L.labels, L.triples())
+            assert L.int_table == ref.int_table, blocks
+            assert (L.labels, L.denominator) == (ref.labels, ref.denominator), blocks
+
+
+def test_build_skips_the_public_constructor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the build called LieAlgebra.__init__")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", refuse)
+    for blocks in ((1,), (3, 2, 1), (2, 2)):
+        assert build_standard_parabolic(blocks, extra_center=1).algebra.dim > 1

@@ -59,9 +59,24 @@ def test_validate_gl2_clean():
 
 
 def test_validate_flags_antisymmetry_conflict():
-    L = LieAlgebra(3, None, [(1, 2, 1, 1), (2, 1, 1, 1)])
-    report = validate_structure(L)
-    assert report.antisymmetry_violations == [(1, 2, 1)]
+    # the constructor refuses the conflict; the JSON reader goes through it
+    triples = [(1, 2, 1, 1), (2, 1, 1, 1)]
+    named = re.escape("(1, 2, 1)")
+    with pytest.raises(ValueError, match=named):
+        LieAlgebra(3, None, triples)
+    with pytest.raises(ValueError, match=named):
+        LieAlgebra.from_json_dict({"dim": 3, "sc": [list(t) for t in triples]})
+
+
+@pytest.mark.parametrize("extra", [[(2, 1, 1, -1)], [(1, 1, 0, 0)]],
+                         ids=["both-orientations", "zero-self-bracket"])
+def test_consistent_antisymmetric_input_is_accepted(extra):
+    # a pair given at both orientations with opposite entries, or a zero
+    # [x_i, x_i] entry, gives the table of the i < j triple alone
+    alone = LieAlgebra(3, None, [(1, 2, 1, 1)])
+    L = LieAlgebra(3, None, [(1, 2, 1, 1), *extra])
+    assert L.int_table == alone.int_table and L.denominator == alone.denominator
+    assert L.triples() == [(1, 2, 1, 1)]
 
 
 def test_validate_abelian():
@@ -82,9 +97,10 @@ def test_validate_flags_jacobi():
 def _reference_validation(dim, triples):
     """Both violation lists, computed from scratch from the raw triples:
     antisymmetry directly, Jacobi over all i < j < k on the constants the
-    triples define. Those are canonicalised as ``LieAlgebra`` documents it:
-    per (i, j, k), the sum of the explicit i < j triples wins, and i > j
-    triples fold in by antisymmetry only where there is none."""
+    triples define. Those are canonicalised from the sums of the i < j
+    triples, the i > j ones folding in by antisymmetry where none is given;
+    where there is no antisymmetry defect, that is the table as
+    ``LieAlgebra`` documents it."""
     given = {}
     for (i, j, k, v) in triples:
         given[(i, j, k)] = given.get((i, j, k), 0) + Q(v)
@@ -129,10 +145,14 @@ def _reference_validation(dim, triples):
 
 
 def _assert_validates_like_reference(dim, triples):
-    report = validate_structure(LieAlgebra(dim, None, triples))
+    # the constructor refuses exactly the inputs with an antisymmetry
+    # defect, naming the first; every other one validates like the reference
     anti, jacobi = _reference_validation(dim, triples)
-    assert report.antisymmetry_violations == anti
-    assert report.jacobi_violations == jacobi
+    if anti:
+        with pytest.raises(ValueError, match="at " + re.escape(str(anti[0]))):
+            LieAlgebra(dim, None, triples)
+    else:
+        assert validate_structure(LieAlgebra(dim, None, triples)).jacobi_violations == jacobi
 
 
 def test_property_validate_structure_matches_reference():
