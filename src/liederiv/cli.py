@@ -30,7 +30,7 @@ from .derivations import (
     verify_main_theorem,
 )
 from .lie import EndoMatrix
-from .linalg import _INT_STRING, Q, integer, rational
+from .linalg import Q, integer, rational
 from .parabolic import (
     BlockComposition,
     adapted_subspaces,
@@ -128,20 +128,6 @@ def cmd_der(args) -> tuple[dict, int]:
     return payload, 0 if report.ok else 3
 
 
-def _entry(e, where: str) -> int | Q:
-    """A matrix entry as ``rational`` reads it, an int where it is integral.
-    An ASCII string -?[0-9]+ is read by int(); one with more digits than
-    int() reads, and every other entry, goes to ``rational``, which refuses
-    it as it refuses any string it cannot read."""
-    if type(e) is str and _INT_STRING.fullmatch(e):
-        try:
-            return int(e)
-        except ValueError:
-            pass
-    v = rational(e, where)
-    return v.numerator if v.denominator == 1 else v
-
-
 def _read_derivation(args, algebra) -> EndoMatrix:
     """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
     integer or a rational string such as "-3/4", never a float."""
@@ -177,7 +163,7 @@ def _read_derivation(args, algebra) -> EndoMatrix:
             v = e if type(e) is int else parsed.get(e) if type(e) is str else None
             if v is None:
                 # JSON holds no Fraction, so this raises unless e is a string
-                v = parsed[e] = _entry(e, f"at row {i}, column {j}")
+                v = parsed[e] = rational(e, f"at row {i}, column {j}")
             if v:
                 cols[j][i] = v
     # each value is a JSON int or a passed entry, so the map skips the
@@ -229,6 +215,9 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise ValueError("--max-n must be at least 1")
     if args.rounds < 0:
         raise ValueError("--rounds must be nonnegative")
+    # the sweep's largest q, gl_max_n itself: the build's size check refuses
+    # an oversized sweep before it starts
+    build_standard_parabolic((args.max_n,))
     cases = []
     index = 0
     for n in range(1, args.max_n + 1):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
-from .linalg import Q, Subspace, _RowReducer, contains, solve
+from .linalg import Q, Subspace, _RowReducer, _over, _ratio, contains, solve
 from .parabolic import ParabolicAlgebra, _cartan_adjugate
 
 __all__ = [
@@ -291,7 +291,7 @@ class DecompositionResult:
         rows = [["0"] * d for _ in range(d)]
         for j, col in enumerate(self.l_part.cols):
             for i, e in col.items():
-                rows[i][j] = str(Q(e, den))
+                rows[i][j] = str(_over(e, den))
         return {
             "l_part": rows,
             "p": [str(self.p.get(i, 0)) for i in range(d)],
@@ -305,12 +305,6 @@ def _check_leibniz(L: LieAlgebra, D: EndoMatrix) -> None:
     viol = first_leibniz_violation(L, D)
     if viol is not None:
         raise NotADerivationError(viol)
-
-
-def _ratio(e: int, den: int):
-    """e / den for an int den > 0: an int where den divides e, else a Fraction."""
-    m, r = divmod(e, den)
-    return Q(e, den) if r else m
 
 
 def root_line_reduction(

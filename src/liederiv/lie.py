@@ -1,16 +1,17 @@
 """Lie algebras as labeled bases with one integer structure-constant table.
 
 An algebra is given by a dimension, a tuple of basis labels, and triples
-(i, j, k, value) meaning [x_i, x_j] = sum_k value * x_k. Per (i, j, k), the
-triples given there sum to the entry; an entry given at (i, j, k) and at
-(j, i, k) must be its opposite, and an entry at (i, i, k) must be zero,
-else the constructor raises. An entry given on one side only sets the
-other by antisymmetry. The one stored table is the constants times their
-common denominator N, as integers, arranged as the N ad x_i maps;
-everything reads it. A build that writes its table in closed form hands
-it over as it is (``LieAlgebra._of``). The torus grading that lets the
-derivation oracle solve its system one weight at a time is read off the
-same table (``grading``).
+(i, j, k, value) meaning [x_i, x_j] = sum_k value * x_k, each value read by
+``linalg.rational``. Per (i, j, k), the triples given there sum to the
+entry; an entry given at (i, j, k) and at (j, i, k) must be its opposite,
+and an entry at (i, i, k) must be zero, else the constructor raises. An
+entry given on one side only sets the other by antisymmetry. The one
+stored table is the constants times their common denominator N, as
+integers, arranged as the N ad x_i maps; everything reads it, and
+``triples`` writes it back out over N. A build that writes its table in
+closed form hands it over as it is (``LieAlgebra._of``). The torus
+grading that lets the derivation oracle solve its system one weight at a
+time is read off the same table (``grading``).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
@@ -55,10 +56,10 @@ class LieAlgebra:
     nonzero bracket, so ``int_table[i]`` is the map N ad x_i as sparse
     columns; N, the common denominator of the constants, is ``denominator``.
     The dimension is an int of at most ``MAX_DIM``. Structure constants are
-    ints, Fractions or rational strings ("p", "p/q"), indices are ints;
-    anything else raises ValueError naming its triple. Entries at (i, j, k)
-    and (j, i, k) that are not opposite, or a nonzero one at (i, i, k),
-    raise ValueError naming the first such (i, j, k), i <= j.
+    ints, Fractions or rational strings ("p", "p/q"), read by ``rational``,
+    indices are ints; anything else raises ValueError naming its triple.
+    Entries at (i, j, k) and (j, i, k) that are not opposite, or a nonzero
+    one at (i, i, k), raise ValueError naming the first such (i, j, k), i <= j.
     """
 
     __slots__ = ("dim", "labels", "int_table", "denominator", "_jacobi", "_generators")
@@ -76,13 +77,13 @@ class LieAlgebra:
             i, j, k, v = t
             if not type(i) is type(j) is type(k) is int:
                 raise ValueError(f"triple {tuple(t)!r} has an index that is not an int")
-            # an int (not a bool) or a Fraction passes the rule as it is; the
-            # triple is formatted only for other values
-            if type(v) is not int and type(v) is not Q:
+            # an int (not a bool) passes the rule as it is; the triple is
+            # formatted only for other values
+            if type(v) is not int:
                 v = rational(v, f"in triple {tuple(t)!r}")
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"triple ({i},{j},{k}) out of range for dim {dim}")
-            given[(i, j, k)] = given.get((i, j, k), 0) + v
+            given[i, j, k] = given[i, j, k] + v if (i, j, k) in given else v
         bad = [(i, j, k) for (i, j, k), v in given.items()
                if (v if i == j else i < j and (j, i, k) in given and v != -given[(j, i, k)])]
         if bad:
@@ -121,11 +122,12 @@ class LieAlgebra:
         # by ParabolicAlgebra.__init__ by construction; derivation_algebra reads it
         self._generators: tuple[int, ...] | None = None
 
-    def triples(self) -> list[tuple[int, int, int, Q]]:
-        """Canonical i < j triples, sorted."""
+    def triples(self) -> list[tuple[int, int, int, int | Q]]:
+        """Canonical i < j triples, sorted, each table entry over N by
+        ``_over``: all constants ints where N is 1, else all Fractions."""
         N = self.denominator
         return [
-            (i, j, k, Q(v, N))
+            (i, j, k, _over(v, N))
             for i, row in enumerate(self.int_table)
             for j, ks in sorted(row.items())
             if j > i

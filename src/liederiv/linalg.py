@@ -12,8 +12,12 @@ A vector is a sparse dict index -> value, zeros dropped, as
 value too. ``require_vector`` is the one rule for it, which every public
 entry point that takes one applies: int indices in range, int or Fraction
 values. ``Subspace.from_vectors`` is the one dense input form and
-``Subspace.vectors`` the one dense output form. ``rational`` is the one rule
-for exact scalar input. Linear maps of a Lie algebra are ``lie.EndoMatrix``.
+``Subspace.vectors`` the one dense output form. Linear maps of a Lie
+algebra are ``lie.EndoMatrix``. Only this module constructs a Fraction:
+``rational`` is the one rule for an exact scalar read in, an int where it
+is integral; ``_over`` (int entries over one denominator: ints where it is
+1, else all Fractions) and ``_ratio`` (a lone scalar, an int where its
+denominator divides it) are the two rules for one written out.
 """
 
 from __future__ import annotations
@@ -52,19 +56,20 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def rational(e, where: str) -> Q:
-    """e as an exact rational: an int (not a bool), a Fraction, or a string
-    of the form str(Fraction) writes. Anything else, a float or a string
-    such as "0.5" or "1e2" included, raises ValueError naming e and where."""
-    if type(e) is int or isinstance(e, Q):
-        return Q(e)
+def rational(e, where: str) -> int | Q:
+    """e as an exact rational, an int where it is integral: e is an int (not
+    a bool), a Fraction, or a string of the form str(Fraction) writes, read
+    by int() where it is -?[0-9]+. Anything else, a float or a string such as
+    "0.5", "1e2" or "1/0" included, raises ValueError naming e and where."""
     if isinstance(e, str) and _RATIONAL_STRING.fullmatch(e):
         try:
-            return Q(e)
+            e = int(e) if _INT_STRING.fullmatch(e) else Q(e)
         except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
             pass
-    shown = json.dumps(e, default=repr)
-    raise ValueError(f"entry {shown} is not an integer or a rational string {where}")
+    if type(e) is int or isinstance(e, Q):
+        return e.numerator if e.denominator == 1 else e
+    raise ValueError(f"entry {json.dumps(e, default=repr)} is not an integer or a rational "
+                     f"string {where}")
 
 
 def require_vector(v: dict, bound: int, name: str) -> None:
@@ -188,8 +193,16 @@ class _RowReducer:
 
 
 def _over(e, den: int):
-    # e / den, a Fraction only where den is not 1
+    # e / den, a Fraction only where den is not 1, so the int entries of one
+    # map, vector or table written over one den all have one type
     return e if den == 1 else Q(e, den)
+
+
+def _ratio(e: int, den: int):
+    # e / den for an int den > 0, a lone scalar: an int where den divides e,
+    # else a Fraction
+    m, r = divmod(e, den)
+    return Q(e, den) if r else m
 
 
 class Subspace:

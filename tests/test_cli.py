@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from entry_cases import INT_ONLY, OVERLONG, digit_limit, needs_digit_limit
 import liederiv
 from liederiv import cli, derivations, parabolic
 from liederiv.cli import _build_parser, _json, main
@@ -267,7 +268,7 @@ def test_decompose_integer_spellings_read_alike(tmp_path, capsys, how):
     assert out == (DATA / "decompose-0.out.json").read_text()
 
 
-@pytest.mark.parametrize("entry", ["\u0663", "\uff17", "1_0", " 7", "+7", "7\n"])
+@pytest.mark.parametrize("entry", INT_ONLY)
 def test_decompose_refuses_integer_strings_that_only_int_reads(tmp_path, capsys, entry):
     # int() reads each of these (a non-ASCII digit, an underscore, a sign or
     # blank), so the reader's int path must not: each is refused as a string
@@ -282,22 +283,18 @@ def test_decompose_refuses_integer_strings_that_only_int_reads(tmp_path, capsys,
                    "at row 1, column 2\n")
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@needs_digit_limit
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_decompose_refuses_an_integer_string_over_the_digit_limit(tmp_path, capsys, sign):
-    # int() refuses a string of more digits than the interpreter's limit;
-    # the entry then goes to rational, which refuses it with the message and
-    # exit code of any other entry it cannot read
-    entry = sign + "7" * 5000
+    # int() refuses a string of more digits than the interpreter's limit,
+    # so rational refuses it with the message and exit code of any other
+    # entry it cannot read
+    entry = sign + OVERLONG
     path = tmp_path / "long.json"
     path.write_text(_ENTRY_TEXT % json.dumps(entry))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with digit_limit():
         code, out, err = run(capsys, "decompose", "--n", "2", "--blocks", "1,1",
                              "--input", str(path))
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert (code, out) == (2, "")
     assert err == (f'error: entry "{entry}" is not an integer or a rational string '
                    "at row 1, column 2\n")
@@ -545,6 +542,18 @@ def test_verify_witness_is_the_theorem_counterexample_first(monkeypatch, capsys)
     [case] = json.loads(out)["cases"]
     assert case["decompose_ok"] is False and case["formula_ok"] is False
     assert case["witness"] == {"kind": "formula", "expected": -1, "oracle": 1}
+
+
+@pytest.mark.parametrize("max_n", ["21", "9" * 20])
+def test_verify_refuses_an_oversized_sweep_before_it_starts(capsys, monkeypatch, max_n):
+    # the sweep's largest q is gl_max_n, of dim max_n^2; the build's size
+    # check refuses it before the first case runs
+    def no_case(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "_verify_case", no_case)
+    assert run(capsys, "verify", "--max-n", max_n) == (
+        2, "", f"error: dim q = {int(max_n) ** 2} is above the limit of 400\n")
 
 
 def test_verify_rejects_max_n_0(capsys):

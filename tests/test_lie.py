@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dense_reference import Matrix, as_endo, as_matrix, dense_bracket, identity, sparse
+from entry_cases import INT_ONLY, OVERLONG, SPELLINGS, digit_limit, needs_digit_limit
 from root_reference import root_value
 from scaled_reference import scaled_parabolic
 import liederiv
@@ -318,6 +320,76 @@ def test_ad_is_homomorphism():
         lhs = as_matrix(ad_matrix(gl3, bracket(gl3, x, y)))
         ax, ay = as_matrix(ad_matrix(gl3, x)), as_matrix(ad_matrix(gl3, y))
         assert lhs == ax * ay - ay * ax
+
+
+def _table_of(L):
+    # the table with its key order, which == on dicts ignores
+    return [[(j, list(ks.items())) for j, ks in row.items()] for row in L.int_table], L.denominator
+
+
+@pytest.mark.parametrize("scale", [1, Q(3, 2)], ids=["integral", "scaled"])
+def test_every_input_form_gives_one_table(scale):
+    # one table given as the triples' values, as strings, as Fractions
+    # (integral ones included), and with each key split over two triples
+    L = scaled_parabolic((3, 2, 1), scale).algebra
+    ts = L.triples()
+    forms = [ts,
+             [(i, j, k, str(v)) for i, j, k, v in ts],
+             [(i, j, k, Q(v)) for i, j, k, v in ts],
+             [t for i, j, k, v in ts for t in ((i, j, k, v - 1), (i, j, k, 1))]]
+    want = _table_of(LieAlgebra(L.dim, L.labels, ts))
+    assert want[1] == L.denominator
+    for triples in forms:
+        assert _table_of(LieAlgebra(L.dim, L.labels, triples)) == want
+
+
+def test_triples_are_ints_on_an_integral_table_and_fractions_otherwise():
+    # scaled by 3/2, a table with an odd constant has N = 2 and writes every
+    # constant as a Fraction; one whose constants are all even stays integral
+    fractional = 0
+    for extra in (0, 1):
+        for n in range(1, 7):
+            for blocks in compositions(n):
+                L = build_standard_parabolic(blocks, extra_center=extra).algebra
+                ts = L.triples()
+                assert all(type(v) is int for *_, v in ts), (blocks, extra)
+                S = LieAlgebra(L.dim, L.labels, [(i, j, k, v * Q(3, 2)) for i, j, k, v in ts])
+                odd = any(v % 2 for *_, v in ts)
+                assert S.denominator == (2 if odd else 1)
+                assert [type(v) for *_, v in S.triples()] == [Q if odd else int] * len(ts)
+                fractional += odd
+    assert fractional == 2 * (2 ** 6 - 1) - 4  # all but (1,) and (1, 1) at each extra
+
+
+def _sc_with(entry):
+    return {"dim": 3, "sc": [[0, 1, 1, 2], [0, 2, 2, -2], [1, 2, 0, entry]]}
+
+
+def _refused(entry):
+    with pytest.raises(ValueError) as info:
+        LieAlgebra.from_json_dict(_sc_with(entry))
+    assert str(info.value) == (f"entry {json.dumps(entry)} is not an integer or a rational "
+                               f"string in triple {(1, 2, 0, entry)!r}")
+
+
+@pytest.mark.parametrize("entry", INT_ONLY)
+def test_from_json_dict_refuses_integer_strings_that_only_int_reads(entry):
+    # the decompose reader's refusal set, held to the same rule
+    assert int(entry) in (3, 7, 10)
+    _refused(entry)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_from_json_dict_refuses_an_integer_string_over_the_digit_limit(sign):
+    with digit_limit():
+        _refused(sign + OVERLONG)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_from_json_dict_reads_integer_spellings_as_the_plain_int(spelling):
+    plain = LieAlgebra.from_json_dict(_sc_with(SPELLINGS[spelling]))
+    assert _table_of(LieAlgebra.from_json_dict(_sc_with(spelling))) == _table_of(plain)
 
 
 def test_restrict_gl2_to_sl2_table():

@@ -11,6 +11,7 @@ from liederiv.linalg import (
     contains,
     is_direct_sum,
     nullspace_of_rows,
+    rational,
     solve,
     subspace_intersect,
     subspace_sum,
@@ -554,3 +555,20 @@ def test_matrix_validation():
         Subspace.from_vectors(2, [[1, 2, 3]])
     with pytest.raises(ValueError, match="vector length"):
         Subspace.from_vectors(2, [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("e", [3, "-007", "6/3", Q(4, 2)], ids=repr)
+def test_rational_reads_an_integral_value_as_an_int(e):
+    v = rational(e, "here")
+    assert type(v) is int and v == Q(e)
+
+
+def test_rational_reads_a_non_integral_value_as_a_fraction():
+    v = rational("3/4", "here")
+    assert type(v) is Q and v == Q(3, 4)
+
+
+@pytest.mark.parametrize("e", [True, 1.0, "0.5", "1e2", "1/0"], ids=repr)
+def test_rational_refuses_inexact_input(e):
+    with pytest.raises(ValueError, match=r" is not an integer or a rational string here$"):
+        rational(e, "here")
