@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # a DecompositionError or a failed invariant check
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:  # a JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "text":

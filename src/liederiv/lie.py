@@ -14,11 +14,11 @@ grading that lets the derivation oracle solve its system one weight at a
 time is read off the same table (``grading``).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
-dropped), the format of ``Subspace.rows``; ``bracket`` and ``ad_matrix``
-take it after ``require_vector`` has checked it. Every linear
-map is one ``EndoMatrix`` in the table's form, integer columns over one
-denominator. An int constant or value stays an int; a Fraction appears
-only where a real denominator does.
+dropped), the format of ``Subspace.rows``; ``bracket``, ``ad_matrix`` and
+``EndoMatrix.apply`` read it through ``require_vector`` as ints over one
+denominator. Every linear map is one ``EndoMatrix`` in the table's form,
+integer columns over one denominator. A vector result is all ints where N
+(or a map's den) is 1 and every input value is integral, else all Fractions.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ class LieAlgebra:
         self._hold(labels, int_table, N)
 
     @classmethod
-    def _of(cls, labels, int_table, denominator: int = 1) -> LieAlgebra:
-        """The algebra on a table the library wrote itself in the form of
-        ``int_table`` (both orders of each pair, zeros dropped), unchecked."""
+    def _of(cls, labels, int_table) -> LieAlgebra:
+        """The algebra, N = 1, on an int table the library wrote itself in
+        the form of ``int_table`` (both orders of each pair, zeros dropped), unchecked."""
         self = object.__new__(cls)
-        self._hold(tuple(labels), int_table, denominator)
+        self._hold(tuple(labels), int_table, 1)
         return self
 
     def _hold(self, labels: tuple, int_table: list[dict[int, dict[int, int]]], N: int) -> None:
@@ -164,11 +164,10 @@ class EndoMatrix:
     Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero
     int and ``den`` a positive int with no factor common to all entries (1
     for the zero map), so equal maps have equal ``cols`` and ``den``. The
-    constructor clears denominators: it takes columns that pass
-    ``require_vector``, entries over ``den``. ``ad_matrix`` and ``+``/``-``
-    sum in integers and only divide out the common factor (``_canonical``),
-    which gives the same form. The flat form, the
-    ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
+    constructor takes columns, entries over ``den``, cleared to ints by
+    ``require_vector``; it, ``ad_matrix`` and ``+``/``-`` sum in integers
+    and only divide out the common factor (``_canonical``). The flat form,
+    the ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
     """
 
     __slots__ = ("algebra", "cols", "den")
@@ -180,17 +179,12 @@ class EndoMatrix:
             raise ValueError("column count does not match algebra dimension")
         if type(den) is not int or den < 1:
             raise ValueError(f"den {den!r} is not a positive int")
-        for c in cols:
-            require_vector(c, d, "row")
-        values = [e for c in cols for e in c.values()]
-        # scale by m to clear the entries' denominators, then divide by the
-        # content g of the scaled entries and den
-        m = lcm(*(e.denominator for e in values))
-        g = gcd(den * m, *(e.numerator * (m // e.denominator) for e in values))
-        self.algebra = algebra
-        self.cols = tuple({i: e.numerator * (m // e.denominator) // g for i, e in c.items() if e}
-                          for c in cols)
-        self.den = den * m // g
+        cleared = [require_vector(c, d, "row") for c in cols]
+        # each column's ints over m, the lcm of their dens, then canonical
+        m = lcm(*(cden for _, cden in cleared))
+        canon = EndoMatrix._canonical(
+            algebra, [{i: e * (m // cden) for i, e in c.items()} for c, cden in cleared], den * m)
+        self.algebra, self.cols, self.den = algebra, canon.cols, canon.den
 
     @classmethod
     def _canonical(cls, algebra: LieAlgebra, cols, den: int) -> EndoMatrix:
@@ -223,13 +217,14 @@ class EndoMatrix:
         return [[_over(c.get(i, 0), self.den) for c in self.cols] for i in range(self.algebra.dim)]
 
     def apply(self, v: dict) -> dict:
-        """The image of a sparse vector, zeros dropped; its input is checked as by ``bracket``."""
-        require_vector(v, self.algebra.dim, "vector")
-        out: dict = {}
+        """The image of a sparse vector, zeros dropped, read and written as by ``bracket``."""
+        v, den = require_vector(v, self.algebra.dim, "vector")
+        out: dict[int, int] = {}
         for j, x in v.items():
             for i, e in self.cols[j].items():
                 out[i] = out.get(i, 0) + e * x
-        return {i: _over(e, self.den) for i, e in out.items() if e}
+        den *= self.den
+        return {i: _over(e, den) for i, e in out.items() if e}
 
     def _combine(self, other: EndoMatrix, sign: int) -> EndoMatrix:
         if other.algebra is not self.algebra:
@@ -305,12 +300,13 @@ def _jacobi_failures(L: LieAlgebra):
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
     """[x, y] for sparse coordinate dicts (index -> value, as in
-    ``Subspace.rows``, checked as by ``require_vector``); zero entries are
+    ``Subspace.rows``, cleared by ``require_vector``); zero entries are
     dropped."""
-    require_vector(x, L.dim, "x")
-    require_vector(y, L.dim, "y")
-    # summed against the integer table, divided by N once at the end
-    out: dict = {}
+    x, xden = require_vector(x, L.dim, "x")
+    y, yden = require_vector(y, L.dim, "y")
+    # the ints summed against the integer table, written over N and both
+    # inputs' dens once at the end
+    out: dict[int, int] = {}
     T = L.int_table
     for i, a in x.items():
         row = T[i]
@@ -320,8 +316,8 @@ def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
                 c = a * b
                 for k, v in ks.items():
                     out[k] = out.get(k, 0) + c * v
-    N = L.denominator
-    return {k: _over(v, N) for k, v in out.items() if v}
+    den = L.denominator * xden * yden
+    return {k: _over(v, den) for k, v in out.items() if v}
 
 
 def bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -348,16 +344,13 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
     """The map y -> [x, y] for a sparse coordinate dict x: column j holds
     [x, x_j] = sum_i x_i [x_i, x_j].
 
-    Summed in integers, x times the common denominator of its coordinates
-    against ``int_table``; the map is that sum over both factors. x is
-    checked as by ``require_vector``.
+    Summed in integers, the ints ``require_vector`` clears x to against
+    ``int_table``; the map is that sum over both denominators.
     """
-    require_vector(x, L.dim, "x")
-    den = lcm(*(c.denominator for c in x.values()))
+    x, den = require_vector(x, L.dim, "x")
     cols: list[dict] = [{} for _ in range(L.dim)]
     for i, xi in x.items():
         if xi:
-            xi = xi.numerator * (den // xi.denominator)
             for j, ks in L.int_table[i].items():
                 col = cols[j]
                 for k, v in ks.items():

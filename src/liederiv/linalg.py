@@ -11,7 +11,9 @@ A vector is a sparse dict index -> value, zeros dropped, as
 ``Subspace.rows`` are; coordinates in a basis are sparse dicts row index ->
 value too. ``require_vector`` is the one rule for it, which every public
 entry point that takes one applies: int indices in range, int or Fraction
-values. ``Subspace.from_vectors`` is the one dense input form and
+values. It is the one door into the integers too: it returns the vector
+as ints over one denominator, and all behind it runs on int rows.
+``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. Linear maps of a Lie
 algebra are ``lie.EndoMatrix``. Only this module constructs a Fraction:
 ``rational`` is the one rule for an exact scalar read in, an int where it
@@ -72,14 +74,22 @@ def rational(e, where: str) -> int | Q:
                      f"string {where}")
 
 
-def require_vector(v: dict, bound: int, name: str) -> None:
-    """Raise ValueError naming the input unless v is a sparse vector of length
-    bound: int indices in range(bound), int or Fraction values, no bools."""
+def require_vector(v: dict, bound: int, name: str) -> tuple[dict[int, int], int]:
+    """(ints, den) with v == ints / den for a sparse vector v of length bound:
+    int indices in range(bound), int or Fraction values, no bools, else
+    ValueError naming the input. An all-int v comes back itself over 1, else
+    ints is v times the lcm of its denominators, zeros dropped."""
+    den = 0  # 0 while every value is an int
     for i, e in v.items():
         if type(i) is not int or not 0 <= i < bound:
             raise ValueError(f"{name} index {i!r} out of range: not an int from 0 to {bound - 1}")
-        if type(e) is not int and not isinstance(e, Q):
-            raise ValueError(f"{name} value {e!r} is not an int or a Fraction")
+        if type(e) is not int:
+            if not isinstance(e, Q):
+                raise ValueError(f"{name} value {e!r} is not an int or a Fraction")
+            den = lcm(den or 1, e.denominator)
+    if not den:
+        return v, 1
+    return {i: e.numerator * (den // e.denominator) for i, e in v.items() if e}, den
 
 
 class _RowReducer:
@@ -90,9 +100,9 @@ class _RowReducer:
     Fraction. Rows are mutually reduced at all times (each pivot column
     appears in exactly one row), which keeps fill-in bounded by the number
     of non-pivot columns and makes each row the primitive multiple of a row
-    of the unique RREF of the fed rows, independent of feed order.
-    ``reduce`` makes one pass over a fed row: it clears denominators, then
-    eliminates each pivot column with no content division between steps;
+    of the unique RREF of the fed rows, independent of feed order. It takes
+    int rows only (``require_vector`` clears public input). ``reduce``
+    eliminates each pivot column of a fed row with no content division;
     ``add_row`` divides the content out once, before it stores the row, and
     each stored row a new pivot is eliminated from is divided once too.
     ``pivot_rows`` maps each pivot column to its row. ``touched``, built by
@@ -130,23 +140,15 @@ class _RowReducer:
                 else:  # only an entry target held cancels
                     del target[col]
 
-    def reduce(self, row) -> dict[int, int]:
-        """row, a mapping col -> int or Fraction, with its denominators
-        cleared and every pivot column eliminated: an int row, not yet
-        primitive, that is empty exactly when row lies in the span of the
-        fed rows."""
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """row, a mapping col -> int, with its zeros dropped (an oracle row
+        can hold cancelled entries) and every pivot column eliminated: an
+        int row, not yet primitive, that is empty exactly when row lies in
+        the span of the fed rows."""
         work = {}
-        den = 1
-        for c, v in row.items():
+        for c, v in row.items():  # a loop, not a comprehension: no call per row
             if v:
-                if type(v) is not int:
-                    if v.denominator == 1:
-                        v = v.numerator
-                    else:
-                        den = lcm(den, v.denominator)
                 work[c] = v
-        if den != 1:
-            work = {c: v.numerator * (den // v.denominator) for c, v in work.items()}
         # a stored row holds no other pivot column, so each elimination
         # leaves work's other pivot entries nonzero, in any order
         pivot_rows = self.pivot_rows
@@ -154,8 +156,8 @@ class _RowReducer:
             self._eliminate(work, pivot_rows[c], c)
         return work
 
-    def add_row(self, row) -> bool:
-        """Fold one row in (as ``reduce`` takes it); True if it increased the rank."""
+    def add_row(self, row: dict[int, int]) -> bool:
+        """Fold one int row in (as ``reduce`` takes it); True if it increased the rank."""
         work = self.reduce(row)
         if not work:
             return False
@@ -239,21 +241,22 @@ class Subspace:
             v = list(v)
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-            red.add_row({j: rational(e, f"at index {j}") for j, e in enumerate(v) if e})
+            v = {j: rational(e, f"at index {j}") for j, e in enumerate(v) if e}
+            red.add_row(require_vector(v, ambient_dim, "vector")[0])
         return cls._of(ambient_dim, red)
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
-        """The span of sparse vectors, each checked by ``require_vector``
+        """The span of sparse vectors, each cleared by ``require_vector``
         before it is reduced; a vector that is not a mapping raises
         ValueError too."""
         red = _RowReducer()
         for v in sparse_vectors:
             try:
-                require_vector(v, ambient_dim, "vector")
+                ints, _ = require_vector(v, ambient_dim, "vector")
             except AttributeError:
                 raise ValueError("vector is not a sparse dict") from None
-            red.add_row(v)
+            red.add_row(ints)
         return cls._of(ambient_dim, red)
 
     @classmethod
@@ -292,28 +295,28 @@ class Subspace:
 
     def combination(self, coeffs: dict) -> dict:
         """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
-        coeffs is sparse too (row index -> value, checked as by
-        ``require_vector``), zero entries are dropped."""
-        require_vector(coeffs, self.dim, "coefficient")
-        out: dict = {}
+        coeffs is sparse too (row index -> value), cleared by
+        ``require_vector``; summed in ints, written by ``_over``, zeros dropped."""
+        coeffs, den = require_vector(coeffs, self.dim, "coefficient")
+        out: dict[int, int] = {}
         for k, c in coeffs.items():
             for j, e in self.rows[k].items():
                 out[j] = out.get(j, 0) + c * e
-        return {j: e for j, e in out.items() if e}
+        return {j: _over(e, den) for j, e in out.items() if e}
 
     def coordinates_of(self, v: dict) -> dict | None:
         """Sparse coordinates (row index -> value, zeros dropped) of the
-        sparse vector v, checked by ``require_vector``, in the basis ``rows``,
-        or None if v is outside: along a row, v at its pivot over the pivot."""
-        require_vector(v, self.ambient_dim, "vector")
+        sparse vector v in the basis ``rows``, or None if v is outside: along a
+        row, by ``_over``, v's int at its pivot over v's den times the pivot."""
+        v, den = require_vector(v, self.ambient_dim, "vector")
         if not self._member(v):
             return None
-        return {r: _over(v[p], row[p]) for r, (p, row) in enumerate(self._red.pivot_rows.items())
-                if v.get(p)}
+        return {r: _over(v[p], den * row[p])
+                for r, (p, row) in enumerate(self._red.pivot_rows.items()) if v.get(p)}
 
-    def _member(self, v: dict) -> bool:
-        """Whether v, a sparse vector the caller has checked, lies in the
-        subspace: whether the reducer's step eliminates it to 0."""
+    def _member(self, v: dict[int, int]) -> bool:
+        """Whether v, an int vector (the door's or the library's), lies in
+        the subspace: whether the reducer's step eliminates it to 0."""
         return not self._red.reduce(v)
 
     def __eq__(self, other) -> bool:
@@ -331,18 +334,18 @@ class Subspace:
 
 
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
-    """Kernel of an iterable of sparse rows, each checked by ``require_vector``."""
+    """Kernel of an iterable of sparse rows, each cleared by ``require_vector``."""
     red = _RowReducer()
     for row in sparse_rows:
-        require_vector(row, ncols, "row")
-        red.add_row(row)
+        red.add_row(require_vector(row, ncols, "row")[0])
     return Subspace.from_sparse(ncols, red.kernel_vectors(range(ncols)))
 
 
 def solve(ncols: int, sparse_rows, b) -> dict | None:
     """Some x with A x = b as a sparse vector (free variables set to zero),
     or None if inconsistent; A is given by its sparse rows (col -> value),
-    one per entry of b; rows and b are checked as by ``require_vector``."""
+    one per entry of b; each row, checked by ``require_vector``, is cleared
+    with its entry of b at column ncols."""
     sparse_rows, b = list(sparse_rows), list(b)
     if len(sparse_rows) != len(b):
         raise ValueError("right-hand side length does not match row count")
@@ -350,7 +353,7 @@ def solve(ncols: int, sparse_rows, b) -> dict | None:
     red = _RowReducer()
     for row, bi in zip(sparse_rows, b):
         require_vector(row, ncols, "row")
-        red.add_row({**row, ncols: bi} if bi else row)
+        red.add_row(require_vector({**row, ncols: bi} if bi else row, ncols + 1, "row")[0])
     if ncols in red.pivot_rows:
         return None
     return {p: _over(row[ncols], row[p]) for p, row in sorted(red.pivot_rows.items())
@@ -380,10 +383,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, v: dict) -> bool:
-    """True iff the sparse vector v, checked as by ``require_vector``, lies
-    in a (exact sparse residual)."""
-    require_vector(v, a.ambient_dim, "vector")
-    return a._member(v)
+    """True iff the sparse vector v, cleared by ``require_vector``, lies in a
+    (exact sparse residual)."""
+    return a._member(require_vector(v, a.ambient_dim, "vector")[0])
 
 
 def is_direct_sum(parts, whole: Subspace) -> bool:

@@ -670,6 +670,18 @@ def _decompose_text(st, data, argv) -> str:
                             st.sampled_from(["", "{", "[]", "null", '{"dim": 3}'])))
 
 
+def test_an_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    # exit 2 is for input the caller can fix; a KeyError raised inside the
+    # library is a fault, and main lets it propagate
+    def fail(L):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "derivation_algebra", fail)
+    with pytest.raises(KeyError, match="internal"):
+        main(["der", "--n", "3", "--blocks", "2,1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_property_every_input_ends_with_a_documented_exit_code(monkeypatch, capsys):
     # each command with generated options and decompose input ends with
     # exit 0, 2, 3 or 4 (argparse's usage error is SystemExit(2)), raises

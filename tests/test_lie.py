@@ -36,7 +36,16 @@ from liederiv.lie import (
     restrict,
     validate_structure,
 )
-from liederiv.linalg import Q, Subspace, contains, nullspace_of_rows, solve
+from liederiv.linalg import (
+    Q,
+    Subspace,
+    _RowReducer,
+    contains,
+    is_direct_sum,
+    nullspace_of_rows,
+    solve,
+    subspace_intersect,
+)
 from liederiv.parabolic import (
     BlockComposition,
     adapted_subspaces,
@@ -666,6 +675,144 @@ def test_sparse_entry_points_reject_inexact_values(call, named):
     # reduction would cancel or absorb is caught too
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
+
+
+def test_every_door_feeds_the_reducer_int_rows_only(monkeypatch):
+    # require_vector clears each public input to ints before the eliminator
+    # sees it: with reduce wrapped to refuse any other value, every door
+    # takes Fraction and Fraction(k, 1) values and still reaches the
+    # reducer, and so do the oracle and the theorem check on a table with
+    # denominator N = 4
+    real = _RowReducer.reduce
+    fed = []
+
+    def ints_only(red, row):
+        assert all(type(e) is int for e in row.values()), row
+        fed.append(row)
+        return real(red, row)
+
+    monkeypatch.setattr(_RowReducer, "reduce", ints_only)
+    q = scaled_parabolic((3, 2, 1), Q(3, 2))
+    L = q.algebra
+    assert L.denominator == 4
+    small = scaled_parabolic((2, 1), Q(3, 2)).algebra
+    half, two = Q(1, 2), Q(2, 1)
+    a = Subspace.from_sparse(3, [{0: half, 1: two}, {2: Q(-3, 4)}])
+    b = Subspace.from_sparse(3, [{0: two, 1: Q(8)}, {1: Q(1, 3), 2: two}])
+    derived = bracket_span(small, Subspace.full(small.dim), Subspace.full(small.dim))
+    closed = Subspace.from_sparse(small.dim, [{c: half * e for c, e in r.items()}
+                                              for r in derived.rows])
+    doors = {
+        "from_vectors": lambda: Subspace.from_vectors(2, [[half, two], [two, Q(4)]]),
+        "from_sparse": lambda: Subspace.from_sparse(2, [{0: half, 1: two}, {1: Q(-3)}]),
+        "nullspace_of_rows": lambda: nullspace_of_rows(3, [{0: half, 2: two}, {1: Q(5)}]),
+        "solve": lambda: solve(2, [{0: half, 1: two}, {1: Q(3)}], [two, half]),
+        "contains": lambda: contains(a, {0: Q(1, 4), 1: Q(1)}),
+        "coordinates_of": lambda: a.coordinates_of({0: Q(1, 4), 1: Q(1), 2: Q(3, 2)}),
+        "subspace_intersect": lambda: subspace_intersect(a, b),
+        "is_direct_sum": lambda: is_direct_sum(
+            [a, Subspace.from_sparse(3, [{1: Q(1, 3)}])], Subspace.full(3)),
+        "bracket_span": lambda: bracket_span(small, closed, closed),
+        "center": lambda: center(small),
+        "restrict": lambda: restrict(small, closed),
+    }
+    for name, door in doors.items():
+        before = len(fed)
+        door()
+        assert len(fed) > before, name
+    assert solve(2, [{0: half, 1: two}, {1: Q(3)}], [two, half]) == {0: Q(10, 3), 1: Q(1, 6)}
+    assert a.coordinates_of({0: Q(1, 4), 1: Q(1), 2: Q(3, 2)}) == {0: Q(1, 4), 1: Q(3, 2)}
+    before = len(fed)
+    der = derivation_algebra(L)
+    assert verify_main_theorem(q, der).ok and len(fed) > before
+
+
+_ENTRY_VALUES = (0, 1, -2, 3, Q(0), Q(2), Q(-3), Q(1, 2), Q(-2, 3), Q(5, 4))
+
+
+def _vector_strategy(st, dim):
+    """Sparse vectors of length dim whose values are ints, integral
+    Fractions or proper Fractions, explicit zeros of both kinds included."""
+    return st.dictionaries(st.integers(0, dim - 1), st.sampled_from(_ENTRY_VALUES), max_size=dim)
+
+
+def _over_rule(result, den):
+    # the one rule for a vector result: all ints where the combined
+    # denominator is 1, else all Fractions
+    kind = int if den == 1 else Q
+    return all(type(e) is kind for e in result.values())
+
+
+def _den(v):
+    """The lcm of the denominators of v's values, 1 for an integral v."""
+    return lcm(*(Q(e).denominator for e in v.values()))
+
+
+def test_property_vector_results_follow_one_rule():
+    # bracket, apply, combination, coordinates_of and ad_matrix equal a
+    # Fraction reference, and a vector result is all ints exactly when the
+    # table's N (or the map's den) is 1 and every input value is integral,
+    # else all Fractions; a coordinate is an int where the input is integral
+    # and its row's pivot is 1
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tables = [build_gl(2), build_standard_parabolic((2, 1)).algebra,
+              scaled_parabolic((2, 1), Q(3, 2)).algebra]
+    assert [L.denominator for L in tables] == [1, 1, 4]
+
+    def reference_bracket(L, x, y):
+        out = {}
+        for i, j, k, c in L.triples():
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                out[k] = out.get(k, 0) + sign * Q(x.get(a, 0)) * Q(y.get(b, 0)) * c
+        return {k: e for k, e in out.items() if e}
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(tables), st.data())
+    def check(L, data):
+        d = L.dim
+        x, y = data.draw(_vector_strategy(st, d)), data.draw(_vector_strategy(st, d))
+        out = bracket(L, x, y)
+        assert out == reference_bracket(L, x, y)
+        assert _over_rule(out, L.denominator * _den(x) * _den(y))
+
+        ad = ad_matrix(L, x)
+        assert all(type(e) is int for c in ad.cols for e in c.values())
+        assert _over_rule(ad.flat(), ad.den)
+        assert {j: ad.apply({j: 1}) for j in range(d)} == {
+            j: reference_bracket(L, x, {j: 1}) for j in range(d)}
+
+        flat = data.draw(st.dictionaries(st.integers(0, d * d - 1),
+                                         st.sampled_from(_ENTRY_VALUES), max_size=2 * d))
+        m = EndoMatrix.from_flat(L, flat)
+        image = m.apply(y)
+        assert image == {i: e for i in range(d) if (e := sum(
+            (Q(flat.get(j * d + i, 0)) * Q(v) for j, v in y.items()), Q(0)))}
+        assert _over_rule(image, m.den * _den(y))
+
+        space = bracket_span(L, Subspace.full(d), Subspace.full(d))
+        coeffs = data.draw(_vector_strategy(st, space.dim)) if space.dim else {}
+        v = space.combination(coeffs)
+        assert v == {j: e for j in range(d) if (e := sum(
+            (Q(c) * space.rows[k].get(j, 0) for k, c in coeffs.items()), Q(0)))}
+        assert _over_rule(v, _den(coeffs))
+        coords = space.coordinates_of(v)
+        assert coords == {k: c for k, c in coeffs.items() if c}
+        pivots = [next(iter(r.values())) for r in space.rows]
+        assert all(type(c) is (int if _den(v) * pivots[k] == 1 else Q) for k, c in coords.items())
+
+    check()
+    gl2 = build_gl(2)
+    twice = EndoMatrix(gl2, [{j: 2} for j in range(4)])
+    assert twice.den == 1
+    for result, expected in [
+            (twice.apply({0: Q(1, 2)}), {0: Q(1)}),
+            (twice.apply({0: Q(2, 1)}), {0: 4}),
+            (bracket(gl2, {1: Q(2, 1)}, {2: 1}), {0: 2, 3: -2}),
+            (bracket(gl2, {1: Q(1, 2)}, {2: 2}), {0: Q(1), 3: Q(-1)}),
+            (Subspace.full(2).combination({0: Q(2, 1)}), {0: 2})]:
+        assert result == expected
+        assert [type(e) for e in result.values()] == [type(e) for e in expected.values()]
 
 
 def test_endomatrix_matches_dense_matrices():

@@ -12,6 +12,7 @@ from liederiv.linalg import (
     is_direct_sum,
     nullspace_of_rows,
     rational,
+    require_vector,
     solve,
     subspace_intersect,
     subspace_sum,
@@ -384,7 +385,7 @@ def _sparse_system(st):
     return st.integers(1, 16).flatmap(system)
 
 
-# a dense row in each form the reducer takes: int values with zeros
+# a dense row in each form a public door takes: int values with zeros
 # dropped, Fraction(k, 1) values, explicit zero entries, or both
 _ROW_FORMS = (
     sparse,
@@ -405,7 +406,8 @@ def _scaled_and_repeated(st, data, rows):
 
 def test_property_reducer_stays_fully_reduced_and_matches_sympy():
     # rows, scaled and some repeated, fed one at a time in a drawn order and
-    # a drawn form: after each add_row the stored rows hold int values only,
+    # a drawn form, cleared to ints by require_vector as every door into the
+    # reducer does: after each add_row the stored rows hold int values only,
     # are primitive with a positive pivot first, no pivot column occurs in
     # another row, and add_row returned True exactly when sympy says the
     # row is independent of those fed before it; kernel_vectors(C) then
@@ -426,7 +428,7 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
         red = _RowReducer()
         for k, row in enumerate(rows):
             form = data.draw(st.sampled_from(_ROW_FORMS))
-            assert red.add_row(form(row)) is (k in independent)
+            assert red.add_row(require_vector(form(row), c, "row")[0]) is (k in independent)
             assert len(red.pivot_rows) == sum(i <= k for i in independent)
             for p, r in red.pivot_rows.items():
                 assert all(type(e) is int for e in r.values())
@@ -455,8 +457,8 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
 
 
 def test_property_membership_agrees_with_the_rank():
-    # on rows scaled and repeated as above and vectors in every form the
-    # reducer takes, contains and _member say v lies in the span exactly
+    # on rows scaled and repeated as above and vectors in every form a door
+    # takes, contains and _member (fed the door's ints) say v lies in the span exactly
     # when adding v leaves sympy's rank as it is; asking leaves the rows
     # as they were
     hyp, st, settings = _hypothesis()
@@ -477,7 +479,7 @@ def test_property_membership_agrees_with_the_rank():
             expected = sympy.Matrix([*rows, v]).rank() == rank
             for form in _ROW_FORMS:
                 assert contains(space, form(v)) is expected
-                assert space._member(form(v)) is expected
+                assert space._member(require_vector(form(v), c, "v")[0]) is expected
         assert contains(space, sparse(inside))
         assert [dict(r) for r in space.rows] == stored
 
@@ -572,3 +574,21 @@ def test_rational_reads_a_non_integral_value_as_a_fraction():
 def test_rational_refuses_inexact_input(e):
     with pytest.raises(ValueError, match=r" is not an integer or a rational string here$"):
         rational(e, "here")
+
+
+def test_require_vector_returns_the_vector_as_ints_over_one_denominator():
+    # an all-int vector comes back itself over 1, zeros kept, no copy; any
+    # Fraction value makes it v times the lcm of its denominators, in ints,
+    # zeros dropped, so Fraction(k, 1) is read as the int k over 1
+    for v in ({0: 3, 1: -1, 2: 0}, {}):
+        ints, den = require_vector(v, 3, "vector")
+        assert ints is v and den == 1
+    for v, expected in [
+            ({0: Q(1, 2), 1: Q(2, 3), 2: 0}, ({0: 3, 1: 4}, 6)),
+            ({2: Q(4, 2), 1: 0, 0: -5}, ({2: 2, 0: -5}, 1)),
+            ({1: Q(0), 0: Q(-3, 4)}, ({0: -3}, 4)),
+            ({0: Q(5, 6), 2: Q(-1, 4), 1: 2}, ({0: 10, 2: -3, 1: 24}, 12))]:
+        ints, den = require_vector(v, 3, "vector")
+        assert (ints, den) == expected and list(ints) == list(expected[0])
+        assert all(type(e) is int for e in ints.values()) and type(den) is int
+        assert {i: Q(e, den) for i, e in ints.items()} == {i: e for i, e in v.items() if e}
