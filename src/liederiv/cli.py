@@ -19,7 +19,6 @@ import json
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from math import lcm
 
 from .derivations import (
     DecompositionError,
@@ -130,7 +129,8 @@ def cmd_der(args) -> tuple[dict, int]:
 
 def _read_derivation(args, algebra) -> EndoMatrix:
     """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
-    integer or a rational string such as "-3/4", never a float."""
+    integer or a rational string such as "-3/4", never a float, read by
+    ``rational``. The ``EndoMatrix`` constructor clears the columns to ints."""
     dim = algebra.dim
     try:
         if args.input == "-":
@@ -166,12 +166,7 @@ def _read_derivation(args, algebra) -> EndoMatrix:
                 v = parsed[e] = rational(e, f"at row {i}, column {j}")
             if v:
                 cols[j][i] = v
-    # each value is a JSON int or a passed entry, so the map skips the
-    # constructor's checks: int columns over the lcm of the denominators
-    den = lcm(*(v.denominator for v in parsed.values()))
-    if den > 1:
-        cols = [{i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]
-    return EndoMatrix._canonical(algebra, cols, den)
+    return EndoMatrix(algebra, cols)
 
 
 def cmd_decompose(args) -> tuple[dict, int]:

@@ -55,9 +55,9 @@ class LieAlgebra:
     """``int_table[i][j]`` is {k: N c_ij^k} for every ordered pair with a
     nonzero bracket, so ``int_table[i]`` is the map N ad x_i as sparse
     columns; N, the common denominator of the constants, is ``denominator``.
-    The dimension is an int of at most ``MAX_DIM``. Structure constants are
-    ints, Fractions or rational strings ("p", "p/q"), read by ``rational``,
-    indices are ints; anything else raises ValueError naming its triple.
+    The dimension is an int of at most ``MAX_DIM``. A triple is a tuple or
+    list (i, j, k, value): int indices, a constant read by ``rational`` (an
+    int, Fraction or "p", "p/q"); anything else raises ValueError naming it.
     Entries at (i, j, k) and (j, i, k) that are not opposite, or a nonzero
     one at (i, i, k), raise ValueError naming the first such (i, j, k), i <= j.
     """
@@ -74,6 +74,8 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         given: dict[tuple[int, int, int], int | Q] = {}
         for t in triples:
+            if not isinstance(t, (tuple, list)) or len(t) != 4:
+                raise ValueError(f"triple {t!r} is not (i, j, k, value)")
             i, j, k, v = t
             if not type(i) is type(j) is type(k) is int:
                 raise ValueError(f"triple {tuple(t)!r} has an index that is not an int")
@@ -103,11 +105,14 @@ class LieAlgebra:
         self._hold(labels, int_table, N)
 
     @classmethod
-    def _of(cls, labels, int_table) -> LieAlgebra:
+    def _of(cls, labels, int_table, generators) -> LieAlgebra:
         """The algebra, N = 1, on an int table the library wrote itself in
-        the form of ``int_table`` (both orders of each pair, zeros dropped), unchecked."""
+        the form of ``int_table`` (both orders of each pair, zeros dropped), unchecked,
+        with the build's certificate: Jacobi holds, and ``generators`` generate it."""
         self = object.__new__(cls)
         self._hold(tuple(labels), int_table, 1)
+        self._jacobi = True
+        self._generators = generators
         return self
 
     def _hold(self, labels: tuple, int_table: list[dict[int, dict[int, int]]], N: int) -> None:
@@ -115,11 +120,11 @@ class LieAlgebra:
         self.labels = labels
         self.int_table = int_table
         self.denominator = N
-        # computed by jacobi_holds, or set by ParabolicAlgebra.__init__ by construction;
-        # the table is never rewritten
+        # computed by jacobi_holds, or set by ``_of`` by construction; the
+        # table is never rewritten
         self._jacobi: bool | None = None
         # sorted indices of basis vectors that generate the algebra, set only
-        # by ParabolicAlgebra.__init__ by construction; derivation_algebra reads it
+        # by ``_of`` by construction; derivation_algebra reads it
         self._generators: tuple[int, ...] | None = None
 
     def triples(self) -> list[tuple[int, int, int, int | Q]]:

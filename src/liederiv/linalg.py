@@ -10,9 +10,9 @@ deterministic by construction: equal subspaces have identical sparse bases.
 A vector is a sparse dict index -> value, zeros dropped, as
 ``Subspace.rows`` are; coordinates in a basis are sparse dicts row index ->
 value too. ``require_vector`` is the one rule for it, which every public
-entry point that takes one applies: int indices in range, int or Fraction
-values. It is the one door into the integers too: it returns the vector
-as ints over one denominator, and all behind it runs on int rows.
+entry point that takes one applies: a mapping, int indices in range, int
+or Fraction values. It is the one door into the integers too: it returns
+the vector as ints over one denominator, and all behind it runs on int rows.
 ``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. Linear maps of a Lie
 algebra are ``lie.EndoMatrix``. Only this module constructs a Fraction:
@@ -76,9 +76,11 @@ def rational(e, where: str) -> int | Q:
 
 def require_vector(v: dict, bound: int, name: str) -> tuple[dict[int, int], int]:
     """(ints, den) with v == ints / den for a sparse vector v of length bound:
-    int indices in range(bound), int or Fraction values, no bools, else
-    ValueError naming the input. An all-int v comes back itself over 1, else
-    ints is v times the lcm of its denominators, zeros dropped."""
+    a mapping with int indices in range(bound), int or Fraction values, no
+    bools, else ValueError naming the input. An all-int v comes back itself
+    over 1, else ints is v times the lcm of its denominators, zeros dropped."""
+    if not hasattr(v, "items"):
+        raise ValueError(f"{name} is not a sparse dict")
     den = 0  # 0 while every value is an int
     for i, e in v.items():
         if type(i) is not int or not 0 <= i < bound:
@@ -248,15 +250,10 @@ class Subspace:
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
         """The span of sparse vectors, each cleared by ``require_vector``
-        before it is reduced; a vector that is not a mapping raises
-        ValueError too."""
+        before it is reduced."""
         red = _RowReducer()
         for v in sparse_vectors:
-            try:
-                ints, _ = require_vector(v, ambient_dim, "vector")
-            except AttributeError:
-                raise ValueError("vector is not a sparse dict") from None
-            red.add_row(ints)
+            red.add_row(require_vector(v, ambient_dim, "vector")[0])
         return cls._of(ambient_dim, red)
 
     @classmethod

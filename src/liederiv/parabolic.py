@@ -185,27 +185,24 @@ class ParabolicAlgebra:
                     # [e_ij, e_ji] = e_ii - e_jj = h_i + ... + h_(j-1)
                     T[a][b] = {h[k]: 1 for k in range(i, j)}
                     T[b][a] = {h[k]: -1 for k in range(i, j)}
-        self.algebra = LieAlgebra._of(labels, T)
-        # the table is the gl_n bracket of linearly independent matrices (an
-        # escaping bracket raised above), so Jacobi holds. S = lid + ad q lies
-        # in Der q too: every ad x is a derivation, and so is every E(z, u) of
-        # lid, as I and the Z[t] bracket to 0 and every bracket lands on a root
-        # generator or, for [e_ij, e_ji] with e_ji in q, on coroots of delta',
-        # so no bracket has a component on x_u, u in the center or c.
-        # ``derivations._sum_certified`` holds for this table alone
-        self.algebra._jacobi = True
-        self._built = self.algebra
-
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
-        # the center, the coroots of c and the simple root generators x_(k,k+1)
-        # and, for k in delta', x_(k+1,k) generate q: every other root
-        # generator is an iterated bracket of these, as [e_ij, e_jl] = e_il
-        # along i, i + 1, ..., l, and each coroot of delta' is
-        # [x_(k,k+1), x_(k+1,k)]. ``derivation_algebra`` reads it
-        self.algebra._generators = tuple(sorted((
+        # the build's certificate. The table is the gl_n bracket of linearly
+        # independent matrices (an escaping bracket raised above), so Jacobi
+        # holds. The center, the coroots of c and the simple root generators
+        # x_(k,k+1) and, for k in delta', x_(k+1,k) generate q: every other
+        # root generator is an iterated bracket of these, as [e_ij, e_jl] =
+        # e_il along i, i + 1, ..., l, and each coroot of delta' is
+        # [x_(k,k+1), x_(k+1,k)]. ``derivation_algebra`` reads both
+        self.algebra = LieAlgebra._of(labels, T, tuple(sorted((
             *self.center_indices, *self.c_indices,
             *(self.root_index[(k, k + 1)] for k in range(1, n)),
-            *(self.root_index[(k + 1, k)] for k in delta_prime))))
+            *(self.root_index[(k + 1, k)] for k in delta_prime)))))
+        # S = lid + ad q lies in Der q too: every ad x is a derivation, and so
+        # is every E(z, u) of lid, as I and the Z[t] bracket to 0 and every
+        # bracket lands on a root generator or, for [e_ij, e_ji] with e_ji in
+        # q, on coroots of delta', so no bracket has a component on x_u, u in
+        # the center or c. ``derivations._sum_certified`` holds for this table alone
+        self._built = self.algebra
         self.derived_indices = (*map(h.get, delta_prime), *self.root_index.values())
         if not _partition([self.center_indices, self.c_indices, self.derived_indices], range(dim)):
             raise RuntimeError("algebra does not split as center + c + derived")

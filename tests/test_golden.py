@@ -18,7 +18,9 @@ on gl_6 with blocks 3,2,1 for six seeded derivations (random integer
 combinations of the oracle basis, seed 2026; input 1 writes integral entries
 as JSON integers, input 5 is divided by 7), for input 0 read from stdin,
 and for one derivation perturbed by the map I -> x_10, which must exit 4,
-and for input 0 with ``--format text``, which prints the same JSON;
+for input 0 with the entry "1/0" at row 1, column 2, which must exit 2
+with one error line naming the entry and its place, and for input 0 with
+``--format text``, which prints the same JSON;
 ``decompose`` on gl_5 with blocks 2,3 and one extra central generator for
 a seeded derivation divided by 6, whose entries are rational strings (odd
 n, so the split's common denominator lcm(2, n) den is 2n den);

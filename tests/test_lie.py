@@ -550,6 +550,8 @@ def test_json_round_trip():
         (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [5]}), "sc triple"),
         (lambda: LieAlgebra.from_json_dict({"dim": 2, "sc": [[0, 1, 1]]}), "sc triple"),
         (lambda: LieAlgebra(True, None, []), "dim True"),
+        (lambda: LieAlgebra(2, None, [5]), "triple 5 "),
+        (lambda: LieAlgebra(2, None, [(0, 1, 0)]), "triple (0, 1, 0) "),
         (lambda: BlockComposition(2, (1.9, 1)), "must be ints"),
         (lambda: BlockComposition(2, (True, True)), "must be ints"),
         (lambda: BlockComposition(2.0, (1, 1)), "must be ints"),
@@ -559,8 +561,8 @@ def test_json_round_trip():
     ids=["float-constant", "bool-index", "float-index", "json-decimal", "json-exponent",
          "float-vector-entry", "json-not-object", "json-no-dim",
          "json-string-dim", "json-string-basis", "json-no-sc", "json-int-triple",
-         "json-short-triple", "bool-dim", "float-block", "bool-blocks", "float-n",
-         "float-extra-center", "bool-extra-center"],
+         "json-short-triple", "bool-dim", "int-triple", "short-triple", "float-block",
+         "bool-blocks", "float-n", "float-extra-center", "bool-extra-center"],
 )
 def test_library_rejects_inexact_input(build, named):
     # the rule the CLI applies to matrix entries: an int that is not a bool,
@@ -607,7 +609,8 @@ def test_library_rejects_mismatched_sizes(call, error, named):
 
 
 # every public entry point that takes a sparse vector, as (id, bound, call on
-# the vector); units reads only its indices, so it has no bad value to meet
+# the vector); units reads only its indices, from any iterable, so the value,
+# dense-list and scalar kinds do not apply to it
 _SPARSE_ENTRY_POINTS = [
     ("bracket-x", 4, lambda v: bracket(build_gl(2), v, {0: 1})),
     ("bracket-y", 4, lambda v: bracket(build_gl(2), {0: 1}, v)),
@@ -628,12 +631,14 @@ _BAD_SPARSE_VECTORS = [
     ("negative-index", lambda bound: {-1: 1}, "index -1 out of range"),
     ("index-at-bound", lambda bound: {bound: 1}, "out of range"),
     ("float-value", lambda bound: {0: 0.5}, "value 0.5 "),
+    ("dense-list", lambda bound: [1] * bound, "is not a sparse dict"),
+    ("scalar", lambda bound: 5, "is not a sparse dict"),
 ]
 _BAD_SPARSE_CASES = [
     pytest.param(lambda f=f, bound=bound, bad=bad: f(bad(bound)), named, id=f"{name}-{kind}")
     for name, bound, f in _SPARSE_ENTRY_POINTS
     for kind, bad, named in _BAD_SPARSE_VECTORS
-    if not (name == "units" and kind == "float-value")
+    if not (name == "units" and kind in ("float-value", "dense-list", "scalar"))
 ]
 
 
