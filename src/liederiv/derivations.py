@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
 from .linalg import Q, Subspace, _RowReducer, _over, _ratio, contains, solve
@@ -87,8 +87,12 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     equations at the walked pairs that have a term are fed to the one
     elimination: the others read 0 = 0 and leave the kernel as it is. It
     numbers D_{l,k} top - (k*d + l), top = d*d - 1, so each kernel vector,
-    mapped back, leads at its free column and is zero at the others: the
-    canonical rows, which ``Subspace.from_sparse`` finds already reduced.
+    mapped back, leads at its free column and is zero at the others: over
+    its content, with its columns sorted, it is a canonical row. Blocks
+    share no coordinate, so one small elimination of the ad x of nonzero
+    weight gives the canonical rows of every nonzero-weight block. Sorted by
+    pivot, all of them are the canonical basis, with no second elimination
+    of the kernel.
     """
     d = L.dim
     top = d * d - 1
@@ -130,12 +134,20 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
                         row[idx] = row.get(idx, 0) + v
                     red.add_row(row)  # it drops the zero entries
 
-    # back to the flat index k*d + l of D_{l,k}; only the weight-0 unknowns,
-    # the (k, l) in one block, in increasing k*d + l
-    kernel = [{top - c: v for c, v in vec.items()} for vec in red.kernel_vectors(
-        top - (k * d + l) for k in range(d) for l in by_weight[W[k]])]
-    kernel += [_flat_ad(L, x) for x in range(d) if W[x]]
-    return Subspace.from_sparse(d * d, kernel)
+    # back to the flat index k*d + l of D_{l,k}, columns in increasing order;
+    # only the weight-0 unknowns, the (k, l) in one block, in increasing
+    # k*d + l. Each vector's entry at its free column is positive
+    rows = []
+    for vec in red.kernel_vectors(top - (k * d + l) for k in range(d) for l in by_weight[W[k]]):
+        g = gcd(*vec.values())
+        rows.append({top - c: vec[c] // g for c in sorted(vec, reverse=True)})
+    nonzero = _RowReducer()  # the blocks ad(L_mu), mu != 0, share no column
+    for x in range(d):
+        if W[x]:
+            nonzero.add_row(_flat_ad(L, x))
+    rows += nonzero.rows()
+    rows.sort(key=min)  # by pivot: each row's least column
+    return Subspace(d * d, rows)
 
 
 def inner_derivations(L: LieAlgebra) -> Subspace:
@@ -208,13 +220,17 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     Each check compares canonical bases or supports, so it is exact. One
     elimination, fed the ad x_a and then the unit rows of lid, settles (a)
     and (b): lid meets ad q in 0 exactly when each unit raises the rank, and
-    its rows are the canonical basis of S = lid + ad q. The center-valued
-    maps are closed under [D, -] exactly when D keeps the center and the
-    derived algebra; [D, ad x] = ad(Dx) for a derivation, so [D, ad x_i] in
-    ad q is tested, against ``inner_derivations``, only for the D outside S
-    when the build certifies S (``_sum_certified``), and for every D of a
-    table swapped in later, with the same flags and witnesses. The witness
-    is the first failure in the order (a)/(b), (d), then the two closures.
+    its rows by pivot, compared as they stand with der's, are the canonical
+    basis of S = lid + ad q. The center-valued maps are closed under [D, -]
+    exactly when D keeps the center and the derived algebra: when no entry
+    of D sits at a flat index j*d + i with j inside one of them and i
+    outside, one set test per row and subspace. [D, ad x] = ad(Dx) for a
+    derivation, so [D, ad x_i] in ad q is tested, against
+    ``inner_derivations``, only for the D outside S (reduced by the same
+    elimination) when the build certifies S (``_sum_certified``), and for
+    every D of a table swapped in later, with the same flags and witnesses.
+    The witness is the first failure in the order (a)/(b), (d), then the two
+    closures.
     """
     L = q.algebra
     d = L.dim
@@ -224,27 +240,31 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     inner_dim = sum(red.add_row(_flat_ad(L, a)) for a in range(d))
     lid = l_ideal(q)
     independent = sum(map(red.add_row, lid.rows)) == lid.dim
-    S = Subspace._of(d * d, red)
-    direct_sum = None if S == der and independent else {"kind": "direct_sum"}
+    equal = red.pivot_rows == der._red.pivot_rows  # S == der: the same canonical rows
+    direct_sum = None if equal and independent else {"kind": "direct_sum"}
 
     expected = formula_dim(q)
     formula = None if expected == der.dim else {"kind": "formula", "expected": expected,
                                                 "oracle": der.dim}
 
     # [D, l_ideal] stays in l_ideal iff D keeps g_z and derived, as q = g_z + c + derived;
-    # entry (i, j) of D sits at the flat index j*d + i, and piv maps a basis
-    # position to its place among the subspace's
-    kept = [(name, {p: r for r, p in enumerate(ix)})
-            for name, ix in (("g_z", q.center_indices), ("derived", q.derived_indices))]
+    # entry (i, j) of D sits at the flat index j*d + i, so D leaves a subspace
+    # exactly where it has an entry in its ``leave``, j inside and i outside,
+    # and piv maps a basis position to its place among the subspace's
+    kept = []
+    for name, ix in (("g_z", q.center_indices), ("derived", q.derived_indices)):
+        outside = set(range(d)).difference(ix)
+        kept.append((name, {p: r for r, p in enumerate(ix)},
+                     {j * d + i for j in ix for i in outside}))
     l_closure = next(({"kind": "l_closure", "der_index": di, "subspace": name,
-                       "vector_index": piv[min(out)]}
-                      for di, flat in enumerate(der.rows) for name, piv in kept
-                      if (out := [f // d for f in flat if f // d in piv and f % d not in piv])),
+                       "vector_index": piv[min(leave.intersection(flat)) // d]}
+                      for di, flat in enumerate(der.rows) for name, piv, leave in kept
+                      if not leave.isdisjoint(flat)),
                      None)
 
     certified = _sum_certified(q)
-    suspects = [] if certified and S == der else [
-        di for di, flat in enumerate(der.rows) if not certified or not S._member(flat)]
+    suspects = [] if certified and equal else [
+        di for di, flat in enumerate(der.rows) if not certified or red.reduce(flat)]
     inner = inner_derivations(L) if suspects else None
     ads = [ad_matrix(L, {i: 1}) for i in range(d)] if suspects else []
     maps = ((di, EndoMatrix.from_flat(L, der.rows[di])) for di in suspects)

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .linalg import Q, Subspace, _over, nullspace_of_rows, rational, require_vector
+from .linalg import (Q, Subspace, _over, nullspace_of_rows, rational, require_iterable,
+                     require_vector)
 
 __all__ = [
     "LieAlgebra",
@@ -69,11 +70,12 @@ class LieAlgebra:
             raise ValueError(f"dim {dim!r} is not a nonnegative int")
         if dim > MAX_DIM:
             raise ValueError(f"dim {dim} is above the limit of {MAX_DIM}")
-        labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(dim))
+        labels = (tuple(require_iterable(labels, "labels")) if labels is not None
+                  else tuple(f"x{i}" for i in range(dim)))
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
         given: dict[tuple[int, int, int], int | Q] = {}
-        for t in triples:
+        for t in require_iterable(triples, "triples"):
             if not isinstance(t, (tuple, list)) or len(t) != 4:
                 raise ValueError(f"triple {t!r} is not (i, j, k, value)")
             i, j, k, v = t
@@ -179,16 +181,18 @@ class EndoMatrix:
 
     def __init__(self, algebra: LieAlgebra, cols, den: int = 1):
         d = algebra.dim
-        cols = tuple(cols)
+        cols = tuple(require_iterable(cols, "cols"))
         if len(cols) != d:
             raise ValueError("column count does not match algebra dimension")
         if type(den) is not int or den < 1:
             raise ValueError(f"den {den!r} is not a positive int")
         cleared = [require_vector(c, d, "row") for c in cols]
-        # each column's ints over m, the lcm of their dens, then canonical
+        # each column's ints over m, the lcm of their dens, rescaled only where
+        # its den is not m; ``_canonical`` makes the one copy of each column
         m = lcm(*(cden for _, cden in cleared))
-        canon = EndoMatrix._canonical(
-            algebra, [{i: e * (m // cden) for i, e in c.items()} for c, cden in cleared], den * m)
+        canon = EndoMatrix._canonical(algebra, [
+            c if cden == m else {i: e * (m // cden) for i, e in c.items()} for c, cden in cleared
+        ], den * m)
         self.algebra, self.cols, self.den = algebra, canon.cols, canon.den
 
     @classmethod

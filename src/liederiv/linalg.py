@@ -13,6 +13,8 @@ value too. ``require_vector`` is the one rule for it, which every public
 entry point that takes one applies: a mapping, int indices in range, int
 or Fraction values. It is the one door into the integers too: it returns
 the vector as ints over one denominator, and all behind it runs on int rows.
+A collection of vectors, rows, indices or triples is read through
+``require_iterable``, which refuses a value that is not iterable.
 ``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. Linear maps of a Lie
 algebra are ``lie.EndoMatrix``. Only this module constructs a Fraction:
@@ -39,6 +41,7 @@ __all__ = [
     "rational",
     "integer",
     "require_vector",
+    "require_iterable",
     "subspace_sum",
     "subspace_intersect",
     "contains",
@@ -92,6 +95,15 @@ def require_vector(v: dict, bound: int, name: str) -> tuple[dict[int, int], int]
     if not den:
         return v, 1
     return {i: e.numerator * (den // e.denominator) for i, e in v.items() if e}, den
+
+
+def require_iterable(x, name: str):
+    """iter(x) for a collection argument x, else ValueError naming it; the
+    one rule for a collection of vectors, rows, indices or triples."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ValueError(f"{name} is not iterable") from None
 
 
 class _RowReducer:
@@ -178,6 +190,11 @@ class _RowReducer:
         self.pivot_rows[piv] = work
         return True
 
+    def rows(self) -> list[dict[int, int]]:
+        """The stored rows in the form of ``Subspace.rows``: by pivot, each
+        with its columns in increasing order."""
+        return [{c: r[c] for c in sorted(r)} for _, r in sorted(self.pivot_rows.items())]
+
     def kernel_vectors(self, columns) -> list[dict]:
         """One integer kernel vector per free (non-pivot) column f among
         columns, in their order: m, the lcm of the pivots r[p] of the rows r
@@ -239,8 +256,8 @@ class Subspace:
         """The span of dense vectors, each of length ambient_dim; every
         nonzero entry must pass ``rational``."""
         red = _RowReducer()
-        for v in vectors:
-            v = list(v)
+        for v in require_iterable(vectors, "vectors"):
+            v = list(require_iterable(v, "vector"))
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
             v = {j: rational(e, f"at index {j}") for j, e in enumerate(v) if e}
@@ -252,21 +269,21 @@ class Subspace:
         """The span of sparse vectors, each cleared by ``require_vector``
         before it is reduced."""
         red = _RowReducer()
-        for v in sparse_vectors:
+        for v in require_iterable(sparse_vectors, "sparse_vectors"):
             red.add_row(require_vector(v, ambient_dim, "vector")[0])
         return cls._of(ambient_dim, red)
 
     @classmethod
     def _of(cls, n: int, red: _RowReducer) -> Subspace:
         """The span of a reducer's rows, unchecked: the library's or checked ones."""
-        return cls(n, [{c: r[c] for c in sorted(r)} for _, r in sorted(red.pivot_rows.items())])
+        return cls(n, red.rows())
 
     @classmethod
     def units(cls, ambient_dim: int, indices) -> Subspace:
         """The span of the unit vectors at indices, a coordinate subspace:
         its basis is the rows {i: 1}, in increasing i, with no elimination.
         Indices are checked as by ``require_vector``."""
-        units = dict.fromkeys(indices, 1)
+        units = dict.fromkeys(require_iterable(indices, "indices"), 1)
         require_vector(units, ambient_dim, "unit vector")
         return cls(ambient_dim, ({i: 1} for i in sorted(units)))
 
@@ -333,7 +350,7 @@ class Subspace:
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
     """Kernel of an iterable of sparse rows, each cleared by ``require_vector``."""
     red = _RowReducer()
-    for row in sparse_rows:
+    for row in require_iterable(sparse_rows, "sparse_rows"):
         red.add_row(require_vector(row, ncols, "row")[0])
     return Subspace.from_sparse(ncols, red.kernel_vectors(range(ncols)))
 
@@ -343,7 +360,8 @@ def solve(ncols: int, sparse_rows, b) -> dict | None:
     or None if inconsistent; A is given by its sparse rows (col -> value),
     one per entry of b; each row, checked by ``require_vector``, is cleared
     with its entry of b at column ncols."""
-    sparse_rows, b = list(sparse_rows), list(b)
+    sparse_rows = list(require_iterable(sparse_rows, "sparse_rows"))
+    b = list(require_iterable(b, "b"))
     if len(sparse_rows) != len(b):
         raise ValueError("right-hand side length does not match row count")
     require_vector(dict(enumerate(b)), len(b), "right-hand side")
@@ -387,7 +405,7 @@ def contains(a: Subspace, v: dict) -> bool:
 
 def is_direct_sum(parts, whole: Subspace) -> bool:
     """True iff the parts are independent and together span the whole space."""
-    parts = list(parts)
+    parts = list(require_iterable(parts, "parts"))
     for p in parts:
         if p.ambient_dim != whole.ambient_dim:
             raise ValueError("ambient dimensions differ")

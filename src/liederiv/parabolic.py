@@ -28,7 +28,7 @@ from itertools import accumulate
 
 from . import lie
 from .lie import LieAlgebra, bracket
-from .linalg import Subspace, integer, is_direct_sum
+from .linalg import Subspace, integer, is_direct_sum, require_iterable
 
 __all__ = [
     "BlockComposition",
@@ -53,7 +53,7 @@ class BlockComposition:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "blocks", tuple(require_iterable(self.blocks, "blocks")))
         if not all(type(b) is int for b in (self.n, *self.blocks)):
             raise ValueError(f"n and blocks must be ints, got {self.n!r} and {self.blocks!r}")
         if self.n < 1:
@@ -301,6 +301,6 @@ def build_standard_parabolic(
     """The block parabolic of gl_n for a composition (a BlockComposition or
     a block tuple summing to n), with extra_center central generators."""
     if not isinstance(composition, BlockComposition):
-        blocks = tuple(composition)
+        blocks = tuple(require_iterable(composition, "composition"))
         composition = BlockComposition(sum(blocks), blocks)
     return ParabolicAlgebra(composition, extra_center=extra_center)

@@ -253,6 +253,32 @@ def test_oracle_with_shared_weights(monkeypatch):
     assert der == inner_derivations(L)
     assert der == _one_block_oracle(L, monkeypatch)
     assert der == _reference_derivations(L)
+    # x_1 and x_2 share the nonzero weight of [x_0, x_k] = x_k, so the
+    # oracle eliminates the block ad(L_mu) of several x on its own; then
+    # with x_3 of twice that weight and [x_1, x_2] = x_3 as well
+    for triples, der_dim in [([(0, 1, 1, 1), (0, 2, 2, 1)], 6),
+                             ([(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 2), (1, 2, 3, 1)], 7)]:
+        L = LieAlgebra(1 + max(k for _, _, k, _ in triples), None, triples)
+        W = grading(L)
+        assert W[1] == W[2] != 0 and jacobi_holds(L)
+        der = derivation_algebra(L)
+        assert der.dim == der_dim
+        assert der == _one_block_oracle(L, monkeypatch)
+        assert der == _reference_derivations(L)
+
+
+def test_oracle_writes_the_canonical_rows():
+    # the oracle writes Der q's basis without a second elimination; it is
+    # the canonical one, key order included, on built, 3/2-scaled and
+    # reloaded tables
+    for comp in (c for n in range(1, 8) for c in compositions(n)):
+        for z in range(3):
+            q = build_standard_parabolic(comp, extra_center=z)
+            for L in (q.algebra, scaled_parabolic(comp, Q(3, 2), z).algebra,
+                      LieAlgebra.from_json_dict(q.algebra.to_json_dict())):
+                rows = derivation_algebra(L).rows
+                canonical = Subspace.from_sparse(L.dim ** 2, rows).rows
+                assert [list(r.items()) for r in rows] == [list(r.items()) for r in canonical]
 
 
 @pytest.mark.parametrize("weights", [(), (0,)], ids=str)
@@ -1204,28 +1230,34 @@ def test_heisenberg_swap_fails_the_direct_sum():
 
 def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monkeypatch):
     # the oracle feeds each equation (i, j, l) of the weight-0 block at a pair
-    # that meets the build's generators that has a term, and no other; a
+    # that meets the build's generators that has a term, and no other, then
+    # each ad x of nonzero weight, and sorts no reducer into a Subspace; a
     # certified theorem check makes no second elimination of ad q, through
-    # inner_derivations or from_sparse
+    # inner_derivations or from_sparse, and compares its reducer with der's
+    # rows as they stand
     q = build_standard_parabolic((3, 2, 1), extra_center=1)
     L, d = q.algebra, q.dim
     fed = []
     real = _RowReducer.add_row
     monkeypatch.setattr(_RowReducer, "add_row",
                         lambda red, row: fed.append((red, row)) or real(red, row))
+
+    def refuse(*args):
+        raise AssertionError("a second elimination or a reducer re-sorted")
+
+    monkeypatch.setattr(Subspace, "from_sparse", refuse)
+    monkeypatch.setattr(Subspace, "_of", refuse)
     der = derivation_algebra(L)
     W, T, G = grading(L), L.int_table, set(L._generators)
     with_term = [(i, j, l) for i in range(d) for j in range(i + 1, d) if G & {i, j}
                  for l in range(d) if W[l] == W[i] + W[j] and (T[i].get(j) or any(
                      T[m].get(j, {}).get(l) or T[m].get(i, {}).get(l) for m in range(d)))]
-    equations = [row for red, row in fed if red is fed[0][0]]  # the rest span the kernel
+    equations = [row for red, row in fed if red is fed[0][0]]
     assert len(equations) == len(with_term) and all(equations)
-
-    def refuse(*args):
-        raise AssertionError("ad q eliminated twice")
+    nonzero = [derivations._flat_ad(L, x) for x in range(d) if W[x]]
+    assert [row for _, row in fed[len(equations):]] == nonzero
 
     monkeypatch.setattr(derivations, "inner_derivations", refuse)
-    monkeypatch.setattr(Subspace, "from_sparse", refuse)
     assert verify_main_theorem(q, der).ok
 
 

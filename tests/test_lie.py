@@ -608,6 +608,34 @@ def test_library_rejects_mismatched_sizes(call, error, named):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: Subspace.units(2, 5), "indices"),
+        (lambda: Subspace.from_sparse(2, 5), "sparse_vectors"),
+        (lambda: Subspace.from_vectors(2, 5), "vectors"),
+        (lambda: Subspace.from_vectors(2, [5]), "vector"),
+        (lambda: nullspace_of_rows(2, 5), "sparse_rows"),
+        (lambda: solve(2, 5, [1]), "sparse_rows"),
+        (lambda: solve(2, [{}], 5), "b"),
+        (lambda: is_direct_sum(5, Subspace.full(2)), "parts"),
+        (lambda: LieAlgebra(2, None, 5), "triples"),
+        (lambda: LieAlgebra(2, 5, []), "labels"),
+        (lambda: EndoMatrix(build_gl(2), 5), "cols"),
+        (lambda: build_standard_parabolic(5), "composition"),
+        (lambda: BlockComposition(2, 5), "blocks"),
+    ],
+    ids=["units", "from-sparse", "from-vectors", "from-vectors-vector", "nullspace-of-rows",
+         "solve-rows", "solve-b", "is-direct-sum", "triples", "labels", "endomatrix",
+         "build-standard-parabolic", "block-composition"],
+)
+def test_library_rejects_a_collection_that_is_not_iterable(call, named):
+    # one rule, linalg.require_iterable, reads every collection argument and
+    # names the argument it refuses
+    with pytest.raises(ValueError, match=f"^{re.escape(named)} is not iterable$"):
+        call()
+
+
 # every public entry point that takes a sparse vector, as (id, bound, call on
 # the vector); units reads only its indices, from any iterable, so the value,
 # dense-list and scalar kinds do not apply to it
@@ -913,6 +941,22 @@ def test_endomatrix_rejects_bad_shapes():
         EndoMatrix.from_flat(gl2, {16: 1})
     with pytest.raises(ValueError, match="different algebras"):
         identity(gl2) + identity(build_gl(2))
+
+
+@pytest.mark.parametrize("a,b", [(2, -3), (Q(1, 2), Q(-3, 4))], ids=["int", "fraction"])
+@pytest.mark.parametrize("den", [1, 6])
+def test_endomatrix_keeps_no_column_of_the_caller(a, b, den):
+    # the constructor copies each column, so the caller's dicts may change
+    # after it without changing the map
+    gl2 = build_gl(2)
+    cols = [{0: a}, {1: b, 2: a}, {}, {3: b}]
+    M = EndoMatrix(gl2, cols, den)
+    before = [dict(c) for c in M.cols], M.den
+    for c in cols:
+        c.clear()
+        c[0] = 7
+    assert ([dict(c) for c in M.cols], M.den) == before
+    assert M == EndoMatrix(gl2, [{0: a}, {1: b, 2: a}, {}, {3: b}], den)
 
 
 def test_default_and_torus_weights():
