@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
-from .linalg import Q, Subspace, _RowReducer, _over, _ratio, contains, solve
+from .linalg import Q, Subspace, _RowReducer, _over, _ratio, contains
 from .parabolic import ParabolicAlgebra, _cartan_adjugate
 
 __all__ = [
@@ -79,20 +79,21 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     has weight w_l - w_k). Once ``jacobi_holds`` certifies every ad x, the
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
     (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l, else every weight
-    is 0. Jacobi also makes the x with D[x, y] = [Dx, y] + [x, Dy] for every
-    y a subalgebra (expand D[[x1, x2], y] by Jacobi), so for a table whose
-    build certified generators G (``ParabolicAlgebra.__init__``) only the
-    pairs that meet G are walked: their equations have the kernel of the
-    whole system. Every other table walks every pair. Only the weight-0
+    is 0. Jacobi also makes the x with D[x, y] = [Dx, y] + [x, Dy] for every y a
+    subalgebra (expand D[[x1, x2], y] by Jacobi). A build certifies generators G
+    of q_s (``ParabolicAlgebra.__init__``), and only the pairs that meet G are
+    walked: the subalgebra holds <G> = q_s; at (g, z), z central, the equation
+    reads [g, Dz] = 0, so Dz centralizes q_s, whose centralizer in q is z(q) (a
+    parabolic of sl_n has trivial center; for n = 1, q is abelian and G is
+    empty); so each equation at (z, y) reads 0 = 0, and the walked ones have the
+    kernel of the whole system. Other tables walk every pair. Only the weight-0
     equations at the walked pairs that have a term are fed to the one
-    elimination: the others read 0 = 0 and leave the kernel as it is. It
-    numbers D_{l,k} top - (k*d + l), top = d*d - 1, so each kernel vector,
-    mapped back, leads at its free column and is zero at the others: over
-    its content, with its columns sorted, it is a canonical row. Blocks
-    share no coordinate, so one small elimination of the ad x of nonzero
+    elimination. It numbers D_{l,k} top - (k*d + l), top = d*d - 1, so each
+    kernel vector, mapped back, leads at its free column and is zero at the
+    others: over its content, with its columns sorted, it is a canonical row.
+    Blocks share no coordinate, so one small elimination of the ad x of nonzero
     weight gives the canonical rows of every nonzero-weight block. Sorted by
-    pivot, all of them are the canonical basis, with no second elimination
-    of the kernel.
+    pivot, they are the canonical basis, with no second elimination.
     """
     d = L.dim
     top = d * d - 1
@@ -405,10 +406,9 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     h_star = {q.coroot_index[k]: _ratio(v, n * den) for k, v in enumerate(nb, 1) if v}
     p = {**x, **h_star}  # x sits on the root generators, h* on the coroots
 
-    # M p in ints: M / (2 den) times 2 den x, and M / (n den) times n den b
+    # M p in ints: the denominator of each value divides 2 den (x) or n den (h*)
     M = lcm(2, n) * den
-    Mp = {pos: v.numerator * (M // v.denominator) for pos, v in x.items()}
-    Mp.update((q.coroot_index[k], v * (M // (n * den))) for k, v in enumerate(nb, 1) if v)
+    Mp = {pos: v.numerator * (M // v.denominator) for pos, v in p.items()}
     T, N = L.int_table, L.denominator
     a = M * N // den
     l_cols = [{i: a * e for i, e in c.items()} for c in cols]
@@ -436,31 +436,32 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
 
 
 def split_derivation(q: ParabolicAlgebra, D: EndoMatrix) -> tuple[EndoMatrix, EndoMatrix]:
-    """Independent projection of a derivation onto the two summands: its
-    coordinates in the basis of ``l_ideal(q)`` then ``inner_derivations``,
-    with no use of the constructive recipe. Returns the (center-valued
-    component, inner component). A map outside the sum raises
-    NotADerivationError if it fails Leibniz, else DecompositionError."""
+    """Independent projection of a derivation onto the two summands, with no use
+    of the recipe: (center-valued part l, inner part D - l), by Zassenhaus's tag.
+    The rows (ad x_a | 0) and (E | E), E a unit of ``l_ideal(q)``, reduce
+    (den D | 0 | 1) to (0 | -k den l | k), k > 0, iff D - l lies in ad q; l is
+    unique where lid meets ad q in 0, else 0 at the pivots of the meet. A D
+    outside raises NotADerivationError if it fails Leibniz, else DecompositionError."""
     L = q.algebra
-    lid, inner = l_ideal(q), inner_derivations(L)
-    # one equation per flat coordinate i: sum_k lam_k basis_k[i] = D[i]
-    system: dict[int, dict[int, int]] = {}
-    for k, row in enumerate(lid.rows + inner.rows):
-        for i, e in row.items():
-            system.setdefault(i, {})[k] = e
-    flat = D.flat()
-    keys = sorted(system.keys() | flat.keys())
-    lam = solve(
-        lid.dim + inner.dim, [system.get(i, {}) for i in keys], [flat.get(i, 0) for i in keys]
-    )
-    if lam is None:
+    if D.algebra is not L:
+        raise ValueError("maps belong to different algebras")
+    d, dd = L.dim, L.dim ** 2
+    red = _RowReducer()
+    inner_dim = sum(red.add_row(_flat_ad(L, a)) for a in range(d))
+    lid = l_ideal(q)
+    for E in lid.rows:  # E's entry at c copied to column dd + c
+        red.add_row({**E, **{c + dd: e for c, e in E.items()}})
+    # no stored row has an entry at column 2 dd, so k there is the product of
+    # the pivots the row was multiplied by, each > 0
+    rest = red.reduce({j * d + i: e for j, col in enumerate(D.cols) for i, e in col.items()}
+                      | {2 * dd: 1})
+    k = rest.pop(2 * dd)
+    if min(rest, default=dd) < dd:
         _check_leibniz(L, D)
         raise DecompositionError(
             "derivation is not in the sum of the center-valued and inner maps",
-            {"l_dim": lid.dim, "inner_dim": inner.dim},
-        )
-    l_coeffs = {k: c for k, c in lam.items() if k < lid.dim}
-    l_part = EndoMatrix.from_flat(L, lid.combination(l_coeffs))
+            {"l_dim": lid.dim, "inner_dim": inner_dim})
+    l_part = EndoMatrix.from_flat(L, {c - dd: -e for c, e in rest.items()}, k * D.den)
     return l_part, D - l_part
 
 

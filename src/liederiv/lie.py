@@ -110,7 +110,7 @@ class LieAlgebra:
     def _of(cls, labels, int_table, generators) -> LieAlgebra:
         """The algebra, N = 1, on an int table the library wrote itself in
         the form of ``int_table`` (both orders of each pair, zeros dropped), unchecked,
-        with the build's certificate: Jacobi holds, and ``generators`` generate it."""
+        with the build's certificate: Jacobi holds; ``generators`` and the center generate it."""
         self = object.__new__(cls)
         self._hold(tuple(labels), int_table, 1)
         self._jacobi = True
@@ -125,8 +125,9 @@ class LieAlgebra:
         # computed by jacobi_holds, or set by ``_of`` by construction; the
         # table is never rewritten
         self._jacobi: bool | None = None
-        # sorted indices of basis vectors that generate the algebra, set only
-        # by ``_of`` by construction; derivation_algebra reads it
+        # sorted indices of basis vectors that generate the algebra together
+        # with its center, set only by ``_of`` by construction;
+        # derivation_algebra reads it
         self._generators: tuple[int, ...] | None = None
 
     def triples(self) -> list[tuple[int, int, int, int | Q]]:

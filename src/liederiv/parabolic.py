@@ -188,13 +188,14 @@ class ParabolicAlgebra:
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
         # the build's certificate. The table is the gl_n bracket of linearly
         # independent matrices (an escaping bracket raised above), so Jacobi
-        # holds. The center, the coroots of c and the simple root generators
-        # x_(k,k+1) and, for k in delta', x_(k+1,k) generate q: every other
-        # root generator is an iterated bracket of these, as [e_ij, e_jl] =
-        # e_il along i, i + 1, ..., l, and each coroot of delta' is
-        # [x_(k,k+1), x_(k+1,k)]. ``derivation_algebra`` reads both
+        # holds. The coroots of c and the simple root generators x_(k,k+1)
+        # and, for k in delta', x_(k+1,k) generate q_s, the trace-zero part,
+        # which with the center is q: every other root generator is an
+        # iterated bracket of these, as [e_ij, e_jl] = e_il along i, i + 1,
+        # ..., l, and each coroot of delta' is [x_(k,k+1), x_(k+1,k)].
+        # ``derivation_algebra`` reads both
         self.algebra = LieAlgebra._of(labels, T, tuple(sorted((
-            *self.center_indices, *self.c_indices,
+            *self.c_indices,
             *(self.root_index[(k, k + 1)] for k in range(1, n)),
             *(self.root_index[(k + 1, k)] for k in delta_prime)))))
         # S = lid + ad q lies in Der q too: every ad x is a derivation, and so

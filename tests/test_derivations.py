@@ -36,7 +36,7 @@ from liederiv.derivations import (
     split_derivation,
     verify_main_theorem,
 )
-from liederiv import derivations, lie
+from liederiv import derivations, lie, linalg
 from liederiv.lie import (
     EndoMatrix,
     LieAlgebra,
@@ -55,6 +55,7 @@ from liederiv.linalg import (
     contains,
     nullspace_of_rows,
     solve,
+    subspace_intersect,
     subspace_sum,
 )
 from liederiv.parabolic import (
@@ -441,21 +442,26 @@ def test_jacobi_certificate_provenance():
 
 
 def test_build_certifies_a_generating_set():
-    # the certified generators of every built q generate it: their span,
-    # bracketed with them until it stops growing, is all of q
+    # the certified generators of every built q together with the center
+    # generate it: their span, bracketed with them until it stops growing,
+    # is q_s, the span of the coroots and root generators, and with the
+    # center it is all of q
     for n in range(1, 7):
         for blocks in compositions(n):
             for extra_center in (0, 1):
-                L = build_standard_parabolic(blocks, extra_center=extra_center).algebra
+                q = build_standard_parabolic(blocks, extra_center=extra_center)
+                L = q.algebra
                 gens = L._generators
                 assert list(gens) == sorted(set(gens))
                 G = span = Subspace.units(L.dim, gens)
                 while (grown := subspace_sum(span, bracket_span(L, G, span))) != span:
                     span = grown
-                assert span == Subspace.full(L.dim), (blocks, extra_center)
+                center = Subspace.units(L.dim, q.center_indices)
+                assert span == Subspace.units(L.dim, q.c_indices + q.derived_indices)
+                assert subspace_sum(span, center) == Subspace.full(L.dim), (blocks, extra_center)
     L = build_standard_parabolic((3, 2, 1), extra_center=1).algebra
     assert [L.labels[g] for g in L._generators] == [
-        "I", "Z[2]", "H[3]", "H[5]", "E[1,2]", "E[2,1]", "E[2,3]", "E[3,2]", "E[3,4]",
+        "H[3]", "H[5]", "E[1,2]", "E[2,1]", "E[2,3]", "E[3,2]", "E[3,4]",
         "E[4,5]", "E[5,4]", "E[5,6]"]
 
 
@@ -495,27 +501,29 @@ def test_built_gl5_feeds_fewer_rows_than_its_reloaded_copy(monkeypatch):
 
 
 # for each kind of certified generator, one of that kind and a partner on the
-# (3,2,1) parabolic with one extra central generator. No single generator is
-# needed: every one dropped alone from the certificate of a built q with
-# n <= 6 and at most one extra central generator leaves the kernel at Der q,
-# as the equations at the pairs that meet the rest still pin each unknown
+# (3,2,1) parabolic with one extra central generator. The oracle writes each
+# nonzero-weight block as ad(L_mu) whatever pairs it walks, and with those
+# blocks in place no drop of c coroots tried grew the kernel, so the faults
+# are read off the Leibniz system solved as one block (every weight 0), where
+# every equation comes from a walked pair. In the graded oracle, on every
+# built q with n <= 6 and at most one extra central generator, the
+# generators needed alone are exactly the x_(k,k+1) with k not in delta',
+# so none of them is a partner
 GENERATOR_FAULTS = {
-    "central": ("I", "E[3,4]"),
-    "c_coroot": ("H[3]", "E[5,6]"),
-    "x_(k,k+1)": ("E[3,4]", "E[5,6]"),
+    "c_coroot": ("H[3]", "E[1,2]"),
+    "x_(k,k+1)": ("E[1,2]", "H[3]"),
     "x_(k+1,k)": ("E[2,1]", "E[1,2]"),
 }
 
 
 @pytest.mark.parametrize("kind", GENERATOR_FAULTS)
-def test_oracle_reads_each_kind_of_certified_generator(kind):
+def test_oracle_reads_each_kind_of_certified_generator(kind, monkeypatch):
     # the partner dropped alone leaves the kernel at Der q; dropped with the
     # generator of the kind, the kernel grows, so the oracle reads which
     # generators the certificate holds
     q = build_standard_parabolic((3, 2, 1), extra_center=1)
     L, n = q.algebra, q.composition.n
     of_kind = {
-        "central": q.center_indices,
         "c_coroot": q.c_indices,
         "x_(k,k+1)": [q.root_index[(k, k + 1)] for k in range(1, n)],
         "x_(k+1,k)": [q.root_index[(k + 1, k)] for k in q.delta_prime],
@@ -525,9 +533,9 @@ def test_oracle_reads_each_kind_of_certified_generator(kind):
     assert gen in of_kind and {gen, partner} <= set(certified)
     der = derivation_algebra(L)
     L._generators = tuple(g for g in certified if g != partner)
-    assert derivation_algebra(L) == der
+    assert _one_block_oracle(L, monkeypatch) == der
     L._generators = tuple(g for g in certified if g not in (gen, partner))
-    grown = derivation_algebra(L)
+    grown = _one_block_oracle(L, monkeypatch)
     assert grown.dim > der.dim and subspace_sum(grown, der) == grown
 
 
@@ -594,9 +602,9 @@ def test_decompose_raises_decomposition_error_on_a_swapped_table():
 
 
 def test_decompose_rejects_a_map_of_another_algebra():
-    # one error for every foreign map: smaller than the coroot indices of q,
-    # smaller, equal-sized but breaking Leibniz, or a derivation of an
-    # equal table
+    # one error from both splits for every foreign map: smaller than the
+    # coroot indices of q, smaller, equal-sized but breaking Leibniz, or a
+    # derivation of an equal table
     q = build_standard_parabolic((2, 1))
     tiny = build_standard_parabolic((1,)).algebra
     smaller = build_standard_parabolic((1, 1)).algebra
@@ -605,8 +613,9 @@ def test_decompose_rejects_a_map_of_another_algebra():
                     if first_leibniz_violation(twin, _unit(twin, u)) is not None)
     for D in (EndoMatrix(tiny, [{}]), ad_matrix(smaller, {1: 1}), breaking,
               ad_matrix(twin, {1: 1})):
-        with pytest.raises(ValueError, match="different algebras"):
-            constructive_decompose(q, D)
+        for split in (constructive_decompose, split_derivation):
+            with pytest.raises(ValueError, match="different algebras"):
+                split(q, D)
 
 
 PARABOLICS_N4 = [(b, z) for n in range(1, 5) for b in compositions(n) for z in (0, 1)]
@@ -818,12 +827,21 @@ def test_decompose_random_round_trips(golden_q, golden_der):
         assert all(res.p.get(i, 0) == 0 for i in q.center_indices)
 
 
+# tables swapped into q = (1,1) (basis I, H[1], E[1,2]). "swapped" has
+# [H[1], E[1,2]] = 2 E[1,2] + I: lid meets ad q in 0, but no map of lid is a
+# derivation and S = lid + ad q is not Der q, so ``verify_main_theorem``
+# reports direct_sum. "heisenberg" is h_3, where ad x_2 lies in lid, so the
+# split is not unique
+SWAPPED_TABLES = {"swapped": [(1, 2, 2, 2), (1, 2, 0, 1)], "heisenberg": [(1, 2, 0, -1)]}
+
 # (blocks, build keywords, draws): the golden example, every composition of
-# n <= 4 with and without an extra central generator, and a rational root scale
+# n <= 4 with and without an extra central generator, a rational root scale
+# and the two swapped tables
 PROJECTION_CASES = (
     [((3, 2, 1), {}, 10)]
     + [(b, {"extra_center": z}, 2) for n in range(1, 5) for b in compositions(n) for z in (0, 1)]
     + [((2, 1, 2), {"root_scale": Q(3, 2)}, 2)]
+    + [((1, 1), {"table": name}, 10) for name in SWAPPED_TABLES]
 )
 
 
@@ -831,19 +849,61 @@ PROJECTION_CASES = (
     ",".join(map(str, b)) + "".join(f"-{k}={v}" for k, v in kw.items())
     for b, kw, _ in PROJECTION_CASES])
 def test_decompose_matches_projection(blocks, kwargs, draws):
-    # the constructive split and the independent projection agree; with
-    # l_part = D - ad p by construction, this is the cross-check that D is
-    # split into the right two summands
+    # the projection of a draw from S puts l in lid and D - l in ad q, they
+    # sum to D, and l is 0 at the pivots of lid ∩ ad q. Where S is Der q, the
+    # constructive split and the projection agree; with l_part = D - ad p by
+    # construction, this is the cross-check that D is split into the right
+    # two summands
     q = scaled_parabolic(blocks, kwargs.get("root_scale", 1),
                          extra_center=kwargs.get("extra_center", 0))
-    der = derivation_algebra(q.algebra)
+    if "table" in kwargs:
+        q.algebra = LieAlgebra(3, q.algebra.labels, SWAPPED_TABLES[kwargs["table"]])
+    L = q.algebra
+    lid, inner = l_ideal(q), inner_derivations(L)
+    S = subspace_sum(lid, inner)
+    theorem = S == derivation_algebra(L)
+    assert theorem is ("table" not in kwargs)
+    meet = subspace_intersect(lid, inner).pivots()
+    assert bool(meet) is (kwargs.get("table") == "heisenberg")
     rng = random.Random(77)
     for _ in range(draws):
-        D = random_combination(q.algebra, der, rng)
-        res = constructive_decompose(q, D)
+        D = random_combination(L, S, rng)
         l_comp, inner_comp = split_derivation(q, D)
-        assert l_comp == res.l_part
-        assert inner_comp == ad_matrix(q.algebra, res.p)
+        l_flat = l_comp.flat()
+        assert contains(lid, l_flat) and contains(inner, inner_comp.flat())
+        assert l_comp + inner_comp == D
+        assert not l_flat.keys() & set(meet)
+        if theorem:
+            res = constructive_decompose(q, D)
+            assert l_comp == res.l_part
+            assert inner_comp == ad_matrix(L, res.p)
+
+
+def test_projection_is_one_tagged_elimination(monkeypatch):
+    # the projection reduces D in one elimination that holds ad q and lid:
+    # no solve of a transposed system, no second elimination of ad q, no
+    # coordinates combined back into a map
+    q = build_standard_parabolic((3, 2, 1), extra_center=1)
+    L = q.algebra
+    D = random_combination(L, derivation_algebra(L), random.Random(41))
+    res = constructive_decompose(q, D)
+    reducers = []
+
+    class Counting(_RowReducer):
+        def __init__(self, *args):
+            reducers.append(self)
+            super().__init__(*args)
+
+    def refuse(*args):
+        raise AssertionError("the projection left its one elimination")
+
+    monkeypatch.setattr(derivations, "_RowReducer", Counting)
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(derivations, "inner_derivations", refuse)
+    monkeypatch.setattr(Subspace, "combination", refuse)
+    monkeypatch.setattr(EndoMatrix, "flat", refuse)
+    assert split_derivation(q, D) == (res.l_part, ad_matrix(L, res.p))
+    assert len(reducers) == 1
 
 
 def test_p_is_unique_in_trace_zero_part(golden_q, golden_der):

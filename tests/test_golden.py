@@ -40,7 +40,7 @@ text for gl_6 with blocks 3,2,1, and ``der`` as JSON for the whole gl_10
 (blocks 10), where the oracle
 eliminates only the weight-0 block, for the whole gl_20 (blocks 20), where
 the oracle's cut to the pairs that meet the build's generators saves the
-most rows (2,814 fed against 18,240), for the Borel of gl_8 (blocks
+most rows (2,472 fed against 18,240), for the Borel of gl_8 (blocks
 1,1,1,1,1,1,1,1), the finest grading, for gl_6 with blocks 3,2,1 and two
 extra central generators, where the grading element is not unique (any
 central element can be added to it), and for gl_1 with 399 extra central
