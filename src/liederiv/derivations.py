@@ -79,21 +79,29 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     has weight w_l - w_k). Once ``jacobi_holds`` certifies every ad x, the
     block of a nonzero weight mu is ad(L_mu), as the Leibniz identity at
     (h*, x_k) reads (w_k - w_l) D_{l,k} = N [D h*, x_k]_l, else every weight
-    is 0. Jacobi also makes the x with D[x, y] = [Dx, y] + [x, Dy] for every y a
-    subalgebra (expand D[[x1, x2], y] by Jacobi). A build certifies generators G
-    of q_s (``ParabolicAlgebra.__init__``), and only the pairs that meet G are
-    walked: the subalgebra holds <G> = q_s; at (g, z), z central, the equation
-    reads [g, Dz] = 0, so Dz centralizes q_s, whose centralizer in q is z(q) (a
-    parabolic of sl_n has trivial center; for n = 1, q is abelian and G is
-    empty); so each equation at (z, y) reads 0 = 0, and the walked ones have the
-    kernel of the whole system. Other tables walk every pair. Only the weight-0
-    equations at the walked pairs that have a term are fed to the one
-    elimination. It numbers D_{l,k} top - (k*d + l), top = d*d - 1, so each
-    kernel vector, mapped back, leads at its free column and is zero at the
-    others: over its content, with its columns sorted, it is a canonical row.
-    Blocks share no coordinate, so one small elimination of the ad x of nonzero
-    weight gives the canonical rows of every nonzero-weight block. Sorted by
-    pivot, they are the canonical basis, with no second elimination.
+    is 0. A build certifies G = (x_(1,2), ..., x_(n-1,n))
+    (``ParabolicAlgebra.__init__``), and only the pairs that meet G are walked;
+    other tables walk every pair. A weight-0 D keeps each weight space: Dh is in
+    the center plus the coroots for h of weight 0, and D x_a = lam_a x_a. (1) At
+    (x_(k,k+1), h) the equation reads alpha_k(Dh) = 0 for every k, so Dh is
+    central (the Cartan matrix is invertible). (2) So every equation at (h, y)
+    holds: [Dh, y] = 0, and D commutes with ad h, a scalar on each weight space.
+    (3) At (x_(k,k+1), x_(k+1,k)), k in delta', it reads D h_k = (lam_(k,k+1) +
+    lam_(k+1,k)) h_k, a central multiple of h_k, so both are 0. (4) At
+    (x_(i,i+1), x_(i+1,j)) and (x_(i-1,i), x_(i,j)) it reads lam_(i,j) =
+    lam_(i,i+1) + lam_(i+1,j) and lam_(i-1,j) = lam_(i-1,i) + lam_(i,j), as
+    [e_ij, e_jl] = e_il for l != i; by induction on |i - j|, lam is additive on
+    the roots of q. (5) An additive lam, with Dh central and 0 on the coroots of
+    delta', meets every equation at a pair of roots. So the walked weight-0
+    equations have the kernel of the whole weight-0 block (for n = 1, G is
+    empty and q abelian). Only the weight-0 equations at the walked pairs that
+    have a term are fed to the one elimination. It numbers D_{l,k} top - (k*d +
+    l), top = d*d - 1, so each kernel vector, mapped back, leads at its free
+    column and is zero at the others: over its content, with its columns
+    sorted, it is a canonical row. Blocks share no coordinate, so one small
+    elimination of the ad x of nonzero weight gives the canonical rows of every
+    nonzero-weight block. Sorted by pivot, they are the canonical basis, with
+    no second elimination.
     """
     d = L.dim
     top = d * d - 1

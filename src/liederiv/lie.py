@@ -110,7 +110,8 @@ class LieAlgebra:
     def _of(cls, labels, int_table, generators) -> LieAlgebra:
         """The algebra, N = 1, on an int table the library wrote itself in
         the form of ``int_table`` (both orders of each pair, zeros dropped), unchecked,
-        with the build's certificate: Jacobi holds; ``generators`` and the center generate it."""
+        with the build's certificate: Jacobi holds, and the weight-0 Leibniz equations
+        at the pairs that meet ``generators`` cut out the weight-0 derivations."""
         self = object.__new__(cls)
         self._hold(tuple(labels), int_table, 1)
         self._jacobi = True
@@ -125,9 +126,9 @@ class LieAlgebra:
         # computed by jacobi_holds, or set by ``_of`` by construction; the
         # table is never rewritten
         self._jacobi: bool | None = None
-        # sorted indices of basis vectors that generate the algebra together
-        # with its center, set only by ``_of`` by construction;
-        # derivation_algebra reads it
+        # sorted indices of basis vectors at whose pairs the weight-0 Leibniz
+        # equations cut out the weight-0 derivations, set only by ``_of`` by
+        # construction; derivation_algebra reads it
         self._generators: tuple[int, ...] | None = None
 
     def triples(self) -> list[tuple[int, int, int, int | Q]]:

@@ -188,16 +188,12 @@ class ParabolicAlgebra:
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
         # the build's certificate. The table is the gl_n bracket of linearly
         # independent matrices (an escaping bracket raised above), so Jacobi
-        # holds. The coroots of c and the simple root generators x_(k,k+1)
-        # and, for k in delta', x_(k+1,k) generate q_s, the trace-zero part,
-        # which with the center is q: every other root generator is an
-        # iterated bracket of these, as [e_ij, e_jl] = e_il along i, i + 1,
-        # ..., l, and each coroot of delta' is [x_(k,k+1), x_(k+1,k)].
-        # ``derivation_algebra`` reads both
-        self.algebra = LieAlgebra._of(labels, T, tuple(sorted((
-            *self.c_indices,
-            *(self.root_index[(k, k + 1)] for k in range(1, n)),
-            *(self.root_index[(k + 1, k)] for k in delta_prime)))))
+        # holds. The weight-0 Leibniz equations at the pairs that meet the
+        # simple root generators x_(k,k+1), in increasing position, cut out
+        # the weight-0 derivations: ``derivation_algebra`` gives the argument
+        # from the closed-form brackets above, and reads both
+        self.algebra = LieAlgebra._of(
+            labels, T, tuple(self.root_index[(k, k + 1)] for k in range(1, n)))
         # S = lid + ad q lies in Der q too: every ad x is a derivation, and so
         # is every E(z, u) of lid, as I and the Z[t] bracket to 0 and every
         # bracket lands on a root generator or, for [e_ij, e_ji] with e_ji in

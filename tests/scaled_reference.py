@@ -29,9 +29,9 @@ def scaled_parabolic(blocks, s, extra_center: int = 0):
         ])
         # rescaling basis vectors is an isomorphism that fixes the center
         # and c, so the build's certificates, Jacobi and lid + ad q in Der q,
-        # carry over; it maps each generator to a multiple of itself, so the
-        # certified generators still generate with the center and the oracle
-        # takes the same pairs
+        # carry over; it maps each basis vector to a multiple of itself, so
+        # every bracket the oracle's argument reads stays nonzero, the
+        # walked pairs still cut out Der q, and the oracle takes the same pairs
         q.algebra._jacobi = L._jacobi
         q.algebra._generators = L._generators
         q._built = q.algebra

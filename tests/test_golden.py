@@ -10,7 +10,8 @@ hold the output of earlier runs of the commands:
 ``verify --max-n 4 --seed 1 --rounds 3`` as JSON and text, and
 ``verify --max-n 6 --rounds 0`` and ``verify --max-n 7 --rounds 0``, which
 take all 63 and all 127 compositions through the theorem check and no
-decomposition round, as JSON; ``verify --max-n 5
+decomposition round, as JSON, and ``verify --max-n 8 --rounds 0``, the same
+for all 255 compositions of n <= 8, as text; ``verify --max-n 5
 --rounds 20``, which also splits 20 random derivations of each of the 31
 compositions constructively, as JSON, and ``verify --max-n 6 --rounds 20``,
 the same for all 63 compositions of n <= 6, as JSON; ``decompose``
@@ -40,8 +41,9 @@ text for gl_6 with blocks 3,2,1, and ``der`` as JSON for the whole gl_10
 (blocks 10), where the oracle
 eliminates only the weight-0 block, for the whole gl_20 (blocks 20), where
 the oracle's cut to the pairs that meet the build's generators saves the
-most rows (2,472 fed against 18,240), for the Borel of gl_8 (blocks
-1,1,1,1,1,1,1,1), the finest grading, for gl_6 with blocks 3,2,1 and two
+most rows (1,426 fed against 18,240), for the Borel of gl_8 (blocks
+1,1,1,1,1,1,1,1), the finest grading, for the Borel of gl_16, where that cut
+feeds 436 Leibniz rows, for gl_6 with blocks 3,2,1 and two
 extra central generators, where the grading element is not unique (any
 central element can be added to it), and for gl_1 with 399 extra central
 generators, the largest q the size limit lets in, where every map is a
