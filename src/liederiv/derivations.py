@@ -498,15 +498,13 @@ def complexify(L: LieAlgebra) -> tuple[LieAlgebra, EndoMatrix]:
     return hat, J
 
 
-def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra | None = None) -> EndoMatrix:
-    """Extend a derivation of L to the doubled algebra, acting blockwise.
+def extend_derivation(L: LieAlgebra, D: EndoMatrix, hat: LieAlgebra) -> EndoMatrix:
+    """Extend a derivation of L to hat = complexify(L)[0], acting blockwise.
 
     The extension agrees with D on both copies, commutes with J, and
     stabilizes the embedded original algebra.
     """
     _check_leibniz(L, D)
-    if hat is None:
-        hat, _ = complexify(L)
     d = L.dim
     cols = list(D.cols) + [{i + d: e for i, e in c.items()} for c in D.cols]
     return EndoMatrix(hat, cols, D.den)

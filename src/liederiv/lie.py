@@ -11,7 +11,8 @@ integers, arranged as the N ad x_i maps; everything reads it, and
 ``triples`` writes it back out over N. A build that writes its table in
 closed form hands it over as it is (``LieAlgebra._of``). The torus
 grading that lets the derivation oracle solve its system one weight at a
-time is read off the same table (``grading``).
+time is read off the same table (``grading``). Jacobi is the Leibniz
+identity of each ad x, so one evaluator checks both (``_leibniz_failures``).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket``, ``ad_matrix`` and
@@ -48,7 +49,10 @@ __all__ = [
 # ``parabolic.MAX_DIM``, so that ``complexify`` of every built q fits. At this
 # size ``derivation_algebra`` takes about 1.5 min on the complexified gl_20,
 # and about 20 s and 0.5 GB on a complexified abelian q (extrapolated from
-# dims 200 and 400, CPython 3.11 on one core of a 2-vCPU host)
+# dims 200 and 400). A complexified table carries no Jacobi certificate, so
+# ``jacobi_holds`` computes it: about 30 s on the complexified gl_20, and 4
+# to 7 s on the complexified gl_14, dim 392 (CPython 3.11 on one core of a
+# 2-vCPU host)
 MAX_DIM = 800
 
 
@@ -277,36 +281,20 @@ class ValidationReport:
 
 
 def validate_structure(L: LieAlgebra) -> ValidationReport:
-    """Every triple (i, j, k), i < j < k, where the table breaks the Jacobi
-    identity (``jacobi_holds`` stops at the first). Antisymmetry needs no
-    check: the constructor refuses a table that breaks it."""
+    """Every triple (i, j, k), i < j < k, where the table breaks Jacobi, in
+    increasing order (``jacobi_holds`` stops at the first). Antisymmetry
+    needs no check: the constructor refuses a table that breaks it."""
     return ValidationReport(list(_jacobi_failures(L)))
 
 
 def _jacobi_failures(L: LieAlgebra):
-    """The triples (i, j, k), i < j < k, where the table breaks the Jacobi
-    identity, in increasing order; checked on N times the constants (it is
-    homogeneous in them), on the x with nonzero ad (a central x gives 0).
-    [x_i, x_j] is looked up once per pair, and a triple whose three brackets
-    are all zero is skipped, its Jacobi sum being 0."""
-    T = L.int_table
-    active = [i for i, row in enumerate(T) if row]
-    for p, i in enumerate(active):
-        Ti = T[i]
-        for r, j in enumerate(active[p + 1:], p + 1):
-            ij, Tj = Ti.get(j), T[j]
-            for k in active[r + 1:]:
-                jk, ki = Tj.get(k), T[k].get(i)
-                if not (ij or jk or ki):
-                    continue
-                # [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]
-                acc: dict[int, int] = {}
-                for b, c in ((ij, k), (jk, i), (ki, j)):
-                    for m, v in (b or {}).items():
-                        for t, w in T[m].get(c, {}).items():
-                            acc[t] = acc.get(t, 0) + v * w
-                if any(acc.values()):
-                    yield i, j, k
+    """``validate_structure``'s triples: the Jacobi sum at (i, j, k) is minus
+    the Leibniz residual of ad x_i at (x_j, x_k), read off N ad x_i where it
+    is nonzero (a central x gives 0), kept where i < j."""
+    for i, row in enumerate(L.int_table):
+        if row:
+            cols = [row.get(j, {}) for j in range(L.dim)]
+            yield from ((i, j, k) for j, k in _leibniz_failures(L, cols) if i < j)
 
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
@@ -398,10 +386,15 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
     of the constants; the identity is linear in each, so the verdict is
     the one for m itself.
     """
-    d = L.dim
-    if len(m.cols) != d:
+    if len(m.cols) != L.dim:
         raise ValueError("column count does not match algebra dimension")
-    cols = m.cols
+    return next(_leibniz_failures(L, m.cols), None)
+
+
+def _leibniz_failures(L: LieAlgebra, cols):
+    """Every pair (i, j), i < j, in increasing order, where the map with int
+    columns ``cols`` (``cols[j]`` a dict row -> int) breaks Leibniz."""
+    d = L.dim
     rows: list[dict[int, int]] = [{} for _ in range(d)]  # rows[t][j] = cols[j][t]
     for j, c in enumerate(cols):
         for t, e in c.items():
@@ -429,10 +422,7 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
                     a = acc.setdefault(j, {})
                     for k, v in ks.items():
                         a[k] = a.get(k, 0) - e * v
-        bad = [j for j, a in acc.items() if any(a.values())]
-        if bad:
-            return (i, min(bad))
-    return None
+        yield from ((i, j) for j in sorted(acc) if any(acc[j].values()))
 
 
 def grading(L: LieAlgebra) -> tuple[int, ...]:
@@ -465,9 +455,9 @@ def grading(L: LieAlgebra) -> tuple[int, ...]:
 
 
 def jacobi_holds(L: LieAlgebra) -> bool:
-    """Whether the table satisfies the Jacobi identity: the triple scan of
-    ``validate_structure`` finds no failure. Computed once per algebra; a
-    built ``ParabolicAlgebra`` sets it by construction."""
+    """Whether the table satisfies Jacobi (every ad x is a derivation): the
+    check of ``validate_structure``, stopped at its first triple. Computed
+    once per algebra; a built ``ParabolicAlgebra`` sets it by construction."""
     if L._jacobi is None:
         L._jacobi = next(_jacobi_failures(L), None) is None
     return L._jacobi

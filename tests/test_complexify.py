@@ -117,7 +117,7 @@ def test_extend_zero():
 def test_extend_rejects_non_derivation():
     L = sl2()
     with pytest.raises(NotADerivationError):
-        extend_derivation(L, identity(L))
+        extend_derivation(L, identity(L), complexify(L)[0])
 
 
 def test_extensions_of_borel_oracle_basis(borel3_q, borel3_der):

@@ -16,6 +16,7 @@ from dense_reference import (
     identity,
     sparse,
 )
+from jacobi_reference import jacobi_failures
 from root_reference import cartan_element, root_value
 from scaled_reference import scaled_parabolic
 from theorem_reference import two_elimination_report
@@ -329,16 +330,12 @@ CERTIFICATE_CASES = [(b, z, rs) for n in range(1, 5) for b in compositions(n)
                      for z in (0, 1) for rs in (1, Q(3, 2))]
 
 
-def _jacobi_by_leibniz(L):
-    """The reference: every ad x_i passes the Leibniz check."""
-    return all(first_leibniz_violation(L, ad_matrix(L, {i: 1})) is None for i in range(L.dim))
-
-
 def _assert_jacobi_matches(L):
-    # jacobi_holds stops at the first failing triple of the scan that
-    # validate_structure lists in full; the reference checks each ad x
-    holds = jacobi_holds(L)
-    assert holds == _jacobi_by_leibniz(L) == (not validate_structure(L).jacobi_violations)
+    # validate_structure lists the failing triples of the reference's
+    # triple scan, in its order, and jacobi_holds stops at the first
+    violations = validate_structure(L).jacobi_violations
+    assert violations == list(jacobi_failures(L))
+    assert jacobi_holds(L) == (not violations)
 
 
 def test_jacobi_certificate_matches_validate_structure():
@@ -786,7 +783,7 @@ def test_leibniz_gate_on_endomatrix(golden_q):
     # every entry point that takes a map runs the one check and names its pair
     for call in (
         lambda: constructive_decompose(golden_q, bad),
-        lambda: extend_derivation(L, bad),
+        lambda: extend_derivation(L, bad, complexify(L)[0]),
         lambda: split_derivation(golden_q, bad),
     ):
         with pytest.raises(NotADerivationError) as exc:

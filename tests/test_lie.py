@@ -446,10 +446,11 @@ def test_any_map_is_derivation_on_abelian():
     assert first_leibniz_violation(L, as_endo(L, m)) is None
 
 
-def _first_leibniz_failure(L, m):
-    """First i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], by dense
-    coordinate vectors and the dense matrix m of D."""
+def _leibniz_failures_elementwise(L, m):
+    """Every i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], in
+    increasing order, by dense coordinate vectors and the dense matrix m of D."""
     units = Matrix.identity(L.dim)
+    failures = []
     for i in range(L.dim):
         xi = units.row(i)
         for j in range(i + 1, L.dim):
@@ -457,8 +458,8 @@ def _first_leibniz_failure(L, m):
             lhs = m.mul_vec(dense_bracket(L, xi, xj))
             a, b = dense_bracket(L, m.mul_vec(xi), xj), dense_bracket(L, xi, m.mul_vec(xj))
             if lhs != tuple(s + t for s, t in zip(a, b)):
-                return (i, j)
-    return None
+                failures.append((i, j))
+    return failures
 
 
 @pytest.mark.parametrize("algebra", ["golden", "scaled"])
@@ -484,10 +485,14 @@ def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
         cases.append(EndoMatrix.from_flat(L, flat))
     cases = [EndoMatrix(L, [{i: scale * e for i, e in c.items()} for c in E.cols], E.den)
              for E in cases]
+    # every failing pair, in order, and the first one the gate returns
+    failures = [list(lie._leibniz_failures(L, E.cols)) for E in cases]
+    assert failures == [_leibniz_failures_elementwise(L, as_matrix(E)) for E in cases]
     found = [first_leibniz_violation(L, E) for E in cases]
-    assert found == [_first_leibniz_failure(L, as_matrix(E)) for E in cases]
+    assert found == [pairs[0] if pairs else None for pairs in failures]
     assert found[0] is not None and found[1] is None
     assert sum(pair is not None for pair in found) >= 5
+    assert any(len(pairs) > 1 for pairs in failures)
 
 
 def test_inner_derivations_stabilize_ideals(golden_q):
@@ -1033,6 +1038,19 @@ def test_grading_falls_back_to_zero():
     # the scan runs whether Jacobi is still unknown or known to fail
     assert L._jacobi is None and not lie.jacobi_holds(L)
     assert grading(L) == (0,) * L.dim
+
+
+def test_reprs():
+    # each names the sizes that tell two objects apart at a glance
+    q = build_standard_parabolic((2, 1), extra_center=1)
+    L = q.algebra
+    assert repr(q) == "ParabolicAlgebra(n=3, blocks=(2, 1))"
+    assert repr(L) == "LieAlgebra(dim 8, 11 bracket pairs)"
+    assert repr(abelian(3)) == "LieAlgebra(dim 3, 0 bracket pairs)"
+    assert repr(ad_matrix(L, {q.root_index[(1, 2)]: 1})) == "EndoMatrix(dim 8, 4 nonzero)"
+    assert repr(EndoMatrix(L, [{}] * L.dim)) == "EndoMatrix(dim 8, 0 nonzero)"
+    assert repr(Subspace.from_sparse(8, [{0: 1}, {4: 2, 5: 1}])) == "Subspace(dim 2 of 8)"
+    assert repr(Subspace.from_sparse(4, [])) == "Subspace(dim 0 of 4)"
 
 
 def test_algebra_size_limit_boundary():
