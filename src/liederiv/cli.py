@@ -30,12 +30,7 @@ from .derivations import (
 )
 from .lie import EndoMatrix
 from .linalg import Q, integer, rational
-from .parabolic import (
-    BlockComposition,
-    adapted_subspaces,
-    build_standard_parabolic,
-    compositions,
-)
+from .parabolic import adapted_subspaces, build_standard_parabolic, compositions
 
 __all__ = ["main"]
 
@@ -78,8 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parabolic(args):
-    comp = BlockComposition.parse(args.n, args.blocks)
-    return build_standard_parabolic(comp, extra_center=args.extra_center)
+    try:
+        blocks = tuple(map(integer, args.blocks.split(",")))
+    except ValueError:
+        raise ValueError(f"cannot parse composition {args.blocks!r}") from None
+    if args.n < 1:
+        raise ValueError("n must be at least 1")
+    # the build refuses a block below 1 before its size limit; --n must be
+    # checked against the sum only after that
+    if min(blocks) >= 1 and sum(blocks) != args.n:
+        raise ValueError(f"blocks {blocks} do not sum to n={args.n}")
+    return build_standard_parabolic(blocks, extra_center=args.extra_center)
 
 
 def cmd_describe(args) -> tuple[dict, int]:
@@ -88,10 +92,10 @@ def cmd_describe(args) -> tuple[dict, int]:
     payload = q.algebra.to_json_dict()
     payload.update(
         {
-            "n": q.composition.n,
-            "blocks": list(q.composition.blocks),
+            "n": q.n,
+            "blocks": list(q.blocks),
             "extra_center": q.extra_center,
-            "delta": list(range(1, q.composition.n)),
+            "delta": list(range(1, q.n)),
             "delta_prime": list(q.delta_prime),
             "center_dim": s["g_z"].dim,
             "cartan_dim": s["cartan"].dim,
@@ -116,8 +120,8 @@ def cmd_der(args) -> tuple[dict, int]:
     q = _parabolic(args)
     report = verify_main_theorem(q, derivation_algebra(q.algebra))
     payload = {
-        "n": q.composition.n,
-        "blocks": list(q.composition.blocks),
+        "n": q.n,
+        "blocks": list(q.blocks),
         **{k: getattr(report, k) for k in ("der_dim", "l_dim", "inner_dim", "h1_dim",
                                            "formula_dim", "formula_ok")},
         "center_dim": len(q.center_indices),
@@ -192,8 +196,8 @@ def _verify_case(q, rounds: int, rng) -> dict:
             failure = {"kind": "decompose", "round": r, "error": str(exc)}
             break
     row = {
-        "n": q.composition.n,
-        "blocks": list(q.composition.blocks),
+        "n": q.n,
+        "blocks": list(q.blocks),
         **{k: getattr(report, k) for k in ("der_dim", "l_dim", "inner_dim", "h1_dim",
                                            "direct_sum_ok", "l_is_ideal_ok",
                                            "inner_is_ideal_ok", "formula_ok")},

@@ -190,7 +190,7 @@ def formula_dim(q: ParabolicAlgebra) -> int:
     """The dimension of Der q that ``dimension_formula`` predicts from q;
     the trace-zero part q_s complements the center."""
     z = len(q.center_indices)
-    return dimension_formula(z, q.composition.n - 1, len(q.delta_prime), q.dim - z)
+    return dimension_formula(z, q.n - 1, len(q.delta_prime), q.dim - z)
 
 
 @dataclass
@@ -402,7 +402,7 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     L = q.algebra
     if D.algebra is not L:
         raise ValueError("maps belong to different algebras")
-    n, den, cols = q.composition.n, D.den, D.cols
+    n, den, cols = q.n, D.den, D.cols
 
     x, d_gamma = root_line_reduction(q, D)
     c_gamma = {root: _ratio(cols[pos].get(pos, 0), den) for root, pos in q.root_index.items()}

@@ -47,12 +47,12 @@ __all__ = [
 
 # the largest dim of an algebra, checked before anything is allocated: twice
 # ``parabolic.MAX_DIM``, so that ``complexify`` of every built q fits. At this
-# size ``derivation_algebra`` takes about 1.5 min on the complexified gl_20,
+# size ``derivation_algebra`` takes about 14 s on the complexified gl_20,
 # and about 20 s and 0.5 GB on a complexified abelian q (extrapolated from
 # dims 200 and 400). A complexified table carries no Jacobi certificate, so
-# ``jacobi_holds`` computes it: about 30 s on the complexified gl_20, and 4
-# to 7 s on the complexified gl_14, dim 392 (CPython 3.11 on one core of a
-# 2-vCPU host)
+# ``jacobi_holds`` computes it: about 11 s on the complexified gl_20, and
+# 1.5 to 2 s on the complexified gl_14, dim 392 (CPython 3.11 on one core of
+# a 2-vCPU host)
 MAX_DIM = 800
 
 
@@ -290,11 +290,11 @@ def validate_structure(L: LieAlgebra) -> ValidationReport:
 def _jacobi_failures(L: LieAlgebra):
     """``validate_structure``'s triples: the Jacobi sum at (i, j, k) is minus
     the Leibniz residual of ad x_i at (x_j, x_k), read off N ad x_i where it
-    is nonzero (a central x gives 0), kept where i < j."""
+    is nonzero (a central x gives 0), at the pairs (j, k) with i < j."""
     for i, row in enumerate(L.int_table):
         if row:
             cols = [row.get(j, {}) for j in range(L.dim)]
-            yield from ((i, j, k) for j, k in _leibniz_failures(L, cols) if i < j)
+            yield from ((i, j, k) for j, k in _leibniz_failures(L, cols, i + 1))
 
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
@@ -391,16 +391,16 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
     return next(_leibniz_failures(L, m.cols), None)
 
 
-def _leibniz_failures(L: LieAlgebra, cols):
-    """Every pair (i, j), i < j, in increasing order, where the map with int
-    columns ``cols`` (``cols[j]`` a dict row -> int) breaks Leibniz."""
+def _leibniz_failures(L: LieAlgebra, cols, start: int = 0):
+    """Every pair (i, j), start <= i < j, in increasing order, where the map
+    with int columns ``cols`` (``cols[j]`` a dict row -> int) breaks Leibniz."""
     d = L.dim
     rows: list[dict[int, int]] = [{} for _ in range(d)]  # rows[t][j] = cols[j][t]
     for j, c in enumerate(cols):
         for t, e in c.items():
             rows[t][j] = e
     T = L.int_table
-    for i in range(d):
+    for i in range(start, d):
         # acc[j] = m[x_i, x_j] - [m x_i, x_j] - [x_i, m x_j] for j > i, each
         # term summed over the support of a table row, a column or a row of m
         acc: dict[int, dict[int, int]] = {}

@@ -23,15 +23,13 @@ rows of n A^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import lie
 from .lie import LieAlgebra, bracket
-from .linalg import Subspace, integer, is_direct_sum, require_iterable
+from .linalg import Subspace, is_direct_sum, require_iterable
 
 __all__ = [
-    "BlockComposition",
     "ParabolicAlgebra",
     "adapted_subspaces",
     "build_gl",
@@ -44,38 +42,17 @@ __all__ = [
 MAX_DIM = 400
 
 
-@dataclass(frozen=True)
-class BlockComposition:
-    """An ordered composition of n into positive block sizes; n and the
-    blocks are ints, not bools."""
-
-    n: int
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(require_iterable(self.blocks, "blocks")))
-        if not all(type(b) is int for b in (self.n, *self.blocks)):
-            raise ValueError(f"n and blocks must be ints, got {self.n!r} and {self.blocks!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if not self.blocks or any(b < 1 for b in self.blocks):
-            raise ValueError("blocks must be positive")
-        if sum(self.blocks) != self.n:
-            raise ValueError(f"blocks {self.blocks} do not sum to n={self.n}")
-
-    @classmethod
-    def parse(cls, n: int, text: str) -> BlockComposition:
-        try:
-            blocks = tuple(map(integer, text.split(",")))
-        except ValueError:
-            raise ValueError(f"cannot parse composition {text!r}") from None
-        return cls(n, blocks)
+def _require_size(n) -> None:
+    """The rule for a size n of gl_n: an int, not a bool, of at least 1."""
+    if type(n) is not int:
+        raise ValueError(f"n {n!r} is not an int")
+    if n < 1:
+        raise ValueError("n must be at least 1")
 
 
 def compositions(n: int):
     """All 2^(n-1) compositions of n, lexicographically by block tuple."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_size(n)
 
     def rec(remaining: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -84,7 +61,7 @@ def compositions(n: int):
         for first in range(1, remaining + 1):
             yield from rec(remaining - first, prefix + (first,))
 
-    yield from rec(n, ())
+    return rec(n, ())
 
 
 def _roots(n: int, delta_prime) -> tuple[tuple[int, int], ...]:
@@ -124,6 +101,8 @@ def _closed(L: LieAlgebra, a, b: set[int], target: set[int]) -> bool:
 class ParabolicAlgebra:
     """A block parabolic of gl_n with its adapted basis.
 
+    The composition is its blocks, any iterable of positive ints (not bools),
+    checked before anything else: ``blocks`` keeps them, ``n`` is their sum.
     Basis order: scalar I (index 0), extra central generators, coroots
     h_1..h_{n-1}, then the allowed off-diagonal generators x_(i,j) sorted by
     (i, j). The center, the complement c of the derived algebra and the
@@ -133,22 +112,27 @@ class ParabolicAlgebra:
     before anything is built.
     """
 
-    def __init__(self, composition: BlockComposition, extra_center: int = 0):
+    def __init__(self, blocks, extra_center: int = 0):
+        blocks = tuple(require_iterable(blocks, "composition"))
+        if not all(type(b) is int for b in blocks):
+            raise ValueError(f"blocks must be ints, got {blocks!r}")
+        if not blocks or min(blocks) < 1:
+            raise ValueError("blocks must be positive")
         if type(extra_center) is not int:
             raise ValueError(f"extra_center {extra_center!r} is not an int")
         if extra_center < 0:
             raise ValueError("extra_center must be nonnegative")
-        n = composition.n
+        self.n = n = sum(blocks)
         # the center, the coroots and one generator per root: n(n - 1)/2
         # positive ones and b(b - 1)/2 negative ones in each block b
-        dim = 1 + extra_center + (n - 1) + sum(b * (b - 1) // 2 for b in (n, *composition.blocks))
+        dim = 1 + extra_center + (n - 1) + sum(b * (b - 1) // 2 for b in (n, *blocks))
         if dim > MAX_DIM:
             raise ValueError(f"dim q = {dim} is above the limit of {MAX_DIM}")
-        self.composition = composition
+        self.blocks = blocks
         self.extra_center = extra_center
 
         # k and k + 1 share a block unless a block ends at k
-        ends = set(accumulate(composition.blocks))
+        ends = set(accumulate(blocks))
         self.delta_prime = delta_prime = tuple(k for k in range(1, n) if k not in ends)
         roots = _roots(n, delta_prime)
 
@@ -209,7 +193,7 @@ class ParabolicAlgebra:
         return self.algebra.dim
 
     def __repr__(self) -> str:
-        return f"ParabolicAlgebra(n={self.composition.n}, blocks={self.composition.blocks})"
+        return f"ParabolicAlgebra(n={self.n}, blocks={self.blocks})"
 
 
 def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
@@ -221,7 +205,7 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
     closures and the centrality are read off the table: a bracket of basis
     vectors lies in a coordinate subspace exactly when its support does.
     """
-    L, n, d = q.algebra, q.composition.n, q.dim
+    L, n, d = q.algebra, q.n, q.dim
     dp = q.delta_prime
     h = [q.coroot_index[k] for k in range(1, n)]
     t = [q.coroot_index[k] for k in dp]
@@ -269,8 +253,7 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
 def build_gl(n: int) -> LieAlgebra:
     """gl_n on the matrix-unit basis E[i,j], lexicographic in (i, j); n*n
     at most ``lie.MAX_DIM``, checked before any bracket is formed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_size(n)
     if n * n > lie.MAX_DIM:
         raise ValueError(f"dim {n * n} is above the limit of {lie.MAX_DIM}")
     units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -292,12 +275,7 @@ def build_gl(n: int) -> LieAlgebra:
     return LieAlgebra(n * n, labels, triples)
 
 
-def build_standard_parabolic(
-    composition: BlockComposition | tuple[int, ...], *, extra_center: int = 0
-) -> ParabolicAlgebra:
-    """The block parabolic of gl_n for a composition (a BlockComposition or
-    a block tuple summing to n), with extra_center central generators."""
-    if not isinstance(composition, BlockComposition):
-        blocks = tuple(require_iterable(composition, "composition"))
-        composition = BlockComposition(sum(blocks), blocks)
-    return ParabolicAlgebra(composition, extra_center=extra_center)
+def build_standard_parabolic(blocks, *, extra_center: int = 0) -> ParabolicAlgebra:
+    """The block parabolic of gl_n for the composition of n into blocks,
+    with extra_center central generators (``ParabolicAlgebra``)."""
+    return ParabolicAlgebra(blocks, extra_center=extra_center)

@@ -58,7 +58,7 @@ def constructive_decompose(q, D) -> DecompositionResult:
     L = q.algebra
     if D.algebra is not L:
         raise ValueError("maps belong to different algebras")
-    n = q.composition.n
+    n = q.n
     x, d_gamma = root_line_reduction(q, D)
     c_gamma = {root: Q(D.cols[pos].get(pos, 0), D.den) for root, pos in q.root_index.items()}
     b = cartan_solve([c_gamma[(k, k + 1)] for k in range(1, n)])

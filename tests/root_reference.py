@@ -17,7 +17,7 @@ def root_value(q, root: tuple[int, int], h: dict) -> Q:
     h is a sparse coordinate dict of q.algebra (index -> value) and must lie
     in the span of the coroots.
     """
-    n = q.composition.n
+    n = q.n
     coroot_pos = set(q.coroot_index.values())
     if any(v and idx not in coroot_pos for idx, v in h.items()):
         raise ValueError("element is not in the Cartan subalgebra")
@@ -34,10 +34,10 @@ def root_value(q, root: tuple[int, int], h: dict) -> Q:
 def cartan_element(q, diag) -> dict:
     """The sparse coordinates of the trace-zero diagonal matrix
     diag(t_1, ..., t_n) in q: b_k = t_1 + ... + t_k on h_k."""
-    if len(diag) != q.composition.n or sum(diag):
+    if len(diag) != q.n or sum(diag):
         raise ValueError("not a trace-zero diagonal of the right size")
     out, b = {}, 0
-    for k in range(1, q.composition.n):
+    for k in range(1, q.n):
         b += diag[k - 1]
         if b:
             out[q.coroot_index[k]] = b

@@ -90,7 +90,7 @@ def test_criterion_2_main_theorem_sweep(sweep):
         seen = 0
         for q, der in sweep:
             report = verify_main_theorem(q, der)
-            assert report.ok, (q.composition.blocks, report)
+            assert report.ok, (q.blocks, report)
             lid = l_ideal(q)
             inner = inner_derivations(q.algebra)
             assert subspace_sum(lid, inner) == der
@@ -133,7 +133,7 @@ def test_criterion_4_constructive_round_trips(sweep):
             lid = l_ideal(q)
             center_set = set(q.center_indices)
             dp = set(q.delta_prime)
-            t_positions = [q.coroot_index[k] for k in range(1, q.composition.n) if k in dp]
+            t_positions = [q.coroot_index[k] for k in range(1, q.n) if k in dp]
             rng = random.Random(1000 + case_index)
             for _ in range(20):
                 D = random_combination(q.algebra, der, rng)

@@ -39,7 +39,7 @@ def _reference_triples(q, s):
     """[x_a, x_b] for every pair a < b, from the commutator of the matrices
     of x_a and x_b: the identity for the central generators, e_kk -
     e_(k+1,k+1) for h_k and s e_ij for x_(i,j)."""
-    n = q.composition.n
+    n = q.n
     mats = {z: {(i, i): 1 for i in range(1, n + 1)} for z in q.center_indices}
     mats.update({pos: {(k, k): 1, (k + 1, k + 1): -1} for k, pos in q.coroot_index.items()})
     mats.update({pos: {(i, j): s} for (i, j), pos in q.root_index.items()})
@@ -65,7 +65,7 @@ def _reference_subspaces(q):
     dp = set(q.delta_prime)
     h = q.coroot_index
     # block[i - 1] is the block of row and column i
-    block = [b for b, size in enumerate(q.composition.blocks) for _ in range(size)]
+    block = [b for b, size in enumerate(q.blocks) for _ in range(size)]
     same = [p for (i, j), p in q.root_index.items() if block[i - 1] == block[j - 1]]
     cross = [p for (i, j), p in q.root_index.items() if block[i - 1] != block[j - 1]]
     t = [h[k] for k in h if k in dp]

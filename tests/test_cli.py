@@ -14,7 +14,7 @@ from liederiv import cli, derivations, parabolic
 from liederiv.cli import _build_parser, _json, main
 from liederiv.lie import ad_matrix
 from liederiv.linalg import Q, integer
-from liederiv.parabolic import BlockComposition, build_standard_parabolic, compositions
+from liederiv.parabolic import build_standard_parabolic, compositions
 
 DATA = Path(__file__).parent / "data"
 
@@ -645,9 +645,12 @@ def _decompose_text(st, data, argv) -> str:
     perhaps a wrong dim, a ragged row or a document that is no such object."""
     values = dict(zip(argv[1::2], argv[2::2]))
     try:
-        comp = BlockComposition.parse(integer(values["--n"]), values["--blocks"])
-        d = build_standard_parabolic(comp, extra_center=integer(values.get("--extra-center",
-                                                                           "0"))).dim
+        n = integer(values["--n"])
+        blocks = [integer(b) for b in values["--blocks"].split(",")]
+        if sum(blocks) != n:
+            raise ValueError(f"blocks {blocks} do not sum to n={n}")
+        d = build_standard_parabolic(blocks, extra_center=integer(values.get("--extra-center",
+                                                                             "0"))).dim
     except (KeyError, ValueError):
         d = 3
     entry = _often(st, st.sampled_from([1, -2, 3, 0, "1/2", "-3/4", "0", "-0"]),

@@ -28,6 +28,13 @@ n, so the split's common denominator lcm(2, n) den is 2n den);
 ``der`` for gl_2 with 99999999999999999999 extra central generators, a q
 above the size limit, which must exit 2 with one error line before it
 builds anything;
+five requests whose composition the CLI refuses, each with exit 2 and
+one error line, which pin the order of its checks: ``der --n 0 --blocks
+1`` (n below 1), ``der --n 4 --blocks 0,3`` (a block below 1, refused
+before the sum), ``der --n 2 --blocks 99999999`` (the sum, refused before
+the size limit), ``der --n 3 --blocks 1,,2`` (a block that is no integer)
+and ``decompose --n 4 --blocks 2,1 --input decompose-0.in.json`` (the
+sum, refused before the input is read);
 and ``describe`` as JSON for gl_6
 with blocks 3,2,1 and one extra central generator, for the Borel of gl_5,
 for gl_4 with blocks 1,2,1 and two extra central generators, whose

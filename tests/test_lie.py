@@ -47,7 +47,7 @@ from liederiv.linalg import (
     subspace_intersect,
 )
 from liederiv.parabolic import (
-    BlockComposition,
+    ParabolicAlgebra,
     adapted_subspaces,
     build_gl,
     build_standard_parabolic,
@@ -557,9 +557,18 @@ def test_json_round_trip():
         (lambda: LieAlgebra(True, None, []), "dim True"),
         (lambda: LieAlgebra(2, None, [5]), "triple 5 "),
         (lambda: LieAlgebra(2, None, [(0, 1, 0)]), "triple (0, 1, 0) "),
-        (lambda: BlockComposition(2, (1.9, 1)), "must be ints"),
-        (lambda: BlockComposition(2, (True, True)), "must be ints"),
-        (lambda: BlockComposition(2.0, (1, 1)), "must be ints"),
+        (lambda: build_standard_parabolic((1.9, 1)), "must be ints"),
+        (lambda: build_standard_parabolic((True, True)), "must be ints"),
+        (lambda: list(compositions(2.0)), "n 2.0 is not an int"),
+        (lambda: build_standard_parabolic("21"), "must be ints"),
+        (lambda: build_standard_parabolic((None, 1)), "must be ints"),
+        (lambda: compositions(True), "n True is not an int"),
+        (lambda: compositions("3"), "n '3' is not an int"),
+        (lambda: compositions(None), "n None is not an int"),
+        (lambda: build_gl(True), "n True is not an int"),
+        (lambda: build_gl(2.0), "n 2.0 is not an int"),
+        (lambda: build_gl("3"), "n '3' is not an int"),
+        (lambda: build_gl(None), "n None is not an int"),
         (lambda: build_standard_parabolic((2,), extra_center=1.5), "extra_center 1.5"),
         (lambda: build_standard_parabolic((2,), extra_center=True), "extra_center True"),
     ],
@@ -567,7 +576,9 @@ def test_json_round_trip():
          "float-vector-entry", "json-not-object", "json-no-dim",
          "json-string-dim", "json-string-basis", "json-no-sc", "json-int-triple",
          "json-short-triple", "bool-dim", "int-triple", "short-triple", "float-block",
-         "bool-blocks", "float-n", "float-extra-center", "bool-extra-center"],
+         "bool-blocks", "float-n", "str-blocks", "none-block", "bool-compositions-n",
+         "str-compositions-n", "none-compositions-n", "bool-gl-n", "float-gl-n", "str-gl-n",
+         "none-gl-n", "float-extra-center", "bool-extra-center"],
 )
 def test_library_rejects_inexact_input(build, named):
     # the rule the CLI applies to matrix entries: an int that is not a bool,
@@ -599,7 +610,7 @@ def _assign_rows():
         (lambda: solve(2, [{0: 1}], [1, 2]), ValueError,
          "right-hand side length does not match row count"),
         (_assign_rows, AttributeError, "Subspace is immutable"),
-        (lambda: BlockComposition(0, (1,)), ValueError, "n must be at least 1"),
+        (lambda: build_standard_parabolic(()), ValueError, "blocks must be positive"),
         (lambda: list(compositions(0)), ValueError, "n must be at least 1"),
     ],
     ids=["label-count", "triple-out-of-range", "bracket-span-ambient", "restrict-ambient",
@@ -628,7 +639,7 @@ def test_library_rejects_mismatched_sizes(call, error, named):
         (lambda: LieAlgebra(2, 5, []), "labels"),
         (lambda: EndoMatrix(build_gl(2), 5), "cols"),
         (lambda: build_standard_parabolic(5), "composition"),
-        (lambda: BlockComposition(2, 5), "blocks"),
+        (lambda: ParabolicAlgebra(5), "composition"),
     ],
     ids=["units", "from-sparse", "from-vectors", "from-vectors-vector", "nullspace-of-rows",
          "solve-rows", "solve-b", "is-direct-sum", "triples", "labels", "endomatrix",

@@ -25,7 +25,7 @@ from liederiv.parabolic import build_standard_parabolic, compositions
 def _signed_permutation(q, r):
     """P from q onto r, the parabolic of the reversed composition: P x_a is
     sign[a] times the basis vector image[a] of r."""
-    n = q.composition.n
+    n = q.n
     image, sign = list(range(q.dim)), [1] * q.dim
     sign[0] = -1  # I -> -I; each Z[t] is fixed
     for k, a in q.coroot_index.items():

@@ -11,8 +11,8 @@ from scaled_reference import scaled_parabolic
 from liederiv.lie import bracket, bracket_span, center, restrict, validate_structure
 from liederiv.linalg import Q, Subspace, contains, is_direct_sum
 from liederiv import parabolic
+from liederiv.cli import main
 from liederiv.parabolic import (
-    BlockComposition,
     ParabolicAlgebra,
     _partition,
     adapted_subspaces,
@@ -187,19 +187,30 @@ def test_borel_gl3():
     assert len(q.c_indices) == 2
 
 
-def test_invalid_compositions():
-    with pytest.raises(ValueError):
-        BlockComposition(6, (4, 3))
-    with pytest.raises(ValueError):
-        BlockComposition(3, (0, 3))
-    with pytest.raises(ValueError):
-        BlockComposition.parse(3, "a,b")
-    with pytest.raises(ValueError):
-        BlockComposition(4, (2, 1))
+def test_invalid_compositions(capsys):
+    with pytest.raises(ValueError, match="^blocks must be positive$"):
+        build_standard_parabolic((0, 3))
+    # the library reads the blocks alone; the CLI's --n must be their sum
+    for blocks, n, error in [("4,3", "6", "blocks (4, 3) do not sum to n=6"),
+                             ("0,3", "3", "blocks must be positive"),
+                             ("a,b", "3", "cannot parse composition 'a,b'"),
+                             ("2,1", "4", "blocks (2, 1) do not sum to n=4")]:
+        assert main(["der", "--n", n, "--blocks", blocks]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
     # n is read off the blocks, and extra_center is keyword-only, so a
     # stale positional n cannot become extra central generators
     with pytest.raises(TypeError):
         build_standard_parabolic((1, 1, 1), 3)
+
+
+def test_any_iterable_of_blocks_builds_one_table():
+    qs = [build_standard_parabolic(blocks)
+          for blocks in ([3, 2, 1], (b for b in (3, 2, 1)), (3, 2, 1))]
+    for q in qs:
+        assert type(q.blocks) is tuple and q.blocks == (3, 2, 1)
+        assert q.n == sum(q.blocks) == 6
+        assert q.algebra.int_table == qs[-1].algebra.int_table
+        assert q.algebra.labels == qs[-1].algebra.labels
 
 
 def test_langlands_golden(golden_q):
@@ -293,7 +304,7 @@ def test_levi_center_complements_like_c(golden_q):
     # two valid complements of t inside the Cartan; equal only in extreme cases
     q = golden_q
     s = adapted_subspaces(q)
-    assert s["levi_center"].dim == s["c"].dim == q.composition.n - 1 - len(q.delta_prime)
+    assert s["levi_center"].dim == s["c"].dim == q.n - 1 - len(q.delta_prime)
     assert is_direct_sum([s["c"], s["t"]], s["cartan"])
     assert is_direct_sum([s["levi_center"], s["t"]], s["cartan"])
     assert is_direct_sum([s["levi_center"], s["levi_semisimple"]], s["levi"])
@@ -339,7 +350,7 @@ def _dense_realization(q, s):
     """Each basis element of q as a dense n x n Fraction matrix: the identity
     for I and the extra central generators, e_kk - e_{k+1,k+1} for h_k and
     s e_ij for x_(i,j)."""
-    n = q.composition.n
+    n = q.n
 
     def matrix(entries):
         m = [[Q(0)] * n for _ in range(n)]
