@@ -22,8 +22,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .lie import EndoMatrix, LieAlgebra, ad_matrix, first_leibniz_violation, grading, jacobi_holds
-from .linalg import Q, Subspace, _RowReducer, _over, _ratio, contains
+from .lie import (EndoMatrix, LieAlgebra, _leibniz_failures, first_leibniz_violation, grading,
+                  jacobi_holds)
+from .linalg import Q, Subspace, _RowReducer, _over, _ratio
 from .parabolic import ParabolicAlgebra, _cartan_adjugate
 
 __all__ = [
@@ -178,7 +179,11 @@ def l_ideal(q: ParabolicAlgebra) -> Subspace:
 
 
 def dimension_formula(center_dim: int, simple_count: int, selected_count: int, dim_qs: int) -> int:
-    """(center_dim + simple_count - selected_count) * center_dim + dim_qs."""
+    """(center_dim + simple_count - selected_count) * center_dim + dim_qs, for
+    int arguments (not bools), else ValueError quoting the first value that is not."""
+    for v in (center_dim, simple_count, selected_count, dim_qs):
+        if type(v) is not int:
+            raise ValueError(f"arguments must be ints, got {v!r}")
     if selected_count > simple_count:
         raise ValueError("selected simple roots exceed the simple root count")
     if min(center_dim, simple_count, selected_count, dim_qs) < 0:
@@ -221,26 +226,21 @@ def _sum_certified(q: ParabolicAlgebra) -> bool:
 
 
 def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationReport:
-    """Check Der q = (center-valued maps) + (inner maps) as a sum of ideals:
-    (a) the two spans add up to der, the oracle kernel, (b) they intersect
-    trivially, (c) both are closed under [D, -] for every basis derivation
-    D of der, (d) the dimension formula matches der.
+    """Check Der q = lid + ad q as a sum of ideals, lid the center-valued maps:
+    (a) the two spans add up to der, the oracle kernel, (b) they meet in 0,
+    (c) both are closed under [D, -] for every basis derivation D of der, (d)
+    the dimension formula matches der. The witness is the first failure in
+    the order (a)/(b), (d), then the two closures.
 
-    Each check compares canonical bases or supports, so it is exact. One
-    elimination, fed the ad x_a and then the unit rows of lid, settles (a)
-    and (b): lid meets ad q in 0 exactly when each unit raises the rank, and
-    its rows by pivot, compared as they stand with der's, are the canonical
-    basis of S = lid + ad q. The center-valued maps are closed under [D, -]
-    exactly when D keeps the center and the derived algebra: when no entry
-    of D sits at a flat index j*d + i with j inside one of them and i
-    outside, one set test per row and subspace. [D, ad x] = ad(Dx) for a
-    derivation, so [D, ad x_i] in ad q is tested, against
-    ``inner_derivations``, only for the D outside S (reduced by the same
-    elimination) when the build certifies S (``_sum_certified``), and for
-    every D of a table swapped in later, with the same flags and witnesses.
-    The witness is the first failure in the order (a)/(b), (d), then the two
-    closures.
-    """
+    One elimination, fed the ad x_a and then the units of lid, settles (a) and
+    (b): lid meets ad q in 0 when each unit raises the rank, and its rows by
+    pivot, compared with der's as they stand, are the canonical basis of S =
+    lid + ad q. lid is closed iff D keeps the center and the derived algebra:
+    no entry of D at a flat index j*d + i, j inside one, i outside. [D, ad x_i]
+    = ad(D x_i) + R_i, R_i(x_j) D's Leibniz residual at (x_i, x_j), so [D, ad
+    x_i] is in ad q iff R_i is, and the one evaluator of Leibniz and Jacobi
+    (``lie._leibniz_failures``) gives every R_i. Only the D outside S are tested
+    where the build certifies S (``_sum_certified``), else every D."""
     L = q.algebra
     d = L.dim
     if der.ambient_dim != d * d:
@@ -275,15 +275,19 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     suspects = [] if certified and equal else [
         di for di, flat in enumerate(der.rows) if not certified or red.reduce(flat)]
     inner = inner_derivations(L) if suspects else None
-    ads = [ad_matrix(L, {i: 1}) for i in range(d)] if suspects else []
-    maps = ((di, EndoMatrix.from_flat(L, der.rows[di])) for di in suspects)
-    # each map's integer columns are den times its true ones
-    inner_closure = next(({"kind": "inner_closure", "der_index": di, "basis_index": i}
-                          for di, D in maps for i, A in enumerate(ads)
-                          if not contains(inner, (EndoMatrix(L, map(D.apply, A.cols), A.den)
-                                                  - EndoMatrix(L, map(A.apply, D.cols), D.den)
-                                                  ).flat())),
-                         None)
+    inner_closure = None
+    for di in suspects:  # one map's residuals at a time
+        cols, R = [{} for _ in range(d)], [{} for _ in range(d)]
+        for f, e in der.rows[di].items():
+            cols[f // d][f % d] = e
+        # R[i] is N R_i flattened: N R_i(x_j) at column j, and R_j(x_i) = -R_i(x_j)
+        for i, j, r in _leibniz_failures(L, cols):
+            for k, v in r.items():
+                R[i][j * d + k], R[j][i * d + k] = v, -v
+        i = next((i for i in range(d) if not inner._member(R[i])), None)
+        if i is not None:
+            inner_closure = {"kind": "inner_closure", "der_index": di, "basis_index": i}
+            break
 
     witnesses = (direct_sum, formula, l_closure, inner_closure)
     return VerificationReport(

@@ -11,8 +11,11 @@ integers, arranged as the N ad x_i maps; everything reads it, and
 ``triples`` writes it back out over N. A build that writes its table in
 closed form hands it over as it is (``LieAlgebra._of``). The torus
 grading that lets the derivation oracle solve its system one weight at a
-time is read off the same table (``grading``). Jacobi is the Leibniz
-identity of each ad x, so one evaluator checks both (``_leibniz_failures``).
+time is read off the same table (``grading``). One evaluator of the
+Leibniz residual (``_leibniz_failures``) serves three claims: the Leibniz
+identity of a map, Jacobi, which is the Leibniz identity of each ad x, and
+the theorem check's inner closure, as [D, ad x_i] = ad(D x_i) + R_i with
+R_i(x_j) the residual of D at (x_i, x_j).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
 dropped), the format of ``Subspace.rows``; ``bracket``, ``ad_matrix`` and
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .linalg import (Q, Subspace, _over, nullspace_of_rows, rational, require_iterable,
-                     require_vector)
+                     require_size, require_vector)
 
 __all__ = [
     "LieAlgebra",
@@ -70,8 +73,7 @@ class LieAlgebra:
     __slots__ = ("dim", "labels", "int_table", "denominator", "_jacobi", "_generators")
 
     def __init__(self, dim: int, labels, triples):
-        if type(dim) is not int or dim < 0:
-            raise ValueError(f"dim {dim!r} is not a nonnegative int")
+        require_size(dim, "dim")
         if dim > MAX_DIM:
             raise ValueError(f"dim {dim} is above the limit of {MAX_DIM}")
         labels = (tuple(require_iterable(labels, "labels")) if labels is not None
@@ -294,7 +296,7 @@ def _jacobi_failures(L: LieAlgebra):
     for i, row in enumerate(L.int_table):
         if row:
             cols = [row.get(j, {}) for j in range(L.dim)]
-            yield from ((i, j, k) for j, k in _leibniz_failures(L, cols, i + 1))
+            yield from ((i, j, k) for j, k, _ in _leibniz_failures(L, cols, i + 1))
 
 
 def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
@@ -388,12 +390,12 @@ def first_leibniz_violation(L: LieAlgebra, m: EndoMatrix) -> tuple[int, int] | N
     """
     if len(m.cols) != L.dim:
         raise ValueError("column count does not match algebra dimension")
-    return next(_leibniz_failures(L, m.cols), None)
+    return next(((i, j) for i, j, _ in _leibniz_failures(L, m.cols)), None)
 
 
 def _leibniz_failures(L: LieAlgebra, cols, start: int = 0):
-    """Every pair (i, j), start <= i < j, in increasing order, where the map
-    with int columns ``cols`` (``cols[j]`` a dict row -> int) breaks Leibniz."""
+    """(i, j, r) for each pair (i, j), start <= i < j, in increasing order, where the map
+    with int columns ``cols`` breaks Leibniz; r (row -> int) is N times its residual there."""
     d = L.dim
     rows: list[dict[int, int]] = [{} for _ in range(d)]  # rows[t][j] = cols[j][t]
     for j, c in enumerate(cols):
@@ -422,7 +424,7 @@ def _leibniz_failures(L: LieAlgebra, cols, start: int = 0):
                     a = acc.setdefault(j, {})
                     for k, v in ks.items():
                         a[k] = a.get(k, 0) - e * v
-        yield from ((i, j) for j in sorted(acc) if any(acc[j].values()))
+        yield from ((i, j, acc[j]) for j in sorted(acc) if any(acc[j].values()))
 
 
 def grading(L: LieAlgebra) -> tuple[int, ...]:

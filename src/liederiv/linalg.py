@@ -14,7 +14,8 @@ entry point that takes one applies: a mapping, int indices in range, int
 or Fraction values. It is the one door into the integers too: it returns
 the vector as ints over one denominator, and all behind it runs on int rows.
 A collection of vectors, rows, indices or triples is read through
-``require_iterable``, which refuses a value that is not iterable.
+``require_iterable``, which refuses a value that is not iterable, and a
+size (an ambient dim or a column count) through ``require_size``.
 ``Subspace.from_vectors`` is the one dense input form and
 ``Subspace.vectors`` the one dense output form. Linear maps of a Lie
 algebra are ``lie.EndoMatrix``. Only this module constructs a Fraction:
@@ -42,6 +43,7 @@ __all__ = [
     "integer",
     "require_vector",
     "require_iterable",
+    "require_size",
     "subspace_sum",
     "subspace_intersect",
     "contains",
@@ -104,6 +106,14 @@ def require_iterable(x, name: str):
         return iter(x)
     except TypeError:
         raise ValueError(f"{name} is not iterable") from None
+
+
+def require_size(n, name: str) -> int:
+    """n for a size argument: an int, not a bool, of at least 0, else
+    ValueError naming it and its value."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} {n!r} is not a nonnegative int")
+    return n
 
 
 class _RowReducer:
@@ -255,6 +265,7 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
         """The span of dense vectors, each of length ambient_dim; every
         nonzero entry must pass ``rational``."""
+        require_size(ambient_dim, "ambient_dim")
         red = _RowReducer()
         for v in require_iterable(vectors, "vectors"):
             v = list(require_iterable(v, "vector"))
@@ -268,6 +279,7 @@ class Subspace:
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
         """The span of sparse vectors, each cleared by ``require_vector``
         before it is reduced."""
+        require_size(ambient_dim, "ambient_dim")
         red = _RowReducer()
         for v in require_iterable(sparse_vectors, "sparse_vectors"):
             red.add_row(require_vector(v, ambient_dim, "vector")[0])
@@ -283,13 +295,14 @@ class Subspace:
         """The span of the unit vectors at indices, a coordinate subspace:
         its basis is the rows {i: 1}, in increasing i, with no elimination.
         Indices are checked as by ``require_vector``."""
+        require_size(ambient_dim, "ambient_dim")
         units = dict.fromkeys(require_iterable(indices, "indices"), 1)
         require_vector(units, ambient_dim, "unit vector")
         return cls(ambient_dim, ({i: 1} for i in sorted(units)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls.units(ambient_dim, range(ambient_dim))
+        return cls.units(ambient_dim, range(require_size(ambient_dim, "ambient_dim")))
 
     @property
     def dim(self) -> int:
@@ -349,6 +362,7 @@ class Subspace:
 
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
     """Kernel of an iterable of sparse rows, each cleared by ``require_vector``."""
+    require_size(ncols, "ncols")
     red = _RowReducer()
     for row in require_iterable(sparse_rows, "sparse_rows"):
         red.add_row(require_vector(row, ncols, "row")[0])
@@ -360,6 +374,7 @@ def solve(ncols: int, sparse_rows, b) -> dict | None:
     or None if inconsistent; A is given by its sparse rows (col -> value),
     one per entry of b; each row, checked by ``require_vector``, is cleared
     with its entry of b at column ncols."""
+    require_size(ncols, "ncols")
     sparse_rows = list(require_iterable(sparse_rows, "sparse_rows"))
     b = list(require_iterable(b, "b"))
     if len(sparse_rows) != len(b):

@@ -264,14 +264,12 @@ def build_gl(n: int) -> LieAlgebra:
         i, j = units[a]
         for b in range(a + 1, len(units)):
             k, l = units[b]
-            acc: dict[int, int] = {}
+            # [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj; both terms at once
+            # need i = j = k = l, so no two entries meet
             if j == k:
-                acc[pos[(i, l)]] = acc.get(pos[(i, l)], 0) + 1
+                triples.append((a, b, pos[(i, l)], 1))
             if l == i:
-                acc[pos[(k, j)]] = acc.get(pos[(k, j)], 0) - 1
-            for t, v in acc.items():
-                if v:
-                    triples.append((a, b, t, v))
+                triples.append((a, b, pos[(k, j)], -1))
     return LieAlgebra(n * n, labels, triples)
 
 

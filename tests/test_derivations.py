@@ -1197,6 +1197,58 @@ def test_theorem_check_builds_no_map_for_a_certified_split(golden_q, golden_der,
     assert verify_main_theorem(golden_q, golden_der).ok
 
 
+def _reloaded(q):
+    """q with its table read back through JSON: equal, but not the build's,
+    so the theorem check tests the inner closure of every derivation."""
+    q.algebra = LieAlgebra.from_json_dict(q.algebra.to_json_dict())
+    assert not _sum_certified(q)
+    return q
+
+
+@pytest.mark.parametrize("case", ["reloaded", *UNCERTIFIED_LID])
+def test_theorem_check_reads_the_inner_closure_off_leibniz_residuals(case, monkeypatch):
+    # [D, ad x_i] = ad(D x_i) + R_i with R_i(x_j) the Leibniz residual of D at
+    # (x_i, x_j), so an uncertified check tests each R_i against ad q and
+    # rebuilds no map: no ad_matrix, EndoMatrix.apply, difference, flat() or
+    # Fraction, with the report of the commutator reference
+    if case == "reloaded":
+        q = _reloaded(build_standard_parabolic((3, 2, 1)))
+        space = derivation_algebra(q.algebra)
+    else:
+        q = _uncertified_lid(case)
+        space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
+    expected = two_elimination_report(q, space)
+    assert expected.inner_is_ideal_ok is (case == "reloaded")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("map rebuilt")
+
+    for name in ("from_flat", "apply", "__sub__", "flat"):
+        monkeypatch.setattr(EndoMatrix, name, refuse)
+    monkeypatch.setattr(lie, "ad_matrix", refuse)
+    monkeypatch.setattr(Q, "__new__", refuse)
+    assert verify_main_theorem(q, space) == expected
+
+
+def test_inner_closure_witness_is_the_first_failing_basis_index():
+    # the Borel of gl_3 read back from JSON, with E[1,2] moved from the
+    # derived set into c and H[2] out of c, so lid keeps dim 3 and the
+    # formula holds. lid + ad q is then direct and closes lid, but E(I,
+    # E[1,2]) is no derivation: its residual R_i is nonzero at i = H[1],
+    # H[2] and E[1,2], each of whose brackets has a component on E[1,2],
+    # and only the inner closure fails, at the first of them
+    q = _reloaded(build_standard_parabolic((1, 1, 1)))
+    x, h2 = q.root_index[(1, 2)], q.coroot_index[2]
+    q.c_indices = tuple(sorted({*q.c_indices, x} - {h2}))
+    q.derived_indices = tuple(p for p in q.derived_indices if p != x)
+    space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
+    report = verify_main_theorem(q, space)
+    assert report == two_elimination_report(q, space)
+    assert (report.direct_sum_ok, report.formula_ok, report.l_is_ideal_ok) == (True,) * 3
+    assert report.counterexample == {"kind": "inner_closure", "der_index": 5,
+                                     "basis_index": q.coroot_index[1]}
+
+
 @pytest.mark.parametrize("blocks", [(2, 1), (3, 2, 1)])
 def test_oracle_and_theorem_check_make_no_fraction(blocks, monkeypatch):
     # both oracles hold rows whose pivot is not 1; a subspace keeps the row
@@ -1215,13 +1267,19 @@ def test_oracle_and_theorem_check_make_no_fraction(blocks, monkeypatch):
 
 def test_theorem_check_matches_two_eliminations_on_every_parabolic():
     # every report field, the witness included, equals that of the reference
-    # that reduces ad q on its own and again inside lid + ad q
+    # that reduces ad q on its own and again inside lid + ad q; a table read
+    # back from JSON (n <= 5) takes the uncertified path, whose inner closure
+    # the reference tests by rebuilt commutators
     for n in range(1, 7):
         for blocks in compositions(n):
             for z in (0, 1):
-                q = build_standard_parabolic(blocks, extra_center=z)
-                der = derivation_algebra(q.algebra)
-                assert verify_main_theorem(q, der) == two_elimination_report(q, der), (blocks, z)
+                cases = [build_standard_parabolic(blocks, extra_center=z)]
+                if n <= 5:
+                    cases.append(_reloaded(build_standard_parabolic(blocks, extra_center=z)))
+                for q in cases:
+                    der = derivation_algebra(q.algebra)
+                    report = verify_main_theorem(q, der)
+                    assert report == two_elimination_report(q, der), (blocks, z, _sum_certified(q))
 
 
 def _heisenberg():

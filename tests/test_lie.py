@@ -448,17 +448,20 @@ def test_any_map_is_derivation_on_abelian():
 
 def _leibniz_failures_elementwise(L, m):
     """Every i < j with D[x_i, x_j] != [D x_i, x_j] + [x_i, D x_j], in
-    increasing order, by dense coordinate vectors and the dense matrix m of D."""
+    increasing order, each with its residual D[x_i, x_j] - [D x_i, x_j] -
+    [x_i, D x_j] as a dense tuple, by dense coordinate vectors and the dense
+    matrix m of D."""
     units = Matrix.identity(L.dim)
-    failures = []
+    failures = {}
     for i in range(L.dim):
         xi = units.row(i)
         for j in range(i + 1, L.dim):
             xj = units.row(j)
             lhs = m.mul_vec(dense_bracket(L, xi, xj))
             a, b = dense_bracket(L, m.mul_vec(xi), xj), dense_bracket(L, xi, m.mul_vec(xj))
-            if lhs != tuple(s + t for s, t in zip(a, b)):
-                failures.append((i, j))
+            residual = tuple(r - s - t for r, s, t in zip(lhs, a, b))
+            if any(residual):
+                failures[(i, j)] = residual
     return failures
 
 
@@ -485,9 +488,14 @@ def test_first_leibniz_violation_matches_elementwise(request, form, algebra):
         cases.append(EndoMatrix.from_flat(L, flat))
     cases = [EndoMatrix(L, [{i: scale * e for i, e in c.items()} for c in E.cols], E.den)
              for E in cases]
-    # every failing pair, in order, and the first one the gate returns
-    failures = [list(lie._leibniz_failures(L, E.cols)) for E in cases]
-    assert failures == [_leibniz_failures_elementwise(L, as_matrix(E)) for E in cases]
+    # every failing pair, in order, and the first one the gate returns; the
+    # evaluator's residual at each is N den times the true one
+    evaluated = [list(lie._leibniz_failures(L, E.cols)) for E in cases]
+    reference = [_leibniz_failures_elementwise(L, as_matrix(E)) for E in cases]
+    failures = [[(i, j) for i, j, _ in found] for found in evaluated]
+    assert failures == [list(pairs) for pairs in reference]
+    assert all(tuple(Q(r.get(k, 0), L.denominator * E.den) for k in range(d)) == pairs[(i, j)]
+               for E, found, pairs in zip(cases, evaluated, reference) for i, j, r in found)
     found = [first_leibniz_violation(L, E) for E in cases]
     assert found == [pairs[0] if pairs else None for pairs in failures]
     assert found[0] is not None and found[1] is None
@@ -571,6 +579,18 @@ def test_json_round_trip():
         (lambda: build_gl(None), "n None is not an int"),
         (lambda: build_standard_parabolic((2,), extra_center=1.5), "extra_center 1.5"),
         (lambda: build_standard_parabolic((2,), extra_center=True), "extra_center True"),
+        (lambda: dimension_formula(1.5, 2, 1, 3), "arguments must be ints, got 1.5"),
+        (lambda: dimension_formula(True, 2, 1, 3), "arguments must be ints, got True"),
+        (lambda: dimension_formula(1, 2, 1, "1"), "arguments must be ints, got '1'"),
+        (lambda: LieAlgebra(2.5, None, []), "dim 2.5 is not a nonnegative int"),
+        (lambda: Subspace.units(2.5, [0]), "ambient_dim 2.5 is not a nonnegative int"),
+        (lambda: Subspace.full(True), "ambient_dim True is not a nonnegative int"),
+        (lambda: Subspace.full(-1), "ambient_dim -1 is not a nonnegative int"),
+        (lambda: Subspace.from_sparse(-1, []), "ambient_dim -1 is not a nonnegative int"),
+        (lambda: Subspace.from_vectors("2", []), "ambient_dim '2' is not a nonnegative int"),
+        (lambda: nullspace_of_rows(-2, []), "ncols -2 is not a nonnegative int"),
+        (lambda: nullspace_of_rows(2.0, [{0: 1}]), "ncols 2.0 is not a nonnegative int"),
+        (lambda: solve(True, [{0: 1}], [1]), "ncols True is not a nonnegative int"),
     ],
     ids=["float-constant", "bool-index", "float-index", "json-decimal", "json-exponent",
          "float-vector-entry", "json-not-object", "json-no-dim",
@@ -578,7 +598,11 @@ def test_json_round_trip():
          "json-short-triple", "bool-dim", "int-triple", "short-triple", "float-block",
          "bool-blocks", "float-n", "str-blocks", "none-block", "bool-compositions-n",
          "str-compositions-n", "none-compositions-n", "bool-gl-n", "float-gl-n", "str-gl-n",
-         "none-gl-n", "float-extra-center", "bool-extra-center"],
+         "none-gl-n", "float-extra-center", "bool-extra-center", "float-formula-argument",
+         "bool-formula-argument", "str-formula-argument", "float-dim", "float-units-size",
+         "bool-full-size", "negative-full-size", "negative-from-sparse-size",
+         "str-from-vectors-size", "negative-nullspace-size", "float-nullspace-size",
+         "bool-solve-size"],
 )
 def test_library_rejects_inexact_input(build, named):
     # the rule the CLI applies to matrix entries: an int that is not a bool,
