@@ -220,9 +220,18 @@ class VerificationReport:
 
 
 def _sum_certified(q: ParabolicAlgebra) -> bool:
-    """Whether S = l_ideal + ad q lies in Der q by the build's argument
-    (``ParabolicAlgebra.__init__``): only for the table the build made."""
-    return q.algebra is q._built
+    """Whether S = l_ideal + ad q lies in Der q by the build's certificates, read
+    against q's three index tuples on every call: the one rule of both fast paths."""
+    # ``_of`` certifies Jacobi, so ad q, and records where the table's brackets
+    # land. E(z, u), z in the center with ad x_z = 0, is a derivation iff no
+    # bracket has a component on x_u. So where the recorded positions lie in the
+    # derived algebra and miss the center and c, every E(z, u) of l_ideal is one,
+    # and so is every map into the center that kills the derived algebra, which
+    # is what the residual checks of the split pass. The tuples are public and
+    # can be rewritten, so each is read here rather than trusted from the build
+    L, lands = q.algebra, q.algebra._support
+    return (lands is not None and set(lands) <= set(q.derived_indices).difference(
+        q.center_indices, q.c_indices) and not any(L.int_table[z] for z in q.center_indices))
 
 
 def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationReport:
@@ -239,8 +248,8 @@ def verify_main_theorem(q: ParabolicAlgebra, der: Subspace) -> VerificationRepor
     no entry of D at a flat index j*d + i, j inside one, i outside. [D, ad x_i]
     = ad(D x_i) + R_i, R_i(x_j) D's Leibniz residual at (x_i, x_j), so [D, ad
     x_i] is in ad q iff R_i is, and the one evaluator of Leibniz and Jacobi
-    (``lie._leibniz_failures``) gives every R_i. Only the D outside S are tested
-    where the build certifies S (``_sum_certified``), else every D."""
+    (``lie._leibniz_failures``) gives every R_i. Only the D outside S are tested where the
+    build's certificates hold for q's tuples as they stand (``_sum_certified``), else every D."""
     L = q.algebra
     d = L.dim
     if der.ambient_dim != d * d:
@@ -388,10 +397,9 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
     diagonal entry of D itself: x sits on root generators, of nonzero
     weight, and the table is weight-homogeneous, so ad x has no diagonal
     entry on a root line. l_part = D - ad p must map into the center and
-    be zero on the derived algebra. The Leibniz gate runs after the
-    split, when a residual check fails or the build did not make q.algebra
-    (``_sum_certified``): passing the checks puts D = l_part + ad p in
-    S = l_ideal + ad q, which the build certifies to lie in Der q.
+    be zero on the derived algebra. The Leibniz gate runs after the split, when a residual
+    check fails or the build's certificates do not hold for q's tuples (``_sum_certified``):
+    passing the checks puts D = l_part + ad p in S, and a certified S lies in Der q.
     A map that breaks Leibniz raises NotADerivationError with its first bad
     pair, and a derivation that fails a check raises DecompositionError.
 
@@ -448,12 +456,13 @@ def constructive_decompose(q: ParabolicAlgebra, D: EndoMatrix) -> DecompositionR
 
 
 def split_derivation(q: ParabolicAlgebra, D: EndoMatrix) -> tuple[EndoMatrix, EndoMatrix]:
-    """Independent projection of a derivation onto the two summands, with no use
-    of the recipe: (center-valued part l, inner part D - l), by Zassenhaus's tag.
-    The rows (ad x_a | 0) and (E | E), E a unit of ``l_ideal(q)``, reduce
-    (den D | 0 | 1) to (0 | -k den l | k), k > 0, iff D - l lies in ad q; l is
-    unique where lid meets ad q in 0, else 0 at the pivots of the meet. A D
-    outside raises NotADerivationError if it fails Leibniz, else DecompositionError."""
+    """Independent projection of a map of S = lid + ad q onto the two summands, with no
+    use of the recipe: (center-valued part l, inner part D - l), by Zassenhaus's tag.
+    The rows (ad x_a | 0) and (E | E), E a unit of ``l_ideal(q)``, reduce (den D | 0 | 1)
+    to (0 | -k den l | k), k > 0, iff D - l lies in ad q; l is unique where lid meets ad q
+    in 0, else 0 at the meet's pivots. Every D in S is split, a derivation or not: no gate,
+    no certificate. A D outside raises NotADerivationError if it breaks Leibniz, else
+    DecompositionError."""
     L = q.algebra
     if D.algebra is not L:
         raise ValueError("maps belong to different algebras")

@@ -70,7 +70,8 @@ class LieAlgebra:
     one at (i, i, k), raise ValueError naming the first such (i, j, k), i <= j.
     """
 
-    __slots__ = ("dim", "labels", "int_table", "denominator", "_jacobi", "_generators")
+    __slots__ = ("dim", "labels", "int_table", "denominator", "_jacobi", "_generators",
+                 "_support")
 
     def __init__(self, dim: int, labels, triples):
         require_size(dim, "dim")
@@ -113,15 +114,17 @@ class LieAlgebra:
         self._hold(labels, int_table, N)
 
     @classmethod
-    def _of(cls, labels, int_table, generators) -> LieAlgebra:
-        """The algebra, N = 1, on an int table the library wrote itself in
-        the form of ``int_table`` (both orders of each pair, zeros dropped), unchecked,
-        with the build's certificate: Jacobi holds, and the weight-0 Leibniz equations
-        at the pairs that meet ``generators`` cut out the weight-0 derivations."""
+    def _of(cls, labels, int_table, generators, support) -> LieAlgebra:
+        """The algebra, N = 1, on an int table the library wrote itself in the form of
+        ``int_table`` (both orders of each pair, zeros dropped), unchecked, with the build's
+        certificates: Jacobi holds, the weight-0 Leibniz equations at the pairs that meet
+        ``generators`` cut out the weight-0 derivations, and ``support`` holds the support
+        of every bracket of the table."""
         self = object.__new__(cls)
         self._hold(tuple(labels), int_table, 1)
         self._jacobi = True
         self._generators = generators
+        self._support = support
         return self
 
     def _hold(self, labels: tuple, int_table: list[dict[int, dict[int, int]]], N: int) -> None:
@@ -136,6 +139,9 @@ class LieAlgebra:
         # equations cut out the weight-0 derivations, set only by ``_of`` by
         # construction; derivation_algebra reads it
         self._generators: tuple[int, ...] | None = None
+        # positions that hold the support of every bracket of the table, set
+        # only by ``_of`` by construction; derivations._sum_certified reads it
+        self._support: tuple[int, ...] | None = None
 
     def triples(self) -> list[tuple[int, int, int, int | Q]]:
         """Canonical i < j triples, sorted, each table entry over N by

@@ -170,21 +170,19 @@ class ParabolicAlgebra:
                     T[a][b] = {h[k]: 1 for k in range(i, j)}
                     T[b][a] = {h[k]: -1 for k in range(i, j)}
         self.c_indices = tuple(h[k] for k in range(1, n) if k not in delta_prime)
-        # the build's certificate. The table is the gl_n bracket of linearly
+        self.derived_indices = (*map(h.get, delta_prime), *self.root_index.values())
+        # the build's certificates. The table is the gl_n bracket of linearly
         # independent matrices (an escaping bracket raised above), so Jacobi
         # holds. The weight-0 Leibniz equations at the pairs that meet the
         # simple root generators x_(k,k+1), in increasing position, cut out
         # the weight-0 derivations: ``derivation_algebra`` gives the argument
-        # from the closed-form brackets above, and reads both
+        # from the closed-form brackets above, and reads both. Every bracket
+        # lands on a root generator or, for [e_ij, e_ji] with e_ji in q, on
+        # coroots of delta': the derived positions hold the support of every
+        # bracket, which ``derivations._sum_certified`` reads
         self.algebra = LieAlgebra._of(
-            labels, T, tuple(self.root_index[(k, k + 1)] for k in range(1, n)))
-        # S = lid + ad q lies in Der q too: every ad x is a derivation, and so
-        # is every E(z, u) of lid, as I and the Z[t] bracket to 0 and every
-        # bracket lands on a root generator or, for [e_ij, e_ji] with e_ji in
-        # q, on coroots of delta', so no bracket has a component on x_u, u in
-        # the center or c. ``derivations._sum_certified`` holds for this table alone
-        self._built = self.algebra
-        self.derived_indices = (*map(h.get, delta_prime), *self.root_index.values())
+            labels, T, tuple(self.root_index[(k, k + 1)] for k in range(1, n)),
+            self.derived_indices)
         if not _partition([self.center_indices, self.c_indices, self.derived_indices], range(dim)):
             raise RuntimeError("algebra does not split as center + c + derived")
 

@@ -12,7 +12,8 @@ the two field by field.
 
 from fractions import Fraction as Q
 
-from liederiv.derivations import DecompositionError, DecompositionResult, NotADerivationError
+from liederiv.derivations import (DecompositionError, DecompositionResult, NotADerivationError,
+                                  _sum_certified)
 from liederiv.lie import ad_matrix, first_leibniz_violation
 
 
@@ -53,8 +54,8 @@ def _residual_failure(q, l_part):
 
 def constructive_decompose(q, D) -> DecompositionResult:
     """D = l_part + ad(x + h*), checked as ``derivations.constructive_decompose``
-    checks it: the Leibniz gate runs when a residual check fails or q.algebra
-    is not the table the build made."""
+    checks it: the Leibniz gate runs when a residual check fails or the build's
+    certificates do not put lid + ad q in Der q (``_sum_certified``, the one rule)."""
     L = q.algebra
     if D.algebra is not L:
         raise ValueError("maps belong to different algebras")
@@ -66,7 +67,7 @@ def constructive_decompose(q, D) -> DecompositionResult:
     p = {**x, **h_star}
     l_part = D - ad_matrix(L, p)
     message = _residual_failure(q, l_part)
-    if message is not None or q.algebra is not q._built:
+    if message is not None or not _sum_certified(q):
         pair = first_leibniz_violation(L, D)
         if pair is not None:
             raise NotADerivationError(pair)

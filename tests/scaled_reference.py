@@ -27,12 +27,12 @@ def scaled_parabolic(blocks, s, extra_center: int = 0):
             (a, b, k, v * sigma.get(a, 1) * sigma.get(b, 1) / sigma.get(k, 1))
             for a, b, k, v in L.triples()
         ])
-        # rescaling basis vectors is an isomorphism that fixes the center
-        # and c, so the build's certificates, Jacobi and lid + ad q in Der q,
-        # carry over; it maps each basis vector to a multiple of itself, so
-        # every bracket the oracle's argument reads stays nonzero, the
-        # walked pairs still cut out Der q, and the oracle takes the same pairs
+        # rescaling basis vectors is an isomorphism that maps each basis
+        # vector to a multiple of itself, so the build's certificates carry
+        # over: Jacobi holds, every bracket the oracle's argument reads stays
+        # nonzero, so the walked pairs still cut out Der q and the oracle
+        # takes the same pairs, and every bracket keeps its support
         q.algebra._jacobi = L._jacobi
         q.algebra._generators = L._generators
-        q._built = q.algebra
+        q.algebra._support = L._support
     return q

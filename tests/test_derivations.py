@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import decompose_reference
 from dense_reference import (
     Matrix,
     as_endo,
@@ -433,7 +434,8 @@ def test_jacobi_certificate_provenance():
     derived = Subspace.units(q.dim, q.derived_indices)
     others = [LieAlgebra.from_json_dict(L.to_json_dict()), restrict(L, derived),
               complexify(L)[0], LieAlgebra(L.dim, L.labels, L.triples())]
-    assert [(M._jacobi, M._generators) for M in others] == [(None, None)] * 4
+    assert L._support == q.derived_indices
+    assert [(M._jacobi, M._generators, M._support) for M in others] == [(None, None, None)] * 4
     assert all(jacobi_holds(M) for M in others)
     doubled = LieAlgebra.from_json_dict(_doubled((2, 1), (1, 3, 3)).to_json_dict())
     assert doubled._jacobi is None and not jacobi_holds(doubled)
@@ -459,6 +461,24 @@ def test_build_certifies_a_generating_set():
     L = build_standard_parabolic((3, 2, 1), extra_center=1).algebra
     assert [L.labels[g] for g in L._generators] == [
         "E[1,2]", "E[2,3]", "E[3,4]", "E[4,5]", "E[5,6]"]
+
+
+def test_build_records_where_its_brackets_land():
+    # the recorded positions of every built q with n <= 7 are exactly where
+    # the brackets of its table land, the derived positions; with them every
+    # build with n <= 8, and every rescaled one, certifies lid + ad q
+    for n in range(1, 9):
+        for blocks in compositions(n):
+            for extra_center in (0, 1, 2):
+                q = build_standard_parabolic(blocks, extra_center=extra_center)
+                L = q.algebra
+                if n <= 7:
+                    lands = {k for row in L.int_table for ks in row.values() for k in ks}
+                    assert L._support == tuple(sorted(lands)) == q.derived_indices
+                assert _sum_certified(q), (blocks, extra_center)
+    for blocks in compositions(5):
+        for root_scale in (Q(3, 2), Q(-2, 3)):
+            assert _sum_certified(scaled_parabolic(blocks, root_scale, extra_center=1))
 
 
 def _oracle_rows(L):
@@ -1410,6 +1430,70 @@ def test_an_equal_table_reloaded_into_q_is_not_certified(monkeypatch):
     assert [constructive_decompose(q, EndoMatrix(q.algebra, D.cols, D.den)).to_json_dict()
             for D in draws] == splits
     assert len(calls) == len(draws)
+
+
+def _edited_borel():
+    """The Borel of gl_3, basis I, H[1], H[2], E[1,2], E[1,3], E[2,3], with
+    E[1,2] moved from the derived positions into c and H[2] taken out of c:
+    the three tuples no longer split q, and E(I, E[1,2]), a map of lid,
+    is no derivation, as [E[1,2], E[2,3]] = E[1,3] has no component on I."""
+    q = build_standard_parabolic((1, 1, 1))
+    assert q.c_indices == (1, 2) and q.derived_indices == (3, 4, 5)
+    q.c_indices, q.derived_indices = (1, 3), (4, 5)
+    return q
+
+
+def test_theorem_check_reads_the_index_sets_it_rests_on():
+    # the certificate holds against q's tuples as they stand, not as the
+    # build left them: on the edited Borel the check of lid + ad q tests
+    # every map, with the witness of the same q on its table reloaded
+    q = _edited_borel()
+    space = subspace_sum(l_ideal(q), inner_derivations(q.algebra))
+    witness = {"kind": "inner_closure", "der_index": 5, "basis_index": 1}
+    assert verify_main_theorem(q, space).counterexample == witness
+    assert not _sum_certified(q)
+    assert verify_main_theorem(_reloaded(q), space).counterexample == witness
+
+
+@pytest.mark.parametrize("case", ["edited_borel", "h2_in_center"])
+def test_split_gates_a_map_the_edited_index_sets_let_through(case):
+    # a center-valued map that kills the derived positions of the edited
+    # tuples passes the residual checks, so only the Leibniz gate stops it:
+    # E(I, E[1,2]) on the edited Borel, and I -> H[2] on (2, 1) with H[2]
+    # moved from c into the center, where ad H[2] is not 0
+    if case == "edited_borel":
+        q, flat, pair = _edited_borel(), {3 * 6 + 0: 1}, (1, 3)
+    else:
+        q = build_standard_parabolic((2, 1))  # basis I, H[1], H[2], E[1,2], ...
+        assert q.c_indices == (2,)
+        q.center_indices, q.c_indices = (0, 2), ()
+        flat, pair = {0 * 7 + 2: 1}, (0, 3)
+    with pytest.raises(NotADerivationError) as exc:
+        constructive_decompose(q, EndoMatrix.from_flat(q.algebra, flat))
+    assert exc.value.pair == pair and not _sum_certified(q)
+    with pytest.raises(NotADerivationError) as exc:
+        decompose_reference.constructive_decompose(q, EndoMatrix.from_flat(q.algebra, flat))
+    assert exc.value.pair == pair
+
+
+def test_each_index_set_edit_loses_the_certificate(monkeypatch):
+    # a dropped derived position, or one added to c, loses the certificate;
+    # equal copies of all three tuples keep it, and the theorem check and
+    # the split then make no Leibniz call
+    q = build_standard_parabolic((3, 2, 1), extra_center=1)
+    center, c, derived = q.center_indices, q.c_indices, q.derived_indices
+    q.derived_indices = derived[:-1]
+    assert not _sum_certified(q)
+    q.c_indices, q.derived_indices = c + derived[:1], derived
+    assert not _sum_certified(q)
+    q.center_indices, q.c_indices, q.derived_indices = (
+        tuple(list(t)) for t in (center, c, derived))
+    assert _sum_certified(q)
+    calls = _leibniz_calls(monkeypatch)
+    der = derivation_algebra(q.algebra)
+    assert verify_main_theorem(q, der).ok
+    res = constructive_decompose(q, random_combination(q.algebra, der, random.Random(7)))
+    assert any(res.l_part.cols) and calls == []
 
 
 def test_random_combination_draws_over_the_rref_basis():
