@@ -18,11 +18,11 @@ the theorem check's inner closure, as [D, ad x_i] = ad(D x_i) + R_i with
 R_i(x_j) the residual of D at (x_i, x_j).
 
 A vector of an algebra is a sparse coordinate dict (index -> value, zeros
-dropped), the format of ``Subspace.rows``; ``bracket``, ``ad_matrix`` and
-``EndoMatrix.apply`` read it through ``require_vector`` as ints over one
-denominator. Every linear map is one ``EndoMatrix`` in the table's form,
-integer columns over one denominator. A vector result is all ints where N
-(or a map's den) is 1 and every input value is integral, else all Fractions.
+dropped), the format of ``Subspace.rows``, which ``bracket``, ``ad_matrix``
+and ``EndoMatrix.apply`` read by ``require_vector`` as ints over one den and
+sum by ``linalg._lincomb``, as ``+``/``-`` do. Every linear map is one
+``EndoMatrix``, int columns over one den. A vector result is all ints where
+N (or a map's den) is 1 and every input value is integral, else Fractions.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .linalg import (Q, Subspace, _over, nullspace_of_rows, rational, require_iterable,
-                     require_size, require_vector)
+from .linalg import (Q, Subspace, _lincomb, _over, nullspace_of_rows, rational,
+                     require_iterable, require_size, require_vector)
 
 __all__ = [
     "LieAlgebra",
@@ -182,13 +182,13 @@ class LieAlgebra:
 class EndoMatrix:
     """A linear map of an algebra: integer columns over one denominator.
 
-    Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero
-    int and ``den`` a positive int with no factor common to all entries (1
-    for the zero map), so equal maps have equal ``cols`` and ``den``. The
-    constructor takes columns, entries over ``den``, cleared to ints by
-    ``require_vector``; it, ``ad_matrix`` and ``+``/``-`` sum in integers
-    and only divide out the common factor (``_canonical``). The flat form,
-    the ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
+    Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero int and
+    ``den`` a positive int with no factor common to all entries (1 for the zero map),
+    so equal maps have equal ``cols`` and ``den``. The constructor takes columns,
+    entries over ``den``, cleared to ints by ``require_vector``; ``ad_matrix`` and
+    ``+``/``-`` (maps of one algebra, else TypeError) sum by ``_lincomb``, and all
+    three only divide out the common factor (``_canonical``). The flat form, the
+    ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
     """
 
     __slots__ = ("algebra", "cols", "den")
@@ -240,27 +240,23 @@ class EndoMatrix:
         return [[_over(c.get(i, 0), self.den) for c in self.cols] for i in range(self.algebra.dim)]
 
     def apply(self, v: dict) -> dict:
-        """The image of a sparse vector, zeros dropped, read and written as by ``bracket``."""
+        """The image of a sparse vector, read, summed (``_lincomb``) and written as by ``bracket``."""
         v, den = require_vector(v, self.algebra.dim, "vector")
-        out: dict[int, int] = {}
-        for j, x in v.items():
-            for i, e in self.cols[j].items():
-                out[i] = out.get(i, 0) + e * x
-        den *= self.den
-        return {i: _over(e, den) for i, e in out.items() if e}
+        out = _lincomb((x, self.cols[j]) for j, x in v.items())
+        return {i: _over(e, den * self.den) for i, e in out.items() if e}
 
-    def _combine(self, other: EndoMatrix, sign: int) -> EndoMatrix:
+    def _combine(self, other, sign: int):
+        # X + sign * Y column by column over the lcm of the dens, summed by
+        # ``_lincomb``; NotImplemented for an operand that is not a map, so
+        # Python raises TypeError
+        if not isinstance(other, EndoMatrix):
+            return NotImplemented
         if other.algebra is not self.algebra:
             raise ValueError("maps belong to different algebras")
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
-        cols = []
-        for x, y in zip(self.cols, other.cols):
-            c = {i: a * e for i, e in x.items()}
-            for i, e in y.items():
-                c[i] = c.get(i, 0) + b * e
-            cols.append(c)
-        return EndoMatrix._canonical(self.algebra, cols, den)
+        return EndoMatrix._canonical(
+            self.algebra, [_lincomb(((a, x), (b, y))) for x, y in zip(self.cols, other.cols)], den)
 
     def __add__(self, other: EndoMatrix) -> EndoMatrix:
         return self._combine(other, 1)
@@ -311,18 +307,10 @@ def bracket(L: LieAlgebra, x: dict, y: dict) -> dict:
     dropped."""
     x, xden = require_vector(x, L.dim, "x")
     y, yden = require_vector(y, L.dim, "y")
-    # the ints summed against the integer table, written over N and both
-    # inputs' dens once at the end
-    out: dict[int, int] = {}
+    # the terms (x_i y_j, N [x_i, x_j]) summed in ints by ``_lincomb``,
+    # written over N and both inputs' dens once at the end
     T = L.int_table
-    for i, a in x.items():
-        row = T[i]
-        for j, b in y.items():
-            ks = row.get(j)
-            if ks:
-                c = a * b
-                for k, v in ks.items():
-                    out[k] = out.get(k, 0) + c * v
+    out = _lincomb((a * b, ks) for i, a in x.items() for j, b in y.items() if (ks := T[i].get(j)))
     den = L.denominator * xden * yden
     return {k: _over(v, den) for k, v in out.items() if v}
 
@@ -351,18 +339,16 @@ def ad_matrix(L: LieAlgebra, x: dict) -> EndoMatrix:
     """The map y -> [x, y] for a sparse coordinate dict x: column j holds
     [x, x_j] = sum_i x_i [x_i, x_j].
 
-    Summed in integers, the ints ``require_vector`` clears x to against
-    ``int_table``; the map is that sum over both denominators.
+    Column j sums the terms (x_i, N [x_i, x_j]) by ``_lincomb``, grouped in
+    one walk of ``int_table``; the map is that sum over both denominators.
     """
     x, den = require_vector(x, L.dim, "x")
-    cols: list[dict] = [{} for _ in range(L.dim)]
+    terms: list[list] = [[] for _ in range(L.dim)]
     for i, xi in x.items():
         if xi:
             for j, ks in L.int_table[i].items():
-                col = cols[j]
-                for k, v in ks.items():
-                    col[k] = col.get(k, 0) + xi * v
-    return EndoMatrix._canonical(L, cols, den * L.denominator)
+                terms[j].append((xi, ks))
+    return EndoMatrix._canonical(L, [_lincomb(t) for t in terms], den * L.denominator)
 
 
 def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:

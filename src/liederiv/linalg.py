@@ -7,22 +7,22 @@ on them. Everything downstream (structure constants, derivation oracles,
 theorem checks) reduces to these operations, so they are exact and
 deterministic by construction: equal subspaces have identical sparse bases.
 
-A vector is a sparse dict index -> value, zeros dropped, as
-``Subspace.rows`` are; coordinates in a basis are sparse dicts row index ->
-value too. ``require_vector`` is the one rule for it, which every public
-entry point that takes one applies: a mapping, int indices in range, int
-or Fraction values. It is the one door into the integers too: it returns
-the vector as ints over one denominator, and all behind it runs on int rows.
-A collection of vectors, rows, indices or triples is read through
-``require_iterable``, which refuses a value that is not iterable, and a
-size (an ambient dim or a column count) through ``require_size``.
-``Subspace.from_vectors`` is the one dense input form and
-``Subspace.vectors`` the one dense output form. Linear maps of a Lie
-algebra are ``lie.EndoMatrix``. Only this module constructs a Fraction:
-``rational`` is the one rule for an exact scalar read in, an int where it
-is integral; ``_over`` (int entries over one denominator: ints where it is
-1, else all Fractions) and ``_ratio`` (a lone scalar, an int where its
-denominator divides it) are the two rules for one written out.
+A vector is a sparse dict index -> value, zeros dropped, as ``Subspace.rows``
+are; coordinates in a basis are sparse dicts row index -> value too.
+``require_vector`` is the one rule for it, which every public entry point that
+takes one applies: a mapping, int indices in range, int or Fraction values. It
+is the one door into the integers too: it returns the vector as ints over one
+denominator, and all behind it runs on int rows; ``_lincomb`` is the one sparse
+sum outside five hot loops. A collection of vectors, rows, indices or triples
+is read through ``require_iterable``, which refuses a value that is not
+iterable, and a size (an ambient dim, a column count, ``extra_center``) through
+``require_size``. ``Subspace.from_vectors`` is the one dense input form and
+``Subspace.vectors`` the one dense output form. Linear maps of a Lie algebra
+are ``lie.EndoMatrix``. Only this module constructs a Fraction: ``rational`` is
+the one rule for an exact scalar read in, an int where it is integral;
+``_over`` (int entries over one denominator: ints where it is 1, else all
+Fractions) and ``_ratio`` (a lone scalar, an int where its denominator divides
+it) are the two rules for one written out.
 """
 
 from __future__ import annotations
@@ -229,6 +229,20 @@ def _over(e, den: int):
     return e if den == 1 else Q(e, den)
 
 
+def _lincomb(terms) -> dict[int, int]:
+    """sum(c * v) over pairs of an int c and an int sparse vector v, zeros kept for the
+    writer. Five hot sums keep their own loops: the oracle's rows, ``_leibniz_failures``,
+    ``_eliminate``, ``constructive_decompose``'s pass and ``random_combination``."""
+    # the one sum of lie.bracket, lie.ad_matrix, EndoMatrix.apply, EndoMatrix
+    # + and -, and Subspace.combination; each writes its result once, by _over
+    # or EndoMatrix._canonical
+    out: dict[int, int] = {}
+    for c, v in terms:
+        for i, e in v.items():
+            out[i] = out.get(i, 0) + c * e
+    return out
+
+
 def _ratio(e: int, den: int):
     # e / den for an int den > 0, a lone scalar: an int where den divides e,
     # else a Fraction
@@ -321,14 +335,10 @@ class Subspace:
         return out
 
     def combination(self, coeffs: dict) -> dict:
-        """sum(coeffs[k] * row k) over the basis rows, as a sparse vector;
-        coeffs is sparse too (row index -> value), cleared by
-        ``require_vector``; summed in ints, written by ``_over``, zeros dropped."""
+        """sum(coeffs[k] * row k) over the basis rows by ``_lincomb``, written by ``_over``,
+        zeros dropped; coeffs, sparse too (row index -> value), read by ``require_vector``."""
         coeffs, den = require_vector(coeffs, self.dim, "coefficient")
-        out: dict[int, int] = {}
-        for k, c in coeffs.items():
-            for j, e in self.rows[k].items():
-                out[j] = out.get(j, 0) + c * e
+        out = _lincomb((c, self.rows[k]) for k, c in coeffs.items())
         return {j: _over(e, den) for j, e in out.items() if e}
 
     def coordinates_of(self, v: dict) -> dict | None:

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from . import lie
 from .lie import LieAlgebra, bracket
-from .linalg import Subspace, is_direct_sum, require_iterable
+from .linalg import Subspace, is_direct_sum, require_iterable, require_size
 
 __all__ = [
     "ParabolicAlgebra",
@@ -42,7 +42,7 @@ __all__ = [
 MAX_DIM = 400
 
 
-def _require_size(n) -> None:
+def _require_n(n) -> None:
     """The rule for a size n of gl_n: an int, not a bool, of at least 1."""
     if type(n) is not int:
         raise ValueError(f"n {n!r} is not an int")
@@ -52,7 +52,7 @@ def _require_size(n) -> None:
 
 def compositions(n: int):
     """All 2^(n-1) compositions of n, lexicographically by block tuple."""
-    _require_size(n)
+    _require_n(n)
 
     def rec(remaining: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -118,10 +118,7 @@ class ParabolicAlgebra:
             raise ValueError(f"blocks must be ints, got {blocks!r}")
         if not blocks or min(blocks) < 1:
             raise ValueError("blocks must be positive")
-        if type(extra_center) is not int:
-            raise ValueError(f"extra_center {extra_center!r} is not an int")
-        if extra_center < 0:
-            raise ValueError("extra_center must be nonnegative")
+        require_size(extra_center, "extra_center")
         self.n = n = sum(blocks)
         # the center, the coroots and one generator per root: n(n - 1)/2
         # positive ones and b(b - 1)/2 negative ones in each block b
@@ -251,7 +248,7 @@ def adapted_subspaces(q: ParabolicAlgebra) -> dict[str, Subspace]:
 def build_gl(n: int) -> LieAlgebra:
     """gl_n on the matrix-unit basis E[i,j], lexicographic in (i, j); n*n
     at most ``lie.MAX_DIM``, checked before any bracket is formed."""
-    _require_size(n)
+    _require_n(n)
     if n * n > lie.MAX_DIM:
         raise ValueError(f"dim {n * n} is above the limit of {lie.MAX_DIM}")
     units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

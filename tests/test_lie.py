@@ -16,7 +16,7 @@ from entry_cases import INT_ONLY, OVERLONG, SPELLINGS, digit_limit, needs_digit_
 from root_reference import root_value
 from scaled_reference import scaled_parabolic
 import liederiv
-from liederiv import lie, parabolic
+from liederiv import lie, linalg, parabolic
 from liederiv.derivations import (
     complexify,
     derivation_algebra,
@@ -579,6 +579,8 @@ def test_json_round_trip():
         (lambda: build_gl(None), "n None is not an int"),
         (lambda: build_standard_parabolic((2,), extra_center=1.5), "extra_center 1.5"),
         (lambda: build_standard_parabolic((2,), extra_center=True), "extra_center True"),
+        (lambda: build_standard_parabolic((2,), extra_center=-1),
+         "extra_center -1 is not a nonnegative int"),
         (lambda: dimension_formula(1.5, 2, 1, 3), "arguments must be ints, got 1.5"),
         (lambda: dimension_formula(True, 2, 1, 3), "arguments must be ints, got True"),
         (lambda: dimension_formula(1, 2, 1, "1"), "arguments must be ints, got '1'"),
@@ -598,7 +600,8 @@ def test_json_round_trip():
          "json-short-triple", "bool-dim", "int-triple", "short-triple", "float-block",
          "bool-blocks", "float-n", "str-blocks", "none-block", "bool-compositions-n",
          "str-compositions-n", "none-compositions-n", "bool-gl-n", "float-gl-n", "str-gl-n",
-         "none-gl-n", "float-extra-center", "bool-extra-center", "float-formula-argument",
+         "none-gl-n", "float-extra-center", "bool-extra-center", "negative-extra-center",
+         "float-formula-argument",
          "bool-formula-argument", "str-formula-argument", "float-dim", "float-units-size",
          "bool-full-size", "negative-full-size", "negative-from-sparse-size",
          "str-from-vectors-size", "negative-nullspace-size", "float-nullspace-size",
@@ -862,6 +865,11 @@ def test_property_vector_results_follow_one_rule():
         assert image == {i: e for i in range(d) if (e := sum(
             (Q(flat.get(j * d + i, 0)) * Q(v) for j, v in y.items()), Q(0)))}
         assert _over_rule(image, m.den * _den(y))
+        # + and - over two dens, the map's and ad's (N times x's), against
+        # the Fraction entries
+        for result, sign in ((m + ad, 1), (m - ad, -1)):
+            assert result.flat() == {f: e for f in range(d * d) if (e := Q(flat.get(f, 0))
+                                     + sign * Q(ad.cols[f // d].get(f % d, 0), ad.den))}
 
         space = bracket_span(L, Subspace.full(d), Subspace.full(d))
         coeffs = data.draw(_vector_strategy(st, space.dim)) if space.dim else {}
@@ -969,6 +977,46 @@ def test_library_built_maps_are_canonical():
         zero = ads[-1] - ads[-1]
         assert zero.den == 1 and not any(zero.cols)
     assert L.denominator == 4
+
+
+def test_endomatrix_sum_takes_maps_only():
+    # + and - with an operand that is not a map raise Python's TypeError in
+    # either order; maps of two algebras raise ValueError
+    m = identity(build_gl(2))
+    for call in (lambda: m + 5, lambda: 5 + m, lambda: m - None, lambda: None - m):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError, match="different algebras"):
+        m - identity(build_gl(2))
+
+
+def test_linear_combinations_sum_through_one_rule(monkeypatch):
+    # bracket, ad_matrix, apply, +, - and combination each sum through the
+    # one sparse linear combination, linalg._lincomb, where lie and linalg
+    # bind it
+    real = linalg._lincomb
+    calls = []
+
+    def counted(terms):
+        calls.append(terms)
+        return real(terms)
+
+    monkeypatch.setattr(lie, "_lincomb", counted)
+    monkeypatch.setattr(linalg, "_lincomb", counted)
+    L = scaled_parabolic((2, 1), Q(3, 2)).algebra
+    x, y = {0: 1, 3: Q(1, 2), 5: -2}, {1: 3, 4: 1, 6: Q(-2, 3)}
+    A, B = ad_matrix(L, x), ad_matrix(L, y)
+    space = Subspace.full(L.dim)
+    for name, call in {
+            "bracket": lambda: bracket(L, x, y),
+            "ad_matrix": lambda: ad_matrix(L, x),
+            "apply": lambda: A.apply(y),
+            "+": lambda: A + B,
+            "-": lambda: A - B,
+            "combination": lambda: space.combination(y)}.items():
+        before = len(calls)
+        call()
+        assert len(calls) > before, name
 
 
 def test_endomatrix_rejects_bad_shapes():
