@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .lie import (EndoMatrix, LieAlgebra, _leibniz_failures, first_leibniz_violation, grading,
                   jacobi_holds)
@@ -97,9 +97,8 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
     equations have the kernel of the whole weight-0 block (for n = 1, G is
     empty and q abelian). Only the weight-0 equations at the walked pairs that
     have a term are fed to the one elimination. It numbers D_{l,k} top - (k*d +
-    l), top = d*d - 1, so each kernel vector, mapped back, leads at its free
-    column and is zero at the others: over its content, with its columns
-    sorted, it is a canonical row. Blocks share no coordinate, so one small
+    l), top = d*d - 1, so ``_RowReducer.kernel_rows`` writes the block's
+    canonical rows. Blocks share no coordinate, so one small
     elimination of the ad x of nonzero weight gives the canonical rows of every
     nonzero-weight block. Sorted by pivot, they are the canonical basis, with
     no second elimination.
@@ -144,13 +143,8 @@ def derivation_algebra(L: LieAlgebra) -> Subspace:
                         row[idx] = row.get(idx, 0) + v
                     red.add_row(row)  # it drops the zero entries
 
-    # back to the flat index k*d + l of D_{l,k}, columns in increasing order;
-    # only the weight-0 unknowns, the (k, l) in one block, in increasing
-    # k*d + l. Each vector's entry at its free column is positive
-    rows = []
-    for vec in red.kernel_vectors(top - (k * d + l) for k in range(d) for l in by_weight[W[k]]):
-        g = gcd(*vec.values())
-        rows.append({top - c: vec[c] // g for c in sorted(vec, reverse=True)})
+    # the weight-0 unknowns, the (k, l) in one block, in increasing k*d + l
+    rows = red.kernel_rows(top, (k * d + l for k in range(d) for l in by_weight[W[k]]))
     nonzero = _RowReducer()  # the blocks ad(L_mu), mu != 0, share no column
     for x in range(d):
         if W[x]:

@@ -205,21 +205,23 @@ class _RowReducer:
         with its columns in increasing order."""
         return [{c: r[c] for c in sorted(r)} for _, r in sorted(self.pivot_rows.items())]
 
-    def kernel_vectors(self, columns) -> list[dict]:
-        """One integer kernel vector per free (non-pivot) column f among
-        columns, in their order: m, the lcm of the pivots r[p] of the rows r
-        with an entry at f, at f and -r[f] * m / r[p] at each such p. Over
-        all columns they span the kernel of the fed rows."""
+    def kernel_rows(self, top: int, columns) -> list[dict[int, int]]:
+        """The canonical rows, by pivot, of the kernel of rows fed with unknown top - c at
+        column c: one per free c among columns, given in increasing order. The kernel vector
+        at f = top - c holds m, the lcm of the pivots r[p] of the rows r with an entry at f,
+        at f and -r[f] * m / r[p] at each such p, a pivot less than f. Mapped back, it leads
+        at c and is zero at every other free column, so over its content, with its columns
+        sorted, it is a canonical row. Over all columns they are the kernel's basis."""
         out = []
-        for f in columns:
-            if f in self.pivot_rows:
-                continue
-            held = [(p, r) for p, r in self.pivot_rows.items() if f in r]
-            m = lcm(*[r[p] for p, r in held])
-            v = {f: m}
-            for p, r in held:
-                v[p] = -r[f] * (m // r[p])
-            out.append(v)
+        for c in columns:
+            f = top - c
+            if f not in self.pivot_rows:
+                held = [(p, r) for p, r in self.pivot_rows.items() if f in r]
+                m = lcm(*[r[p] for p, r in held])
+                row = {top - p: -r[f] * (m // r[p]) for p, r in held}
+                row[c] = m
+                g = gcd(*row.values())
+                out.append({j: row[j] // g for j in sorted(row)})
         return out
 
 
@@ -280,14 +282,13 @@ class Subspace:
         """The span of dense vectors, each of length ambient_dim; every
         nonzero entry must pass ``rational``."""
         require_size(ambient_dim, "ambient_dim")
-        red = _RowReducer()
+        rows = []
         for v in require_iterable(vectors, "vectors"):
             v = list(require_iterable(v, "vector"))
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-            v = {j: rational(e, f"at index {j}") for j, e in enumerate(v) if e}
-            red.add_row(require_vector(v, ambient_dim, "vector")[0])
-        return cls._of(ambient_dim, red)
+            rows.append({j: rational(e, f"at index {j}") for j, e in enumerate(v) if e})
+        return cls.from_sparse(ambient_dim, rows)
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, sparse_vectors) -> Subspace:
@@ -297,12 +298,7 @@ class Subspace:
         red = _RowReducer()
         for v in require_iterable(sparse_vectors, "sparse_vectors"):
             red.add_row(require_vector(v, ambient_dim, "vector")[0])
-        return cls._of(ambient_dim, red)
-
-    @classmethod
-    def _of(cls, n: int, red: _RowReducer) -> Subspace:
-        """The span of a reducer's rows, unchecked: the library's or checked ones."""
-        return cls(n, red.rows())
+        return cls(ambient_dim, red.rows())
 
     @classmethod
     def units(cls, ambient_dim: int, indices) -> Subspace:
@@ -371,12 +367,14 @@ class Subspace:
 
 
 def nullspace_of_rows(ncols: int, sparse_rows) -> Subspace:
-    """Kernel of an iterable of sparse rows, each cleared by ``require_vector``."""
+    """Kernel of an iterable of sparse rows, each cleared by ``require_vector``:
+    one elimination of the rows fed reversed, its basis read off by ``kernel_rows``."""
     require_size(ncols, "ncols")
+    top = ncols - 1
     red = _RowReducer()
     for row in require_iterable(sparse_rows, "sparse_rows"):
-        red.add_row(require_vector(row, ncols, "row")[0])
-    return Subspace.from_sparse(ncols, red.kernel_vectors(range(ncols)))
+        red.add_row({top - c: e for c, e in require_vector(row, ncols, "row")[0].items()})
+    return Subspace(ncols, red.kernel_rows(top, range(ncols)))
 
 
 def solve(ncols: int, sparse_rows, b) -> dict | None:
@@ -409,7 +407,8 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by Zassenhaus's elimination: the rows (u | u), u in a,
     and (v | 0), v in b, span the (u + v | u), which are (0 | u) for u in
-    both, so the reduced rows with pivot >= n hold a basis in their second half."""
+    both, so the reduced rows with pivot >= n hold a basis in their second
+    half, and shifted back, by pivot, they are its canonical rows."""
     n = a.ambient_dim
     if n != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -418,8 +417,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         red.add_row({**u, **{c + n: e for c, e in u.items()}})
     for v in b.rows:
         red.add_row(v)
-    return Subspace._of(n, _RowReducer((p - n, {c - n: e for c, e in r.items()})
-                                       for p, r in red.pivot_rows.items() if p >= n))
+    return Subspace(n, [{c - n: e for c, e in r.items()} for r in red.rows() if min(r) >= n])
 
 
 def contains(a: Subspace, v: dict) -> bool:

@@ -1352,22 +1352,24 @@ def test_heisenberg_swap_fails_the_direct_sum():
 def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monkeypatch):
     # the oracle feeds each equation (i, j, l) of the weight-0 block at a pair
     # that meets the build's generators that has a term, and no other, then
-    # each ad x of nonzero weight, and sorts no reducer into a Subspace; a
-    # certified theorem check makes no second elimination of ad q, through
-    # inner_derivations or from_sparse, and compares its reducer with der's
-    # rows as they stand
+    # each ad x of nonzero weight, and sorts no reducer into a Subspace but
+    # that block's, by its one rows() call; a certified theorem check makes no
+    # second elimination of ad q, through inner_derivations or from_sparse,
+    # and compares its reducer with der's rows as they stand
     q = build_standard_parabolic((3, 2, 1), extra_center=1)
     L, d = q.algebra, q.dim
-    fed = []
+    fed, sorted_out = [], []
     real = _RowReducer.add_row
     monkeypatch.setattr(_RowReducer, "add_row",
                         lambda red, row: fed.append((red, row)) or real(red, row))
+    real_rows = _RowReducer.rows
+    monkeypatch.setattr(_RowReducer, "rows",
+                        lambda red: sorted_out.append(red) or real_rows(red))
 
     def refuse(*args):
         raise AssertionError("a second elimination or a reducer re-sorted")
 
     monkeypatch.setattr(Subspace, "from_sparse", refuse)
-    monkeypatch.setattr(Subspace, "_of", refuse)
     der = derivation_algebra(L)
     W, T, G = grading(L), L.int_table, set(L._generators)
     with_term = [(i, j, l) for i in range(d) for j in range(i + 1, d) if G & {i, j}
@@ -1377,6 +1379,7 @@ def test_certified_check_makes_one_elimination_and_the_oracle_no_empty_row(monke
     assert len(equations) == len(with_term) and all(equations)
     nonzero = [derivations._flat_ad(L, x) for x in range(d) if W[x]]
     assert [row for _, row in fed[len(equations):]] == nonzero
+    assert sorted_out == [fed[-1][0]] and fed[-1][0] is not fed[0][0]
 
     monkeypatch.setattr(derivations, "inner_derivations", refuse)
     assert verify_main_theorem(q, der).ok

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dense_reference import Matrix, dense, sparse
+from liederiv import lie
 from liederiv.linalg import (
     Q,
     Subspace,
@@ -17,6 +18,7 @@ from liederiv.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from liederiv.parabolic import build_gl
 
 
 def _rref(m: Matrix) -> Subspace:
@@ -108,6 +110,37 @@ def test_nullspace_single_equation():
     ns = _nullspace(Matrix.from_rows([[1, 1]]))
     assert ns.dim == 1
     assert ns.rows == ({0: 1, 1: -1},)
+
+
+def test_nullspace_of_rows_makes_one_elimination(monkeypatch):
+    # with the from_sparse door refused, nullspace_of_rows still returns the
+    # kernel's canonical rows, key order included, read off its one
+    # elimination: on the system lie.center feeds it for gl_3, and on a hand
+    # system with a repeated row, an empty row and a row of explicit zeros
+    systems = []
+    real = lie.nullspace_of_rows
+
+    def record(ncols, rows):
+        systems.append((ncols, list(rows)))
+        return real(ncols, systems[-1][1])
+
+    def refuse(*args):
+        raise AssertionError("a second elimination")
+
+    with monkeypatch.context() as m:
+        m.setattr(lie, "nullspace_of_rows", record)
+        lie.center(build_gl(3))
+    hand = [{0: 2, 3: -4}, {}, {1: 1, 2: 1, 4: 3}, {0: 2, 3: -4}, {0: 0, 2: 0}]
+    want = {9: [[(0, 1), (4, 1), (8, 1)]],
+            5: [[(0, 2), (3, 1)], [(1, 3), (4, -1)], [(2, 3), (4, -1)]]}
+    for ncols, rows in systems + [(5, hand)]:
+        with monkeypatch.context() as m:
+            m.setattr(Subspace, "from_sparse", refuse)
+            s = nullspace_of_rows(ncols, rows)
+        assert [list(r.items()) for r in s.rows] == want[ncols]
+        assert s.dim == ncols - Subspace.from_sparse(ncols, rows).dim
+        assert all(sum(e * row.get(j, 0) for j, e in r.items()) == 0
+                   for r in s.rows for row in rows)
 
 
 def test_nullspace_identity_and_zero():
@@ -319,13 +352,22 @@ def test_property_constructors_agree():
     hyp, st, settings = _hypothesis()
 
     @settings
-    @hyp.given(_case(st))
-    def check(case):
+    @hyp.given(_case(st), st.integers(0, 5))
+    def check(case, k):
         n, rows = case
         s = Subspace.from_vectors(n, rows)
         assert s == Subspace.from_sparse(n, [sparse(r) for r in rows])
         # the dense input form takes every exact scalar form ``rational`` does
         assert s == Subspace.from_vectors(n, [[str(e) for e in r] for r in rows])
+        # every producer writes the one canonical form: the rows from_sparse
+        # writes for its rows, key order and hash included (== ignores key
+        # order, the hash does not)
+        a, b = Subspace.from_vectors(n, rows[:k]), Subspace.from_vectors(n, rows[k:])
+        for t in (s, a, nullspace_of_rows(n, [sparse(r) for r in rows]), subspace_sum(a, b),
+                  subspace_intersect(a, b), subspace_intersect(s, a), subspace_intersect(b, s)):
+            ref = Subspace.from_sparse(n, t.rows)
+            assert [list(r.items()) for r in t.rows] == [list(r.items()) for r in ref.rows]
+            assert hash(t) == hash(ref)
 
     check()
 
@@ -410,8 +452,10 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
     # reducer does: after each add_row the stored rows hold int values only,
     # are primitive with a positive pivot first, no pivot column occurs in
     # another row, and add_row returned True exactly when sympy says the
-    # row is independent of those fed before it; kernel_vectors(C) then
-    # spans sympy's nullspace of the columns C, in int values only. A
+    # row is independent of those fed before it, as it does fed the rows
+    # reversed (unknown c - 1 - j at column j), and that reducer's
+    # kernel_rows(c - 1, C) are canonical rows, key order included, that span
+    # sympy's nullspace of the columns C, in int values only. A
     # Subspace keeps the stored rows, in pivot order and int values only;
     # vectors() is sympy's RREF, and its coordinates recombine to a vector
     hyp, st, settings = _hypothesis()
@@ -425,23 +469,27 @@ def test_property_reducer_stays_fully_reduced_and_matches_sympy():
         rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
         # the pivot columns of the transpose are the rows that raise the rank
         _, independent = sympy.Matrix(rows).T.rref()
-        red = _RowReducer()
+        red, rev = _RowReducer(), _RowReducer()
         for k, row in enumerate(rows):
             form = data.draw(st.sampled_from(_ROW_FORMS))
-            assert red.add_row(require_vector(form(row), c, "row")[0]) is (k in independent)
+            ints = require_vector(form(row), c, "row")[0]
+            assert red.add_row(ints) is (k in independent)
+            assert rev.add_row({c - 1 - j: e for j, e in ints.items()}) is (k in independent)
             assert len(red.pivot_rows) == sum(i <= k for i in independent)
             for p, r in red.pivot_rows.items():
                 assert all(type(e) is int for e in r.values())
                 assert min(r) == p and r[p] > 0
                 assert math.gcd(*r.values()) == 1
                 assert all(p not in other for q, other in red.pivot_rows.items() if q != p)
-        kernel = red.kernel_vectors(cols)
+        kernel = rev.kernel_rows(c - 1, cols)
         assert all(v.keys() <= set(cols) for v in kernel)
         assert all(type(e) is int for v in kernel for e in v.values())
         theirs = [dict(zip(cols, (Q(str(e)) for e in v)))
                   for v in sympy.Matrix([[r[j] for j in cols] for r in rows]).nullspace()]
         assert Subspace.from_sparse(c, kernel) == Subspace.from_sparse(c, theirs)
         assert len(kernel) == len(theirs)
+        assert [list(v.items()) for v in kernel] == [
+            list(r.items()) for r in Subspace.from_sparse(c, kernel).rows]
         space = Subspace.from_sparse(c, [sparse(r) for r in rows])
         assert [list(r.items()) for r in space.rows] == [
             sorted(red.pivot_rows[p].items()) for p in sorted(red.pivot_rows)]
