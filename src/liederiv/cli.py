@@ -240,18 +240,19 @@ def cmd_verify(args) -> tuple[dict, int]:
 # JSON and text rendering
 # ---------------------------------------------------------------------------
 
+# the text of a scalar by its exact type, so a bool is not written as an int
+_SCALAR = {str: encode_basestring_ascii, int: repr, bool: {False: "false", True: "true"}.get,
+           type(None): lambda _: "null"}
+_NO_ELEMENT = object()
+
+
 def _json(obj, indent: str = "\n") -> str:
     """The bytes of ``json.dumps(obj, indent=2)`` for dicts with str keys,
     lists, str, int, bool and None; anything else, a float included, raises
     TypeError. A list of strings is quoted by one join."""
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return repr(obj)
-    if type(obj) is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
+    write = _SCALAR.get(type(obj))
+    if write:
+        return write(obj)
     inner = indent + "  "
     sep = "," + inner
     if type(obj) is list:
@@ -262,7 +263,16 @@ def _json(obj, indent: str = "\n") -> str:
                 return "[" + inner + sep.join(map(encode_basestring_ascii, obj)) + indent + "]"
             except TypeError:  # not every entry is a str
                 pass
-        return "[" + inner + sep.join([_json(e, inner) for e in obj]) + indent + "]"
+        # an element that is the previous one, such as a shared all-zero row
+        # of a decompose payload, reuses its text; identity never confuses 1
+        # with True, and the sentinel is no element, None included
+        parts, prev, text = [], _NO_ELEMENT, ""
+        for e in obj:
+            if e is not prev:
+                write = _SCALAR.get(type(e))
+                prev, text = e, write(e) if write else _json(e, inner)
+            parts.append(text)
+        return "[" + inner + sep.join(parts) + indent + "]"
     if type(obj) is dict:
         if not obj:
             return "{}"

@@ -323,10 +323,16 @@ class DecompositionResult:
     h_star: dict[int, Q]
 
     def to_json_dict(self) -> dict:
+        """The JSON payload of ``decompose``. Every all-zero row of "l_part" is one
+        list of "0" strings, shared as ``Subspace.rows`` are: callers must not
+        mutate it."""
         d, den = self.l_part.algebra.dim, self.l_part.den
-        rows = [["0"] * d for _ in range(d)]
+        zero = ["0"] * d
+        rows = [zero] * d
         for j, col in enumerate(self.l_part.cols):
             for i, e in col.items():
+                if rows[i] is zero:
+                    rows[i] = ["0"] * d
                 rows[i][j] = str(_over(e, den))
         return {
             "l_part": rows,
@@ -374,7 +380,7 @@ def _residual_failure(q: ParabolicAlgebra, l_part: EndoMatrix) -> str | None:
     ``constructive_decompose``, or None when all pass."""
     center_set = set(q.center_indices)
     for jdx, col in enumerate(l_part.cols):
-        if any(i not in center_set for i in col):
+        if not center_set.issuperset(col):
             return f"residual map does not land in the center at column {jdx}"
     for jdx in q.derived_indices:
         if l_part.cols[jdx]:

@@ -201,23 +201,43 @@ class EndoMatrix:
         if type(den) is not int or den < 1:
             raise ValueError(f"den {den!r} is not a positive int")
         cleared = [require_vector(c, d, "row") for c in cols]
-        # each column's ints over m, the lcm of their dens, rescaled only where
-        # its den is not m; ``_canonical`` makes the one copy of each column
+        # each column's ints over m, the lcm of their dens. A column is copied
+        # once: by ``require_vector`` where it holds a Fraction, else here, and
+        # a copy ``require_vector`` made is rescaled in place where its den is
+        # not m. No column keeps a zero, so ``_canonical`` copies none again
+        # unless it divides out a common factor
         m = lcm(*(cden for _, cden in cleared))
-        canon = EndoMatrix._canonical(algebra, [
-            c if cden == m else {i: e * (m // cden) for i, e in c.items()} for c, cden in cleared
-        ], den * m)
+        own = []
+        for given, (c, cden) in zip(cols, cleared):
+            k = m // cden
+            if c is given:
+                c = {i: e * k for i, e in c.items() if e}
+            elif k != 1:
+                for i in c:
+                    c[i] *= k
+            own.append(c)
+        canon = EndoMatrix._canonical(algebra, own, den * m)
         self.algebra, self.cols, self.den = algebra, canon.cols, canon.den
 
     @classmethod
     def _canonical(cls, algebra: LieAlgebra, cols, den: int) -> EndoMatrix:
         """The map with int columns over a positive den that the library
         summed itself: zeros dropped and gcd(den, entries) divided out,
-        without the constructor's value and index checks."""
-        g = gcd(den, *(e for c in cols for e in c.values())) if den > 1 else 1
+        without the constructor's value and index checks. The map owns the
+        dicts it is given: one with no zero entry is kept as it is where
+        there is no common factor, and any other is copied once."""
+        g = den  # gcd(den, entries), column by column until it reaches 1
+        for c in cols:
+            if g == 1:
+                break
+            g = gcd(g, *c.values())
         self = object.__new__(cls)
         self.algebra = algebra
-        self.cols = tuple({i: e // g for i, e in c.items() if e} for c in cols)
+        if g == 1:
+            self.cols = tuple(c if all(c.values()) else {i: e for i, e in c.items() if e}
+                              for c in cols)
+        else:
+            self.cols = tuple({i: e // g for i, e in c.items() if e} for c in cols)
         self.den = den // g
         return self
 

@@ -430,13 +430,42 @@ def test_writer_matches_json_dumps_on_goldens(name):
     assert _json(obj) == json.dumps(obj, indent=2)
 
 
+def _repeat_by_reference(x, others, picks):
+    """A list holding x itself wherever picks is True, else the next of others."""
+    rest = iter(others)
+    return [x if p else next(rest, x) for p in picks]
+
+
+ROW = ["0", "0", "0"]
+DEEP = {"k": [1, None]}
+
+
+@pytest.mark.parametrize("obj", [
+    [ROW, ROW, ROW],
+    [None, None, 1],
+    [1, True, 1, True, int("1"), True],
+    [0, False, 0, False, None],
+    [ROW, ["0", "1", "0"], ROW, ROW],
+    [[DEEP, DEEP], [DEEP], {"a": DEEP, "b": [DEEP, DEEP]}],
+    _repeat_by_reference(None, [0, False], [True, True, False, True, False, True]),
+], ids=["repeated-list", "leading-none", "one-and-true", "zero-and-false",
+        "repeat-after-other", "nested-dict", "none-between-falsy"])
+def test_writer_reuses_text_only_for_the_same_object(obj):
+    assert _json(obj) == json.dumps(obj, indent=2)
+
+
 def test_property_writer_matches_json_dumps():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     text = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
         ['"', "\\", "\x00\x1f\x7f", "\u2028", "\U0001f600", "caf\u00e9", ""])
-    scalar = st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, -10 ** 30) | text
+    # 0 and 1 are drawn often, so that they sit beside False and True
+    scalar = (st.none() | st.booleans() | st.integers(0, 1) | st.integers()
+              | st.integers(-10 ** 40, -10 ** 30) | text)
+    # some lists hold one drawn element several times, by reference, between others
     tree = st.recursive(scalar, lambda kids: st.lists(kids, max_size=4)
+                        | st.builds(_repeat_by_reference, kids, st.lists(kids, max_size=3),
+                                    st.lists(st.booleans(), min_size=1, max_size=5))
                         | st.dictionaries(text, kids, max_size=4), max_leaves=20)
 
     @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,7 +1,8 @@
 """Only ``linalg`` constructs a Fraction: ``rational`` reads an exact
 scalar, and ``_over`` and ``_ratio`` write one. Every other module takes
 the form of a scalar from those three, so no other call to ``Q`` or
-``Fraction`` appears in the library's source."""
+``Fraction`` appears in the library's source. Clearing a map's values to
+ints is ``require_vector``'s job alone, so ``cli`` names none of its tools."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,34 @@ def test_scan_passes_code_that_only_reads_fractions():
     code = ("from fractions import Fraction\nQ = Fraction\nok = isinstance(x, Q)\n"
             "y = x.denominator\ndef f(v: Q) -> Q:\n    return _over(v, 2)")
     assert _fraction_calls(ast.parse(code)) == []
+
+
+# The CLI's reader hands parsed values to the ``EndoMatrix`` constructor, whose
+# ``require_vector`` clears them; it clears no map itself
+CLEARING = {"lcm", "gcd", "_canonical"}
+
+
+def _names(tree) -> set[str]:
+    """Every name the code reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in node.names)
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_cli_clears_no_map_itself():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    assert _names(ast.parse(path.read_text(encoding="utf-8"))) & CLEARING == set()
+
+
+@pytest.mark.parametrize("code", ["from math import lcm", "import math\nm = math.gcd(a, b)",
+                                  "from math import gcd as g", "EndoMatrix._canonical(L, c, 1)",
+                                  "f = lcm"])
+def test_scan_flags_a_clearing_name(code):
+    assert _names(ast.parse(code)) & CLEARING

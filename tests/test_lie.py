@@ -19,6 +19,7 @@ import liederiv
 from liederiv import lie, linalg, parabolic
 from liederiv.derivations import (
     complexify,
+    constructive_decompose,
     derivation_algebra,
     dimension_formula,
     random_combination,
@@ -960,23 +961,78 @@ CANONICAL_CASES = (
 )
 
 
+def _foreign_columns(m, *sources) -> list[int]:
+    """Indices of m's columns that hold a zero entry, are a column dict of one
+    of sources (maps or lists of dicts), or are another column of m."""
+    theirs = {id(c) for s in sources for c in getattr(s, "cols", s)}
+    seen: set[int] = set()
+    bad = []
+    for j, c in enumerate(m.cols):
+        if not all(c.values()) or id(c) in theirs or id(c) in seen:
+            bad.append(j)
+        seen.add(id(c))
+    return bad
+
+
 def test_library_built_maps_are_canonical():
-    # ad_matrix and +/- build their maps from integer columns without the
-    # public constructor; reading a map back through it must change nothing
+    # ad_matrix, +/-, random_combination and constructive_decompose build
+    # their maps from integer columns without the public constructor; reading
+    # a map back through it must change nothing. Each map owns its columns:
+    # no zero entry, and no dict shared with an input map
     rng = random.Random(18)
     for blocks, z, s in CANONICAL_CASES:
-        L = scaled_parabolic(blocks, s, extra_center=z).algebra
+        q = scaled_parabolic(blocks, s, extra_center=z)
+        L = q.algebra
         ads = [ad_matrix(L, {i: 1}) for i in range(L.dim)]
         ads += [ad_matrix(L, {i: Q(rng.randint(-4, 4), rng.randint(1, 6))
                               for i in rng.sample(range(L.dim), min(3, L.dim))})
                 for _ in range(4)]
-        maps = ads + [a + b for a in ads for b in ads[-4:]] + [a - b for a in ads for b in ads[-4:]]
-        maps += [a + a for a in ads] + [a - a for a in ads]
-        for m in maps:
+        built = [(m, ()) for m in ads]
+        built += [(a + b, (a, b)) for a in ads for b in ads[-4:]]
+        built += [(a - b, (a, b)) for a in ads for b in ads[-4:]]
+        built += [(a + a, (a,)) for a in ads] + [(a - a, (a,)) for a in ads]
+        der = derivation_algebra(L)
+        for _ in range(3):
+            D = random_combination(L, der, rng)
+            built += [(D, ()), (constructive_decompose(q, D).l_part, (D,))]
+        for m, inputs in built:
             assert EndoMatrix.from_flat(L, m.flat()) == m, (blocks, z, s)
+            assert _foreign_columns(m, *inputs) == [], (blocks, z, s)
         zero = ads[-1] - ads[-1]
         assert zero.den == 1 and not any(zero.cols)
     assert L.denominator == 4
+
+
+@pytest.mark.parametrize("cols, den", [
+    ([{0: 1}, {1: -2}, {2: 3, 3: 4}, {0: 5}], 1),                  # ints with no zero
+    ([{0: 1, 1: 0}, {}, {3: 2}, {0: -1}], 1),                       # ints with a zero
+    ([{0: 2}, {1: -4}, {2: 6}, {}], 2),                             # a common factor
+    ([{0: Q(1, 2)}, {1: 3}, {2: Q(2, 3), 3: 0}, {0: Q(5)}], 1),     # Fractions, rescaled
+    ([{0: Q(1, 6), 1: Q(1, 6)}, {2: Q(1, 3)}, {}, {3: 1}], 5),
+], ids=["ints", "int-zero", "common-factor", "fractions", "fractions-over-den"])
+def test_endomatrix_owns_its_columns(cols, den):
+    # the constructor and from_flat copy the caller's dicts: changing them
+    # afterwards leaves the map as it was, and no column of it is the caller's
+    gl2 = build_gl(2)
+    given = [dict(c) for c in cols]
+    m = EndoMatrix(gl2, given, den)
+    flat = {j * 4 + i: e for j, c in enumerate(cols) for i, e in c.items()}
+    f = EndoMatrix.from_flat(gl2, flat, den)
+    assert f == m
+    expected = m.flat()
+    assert _foreign_columns(m, given) == [] and _foreign_columns(f) == []
+    for c in given:
+        c.clear()
+        c[1] = 7
+    flat.clear()
+    flat[5] = 7
+    assert m.flat() == expected and f.flat() == expected
+    # one dict given as every column becomes four dicts of the map's own
+    shared = {0: 1, 3: -1}
+    m = EndoMatrix(gl2, [shared] * 4)
+    assert _foreign_columns(m, [shared]) == []
+    shared[1] = 9
+    assert m == EndoMatrix(gl2, [{0: 1, 3: -1}] * 4)
 
 
 def test_endomatrix_sum_takes_maps_only():
