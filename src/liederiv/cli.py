@@ -134,7 +134,7 @@ def cmd_der(args) -> tuple[dict, int]:
 def _read_derivation(args, algebra) -> EndoMatrix:
     """Parse {"dim": d, "matrix": d rows of d entries}; each entry is a JSON
     integer or a rational string such as "-3/4", never a float, read by
-    ``rational``. The ``EndoMatrix`` constructor clears the columns to ints."""
+    ``rational``; ``EndoMatrix.from_flat`` checks and copies the flat map once."""
     dim = algebra.dim
     try:
         if args.input == "-":
@@ -157,7 +157,7 @@ def _read_derivation(args, algebra) -> EndoMatrix:
     # and an entry that fails is never stored, so the error names its first
     # place
     parsed: dict[str, int | Q] = {}
-    cols: list[dict[int, int | Q]] = [{} for _ in range(dim)]
+    flat: dict[int, int | Q] = {}
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries at row {i}")
@@ -169,8 +169,8 @@ def _read_derivation(args, algebra) -> EndoMatrix:
                 # JSON holds no Fraction, so this raises unless e is a string
                 v = parsed[e] = rational(e, f"at row {i}, column {j}")
             if v:
-                cols[j][i] = v
-    return EndoMatrix(algebra, cols)
+                flat[j * dim + i] = v
+    return EndoMatrix.from_flat(algebra, flat)
 
 
 def cmd_decompose(args) -> tuple[dict, int]:

@@ -50,12 +50,13 @@ __all__ = [
 
 # the largest dim of an algebra, checked before anything is allocated: twice
 # ``parabolic.MAX_DIM``, so that ``complexify`` of every built q fits. At this
-# size ``derivation_algebra`` takes about 14 s on the complexified gl_20,
-# and about 20 s and 0.5 GB on a complexified abelian q (extrapolated from
-# dims 200 and 400). A complexified table carries no Jacobi certificate, so
-# ``jacobi_holds`` computes it: about 11 s on the complexified gl_20, and
-# 1.5 to 2 s on the complexified gl_14, dim 392 (CPython 3.11 on one core of
-# a 2-vCPU host)
+# size ``derivation_algebra`` takes 21 to 24 s on the complexified gl_20,
+# and about 20 s and 0.2 GB on a complexified abelian q (extrapolated from
+# 0.64 s and 27 MB at dim 200, 3.6 s and 65 MB at dim 400). A complexified
+# table carries no Jacobi certificate, so ``jacobi_holds`` computes it: about
+# 16 s on the complexified gl_20, and 3.1 s on the complexified gl_14, dim
+# 392 (CPython 3.11 on one core of a 2-vCPU host whose speed varies up to
+# twofold; README gives the same numbers)
 MAX_DIM = 800
 
 
@@ -184,11 +185,12 @@ class EndoMatrix:
 
     Entry (i, j) is ``cols[j][i] / den``, ``cols[j]`` a dict row -> nonzero int and
     ``den`` a positive int with no factor common to all entries (1 for the zero map),
-    so equal maps have equal ``cols`` and ``den``. The constructor takes columns,
-    entries over ``den``, cleared to ints by ``require_vector``; ``ad_matrix`` and
-    ``+``/``-`` (maps of one algebra, else TypeError) sum by ``_lincomb``, and all
-    three only divide out the common factor (``_canonical``). The flat form, the
-    ``Subspace.rows`` format, has entry (i, j) at index j*dim + i.
+    so equal maps have equal ``cols`` and ``den``. The map owns its dicts: the
+    constructor copies each column it clears by ``require_vector``, and ``from_flat``
+    checks the flat form (``Subspace.rows``'s, entry (i, j) at j*dim + i) by one
+    ``require_vector`` call and copies it once, into columns. ``ad_matrix`` and
+    ``+``/``-`` (maps of one algebra, else TypeError) sum by ``_lincomb``; all four
+    only divide out the common factor (``_canonical``).
     """
 
     __slots__ = ("algebra", "cols", "den")
@@ -198,24 +200,11 @@ class EndoMatrix:
         cols = tuple(require_iterable(cols, "cols"))
         if len(cols) != d:
             raise ValueError("column count does not match algebra dimension")
-        if type(den) is not int or den < 1:
-            raise ValueError(f"den {den!r} is not a positive int")
+        _positive_den(den)
         cleared = [require_vector(c, d, "row") for c in cols]
-        # each column's ints over m, the lcm of their dens. A column is copied
-        # once: by ``require_vector`` where it holds a Fraction, else here, and
-        # a copy ``require_vector`` made is rescaled in place where its den is
-        # not m. No column keeps a zero, so ``_canonical`` copies none again
-        # unless it divides out a common factor
+        # each column's ints over m, the lcm of their dens, in a dict of the map's own
         m = lcm(*(cden for _, cden in cleared))
-        own = []
-        for given, (c, cden) in zip(cols, cleared):
-            k = m // cden
-            if c is given:
-                c = {i: e * k for i, e in c.items() if e}
-            elif k != 1:
-                for i in c:
-                    c[i] *= k
-            own.append(c)
+        own = [{i: e * (m // cden) for i, e in c.items() if e} for c, cden in cleared]
         canon = EndoMatrix._canonical(algebra, own, den * m)
         self.algebra, self.cols, self.den = algebra, canon.cols, canon.den
 
@@ -243,13 +232,16 @@ class EndoMatrix:
 
     @classmethod
     def from_flat(cls, algebra: LieAlgebra, flat, den: int = 1) -> EndoMatrix:
-        """The map with flat entries (index j*dim + i -> value) over den."""
+        """The map with flat entries (index j*dim + i -> value) over den: flat checked by one
+        ``require_vector`` call, then den, and copied once, into new column dicts."""
         d = algebra.dim
-        require_vector(flat, d * d, "flat")
+        flat, fden = require_vector(flat, d * d, "flat")
+        den = _positive_den(den) * fden
         cols: list[dict] = [{} for _ in range(d)]
         for f, e in flat.items():
-            cols[f // d][f % d] = e
-        return cls(algebra, cols, den)
+            if e:
+                cols[f // d][f % d] = e
+        return cls._canonical(algebra, cols, den)
 
     def flat(self) -> dict:
         d, den = self.algebra.dim, self.den
@@ -293,6 +285,14 @@ class EndoMatrix:
 
     def __repr__(self) -> str:
         return f"EndoMatrix(dim {self.algebra.dim}, {sum(map(len, self.cols))} nonzero)"
+
+
+# a map's den, an int (not a bool) of at least 1, else ValueError naming it:
+# the one rule of both ``EndoMatrix`` doors
+def _positive_den(den) -> int:
+    if type(den) is not int or den < 1:
+        raise ValueError(f"den {den!r} is not a positive int")
+    return den
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 
 from entry_cases import INT_ONLY, OVERLONG, digit_limit, needs_digit_limit
 import liederiv
-from liederiv import cli, derivations, parabolic
+from liederiv import cli, derivations, lie, parabolic
 from liederiv.cli import _build_parser, _json, main
 from liederiv.lie import ad_matrix
 from liederiv.linalg import Q, integer
@@ -588,6 +588,23 @@ def test_verify_refuses_an_oversized_sweep_before_it_starts(capsys, monkeypatch,
 def test_verify_rejects_max_n_0(capsys):
     assert run(capsys, "verify", "--max-n", "0") == (
         2, "", "error: --max-n must be at least 1\n")
+
+
+def test_decompose_checks_its_map_once(monkeypatch, capsys):
+    # the reader's flat map enters the integers through one door call,
+    # EndoMatrix.from_flat's require_vector, and the split makes no other
+    real = lie.require_vector
+    calls = []
+
+    def counted(v, bound, name):
+        calls.append(name)
+        return real(v, bound, name)
+
+    monkeypatch.setattr(lie, "require_vector", counted)
+    code, out, _ = run(capsys, "decompose", "--n", "6", "--blocks", "3,2,1",
+                       "--input", str(DATA / "decompose-0.in.json"))
+    assert code == 0 and out == (DATA / "decompose-0.out.json").read_text()
+    assert calls == ["flat"]
 
 
 def test_decompose_rejects_a_float_dim(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from entry_cases import INT_ONLY, OVERLONG, SPELLINGS, digit_limit, needs_digit_
 from root_reference import root_value
 from scaled_reference import scaled_parabolic
 import liederiv
-from liederiv import lie, linalg, parabolic
+from liederiv import cli, lie, linalg, parabolic
 from liederiv.derivations import (
     complexify,
     constructive_decompose,
@@ -1033,6 +1034,115 @@ def test_endomatrix_owns_its_columns(cols, den):
     assert _foreign_columns(m, [shared]) == []
     shared[1] = 9
     assert m == EndoMatrix(gl2, [{0: 1, 3: -1}] * 4)
+
+
+@pytest.mark.parametrize("den", [0, -1, True, 1.0], ids=["zero", "negative", "bool", "float"])
+@pytest.mark.parametrize("door", ["columns", "flat"])
+def test_both_doors_read_den_by_one_rule(door, den):
+    # the constructor and from_flat refuse a den that is not an int (a bool
+    # or a float equal to 1 included) or is below 1, with one message
+    gl2 = build_gl(2)
+    call = {"columns": lambda: EndoMatrix(gl2, [{0: 1}, {}, {}, {}], den),
+            "flat": lambda: EndoMatrix.from_flat(gl2, {0: 1}, den)}[door]
+    with pytest.raises(ValueError, match=re.escape(f"den {den!r} is not a positive int")):
+        call()
+
+
+@pytest.mark.parametrize("flat, named", [
+    ({16: 1}, "flat index 16 out of range"),
+    ({0: 0.5}, "flat value 0.5 "),
+    ([1] * 16, "flat is not a sparse dict"),
+], ids=["index", "float-value", "dense-list"])
+@pytest.mark.parametrize("den", [0, 1.0])
+def test_from_flat_names_a_bad_flat_before_a_bad_den(flat, named, den):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EndoMatrix.from_flat(build_gl(2), flat, den)
+
+
+def test_from_flat_checks_and_copies_its_map_once(monkeypatch):
+    # one require_vector call on the whole flat map, and one copy: the
+    # columns it splits off, zeros dropped, are the ones the map keeps where
+    # no common factor divides out
+    real, real_canonical = lie.require_vector, EndoMatrix._canonical.__func__
+    calls, handed = [], []
+
+    def counted(v, bound, name):
+        calls.append((bound, name))
+        return real(v, bound, name)
+
+    def canonical(cls, algebra, cols, den):
+        handed.append(cols)
+        return real_canonical(cls, algebra, cols, den)
+
+    monkeypatch.setattr(lie, "require_vector", counted)
+    monkeypatch.setattr(EndoMatrix, "_canonical", classmethod(canonical))
+    L = scaled_parabolic((2, 1), Q(3, 2)).algebra
+    for flat, den in (({0: 1, 3: 0, 5: -2, 9: 3}, 1), ({0: Q(1, 2), 10: Q(-3, 4), 11: 0}, 3)):
+        calls.clear()
+        m = EndoMatrix.from_flat(L, flat, den)
+        assert calls == [(L.dim ** 2, "flat")], flat
+        assert len(handed[-1]) == L.dim and all(a is b for a, b in zip(m.cols, handed[-1])), flat
+    calls.clear()
+    EndoMatrix.from_flat(L, {}, 2)
+    assert calls == [(L.dim ** 2, "flat")]
+
+
+def _both_doors(L, flat, den=1):
+    """``from_flat`` of flat and the constructor of the same entries split
+    into columns in flat's key order, asserted equal with equal key order in
+    every column; returns the map."""
+    d = L.dim
+    cols = [{} for _ in range(d)]
+    for f, e in flat.items():
+        cols[f // d][f % d] = e
+    a, b = EndoMatrix.from_flat(L, flat, den), EndoMatrix(L, cols, den)
+    assert a == b
+    assert [list(c) for c in a.cols] == [list(c) for c in b.cols]
+    return a
+
+
+def test_doors_agree_on_every_decompose_golden_input():
+    # every golden decompose input that reads as a map: entries with explicit
+    # zeros (0 and "0") kept in the flat form, which both doors drop, and the
+    # CLI reader's map, which must be the same one
+    data = Path(__file__).parent / "data"
+    seen = 0
+    for e in json.loads((data / "golden.json").read_text()):
+        argv = e["argv"]
+        if argv[0] != "decompose" or e["exit"] == 2:
+            continue
+        opt = dict(zip(argv[1::2], argv[2::2]))
+        q = build_standard_parabolic([int(b) for b in opt["--blocks"].split(",")],
+                                     extra_center=int(opt.get("--extra-center", 0)))
+        path = data / e.get("stdin", opt["--input"])
+        rows = json.loads(path.read_text())["matrix"]
+        d = q.algebra.dim
+        flat = {j * d + i: linalg.rational(x, "") for i, row in enumerate(rows)
+                for j, x in enumerate(row)}
+        m = _both_doors(q.algebra, flat)
+        r = cli._read_derivation(argparse.Namespace(input=str(path)), q.algebra)
+        assert r == m and [list(c) for c in r.cols] == [list(c) for c in m.cols]
+        seen += 1
+    assert seen == 10
+
+
+def test_property_doors_agree():
+    # drawn flat maps mixing ints, Fractions (some integral) and explicit
+    # zeros, keys in drawn order, over a drawn den
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    L = scaled_parabolic((2, 1), Q(3, 2)).algebra
+    entry = st.one_of(st.just(0), st.just(Q(0)), st.integers(-6, 6),
+                      st.builds(Q, st.integers(-6, 6), st.integers(1, 6)))
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.dictionaries(st.integers(0, L.dim ** 2 - 1), entry, max_size=40),
+               st.integers(1, 12))
+    def check(flat, den):
+        m = _both_doors(L, flat, den)
+        assert m.flat() == {f: Q(e) / den for f, e in flat.items() if e}
+
+    check()
 
 
 def test_endomatrix_sum_takes_maps_only():
